@@ -27,6 +27,7 @@ from .errors import (
 )
 from .estimators import STRATEGIES, ift_estimate, make_estimator
 from .models import (
+    Dataset,
     OuterVariant,
     linear_1d,
     load_libsvm,
@@ -82,9 +83,6 @@ class RunConfig:
     eps: Optional[float] = None
     step_size: Optional[float] = None
     dims: Optional[int] = None
-    out_path: Optional[str] = None
-    svg_path: Optional[str] = None
-    precond_scale: float = 1.0
 
     def __post_init__(self):
         if self.problem not in PROBLEM_KINDS:
@@ -122,14 +120,11 @@ def build_problem(config: RunConfig) -> BilevelProblem:
     try:
         train = load_libsvm(config.train_path, dims=config.dims)
         if config.val_path is not None:
-            # Dimensions can disagree on trailing empty columns; reload with
-            # the union width (or the explicit override) so both line up.
+            # Widths can disagree on trailing empty columns, which LIBSVM
+            # omits; pad the narrower set with zero columns so both line up.
             val = load_libsvm(config.val_path, dims=config.dims)
-            dims = max(train.d_x, val.d_x)
-            if val.d_x != dims:
-                val = load_libsvm(config.val_path, dims=dims)
-            if train.d_x != dims:
-                train = load_libsvm(config.train_path, dims=dims)
+            width = max(train.d_x, val.d_x)
+            train, val = _pad_columns(train, width), _pad_columns(val, width)
         else:
             if config.outer == "quadratic":
                 raise UsageError("quadratic outer objective needs --val")
@@ -140,6 +135,13 @@ def build_problem(config: RunConfig) -> BilevelProblem:
     if config.problem == "ridge":
         return make_ridge(train, val, outer)
     return make_logistic(train, val, outer)
+
+
+def _pad_columns(data: Dataset, width: int) -> Dataset:
+    if data.d_x == width:
+        return data
+    zeros = np.zeros((data.n, width - data.d_x))
+    return Dataset(np.hstack([data.features, zeros]), data.labels)
 
 
 def _base_metadata(config: RunConfig, problem: BilevelProblem, y: Array) -> dict:

@@ -30,11 +30,11 @@ from .efficiency import compare_bounds, precond_gap, reparam_gap, super_efficien
 from .errors import DataError, HygradError, UsageError
 from .estimators import (
     STRATEGIES,
-    diag_scaling_reparam,
+    SeparableReparam,
     exp_family_reparam_1d,
     identity_reparam,
     newton_preconditioner,
-    newton_separable_reparam,
+    resolve_strategy,
     scaled_preconditioner,
 )
 from .models import sample_y
@@ -87,9 +87,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         eps=args.eps,
         step_size=args.step_size,
         dims=args.dims,
-        out_path=args.out_path,
-        svg_path=args.svg_path,
-        precond_scale=getattr(args, "precond_scale", 1.0),
     )
 
 
@@ -104,15 +101,18 @@ def _write(path: str | None, text: str) -> None:
         raise DataError(f"cannot write {path}: {err}") from err
 
 
+def _write_outputs(args, csv_text: str, items, axes: AxesConfig) -> None:
+    _write(args.out_path, csv_text)
+    if args.svg_path:
+        _write(args.svg_path, render_svg(items, axes))
+    if args.out_path:
+        print(f"wrote {args.out_path}")
+
+
 def _cmd_decay(args) -> int:
-    config = _config_from(args)
-    traces = run_decay(config)
-    _write(config.out_path, emit_csv(traces, kind="decay"))
-    if config.svg_path:
-        _write(config.svg_path, render_svg(
-            traces, AxesConfig(x_label="step", y_label="hypergradient error")))
-    if config.out_path:
-        print(f"wrote {config.out_path}")
+    traces = run_decay(_config_from(args))
+    _write_outputs(args, emit_csv(traces, kind="decay"), traces,
+                   AxesConfig(x_label="step", y_label="hypergradient error"))
     return 0
 
 
@@ -121,32 +121,19 @@ def _cmd_efficiency(args) -> int:
     records = run_efficiency_sweep(config)
     meta = {"seed": str(config.seed), "problem": config.problem,
             "outer": config.outer}
-    _write(config.out_path, emit_csv(records, kind="efficiency", metadata=meta))
-    if config.svg_path:
-        _write(config.svg_path, render_svg(
-            records, AxesConfig(x_label="trial", y_label="efficiency constant")))
-    if config.out_path:
-        print(f"wrote {config.out_path}")
+    _write_outputs(args, emit_csv(records, kind="efficiency", metadata=meta), records,
+                   AxesConfig(x_label="trial", y_label="efficiency constant"))
     return 0
-
-
-def _reparam_kind(problem, name: str):
-    if name == "exp":
-        return "exp"
-    if name == "diag-rep":
-        return diag_scaling_reparam(problem)
-    if name == "opt":
-        return newton_separable_reparam(problem)
-    raise UsageError(f"--reparam must be one of exp, diag-rep, opt (got {name!r})")
 
 
 def _cmd_compare(args) -> int:
     config = _config_from(args)
     problem = build_problem(config)
     precond = scaled_preconditioner(newton_preconditioner(problem),
-                                    config.precond_scale)
-    kind = _reparam_kind(problem, args.reparam)
-    lines = [f"# precond_scale={repr(config.precond_scale)}",
+                                    args.precond_scale)
+    # The change of variables behind the strategy's sensitivity map.
+    kind = resolve_strategy(problem, args.reparam).reparam
+    lines = [f"# precond_scale={repr(args.precond_scale)}",
              f"# prng={PRNG_NAME}", f"# problem={config.problem}",
              f"# reparam={args.reparam}", f"# seed={config.seed}",
              "trial,seed,lhs_phi_minus_p,rhs_phi_minus_p,lhs_p_minus_phi,"
@@ -165,11 +152,9 @@ def _cmd_compare(args) -> int:
         if bounds.lhs_p_minus_phi < bounds.rhs_p_minus_phi - slack_p:
             failures += 1
         sigma, sigma_lower = float("nan"), float("nan")
-        if not isinstance(kind, str):
-            from .estimators import SeparableReparam
-            if isinstance(kind, SeparableReparam):
-                sigma, sigma_lower, _ = reparam_gap(problem, precond, kind, y,
-                                                    eps=config.eps)
+        if isinstance(kind, SeparableReparam):
+            sigma, sigma_lower, _ = reparam_gap(problem, precond, kind, y,
+                                                eps=config.eps)
         lines.append(",".join([
             str(trial), str(trial_seed),
             repr(float(bounds.lhs_phi_minus_p)), repr(float(bounds.rhs_phi_minus_p)),
@@ -177,7 +162,7 @@ def _cmd_compare(args) -> int:
             repr(float(delta)), repr(float(delta_lower)),
             repr(float(sigma)), repr(float(sigma_lower)),
         ]))
-    _write(config.out_path, "\n".join(lines) + "\n")
+    _write(args.out_path, "\n".join(lines) + "\n")
     if failures:
         print(f"{failures} comparison inequalities violated", file=sys.stderr)
         return 3
@@ -203,9 +188,9 @@ def _cmd_ode1d(args) -> int:
             residual = super_efficiency_residual_1d(problem, phi, y)
             lines.append(f"{name},{trial},{trial_seed},{repr(float(y[0]))},"
                          f"{repr(float(residual))}")
-    _write(config.out_path, "\n".join(lines) + "\n")
-    if config.out_path:
-        print(f"wrote {config.out_path}")
+    _write(args.out_path, "\n".join(lines) + "\n")
+    if args.out_path:
+        print(f"wrote {args.out_path}")
     return 0
 
 
@@ -243,8 +228,8 @@ def _build_parser() -> _Parser:
     _add_common(p_cmp)
     p_cmp.add_argument("--precond-scale", type=float, default=1.0,
                        help="scale the Newton preconditioner to control its error")
-    p_cmp.add_argument("--reparam", default="exp",
-                       help="reparameterization side: exp, diag-rep, or opt")
+    p_cmp.add_argument("--reparam", default="exp", choices=("exp", "diag-rep", "opt"),
+                       help="reparameterization side")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_ode = sub.add_parser("ode1d", help="scalar super-efficiency residuals")

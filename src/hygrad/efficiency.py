@@ -13,32 +13,27 @@ other points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
-from .errors import HygradError, NumericalFailure, UsageError
+from .errors import UsageError
 from .estimators import (
     Estimator,
     PreconditionerOracle,
     Reparameterization,
     SeparableReparam,
-    ift_estimate,
-    localized_estimate,
+    StrategyKind,
     make_sensitivity_fn,
     newton_separable_reparam,
-    preconditioned_estimate,
-    reparameterized_estimate,
-    signed_exp_reparam,
+    resolve_strategy,
     solution_sensitivity,
 )
 from .linalg import linear_solve, spectral_norm, top_singular
-from .problems import BilevelProblem, as_vector
+from .problems import BilevelProblem, as_vector, fd_jacobian, fd_step
 from .seeding import rng_from_seed
 from .solvers import exact_root
 
 Array = np.ndarray
-ReparamKind = Union[str, Reparameterization, SeparableReparam]
 
 # Default relative step for estimator Jacobians; larger than the first-order
 # steps because these maps get differenced near a stationary value.
@@ -79,45 +74,11 @@ class ComparisonBounds:
     v_phi: Array
 
 
-def estimator_for_kind(problem: BilevelProblem, kind: ReparamKind,
+def estimator_for_kind(problem: BilevelProblem, kind: StrategyKind,
                        name: str = "reparam") -> Estimator:
-    """Estimator callable for a reparameterization kind (fixed or localized)."""
-    if kind == "vanilla":
-        return Estimator("vanilla", lambda x, y: ift_estimate(problem, x, y))
-    if kind == "exp":
-        return Estimator("exp", lambda x, y: reparameterized_estimate(
-            problem, signed_exp_reparam(x), x, y))
-    if isinstance(kind, Reparameterization):
-        return Estimator(name, lambda x, y: reparameterized_estimate(
-            problem, kind, x, y))
-    if isinstance(kind, SeparableReparam):
-        return Estimator(name, lambda x, y: localized_estimate(problem, kind, x, y))
-    raise UsageError(f"unsupported reparameterization kind {kind!r}")
-
-
-def _fd_map_jacobian(map_fn: Callable[[Array], Array], at: Array, eps: float,
-                     label: str) -> Array:
-    cols = []
-    for j in range(at.shape[0]):
-        hi, lo = at.copy(), at.copy()
-        hi[j] += eps
-        lo[j] -= eps
-        try:
-            f_hi = np.asarray(map_fn(hi), float)
-            f_lo = np.asarray(map_fn(lo), float)
-        except HygradError as err:
-            raise NumericalFailure(
-                f"{label} failed at probe coordinate {j}: {err}") from err
-        cols.append((f_hi - f_lo) / (2.0 * eps))
-    return np.stack(cols, axis=1)
-
-
-def _default_eps(xstar: Array, eps: float | None) -> float:
-    if eps is not None:
-        if eps <= 0:
-            raise UsageError("eps must be positive")
-        return eps
-    return JACOBIAN_FD_STEP * (1.0 + float(np.linalg.norm(xstar)))
+    """Estimator of a strategy key (named after it) or of a caller's oracle."""
+    return Estimator(kind if isinstance(kind, str) else name,
+                     resolve_strategy(problem, kind).estimate)
 
 
 def estimator_jacobian_fd(problem: BilevelProblem, estimator: Estimator,
@@ -125,9 +86,9 @@ def estimator_jacobian_fd(problem: BilevelProblem, estimator: Estimator,
     """Central-difference Jacobian in x of an estimator, at the inner root."""
     y = as_vector(y, problem.d_y, "y")
     xstar = exact_root(problem, y)
-    eps = _default_eps(xstar, eps)
-    return _fd_map_jacobian(lambda x: estimator(x, y), xstar, eps,
-                            f"estimator {estimator.name!r}")
+    eps = fd_step(xstar, eps, JACOBIAN_FD_STEP)
+    return fd_jacobian(lambda x: estimator(x, y), xstar, eps,
+                       f"estimator {estimator.name!r}")
 
 
 def efficiency_constant(problem: BilevelProblem, estimator: Estimator,
@@ -203,7 +164,7 @@ def outer_curvature(problem: BilevelProblem, y: Array,
     return problem.outer.jac_gradY_x(xstar, y) + jac_t @ problem.outer.hess_xx(xstar, y)
 
 
-def sensitivity_term_jacobian_fd(problem: BilevelProblem, kind: ReparamKind,
+def sensitivity_term_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
                                  y: Array, eps: float | None = None) -> Array:
     """FD Jacobian at the root of x -> S(x, y) g_1(x*, y), outer factor frozen.
 
@@ -214,12 +175,11 @@ def sensitivity_term_jacobian_fd(problem: BilevelProblem, kind: ReparamKind,
     xstar = exact_root(problem, y)
     g1 = problem.outer.grad_x(xstar, y)
     sens = make_sensitivity_fn(problem, kind)
-    eps = _default_eps(xstar, eps)
-    return _fd_map_jacobian(lambda x: sens(x, y) @ g1, xstar, eps,
-                            "sensitivity term")
+    eps = fd_step(xstar, eps, JACOBIAN_FD_STEP)
+    return fd_jacobian(lambda x: sens(x, y) @ g1, xstar, eps, "sensitivity term")
 
 
-def sensitivity_efficiency_constant(problem: BilevelProblem, kind: ReparamKind,
+def sensitivity_efficiency_constant(problem: BilevelProblem, kind: StrategyKind,
                                     y: Array, eps: float | None = None) -> float:
     """Efficiency constant of the sensitivity matrix itself.
 
@@ -229,9 +189,8 @@ def sensitivity_efficiency_constant(problem: BilevelProblem, kind: ReparamKind,
     y = as_vector(y, problem.d_y, "y")
     xstar = exact_root(problem, y)
     sens = make_sensitivity_fn(problem, kind)
-    eps = _default_eps(xstar, eps)
-    jac = _fd_map_jacobian(lambda x: sens(x, y).ravel(), xstar, eps,
-                           "sensitivity matrix")
+    eps = fd_step(xstar, eps, JACOBIAN_FD_STEP)
+    jac = fd_jacobian(lambda x: sens(x, y).ravel(), xstar, eps, "sensitivity matrix")
     return spectral_norm(jac)
 
 
@@ -239,13 +198,14 @@ def sensitivity_efficiency_constant(problem: BilevelProblem, kind: ReparamKind,
 # comparison bounds
 
 def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
-                   reparam: ReparamKind, y: Array,
+                   reparam: StrategyKind, y: Array,
                    eps: float | None = None) -> ComparisonBounds:
     """Evaluate both quadratic comparison inequalities between a
     preconditioned and a reparameterized estimator at the root.
 
-    With D the outer curvature term, T/T_phi the two sensitivity-term
-    Jacobians and E the preconditioner error factor:
+    With D the outer curvature term, T/T_phi the sensitivity-term Jacobians
+    of the two sides (T is the plain one: a corrective step leaves S as it
+    is) and E the preconditioner error factor:
 
         U+- = D +- D E + T_phi +- T E
         V+- = D E +- D + T E +- T_phi
@@ -257,17 +217,16 @@ def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
     y = as_vector(y, problem.d_y, "y")
     d = outer_curvature(problem, y)
     e_p = precond_error_factor_at_root(problem, precond, y)
-    t_vanilla = sensitivity_term_jacobian_fd(problem, "vanilla", y, eps=eps)
+    t_p = sensitivity_term_jacobian_fd(problem, precond, y, eps=eps)
     t_phi = sensitivity_term_jacobian_fd(problem, reparam, y, eps=eps)
 
-    u_plus = d + d @ e_p + t_phi + t_vanilla @ e_p
-    u_minus = d - d @ e_p + t_phi - t_vanilla @ e_p
-    v_plus = d @ e_p + d + t_vanilla @ e_p + t_phi
-    v_minus = d @ e_p - d + t_vanilla @ e_p - t_phi
+    u_plus = d + d @ e_p + t_phi + t_p @ e_p
+    u_minus = d - d @ e_p + t_phi - t_p @ e_p
+    v_plus = d @ e_p + d + t_p @ e_p + t_phi
+    v_minus = d @ e_p - d + t_p @ e_p - t_phi
 
-    est_p = Estimator("precond", lambda x, yy: preconditioned_estimate(
-        problem, precond, x, yy))
-    jac_p = estimator_jacobian_fd(problem, est_p, y, eps=eps)
+    jac_p = estimator_jacobian_fd(
+        problem, estimator_for_kind(problem, precond, name="precond"), y, eps=eps)
     jac_phi = estimator_jacobian_fd(problem, estimator_for_kind(problem, reparam),
                                     y, eps=eps)
     sigma_p, v_p = top_singular(jac_p)
@@ -285,7 +244,7 @@ def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
 
 
 def precond_gap(problem: BilevelProblem, precond: PreconditionerOracle,
-                reparam: ReparamKind, y: Array,
+                reparam: StrategyKind, y: Array,
                 eps: float | None = None) -> tuple[float, float, float]:
     """Asymptotic advantage of a near-ideal preconditioner.
 
@@ -300,9 +259,8 @@ def precond_gap(problem: BilevelProblem, precond: PreconditionerOracle,
 
     d = outer_curvature(problem, y)
     t_phi = sensitivity_term_jacobian_fd(problem, reparam, y, eps=eps)
-    est_p = Estimator("precond", lambda x, yy: preconditioned_estimate(
-        problem, precond, x, yy))
-    jac_p = estimator_jacobian_fd(problem, est_p, y, eps=eps)
+    jac_p = estimator_jacobian_fd(
+        problem, estimator_for_kind(problem, precond, name="precond"), y, eps=eps)
     _, v_p = top_singular(jac_p)
     lower = float(np.linalg.norm((d + t_phi) @ v_p) ** 2)
 
@@ -330,16 +288,15 @@ def reparam_gap(problem: BilevelProblem, precond: PreconditionerOracle,
 
     d = outer_curvature(problem, y)
     e_p = precond_error_factor_at_root(problem, precond, y)
-    t_vanilla = sensitivity_term_jacobian_fd(problem, "vanilla", y, eps=eps)
+    t_p = sensitivity_term_jacobian_fd(problem, precond, y, eps=eps)
     est_loc = estimator_for_kind(problem, sep, name="localized")
     jac_loc = estimator_jacobian_fd(problem, est_loc, y, eps=eps)
     _, v_phi = top_singular(jac_loc)
-    lower = float(np.linalg.norm((d + t_vanilla) @ e_p @ v_phi) ** 2
+    lower = float(np.linalg.norm((d + t_p) @ e_p @ v_phi) ** 2
                   - np.linalg.norm(d @ v_phi) ** 2)
 
-    est_p = Estimator("precond", lambda x, yy: preconditioned_estimate(
-        problem, precond, x, yy))
-    c_p = efficiency_constant(problem, est_p, y, eps=eps).c_y
+    c_p = efficiency_constant(
+        problem, estimator_for_kind(problem, precond, name="precond"), y, eps=eps).c_y
     c_loc = spectral_norm(jac_loc)
     return sigma, lower, c_p ** 2 - c_loc ** 2
 

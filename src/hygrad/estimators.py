@@ -1,17 +1,22 @@
-"""Hypergradient estimation formulas and the shipped strategy constructors.
+"""Hypergradient estimation: one formula and the table of strategies.
 
-Four estimator families share one shape: given a point (x, y), produce a
-d_y vector approximating the gradient of the outer objective through the
-inner solution map. All of them are consistent (exact when x is the inner
-root); they differ in how fast their error decays as x approaches the root.
+Every estimator maps a point (x, y) to a d_y vector approximating the
+gradient of the outer objective through the inner solution map, and every
+one of them is the same implicit-differentiation formula
 
-- plain implicit-differentiation estimate;
-- preconditioned estimate: one corrective step x - P^{-1}F before the
-  implicit formula;
-- reparameterized estimate: the implicit formula of the problem rewritten
-  in z with x = phi(z, y);
-- localized estimate: a separable change of variables re-anchored at every
-  query point.
+    g_2(x', y) + S(x', y) g_1(x', y),
+
+differing only in two parts:
+
+- an optional corrective step x' = x - P^{-1} F(x, y) (preconditioning);
+  without it x' = x;
+- the sensitivity map S, the estimate of [dx*/dy]': the plain implicit
+  matrix -F_2' F_1^{-1}, or the one induced by a change of variables
+  x = phi(z, y), possibly re-anchored at every query point.
+
+All of them are consistent (exact when x is the inner root); they differ in
+how fast their error decays as x approaches the root. ``STRATEGY_TABLE``
+names the shipped pairs.
 
 Inverse applications are linear solves throughout; no matrix is inverted
 except where a contract explicitly hands out the resolvent matrix itself.
@@ -20,7 +25,7 @@ except where a contract explicitly hands out the resolvent matrix itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -31,12 +36,9 @@ from .solvers import newton_root
 
 Array = np.ndarray
 
-# Strategy keys as they appear on the CLI and in trace files.
-STRATEGIES = ("vanilla", "newton", "diag", "exp", "diag-rep", "opt")
-
 
 # --------------------------------------------------------------------------
-# plain implicit-differentiation estimate
+# plain implicit sensitivity
 
 def solution_sensitivity(problem: BilevelProblem, x: Array, y: Array) -> Array:
     """The matrix -F_2' F_1^{-1}, the implicit estimate of [dx*/dy]'.
@@ -47,14 +49,6 @@ def solution_sensitivity(problem: BilevelProblem, x: Array, y: Array) -> Array:
     f2 = problem.jac_y(x, y)
     w = solve_transpose(f1, f2, what="F_1")
     return -w.T
-
-
-def ift_estimate(problem: BilevelProblem, x: Array, y: Array) -> Array:
-    """Implicit-differentiation hypergradient estimate at (x, y)."""
-    x = as_vector(x, problem.d_x, "x")
-    y = as_vector(y, problem.d_y, "y")
-    return problem.outer.grad_y(x, y) + solution_sensitivity(problem, x, y) \
-        @ problem.outer.grad_x(x, y)
 
 
 # --------------------------------------------------------------------------
@@ -78,33 +72,25 @@ class PreconditionerOracle:
         return self.matrix_fn(x, y)
 
 
-def preconditioned_estimate(problem: BilevelProblem, precond: PreconditionerOracle,
-                            x: Array, y: Array) -> Array:
-    """Estimate at the corrected point x - P^{-1} F(x, y)."""
-    x = as_vector(x, problem.d_x, "x")
-    y = as_vector(y, problem.d_y, "y")
-    corrected = x - precond.solve(x, y, problem.residual(x, y))
-    return ift_estimate(problem, corrected, y)
-
-
 def newton_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
     """P = F_1: the corrective step becomes one Newton step."""
-    def solve(x, y, v):
-        try:
-            return linear_solve(problem.jac_x(x, y), v, what="P")
-        except SingularMatrixError as err:
-            raise SingularMatrixError(str(err), what="P") from err
-    return PreconditionerOracle(solve_fn=solve,
-                                matrix_fn=lambda x, y: problem.jac_x(x, y))
+    return PreconditionerOracle(
+        solve_fn=lambda x, y, v: linear_solve(problem.jac_x(x, y), v, what="P"),
+        matrix_fn=problem.jac_x)
+
+
+def _jac_x_diagonal(problem: BilevelProblem, x: Array, y: Array, what: str) -> Array:
+    """Diagonal of F_1; SingularMatrixError naming ``what`` if it is singular."""
+    d = np.diag(problem.jac_x(x, y)).copy()
+    if np.min(np.abs(d)) <= 1e-14 * max(np.max(np.abs(d)), 1.0):
+        raise SingularMatrixError("diagonal of F_1 is singular", what=what)
+    return d
 
 
 def diag_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
     """P = diag(F_1), the Jacobi choice."""
     def diagonal(x, y):
-        d = np.diag(problem.jac_x(x, y)).copy()
-        if np.min(np.abs(d)) <= 1e-14 * max(np.max(np.abs(d)), 1.0):
-            raise SingularMatrixError("diagonal of F_1 is singular", what="P")
-        return d
+        return _jac_x_diagonal(problem, x, y, "P")
 
     def solve(x, y, v):
         d = diagonal(x, y)
@@ -189,15 +175,6 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
     half = solve_transpose(p1, czz, what="phi_1")
     v = solve_transpose(p1, half.T, what="phi_1").T + f1
     return p2.T - solve_transpose(v, u, what="V").T
-
-
-def reparameterized_estimate(problem: BilevelProblem, phi: Reparameterization,
-                             x: Array, y: Array) -> Array:
-    """Hypergradient estimate under the change of variables phi."""
-    x = as_vector(x, problem.d_x, "x")
-    y = as_vector(y, problem.d_y, "y")
-    return problem.outer.grad_y(x, y) + reparam_sensitivity(problem, phi, x, y) \
-        @ problem.outer.grad_x(x, y)
 
 
 def identity_reparam() -> Reparameterization:
@@ -334,14 +311,6 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
     )
 
 
-def localized_estimate(problem: BilevelProblem, sep: SeparableReparam,
-                       x: Array, y: Array) -> Array:
-    """Estimate under the separable family anchored at the query point itself."""
-    x = as_vector(x, problem.d_x, "x")
-    y = as_vector(y, problem.d_y, "y")
-    return reparameterized_estimate(problem, anchored_reparam(sep, x, y), x, y)
-
-
 def localized_sensitivity(problem: BilevelProblem, sep: SeparableReparam,
                           x: Array, y: Array) -> Array:
     """Sensitivity matrix of the query-anchored separable estimate."""
@@ -362,10 +331,7 @@ def _diag_of_jac_y_dirs(problem: BilevelProblem, x: Array, y: Array) -> Array:
 def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
     """Separable family with R = [diag(F_1)]^{-1} and Q the identity."""
     def diagonal(x, y):
-        d = np.diag(problem.jac_x(x, y)).copy()
-        if np.min(np.abs(d)) <= 1e-14 * max(np.max(np.abs(d)), 1.0):
-            raise SingularMatrixError("diagonal of F_1 is singular", what="R")
-        return d
+        return _jac_x_diagonal(problem, x, y, "R")
 
     def r2_contract(x, y, w):
         # R_2 is diagonal per y-coordinate: (R_2)_{kk,e} = -dF1_kk/dy_e / d_k^2,
@@ -466,7 +432,104 @@ def scale_separable_r(sep: SeparableReparam, factor: float) -> SeparableReparam:
 
 
 # --------------------------------------------------------------------------
-# strategy registry
+# strategies
+
+@dataclass(frozen=True)
+class Strategy:
+    """One estimator as a pair: an optional corrective step and a sensitivity map.
+
+    The estimate at (x, y) is g_2 + S g_1 at x' = x - P^{-1} F(x, y), or at
+    x itself when ``precond`` is None. ``reparam`` is the change of
+    variables behind S:
+
+    - None: the plain implicit sensitivity -F_2' F_1^{-1};
+    - "exp": the signed exponential, re-anchored at every query point;
+    - a Reparameterization: that fixed phi;
+    - a SeparableReparam: the family anchored at every query point.
+    """
+
+    problem: BilevelProblem
+    precond: Optional[PreconditionerOracle] = None
+    reparam: Union[None, str, Reparameterization, SeparableReparam] = None
+
+    def sensitivity(self, x: Array, y: Array) -> Array:
+        """The sensitivity matrix S(x, y)."""
+        if self.reparam is None:
+            return solution_sensitivity(self.problem, x, y)
+        if isinstance(self.reparam, SeparableReparam):
+            return localized_sensitivity(self.problem, self.reparam, x, y)
+        phi = signed_exp_reparam(x) if self.reparam == "exp" else self.reparam
+        return reparam_sensitivity(self.problem, phi, x, y)
+
+    def estimate(self, x: Array, y: Array) -> Array:
+        """Hypergradient estimate g_2 + S g_1 at the corrected point."""
+        problem = self.problem
+        x = as_vector(x, problem.d_x, "x")
+        y = as_vector(y, problem.d_y, "y")
+        if self.precond is not None:
+            x = as_vector(x - self.precond.solve(x, y, problem.residual(x, y)),
+                          problem.d_x, "x")
+        return problem.outer.grad_y(x, y) + self.sensitivity(x, y) \
+            @ problem.outer.grad_x(x, y)
+
+
+def ift_estimate(problem: BilevelProblem, x: Array, y: Array) -> Array:
+    """Implicit-differentiation hypergradient estimate at (x, y)."""
+    return Strategy(problem).estimate(x, y)
+
+
+def preconditioned_estimate(problem: BilevelProblem, precond: PreconditionerOracle,
+                            x: Array, y: Array) -> Array:
+    """Estimate at the corrected point x - P^{-1} F(x, y)."""
+    return Strategy(problem, precond=precond).estimate(x, y)
+
+
+def reparameterized_estimate(problem: BilevelProblem, phi: Reparameterization,
+                             x: Array, y: Array) -> Array:
+    """Hypergradient estimate under the change of variables phi."""
+    return Strategy(problem, reparam=phi).estimate(x, y)
+
+
+def localized_estimate(problem: BilevelProblem, sep: SeparableReparam,
+                       x: Array, y: Array) -> Array:
+    """Estimate under the separable family anchored at the query point itself."""
+    return Strategy(problem, reparam=sep).estimate(x, y)
+
+
+# Each shipped strategy key as its (P, S) pair. The entries call the
+# constructors through their module-level names when a strategy is built,
+# so rebinding a constructor (as a profiler does) reaches every estimator.
+STRATEGY_TABLE: dict[str, Callable[[BilevelProblem], Strategy]] = {
+    "vanilla": lambda p: Strategy(p),
+    "newton": lambda p: Strategy(p, precond=newton_preconditioner(p)),
+    "diag": lambda p: Strategy(p, precond=diag_preconditioner(p)),
+    "exp": lambda p: Strategy(p, reparam="exp"),
+    "diag-rep": lambda p: Strategy(p, reparam=diag_scaling_reparam(p)),
+    "opt": lambda p: Strategy(p, reparam=newton_separable_reparam(p)),
+}
+
+# Strategy keys as they appear on the CLI and in trace files.
+STRATEGIES = tuple(STRATEGY_TABLE)
+
+# A strategy key, or a caller's oracle standing for one half of the pair.
+StrategyKind = Union[str, PreconditionerOracle, Reparameterization, SeparableReparam]
+
+
+def resolve_strategy(problem: BilevelProblem, kind: StrategyKind) -> Strategy:
+    """The (P, S) pair of a strategy key or of a caller's oracle.
+
+    A PreconditionerOracle is a corrective step with the plain sensitivity;
+    a Reparameterization or SeparableReparam is a sensitivity map with no
+    step.
+    """
+    if isinstance(kind, PreconditionerOracle):
+        return Strategy(problem, precond=kind)
+    if isinstance(kind, (Reparameterization, SeparableReparam)):
+        return Strategy(problem, reparam=kind)
+    if isinstance(kind, str) and kind in STRATEGY_TABLE:
+        return STRATEGY_TABLE[kind](problem)
+    raise UsageError(f"unknown strategy {kind!r}; choose from {', '.join(STRATEGIES)}")
+
 
 @dataclass(frozen=True)
 class Estimator:
@@ -481,45 +544,10 @@ class Estimator:
 
 def make_estimator(problem: BilevelProblem, strategy: str) -> Estimator:
     """Build the estimator for one of the shipped strategy keys."""
-    if strategy == "vanilla":
-        return Estimator("vanilla", lambda x, y: ift_estimate(problem, x, y))
-    if strategy == "newton":
-        precond = newton_preconditioner(problem)
-        return Estimator("newton",
-                         lambda x, y: preconditioned_estimate(problem, precond, x, y))
-    if strategy == "diag":
-        precond = diag_preconditioner(problem)
-        return Estimator("diag",
-                         lambda x, y: preconditioned_estimate(problem, precond, x, y))
-    if strategy == "exp":
-        return Estimator("exp", lambda x, y: reparameterized_estimate(
-            problem, signed_exp_reparam(x), x, y))
-    if strategy == "diag-rep":
-        sep = diag_scaling_reparam(problem)
-        return Estimator("diag-rep",
-                         lambda x, y: localized_estimate(problem, sep, x, y))
-    if strategy == "opt":
-        sep = newton_separable_reparam(problem)
-        return Estimator("opt",
-                         lambda x, y: localized_estimate(problem, sep, x, y))
-    raise UsageError(f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}")
+    return Estimator(strategy, resolve_strategy(problem, strategy).estimate)
 
 
 def make_sensitivity_fn(problem: BilevelProblem,
-                        kind: str | Reparameterization | SeparableReparam
-                        ) -> Callable[[Array, Array], Array]:
-    """Sensitivity-matrix map for a strategy kind or an explicit oracle.
-
-    Accepts "vanilla", "exp" (signed exponential re-anchored at every query
-    point), a Reparameterization (fixed phi), or a SeparableReparam
-    (anchored at each query point).
-    """
-    if kind == "vanilla":
-        return lambda x, y: solution_sensitivity(problem, x, y)
-    if kind == "exp":
-        return lambda x, y: reparam_sensitivity(problem, signed_exp_reparam(x), x, y)
-    if isinstance(kind, Reparameterization):
-        return lambda x, y: reparam_sensitivity(problem, kind, x, y)
-    if isinstance(kind, SeparableReparam):
-        return lambda x, y: localized_sensitivity(problem, kind, x, y)
-    raise UsageError(f"unsupported sensitivity kind {kind!r}")
+                        kind: StrategyKind) -> Callable[[Array, Array], Array]:
+    """Sensitivity-matrix map S(x, y) of a strategy key or a caller's oracle."""
+    return resolve_strategy(problem, kind).sensitivity

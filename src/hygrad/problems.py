@@ -22,7 +22,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, HygradError, NumericalFailure, UsageError
 
 Array = np.ndarray
 
@@ -197,15 +197,37 @@ class BilevelProblem:
         return as_vector(root, self.d_x, "exact_root")
 
 
-def _fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float) -> Array:
-    """Central-difference Jacobian of a vector map, columns over coordinates."""
+def fd_step(at: Array, eps: float | None, rel: float) -> float:
+    """A caller's difference step, checked positive, or rel * (1 + |at|)."""
+    if eps is None:
+        return rel * (1.0 + float(np.linalg.norm(at)))
+    if eps <= 0:
+        raise UsageError("eps must be positive")
+    return eps
+
+
+def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float,
+                label: str | None = None) -> Array:
+    """Central-difference Jacobian of a map, one last-axis column per
+    coordinate of ``at`` (a scalar map gives a vector).
+
+    With a label, a package error raised by the map is re-raised as a
+    NumericalFailure naming the map and the probe coordinate.
+    """
     cols = []
     for j in range(at.shape[0]):
-        hi = at.copy()
-        lo = at.copy()
+        hi, lo = at.copy(), at.copy()
         hi[j] += step
         lo[j] -= step
-        cols.append((np.asarray(fn(hi), float) - np.asarray(fn(lo), float)) / (2 * step))
+        try:
+            f_hi = np.asarray(fn(hi), float)
+            f_lo = np.asarray(fn(lo), float)
+        except HygradError as err:
+            if label is None:
+                raise
+            raise NumericalFailure(
+                f"{label} failed at probe coordinate {j}: {err}") from err
+        cols.append((f_hi - f_lo) / (2.0 * step))
     return np.stack(cols, axis=-1)
 
 
@@ -239,10 +261,10 @@ def validate_oracles(problem: BilevelProblem, x: Array, y: Array,
     report: dict[str, float] = {}
     report["jac_x"] = _rel_mismatch(
         problem.jac_x(x, y),
-        _fd_jacobian(lambda xx: problem.residual(xx, y), x, step))
+        fd_jacobian(lambda xx: problem.residual(xx, y), x, step))
     report["jac_y"] = _rel_mismatch(
         problem.jac_y(x, y),
-        _fd_jacobian(lambda yy: problem.residual(x, yy), y, step))
+        fd_jacobian(lambda yy: problem.residual(x, yy), y, step))
 
     directions_x = [np.ones(d_x) / np.sqrt(d_x)] + [np.eye(d_x)[j] for j in range(min(d_x, 2))]
     report["djac_x_dir_x"] = max(
@@ -260,18 +282,18 @@ def validate_oracles(problem: BilevelProblem, x: Array, y: Array,
     grad_x = as_vector(outer.grad_x(x, y), d_x, "grad_x")
     grad_y = as_vector(outer.grad_y(x, y), d_y, "grad_y")
     report["grad_x"] = _rel_mismatch(
-        grad_x, _fd_jacobian(lambda xx: np.atleast_1d(outer.value(xx, y)), x, step)[0])
+        grad_x, fd_jacobian(lambda xx: outer.value(xx, y), x, step))
     report["grad_y"] = _rel_mismatch(
-        grad_y, _fd_jacobian(lambda yy: np.atleast_1d(outer.value(x, yy)), y, step)[0])
+        grad_y, fd_jacobian(lambda yy: outer.value(x, yy), y, step))
     report["hess_xx"] = _rel_mismatch(
         as_matrix(outer.hess_xx(x, y), (d_x, d_x), "hess_xx"),
-        _fd_jacobian(lambda xx: as_vector(outer.grad_x(xx, y), d_x, "grad_x"), x, step))
+        fd_jacobian(lambda xx: as_vector(outer.grad_x(xx, y), d_x, "grad_x"), x, step))
     report["jac_gradY_x"] = _rel_mismatch(
         as_matrix(outer.jac_gradY_x(x, y), (d_y, d_x), "jac_gradY_x"),
-        _fd_jacobian(lambda xx: as_vector(outer.grad_y(xx, y), d_y, "grad_y"), x, step))
+        fd_jacobian(lambda xx: as_vector(outer.grad_y(xx, y), d_y, "grad_y"), x, step))
     report["jac_gradX_y"] = _rel_mismatch(
         as_matrix(outer.jac_gradX_y(x, y), (d_x, d_y), "jac_gradX_y"),
-        _fd_jacobian(lambda yy: as_vector(outer.grad_x(x, yy), d_x, "grad_x"), y, step))
+        fd_jacobian(lambda yy: as_vector(outer.grad_x(x, yy), d_x, "grad_x"), y, step))
     return report
 
 
@@ -298,10 +320,10 @@ class FDInnerOracle:
         return self.step * (1.0 + float(np.linalg.norm(at)))
 
     def jac_x(self, x, y):
-        return _fd_jacobian(lambda xx: self.residual(xx, y), x, self._step(x))
+        return fd_jacobian(lambda xx: self.residual(xx, y), x, self._step(x))
 
     def jac_y(self, x, y):
-        return _fd_jacobian(lambda yy: self.residual(x, yy), y, self._step(y))
+        return fd_jacobian(lambda yy: self.residual(x, yy), y, self._step(y))
 
     def djac_x_dir_x(self, x, y, u):
         h = self.directional_step * (1.0 + float(np.linalg.norm(x)))

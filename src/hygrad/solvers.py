@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapabilityError, NumericalFailure, UsageError
 from .linalg import linear_solve, spectral_norm
-from .problems import BilevelProblem, as_vector
+from .problems import BilevelProblem, as_vector, fd_jacobian, fd_step
 
 Array = np.ndarray
 
@@ -68,7 +68,9 @@ def newton_root(residual_fn, jac_fn, x0: Array, tol: float = ROOT_TOL,
                 max_iter: int = 100) -> Array:
     """Damped Newton with Armijo backtracking on the squared residual.
 
-    Stops when |F(x)| <= tol * (1 + |x|).
+    Stops when |F(x)| <= tol * (1 + |x|), or when the line search stalls on
+    a Newton step no longer than 4 eps (1 + |x|), i.e. at the rounding floor
+    of F; a stall on a longer step raises.
     """
     x = np.asarray(x0, dtype=float)
     for _ in range(max_iter):
@@ -89,6 +91,10 @@ def newton_root(residual_fn, jac_fn, x0: Array, tol: float = ROOT_TOL,
                 break
             t *= 0.5
         else:
+            # A full step below the rounding of x cannot lower |F| any
+            # further: x is the root to working precision.
+            if np.linalg.norm(dx) <= 4.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(x)):
+                return x
             raise NumericalFailure("Newton line search stalled")
     raise NumericalFailure(f"Newton did not reach tolerance in {max_iter} iterations")
 
@@ -109,34 +115,12 @@ def fd_hypergradient(problem: BilevelProblem, y: Array,
                      eps: float | None = None) -> Array:
     """Ground-truth hypergradient by central differences of y -> g(x*(y), y)."""
     y = as_vector(y, problem.d_y, "y")
-    if eps is None:
-        eps = 1e-6 * (1.0 + float(np.linalg.norm(y)))
-    if eps <= 0:
-        raise UsageError("eps must be positive")
-    grad = np.zeros(problem.d_y)
-    for j in range(problem.d_y):
-        hi, lo = y.copy(), y.copy()
-        hi[j] += eps
-        lo[j] -= eps
-        h_hi = problem.outer.value(_require_root(problem, hi), hi)
-        h_lo = problem.outer.value(_require_root(problem, lo), lo)
-        grad[j] = (h_hi - h_lo) / (2.0 * eps)
-    return grad
+    return fd_jacobian(lambda yy: problem.outer.value(_require_root(problem, yy), yy),
+                       y, fd_step(y, eps, 1e-6))
 
 
 def fd_jac_xstar(problem: BilevelProblem, y: Array,
                  eps: float | None = None) -> Array:
     """Jacobian of the solution map y -> x*(y) by central differences."""
     y = as_vector(y, problem.d_y, "y")
-    if eps is None:
-        eps = 1e-6 * (1.0 + float(np.linalg.norm(y)))
-    if eps <= 0:
-        raise UsageError("eps must be positive")
-    cols = []
-    for j in range(problem.d_y):
-        hi, lo = y.copy(), y.copy()
-        hi[j] += eps
-        lo[j] -= eps
-        cols.append((_require_root(problem, hi) - _require_root(problem, lo))
-                    / (2.0 * eps))
-    return np.stack(cols, axis=1)
+    return fd_jacobian(lambda yy: _require_root(problem, yy), y, fd_step(y, eps, 1e-6))

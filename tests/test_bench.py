@@ -55,6 +55,42 @@ class TestRunDecay:
         assert trace.metadata["prng"] == "pcg64"
 
 
+class TestBuildProblem:
+    def test_narrow_val_parsed_once_and_padded(self, tmp_path, monkeypatch,
+                                               cls_train, cls_val):
+        # An all-zero last column is omitted by LIBSVM, so the val file
+        # parses one feature narrower than the train file.
+        import hygrad.models as models
+        feats = np.array(cls_val.features)
+        feats[:, -1] = 0.0
+        train_path, val_path = tmp_path / "train.libsvm", tmp_path / "val.libsvm"
+        train_path.write_text(hg.serialize_libsvm(cls_train))
+        val_path.write_text(hg.serialize_libsvm(hg.Dataset(feats, cls_val.labels)))
+        assert hg.load_libsvm(str(val_path)).d_x == cls_train.d_x - 1
+
+        parsed = []
+        original = models.parse_libsvm
+
+        def counting(text, dims=None):
+            parsed.append(dims)
+            return original(text, dims=dims)
+        monkeypatch.setattr(models, "parse_libsvm", counting)
+        base = dict(problem="logistic", train_path=str(train_path),
+                    val_path=str(val_path))
+        padded = hg.build_problem(hg.RunConfig(**base))
+        assert parsed == [None, None]
+        explicit = hg.build_problem(hg.RunConfig(**base, dims=cls_train.d_x))
+
+        y = hg.sample_y(padded.d_y, 3.0, 6.0, 8)
+        x = np.linspace(-0.5, 0.5, padded.d_x)
+        for method in ("residual", "jac_x", "jac_y"):
+            assert np.array_equal(getattr(padded, method)(x, y),
+                                  getattr(explicit, method)(x, y))
+        for method in ("value", "grad_x", "hess_xx"):
+            assert np.array_equal(getattr(padded.outer, method)(x, y),
+                                  getattr(explicit.outer, method)(x, y))
+
+
 class TestRunEfficiencySweep:
     def test_row_count_and_determinism(self):
         config = hg.RunConfig(problem="scalar", strategies=("vanilla", "newton"),

@@ -1,4 +1,4 @@
-"""The four estimation formulas and the shipped strategy constructors."""
+"""The estimation formula, its building blocks, and the strategy table."""
 
 import numpy as np
 import pytest
@@ -263,3 +263,73 @@ class TestConstructors:
             got = est(xstar, y)
             assert got.shape == (1,)
             assert abs(got[0] - (-0.125)) <= 1e-8
+
+
+# Each strategy key and the public building blocks it must reduce to.
+FORMULAS = {
+    "vanilla": lambda p, x, y: hg.ift_estimate(p, x, y),
+    "newton": lambda p, x, y: hg.preconditioned_estimate(
+        p, hg.newton_preconditioner(p), x, y),
+    "diag": lambda p, x, y: hg.preconditioned_estimate(
+        p, hg.diag_preconditioner(p), x, y),
+    "exp": lambda p, x, y: hg.reparameterized_estimate(
+        p, hg.signed_exp_reparam(x), x, y),
+    "diag-rep": lambda p, x, y: hg.localized_estimate(
+        p, hg.diag_scaling_reparam(p), x, y),
+    "opt": lambda p, x, y: hg.localized_estimate(
+        p, hg.newton_separable_reparam(p), x, y),
+}
+
+
+def _off_root_point(problem, seed):
+    low, high = (3.0, 6.0) if problem.name == "logistic" else (-1.0, 1.0)
+    y = seeded_y(problem, seed, low=low, high=high)
+    x = problem.exact_root(y) + np.linspace(0.05, 0.15, problem.d_x)
+    assert np.all(x != 0.0) and np.linalg.norm(problem.residual(x, y)) > 0.0
+    return x, y
+
+
+class TestStrategyTable:
+    def test_keys(self):
+        assert hg.STRATEGIES == tuple(FORMULAS)
+
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    @pytest.mark.parametrize("strategy", sorted(FORMULAS))
+    def test_matches_building_blocks(self, strategy, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        x, y = _off_root_point(problem, 51)
+        got = hg.make_estimator(problem, strategy)(x, y)
+        assert np.array_equal(got, FORMULAS[strategy](problem, x, y))
+
+    @pytest.mark.parametrize("strategy,family", [
+        ("diag-rep", hg.diag_scaling_reparam),
+        ("opt", hg.newton_separable_reparam),
+    ])
+    def test_kind_functions_accept_separable_keys(self, ridge_quadratic, strategy,
+                                                  family):
+        x, y = _off_root_point(ridge_quadratic, 52)
+        est = hg.estimator_for_kind(ridge_quadratic, strategy)
+        assert est.name == strategy
+        assert np.array_equal(est(x, y),
+                              hg.make_estimator(ridge_quadratic, strategy)(x, y))
+        sens = hg.make_sensitivity_fn(ridge_quadratic, strategy)
+        assert np.array_equal(sens(x, y), hg.localized_sensitivity(
+            ridge_quadratic, family(ridge_quadratic), x, y))
+
+    def test_constructors_looked_up_when_built(self, ridge_quadratic, monkeypatch):
+        # Profilers rebind the module attribute; the table must call it.
+        import hygrad.estimators as estimators
+        built = []
+        original = estimators.newton_separable_reparam
+
+        def counting(problem):
+            built.append(problem)
+            return original(problem)
+        monkeypatch.setattr(estimators, "newton_separable_reparam", counting)
+        hg.make_estimator(ridge_quadratic, "opt")
+        assert built == [ridge_quadratic]
+
+    def test_unknown_kind_rejected(self, scalar_fixture):
+        for kind in ("bogus", 3, None):
+            with pytest.raises(hg.UsageError):
+                hg.make_sensitivity_fn(scalar_fixture, kind)

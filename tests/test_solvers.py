@@ -62,6 +62,22 @@ class TestNewtonRoot:
                               np.array([1.0]))
         assert root[0] == pytest.approx(2.0, abs=1e-12)
 
+    def test_stall_at_rounding_floor_returns_root(self):
+        # Over 20000 rows the rounding floor of F lies just above ROOT_TOL;
+        # the line search stalls there on a Newton step below one ulp of x.
+        train = hg.synthetic_classification_dataset(20000, 5, seed=1711)
+        val = hg.synthetic_classification_dataset(20000, 5, seed=1712)
+        problem = hg.make_logistic(train, val, hg.OuterVariant.quadratic())
+        y = hg.sample_y(5, 3, 6, 855)
+        root = hg.exact_root(problem, y)
+        resid = np.linalg.norm(problem.residual(root, y))
+        assert resid <= 1e-11 * (1.0 + np.linalg.norm(root))
+
+    def test_stall_on_a_long_step_raises(self):
+        # A Jacobian of the wrong sign points every step uphill.
+        with pytest.raises(NumericalFailure, match="stalled"):
+            hg.newton_root(lambda x: x - 1.0, lambda x: -np.eye(1), np.zeros(1))
+
 
 class TestFDHypergradient:
     def test_scalar_ridge_value(self, scalar_fixture):
