@@ -76,7 +76,15 @@ from .estimators import (
     signed_exp_reparam,
     solution_sensitivity,
 )
-from .linalg import linear_solve, lu_factor, solve_transpose, spectral_norm, top_singular
+from .linalg import (
+    Factorization,
+    factor,
+    linear_solve,
+    lu_factor,
+    solve_transpose,
+    spectral_norm,
+    top_singular,
+)
 from .models import (
     PRNG_NAME,
     Dataset,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .bench import (
     AxesConfig,
@@ -48,46 +49,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _strategy_list(text: str) -> tuple:
+    return tuple(s for s in text.split(",") if s)
+
+
+# Flags that only some subcommands read; each subcommand names its own.
+_OPTIONAL_FLAGS = {
+    "--strategies": dict(type=_strategy_list, default="vanilla",
+                         help=f"comma-separated subset of {','.join(STRATEGIES)}"),
+    "--steps": dict(type=int, default=30),
+    "--step-size": dict(type=float, default=None,
+                        help="constant descent step; default freezes 1/L at x0"),
+    "--trials": dict(type=int, default=10),
+    "--eps": dict(type=float, default=None),
+    "--svg": dict(dest="svg_path", default=None),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
+    """The flags every run subcommand reads, plus the named optional ones."""
     parser.add_argument("--problem", default="scalar",
                         choices=("ridge", "logistic", "scalar", "linear1d"))
     parser.add_argument("--train", dest="train_path", default=None)
     parser.add_argument("--val", dest="val_path", default=None)
     parser.add_argument("--outer", default="quadratic",
                         choices=("quadratic", "affine"))
-    parser.add_argument("--strategies", default="vanilla",
-                        help=f"comma-separated subset of {','.join(STRATEGIES)}")
-    parser.add_argument("--steps", type=int, default=30)
     parser.add_argument("--y-low", type=float, default=-1.0)
     parser.add_argument("--y-high", type=float, default=1.0)
-    parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", dest="out_path", default=None)
-    parser.add_argument("--svg", dest="svg_path", default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--step-size", type=float, default=None,
-                        help="constant descent step; default freezes 1/L at x0")
     parser.add_argument("--dims", type=int, default=None,
                         help="feature-count override for LIBSVM files")
+    for flag in optional:
+        parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    strategies = tuple(s for s in args.strategies.split(",") if s)
-    return RunConfig(
-        problem=args.problem,
-        train_path=args.train_path,
-        val_path=args.val_path,
-        outer=args.outer,
-        strategies=strategies,
-        steps=args.steps,
-        y_low=args.y_low,
-        y_high=args.y_high,
-        trials=args.trials,
-        seed=args.seed,
-        eps=args.eps,
-        step_size=args.step_size,
-        dims=args.dims,
-    )
+    """RunConfig from the parsed flags; a field without a flag keeps its default."""
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _write(path: str | None, text: str) -> None:
@@ -217,15 +217,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_decay = sub.add_parser("decay", help="hypergradient error per descent step")
-    _add_common(p_decay)
+    _add_common(p_decay, "--strategies", "--steps", "--step-size", "--svg")
     p_decay.set_defaults(func=_cmd_decay)
 
     p_eff = sub.add_parser("efficiency", help="efficiency constants over y draws")
-    _add_common(p_eff)
+    _add_common(p_eff, "--strategies", "--trials", "--eps", "--svg")
     p_eff.set_defaults(func=_cmd_efficiency)
 
     p_cmp = sub.add_parser("compare", help="comparison-bound numeric checks")
-    _add_common(p_cmp)
+    _add_common(p_cmp, "--trials", "--eps")
     p_cmp.add_argument("--precond-scale", type=float, default=1.0,
                        help="scale the Newton preconditioner to control its error")
     p_cmp.add_argument("--reparam", default="exp", choices=("exp", "diag-rep", "opt"),
@@ -233,7 +233,7 @@ def _build_parser() -> _Parser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_ode = sub.add_parser("ode1d", help="scalar super-efficiency residuals")
-    _add_common(p_ode)
+    _add_common(p_ode, "--trials")
     p_ode.set_defaults(func=_cmd_ode1d)
 
     p_slope = sub.add_parser("slope", help="log-log slope of a decay CSV")

@@ -23,12 +23,13 @@ from .estimators import (
     Reparameterization,
     SeparableReparam,
     StrategyKind,
+    jac_x_y_dirs,
     make_sensitivity_fn,
     newton_separable_reparam,
     resolve_strategy,
     solution_sensitivity,
 )
-from .linalg import linear_solve, spectral_norm, top_singular
+from .linalg import factor, linear_solve, spectral_norm, top_singular
 from .problems import BilevelProblem, as_vector, fd_jacobian, fd_step
 from .seeding import rng_from_seed
 from .solvers import exact_root
@@ -112,18 +113,14 @@ def ift_jacobian_analytic(problem: BilevelProblem, y: Array) -> Array:
     """
     y = as_vector(y, problem.d_y, "y")
     xstar = exact_root(problem, y)
-    f1 = problem.jac_x(xstar, y)
+    f1 = factor(problem.jac_x(xstar, y), what="F_1")
     f2 = problem.jac_y(xstar, y)
     g1 = problem.outer.grad_x(xstar, y)
-    s = linear_solve(f1, g1, what="F_1")
-    rows = []
-    for e in range(problem.d_y):
-        direction = np.zeros(problem.d_y)
-        direction[e] = 1.0
-        rows.append(-problem.inner.djac_x_dir_y(xstar, y, direction).T @ s)
-    term_y = np.stack(rows, axis=0)
+    s = f1.solve(g1)
+    term_y = np.stack([-g_e.T @ s for g_e in jac_x_y_dirs(problem, xstar, y)],
+                      axis=0)
     m_s = problem.inner.djac_x_dir_x(xstar, y, s)
-    term_x = f2.T @ linear_solve(f1, m_s, what="F_1")
+    term_x = f2.T @ f1.solve(m_s)
     sens = solution_sensitivity(problem, xstar, y)
     return problem.outer.jac_gradY_x(xstar, y) + term_y + term_x \
         + sens @ problem.outer.hess_xx(xstar, y)

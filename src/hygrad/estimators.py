@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import CapabilityError, DomainError, SingularMatrixError, UsageError
-from .linalg import linear_solve, solve_transpose
+from .linalg import factor, linear_solve, solve_transpose
 from .problems import BilevelProblem, as_vector
 from .solvers import newton_root
 
@@ -170,10 +170,11 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
     f2 = problem.jac_y(x, y)
     p1 = phi.jac_z(z, y)
     p2 = phi.jac_y(z, y)
-    u = f2 + f1 @ p2 + solve_transpose(p1, phi.hess_zy_contract(z, y, f), what="phi_1")
+    czy = phi.hess_zy_contract(z, y, f)
+    p1_lu = factor(p1, what="phi_1")    # shared by the three phi_1 solves
+    u = f2 + f1 @ p2 + p1_lu.solve_T(czy)
     czz = phi.hess_zz_contract(z, y, f)
-    half = solve_transpose(p1, czz, what="phi_1")
-    v = solve_transpose(p1, half.T, what="phi_1").T + f1
+    v = p1_lu.solve_T(p1_lu.solve_T(czz).T).T + f1
     return p2.T - solve_transpose(v, u, what="V").T
 
 
@@ -317,15 +318,10 @@ def localized_sensitivity(problem: BilevelProblem, sep: SeparableReparam,
     return reparam_sensitivity(problem, anchored_reparam(sep, x, y), x, y)
 
 
-def _diag_of_jac_y_dirs(problem: BilevelProblem, x: Array, y: Array) -> Array:
-    """Matrix [k, e] = diagonal entry k of the y_e-derivative of F_1."""
-    d_y = problem.d_y
-    cols = []
-    for e in range(d_y):
-        direction = np.zeros(d_y)
-        direction[e] = 1.0
-        cols.append(np.diag(problem.inner.djac_x_dir_y(x, y, direction)))
-    return np.stack(cols, axis=1)
+def jac_x_y_dirs(problem: BilevelProblem, x: Array, y: Array) -> list[Array]:
+    """The y_e-derivative of F_1 for every one-hot direction e, in order."""
+    return [problem.inner.djac_x_dir_y(x, y, direction)
+            for direction in np.eye(problem.d_y)]
 
 
 def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
@@ -337,7 +333,8 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         # R_2 is diagonal per y-coordinate: (R_2)_{kk,e} = -dF1_kk/dy_e / d_k^2,
         # so the left and right contractions share one formula.
         d = diagonal(x, y)
-        return -_diag_of_jac_y_dirs(problem, x, y) * (w / (d * d))[:, None]
+        dirs = np.stack([np.diag(g_e) for g_e in jac_x_y_dirs(problem, x, y)], axis=1)
+        return -dirs * (w / (d * d))[:, None]
 
     return SeparableReparam(
         r_fn=lambda x, y: np.diag(1.0 / diagonal(x, y)),
@@ -368,27 +365,21 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         f1 = problem.jac_x(x, y)
         return linear_solve(f1, np.eye(problem.d_x), what="F_1")
 
+    # Both contractions factor F_1 once and solve one vector per one-hot
+    # y-direction against it. Stacked into one matrix right-hand side, the
+    # columns would round differently in the last bit and change the CSV
+    # output (see linalg).
     def r2_contract_left(x, y, w):
-        f1 = problem.jac_x(x, y)
-        t = solve_transpose(f1, w, what="F_1")
-        cols = []
-        for e in range(problem.d_y):
-            direction = np.zeros(problem.d_y)
-            direction[e] = 1.0
-            g_e = problem.inner.djac_x_dir_y(x, y, direction)
-            cols.append(-solve_transpose(f1, g_e.T @ t, what="F_1"))
-        return np.stack(cols, axis=1)
+        f1 = factor(problem.jac_x(x, y), what="F_1")
+        t = f1.solve_T(w)
+        return -np.stack([f1.solve_T(g_e.T @ t)
+                          for g_e in jac_x_y_dirs(problem, x, y)], axis=1)
 
     def r2_contract_right(x, y, q):
-        f1 = problem.jac_x(x, y)
-        s = linear_solve(f1, q, what="F_1")
-        cols = []
-        for e in range(problem.d_y):
-            direction = np.zeros(problem.d_y)
-            direction[e] = 1.0
-            g_e = problem.inner.djac_x_dir_y(x, y, direction)
-            cols.append(-linear_solve(f1, g_e @ s, what="F_1"))
-        return np.stack(cols, axis=1)
+        f1 = factor(problem.jac_x(x, y), what="F_1")
+        s = f1.solve(q)
+        return -np.stack([f1.solve(g_e @ s)
+                          for g_e in jac_x_y_dirs(problem, x, y)], axis=1)
 
     def q_inverse(v, ybar):
         if problem.affine_in_x:

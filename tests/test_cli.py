@@ -1,5 +1,9 @@
 """CLI subcommands, flag handling, and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import hygrad as hg
 
 
@@ -24,6 +28,10 @@ class TestDecayCommand:
 
     def test_unknown_flag_exits_one(self):
         assert run(["decay", "--nope"]) == 1
+
+    def test_flags_it_ignores_are_rejected(self):
+        for flag in (["--trials", "3"], ["--eps", "1e-4"]):
+            assert run(["decay", "--problem", "scalar"] + flag) == 1
 
     def test_svg_output(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -73,6 +81,10 @@ class TestEfficiencyCommand:
                 if ln and not ln.startswith(("#", "strategy,"))]
         assert len(rows) == 20
 
+    def test_flags_it_ignores_are_rejected(self):
+        for flag in (["--steps", "5"], ["--step-size", "0.1"]):
+            assert run(["efficiency", "--problem", "scalar"] + flag) == 1
+
     def test_deterministic_bytes(self, tmp_path):
         args = ["efficiency", "--problem", "scalar", "--strategies",
                 "vanilla,newton", "--trials", "3", "--seed", "5"]
@@ -80,6 +92,26 @@ class TestEfficiencyCommand:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path, libsvm_dir):
+        # Multi-column solves reach BLAS matrix kernels, whose rounding could
+        # depend on the thread count; the pin goes to the child only.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"eff{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "hygrad.cli", "efficiency", "--problem",
+                 "ridge", "--train", str(libsvm_dir / "reg_train.libsvm"),
+                 "--val", str(libsvm_dir / "reg_val.libsvm"),
+                 "--strategies", ",".join(hg.STRATEGIES), "--trials", "1",
+                 "--seed", "3", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestCompareCommand:
@@ -102,6 +134,13 @@ class TestCompareCommand:
         assert run(["compare", "--problem", "linear1d",
                     "--reparam", "nope"]) == 1
 
+    def test_flags_it_ignores_are_rejected(self, tmp_path):
+        for flag in (["--svg", str(tmp_path / "x.svg")], ["--strategies", "opt"],
+                     ["--steps", "5"], ["--step-size", "0.1"]):
+            assert run(["compare", "--problem", "linear1d", "--trials", "1",
+                        "--out", str(tmp_path / "c.csv")] + flag) == 1
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestOde1dCommand:
     def test_writes_residuals(self, tmp_path):
@@ -116,6 +155,13 @@ class TestOde1dCommand:
         identity_rows = [ln for ln in body if ln.startswith("identity,")]
         for row in identity_rows:
             assert abs(float(row.split(",")[-1]) - 1.0) <= 1e-8
+
+    def test_flags_it_ignores_are_rejected(self, tmp_path):
+        for flag in (["--svg", str(tmp_path / "x.svg")], ["--strategies", "opt"],
+                     ["--steps", "5"], ["--step-size", "0.1"], ["--eps", "1e-4"]):
+            assert run(["ode1d", "--problem", "linear1d", "--trials", "1",
+                        "--out", str(tmp_path / "o.csv")] + flag) == 1
+        assert not (tmp_path / "x.svg").exists()
 
     def test_rejects_multidimensional_problem(self, libsvm_dir):
         code = run(["ode1d", "--problem", "ridge",

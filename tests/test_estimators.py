@@ -329,6 +329,56 @@ class TestStrategyTable:
         hg.make_estimator(ridge_quadratic, "opt")
         assert built == [ridge_quadratic]
 
+    @pytest.mark.parametrize("fixture,opt_max", [("ridge_quadratic", 7),
+                                                 ("logistic_quadratic", 9)])
+    def test_lu_factorizations_per_estimate(self, fixture, opt_max, request,
+                                            monkeypatch):
+        # Every solve against one matrix shares one factorization; counting
+        # through the module attribute also checks that linalg looks
+        # lu_factor up when it factors, as profilers that rebind it need.
+        import hygrad.linalg as linalg
+        problem = request.getfixturevalue(fixture)
+        x, y = _off_root_point(problem, 61)
+        calls = []
+        original = linalg.lu_factor
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(linalg, "lu_factor", counting)
+        counts = {}
+        for key in hg.STRATEGIES:
+            estimator = hg.make_estimator(problem, key)
+            before = len(calls)
+            estimator(x, y)
+            counts[key] = len(calls) - before
+        opt = counts.pop("opt")
+        assert counts == {"vanilla": 1, "newton": 2, "diag": 1, "exp": 1,
+                          "diag-rep": 1}
+        # opt's count is its measured value: one F_1 factorization in each
+        # of its closures, plus the Newton steps of q_inverse.
+        assert 1 <= opt <= opt_max
+
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    def test_r2_contractions_match_per_direction_solves(self, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        x, y = _off_root_point(problem, 62)
+        rng = np.random.default_rng(62)
+        w, q = rng.normal(size=problem.d_x), rng.normal(size=problem.d_x)
+        f1 = problem.jac_x(x, y)
+        t = hg.solve_transpose(f1, w, what="F_1")
+        s = hg.linear_solve(f1, q, what="F_1")
+        left, right = [], []
+        for e in range(problem.d_y):
+            direction = np.zeros(problem.d_y)
+            direction[e] = 1.0
+            g_e = problem.inner.djac_x_dir_y(x, y, direction)
+            left.append(-hg.solve_transpose(f1, g_e.T @ t, what="F_1"))
+            right.append(-hg.linear_solve(f1, g_e @ s, what="F_1"))
+        sep = hg.newton_separable_reparam(problem)
+        assert np.array_equal(sep.r2_contract_left(x, y, w), np.stack(left, axis=1))
+        assert np.array_equal(sep.r2_contract_right(x, y, q), np.stack(right, axis=1))
+
     def test_unknown_kind_rejected(self, scalar_fixture):
         for kind in ("bogus", 3, None):
             with pytest.raises(hg.UsageError):

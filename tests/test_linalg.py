@@ -60,6 +60,74 @@ class TestLinearSolve:
             hg.linear_solve(np.ones((2, 3)), np.ones(2))
 
 
+def _alternating_diagonal(rng, n):
+    """Seeded diagonal entries of magnitude 0.5-3, negative at even indices."""
+    return rng.uniform(0.5, 3.0, n) * np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+
+
+class TestFactorization:
+    def test_diagonal_path_equals_lu_path(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 5, 9):
+            a = np.diag(_alternating_diagonal(rng, n))
+            fast = hg.factor(a, what="A")
+            assert fast.diagonal is not None and fast.lu is None
+            lu, piv = hg.lu_factor(a, what="A")
+            dense = hg.Factorization("A", lu=lu, piv=piv)
+            for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+                assert np.array_equal(fast.solve(b), dense.solve(b))
+                assert np.array_equal(fast.solve_T(b), dense.solve_T(b))
+
+    def test_dense_matrix_takes_lu_path(self):
+        a = np.array([[2.0, 1.0], [0.0, 3.0]])
+        fac = hg.factor(a)
+        assert fac.diagonal is None
+        lu, piv = hg.lu_factor(a)
+        assert np.array_equal(fac.lu, lu) and np.array_equal(fac.piv, piv)
+
+    @pytest.mark.parametrize("entry", [0.0, 0.5 * hg.linalg.PIVOT_RTOL * 3.0])
+    def test_small_diagonal_entry_raises_like_lu(self, entry):
+        a = np.diag([2.0, -3.0, entry, 1.0])
+        with pytest.raises(SingularMatrixError) as lu_err:
+            hg.lu_factor(a, what="phi_1")
+        with pytest.raises(SingularMatrixError) as fast_err:
+            hg.factor(a, what="phi_1")
+        assert fast_err.value.what == lu_err.value.what == "phi_1"
+        assert str(fast_err.value) == str(lu_err.value)
+
+    def test_matrix_rhs_matches_column_solves(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 3, 7, 20):
+            a = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+            b = rng.normal(size=(n, 4))
+            for fac in (hg.factor(a), hg.factor(np.diag(_alternating_diagonal(rng, n)))):
+                for solve in (fac.solve, fac.solve_T):
+                    whole = solve(b)
+                    cols = np.stack([solve(b[:, j]) for j in range(4)], axis=1)
+                    if fac.diagonal is not None:
+                        assert np.array_equal(whole, cols)
+                    else:
+                        # Matrix-vector and dot-product kernels may round
+                        # differently in the last bit.
+                        assert np.max(np.abs(whole - cols)) \
+                            <= 1e-13 * np.max(np.abs(cols))
+
+    def test_solves_match_one_shot_functions(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
+        fac = hg.factor(a)
+        for b in (rng.normal(size=6), rng.normal(size=(6, 2))):
+            assert np.array_equal(fac.solve(b), hg.linear_solve(a, b))
+            assert np.array_equal(fac.solve_T(b), hg.solve_transpose(a, b))
+
+    def test_rejects_wrong_rhs_rows(self):
+        for a in (np.eye(2), np.array([[2.0, 1.0], [1.0, 3.0]])):
+            with pytest.raises(ContractViolation):
+                hg.factor(a).solve(np.ones(3))
+            with pytest.raises(ContractViolation):
+                hg.factor(a).solve_T(np.ones((3, 2)))
+
+
 class TestSpectralNorm:
     def test_diagonal(self):
         assert hg.spectral_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0, abs=1e-12)
