@@ -21,8 +21,10 @@ from .bench import (
 )
 from .efficiency import (
     ComparisonBounds,
+    ComparisonTerms,
     EfficiencyReport,
     ReparamDeviations,
+    RootContext,
     compare_bounds,
     efficiency_constant,
     estimator_for_kind,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .efficiency import EfficiencyReport, efficiency_constant
+from .efficiency import EfficiencyReport, RootContext, efficiency_constant
 from .errors import (
     DataError,
     HygradError,
@@ -38,11 +38,13 @@ from .models import (
 )
 from .problems import BilevelProblem
 from .seeding import PRNG_NAME
-from .solvers import exact_root, gradient_descent
+from .solvers import gradient_descent
 
 Array = np.ndarray
 
 PROBLEM_KINDS = ("ridge", "logistic", "scalar", "linear1d")
+# Problems with closed-form data of their own, built without data files.
+BUILTIN_PROBLEMS = ("scalar", "linear1d")
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,14 @@ class RunConfig:
             raise UsageError("step size must be positive")
         if self.dims is not None and self.dims < 1:
             raise UsageError("dims must be at least 1")
+        if self.problem in BUILTIN_PROBLEMS:
+            data = [flag for flag, value in (("--train", self.train_path),
+                                             ("--val", self.val_path),
+                                             ("--dims", self.dims))
+                    if value is not None]
+            if data:
+                raise UsageError(f"problem {self.problem!r} is built in and reads "
+                                 f"no data; drop {', '.join(data)}")
 
 
 def build_problem(config: RunConfig) -> BilevelProblem:
@@ -173,12 +183,14 @@ def run_decay(config: RunConfig) -> list:
     x0 = np.zeros(problem.d_x)
     trajectory = gradient_descent(problem, y, x0, config.steps,
                                   step_size=config.step_size)
-    xstar = exact_root(problem, y)
-    grad_true = ift_estimate(problem, xstar, y)
+    # Every strategy, opt's inverse of Q included, reuses this one root.
+    ctx = RootContext.solve(problem, y)
+    xstar = ctx.xstar
+    grad_true = ift_estimate(ctx.problem, xstar, y)
 
     traces = []
     for strategy in config.strategies:
-        estimator = make_estimator(problem, strategy)
+        estimator = make_estimator(ctx.problem, strategy)
         meta = _base_metadata(config, problem, y)
         meta["steps"] = str(config.steps)
         rows = []
@@ -211,15 +223,24 @@ def run_efficiency_sweep(config: RunConfig) -> list:
     records = []
     for trial in range(config.trials):
         trial_seed = config.seed + trial
+
+        def failed(strategy: str, err: HygradError) -> SweepRecord:
+            return SweepRecord(strategy=strategy, trial=trial, seed=trial_seed,
+                               c_y=float("nan"), error=str(err))
+
         y = sample_y(problem.d_y, config.y_low, config.y_high, trial_seed)
+        try:
+            ctx = RootContext.solve(problem, y)
+        except HygradError as err:
+            # Every strategy's constant starts from this root.
+            records.extend(failed(strategy, err) for strategy in config.strategies)
+            continue
         for strategy in config.strategies:
-            estimator = make_estimator(problem, strategy)
+            estimator = make_estimator(ctx.problem, strategy)
             try:
-                report = efficiency_constant(problem, estimator, y, eps=config.eps)
+                report = efficiency_constant(ctx.problem, estimator, y, eps=config.eps)
             except HygradError as err:
-                records.append(SweepRecord(strategy=strategy, trial=trial,
-                                           seed=trial_seed, c_y=float("nan"),
-                                           error=str(err)))
+                records.append(failed(strategy, err))
                 continue
             records.append(SweepRecord(strategy=strategy, trial=trial,
                                        seed=trial_seed, c_y=report.c_y,

@@ -27,7 +27,8 @@ from .bench import (
     run_decay,
     run_efficiency_sweep,
 )
-from .efficiency import compare_bounds, precond_gap, reparam_gap, super_efficiency_residual_1d
+from . import efficiency
+from .efficiency import ComparisonTerms, RootContext, super_efficiency_residual_1d
 from .errors import DataError, HygradError, UsageError
 from .estimators import (
     STRATEGIES,
@@ -131,8 +132,6 @@ def _cmd_compare(args) -> int:
     problem = build_problem(config)
     precond = scaled_preconditioner(newton_preconditioner(problem),
                                     args.precond_scale)
-    # The change of variables behind the strategy's sensitivity map.
-    kind = resolve_strategy(problem, args.reparam).reparam
     lines = [f"# precond_scale={repr(args.precond_scale)}",
              f"# prng={PRNG_NAME}", f"# problem={config.problem}",
              f"# reparam={args.reparam}", f"# seed={config.seed}",
@@ -142,9 +141,16 @@ def _cmd_compare(args) -> int:
     for trial in range(config.trials):
         trial_seed = config.seed + trial
         y = sample_y(problem.d_y, config.y_low, config.y_high, trial_seed)
-        bounds = compare_bounds(problem, precond, kind, y, eps=config.eps)
-        delta, delta_lower, delta_lhs = precond_gap(problem, precond, kind, y,
-                                                    eps=config.eps)
+        # One root per trial. The change of variables behind the strategy's
+        # sensitivity map is built from the context's problem, so that opt's
+        # inverse of Q reuses that root too.
+        ctx = RootContext.solve(problem, y)
+        kind = resolve_strategy(ctx.problem, args.reparam).reparam
+        terms = ComparisonTerms(ctx, precond, kind, config.eps)
+        shared = (ctx.problem, precond, kind, ctx.y)
+        bounds = efficiency.compare_bounds(*shared, eps=config.eps, terms=terms)
+        delta, delta_lower, _ = efficiency.precond_gap(*shared, eps=config.eps,
+                                                       terms=terms)
         slack_phi = 1e-6 * (1.0 + abs(bounds.lhs_phi_minus_p))
         slack_p = 1e-6 * (1.0 + abs(bounds.lhs_p_minus_phi))
         if bounds.lhs_phi_minus_p < bounds.rhs_phi_minus_p - slack_phi:
@@ -153,8 +159,8 @@ def _cmd_compare(args) -> int:
             failures += 1
         sigma, sigma_lower = float("nan"), float("nan")
         if isinstance(kind, SeparableReparam):
-            sigma, sigma_lower, _ = reparam_gap(problem, precond, kind, y,
-                                                eps=config.eps)
+            sigma, sigma_lower, _ = efficiency.reparam_gap(*shared, eps=config.eps,
+                                                           terms=terms)
         lines.append(",".join([
             str(trial), str(trial_seed),
             repr(float(bounds.lhs_phi_minus_p)), repr(float(bounds.rhs_phi_minus_p)),

@@ -12,7 +12,8 @@ other points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .estimators import (
     solution_sensitivity,
 )
 from .linalg import factor, linear_solve, spectral_norm, top_singular
-from .problems import BilevelProblem, as_vector, fd_jacobian, fd_step
+from .problems import BilevelProblem, InnerOracle, as_vector, fd_jacobian, fd_step
 from .seeding import rng_from_seed
 from .solvers import exact_root
 
@@ -80,6 +81,68 @@ def estimator_for_kind(problem: BilevelProblem, kind: StrategyKind,
     """Estimator of a strategy key (named after it) or of a caller's oracle."""
     return Estimator(kind if isinstance(kind, str) else name,
                      resolve_strategy(problem, kind).estimate)
+
+
+# --------------------------------------------------------------------------
+# root context
+
+def _read_only(a: Array) -> Array:
+    """A read-only float copy of a, so callers cannot change a stored value."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _same_bits(a: Array, b: Array) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class _RootedInner:
+    """An inner oracle whose exact_root answers one y from a stored root.
+
+    Any other y, even one rounding step away, goes to the wrapped oracle;
+    so does every other attribute.
+    """
+
+    def __init__(self, inner: InnerOracle, y: Array, xstar: Array):
+        self._inner = inner
+        self._y = y
+        self._xstar = xstar
+
+    def exact_root(self, y):
+        if _same_bits(np.asarray(y, dtype=float), self._y):
+            return self._xstar.copy()
+        return self._inner.exact_root(y)
+
+    def __getattr__(self, attr):
+        if attr.startswith("_"):
+            raise AttributeError(attr)
+        return getattr(self._inner, attr)
+
+
+@dataclass(frozen=True, eq=False)
+class RootContext:
+    """One (problem, y) whose inner root x*(y) was solved once.
+
+    ``problem`` is the caller's problem, except that its exact_root hands
+    out a copy of the stored x* for exactly this y (bit for bit) and solves
+    any other y as before. Estimators, separable families and analyses
+    built from it therefore reuse the root instead of solving it again;
+    a family built from the caller's problem would not. ``y`` and
+    ``xstar`` are read-only.
+    """
+
+    problem: BilevelProblem
+    y: Array
+    xstar: Array
+
+    @classmethod
+    def solve(cls, problem: BilevelProblem, y: Array) -> "RootContext":
+        """Solve the root of problem at y once and wrap both."""
+        y = _read_only(as_vector(y, problem.d_y, "y"))
+        xstar = _read_only(exact_root(problem, y))
+        return cls(replace(problem, inner=_RootedInner(problem.inner, y, xstar)),
+                   y, xstar)
 
 
 def estimator_jacobian_fd(problem: BilevelProblem, estimator: Estimator,
@@ -194,9 +257,85 @@ def sensitivity_efficiency_constant(problem: BilevelProblem, kind: StrategyKind,
 # --------------------------------------------------------------------------
 # comparison bounds
 
+@dataclass(frozen=True, eq=False)
+class ComparisonTerms:
+    """The at-root terms that compare_bounds, precond_gap and reparam_gap
+    share for one trial, each computed from the context's problem when
+    first read and then kept (arrays read-only).
+
+    D is the outer curvature, E the preconditioner error factor, T_P and
+    T_phi the sensitivity-term Jacobians, J_P and J_phi the FD Jacobians of
+    the preconditioned and reparameterized estimators, and ``top_*`` their
+    top singular pairs, whose values are the efficiency constants. With a
+    separable ``reparam``, J_phi is also reparam_gap's localized Jacobian.
+    """
+
+    ctx: RootContext
+    precond: PreconditionerOracle
+    reparam: StrategyKind
+    eps: float | None = None
+
+    @cached_property
+    def d(self) -> Array:
+        return _read_only(outer_curvature(self.ctx.problem, self.ctx.y))
+
+    @cached_property
+    def e_p(self) -> Array:
+        return _read_only(precond_error_factor_at_root(
+            self.ctx.problem, self.precond, self.ctx.y))
+
+    @cached_property
+    def t_p(self) -> Array:
+        return _read_only(sensitivity_term_jacobian_fd(
+            self.ctx.problem, self.precond, self.ctx.y, eps=self.eps))
+
+    @cached_property
+    def t_phi(self) -> Array:
+        return _read_only(sensitivity_term_jacobian_fd(
+            self.ctx.problem, self.reparam, self.ctx.y, eps=self.eps))
+
+    @cached_property
+    def jac_p(self) -> Array:
+        return self._estimator_jacobian(
+            estimator_for_kind(self.ctx.problem, self.precond, name="precond"))
+
+    @cached_property
+    def jac_phi(self) -> Array:
+        return self._estimator_jacobian(
+            estimator_for_kind(self.ctx.problem, self.reparam))
+
+    def _estimator_jacobian(self, estimator: Estimator) -> Array:
+        return _read_only(estimator_jacobian_fd(self.ctx.problem, estimator,
+                                                self.ctx.y, eps=self.eps))
+
+    @cached_property
+    def top_p(self) -> tuple[float, Array]:
+        sigma, v = top_singular(self.jac_p)
+        return sigma, _read_only(v)
+
+    @cached_property
+    def top_phi(self) -> tuple[float, Array]:
+        sigma, v = top_singular(self.jac_phi)
+        return sigma, _read_only(v)
+
+
+def _terms_for(problem: BilevelProblem, precond: PreconditionerOracle,
+               reparam: StrategyKind, y: Array, eps: float | None,
+               terms: ComparisonTerms | None) -> ComparisonTerms:
+    """The caller's shared terms, checked to belong to this call, or new ones."""
+    y = as_vector(y, problem.d_y, "y")
+    if terms is None:
+        return ComparisonTerms(RootContext.solve(problem, y), precond, reparam, eps)
+    if (problem is not terms.ctx.problem or not _same_bits(y, terms.ctx.y)
+            or (precond, reparam, eps) != (terms.precond, terms.reparam, terms.eps)):
+        raise UsageError("shared comparison terms were built for another "
+                         "problem, y, preconditioner, reparameterization or eps")
+    return terms
+
+
 def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
-                   reparam: StrategyKind, y: Array,
-                   eps: float | None = None) -> ComparisonBounds:
+                   reparam: StrategyKind, y: Array, eps: float | None = None,
+                   terms: ComparisonTerms | None = None) -> ComparisonBounds:
     """Evaluate both quadratic comparison inequalities between a
     preconditioned and a reparameterized estimator at the root.
 
@@ -210,24 +349,21 @@ def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
     and each lhs (difference of squared efficiency constants) dominates the
     inner product of the corresponding U/V pair applied to the other
     estimator's maximizing direction.
+
+    ``terms``, built for the same (context problem, precond, reparam, y,
+    eps), shares its at-root terms with the other comparison functions;
+    without it a context of this call's own is solved.
     """
-    y = as_vector(y, problem.d_y, "y")
-    d = outer_curvature(problem, y)
-    e_p = precond_error_factor_at_root(problem, precond, y)
-    t_p = sensitivity_term_jacobian_fd(problem, precond, y, eps=eps)
-    t_phi = sensitivity_term_jacobian_fd(problem, reparam, y, eps=eps)
+    t = _terms_for(problem, precond, reparam, y, eps, terms)
+    d, e_p, t_p, t_phi = t.d, t.e_p, t.t_p, t.t_phi
 
     u_plus = d + d @ e_p + t_phi + t_p @ e_p
     u_minus = d - d @ e_p + t_phi - t_p @ e_p
     v_plus = d @ e_p + d + t_p @ e_p + t_phi
     v_minus = d @ e_p - d + t_p @ e_p - t_phi
 
-    jac_p = estimator_jacobian_fd(
-        problem, estimator_for_kind(problem, precond, name="precond"), y, eps=eps)
-    jac_phi = estimator_jacobian_fd(problem, estimator_for_kind(problem, reparam),
-                                    y, eps=eps)
-    sigma_p, v_p = top_singular(jac_p)
-    sigma_phi, v_phi = top_singular(jac_phi)
+    sigma_p, v_p = t.top_p
+    sigma_phi, v_phi = t.top_phi
 
     lhs_phi_minus_p = sigma_phi ** 2 - sigma_p ** 2
     return ComparisonBounds(
@@ -235,66 +371,55 @@ def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
         rhs_phi_minus_p=float((u_plus @ v_p) @ (u_minus @ v_p)),
         lhs_p_minus_phi=-lhs_phi_minus_p,
         rhs_p_minus_phi=float((v_plus @ v_phi) @ (v_minus @ v_phi)),
-        v_p=v_p,
-        v_phi=v_phi,
+        v_p=v_p.copy(),
+        v_phi=v_phi.copy(),
     )
 
 
 def precond_gap(problem: BilevelProblem, precond: PreconditionerOracle,
-                reparam: StrategyKind, y: Array,
-                eps: float | None = None) -> tuple[float, float, float]:
+                reparam: StrategyKind, y: Array, eps: float | None = None,
+                terms: ComparisonTerms | None = None) -> tuple[float, float, float]:
     """Asymptotic advantage of a near-ideal preconditioner.
 
     Returns (delta, lower_bound, lhs) with delta the deviation of P from F_1
     at the root, lhs the difference of squared efficiency constants
     (reparameterized minus preconditioned), and lower_bound the term that
     survives as delta -> 0. lhs >= lower_bound up to o(delta) and FD noise.
+    ``terms`` as in compare_bounds.
     """
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
+    t = _terms_for(problem, precond, reparam, y, eps, terms)
+    problem, y, xstar = t.ctx.problem, t.ctx.y, t.ctx.xstar
     delta = spectral_norm(precond.matrix(xstar, y) - problem.jac_x(xstar, y))
 
-    d = outer_curvature(problem, y)
-    t_phi = sensitivity_term_jacobian_fd(problem, reparam, y, eps=eps)
-    jac_p = estimator_jacobian_fd(
-        problem, estimator_for_kind(problem, precond, name="precond"), y, eps=eps)
-    _, v_p = top_singular(jac_p)
+    d, t_phi = t.d, t.t_phi
+    c_p, v_p = t.top_p
     lower = float(np.linalg.norm((d + t_phi) @ v_p) ** 2)
-
-    c_phi = efficiency_constant(problem, estimator_for_kind(problem, reparam),
-                                y, eps=eps).c_y
-    c_p = spectral_norm(jac_p)
+    c_phi = t.top_phi[0]
     return delta, lower, c_phi ** 2 - c_p ** 2
 
 
 def reparam_gap(problem: BilevelProblem, precond: PreconditionerOracle,
-                sep: SeparableReparam, y: Array,
-                eps: float | None = None) -> tuple[float, float, float]:
+                sep: SeparableReparam, y: Array, eps: float | None = None,
+                terms: ComparisonTerms | None = None) -> tuple[float, float, float]:
     """Asymptotic advantage of a near-ideal localized reparameterization.
 
     Returns (sigma, lower_bound, lhs) with sigma = |g_1| times the
     sensitivity efficiency constant of the localized family, lhs the
     difference of squared efficiency constants (preconditioned minus
-    localized), and lower_bound the sigma -> 0 limit term.
+    localized), and lower_bound the sigma -> 0 limit term. ``terms`` as in
+    compare_bounds, with ``sep`` as its reparameterization.
     """
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
-    g1 = problem.outer.grad_x(xstar, y)
+    t = _terms_for(problem, precond, sep, y, eps, terms)
+    problem, y = t.ctx.problem, t.ctx.y
+    g1 = problem.outer.grad_x(t.ctx.xstar, y)
     sigma = float(np.linalg.norm(g1)) * sensitivity_efficiency_constant(
         problem, sep, y, eps=eps)
 
-    d = outer_curvature(problem, y)
-    e_p = precond_error_factor_at_root(problem, precond, y)
-    t_p = sensitivity_term_jacobian_fd(problem, precond, y, eps=eps)
-    est_loc = estimator_for_kind(problem, sep, name="localized")
-    jac_loc = estimator_jacobian_fd(problem, est_loc, y, eps=eps)
-    _, v_phi = top_singular(jac_loc)
+    d, e_p, t_p = t.d, t.e_p, t.t_p
+    c_loc, v_phi = t.top_phi
     lower = float(np.linalg.norm((d + t_p) @ e_p @ v_phi) ** 2
                   - np.linalg.norm(d @ v_phi) ** 2)
-
-    c_p = efficiency_constant(
-        problem, estimator_for_kind(problem, precond, name="precond"), y, eps=eps).c_y
-    c_loc = spectral_norm(jac_loc)
+    c_p = t.top_p[0]
     return sigma, lower, c_p ** 2 - c_loc ** 2
 
 

@@ -59,6 +59,14 @@ class TestDecayCommand:
                     "--outer", "affine"])
         assert code == 2
 
+    def test_data_flags_on_builtin_problem_exit_one(self, tmp_path, capsys):
+        for flag in (["--train", str(tmp_path / "absent.libsvm")],
+                     ["--val", str(tmp_path / "absent.libsvm")], ["--dims", "9"]):
+            assert run(["decay", "--problem", "scalar", "--steps", "3",
+                        "--out", str(tmp_path / "o.csv")] + flag) == 1
+            assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_dims_override_pads_features(self, tmp_path):
         narrow = tmp_path / "narrow.libsvm"
         narrow.write_text("1 1:1\n-1 2:1\n1 1:0.5 2:0.5\n")
@@ -130,6 +138,25 @@ class TestCompareCommand:
         assert code == 0
         assert "# precond_scale=2.0" in out.read_text()
 
+    def test_bytes_independent_of_blas_threads(self, tmp_path, libsvm_dir):
+        # The pin goes to the child only, as in the efficiency variant.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"cmp{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "hygrad.cli", "compare", "--problem",
+                 "logistic", "--train", str(libsvm_dir / "cls_train.libsvm"),
+                 "--val", str(libsvm_dir / "cls_val.libsvm"), "--reparam", "opt",
+                 "--precond-scale", "1.5", "--y-low", "3", "--y-high", "6",
+                 "--trials", "1", "--seed", "5", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_bad_reparam_exits_one(self):
         assert run(["compare", "--problem", "linear1d",
                     "--reparam", "nope"]) == 1
@@ -162,6 +189,13 @@ class TestOde1dCommand:
             assert run(["ode1d", "--problem", "linear1d", "--trials", "1",
                         "--out", str(tmp_path / "o.csv")] + flag) == 1
         assert not (tmp_path / "x.svg").exists()
+
+    def test_data_flags_on_builtin_problem_exit_one(self, tmp_path):
+        for flag in (["--train", "/nonexistent.libsvm"],
+                     ["--val", "/nonexistent.libsvm"], ["--dims", "9"]):
+            assert run(["ode1d", "--problem", "linear1d", "--trials", "1",
+                        "--out", str(tmp_path / "o.csv")] + flag) == 1
+        assert not (tmp_path / "o.csv").exists()
 
     def test_rejects_multidimensional_problem(self, libsvm_dir):
         code = run(["ode1d", "--problem", "ridge",

@@ -1,0 +1,208 @@
+"""One root per (problem, y): the root context and the shared comparison terms."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hygrad as hg
+from hygrad import efficiency
+from hygrad.errors import UsageError
+from hygrad.estimators import resolve_strategy
+
+from conftest import seeded_y
+
+SEPARABLE_KEYS = ("exp", "diag-rep", "opt")
+
+
+def _logistic_y(problem, seed):
+    return seeded_y(problem, seed, 3.0, 6.0)
+
+
+@pytest.fixture
+def counting_logistic(logistic_quadratic):
+    """The logistic fixture with every exact root solve recorded."""
+    solves = []
+    solve = logistic_quadratic.inner.exact_root_fn
+
+    def counted(y):
+        solves.append(np.array(y))
+        return solve(y)
+
+    inner = replace(logistic_quadratic.inner, exact_root_fn=counted)
+    return replace(logistic_quadratic, inner=inner), solves
+
+
+class TestRootContext:
+    def test_stored_root_answers_its_y_only(self, counting_logistic):
+        problem, solves = counting_logistic
+        y = _logistic_y(problem, 3)
+        given_y = y.copy()
+        ctx = hg.RootContext.solve(problem, given_y)
+        given_y[0] += 1.0        # the context keeps its own copy
+        assert len(solves) == 1
+        assert np.array_equal(ctx.problem.exact_root(y), ctx.xstar)
+        assert np.array_equal(hg.exact_root(ctx.problem, y), problem.exact_root(y))
+        assert len(solves) == 2  # only the plain problem solved again
+
+        other = y * (1.0 + 1e-6)
+        got = ctx.problem.exact_root(other)
+        assert len(solves) == 3
+        assert np.array_equal(got, problem.exact_root(other))
+        assert not np.array_equal(got, ctx.xstar)
+
+    def test_returned_arrays_cannot_change_later_calls(self, ridge_quadratic):
+        y = seeded_y(ridge_quadratic, 4)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
+        root = ctx.problem.exact_root(y)
+        root[:] = 0.0
+        assert np.array_equal(ctx.problem.exact_root(y),
+                              ridge_quadratic.exact_root(y))
+        for stored in (ctx.y, ctx.xstar):
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+
+        precond = hg.diag_preconditioner(ridge_quadratic)
+        terms = hg.ComparisonTerms(ctx, precond, "exp")
+        bounds = hg.compare_bounds(ctx.problem, precond, "exp", y, terms=terms)
+        v_p = bounds.v_p.copy()
+        bounds.v_p[:] = 0.0
+        again = hg.compare_bounds(ctx.problem, precond, "exp", y, terms=terms)
+        assert np.array_equal(again.v_p, v_p)
+        for stored in (terms.d, terms.e_p, terms.t_p, terms.t_phi, terms.jac_p,
+                       terms.jac_phi, terms.top_p[1], terms.top_phi[1]):
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+
+    def test_terms_of_another_call_are_refused(self, ridge_quadratic):
+        y = seeded_y(ridge_quadratic, 5)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
+        precond = hg.diag_preconditioner(ridge_quadratic)
+        terms = hg.ComparisonTerms(ctx, precond, "exp")
+        calls = [
+            (ridge_quadratic, precond, "exp", y, None),
+            (ctx.problem, precond, "exp", y + 1e-3, None),
+            (ctx.problem, hg.newton_preconditioner(ridge_quadratic), "exp", y, None),
+            (ctx.problem, precond, "diag-rep", y, None),
+            (ctx.problem, precond, "exp", y, 1e-4),
+        ]
+        for problem, p, kind, yy, eps in calls:
+            for fn in (hg.compare_bounds, hg.precond_gap, hg.reparam_gap):
+                with pytest.raises(UsageError):
+                    fn(problem, p, kind, yy, eps=eps, terms=terms)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_context_estimators_equal_plain_ones(ridge_quadratic, logistic_quadratic,
+                                             seed):
+    """Every strategy built from the context's problem gives the bits of the
+    one built from the caller's problem, off the root and off the context's y."""
+    for problem, y in ((ridge_quadratic, seeded_y(ridge_quadratic, seed)),
+                       (logistic_quadratic, _logistic_y(logistic_quadratic, seed))):
+        ctx = hg.RootContext.solve(problem, y)
+        x = ctx.xstar + hg.sample_y(problem.d_x, -0.1, 0.1, seed + 1)
+        other_y = y + hg.sample_y(problem.d_y, -1e-3, 1e-3, seed + 2)
+        for key in hg.STRATEGIES:
+            shared = hg.make_estimator(ctx.problem, key)
+            plain = hg.make_estimator(problem, key)
+            for yy in (y, other_y):
+                assert np.array_equal(shared(x, yy), plain(x, yy)), (key, yy)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_all_strategies_consistent_at_context_root(ridge_quadratic,
+                                                   logistic_quadratic, seed):
+    """At the stored root every strategy gives the plain implicit gradient.
+
+    Over seeds 0-199 on both fixtures the largest relative gap measured was
+    1.8e-14; the tolerance leaves a factor of about 50 above it.
+    """
+    for problem, y in ((ridge_quadratic, seeded_y(ridge_quadratic, seed)),
+                       (logistic_quadratic, _logistic_y(logistic_quadratic, seed))):
+        ctx = hg.RootContext.solve(problem, y)
+        ref = hg.ift_estimate(problem, ctx.xstar, y)
+        scale = 1.0 + float(np.max(np.abs(ref)))
+        for key in hg.STRATEGIES:
+            got = hg.make_estimator(ctx.problem, key)(ctx.xstar, y)
+            assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+@pytest.mark.parametrize("key", SEPARABLE_KEYS)
+def test_shared_terms_equal_standalone_calls(request, fixture, key):
+    problem = request.getfixturevalue(fixture)
+    y = seeded_y(problem, 21) if fixture.startswith("ridge") \
+        else _logistic_y(problem, 21)
+    precond = hg.scaled_preconditioner(hg.newton_preconditioner(problem), 1.5)
+    kind = resolve_strategy(problem, key).reparam
+    bounds = hg.compare_bounds(problem, precond, kind, y)
+    gap_p = hg.precond_gap(problem, precond, kind, y)
+    gap_r = hg.reparam_gap(problem, precond, kind, y)
+
+    ctx = hg.RootContext.solve(problem, y)
+    kind = resolve_strategy(ctx.problem, key).reparam
+    terms = hg.ComparisonTerms(ctx, precond, kind)
+    shared = (ctx.problem, precond, kind, y)
+    # The terms are filled in the order they are first read; any order gives
+    # the same bits.
+    assert hg.reparam_gap(*shared, terms=terms) == gap_r
+    assert hg.precond_gap(*shared, terms=terms) == gap_p
+    got = hg.compare_bounds(*shared, terms=terms)
+    for field in ("lhs_phi_minus_p", "rhs_phi_minus_p", "lhs_p_minus_phi",
+                  "rhs_p_minus_phi"):
+        assert getattr(got, field) == getattr(bounds, field), field
+    assert np.array_equal(got.v_p, bounds.v_p)
+    assert np.array_equal(got.v_phi, bounds.v_phi)
+
+
+class TestRootSolveCounts:
+    """Each runner solves the inner root once per y it fixes."""
+
+    def test_compare_trial_solves_once(self, counting_logistic, monkeypatch,
+                                       tmp_path):
+        problem, solves = counting_logistic
+        monkeypatch.setattr(hg.cli, "build_problem", lambda config: problem)
+        opt_calls = []
+        estimator_for_kind = efficiency.estimator_for_kind
+
+        def counted(problem, kind, name="reparam"):
+            estimator = estimator_for_kind(problem, kind, name=name)
+            if not isinstance(kind, hg.SeparableReparam):
+                return estimator
+            return hg.Estimator(estimator.name,
+                                lambda x, y: opt_calls.append(1) or estimator(x, y))
+
+        monkeypatch.setattr(efficiency, "estimator_for_kind", counted)
+        code = hg.cli_main(["compare", "--problem", "logistic", "--reparam", "opt",
+                            "--trials", "1", "--y-low", "3", "--y-high", "6",
+                            "--seed", "8", "--out", str(tmp_path / "c.csv")])
+        assert code == 0
+        assert len(solves) == 1
+        # One FD Jacobian of the opt estimator per trial, shared by all three
+        # comparison functions.
+        assert len(opt_calls) == 2 * problem.d_x
+
+    def test_decay_solves_once(self, counting_logistic, monkeypatch):
+        problem, solves = counting_logistic
+        monkeypatch.setattr(hg.bench, "build_problem", lambda config: problem)
+        traces = hg.run_decay(hg.RunConfig(problem="logistic",
+                                           strategies=hg.STRATEGIES, steps=8,
+                                           y_low=3.0, y_high=6.0, seed=2))
+        assert [t.strategy for t in traces] == list(hg.STRATEGIES)
+        assert not any(k.startswith("aborted") for t in traces for k in t.metadata)
+        assert len(solves) == 1
+
+    def test_efficiency_sweep_solves_once_per_trial(self, counting_logistic,
+                                                    monkeypatch):
+        problem, solves = counting_logistic
+        monkeypatch.setattr(hg.bench, "build_problem", lambda config: problem)
+        records = hg.run_efficiency_sweep(hg.RunConfig(
+            problem="logistic", strategies=hg.STRATEGIES, trials=2,
+            y_low=3.0, y_high=6.0, seed=4))
+        assert len(records) == 2 * len(hg.STRATEGIES)
+        assert not any(r.error for r in records)
+        assert len(solves) == 2
