@@ -37,6 +37,7 @@ from .efficiency import (
     precond_jacobian_at_root,
     reparam_gap,
     sensitivity_efficiency_constant,
+    sensitivity_jacobian_fd,
     sensitivity_term_jacobian_fd,
     super_efficiency_residual_1d,
 )

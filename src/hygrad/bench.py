@@ -12,6 +12,7 @@ byte-identical CSV and SVG files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -281,44 +282,43 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+# A metadata value stays on its line: backslash, LF and CR are escaped.
+_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {"\\": "\\", "n": "\n", "r": "\r"}
+_DECAY_HEADER = "strategy,step,inner_error,hypergrad_error"
+
+
 def emit_csv(items: Sequence[Union[DecayTrace, SweepRecord]],
              kind: Optional[str] = None,
              metadata: Optional[dict] = None) -> str:
-    """Serialize traces or sweep records to CSV text.
+    r"""Serialize traces or sweep records to CSV text.
 
-    Metadata appears first as ``# key=value`` comment lines (sorted, unique),
-    then the schema header, then the rows. Floats use shortest round-trip
-    formatting; lines end with LF.
+    Metadata appears first as ``# key=value`` comment lines (sorted, unique;
+    a backslash, LF or CR in a value is written as ``\\``, ``\n`` or
+    ``\r``), then the schema header, then the rows. Floats use shortest
+    round-trip formatting; lines end with LF.
     """
     if kind is None:
-        if items and isinstance(items[0], SweepRecord):
-            kind = "efficiency"
-        else:
-            kind = "decay"
+        kind = "efficiency" if items and isinstance(items[0], SweepRecord) else "decay"
     meta: dict[str, str] = {}
-    lines = []
     if kind == "decay":
         for trace in items:
             meta.update(trace.metadata)
-        meta.update(metadata or {})
-        lines.extend(f"# {k}={meta[k]}" for k in sorted(meta))
-        lines.append("strategy,step,inner_error,hypergrad_error")
-        for trace in items:
-            for step, inner, hyper in trace.rows:
-                lines.append(f"{trace.strategy},{step},{_fmt(inner)},{_fmt(hyper)}")
+        header = _DECAY_HEADER
+        rows = [f"{trace.strategy},{step},{_fmt(inner)},{_fmt(hyper)}"
+                for trace in items for step, inner, hyper in trace.rows]
     elif kind == "efficiency":
         meta["prng"] = PRNG_NAME
-        for rec in items:
-            if rec.error:
-                meta[f"error_{rec.strategy}_{rec.trial}"] = rec.error
-        meta.update(metadata or {})
-        lines.extend(f"# {k}={meta[k]}" for k in sorted(meta))
-        lines.append("strategy,trial,seed,cy")
-        for rec in items:
-            lines.append(f"{rec.strategy},{rec.trial},{rec.seed},{_fmt(rec.c_y)}")
+        meta.update({f"error_{rec.strategy}_{rec.trial}": rec.error
+                     for rec in items if rec.error})
+        header = "strategy,trial,seed,cy"
+        rows = [f"{rec.strategy},{rec.trial},{rec.seed},{_fmt(rec.c_y)}"
+                for rec in items]
     else:
         raise UsageError(f"unknown csv kind {kind!r}")
-    return "\n".join(lines) + "\n"
+    meta.update(metadata or {})
+    lines = [f"# {k}={str(meta[k]).translate(_ESCAPES)}" for k in sorted(meta)]
+    return "\n".join(lines + [header] + rows) + "\n"
 
 
 def read_decay_csv(text: str) -> list:
@@ -326,18 +326,20 @@ def read_decay_csv(text: str) -> list:
     meta: dict[str, str] = {}
     by_strategy: dict[str, list] = {}
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only LF or CRLF ends a line; a metadata value keeps any other character.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value
+            key, sep, value = raw.lstrip()[1:].partition("=")
+            if sep:
+                meta[key.strip()] = re.sub(
+                    r"\\(.)", lambda m: _UNESCAPES.get(m.group(1), m.group(0)), value)
             continue
         if not header_seen:
-            if line != "strategy,step,inner_error,hypergrad_error":
+            if line != _DECAY_HEADER:
                 raise ParseError(f"unexpected header {line!r}", line=lineno)
             header_seen = True
             continue

@@ -224,19 +224,34 @@ def outer_curvature(problem: BilevelProblem, y: Array,
     return problem.outer.jac_gradY_x(xstar, y) + jac_t @ problem.outer.hess_xx(xstar, y)
 
 
-def sensitivity_term_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
-                                 y: Array, eps: float | None = None) -> Array:
-    """FD Jacobian at the root of x -> S(x, y) g_1(x*, y), outer factor frozen.
-
-    S is the sensitivity matrix of the requested kind, so only the implicit
-    factor varies across probes.
-    """
+def sensitivity_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
+                            y: Array, eps: float | None = None) -> Array:
+    """FD Jacobian at the root of x -> S(x, y), S the sensitivity matrix of
+    the requested kind: entry [e, k, j] of the (d_y, d_x, d_x) array is
+    dS_ek/dx_j."""
     y = as_vector(y, problem.d_y, "y")
     xstar = exact_root(problem, y)
-    g1 = problem.outer.grad_x(xstar, y)
     sens = make_sensitivity_fn(problem, kind)
     eps = fd_step(xstar, eps, JACOBIAN_FD_STEP)
-    return fd_jacobian(lambda x: sens(x, y) @ g1, xstar, eps, "sensitivity term")
+    return fd_jacobian(lambda x: sens(x, y), xstar, eps, "sensitivity matrix")
+
+
+def _term_jacobian(ctx: RootContext, d_s: Array) -> Array:
+    """The Jacobian of x -> S(x, y) g_1(x*, y) from that of S."""
+    return np.einsum("ekj,k->ej", d_s, ctx.problem.outer.grad_x(ctx.xstar, ctx.y))
+
+
+def _matrix_constant(d_s: Array) -> float:
+    """Operator norm of the Jacobian of x -> vec(S(x, y))."""
+    return spectral_norm(d_s.reshape(-1, d_s.shape[-1]))
+
+
+def sensitivity_term_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
+                                 y: Array, eps: float | None = None) -> Array:
+    """FD Jacobian at the root of x -> S(x, y) g_1(x*, y), outer factor frozen,
+    so only the implicit factor varies across probes."""
+    ctx = RootContext.solve(problem, y)
+    return _term_jacobian(ctx, sensitivity_jacobian_fd(ctx.problem, kind, ctx.y, eps))
 
 
 def sensitivity_efficiency_constant(problem: BilevelProblem, kind: StrategyKind,
@@ -246,12 +261,7 @@ def sensitivity_efficiency_constant(problem: BilevelProblem, kind: StrategyKind,
     Operator norm of the FD Jacobian of x -> vec(S(x, y)), a
     (d_y d_x) x d_x matrix.
     """
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
-    sens = make_sensitivity_fn(problem, kind)
-    eps = fd_step(xstar, eps, JACOBIAN_FD_STEP)
-    jac = fd_jacobian(lambda x: sens(x, y).ravel(), xstar, eps, "sensitivity matrix")
-    return spectral_norm(jac)
+    return _matrix_constant(sensitivity_jacobian_fd(problem, kind, y, eps))
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +278,8 @@ class ComparisonTerms:
     the preconditioned and reparameterized estimators, and ``top_*`` their
     top singular pairs, whose values are the efficiency constants. With a
     separable ``reparam``, J_phi is also reparam_gap's localized Jacobian.
+    ``d_s_phi``, the FD Jacobian of that side's S, gives T_phi and
+    reparam_gap's sensitivity constant.
     """
 
     ctx: RootContext
@@ -290,9 +302,13 @@ class ComparisonTerms:
             self.ctx.problem, self.precond, self.ctx.y, eps=self.eps))
 
     @cached_property
-    def t_phi(self) -> Array:
-        return _read_only(sensitivity_term_jacobian_fd(
+    def d_s_phi(self) -> Array:
+        return _read_only(sensitivity_jacobian_fd(
             self.ctx.problem, self.reparam, self.ctx.y, eps=self.eps))
+
+    @cached_property
+    def t_phi(self) -> Array:
+        return _read_only(_term_jacobian(self.ctx, self.d_s_phi))
 
     @cached_property
     def jac_p(self) -> Array:
@@ -412,8 +428,7 @@ def reparam_gap(problem: BilevelProblem, precond: PreconditionerOracle,
     t = _terms_for(problem, precond, sep, y, eps, terms)
     problem, y = t.ctx.problem, t.ctx.y
     g1 = problem.outer.grad_x(t.ctx.xstar, y)
-    sigma = float(np.linalg.norm(g1)) * sensitivity_efficiency_constant(
-        problem, sep, y, eps=eps)
+    sigma = float(np.linalg.norm(g1)) * _matrix_constant(t.d_s_phi)
 
     d, e_p, t_p = t.d, t.e_p, t.t_p
     c_loc, v_phi = t.top_phi

@@ -34,12 +34,10 @@ class ContractViolation(HygradError):
 
 
 class NumericalFailure(HygradError):
-    """A numerical routine failed. Optional payload locates the failure."""
+    """A numerical routine failed. ``step`` locates the failure when known."""
 
-    def __init__(self, message: str, *, step: int | None = None,
-                 last_estimate: float | None = None):
+    def __init__(self, message: str, *, step: int | None = None):
         self.step = step
-        self.last_estimate = last_estimate
         super().__init__(message)
 
 

@@ -365,21 +365,19 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         f1 = problem.jac_x(x, y)
         return linear_solve(f1, np.eye(problem.d_x), what="F_1")
 
-    # Both contractions factor F_1 once and solve one vector per one-hot
-    # y-direction against it. Stacked into one matrix right-hand side, the
-    # columns would round differently in the last bit and change the CSV
-    # output (see linalg).
+    # Each contraction factors F_1 once and solves every y-direction's
+    # column in one matrix right-hand side.
     def r2_contract_left(x, y, w):
         f1 = factor(problem.jac_x(x, y), what="F_1")
         t = f1.solve_T(w)
-        return -np.stack([f1.solve_T(g_e.T @ t)
-                          for g_e in jac_x_y_dirs(problem, x, y)], axis=1)
+        return -f1.solve_T(np.stack([g_e.T @ t for g_e in jac_x_y_dirs(problem, x, y)],
+                                    axis=1))
 
     def r2_contract_right(x, y, q):
         f1 = factor(problem.jac_x(x, y), what="F_1")
         s = f1.solve(q)
-        return -np.stack([f1.solve(g_e @ s)
-                          for g_e in jac_x_y_dirs(problem, x, y)], axis=1)
+        return -f1.solve(np.stack([g_e @ s for g_e in jac_x_y_dirs(problem, x, y)],
+                                  axis=1))
 
     def q_inverse(v, ybar):
         if problem.affine_in_x:

@@ -1,19 +1,20 @@
-"""Dense linear algebra kernels: LU solves and power-iteration norms.
+"""Dense linear algebra: checked LAPACK solves and SVD norms.
 
 Everything operates on float64 numpy arrays. Matrix inverses are never
 formed; all inverse applications go through a ``Factorization``, which
-factors a matrix once for any number of solves against it or its transpose.
+checks a matrix for singularity once and then solves against it or its
+transpose with LAPACK ``gesv`` as often as needed. Norms and maximizing
+directions come from one LAPACK SVD.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalFailure, SingularMatrixError
+from .errors import ContractViolation, SingularMatrixError
 
 Array = np.ndarray
 
@@ -49,7 +50,9 @@ def lu_factor(a: Array, what: str = "matrix") -> tuple[Array, Array]:
     """LU factorization with partial pivoting: returns (lu, piv) with PA = LU.
 
     ``lu`` packs unit-lower L below the diagonal and U on/above it; ``piv``
-    is the row permutation as an index vector.
+    is the row permutation as an index vector. Raises SingularMatrixError
+    at a pivot within ``PIVOT_RTOL`` of the largest entry; ``factor`` runs
+    it for that check alone.
     """
     a = _check_square(a, what)
     lu = a.copy()
@@ -68,82 +71,53 @@ def lu_factor(a: Array, what: str = "matrix") -> tuple[Array, Array]:
     return lu, piv
 
 
-# The triangular solves take a vector or a matrix B. A vector's row updates
-# are BLAS dot products, a matrix's are matrix-vector products; the two
-# round differently in the last bit, so a column solved alone and the same
-# column solved inside a matrix need not agree bit for bit. ``ndarray.dot``
-# reaches the same BLAS calls as ``@`` with less dispatch overhead.
-
-def _solve_factored(lu: Array, piv: Array, b: Array) -> Array:
-    n = lu.shape[0]
-    x = b[piv].astype(float)
-    for i in range(1, n):              # L z = Pb, unit diagonal
-        x[i] -= lu[i, :i].dot(x[:i])
-    for i in range(n - 1, -1, -1):     # U x = z
-        x[i] = (x[i] - lu[i, i + 1:].dot(x[i + 1:])) / lu[i, i]
-    return x
-
-
-def _solve_factored_transpose(lu: Array, piv: Array, b: Array) -> Array:
-    n = lu.shape[0]
-    w = b.astype(float).copy()
-    for i in range(n):                 # Uᵀ w = b, lower triangular
-        w[i] = (w[i] - lu[:i, i].dot(w[:i])) / lu[i, i]
-    for i in range(n - 1, -1, -1):     # Lᵀ z = w, unit diagonal
-        w[i] -= lu[i + 1:, i].dot(w[i + 1:])
-    x = np.empty_like(w)
-    x[piv] = w
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """A square matrix factored once, for any number of solves.
+    """A square matrix checked once, for any number of solves.
 
     ``solve`` applies the inverse and ``solve_T`` the inverse transpose, to a
-    vector or to every column of a matrix at once. A diagonal matrix keeps
-    only its diagonal (``lu`` and ``piv`` are None): its LU pivots are its
-    diagonal entries, and a solve divides by them, which is what the LU path
-    computes on such a matrix.
+    vector or to every column of a matrix at once, through LAPACK ``gesv``.
+    A diagonal matrix keeps only its diagonal (``matrix`` is None), and a
+    solve divides by it.
     """
 
     what: str
     diagonal: Optional[Array] = None
-    lu: Optional[Array] = None
-    piv: Optional[Array] = None
+    matrix: Optional[Array] = None
 
     def solve(self, b: Array) -> Array:
         """X with A X = B."""
-        return self._apply(b, _solve_factored)
+        return self._apply(b, transpose=False)
 
     def solve_T(self, b: Array) -> Array:
-        """X with Aᵀ X = B (Aᵀ is never formed)."""
-        return self._apply(b, _solve_factored_transpose)
+        """X with Aᵀ X = B."""
+        return self._apply(b, transpose=True)
 
-    def _apply(self, b: Array, kernel) -> Array:
+    def _apply(self, b: Array, transpose: bool) -> Array:
         d = self.diagonal
-        n = (d if d is not None else self.piv).shape[0]
+        n = (d if d is not None else self.matrix).shape[0]
         b = _check_finite(b, "right-hand side")
         if b.ndim not in (1, 2) or b.shape[0] != n:
             raise ContractViolation(
                 f"right-hand side has shape {b.shape}, {self.what} has {n} rows")
         if d is None:
-            return kernel(self.lu, self.piv, b)
+            return np.linalg.solve(self.matrix.T if transpose else self.matrix, b)
         return b / d if b.ndim == 1 else b / d[:, None]
 
 
 def factor(a: Array, what: str = "matrix") -> Factorization:
-    """Factor A once: by ``lu_factor``, or by its diagonal when A is diagonal.
+    """Check A once for singularity: by ``lu_factor``, or by its diagonal
+    when A is diagonal.
 
-    Both paths run the same checks and raise the same SingularMatrixError
-    naming ``what``. ``lu_factor`` is looked up when called, so a profiler
-    that rebinds the module attribute sees every dense factorization.
+    Both paths raise the same SingularMatrixError naming ``what``, also on
+    a tiny nonzero pivot that ``gesv`` alone would accept. ``lu_factor`` is
+    looked up when called, so a profiler that rebinds it sees every check.
     """
     a = _check_square(a, what)
     d = np.diagonal(a)
     if np.count_nonzero(a) != np.count_nonzero(d):
-        lu, piv = lu_factor(a, what=what)
-        return Factorization(what, lu=lu, piv=piv)
+        lu_factor(a, what=what)
+        return Factorization(what, matrix=a.copy())
     small = np.flatnonzero(np.abs(d) <= _pivot_threshold(d))
     if small.size:
         raise _singular(what, d[small[0]], int(small[0]))
@@ -151,55 +125,32 @@ def factor(a: Array, what: str = "matrix") -> Factorization:
 
 
 def linear_solve(a: Array, b: Array, what: str = "matrix") -> Array:
-    """Solve AX = B by LU with partial pivoting (by division when A is
-    diagonal). B may be a vector or matrix."""
+    """Solve AX = B for a checked A (by division when A is diagonal). B may
+    be a vector or matrix."""
     return factor(a, what).solve(b)
 
 
 def solve_transpose(a: Array, b: Array, what: str = "matrix") -> Array:
-    """Solve AᵀX = B reusing the factorization of A (Aᵀ is never formed)."""
+    """Solve AᵀX = B for a checked A."""
     return factor(a, what).solve_T(b)
 
 
-def top_singular(m: Array, tol: float = 1e-12, max_iter: int = 10000) -> tuple[float, Array]:
-    """Largest singular value and a maximizing right singular vector.
+def top_singular(m: Array) -> tuple[float, Array]:
+    """Largest singular value and its right singular vector, by one SVD.
 
-    Power iteration on MᵀM from the normalized all-ones start vector. Ties
-    between singular values are accepted: any maximizer is valid. Returns
-    (0, start vector) for the zero matrix.
+    The vector's sign is fixed: its largest-magnitude entry (the first, on
+    a tie) is positive. Ties between singular values are accepted: any
+    maximizer is valid.
     """
-    if tol <= 0:
-        raise ContractViolation("tol must be positive")
     m = _check_finite(np.atleast_2d(m), "matrix")
-    cols = m.shape[1]
-    v = np.ones(cols) / math.sqrt(cols)
-    if not np.any(m):
-        return 0.0, v
-    # A start vector can land in the null space; fall back to basis vectors,
-    # deterministically, until the image is nonzero.
-    basis = 0
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = m.T @ (m @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            if basis >= cols:
-                return 0.0, v
-            v = np.zeros(cols)
-            v[basis] = 1.0
-            basis += 1
-            continue
-        v = w / nw
-        new_sigma = float(np.linalg.norm(m @ v))
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return new_sigma, v
-        sigma = new_sigma
-    raise NumericalFailure(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_estimate=sigma)
+    if not m.size:
+        raise ContractViolation(f"matrix has shape {m.shape}")
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    v = vt[0]
+    return float(s[0]), v if v[np.argmax(np.abs(v))] > 0 else -v
 
 
-def spectral_norm(m: Array, tol: float = 1e-12, max_iter: int = 10000) -> float:
+def spectral_norm(m: Array) -> float:
     """Operator (spectral) norm of a dense matrix."""
-    sigma, _ = top_singular(m, tol=tol, max_iter=max_iter)
+    sigma, _ = top_singular(m)
     return sigma

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hygrad as hg
 from hygrad.bench import AxesConfig, DecayTrace, SweepRecord
@@ -162,6 +164,30 @@ class TestEmitCsv:
         assert back[0].rows == rows
         assert hg.emit_csv(back, kind="decay") == text
 
+    @pytest.mark.parametrize("value", [
+        "x\nstrategy,step,inner_error,hypergrad_error\nopt,9,9,9",
+        "line1\nline2", "C:\\data\\n.libsvm\r", "a\\nb"])
+    def test_metadata_value_cannot_inject_lines(self, value):
+        trace = DecayTrace(strategy="vanilla", rows=[(0, 1.0, 2.0)],
+                           metadata={"train": value})
+        text = hg.emit_csv([trace], kind="decay")
+        assert text.count("\n") == 3
+        back = hg.read_decay_csv(text)
+        assert [(t.strategy, t.rows) for t in back] == [("vanilla", [(0, 1.0, 2.0)])]
+        assert back[0].metadata == {"train": value}
+
+    def test_values_without_escapes_keep_their_bytes(self):
+        trace = DecayTrace(strategy="s", rows=[], metadata={"train": "/a b/c=d,#e"})
+        assert hg.emit_csv([trace], kind="decay").splitlines()[0] == \
+            "# train=/a b/c=d,#e"
+
+    def test_efficiency_error_stays_on_one_line(self):
+        rec = SweepRecord(strategy="opt", trial=0, seed=7, c_y=float("nan"),
+                          error="first\nsecond\rthird")
+        lines = hg.emit_csv([rec], kind="efficiency").split("\n")
+        assert "# error_opt_0=first\\nsecond\\rthird" in lines
+        assert lines[-3:] == ["strategy,trial,seed,cy", "opt,0,7,nan", ""]
+
     def test_efficiency_schema(self):
         rec = SweepRecord(strategy="newton", trial=0, seed=7, c_y=1.5e-9)
         lines = hg.emit_csv([rec], kind="efficiency").splitlines()
@@ -171,6 +197,17 @@ class TestEmitCsv:
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
             hg.emit_csv([], kind="nope")
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.text(st.one_of(st.sampled_from("\n\r\\=,# "), st.characters())),
+       key=st.sampled_from(["train", "val", "aborted_opt"]))
+def test_metadata_round_trip_property(value, key):
+    rows = [(0, 0.5, 0.25), (1, 0.125, 1e-300)]
+    trace = DecayTrace(strategy="opt", rows=rows, metadata={key: value})
+    back = hg.read_decay_csv(hg.emit_csv([trace], kind="decay"))
+    assert [(t.strategy, t.rows, t.metadata) for t in back] == \
+        [("opt", rows, {key: value})]
 
 
 class TestRenderSvg:

@@ -11,6 +11,29 @@ def run(argv):
     return hg.cli_main(argv)
 
 
+def outputs_per_blas_threads(tmp_path, argv, files):
+    """The bytes of ``files`` that ``hygrad argv`` writes in a child process,
+    run once with BLAS/OpenMP threads pinned to 1 and once to 2.
+
+    Multi-column solves and the SVD reach BLAS matrix kernels, whose
+    rounding could depend on the thread count; the pin goes to the child
+    only. Each run writes into its own directory.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "hygrad.cli"] + argv,
+                              cwd=cwd, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(cwd / name).read_bytes() for name in files])
+    return outputs
+
+
 class TestDecayCommand:
     def test_smoke_writes_csv(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -41,6 +64,17 @@ class TestDecayCommand:
                     "--out", str(out), "--svg", str(svg)])
         assert code == 0
         assert svg.read_text().startswith("<svg")
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path, libsvm_dir):
+        # Covers the stacked solves of opt and the SVD behind the step size.
+        one, two = outputs_per_blas_threads(tmp_path, [
+            "decay", "--problem", "logistic",
+            "--train", str(libsvm_dir / "cls_train.libsvm"),
+            "--val", str(libsvm_dir / "cls_val.libsvm"),
+            "--strategies", ",".join(hg.STRATEGIES), "--steps", "20",
+            "--y-low", "3", "--y-high", "6", "--seed", "8",
+            "--out", "decay.csv", "--svg", "decay.svg"], ["decay.csv", "decay.svg"])
+        assert one == two
 
     def test_missing_train_file_exits_two(self, tmp_path):
         code = run(["decay", "--problem", "ridge",
@@ -102,24 +136,13 @@ class TestEfficiencyCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bytes_independent_of_blas_threads(self, tmp_path, libsvm_dir):
-        # Multi-column solves reach BLAS matrix kernels, whose rounding could
-        # depend on the thread count; the pin goes to the child only.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"eff{threads}.csv"
-            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
-                       OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "hygrad.cli", "efficiency", "--problem",
-                 "ridge", "--train", str(libsvm_dir / "reg_train.libsvm"),
-                 "--val", str(libsvm_dir / "reg_val.libsvm"),
-                 "--strategies", ",".join(hg.STRATEGIES), "--trials", "1",
-                 "--seed", "3", "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        one, two = outputs_per_blas_threads(tmp_path, [
+            "efficiency", "--problem", "ridge",
+            "--train", str(libsvm_dir / "reg_train.libsvm"),
+            "--val", str(libsvm_dir / "reg_val.libsvm"),
+            "--strategies", ",".join(hg.STRATEGIES), "--trials", "1",
+            "--seed", "3", "--out", "eff.csv"], ["eff.csv"])
+        assert one == two
 
 
 class TestCompareCommand:
@@ -139,23 +162,13 @@ class TestCompareCommand:
         assert "# precond_scale=2.0" in out.read_text()
 
     def test_bytes_independent_of_blas_threads(self, tmp_path, libsvm_dir):
-        # The pin goes to the child only, as in the efficiency variant.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"cmp{threads}.csv"
-            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
-                       OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "hygrad.cli", "compare", "--problem",
-                 "logistic", "--train", str(libsvm_dir / "cls_train.libsvm"),
-                 "--val", str(libsvm_dir / "cls_val.libsvm"), "--reparam", "opt",
-                 "--precond-scale", "1.5", "--y-low", "3", "--y-high", "6",
-                 "--trials", "1", "--seed", "5", "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        one, two = outputs_per_blas_threads(tmp_path, [
+            "compare", "--problem", "logistic",
+            "--train", str(libsvm_dir / "cls_train.libsvm"),
+            "--val", str(libsvm_dir / "cls_val.libsvm"), "--reparam", "opt",
+            "--precond-scale", "1.5", "--y-low", "3", "--y-high", "6",
+            "--trials", "1", "--seed", "5", "--out", "cmp.csv"], ["cmp.csv"])
+        assert one == two
 
     def test_bad_reparam_exits_one(self):
         assert run(["compare", "--problem", "linear1d",

@@ -375,9 +375,12 @@ class TestStrategyTable:
             g_e = problem.inner.djac_x_dir_y(x, y, direction)
             left.append(-hg.solve_transpose(f1, g_e.T @ t, what="F_1"))
             right.append(-hg.linear_solve(f1, g_e @ s, what="F_1"))
+        # One matrix right-hand side and one solve per direction round
+        # differently in the last bits only.
         sep = hg.newton_separable_reparam(problem)
-        assert np.array_equal(sep.r2_contract_left(x, y, w), np.stack(left, axis=1))
-        assert np.array_equal(sep.r2_contract_right(x, y, q), np.stack(right, axis=1))
+        for got, want in ((sep.r2_contract_left(x, y, w), np.stack(left, axis=1)),
+                          (sep.r2_contract_right(x, y, q), np.stack(right, axis=1))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_unknown_kind_rejected(self, scalar_fixture):
         for kind in ("bogus", 3, None):

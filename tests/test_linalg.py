@@ -1,10 +1,10 @@
-"""LU solves and power-iteration spectral norms."""
+"""Checked LAPACK solves and SVD spectral norms."""
 
 import numpy as np
 import pytest
 
 import hygrad as hg
-from hygrad.errors import ContractViolation, NumericalFailure, SingularMatrixError
+from hygrad.errors import ContractViolation, SingularMatrixError
 
 
 class TestLinearSolve:
@@ -67,23 +67,49 @@ def _alternating_diagonal(rng, n):
 
 class TestFactorization:
     def test_diagonal_path_equals_lu_path(self):
+        # Division by the diagonal and gesv on the same matrix round
+        # differently in the last bits only.
         rng = np.random.default_rng(21)
         for n in (1, 2, 5, 9):
             a = np.diag(_alternating_diagonal(rng, n))
             fast = hg.factor(a, what="A")
-            assert fast.diagonal is not None and fast.lu is None
-            lu, piv = hg.lu_factor(a, what="A")
-            dense = hg.Factorization("A", lu=lu, piv=piv)
+            assert fast.diagonal is not None and fast.matrix is None
+            dense = hg.Factorization("A", matrix=a)
             for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
-                assert np.array_equal(fast.solve(b), dense.solve(b))
-                assert np.array_equal(fast.solve_T(b), dense.solve_T(b))
+                for got, want in ((fast.solve(b), dense.solve(b)),
+                                  (fast.solve_T(b), dense.solve_T(b))):
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_dense_matrix_takes_lu_path(self):
+    def test_dense_matrix_takes_lu_path(self, monkeypatch):
+        import hygrad.linalg as linalg
+        checked = []
+        original = linalg.lu_factor
+
+        def counting(a, *args, **kwargs):
+            checked.append(a)
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(linalg, "lu_factor", counting)
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
         fac = hg.factor(a)
-        assert fac.diagonal is None
-        lu, piv = hg.lu_factor(a)
-        assert np.array_equal(fac.lu, lu) and np.array_equal(fac.piv, piv)
+        assert fac.diagonal is None and len(checked) == 1
+        lu, piv = original(a)
+        b = np.array([1.0, -2.0])
+        # The reference solves through the pure-Python LU factors.
+        z = np.array([b[piv[0]], b[piv[1]] - lu[1, 0] * b[piv[0]]])
+        x1 = z[1] / lu[1, 1]
+        want = np.array([(z[0] - lu[0, 1] * x1) / lu[0, 0], x1])
+        assert np.max(np.abs(fac.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_near_singular_dense_matrix_raises(self):
+        # The second pivot, 1e-15 after elimination, is nonzero but below
+        # PIVOT_RTOL; gesv alone would solve this matrix.
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        for call in (lambda: hg.factor(a, what="F_1"),
+                     lambda: hg.linear_solve(a, np.ones(2), what="F_1"),
+                     lambda: hg.solve_transpose(a, np.ones(2), what="F_1")):
+            with pytest.raises(SingularMatrixError) as err:
+                call()
+            assert err.value.what == "F_1"
 
     @pytest.mark.parametrize("entry", [0.0, 0.5 * hg.linalg.PIVOT_RTOL * 3.0])
     def test_small_diagonal_entry_raises_like_lu(self, entry):
@@ -134,6 +160,8 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert hg.spectral_norm(np.zeros((3, 2))) == 0.0
+        with pytest.raises(ContractViolation):
+            hg.spectral_norm(np.zeros((0, 2)))
 
     def test_nilpotent_block(self):
         # Singular values of [[0,1],[0,0]] are {1, 0}.
@@ -141,7 +169,7 @@ class TestSpectralNorm:
             pytest.approx(1.0, abs=1e-12)
 
     def test_start_vector_in_null_space(self):
-        # The all-ones start is annihilated; the fallback must still find 2^0.5.
+        # The all-ones vector is in the null space of this matrix.
         m = np.array([[1.0, -1.0]])
         assert hg.spectral_norm(m) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
@@ -162,11 +190,21 @@ class TestSpectralNorm:
         assert hg.spectral_norm(m) == pytest.approx(np.linalg.svd(m)[1][0],
                                                     rel=1e-10)
 
-    def test_non_convergence_carries_estimate(self):
-        m = np.diag([1.0, 0.999])
-        with pytest.raises(NumericalFailure) as exc:
-            hg.spectral_norm(m, tol=1e-14, max_iter=2)
-        assert exc.value.last_estimate is not None
+    def test_top_singular_value_is_numpy_svd(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            m = rng.normal(size=tuple(rng.integers(1, 25, size=2)))
+            assert hg.top_singular(m)[0] == np.linalg.svd(m)[1][0]
+
+    def test_top_singular_vector_sign_convention(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            m = rng.normal(size=tuple(rng.integers(1, 25, size=2)))
+            sigma, v = hg.top_singular(m)
+            vt0 = np.linalg.svd(m, full_matrices=False)[2][0]
+            assert np.array_equal(v, vt0) or np.array_equal(v, -vt0)
+            assert v[np.argmax(np.abs(v))] > 0
+            assert np.linalg.norm(m @ v) == pytest.approx(sigma, rel=1e-12)
 
     def test_top_singular_vector(self):
         m = np.diag([5.0, 1.0])
