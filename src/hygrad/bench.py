@@ -288,8 +288,7 @@ _UNESCAPES = {"\\": "\\", "n": "\n", "r": "\r"}
 _DECAY_HEADER = "strategy,step,inner_error,hypergrad_error"
 
 
-def emit_csv(items: Sequence[Union[DecayTrace, SweepRecord]],
-             kind: Optional[str] = None,
+def emit_csv(items: Sequence[Union[DecayTrace, SweepRecord]], kind: str,
              metadata: Optional[dict] = None) -> str:
     r"""Serialize traces or sweep records to CSV text.
 
@@ -298,8 +297,6 @@ def emit_csv(items: Sequence[Union[DecayTrace, SweepRecord]],
     ``\r``), then the schema header, then the rows. Floats use shortest
     round-trip formatting; lines end with LF.
     """
-    if kind is None:
-        kind = "efficiency" if items and isinstance(items[0], SweepRecord) else "decay"
     meta: dict[str, str] = {}
     if kind == "decay":
         for trace in items:

@@ -147,10 +147,8 @@ def _cmd_compare(args) -> int:
         ctx = RootContext.solve(problem, y)
         kind = resolve_strategy(ctx.problem, args.reparam).reparam
         terms = ComparisonTerms(ctx, precond, kind, config.eps)
-        shared = (ctx.problem, precond, kind, ctx.y)
-        bounds = efficiency.compare_bounds(*shared, eps=config.eps, terms=terms)
-        delta, delta_lower, _ = efficiency.precond_gap(*shared, eps=config.eps,
-                                                       terms=terms)
+        bounds = efficiency.compare_bounds(terms)
+        delta, delta_lower, _ = efficiency.precond_gap(terms)
         slack_phi = 1e-6 * (1.0 + abs(bounds.lhs_phi_minus_p))
         slack_p = 1e-6 * (1.0 + abs(bounds.lhs_p_minus_phi))
         if bounds.lhs_phi_minus_p < bounds.rhs_phi_minus_p - slack_phi:
@@ -159,8 +157,7 @@ def _cmd_compare(args) -> int:
             failures += 1
         sigma, sigma_lower = float("nan"), float("nan")
         if isinstance(kind, SeparableReparam):
-            sigma, sigma_lower, _ = efficiency.reparam_gap(*shared, eps=config.eps,
-                                                           terms=terms)
+            sigma, sigma_lower, _ = efficiency.reparam_gap(terms)
         lines.append(",".join([
             str(trial), str(trial_seed),
             repr(float(bounds.lhs_phi_minus_p)), repr(float(bounds.rhs_phi_minus_p)),

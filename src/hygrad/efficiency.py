@@ -205,8 +205,7 @@ def precond_jacobian_at_root(problem: BilevelProblem,
         problem, precond, y)
 
 
-def outer_curvature(problem: BilevelProblem, y: Array,
-                    method: str = "analytic") -> Array:
+def outer_curvature(problem: BilevelProblem, y: Array) -> Array:
     """The term g_21 + [dx*/dy]' g_11 at the root.
 
     With an affine outer objective this vanishes, which is exactly when
@@ -214,14 +213,8 @@ def outer_curvature(problem: BilevelProblem, y: Array,
     """
     y = as_vector(y, problem.d_y, "y")
     xstar = exact_root(problem, y)
-    if method == "analytic":
-        jac_t = solution_sensitivity(problem, xstar, y)
-    elif method == "fd":
-        from .solvers import fd_jac_xstar
-        jac_t = fd_jac_xstar(problem, y).T
-    else:
-        raise UsageError(f"unknown method {method!r}")
-    return problem.outer.jac_gradY_x(xstar, y) + jac_t @ problem.outer.hess_xx(xstar, y)
+    return problem.outer.jac_gradY_x(xstar, y) \
+        + solution_sensitivity(problem, xstar, y) @ problem.outer.hess_xx(xstar, y)
 
 
 def sensitivity_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
@@ -335,23 +328,7 @@ class ComparisonTerms:
         return sigma, _read_only(v)
 
 
-def _terms_for(problem: BilevelProblem, precond: PreconditionerOracle,
-               reparam: StrategyKind, y: Array, eps: float | None,
-               terms: ComparisonTerms | None) -> ComparisonTerms:
-    """The caller's shared terms, checked to belong to this call, or new ones."""
-    y = as_vector(y, problem.d_y, "y")
-    if terms is None:
-        return ComparisonTerms(RootContext.solve(problem, y), precond, reparam, eps)
-    if (problem is not terms.ctx.problem or not _same_bits(y, terms.ctx.y)
-            or (precond, reparam, eps) != (terms.precond, terms.reparam, terms.eps)):
-        raise UsageError("shared comparison terms were built for another "
-                         "problem, y, preconditioner, reparameterization or eps")
-    return terms
-
-
-def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
-                   reparam: StrategyKind, y: Array, eps: float | None = None,
-                   terms: ComparisonTerms | None = None) -> ComparisonBounds:
+def compare_bounds(terms: ComparisonTerms) -> ComparisonBounds:
     """Evaluate both quadratic comparison inequalities between a
     preconditioned and a reparameterized estimator at the root.
 
@@ -365,21 +342,16 @@ def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
     and each lhs (difference of squared efficiency constants) dominates the
     inner product of the corresponding U/V pair applied to the other
     estimator's maximizing direction.
-
-    ``terms``, built for the same (context problem, precond, reparam, y,
-    eps), shares its at-root terms with the other comparison functions;
-    without it a context of this call's own is solved.
     """
-    t = _terms_for(problem, precond, reparam, y, eps, terms)
-    d, e_p, t_p, t_phi = t.d, t.e_p, t.t_p, t.t_phi
+    d, e_p, t_p, t_phi = terms.d, terms.e_p, terms.t_p, terms.t_phi
 
     u_plus = d + d @ e_p + t_phi + t_p @ e_p
     u_minus = d - d @ e_p + t_phi - t_p @ e_p
     v_plus = d @ e_p + d + t_p @ e_p + t_phi
     v_minus = d @ e_p - d + t_p @ e_p - t_phi
 
-    sigma_p, v_p = t.top_p
-    sigma_phi, v_phi = t.top_phi
+    sigma_p, v_p = terms.top_p
+    sigma_phi, v_phi = terms.top_phi
 
     lhs_phi_minus_p = sigma_phi ** 2 - sigma_p ** 2
     return ComparisonBounds(
@@ -392,49 +364,41 @@ def compare_bounds(problem: BilevelProblem, precond: PreconditionerOracle,
     )
 
 
-def precond_gap(problem: BilevelProblem, precond: PreconditionerOracle,
-                reparam: StrategyKind, y: Array, eps: float | None = None,
-                terms: ComparisonTerms | None = None) -> tuple[float, float, float]:
+def precond_gap(terms: ComparisonTerms) -> tuple[float, float, float]:
     """Asymptotic advantage of a near-ideal preconditioner.
 
     Returns (delta, lower_bound, lhs) with delta the deviation of P from F_1
     at the root, lhs the difference of squared efficiency constants
     (reparameterized minus preconditioned), and lower_bound the term that
     survives as delta -> 0. lhs >= lower_bound up to o(delta) and FD noise.
-    ``terms`` as in compare_bounds.
     """
-    t = _terms_for(problem, precond, reparam, y, eps, terms)
-    problem, y, xstar = t.ctx.problem, t.ctx.y, t.ctx.xstar
-    delta = spectral_norm(precond.matrix(xstar, y) - problem.jac_x(xstar, y))
+    problem, y, xstar = terms.ctx.problem, terms.ctx.y, terms.ctx.xstar
+    delta = spectral_norm(terms.precond.matrix(xstar, y) - problem.jac_x(xstar, y))
 
-    d, t_phi = t.d, t.t_phi
-    c_p, v_p = t.top_p
+    d, t_phi = terms.d, terms.t_phi
+    c_p, v_p = terms.top_p
     lower = float(np.linalg.norm((d + t_phi) @ v_p) ** 2)
-    c_phi = t.top_phi[0]
+    c_phi = terms.top_phi[0]
     return delta, lower, c_phi ** 2 - c_p ** 2
 
 
-def reparam_gap(problem: BilevelProblem, precond: PreconditionerOracle,
-                sep: SeparableReparam, y: Array, eps: float | None = None,
-                terms: ComparisonTerms | None = None) -> tuple[float, float, float]:
-    """Asymptotic advantage of a near-ideal localized reparameterization.
+def reparam_gap(terms: ComparisonTerms) -> tuple[float, float, float]:
+    """Asymptotic advantage of a near-ideal localized reparameterization,
+    the terms' reparameterization being a SeparableReparam.
 
     Returns (sigma, lower_bound, lhs) with sigma = |g_1| times the
     sensitivity efficiency constant of the localized family, lhs the
     difference of squared efficiency constants (preconditioned minus
-    localized), and lower_bound the sigma -> 0 limit term. ``terms`` as in
-    compare_bounds, with ``sep`` as its reparameterization.
+    localized), and lower_bound the sigma -> 0 limit term.
     """
-    t = _terms_for(problem, precond, sep, y, eps, terms)
-    problem, y = t.ctx.problem, t.ctx.y
-    g1 = problem.outer.grad_x(t.ctx.xstar, y)
-    sigma = float(np.linalg.norm(g1)) * _matrix_constant(t.d_s_phi)
+    g1 = terms.ctx.problem.outer.grad_x(terms.ctx.xstar, terms.ctx.y)
+    sigma = float(np.linalg.norm(g1)) * _matrix_constant(terms.d_s_phi)
 
-    d, e_p, t_p = t.d, t.e_p, t.t_p
-    c_loc, v_phi = t.top_phi
+    d, e_p, t_p = terms.d, terms.e_p, terms.t_p
+    c_loc, v_phi = terms.top_phi
     lower = float(np.linalg.norm((d + t_p) @ e_p @ v_phi) ** 2
                   - np.linalg.norm(d @ v_phi) ** 2)
-    c_p = t.top_p[0]
+    c_p = terms.top_p[0]
     return sigma, lower, c_p ** 2 - c_loc ** 2
 
 

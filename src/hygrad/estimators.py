@@ -29,8 +29,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, SingularMatrixError, UsageError
-from .linalg import factor, linear_solve, solve_transpose
+from .errors import CapabilityError, DomainError, UsageError
+from .linalg import Factorization, factor, linear_solve, solve_transpose
 from .problems import BilevelProblem, as_vector
 from .solvers import newton_root
 
@@ -62,43 +62,28 @@ class PreconditionerOracle:
     matrix; ``matrix`` hands out P(x, y) itself for deviation measurements.
     """
 
-    solve_fn: Callable[[Array, Array, Array], Array]
-    matrix_fn: Callable[[Array, Array], Array]
-
-    def solve(self, x, y, v):
-        return self.solve_fn(x, y, v)
-
-    def matrix(self, x, y):
-        return self.matrix_fn(x, y)
+    solve: Callable[[Array, Array, Array], Array]
+    matrix: Callable[[Array, Array], Array]
 
 
 def newton_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
     """P = F_1: the corrective step becomes one Newton step."""
     return PreconditionerOracle(
-        solve_fn=lambda x, y, v: linear_solve(problem.jac_x(x, y), v, what="P"),
-        matrix_fn=problem.jac_x)
+        solve=lambda x, y, v: linear_solve(problem.jac_x(x, y), v, what="P"),
+        matrix=problem.jac_x)
 
 
-def _jac_x_diagonal(problem: BilevelProblem, x: Array, y: Array, what: str) -> Array:
-    """Diagonal of F_1; SingularMatrixError naming ``what`` if it is singular."""
-    d = np.diag(problem.jac_x(x, y)).copy()
-    if np.min(np.abs(d)) <= 1e-14 * max(np.max(np.abs(d)), 1.0):
-        raise SingularMatrixError("diagonal of F_1 is singular", what=what)
-    return d
+def _jac_x_diagonal(problem: BilevelProblem, x: Array, y: Array,
+                    what: str) -> Factorization:
+    """diag(F_1), checked by ``factor`` like every other matrix it solves."""
+    return factor(np.diag(np.diag(problem.jac_x(x, y))), what)
 
 
 def diag_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
     """P = diag(F_1), the Jacobi choice."""
-    def diagonal(x, y):
-        return _jac_x_diagonal(problem, x, y, "P")
-
-    def solve(x, y, v):
-        d = diagonal(x, y)
-        v = np.asarray(v, float)
-        return v / d if v.ndim == 1 else v / d[:, None]
-
-    return PreconditionerOracle(solve_fn=solve,
-                                matrix_fn=lambda x, y: np.diag(diagonal(x, y)))
+    return PreconditionerOracle(
+        solve=lambda x, y, v: _jac_x_diagonal(problem, x, y, "P").solve(v),
+        matrix=lambda x, y: np.diag(_jac_x_diagonal(problem, x, y, "P").diagonal))
 
 
 def scaled_preconditioner(precond: PreconditionerOracle, factor: float) -> PreconditionerOracle:
@@ -106,8 +91,8 @@ def scaled_preconditioner(precond: PreconditionerOracle, factor: float) -> Preco
     if factor == 0:
         raise UsageError("scale factor must be nonzero")
     return PreconditionerOracle(
-        solve_fn=lambda x, y, v: precond.solve(x, y, v) / factor,
-        matrix_fn=lambda x, y: factor * precond.matrix(x, y))
+        solve=lambda x, y, v: precond.solve(x, y, v) / factor,
+        matrix=lambda x, y: factor * precond.matrix(x, y))
 
 
 # --------------------------------------------------------------------------
@@ -123,30 +108,12 @@ class Reparameterization:
         hess_zy_contract(z, y, w)[i, e] = sum_k w_k d2 phi_k / dz_i dy_e
     """
 
-    forward_fn: Callable[[Array, Array], Array]
-    inverse_fn: Callable[[Array, Array], Array]
-    jac_z_fn: Callable[[Array, Array], Array]
-    jac_y_fn: Callable[[Array, Array], Array]
-    hess_zz_contract_fn: Callable[[Array, Array, Array], Array]
-    hess_zy_contract_fn: Callable[[Array, Array, Array], Array]
-
-    def forward(self, z, y):
-        return self.forward_fn(z, y)
-
-    def inverse(self, x, y):
-        return self.inverse_fn(x, y)
-
-    def jac_z(self, z, y):
-        return self.jac_z_fn(z, y)
-
-    def jac_y(self, z, y):
-        return self.jac_y_fn(z, y)
-
-    def hess_zz_contract(self, z, y, w):
-        return self.hess_zz_contract_fn(z, y, w)
-
-    def hess_zy_contract(self, z, y, w):
-        return self.hess_zy_contract_fn(z, y, w)
+    forward: Callable[[Array, Array], Array]
+    inverse: Callable[[Array, Array], Array]
+    jac_z: Callable[[Array, Array], Array]
+    jac_y: Callable[[Array, Array], Array]
+    hess_zz_contract: Callable[[Array, Array, Array], Array]
+    hess_zy_contract: Callable[[Array, Array, Array], Array]
 
 
 def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
@@ -181,12 +148,12 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
 def identity_reparam() -> Reparameterization:
     """phi(z, y) = z; the estimate collapses to the plain implicit formula."""
     return Reparameterization(
-        forward_fn=lambda z, y: z,
-        inverse_fn=lambda x, y: x,
-        jac_z_fn=lambda z, y: np.eye(z.shape[0]),
-        jac_y_fn=lambda z, y: np.zeros((z.shape[0], y.shape[0])),
-        hess_zz_contract_fn=lambda z, y, w: np.zeros((z.shape[0], z.shape[0])),
-        hess_zy_contract_fn=lambda z, y, w: np.zeros((z.shape[0], y.shape[0])),
+        forward=lambda z, y: z,
+        inverse=lambda x, y: x,
+        jac_z=lambda z, y: np.eye(z.shape[0]),
+        jac_y=lambda z, y: np.zeros((z.shape[0], y.shape[0])),
+        hess_zz_contract=lambda z, y, w: np.zeros((z.shape[0], z.shape[0])),
+        hess_zy_contract=lambda z, y, w: np.zeros((z.shape[0], y.shape[0])),
     )
 
 
@@ -209,12 +176,12 @@ def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
         return np.log(q)
 
     return Reparameterization(
-        forward_fn=lambda z, y: signs * np.exp(z),
-        inverse_fn=inverse,
-        jac_z_fn=lambda z, y: np.diag(signs * np.exp(z)),
-        jac_y_fn=lambda z, y: np.zeros((z.shape[0], y.shape[0])),
-        hess_zz_contract_fn=lambda z, y, w: np.diag(w * signs * np.exp(z)),
-        hess_zy_contract_fn=lambda z, y, w: np.zeros((z.shape[0], y.shape[0])),
+        forward=lambda z, y: signs * np.exp(z),
+        inverse=inverse,
+        jac_z=lambda z, y: np.diag(signs * np.exp(z)),
+        jac_y=lambda z, y: np.zeros((z.shape[0], y.shape[0])),
+        hess_zz_contract=lambda z, y, w: np.diag(w * signs * np.exp(z)),
+        hess_zy_contract=lambda z, y, w: np.zeros((z.shape[0], y.shape[0])),
     )
 
 
@@ -230,13 +197,13 @@ def exp_family_reparam_1d(alpha: float, beta: float) -> Reparameterization:
         return np.array([np.log(q) / beta])
 
     return Reparameterization(
-        forward_fn=lambda z, y: np.array([alpha * np.exp(beta * z[0])]),
-        inverse_fn=inverse,
-        jac_z_fn=lambda z, y: np.array([[alpha * beta * np.exp(beta * z[0])]]),
-        jac_y_fn=lambda z, y: np.zeros((1, y.shape[0])),
-        hess_zz_contract_fn=lambda z, y, w: np.array(
+        forward=lambda z, y: np.array([alpha * np.exp(beta * z[0])]),
+        inverse=inverse,
+        jac_z=lambda z, y: np.array([[alpha * beta * np.exp(beta * z[0])]]),
+        jac_y=lambda z, y: np.zeros((1, y.shape[0])),
+        hess_zz_contract=lambda z, y, w: np.array(
             [[w[0] * alpha * beta * beta * np.exp(beta * z[0])]]),
-        hess_zy_contract_fn=lambda z, y, w: np.zeros((1, y.shape[0])),
+        hess_zy_contract=lambda z, y, w: np.zeros((1, y.shape[0])),
     )
 
 
@@ -255,39 +222,15 @@ class SeparableReparam:
         r2_contract_right(x, y, q)[k, e] = sum_m (R_2)_{km,e} q_m
     """
 
-    r_fn: Callable[[Array, Array], Array]
-    r_solve_fn: Callable[[Array, Array, Array], Array]
-    r2_contract_left_fn: Callable[[Array, Array, Array], Array]
-    r2_contract_right_fn: Callable[[Array, Array, Array], Array]
-    q_fn: Callable[[Array, Array], Array]
-    q_jac_fn: Callable[[Array, Array], Array]
-    q_hess_contract_fn: Callable[[Array, Array, Array], Array]
-    q_inverse_fn: Callable[[Array, Array], Array]
+    r: Callable[[Array, Array], Array]
+    r_solve: Callable[[Array, Array, Array], Array]
+    r2_contract_left: Callable[[Array, Array, Array], Array]
+    r2_contract_right: Callable[[Array, Array, Array], Array]
+    q: Callable[[Array, Array], Array]
+    q_jac: Callable[[Array, Array], Array]
+    q_hess_contract: Callable[[Array, Array, Array], Array]
+    q_inverse: Callable[[Array, Array], Array]
     offset: bool
-
-    def r(self, x, y):
-        return self.r_fn(x, y)
-
-    def r_solve(self, x, y, v):
-        return self.r_solve_fn(x, y, v)
-
-    def r2_contract_left(self, x, y, w):
-        return self.r2_contract_left_fn(x, y, w)
-
-    def r2_contract_right(self, x, y, q):
-        return self.r2_contract_right_fn(x, y, q)
-
-    def q(self, z, ybar):
-        return self.q_fn(z, ybar)
-
-    def q_jac(self, z, ybar):
-        return self.q_jac_fn(z, ybar)
-
-    def q_hess_contract(self, z, ybar, w):
-        return self.q_hess_contract_fn(z, ybar, w)
-
-    def q_inverse(self, v, ybar):
-        return self.q_inverse_fn(v, ybar)
 
 
 def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
@@ -301,13 +244,13 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
     ya = np.array(anchor_y, dtype=float)
     shift = xa if sep.offset else np.zeros_like(xa)
     return Reparameterization(
-        forward_fn=lambda z, y: sep.r(xa, y) @ sep.q(z, ya) + shift,
-        inverse_fn=lambda x, y: sep.q_inverse(sep.r_solve(xa, y, x - shift), ya),
-        jac_z_fn=lambda z, y: sep.r(xa, y) @ sep.q_jac(z, ya),
-        jac_y_fn=lambda z, y: sep.r2_contract_right(xa, y, sep.q(z, ya)),
-        hess_zz_contract_fn=lambda z, y, w: sep.q_hess_contract(
+        forward=lambda z, y: sep.r(xa, y) @ sep.q(z, ya) + shift,
+        inverse=lambda x, y: sep.q_inverse(sep.r_solve(xa, y, x - shift), ya),
+        jac_z=lambda z, y: sep.r(xa, y) @ sep.q_jac(z, ya),
+        jac_y=lambda z, y: sep.r2_contract_right(xa, y, sep.q(z, ya)),
+        hess_zz_contract=lambda z, y, w: sep.q_hess_contract(
             z, ya, sep.r(xa, y).T @ w),
-        hess_zy_contract_fn=lambda z, y, w: sep.q_jac(z, ya).T
+        hess_zy_contract=lambda z, y, w: sep.q_jac(z, ya).T
         @ sep.r2_contract_left(xa, y, w),
     )
 
@@ -327,7 +270,7 @@ def jac_x_y_dirs(problem: BilevelProblem, x: Array, y: Array) -> list[Array]:
 def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
     """Separable family with R = [diag(F_1)]^{-1} and Q the identity."""
     def diagonal(x, y):
-        return _jac_x_diagonal(problem, x, y, "R")
+        return _jac_x_diagonal(problem, x, y, "R").diagonal
 
     def r2_contract(x, y, w):
         # R_2 is diagonal per y-coordinate: (R_2)_{kk,e} = -dF1_kk/dy_e / d_k^2,
@@ -337,14 +280,14 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         return -dirs * (w / (d * d))[:, None]
 
     return SeparableReparam(
-        r_fn=lambda x, y: np.diag(1.0 / diagonal(x, y)),
-        r_solve_fn=lambda x, y, v: v * diagonal(x, y),
-        r2_contract_left_fn=r2_contract,
-        r2_contract_right_fn=r2_contract,
-        q_fn=lambda z, ybar: z,
-        q_jac_fn=lambda z, ybar: np.eye(z.shape[0]),
-        q_hess_contract_fn=lambda z, ybar, w: np.zeros((z.shape[0], z.shape[0])),
-        q_inverse_fn=lambda v, ybar: v,
+        r=lambda x, y: np.diag(1.0 / diagonal(x, y)),
+        r_solve=lambda x, y, v: v * diagonal(x, y),
+        r2_contract_left=r2_contract,
+        r2_contract_right=r2_contract,
+        q=lambda z, ybar: z,
+        q_jac=lambda z, ybar: np.eye(z.shape[0]),
+        q_hess_contract=lambda z, ybar, w: np.zeros((z.shape[0], z.shape[0])),
+        q_inverse=lambda v, ybar: v,
         offset=False,
     )
 
@@ -393,14 +336,14 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
                            lambda z: problem.jac_x(z, ybar), start)
 
     return SeparableReparam(
-        r_fn=r,
-        r_solve_fn=lambda x, y, v: problem.jac_x(x, y) @ v,
-        r2_contract_left_fn=r2_contract_left,
-        r2_contract_right_fn=r2_contract_right,
-        q_fn=lambda z, ybar: -problem.residual(z, ybar),
-        q_jac_fn=lambda z, ybar: -problem.jac_x(z, ybar),
-        q_hess_contract_fn=lambda z, ybar, w: -problem.inner.djac_x_dir_x(z, ybar, w),
-        q_inverse_fn=q_inverse,
+        r=r,
+        r_solve=lambda x, y, v: problem.jac_x(x, y) @ v,
+        r2_contract_left=r2_contract_left,
+        r2_contract_right=r2_contract_right,
+        q=lambda z, ybar: -problem.residual(z, ybar),
+        q_jac=lambda z, ybar: -problem.jac_x(z, ybar),
+        q_hess_contract=lambda z, ybar, w: -problem.inner.djac_x_dir_x(z, ybar, w),
+        q_inverse=q_inverse,
         offset=True,
     )
 
@@ -415,8 +358,8 @@ def scale_separable_r(sep: SeparableReparam, factor: float) -> SeparableReparam:
         raise UsageError("scale factor must be nonzero")
     return replace(
         sep,
-        r_fn=lambda x, y: factor * sep.r(x, y),
-        r_solve_fn=lambda x, y, v: sep.r_solve(x, y, v) / factor,
+        r=lambda x, y: factor * sep.r(x, y),
+        r_solve=lambda x, y, v: sep.r_solve(x, y, v) / factor,
     )
 
 

@@ -203,24 +203,24 @@ def _quadratic_outer(val: Dataset, d_y: int) -> CallableOuterOracle:
     hess = 2.0 * a_val.T @ a_val
     d_x = val.d_x
     return CallableOuterOracle(
-        value_fn=lambda x, y: float(np.sum((a_val @ x - b_val) ** 2)),
-        grad_x_fn=lambda x, y: 2.0 * a_val.T @ (a_val @ x - b_val),
-        grad_y_fn=lambda x, y: np.zeros(d_y),
-        hess_xx_fn=lambda x, y: hess,
-        jac_gradY_x_fn=lambda x, y: np.zeros((d_y, d_x)),
-        jac_gradX_y_fn=lambda x, y: np.zeros((d_x, d_y)),
+        value=lambda x, y: float(np.sum((a_val @ x - b_val) ** 2)),
+        grad_x=lambda x, y: 2.0 * a_val.T @ (a_val @ x - b_val),
+        grad_y=lambda x, y: np.zeros(d_y),
+        hess_xx=lambda x, y: hess,
+        jac_gradY_x=lambda x, y: np.zeros((d_y, d_x)),
+        jac_gradX_y=lambda x, y: np.zeros((d_x, d_y)),
     )
 
 
 def _affine_outer(a: Array, d_y: int) -> CallableOuterOracle:
     d_x = a.shape[0]
     return CallableOuterOracle(
-        value_fn=lambda x, y: float(a @ x),
-        grad_x_fn=lambda x, y: a,
-        grad_y_fn=lambda x, y: np.zeros(d_y),
-        hess_xx_fn=lambda x, y: np.zeros((d_x, d_x)),
-        jac_gradY_x_fn=lambda x, y: np.zeros((d_y, d_x)),
-        jac_gradX_y_fn=lambda x, y: np.zeros((d_x, d_y)),
+        value=lambda x, y: float(a @ x),
+        grad_x=lambda x, y: a,
+        grad_y=lambda x, y: np.zeros(d_y),
+        hess_xx=lambda x, y: np.zeros((d_x, d_x)),
+        jac_gradY_x=lambda x, y: np.zeros((d_y, d_x)),
+        jac_gradX_y=lambda x, y: np.zeros((d_x, d_y)),
     )
 
 
@@ -250,12 +250,12 @@ def make_ridge(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelProb
     rhs2 = 2.0 * train.features.T @ train.labels
 
     inner = CallableInnerOracle(
-        residual_fn=lambda x, y: gram2 @ x - rhs2 + np.exp(y) * x,
-        jac_x_fn=lambda x, y: gram2 + np.diag(np.exp(y)),
-        jac_y_fn=lambda x, y: np.diag(np.exp(y) * x),
-        djac_x_dir_x_fn=lambda x, y, u: np.zeros((d_x, d_x)),
-        djac_x_dir_y_fn=lambda x, y, e: np.diag(np.exp(y) * e),
-        exact_root_fn=lambda y: linear_solve(
+        residual=lambda x, y: gram2 @ x - rhs2 + np.exp(y) * x,
+        jac_x=lambda x, y: gram2 + np.diag(np.exp(y)),
+        jac_y=lambda x, y: np.diag(np.exp(y) * x),
+        djac_x_dir_x=lambda x, y, u: np.zeros((d_x, d_x)),
+        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e),
+        exact_root=lambda y: linear_solve(
             gram2 + np.diag(np.exp(y)), rhs2, what="F_1"),
     )
     return BilevelProblem(inner=inner, outer=_make_outer(outer, val, d_x, d_y),
@@ -304,12 +304,12 @@ def make_logistic(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelP
         return a_tr.T @ (w[:, None] * a_tr)
 
     inner = CallableInnerOracle(
-        residual_fn=residual,
-        jac_x_fn=jac_x,
-        jac_y_fn=lambda x, y: np.diag(np.exp(y) * x),
-        djac_x_dir_x_fn=djac_x_dir_x,
-        djac_x_dir_y_fn=lambda x, y, e: np.diag(np.exp(y) * e),
-        exact_root_fn=lambda y: newton_root(
+        residual=residual,
+        jac_x=jac_x,
+        jac_y=lambda x, y: np.diag(np.exp(y) * x),
+        djac_x_dir_x=djac_x_dir_x,
+        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e),
+        exact_root=lambda y: newton_root(
             lambda x: residual(x, y), lambda x: jac_x(x, y), np.zeros(d_x)),
     )
     return BilevelProblem(inner=inner, outer=_make_outer(outer, val, d_x, d_y),
@@ -325,20 +325,20 @@ def scalar_ridge() -> BilevelProblem:
     Root x*(y) = 1 / (1 + e^y); at y = 0 the hypergradient is -1/8.
     """
     inner = CallableInnerOracle(
-        residual_fn=lambda x, y: (x - 1.0) + np.exp(y) * x,
-        jac_x_fn=lambda x, y: np.array([[1.0 + np.exp(y[0])]]),
-        jac_y_fn=lambda x, y: np.array([[np.exp(y[0]) * x[0]]]),
-        djac_x_dir_x_fn=lambda x, y, u: np.zeros((1, 1)),
-        djac_x_dir_y_fn=lambda x, y, e: np.array([[np.exp(y[0]) * e[0]]]),
-        exact_root_fn=lambda y: np.array([1.0 / (1.0 + np.exp(y[0]))]),
+        residual=lambda x, y: (x - 1.0) + np.exp(y) * x,
+        jac_x=lambda x, y: np.array([[1.0 + np.exp(y[0])]]),
+        jac_y=lambda x, y: np.array([[np.exp(y[0]) * x[0]]]),
+        djac_x_dir_x=lambda x, y, u: np.zeros((1, 1)),
+        djac_x_dir_y=lambda x, y, e: np.array([[np.exp(y[0]) * e[0]]]),
+        exact_root=lambda y: np.array([1.0 / (1.0 + np.exp(y[0]))]),
     )
     outer = CallableOuterOracle(
-        value_fn=lambda x, y: 0.5 * float(x[0] ** 2),
-        grad_x_fn=lambda x, y: np.array([x[0]]),
-        grad_y_fn=lambda x, y: np.zeros(1),
-        hess_xx_fn=lambda x, y: np.ones((1, 1)),
-        jac_gradY_x_fn=lambda x, y: np.zeros((1, 1)),
-        jac_gradX_y_fn=lambda x, y: np.zeros((1, 1)),
+        value=lambda x, y: 0.5 * float(x[0] ** 2),
+        grad_x=lambda x, y: np.array([x[0]]),
+        grad_y=lambda x, y: np.zeros(1),
+        hess_xx=lambda x, y: np.ones((1, 1)),
+        jac_gradY_x=lambda x, y: np.zeros((1, 1)),
+        jac_gradX_y=lambda x, y: np.zeros((1, 1)),
     )
     return BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1,
                           name="scalar-ridge", affine_in_x=True)
@@ -351,20 +351,20 @@ def linear_1d() -> BilevelProblem:
     map has unit efficiency constant at every y.
     """
     inner = CallableInnerOracle(
-        residual_fn=lambda x, y: np.exp(y) * x - 1.0,
-        jac_x_fn=lambda x, y: np.array([[np.exp(y[0])]]),
-        jac_y_fn=lambda x, y: np.array([[np.exp(y[0]) * x[0]]]),
-        djac_x_dir_x_fn=lambda x, y, u: np.zeros((1, 1)),
-        djac_x_dir_y_fn=lambda x, y, e: np.array([[np.exp(y[0]) * e[0]]]),
-        exact_root_fn=lambda y: np.array([np.exp(-y[0])]),
+        residual=lambda x, y: np.exp(y) * x - 1.0,
+        jac_x=lambda x, y: np.array([[np.exp(y[0])]]),
+        jac_y=lambda x, y: np.array([[np.exp(y[0]) * x[0]]]),
+        djac_x_dir_x=lambda x, y, u: np.zeros((1, 1)),
+        djac_x_dir_y=lambda x, y, e: np.array([[np.exp(y[0]) * e[0]]]),
+        exact_root=lambda y: np.array([np.exp(-y[0])]),
     )
     outer = CallableOuterOracle(
-        value_fn=lambda x, y: float(x[0]),
-        grad_x_fn=lambda x, y: np.ones(1),
-        grad_y_fn=lambda x, y: np.zeros(1),
-        hess_xx_fn=lambda x, y: np.zeros((1, 1)),
-        jac_gradY_x_fn=lambda x, y: np.zeros((1, 1)),
-        jac_gradX_y_fn=lambda x, y: np.zeros((1, 1)),
+        value=lambda x, y: float(x[0]),
+        grad_x=lambda x, y: np.ones(1),
+        grad_y=lambda x, y: np.zeros(1),
+        hess_xx=lambda x, y: np.zeros((1, 1)),
+        jac_gradY_x=lambda x, y: np.zeros((1, 1)),
+        jac_gradX_y=lambda x, y: np.zeros((1, 1)),
     )
     return BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1,
                           name="linear-1d", affine_in_x=True)

@@ -99,66 +99,34 @@ class OuterOracle(Protocol):
         ...
 
 
+def _no_exact_root(y: Array) -> None:
+    """The exact_root of an oracle that has no direct solve."""
+    return None
+
+
 @dataclass(frozen=True)
 class CallableInnerOracle:
-    """Inner oracle assembled from plain callables (fixtures, adapters)."""
+    """Inner oracle assembled from plain callables (fixtures, adapters), each
+    stored under the name of the oracle method it implements."""
 
-    residual_fn: Callable[[Array, Array], Array]
-    jac_x_fn: Callable[[Array, Array], Array]
-    jac_y_fn: Callable[[Array, Array], Array]
-    djac_x_dir_x_fn: Callable[[Array, Array, Array], Array]
-    djac_x_dir_y_fn: Callable[[Array, Array, Array], Array]
-    exact_root_fn: Optional[Callable[[Array], Array]] = None
-
-    def residual(self, x, y):
-        return self.residual_fn(x, y)
-
-    def jac_x(self, x, y):
-        return self.jac_x_fn(x, y)
-
-    def jac_y(self, x, y):
-        return self.jac_y_fn(x, y)
-
-    def djac_x_dir_x(self, x, y, u):
-        return self.djac_x_dir_x_fn(x, y, u)
-
-    def djac_x_dir_y(self, x, y, e):
-        return self.djac_x_dir_y_fn(x, y, e)
-
-    def exact_root(self, y):
-        if self.exact_root_fn is None:
-            return None
-        return self.exact_root_fn(y)
+    residual: Callable[[Array, Array], Array]
+    jac_x: Callable[[Array, Array], Array]
+    jac_y: Callable[[Array, Array], Array]
+    djac_x_dir_x: Callable[[Array, Array, Array], Array]
+    djac_x_dir_y: Callable[[Array, Array, Array], Array]
+    exact_root: Callable[[Array], Optional[Array]] = _no_exact_root
 
 
 @dataclass(frozen=True)
 class CallableOuterOracle:
-    """Outer oracle assembled from plain callables."""
+    """Outer oracle assembled from plain callables, each under its method's name."""
 
-    value_fn: Callable[[Array, Array], float]
-    grad_x_fn: Callable[[Array, Array], Array]
-    grad_y_fn: Callable[[Array, Array], Array]
-    hess_xx_fn: Callable[[Array, Array], Array]
-    jac_gradY_x_fn: Callable[[Array, Array], Array]
-    jac_gradX_y_fn: Callable[[Array, Array], Array]
-
-    def value(self, x, y):
-        return self.value_fn(x, y)
-
-    def grad_x(self, x, y):
-        return self.grad_x_fn(x, y)
-
-    def grad_y(self, x, y):
-        return self.grad_y_fn(x, y)
-
-    def hess_xx(self, x, y):
-        return self.hess_xx_fn(x, y)
-
-    def jac_gradY_x(self, x, y):
-        return self.jac_gradY_x_fn(x, y)
-
-    def jac_gradX_y(self, x, y):
-        return self.jac_gradX_y_fn(x, y)
+    value: Callable[[Array, Array], float]
+    grad_x: Callable[[Array, Array], Array]
+    grad_y: Callable[[Array, Array], Array]
+    hess_xx: Callable[[Array, Array], Array]
+    jac_gradY_x: Callable[[Array, Array], Array]
+    jac_gradX_y: Callable[[Array, Array], Array]
 
 
 @dataclass(frozen=True)

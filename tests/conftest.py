@@ -79,6 +79,11 @@ def seeded_y(problem, seed, low=-1.0, high=1.0):
     return hg.sample_y(problem.d_y, low, high, seed)
 
 
+def comparison_terms(problem, precond, reparam, y):
+    """Fresh comparison terms: the root of problem at y, solved once."""
+    return hg.ComparisonTerms(hg.RootContext.solve(problem, y), precond, reparam)
+
+
 def rel_err(a, b):
     a = np.asarray(a, float)
     b = np.asarray(b, float)

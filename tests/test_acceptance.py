@@ -12,7 +12,7 @@ import pytest
 import hygrad as hg
 from hygrad.errors import DataError, HygradError
 
-from conftest import seeded_y
+from conftest import comparison_terms, seeded_y
 
 
 @contextmanager
@@ -139,7 +139,8 @@ def test_criterion_7_theorem_checks(ridge_quadratic, linear1d_fixture):
         precond2 = hg.scaled_preconditioner(
             hg.newton_preconditioner(linear1d_fixture), 2.0)
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
-        bounds = hg.compare_bounds(linear1d_fixture, precond2, phi, np.zeros(1))
+        bounds = hg.compare_bounds(
+            comparison_terms(linear1d_fixture, precond2, phi, np.zeros(1)))
         assert bounds.lhs_p_minus_phi == pytest.approx(0.25, abs=1e-8)
         assert bounds.rhs_p_minus_phi == pytest.approx(0.25, abs=1e-8)
 
@@ -163,19 +164,20 @@ def test_criterion_7_theorem_checks(ridge_quadratic, linear1d_fixture):
 
             # both comparison inequalities, diagonal preconditioner vs the
             # anchored exponential map
-            b = hg.compare_bounds(ridge_quadratic, diag_p, "exp", y)
+            b = hg.compare_bounds(comparison_terms(ridge_quadratic, diag_p, "exp", y))
             assert b.lhs_phi_minus_p >= b.rhs_phi_minus_p \
                 - 1e-6 * (1 + abs(b.lhs_phi_minus_p)), seed
             assert b.lhs_p_minus_phi >= b.rhs_p_minus_phi \
                 - 1e-6 * (1 + abs(b.lhs_p_minus_phi)), seed
 
             # near-ideal preconditioner bound at zero deviation
-            _, lower_p, lhs_p = hg.precond_gap(ridge_quadratic, newton_p,
-                                               "exp", y)
+            _, lower_p, lhs_p = hg.precond_gap(
+                comparison_terms(ridge_quadratic, newton_p, "exp", y))
             assert lhs_p >= lower_p - 1e-6 * (1 + abs(lhs_p)), seed
 
             # localized-reparameterization bound with the Newton-like family
-            _, lower_r, lhs_r = hg.reparam_gap(ridge_quadratic, diag_p, opt, y)
+            _, lower_r, lhs_r = hg.reparam_gap(
+                comparison_terms(ridge_quadratic, diag_p, opt, y))
             assert lhs_r >= lower_r - 1e-6 * (1 + abs(lhs_r)), seed
 
 

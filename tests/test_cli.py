@@ -5,10 +5,15 @@ import subprocess
 import sys
 
 import hygrad as hg
+from hygrad.cli import cli_main
+
+
+def _src_dir():
+    return os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
 
 
 def run(argv):
-    return hg.cli_main(argv)
+    return cli_main(argv)
 
 
 def outputs_per_blas_threads(tmp_path, argv, files):
@@ -19,7 +24,7 @@ def outputs_per_blas_threads(tmp_path, argv, files):
     rounding could depend on the thread count; the pin goes to the child
     only. Each run writes into its own directory.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
+    src = _src_dir()
     outputs = []
     for threads in ("1", "2"):
         cwd = tmp_path / f"threads{threads}"
@@ -44,6 +49,15 @@ class TestDecayCommand:
         text = out.read_text()
         assert text.splitlines()[-1].startswith("newton,")
         assert "strategy,step,inner_error,hypergrad_error" in text
+
+    def test_module_run_writes_nothing_to_stderr(self, tmp_path):
+        # Running the module as __main__ must not import it a second time.
+        proc = subprocess.run(
+            [sys.executable, "-m", "hygrad.cli", "decay", "--problem", "scalar"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=_src_dir()),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_bogus_strategy_exits_one(self, capsys):
         assert run(["decay", "--strategies", "bogus"]) == 1

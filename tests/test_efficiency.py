@@ -7,7 +7,7 @@ import hygrad as hg
 from hygrad.errors import UsageError
 from hygrad.problems import CallableInnerOracle, CallableOuterOracle
 
-from conftest import seeded_y
+from conftest import comparison_terms, seeded_y
 
 
 def _diagonal_ridge():
@@ -19,20 +19,20 @@ def _diagonal_ridge():
 def _shift_affine_problem():
     """F = x - y with y-independent Jacobian and affine outer objective."""
     inner = CallableInnerOracle(
-        residual_fn=lambda x, y: x - y,
-        jac_x_fn=lambda x, y: np.eye(2),
-        jac_y_fn=lambda x, y: -np.eye(2),
-        djac_x_dir_x_fn=lambda x, y, u: np.zeros((2, 2)),
-        djac_x_dir_y_fn=lambda x, y, e: np.zeros((2, 2)),
-        exact_root_fn=lambda y: y.copy(),
+        residual=lambda x, y: x - y,
+        jac_x=lambda x, y: np.eye(2),
+        jac_y=lambda x, y: -np.eye(2),
+        djac_x_dir_x=lambda x, y, u: np.zeros((2, 2)),
+        djac_x_dir_y=lambda x, y, e: np.zeros((2, 2)),
+        exact_root=lambda y: y.copy(),
     )
     outer = CallableOuterOracle(
-        value_fn=lambda x, y: float(np.sum(x)),
-        grad_x_fn=lambda x, y: np.ones(2),
-        grad_y_fn=lambda x, y: np.zeros(2),
-        hess_xx_fn=lambda x, y: np.zeros((2, 2)),
-        jac_gradY_x_fn=lambda x, y: np.zeros((2, 2)),
-        jac_gradX_y_fn=lambda x, y: np.zeros((2, 2)),
+        value=lambda x, y: float(np.sum(x)),
+        grad_x=lambda x, y: np.ones(2),
+        grad_y=lambda x, y: np.zeros(2),
+        hess_xx=lambda x, y: np.zeros((2, 2)),
+        jac_gradY_x=lambda x, y: np.zeros((2, 2)),
+        jac_gradX_y=lambda x, y: np.zeros((2, 2)),
     )
     return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2,
                              name="shift", affine_in_x=True)
@@ -145,8 +145,11 @@ class TestOuterCurvature:
 
     def test_fd_method_agrees(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 5)
-        analytic = hg.outer_curvature(ridge_quadratic, y, method="analytic")
-        fd = hg.outer_curvature(ridge_quadratic, y, method="fd")
+        xstar = hg.exact_root(ridge_quadratic, y)
+        outer = ridge_quadratic.outer
+        analytic = hg.outer_curvature(ridge_quadratic, y)
+        fd = outer.jac_gradY_x(xstar, y) \
+            + hg.fd_jac_xstar(ridge_quadratic, y).T @ outer.hess_xx(xstar, y)
         assert np.max(np.abs(analytic - fd)) <= 1e-5 * (1 + np.max(np.abs(analytic)))
 
     def test_decomposition_identity(self, ridge_quadratic):
@@ -185,16 +188,17 @@ class TestCompareBounds:
         precond = hg.scaled_preconditioner(
             hg.newton_preconditioner(linear1d_fixture), 2.0)
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
-        bounds = hg.compare_bounds(linear1d_fixture, precond, phi, np.zeros(1))
+        bounds = hg.compare_bounds(
+            comparison_terms(linear1d_fixture, precond, phi, np.zeros(1)))
         assert bounds.lhs_p_minus_phi == pytest.approx(0.25, abs=1e-8)
         assert bounds.rhs_p_minus_phi == pytest.approx(0.25, abs=1e-8)
         assert abs(np.linalg.norm(bounds.v_p) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(bounds.v_phi) - 1.0) <= 1e-12
 
     def test_newton_plus_identity_tight(self, linear1d_fixture):
-        bounds = hg.compare_bounds(linear1d_fixture,
-                                   hg.newton_preconditioner(linear1d_fixture),
-                                   hg.identity_reparam(), np.zeros(1))
+        bounds = hg.compare_bounds(comparison_terms(
+            linear1d_fixture, hg.newton_preconditioner(linear1d_fixture),
+            hg.identity_reparam(), np.zeros(1)))
         assert bounds.lhs_phi_minus_p == pytest.approx(1.0, abs=1e-8)
         assert bounds.rhs_phi_minus_p == pytest.approx(
             bounds.lhs_phi_minus_p, abs=1e-8)
@@ -203,7 +207,8 @@ class TestCompareBounds:
         precond = hg.diag_preconditioner(ridge_quadratic)
         for seed in range(10):
             y = seeded_y(ridge_quadratic, 200 + seed)
-            bounds = hg.compare_bounds(ridge_quadratic, precond, "exp", y)
+            bounds = hg.compare_bounds(
+                comparison_terms(ridge_quadratic, precond, "exp", y))
             slack_phi = 1e-6 * (1 + abs(bounds.lhs_phi_minus_p))
             slack_p = 1e-6 * (1 + abs(bounds.lhs_p_minus_phi))
             assert bounds.lhs_phi_minus_p >= bounds.rhs_phi_minus_p - slack_phi
@@ -214,7 +219,8 @@ class TestPrecondGap:
     def test_exact_newton_dominates(self, ridge_quadratic):
         precond = hg.newton_preconditioner(ridge_quadratic)
         y = seeded_y(ridge_quadratic, 9)
-        delta, lower, lhs = hg.precond_gap(ridge_quadratic, precond, "exp", y)
+        delta, lower, lhs = hg.precond_gap(
+            comparison_terms(ridge_quadratic, precond, "exp", y))
         assert delta <= 1e-10
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
 
@@ -224,7 +230,8 @@ class TestPrecondGap:
         for scale_delta in (1e-3, 1e-4, 1e-5):
             precond = hg.scaled_preconditioner(
                 hg.newton_preconditioner(ridge_quadratic), 1.0 + scale_delta)
-            delta, lower, lhs = hg.precond_gap(ridge_quadratic, precond, "exp", y)
+            delta, lower, lhs = hg.precond_gap(
+                comparison_terms(ridge_quadratic, precond, "exp", y))
             assert delta == pytest.approx(
                 scale_delta * hg.spectral_norm(
                     ridge_quadratic.jac_x(hg.exact_root(ridge_quadratic, y), y)),
@@ -238,7 +245,7 @@ class TestPrecondGap:
         sep = hg.newton_separable_reparam(problem)
         y = seeded_y(problem, 10)
         delta, lower, lhs = hg.precond_gap(
-            problem, hg.newton_preconditioner(problem), sep, y)
+            comparison_terms(problem, hg.newton_preconditioner(problem), sep, y))
         assert delta <= 1e-10
         assert abs(lower) <= 1e-12
         assert abs(lhs) <= 1e-12
@@ -250,7 +257,7 @@ class TestReparamGap:
         sep = hg.newton_separable_reparam(problem)
         precond = hg.diag_preconditioner(problem)
         y = seeded_y(problem, 11)
-        sigma, lower, lhs = hg.reparam_gap(problem, precond, sep, y)
+        sigma, lower, lhs = hg.reparam_gap(comparison_terms(problem, precond, sep, y))
         assert sigma <= 1e-6
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
 
@@ -259,7 +266,8 @@ class TestReparamGap:
         bad = hg.scaled_preconditioner(
             hg.newton_preconditioner(ridge_quadratic), 5.0)
         y = seeded_y(ridge_quadratic, 12)
-        sigma, lower, lhs = hg.reparam_gap(ridge_quadratic, bad, sep, y)
+        sigma, lower, lhs = hg.reparam_gap(
+            comparison_terms(ridge_quadratic, bad, sep, y))
         assert lhs > 0.0
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
 
@@ -363,12 +371,12 @@ class TestScalarResidual:
     def test_degenerate_outer_gradient(self):
         inner = hg.linear_1d().inner
         outer = CallableOuterOracle(
-            value_fn=lambda x, y: 5.0,
-            grad_x_fn=lambda x, y: np.zeros(1),
-            grad_y_fn=lambda x, y: np.zeros(1),
-            hess_xx_fn=lambda x, y: np.zeros((1, 1)),
-            jac_gradY_x_fn=lambda x, y: np.zeros((1, 1)),
-            jac_gradX_y_fn=lambda x, y: np.zeros((1, 1)),
+            value=lambda x, y: 5.0,
+            grad_x=lambda x, y: np.zeros(1),
+            grad_y=lambda x, y: np.zeros(1),
+            hess_xx=lambda x, y: np.zeros((1, 1)),
+            jac_gradY_x=lambda x, y: np.zeros((1, 1)),
+            jac_gradX_y=lambda x, y: np.zeros((1, 1)),
         )
         problem = hg.BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1,
                                     affine_in_x=True)

@@ -1,5 +1,7 @@
 """The estimation formula, its building blocks, and the strategy table."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,12 @@ class TestSolutionSensitivity:
     def test_shift_map(self):
         d = 2
         inner = CallableInnerOracle(
-            residual_fn=lambda x, y: x - y,
-            jac_x_fn=lambda x, y: np.eye(d),
-            jac_y_fn=lambda x, y: -np.eye(d),
-            djac_x_dir_x_fn=lambda x, y, u: np.zeros((d, d)),
-            djac_x_dir_y_fn=lambda x, y, e: np.zeros((d, d)),
-            exact_root_fn=lambda y: y.copy(),
+            residual=lambda x, y: x - y,
+            jac_x=lambda x, y: np.eye(d),
+            jac_y=lambda x, y: -np.eye(d),
+            djac_x_dir_x=lambda x, y, u: np.zeros((d, d)),
+            djac_x_dir_y=lambda x, y, e: np.zeros((d, d)),
+            exact_root=lambda y: y.copy(),
         )
         problem = hg.BilevelProblem(inner=inner, outer=hg.scalar_ridge().outer,
                                     d_x=d, d_y=d, affine_in_x=True)
@@ -44,11 +46,11 @@ class TestSolutionSensitivity:
 
     def test_singular_jacobian_raises(self):
         inner = CallableInnerOracle(
-            residual_fn=lambda x, y: np.zeros(1),
-            jac_x_fn=lambda x, y: np.zeros((1, 1)),
-            jac_y_fn=lambda x, y: np.ones((1, 1)),
-            djac_x_dir_x_fn=lambda x, y, u: np.zeros((1, 1)),
-            djac_x_dir_y_fn=lambda x, y, e: np.zeros((1, 1)),
+            residual=lambda x, y: np.zeros(1),
+            jac_x=lambda x, y: np.zeros((1, 1)),
+            jac_y=lambda x, y: np.ones((1, 1)),
+            djac_x_dir_x=lambda x, y, u: np.zeros((1, 1)),
+            djac_x_dir_y=lambda x, y, e: np.zeros((1, 1)),
         )
         problem = hg.BilevelProblem(inner=inner, outer=hg.scalar_ridge().outer,
                                     d_x=1, d_y=1)
@@ -238,11 +240,11 @@ class TestConstructors:
                                                             cls_val):
         base = hg.make_logistic(cls_train, cls_val, hg.OuterVariant.quadratic())
         rootless_inner = CallableInnerOracle(
-            residual_fn=base.inner.residual_fn,
-            jac_x_fn=base.inner.jac_x_fn,
-            jac_y_fn=base.inner.jac_y_fn,
-            djac_x_dir_x_fn=base.inner.djac_x_dir_x_fn,
-            djac_x_dir_y_fn=base.inner.djac_x_dir_y_fn,
+            residual=base.inner.residual,
+            jac_x=base.inner.jac_x,
+            jac_y=base.inner.jac_y,
+            djac_x_dir_x=base.inner.djac_x_dir_x,
+            djac_x_dir_y=base.inner.djac_x_dir_y,
         )
         problem = hg.BilevelProblem(inner=rootless_inner, outer=base.outer,
                                     d_x=base.d_x, d_y=base.d_y, name="rootless")
@@ -256,13 +258,26 @@ class TestConstructors:
             hg.make_estimator(scalar_fixture, "bogus")
 
     def test_strategy_registry_complete(self, scalar_fixture):
+        # Scaling F by 1e-15 moves neither the root nor the hypergradient,
+        # and every strategy checks its matrices by one relative pivot rule,
+        # so the scaled problem runs every strategy too.
+        s = 1e-15
+        inner = scalar_fixture.inner
+        tiny = replace(scalar_fixture, inner=replace(
+            inner,
+            residual=lambda x, y: s * inner.residual(x, y),
+            jac_x=lambda x, y: s * inner.jac_x(x, y),
+            jac_y=lambda x, y: s * inner.jac_y(x, y),
+            djac_x_dir_x=lambda x, y, u: s * inner.djac_x_dir_x(x, y, u),
+            djac_x_dir_y=lambda x, y, e: s * inner.djac_x_dir_y(x, y, e)))
         y = np.zeros(1)
-        xstar = scalar_fixture.exact_root(y)
-        for strategy in hg.STRATEGIES:
-            est = hg.make_estimator(scalar_fixture, strategy)
-            got = est(xstar, y)
-            assert got.shape == (1,)
-            assert abs(got[0] - (-0.125)) <= 1e-8
+        for problem in (scalar_fixture, tiny):
+            xstar = problem.exact_root(y)
+            for strategy in hg.STRATEGIES:
+                est = hg.make_estimator(problem, strategy)
+                got = est(xstar, y)
+                assert got.shape == (1,)
+                assert abs(got[0] - (-0.125)) <= 1e-8, (problem is tiny, strategy)
 
 
 # Each strategy key and the public building blocks it must reduce to.

@@ -14,20 +14,20 @@ def _shift_problem():
     """F(x, y) = x - y with an affine outer objective; all derivatives exact."""
     d = 3
     inner = CallableInnerOracle(
-        residual_fn=lambda x, y: x - y,
-        jac_x_fn=lambda x, y: np.eye(d),
-        jac_y_fn=lambda x, y: -np.eye(d),
-        djac_x_dir_x_fn=lambda x, y, u: np.zeros((d, d)),
-        djac_x_dir_y_fn=lambda x, y, e: np.zeros((d, d)),
-        exact_root_fn=lambda y: y.copy(),
+        residual=lambda x, y: x - y,
+        jac_x=lambda x, y: np.eye(d),
+        jac_y=lambda x, y: -np.eye(d),
+        djac_x_dir_x=lambda x, y, u: np.zeros((d, d)),
+        djac_x_dir_y=lambda x, y, e: np.zeros((d, d)),
+        exact_root=lambda y: y.copy(),
     )
     outer = CallableOuterOracle(
-        value_fn=lambda x, y: float(np.sum(x)),
-        grad_x_fn=lambda x, y: np.ones(d),
-        grad_y_fn=lambda x, y: np.zeros(d),
-        hess_xx_fn=lambda x, y: np.zeros((d, d)),
-        jac_gradY_x_fn=lambda x, y: np.zeros((d, d)),
-        jac_gradX_y_fn=lambda x, y: np.zeros((d, d)),
+        value=lambda x, y: float(np.sum(x)),
+        grad_x=lambda x, y: np.ones(d),
+        grad_y=lambda x, y: np.zeros(d),
+        hess_xx=lambda x, y: np.zeros((d, d)),
+        jac_gradY_x=lambda x, y: np.zeros((d, d)),
+        jac_gradX_y=lambda x, y: np.zeros((d, d)),
     )
     return hg.BilevelProblem(inner=inner, outer=outer, d_x=d, d_y=d,
                              name="shift", affine_in_x=True)
@@ -48,10 +48,14 @@ class TestValidateOracles:
 
     def test_shipped_problems_within_tolerance(self, scalar_fixture,
                                                linear1d_fixture,
-                                               ridge_quadratic,
-                                               logistic_quadratic):
+                                               ridge_quadratic, ridge_affine,
+                                               logistic_quadratic, cls_train,
+                                               cls_val):
+        logistic_affine = hg.make_logistic(
+            cls_train, cls_val,
+            hg.OuterVariant.affine(np.linspace(-1.0, 1.0, cls_train.d_x)))
         for problem in (scalar_fixture, linear1d_fixture, ridge_quadratic,
-                        logistic_quadratic):
+                        ridge_affine, logistic_quadratic, logistic_affine):
             for seed in range(20):
                 rng = np.random.default_rng(1000 + seed)
                 x = rng.normal(size=problem.d_x)
@@ -63,11 +67,11 @@ class TestValidateOracles:
     def test_wrong_shape_raises(self, scalar_fixture):
         broken = hg.BilevelProblem(
             inner=CallableInnerOracle(
-                residual_fn=lambda x, y: np.zeros(2),  # d_x is 1
-                jac_x_fn=scalar_fixture.inner.jac_x,
-                jac_y_fn=scalar_fixture.inner.jac_y,
-                djac_x_dir_x_fn=scalar_fixture.inner.djac_x_dir_x,
-                djac_x_dir_y_fn=scalar_fixture.inner.djac_x_dir_y,
+                residual=lambda x, y: np.zeros(2),  # d_x is 1
+                jac_x=scalar_fixture.inner.jac_x,
+                jac_y=scalar_fixture.inner.jac_y,
+                djac_x_dir_x=scalar_fixture.inner.djac_x_dir_x,
+                djac_x_dir_y=scalar_fixture.inner.djac_x_dir_y,
             ),
             outer=scalar_fixture.outer, d_x=1, d_y=1)
         with pytest.raises(ContractViolation):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hygrad as hg
-from hygrad import efficiency
-from hygrad.errors import UsageError
+from hygrad import cli, efficiency
 from hygrad.estimators import resolve_strategy
 
 from conftest import seeded_y
@@ -25,13 +24,13 @@ def _logistic_y(problem, seed):
 def counting_logistic(logistic_quadratic):
     """The logistic fixture with every exact root solve recorded."""
     solves = []
-    solve = logistic_quadratic.inner.exact_root_fn
+    solve = logistic_quadratic.inner.exact_root
 
     def counted(y):
         solves.append(np.array(y))
         return solve(y)
 
-    inner = replace(logistic_quadratic.inner, exact_root_fn=counted)
+    inner = replace(logistic_quadratic.inner, exact_root=counted)
     return replace(logistic_quadratic, inner=inner), solves
 
 
@@ -66,32 +65,15 @@ class TestRootContext:
 
         precond = hg.diag_preconditioner(ridge_quadratic)
         terms = hg.ComparisonTerms(ctx, precond, "exp")
-        bounds = hg.compare_bounds(ctx.problem, precond, "exp", y, terms=terms)
+        bounds = hg.compare_bounds(terms)
         v_p = bounds.v_p.copy()
         bounds.v_p[:] = 0.0
-        again = hg.compare_bounds(ctx.problem, precond, "exp", y, terms=terms)
+        again = hg.compare_bounds(terms)
         assert np.array_equal(again.v_p, v_p)
         for stored in (terms.d, terms.e_p, terms.t_p, terms.t_phi, terms.jac_p,
                        terms.jac_phi, terms.top_p[1], terms.top_phi[1]):
             with pytest.raises(ValueError):
                 stored[0] = 1.0
-
-    def test_terms_of_another_call_are_refused(self, ridge_quadratic):
-        y = seeded_y(ridge_quadratic, 5)
-        ctx = hg.RootContext.solve(ridge_quadratic, y)
-        precond = hg.diag_preconditioner(ridge_quadratic)
-        terms = hg.ComparisonTerms(ctx, precond, "exp")
-        calls = [
-            (ridge_quadratic, precond, "exp", y, None),
-            (ctx.problem, precond, "exp", y + 1e-3, None),
-            (ctx.problem, hg.newton_preconditioner(ridge_quadratic), "exp", y, None),
-            (ctx.problem, precond, "diag-rep", y, None),
-            (ctx.problem, precond, "exp", y, 1e-4),
-        ]
-        for problem, p, kind, yy, eps in calls:
-            for fn in (hg.compare_bounds, hg.precond_gap, hg.reparam_gap):
-                with pytest.raises(UsageError):
-                    fn(problem, p, kind, yy, eps=eps, terms=terms)
 
 
 @settings(max_examples=8, deadline=None)
@@ -134,24 +116,28 @@ def test_all_strategies_consistent_at_context_root(ridge_quadratic,
 @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
 @pytest.mark.parametrize("key", SEPARABLE_KEYS)
 def test_shared_terms_equal_standalone_calls(request, fixture, key):
+    """One terms object shared by the three comparison functions gives the
+    bits of fresh terms built for each function alone."""
     problem = request.getfixturevalue(fixture)
     y = seeded_y(problem, 21) if fixture.startswith("ridge") \
         else _logistic_y(problem, 21)
     precond = hg.scaled_preconditioner(hg.newton_preconditioner(problem), 1.5)
-    kind = resolve_strategy(problem, key).reparam
-    bounds = hg.compare_bounds(problem, precond, kind, y)
-    gap_p = hg.precond_gap(problem, precond, kind, y)
-    gap_r = hg.reparam_gap(problem, precond, kind, y)
 
-    ctx = hg.RootContext.solve(problem, y)
-    kind = resolve_strategy(ctx.problem, key).reparam
-    terms = hg.ComparisonTerms(ctx, precond, kind)
-    shared = (ctx.problem, precond, kind, y)
+    def fresh_terms():
+        ctx = hg.RootContext.solve(problem, y)
+        return hg.ComparisonTerms(ctx, precond,
+                                  resolve_strategy(ctx.problem, key).reparam)
+
+    bounds = hg.compare_bounds(fresh_terms())
+    gap_p = hg.precond_gap(fresh_terms())
+    gap_r = hg.reparam_gap(fresh_terms())
+
+    terms = fresh_terms()
     # The terms are filled in the order they are first read; any order gives
     # the same bits.
-    assert hg.reparam_gap(*shared, terms=terms) == gap_r
-    assert hg.precond_gap(*shared, terms=terms) == gap_p
-    got = hg.compare_bounds(*shared, terms=terms)
+    assert hg.reparam_gap(terms) == gap_r
+    assert hg.precond_gap(terms) == gap_p
+    got = hg.compare_bounds(terms)
     for field in ("lhs_phi_minus_p", "rhs_phi_minus_p", "lhs_p_minus_phi",
                   "rhs_p_minus_phi"):
         assert getattr(got, field) == getattr(bounds, field), field
@@ -165,7 +151,7 @@ class TestRootSolveCounts:
     def test_compare_trial_solves_once(self, counting_logistic, monkeypatch,
                                        tmp_path):
         problem, solves = counting_logistic
-        monkeypatch.setattr(hg.cli, "build_problem", lambda config: problem)
+        monkeypatch.setattr(cli, "build_problem", lambda config: problem)
         opt_calls = []
         estimator_for_kind = efficiency.estimator_for_kind
 
@@ -177,9 +163,9 @@ class TestRootSolveCounts:
                                 lambda x, y: opt_calls.append(1) or estimator(x, y))
 
         monkeypatch.setattr(efficiency, "estimator_for_kind", counted)
-        code = hg.cli_main(["compare", "--problem", "logistic", "--reparam", "opt",
-                            "--trials", "1", "--y-low", "3", "--y-high", "6",
-                            "--seed", "8", "--out", str(tmp_path / "c.csv")])
+        code = cli.cli_main(["compare", "--problem", "logistic", "--reparam", "opt",
+                             "--trials", "1", "--y-low", "3", "--y-high", "6",
+                             "--seed", "8", "--out", str(tmp_path / "c.csv")])
         assert code == 0
         assert len(solves) == 1
         # One FD Jacobian of the opt estimator per trial, shared by all three
