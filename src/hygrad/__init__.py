@@ -58,21 +58,16 @@ from .estimators import (
     PreconditionerOracle,
     Reparameterization,
     SeparableReparam,
+    Strategy,
     anchored_reparam,
     diag_preconditioner,
     diag_scaling_reparam,
     exp_family_reparam_1d,
     identity_reparam,
-    ift_estimate,
-    localized_estimate,
-    localized_sensitivity,
     make_estimator,
-    make_sensitivity_fn,
     newton_preconditioner,
     newton_separable_reparam,
-    preconditioned_estimate,
     reparam_sensitivity,
-    reparameterized_estimate,
     scale_separable_r,
     scaled_preconditioner,
     signed_exp_reparam,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .efficiency import EfficiencyReport, RootContext, efficiency_constant
+from .efficiency import RootContext, efficiency_constant
 from .errors import (
     DataError,
     HygradError,
@@ -26,8 +26,9 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .estimators import STRATEGIES, ift_estimate, make_estimator
+from .estimators import STRATEGIES, Strategy, make_estimator
 from .models import (
+    OUTER_VARIANTS,
     Dataset,
     OuterVariant,
     linear_1d,
@@ -65,7 +66,6 @@ class SweepRecord:
     trial: int
     seed: int
     c_y: float
-    report: Optional[EfficiencyReport] = None
     error: str = ""
 
 
@@ -90,7 +90,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEM_KINDS:
             raise UsageError(f"unknown problem {self.problem!r}")
-        if self.outer not in ("quadratic", "affine"):
+        if self.outer not in OUTER_VARIANTS:
             raise UsageError(f"unknown outer variant {self.outer!r}")
         if not self.strategies:
             raise UsageError("at least one strategy is required")
@@ -187,7 +187,7 @@ def run_decay(config: RunConfig) -> list:
     # Every strategy, opt's inverse of Q included, reuses this one root.
     ctx = RootContext.solve(problem, y)
     xstar = ctx.xstar
-    grad_true = ift_estimate(ctx.problem, xstar, y)
+    grad_true = Strategy(ctx.problem).estimate(xstar, y)
 
     traces = []
     for strategy in config.strategies:
@@ -239,13 +239,11 @@ def run_efficiency_sweep(config: RunConfig) -> list:
         for strategy in config.strategies:
             estimator = make_estimator(ctx.problem, strategy)
             try:
-                report = efficiency_constant(ctx.problem, estimator, y, eps=config.eps)
+                c_y = efficiency_constant(ctx.problem, estimator, y, eps=config.eps).c_y
             except HygradError as err:
                 records.append(failed(strategy, err))
                 continue
-            records.append(SweepRecord(strategy=strategy, trial=trial,
-                                       seed=trial_seed, c_y=report.c_y,
-                                       report=report))
+            records.append(SweepRecord(strategy, trial, trial_seed, c_y))
     return records
 
 
@@ -360,17 +358,16 @@ def read_decay_csv(text: str) -> list:
 # SVG emission
 
 _PALETTE = ("#d02820", "#429cb9", "#50b44f", "#ff9c46", "#ff5fff", "#2a2bc0")
+# Canvas size of every SVG, in pixels.
+SVG_WIDTH, SVG_HEIGHT = 720, 480
 
 
 @dataclass(frozen=True)
 class AxesConfig:
-    """Axis labels and canvas geometry for the SVG renderer."""
+    """Axis labels for the SVG renderer."""
 
     x_label: str = "step"
     y_label: str = "error"
-    title: str = ""
-    width: int = 720
-    height: int = 480
 
 
 def _series_from(items: Sequence[Union[DecayTrace, SweepRecord]]) -> list:
@@ -398,8 +395,8 @@ def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]],
     """
     series = _series_from(items)
     margin_l, margin_r, margin_t, margin_b = 70, 160, 30, 50
-    plot_w = axes.width - margin_l - margin_r
-    plot_h = axes.height - margin_t - margin_b
+    plot_w = SVG_WIDTH - margin_l - margin_r
+    plot_h = SVG_HEIGHT - margin_t - margin_b
 
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts if y > 0.0]
@@ -422,13 +419,10 @@ def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]],
         return margin_t + (dec_hi - ly) / (dec_hi - dec_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{axes.width}" '
-        f'height="{axes.height}" viewBox="0 0 {axes.width} {axes.height}">',
-        f'<rect width="{axes.width}" height="{axes.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
-    if axes.title:
-        out.append(f'<text x="{axes.width // 2}" y="20" text-anchor="middle" '
-                   f'font-size="14">{axes.title}</text>')
 
     # frame
     x0, y0 = margin_l, margin_t + plot_h
@@ -456,7 +450,7 @@ def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]],
         out.append(f'<text x="{px:.2f}" y="{y0 + 18:.2f}" text-anchor="middle" '
                    f'font-size="11">{xv:g}</text>')
 
-    out.append(f'<text x="{margin_l + plot_w / 2:.2f}" y="{axes.height - 10}" '
+    out.append(f'<text x="{margin_l + plot_w / 2:.2f}" y="{SVG_HEIGHT - 10}" '
                f'text-anchor="middle" font-size="12">{axes.x_label}</text>')
     out.append(f'<text x="16" y="{margin_t + plot_h / 2:.2f}" '
                f'font-size="12" text-anchor="middle" '

@@ -17,6 +17,7 @@ import sys
 from dataclasses import fields
 
 from .bench import (
+    PROBLEM_KINDS,
     AxesConfig,
     RunConfig,
     build_problem,
@@ -39,7 +40,7 @@ from .estimators import (
     resolve_strategy,
     scaled_preconditioner,
 )
-from .models import sample_y
+from .models import OUTER_VARIANTS, sample_y
 from .seeding import PRNG_NAME
 
 
@@ -69,12 +70,10 @@ _OPTIONAL_FLAGS = {
 
 def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
     """The flags every run subcommand reads, plus the named optional ones."""
-    parser.add_argument("--problem", default="scalar",
-                        choices=("ridge", "logistic", "scalar", "linear1d"))
+    parser.add_argument("--problem", default="scalar", choices=PROBLEM_KINDS)
     parser.add_argument("--train", dest="train_path", default=None)
     parser.add_argument("--val", dest="val_path", default=None)
-    parser.add_argument("--outer", default="quadratic",
-                        choices=("quadratic", "affine"))
+    parser.add_argument("--outer", default="quadratic", choices=OUTER_VARIANTS)
     parser.add_argument("--y-low", type=float, default=-1.0)
     parser.add_argument("--y-high", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)

@@ -25,7 +25,6 @@ from .estimators import (
     SeparableReparam,
     StrategyKind,
     jac_x_y_dirs,
-    make_sensitivity_fn,
     newton_separable_reparam,
     resolve_strategy,
     solution_sensitivity,
@@ -49,13 +48,10 @@ PROBE_SEED = 90210
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """Efficiency constant of one strategy at one y."""
+    """Efficiency constant at one y and the FD Jacobian it is the norm of."""
 
-    strategy: str
-    y: Array
     c_y: float
     jacobian: Array
-    method: str = "fd"
 
 
 @dataclass(frozen=True)
@@ -159,8 +155,7 @@ def efficiency_constant(problem: BilevelProblem, estimator: Estimator,
                         y: Array, eps: float | None = None) -> EfficiencyReport:
     """Efficiency constant via the finite-difference estimator Jacobian."""
     jac = estimator_jacobian_fd(problem, estimator, y, eps=eps)
-    return EfficiencyReport(strategy=estimator.name, y=np.array(y, float),
-                            c_y=spectral_norm(jac), jacobian=jac, method="fd")
+    return EfficiencyReport(c_y=spectral_norm(jac), jacobian=jac)
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +219,7 @@ def sensitivity_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
     dS_ek/dx_j."""
     y = as_vector(y, problem.d_y, "y")
     xstar = exact_root(problem, y)
-    sens = make_sensitivity_fn(problem, kind)
+    sens = resolve_strategy(problem, kind).sensitivity
     eps = fd_step(xstar, eps, JACOBIAN_FD_STEP)
     return fd_jacobian(lambda x: sens(x, y), xstar, eps, "sensitivity matrix")
 
@@ -384,13 +379,18 @@ def precond_gap(terms: ComparisonTerms) -> tuple[float, float, float]:
 
 def reparam_gap(terms: ComparisonTerms) -> tuple[float, float, float]:
     """Asymptotic advantage of a near-ideal localized reparameterization,
-    the terms' reparameterization being a SeparableReparam.
+    the terms' reparameterization being a SeparableReparam (else UsageError).
 
     Returns (sigma, lower_bound, lhs) with sigma = |g_1| times the
     sensitivity efficiency constant of the localized family, lhs the
     difference of squared efficiency constants (preconditioned minus
     localized), and lower_bound the sigma -> 0 limit term.
     """
+    if not isinstance(terms.reparam, SeparableReparam):
+        kind = terms.reparam if isinstance(terms.reparam, str) \
+            else type(terms.reparam).__name__
+        raise UsageError(f"reparam_gap needs a localized family "
+                         f"(SeparableReparam), not {kind!r}")
     g1 = terms.ctx.problem.outer.grad_x(terms.ctx.xstar, terms.ctx.y)
     sigma = float(np.linalg.norm(g1)) * _matrix_constant(terms.d_s_phi)
 

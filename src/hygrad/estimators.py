@@ -255,12 +255,6 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
     )
 
 
-def localized_sensitivity(problem: BilevelProblem, sep: SeparableReparam,
-                          x: Array, y: Array) -> Array:
-    """Sensitivity matrix of the query-anchored separable estimate."""
-    return reparam_sensitivity(problem, anchored_reparam(sep, x, y), x, y)
-
-
 def jac_x_y_dirs(problem: BilevelProblem, x: Array, y: Array) -> list[Array]:
     """The y_e-derivative of F_1 for every one-hot direction e, in order."""
     return [problem.inner.djac_x_dir_y(x, y, direction)
@@ -300,9 +294,9 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
     field (its second-derivative tensor is symmetric in all indices); every
     shipped problem satisfies this.
 
-    Inverting Q means solving F(z, ybar) = -v: a single linear solve when
-    the residual is affine in x, otherwise a damped Newton run seeded at the
-    exact root, which the problem must then provide.
+    Inverting Q means solving F(z, ybar) = -v by a damped Newton run seeded
+    at the exact root, which the problem must provide; at the anchor v = 0,
+    so from a root context Newton stops at its first residual check.
     """
     def r(x, y):
         f1 = problem.jac_x(x, y)
@@ -323,15 +317,10 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
                                   axis=1))
 
     def q_inverse(v, ybar):
-        if problem.affine_in_x:
-            origin = np.zeros(problem.d_x)
-            return linear_solve(problem.jac_x(origin, ybar),
-                                -v - problem.residual(origin, ybar), what="F_1")
         start = problem.exact_root(ybar)
         if start is None:
-            raise CapabilityError(
-                "inverting the Newton-like family on a nonlinear residual "
-                "requires the problem to provide exact_root")
+            raise CapabilityError("inverting the Newton-like family requires "
+                                  "the problem to provide exact_root")
         return newton_root(lambda z: problem.residual(z, ybar) + v,
                            lambda z: problem.jac_x(z, ybar), start)
 
@@ -389,8 +378,9 @@ class Strategy:
         if self.reparam is None:
             return solution_sensitivity(self.problem, x, y)
         if isinstance(self.reparam, SeparableReparam):
-            return localized_sensitivity(self.problem, self.reparam, x, y)
-        phi = signed_exp_reparam(x) if self.reparam == "exp" else self.reparam
+            phi = anchored_reparam(self.reparam, x, y)
+        else:
+            phi = signed_exp_reparam(x) if self.reparam == "exp" else self.reparam
         return reparam_sensitivity(self.problem, phi, x, y)
 
     def estimate(self, x: Array, y: Array) -> Array:
@@ -403,29 +393,6 @@ class Strategy:
                           problem.d_x, "x")
         return problem.outer.grad_y(x, y) + self.sensitivity(x, y) \
             @ problem.outer.grad_x(x, y)
-
-
-def ift_estimate(problem: BilevelProblem, x: Array, y: Array) -> Array:
-    """Implicit-differentiation hypergradient estimate at (x, y)."""
-    return Strategy(problem).estimate(x, y)
-
-
-def preconditioned_estimate(problem: BilevelProblem, precond: PreconditionerOracle,
-                            x: Array, y: Array) -> Array:
-    """Estimate at the corrected point x - P^{-1} F(x, y)."""
-    return Strategy(problem, precond=precond).estimate(x, y)
-
-
-def reparameterized_estimate(problem: BilevelProblem, phi: Reparameterization,
-                             x: Array, y: Array) -> Array:
-    """Hypergradient estimate under the change of variables phi."""
-    return Strategy(problem, reparam=phi).estimate(x, y)
-
-
-def localized_estimate(problem: BilevelProblem, sep: SeparableReparam,
-                       x: Array, y: Array) -> Array:
-    """Estimate under the separable family anchored at the query point itself."""
-    return Strategy(problem, reparam=sep).estimate(x, y)
 
 
 # Each shipped strategy key as its (P, S) pair. The entries call the
@@ -478,8 +445,3 @@ def make_estimator(problem: BilevelProblem, strategy: str) -> Estimator:
     """Build the estimator for one of the shipped strategy keys."""
     return Estimator(strategy, resolve_strategy(problem, strategy).estimate)
 
-
-def make_sensitivity_fn(problem: BilevelProblem,
-                        kind: StrategyKind) -> Callable[[Array, Array], Array]:
-    """Sensitivity-matrix map S(x, y) of a strategy key or a caller's oracle."""
-    return resolve_strategy(problem, kind).sensitivity

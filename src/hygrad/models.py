@@ -30,7 +30,7 @@ __all__ = [
     "PRNG_NAME", "Dataset", "OuterVariant", "parse_libsvm", "serialize_libsvm",
     "load_libsvm", "make_ridge", "make_logistic", "scalar_ridge", "linear_1d",
     "sample_y", "stable_sigmoid", "softplus", "logistic_inner_value",
-    "rng_from_seed", "synthetic_regression_dataset",
+    "rng_from_seed", "synthetic_regression_dataset", "OUTER_VARIANTS",
     "synthetic_validation_dataset", "synthetic_classification_dataset",
 ]
 
@@ -174,6 +174,10 @@ def load_libsvm(path: str, dims: int | None = None) -> Dataset:
 # --------------------------------------------------------------------------
 # outer objectives
 
+# Outer objective tags, as OuterVariant, RunConfig and the CLI accept them.
+OUTER_VARIANTS = ("quadratic", "affine")
+
+
 @dataclass(frozen=True)
 class OuterVariant:
     """Outer objective choice: validation loss, or an affine functional of x.
@@ -186,7 +190,7 @@ class OuterVariant:
     a: Optional[Array] = None
 
     def __post_init__(self):
-        if self.tag not in ("quadratic", "affine"):
+        if self.tag not in OUTER_VARIANTS:
             raise UsageError(f"unknown outer variant {self.tag!r}")
 
     @staticmethod
@@ -259,7 +263,7 @@ def make_ridge(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelProb
             gram2 + np.diag(np.exp(y)), rhs2, what="F_1"),
     )
     return BilevelProblem(inner=inner, outer=_make_outer(outer, val, d_x, d_y),
-                          d_x=d_x, d_y=d_y, name="ridge", affine_in_x=True)
+                          d_x=d_x, d_y=d_y, name="ridge")
 
 
 # --------------------------------------------------------------------------
@@ -340,8 +344,7 @@ def scalar_ridge() -> BilevelProblem:
         jac_gradY_x=lambda x, y: np.zeros((1, 1)),
         jac_gradX_y=lambda x, y: np.zeros((1, 1)),
     )
-    return BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1,
-                          name="scalar-ridge", affine_in_x=True)
+    return BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1, name="scalar-ridge")
 
 
 def linear_1d() -> BilevelProblem:
@@ -366,8 +369,7 @@ def linear_1d() -> BilevelProblem:
         jac_gradY_x=lambda x, y: np.zeros((1, 1)),
         jac_gradX_y=lambda x, y: np.zeros((1, 1)),
     )
-    return BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1,
-                          name="linear-1d", affine_in_x=True)
+    return BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1, name="linear-1d")
 
 
 # --------------------------------------------------------------------------

@@ -131,19 +131,13 @@ class CallableOuterOracle:
 
 @dataclass(frozen=True)
 class BilevelProblem:
-    """An inner/outer oracle pair with declared dimensions.
-
-    ``affine_in_x`` marks residuals affine in x (jac_x independent of x and
-    djac_x_dir_x identically zero); the Newton-like reparameterization uses
-    it to invert the residual by a single linear solve.
-    """
+    """An inner/outer oracle pair with declared dimensions."""
 
     inner: InnerOracle
     outer: OuterOracle
     d_x: int
     d_y: int
     name: str = ""
-    affine_in_x: bool = False
 
     def __post_init__(self):
         if self.d_x < 1 or self.d_y < 1:

@@ -20,6 +20,8 @@ Array = np.ndarray
 # Relative residual at which a root is treated as exact; small enough that
 # oracle error is negligible against 1e-6 level acceptance tolerances.
 ROOT_TOL = 1e-13
+# Newton iterations before newton_root gives up.
+NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -27,11 +29,6 @@ class Trajectory:
     """Gradient-descent iterates including the start point."""
 
     iterates: list
-    step_sizes: list
-
-    @property
-    def steps(self) -> int:
-        return len(self.step_sizes)
 
 
 def gradient_descent(problem: BilevelProblem, y: Array, x0: Array, steps: int,
@@ -61,22 +58,21 @@ def gradient_descent(problem: BilevelProblem, y: Array, x0: Array, steps: int,
             raise NumericalFailure(f"iterate became non-finite at step {k + 1}",
                                    step=k + 1)
         iterates.append(x)
-    return Trajectory(iterates=iterates, step_sizes=[tau] * steps)
+    return Trajectory(iterates=iterates)
 
 
-def newton_root(residual_fn, jac_fn, x0: Array, tol: float = ROOT_TOL,
-                max_iter: int = 100) -> Array:
+def newton_root(residual_fn, jac_fn, x0: Array) -> Array:
     """Damped Newton with Armijo backtracking on the squared residual.
 
-    Stops when |F(x)| <= tol * (1 + |x|), or when the line search stalls on
+    Stops when |F(x)| <= ROOT_TOL * (1 + |x|), or when the line search stalls on
     a Newton step no longer than 4 eps (1 + |x|), i.e. at the rounding floor
     of F; a stall on a longer step raises.
     """
     x = np.asarray(x0, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f = np.asarray(residual_fn(x), dtype=float)
         norm_f = float(np.linalg.norm(f))
-        if norm_f <= tol * (1.0 + float(np.linalg.norm(x))):
+        if norm_f <= ROOT_TOL * (1.0 + float(np.linalg.norm(x))):
             return x
         dx = linear_solve(jac_fn(x), -f, what="F_1")
         merit = 0.5 * norm_f ** 2
@@ -96,7 +92,7 @@ def newton_root(residual_fn, jac_fn, x0: Array, tol: float = ROOT_TOL,
             if np.linalg.norm(dx) <= 4.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(x)):
                 return x
             raise NumericalFailure("Newton line search stalled")
-    raise NumericalFailure(f"Newton did not reach tolerance in {max_iter} iterations")
+    raise NumericalFailure(f"Newton did not reach tolerance in {NEWTON_MAX_ITER} iterations")
 
 
 def _require_root(problem: BilevelProblem, y: Array) -> Array:

@@ -34,8 +34,7 @@ def _shift_affine_problem():
         jac_gradY_x=lambda x, y: np.zeros((2, 2)),
         jac_gradX_y=lambda x, y: np.zeros((2, 2)),
     )
-    return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2,
-                             name="shift", affine_in_x=True)
+    return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="shift")
 
 
 class TestEstimatorJacobianFD:
@@ -71,7 +70,6 @@ class TestEfficiencyConstant:
             linear1d_fixture, hg.make_estimator(linear1d_fixture, "vanilla"),
             np.zeros(1))
         assert report.c_y == pytest.approx(1.0, abs=1e-9)
-        assert report.method == "fd"
         assert report.c_y == pytest.approx(hg.spectral_norm(report.jacobian),
                                            abs=1e-12)
 
@@ -271,6 +269,16 @@ class TestReparamGap:
         assert lhs > 0.0
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
 
+    def test_refuses_non_separable_kinds(self, ridge_quadratic):
+        # sigma and the lower bound are defined for a localized family only.
+        y = seeded_y(ridge_quadratic, 21)
+        precond = hg.newton_preconditioner(ridge_quadratic)
+        for kind, name in (("exp", "'exp'"),
+                           (hg.identity_reparam(), "'Reparameterization'")):
+            terms = comparison_terms(ridge_quadratic, precond, kind, y)
+            with pytest.raises(UsageError, match=name):
+                hg.reparam_gap(terms)
+
 
 class TestSensitivityEfficiencyConstant:
     def test_constant_sensitivity_is_zero(self):
@@ -378,8 +386,7 @@ class TestScalarResidual:
             jac_gradY_x=lambda x, y: np.zeros((1, 1)),
             jac_gradX_y=lambda x, y: np.zeros((1, 1)),
         )
-        problem = hg.BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1,
-                                    affine_in_x=True)
+        problem = hg.BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1)
         with pytest.raises(UsageError, match="degenerate"):
             hg.super_efficiency_residual_1d(problem, hg.identity_reparam(),
                                             np.zeros(1))

@@ -7,6 +7,7 @@ import pytest
 
 import hygrad as hg
 from hygrad.errors import DomainError, SingularMatrixError
+from hygrad.estimators import resolve_strategy
 from hygrad.problems import CallableInnerOracle
 
 from conftest import seeded_y
@@ -33,7 +34,7 @@ class TestSolutionSensitivity:
             exact_root=lambda y: y.copy(),
         )
         problem = hg.BilevelProblem(inner=inner, outer=hg.scalar_ridge().outer,
-                                    d_x=d, d_y=d, affine_in_x=True)
+                                    d_x=d, d_y=d)
         s = hg.solution_sensitivity(problem, np.zeros(d), np.zeros(d))
         assert np.array_equal(s, np.eye(d))
 
@@ -61,11 +62,11 @@ class TestSolutionSensitivity:
 class TestIftEstimate:
     def test_scalar_ridge_at_root(self, scalar_fixture):
         y = np.zeros(1)
-        got = hg.ift_estimate(scalar_fixture, scalar_fixture.exact_root(y), y)
+        got = hg.Strategy(scalar_fixture).estimate(scalar_fixture.exact_root(y), y)
         assert got[0] == pytest.approx(-0.125, abs=1e-10)
 
     def test_linear1d_off_root(self, linear1d_fixture):
-        got = hg.ift_estimate(linear1d_fixture, np.array([0.9]), np.zeros(1))
+        got = hg.Strategy(linear1d_fixture).estimate(np.array([0.9]), np.zeros(1))
         assert got[0] == pytest.approx(-0.9, abs=1e-15)
 
     def test_consistency_everywhere(self, scalar_fixture, linear1d_fixture,
@@ -75,31 +76,31 @@ class TestIftEstimate:
             low, high = (3.0, 6.0) if problem.name == "logistic" else (-1.0, 1.0)
             y = seeded_y(problem, 17, low=low, high=high)
             truth = hg.fd_hypergradient(problem, y)
-            got = hg.ift_estimate(problem, problem.exact_root(y), y)
+            got = hg.Strategy(problem).estimate(problem.exact_root(y), y)
             assert np.linalg.norm(got - truth) <= 1e-6 * (1 + np.linalg.norm(truth))
 
 
 class TestPreconditionedEstimate:
     def test_newton_step_exact_on_affine(self, linear1d_fixture):
         precond = hg.newton_preconditioner(linear1d_fixture)
-        got = hg.preconditioned_estimate(linear1d_fixture, precond,
-                                         np.array([0.3]), np.zeros(1))
+        got = hg.Strategy(linear1d_fixture, precond=precond).estimate(
+            np.array([0.3]), np.zeros(1))
         assert got[0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_newton_step_exact_on_scalar_ridge(self, scalar_fixture):
         precond = hg.newton_preconditioner(scalar_fixture)
-        got = hg.preconditioned_estimate(scalar_fixture, precond,
-                                         np.zeros(1), np.zeros(1))
+        got = hg.Strategy(scalar_fixture, precond=precond).estimate(
+            np.zeros(1), np.zeros(1))
         assert got[0] == pytest.approx(-0.125, abs=1e-14)
 
     def test_any_preconditioner_consistent_at_root(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 3)
         xstar = ridge_quadratic.exact_root(y)
-        base = hg.ift_estimate(ridge_quadratic, xstar, y)
+        base = hg.Strategy(ridge_quadratic).estimate(xstar, y)
         for precond in (hg.diag_preconditioner(ridge_quadratic),
                         hg.scaled_preconditioner(
                             hg.newton_preconditioner(ridge_quadratic), 3.0)):
-            got = hg.preconditioned_estimate(ridge_quadratic, precond, xstar, y)
+            got = hg.Strategy(ridge_quadratic, precond=precond).estimate(xstar, y)
             assert np.linalg.norm(got - base) <= 1e-10 * (1 + np.linalg.norm(base))
 
     def test_newton_recovers_truth_from_any_start_on_ridge(self, reg_train,
@@ -107,20 +108,20 @@ class TestPreconditionedEstimate:
         problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
         precond = hg.newton_preconditioner(problem)
         y = seeded_y(problem, 77)
-        truth = hg.ift_estimate(problem, problem.exact_root(y), y)
+        truth = hg.Strategy(problem).estimate(problem.exact_root(y), y)
         rng = np.random.default_rng(78)
         for _ in range(5):
             x = rng.normal(scale=3.0, size=problem.d_x)
-            got = hg.preconditioned_estimate(problem, precond, x, y)
+            got = hg.Strategy(problem, precond=precond).estimate(x, y)
             assert np.linalg.norm(got - truth) <= 1e-9 * (1 + np.linalg.norm(truth))
 
     def test_diag_equals_newton_in_1d(self, scalar_fixture):
         x, y = np.array([0.2]), np.array([0.4])
-        newton = hg.preconditioned_estimate(
-            scalar_fixture, hg.newton_preconditioner(scalar_fixture), x, y)
-        diag = hg.preconditioned_estimate(
-            scalar_fixture, hg.diag_preconditioner(scalar_fixture), x, y)
-        assert newton[0] == diag[0]
+        newton = hg.Strategy(scalar_fixture,
+                             precond=hg.newton_preconditioner(scalar_fixture))
+        diag = hg.Strategy(scalar_fixture,
+                           precond=hg.diag_preconditioner(scalar_fixture))
+        assert newton.estimate(x, y)[0] == diag.estimate(x, y)[0]
 
 
 class TestReparameterizedEstimate:
@@ -132,13 +133,13 @@ class TestReparameterizedEstimate:
                                         ridge_quadratic, logistic_quadratic):
             x = rng.normal(size=problem.d_x)
             y = rng.uniform(-1, 1, size=problem.d_y)
-            a = hg.reparameterized_estimate(problem, phi, x, y)
-            b = hg.ift_estimate(problem, x, y)
+            a = hg.Strategy(problem, reparam=phi).estimate(x, y)
+            b = hg.Strategy(problem).estimate(x, y)
             assert np.max(np.abs(a - b)) <= 1e-12 * (1 + np.max(np.abs(b)))
 
     def test_linear1d_exp_hand_value(self, linear1d_fixture):
-        got = hg.reparameterized_estimate(
-            linear1d_fixture, hg.exp_family_reparam_1d(1.0, 1.0),
+        got = hg.Strategy(linear1d_fixture,
+                          reparam=hg.exp_family_reparam_1d(1.0, 1.0)).estimate(
             np.array([0.9]), np.zeros(1))
         # closed form -x^2/(2x - 1) at x = 0.9
         assert got[0] == pytest.approx(-0.81 / 0.8, abs=1e-12)
@@ -146,9 +147,9 @@ class TestReparameterizedEstimate:
     def test_consistent_at_root(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 5)
         xstar = ridge_quadratic.exact_root(y)
-        base = hg.ift_estimate(ridge_quadratic, xstar, y)
-        got = hg.reparameterized_estimate(ridge_quadratic,
-                                          hg.signed_exp_reparam(xstar), xstar, y)
+        base = hg.Strategy(ridge_quadratic).estimate(xstar, y)
+        got = hg.Strategy(ridge_quadratic,
+                          reparam=hg.signed_exp_reparam(xstar)).estimate(xstar, y)
         assert np.linalg.norm(got - base) <= 1e-9 * (1 + np.linalg.norm(base))
 
     def test_sensitivity_equals_plain_at_root(self, ridge_quadratic):
@@ -166,16 +167,16 @@ class TestLocalizedEstimate:
             low, high = (3.0, 6.0) if problem.name == "logistic" else (-1.0, 1.0)
             y = seeded_y(problem, 31, low=low, high=high)
             xstar = problem.exact_root(y)
-            base = hg.ift_estimate(problem, xstar, y)
+            base = hg.Strategy(problem).estimate(xstar, y)
             for sep in (hg.diag_scaling_reparam(problem),
                         hg.newton_separable_reparam(problem)):
-                got = hg.localized_estimate(problem, sep, xstar, y)
+                got = hg.Strategy(problem, reparam=sep).estimate(xstar, y)
                 assert np.linalg.norm(got - base) <= 1e-8 * (1 + np.linalg.norm(base))
 
     def test_diag_family_newton_exact_in_1d(self, linear1d_fixture):
         sep = hg.diag_scaling_reparam(linear1d_fixture)
-        got = hg.localized_estimate(linear1d_fixture, sep,
-                                    np.array([0.9]), np.zeros(1))
+        got = hg.Strategy(linear1d_fixture, reparam=sep).estimate(
+            np.array([0.9]), np.zeros(1))
         assert got[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_newton_family_exact_anywhere_affine_outer(self, reg_train, reg_val):
@@ -186,7 +187,7 @@ class TestLocalizedEstimate:
         rng = np.random.default_rng(41)
         for _ in range(3):
             x = rng.normal(size=problem.d_x)
-            got = hg.localized_estimate(problem, sep, x, y)
+            got = hg.Strategy(problem, reparam=sep).estimate(x, y)
             assert np.linalg.norm(got - truth) <= 1e-8 * (1 + np.linalg.norm(truth))
 
     def test_newton_family_sensitivity_exact_on_ridge(self, ridge_quadratic):
@@ -196,7 +197,7 @@ class TestLocalizedEstimate:
         y = seeded_y(ridge_quadratic, 43)
         truth = hg.fd_jac_xstar(ridge_quadratic, y).T
         x = np.linspace(-1.0, 1.0, ridge_quadratic.d_x)
-        got = hg.localized_sensitivity(ridge_quadratic, sep, x, y)
+        got = hg.Strategy(ridge_quadratic, reparam=sep).sensitivity(x, y)
         assert np.max(np.abs(got - truth)) <= 1e-6 * (1 + np.max(np.abs(truth)))
 
 
@@ -236,22 +237,17 @@ class TestConstructors:
             z = phi.inverse(anchor, y)
             assert np.allclose(phi.forward(z, y), anchor, rtol=1e-9, atol=1e-12)
 
-    def test_newton_family_needs_root_on_nonlinear_residual(self, cls_train,
-                                                            cls_val):
-        base = hg.make_logistic(cls_train, cls_val, hg.OuterVariant.quadratic())
-        rootless_inner = CallableInnerOracle(
-            residual=base.inner.residual,
-            jac_x=base.inner.jac_x,
-            jac_y=base.inner.jac_y,
-            djac_x_dir_x=base.inner.djac_x_dir_x,
-            djac_x_dir_y=base.inner.djac_x_dir_y,
-        )
-        problem = hg.BilevelProblem(inner=rootless_inner, outer=base.outer,
-                                    d_x=base.d_x, d_y=base.d_y, name="rootless")
+    @pytest.mark.parametrize("fixture", ["logistic_quadratic", "ridge_quadratic"],
+                             ids=["logistic", "ridge"])
+    def test_newton_family_needs_root(self, fixture, request):
+        # Inverting Q has one path, Newton seeded at the exact root, so an
+        # affine residual without exact_root is refused like a nonlinear one.
+        base = request.getfixturevalue(fixture)
+        problem = replace(base, inner=replace(base.inner, exact_root=lambda y: None))
         sep = hg.newton_separable_reparam(problem)
         with pytest.raises(hg.CapabilityError):
-            hg.localized_estimate(problem, sep, np.ones(base.d_x),
-                                  np.zeros(base.d_y))
+            hg.Strategy(problem, reparam=sep).estimate(np.ones(base.d_x),
+                                                       np.zeros(base.d_y))
 
     def test_make_estimator_rejects_unknown(self, scalar_fixture):
         with pytest.raises(hg.UsageError):
@@ -282,17 +278,17 @@ class TestConstructors:
 
 # Each strategy key and the public building blocks it must reduce to.
 FORMULAS = {
-    "vanilla": lambda p, x, y: hg.ift_estimate(p, x, y),
-    "newton": lambda p, x, y: hg.preconditioned_estimate(
-        p, hg.newton_preconditioner(p), x, y),
-    "diag": lambda p, x, y: hg.preconditioned_estimate(
-        p, hg.diag_preconditioner(p), x, y),
-    "exp": lambda p, x, y: hg.reparameterized_estimate(
-        p, hg.signed_exp_reparam(x), x, y),
-    "diag-rep": lambda p, x, y: hg.localized_estimate(
-        p, hg.diag_scaling_reparam(p), x, y),
-    "opt": lambda p, x, y: hg.localized_estimate(
-        p, hg.newton_separable_reparam(p), x, y),
+    "vanilla": lambda p, x, y: hg.Strategy(p).estimate(x, y),
+    "newton": lambda p, x, y: hg.Strategy(
+        p, precond=hg.newton_preconditioner(p)).estimate(x, y),
+    "diag": lambda p, x, y: hg.Strategy(
+        p, precond=hg.diag_preconditioner(p)).estimate(x, y),
+    "exp": lambda p, x, y: hg.Strategy(
+        p, reparam=hg.signed_exp_reparam(x)).estimate(x, y),
+    "diag-rep": lambda p, x, y: hg.Strategy(
+        p, reparam=hg.diag_scaling_reparam(p)).estimate(x, y),
+    "opt": lambda p, x, y: hg.Strategy(
+        p, reparam=hg.newton_separable_reparam(p)).estimate(x, y),
 }
 
 
@@ -302,6 +298,22 @@ def _off_root_point(problem, seed):
     x = problem.exact_root(y) + np.linspace(0.05, 0.15, problem.d_x)
     assert np.all(x != 0.0) and np.linalg.norm(problem.residual(x, y)) > 0.0
     return x, y
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Every matrix lu_factor checks from here on. Counting through the module
+    attribute also checks that linalg looks lu_factor up when it factors, as
+    profilers that rebind it need."""
+    import hygrad.linalg as linalg
+    calls = []
+    original = linalg.lu_factor
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(linalg, "lu_factor", counting)
+    return calls
 
 
 class TestStrategyTable:
@@ -327,9 +339,9 @@ class TestStrategyTable:
         assert est.name == strategy
         assert np.array_equal(est(x, y),
                               hg.make_estimator(ridge_quadratic, strategy)(x, y))
-        sens = hg.make_sensitivity_fn(ridge_quadratic, strategy)
-        assert np.array_equal(sens(x, y), hg.localized_sensitivity(
-            ridge_quadratic, family(ridge_quadratic), x, y))
+        sens = resolve_strategy(ridge_quadratic, strategy).sensitivity
+        assert np.array_equal(sens(x, y), hg.Strategy(
+            ridge_quadratic, reparam=family(ridge_quadratic)).sensitivity(x, y))
 
     def test_constructors_looked_up_when_built(self, ridge_quadratic, monkeypatch):
         # Profilers rebind the module attribute; the table must call it.
@@ -347,32 +359,35 @@ class TestStrategyTable:
     @pytest.mark.parametrize("fixture,opt_max", [("ridge_quadratic", 7),
                                                  ("logistic_quadratic", 9)])
     def test_lu_factorizations_per_estimate(self, fixture, opt_max, request,
-                                            monkeypatch):
-        # Every solve against one matrix shares one factorization; counting
-        # through the module attribute also checks that linalg looks
-        # lu_factor up when it factors, as profilers that rebind it need.
-        import hygrad.linalg as linalg
+                                            lu_calls):
+        # Every solve against one matrix shares one factorization.
         problem = request.getfixturevalue(fixture)
         x, y = _off_root_point(problem, 61)
-        calls = []
-        original = linalg.lu_factor
-
-        def counting(a, *args, **kwargs):
-            calls.append(a)
-            return original(a, *args, **kwargs)
-        monkeypatch.setattr(linalg, "lu_factor", counting)
         counts = {}
         for key in hg.STRATEGIES:
             estimator = hg.make_estimator(problem, key)
-            before = len(calls)
+            before = len(lu_calls)
             estimator(x, y)
-            counts[key] = len(calls) - before
+            counts[key] = len(lu_calls) - before
         opt = counts.pop("opt")
         assert counts == {"vanilla": 1, "newton": 2, "diag": 1, "exp": 1,
                           "diag-rep": 1}
         # opt's count is its measured value: one F_1 factorization in each
-        # of its closures, plus the Newton steps of q_inverse.
+        # of its closures, plus the root solve that seeds q_inverse.
         assert 1 <= opt <= opt_max
+
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    def test_opt_lu_factorizations_from_root_context(self, fixture, request,
+                                                     lu_calls):
+        # From a root context q_inverse is seeded at the stored root and its
+        # Newton run stops at the first residual check, so opt factors only
+        # R = F_1^{-1} (twice), the two R_2 contractions, phi_1 and V.
+        problem = request.getfixturevalue(fixture)
+        x, y = _off_root_point(problem, 61)
+        estimator = hg.make_estimator(hg.RootContext.solve(problem, y).problem, "opt")
+        before = len(lu_calls)
+        estimator(x, y)
+        assert len(lu_calls) - before == 6
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_r2_contractions_match_per_direction_solves(self, fixture, request):
@@ -400,4 +415,4 @@ class TestStrategyTable:
     def test_unknown_kind_rejected(self, scalar_fixture):
         for kind in ("bogus", 3, None):
             with pytest.raises(hg.UsageError):
-                hg.make_sensitivity_fn(scalar_fixture, kind)
+                resolve_strategy(scalar_fixture, kind)

@@ -29,8 +29,7 @@ def _shift_problem():
         jac_gradY_x=lambda x, y: np.zeros((d, d)),
         jac_gradX_y=lambda x, y: np.zeros((d, d)),
     )
-    return hg.BilevelProblem(inner=inner, outer=outer, d_x=d, d_y=d,
-                             name="shift", affine_in_x=True)
+    return hg.BilevelProblem(inner=inner, outer=outer, d_x=d, d_y=d, name="shift")
 
 
 class TestValidateOracles:
@@ -113,10 +112,10 @@ class TestConcurrentEvaluation:
         y = seeded_y(ridge_quadratic, 55)
         rng = np.random.default_rng(56)
         points = [rng.normal(size=ridge_quadratic.d_x) for _ in range(16)]
-        serial = [hg.ift_estimate(ridge_quadratic, x, y) for x in points]
+        serial = [hg.Strategy(ridge_quadratic).estimate(x, y) for x in points]
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(pool.map(
-                lambda x: hg.ift_estimate(ridge_quadratic, x, y), points))
+                lambda x: hg.Strategy(ridge_quadratic).estimate(x, y), points))
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b)
 

@@ -1,6 +1,7 @@
 """The fixed CLI invocations whose output files gate numerical changes.
 
     python3 tools/fixed_outputs.py write DIR   # run every invocation into DIR
+    python3 tools/fixed_outputs.py check DIR   # write, then compare with the baseline
     python3 tools/fixed_outputs.py drift A B   # largest relative change per CSV column
 
 ``write`` serializes the seeded datasets into DIR, then runs each invocation
@@ -9,6 +10,12 @@ relative to it, and BLAS/OpenMP threads pinned to 1 in the child's
 environment only. It prints one ``invocation file sha256`` line per output
 file. Because the paths are relative, a decay CSV's ``# train=`` line, and
 so every digest, is the same wherever DIR is.
+
+``check`` does what ``write`` does, then compares every digest with the
+recorded baseline ``fixed_outputs.sha256`` beside this script (same line
+format). It names every file whose digest differs or is missing on either
+side and exits 1 if there is one. The digests depend on the BLAS build and
+the CPU, so a mismatch on another machine is a question, not a verdict.
 
 ``drift`` reads the CSV files of two such directories and prints, for each
 file, row key (the strategy or candidate column, ``*`` when the first column
@@ -30,6 +37,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BASELINE = Path(__file__).resolve().with_name("fixed_outputs.sha256")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 STRATEGIES = "vanilla,newton,diag,exp,diag-rep,opt"
@@ -94,11 +102,13 @@ def write_datasets(out: Path) -> None:
         (out / f"{name}.libsvm").write_text(hg.serialize_libsvm(data))
 
 
-def write(out: Path) -> int:
+def run_invocations(out: Path) -> tuple[int, dict[str, str]]:
+    """Run every invocation into out: (exit status, {"invocation file": sha256})."""
     out.mkdir(parents=True, exist_ok=True)
     write_datasets(out)
     env = dict(os.environ, PYTHONPATH=str(SRC), **{v: "1" for v in THREAD_VARS})
     status = 0
+    digests = {}
     for name, args, svg in invocations():
         files = [("csv", f"{name}.csv")] + ([("svg", f"{name}.svg")] if svg else [])
         argv = [sys.executable, "-m", "hygrad.cli"] + args + ["--out", files[0][1]]
@@ -112,7 +122,28 @@ def write(out: Path) -> int:
             continue
         for kind, path in files:
             digest = hashlib.sha256((out / path).read_bytes()).hexdigest()
-            print(f"{name} {kind} {digest}")
+            digests[f"{name} {kind}"] = digest
+    return status, digests
+
+
+def write(out: Path) -> int:
+    status, digests = run_invocations(out)
+    for key, digest in digests.items():
+        print(f"{key} {digest}")
+    return status
+
+
+def check(out: Path) -> int:
+    status, digests = run_invocations(out)
+    baseline = dict(line.rsplit(" ", 1)
+                    for line in BASELINE.read_text().splitlines() if line.strip())
+    for key in sorted(baseline.keys() | digests.keys()):
+        got, want = digests.get(key, "missing"), baseline.get(key, "missing")
+        if got != want:
+            print(f"{key}: {got}, baseline {want}")
+            status = 1
+    if status == 0:
+        print(f"all {len(baseline)} digests equal the baseline")
     return status
 
 
@@ -173,8 +204,9 @@ def drift(a_dir: Path, b_dir: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "write":
-        return write(Path(argv[1]).resolve())
+    if len(argv) == 2 and argv[0] in ("write", "check"):
+        run = write if argv[0] == "write" else check
+        return run(Path(argv[1]).resolve())
     if len(argv) == 3 and argv[0] == "drift":
         return drift(Path(argv[1]), Path(argv[2]))
     print(__doc__, file=sys.stderr)
