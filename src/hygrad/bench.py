@@ -104,10 +104,10 @@ class RunConfig:
             raise UsageError("trials must be at least 1")
         if not self.y_low < self.y_high:
             raise UsageError("need y-low < y-high")
-        if self.eps is not None and self.eps <= 0:
-            raise UsageError("eps must be positive")
-        if self.step_size is not None and self.step_size <= 0:
-            raise UsageError("step size must be positive")
+        if self.eps is not None and not 0 < self.eps < np.inf:
+            raise UsageError("eps must be positive and finite")
+        if self.step_size is not None and not 0 < self.step_size < np.inf:
+            raise UsageError("step size must be positive and finite")
         if self.dims is not None and self.dims < 1:
             raise UsageError("dims must be at least 1")
         if self.problem in BUILTIN_PROBLEMS:
@@ -153,6 +153,13 @@ def _pad_columns(data: Dataset, width: int) -> Dataset:
         return data
     zeros = np.zeros((data.n, width - data.d_x))
     return Dataset(np.hstack([data.features, zeros]), data.labels)
+
+
+def seeded_trials(config: RunConfig, d_y: int):
+    """Yield (trial, seed, y) per trial: trial t draws y with seed config.seed + t."""
+    for trial in range(config.trials):
+        seed = config.seed + trial
+        yield trial, seed, sample_y(d_y, config.y_low, config.y_high, seed)
 
 
 def _base_metadata(config: RunConfig, problem: BilevelProblem, y: Array) -> dict:
@@ -222,14 +229,11 @@ def run_efficiency_sweep(config: RunConfig) -> list:
     """
     problem = build_problem(config)
     records = []
-    for trial in range(config.trials):
-        trial_seed = config.seed + trial
-
+    for trial, trial_seed, y in seeded_trials(config, problem.d_y):
         def failed(strategy: str, err: HygradError) -> SweepRecord:
             return SweepRecord(strategy=strategy, trial=trial, seed=trial_seed,
                                c_y=float("nan"), error=str(err))
 
-        y = sample_y(problem.d_y, config.y_low, config.y_high, trial_seed)
         try:
             ctx = RootContext.solve(problem, y)
         except HygradError as err:
@@ -276,44 +280,46 @@ def fit_loglog_slope(trace: DecayTrace, floor: float = 1e-12) -> float:
 # --------------------------------------------------------------------------
 # CSV emission
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 # A metadata value stays on its line: backslash, LF and CR are escaped.
 _ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "n": "\n", "r": "\r"}
 _DECAY_HEADER = "strategy,step,inner_error,hypergrad_error"
 
 
+def csv_text(meta: dict, header: str, rows) -> str:
+    r"""CSV text: ``# key=value`` comment lines, the header, then the rows.
+
+    Metadata lines are sorted by key, and a backslash, LF or CR in a value is
+    written as ``\\``, ``\n`` or ``\r``. A float cell uses shortest
+    round-trip formatting, any other cell ``str``; lines end with LF.
+    """
+    lines = [f"# {k}={str(meta[k]).translate(_ESCAPES)}" for k in sorted(meta)]
+    lines.append(header)
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def emit_csv(items: Sequence[Union[DecayTrace, SweepRecord]], kind: str,
              metadata: Optional[dict] = None) -> str:
-    r"""Serialize traces or sweep records to CSV text.
-
-    Metadata appears first as ``# key=value`` comment lines (sorted, unique;
-    a backslash, LF or CR in a value is written as ``\\``, ``\n`` or
-    ``\r``), then the schema header, then the rows. Floats use shortest
-    round-trip formatting; lines end with LF.
-    """
+    """Serialize traces or sweep records to CSV text (see ``csv_text``); the
+    caller's metadata overrides the records' own keys."""
     meta: dict[str, str] = {}
     if kind == "decay":
         for trace in items:
             meta.update(trace.metadata)
         header = _DECAY_HEADER
-        rows = [f"{trace.strategy},{step},{_fmt(inner)},{_fmt(hyper)}"
-                for trace in items for step, inner, hyper in trace.rows]
+        rows = [(trace.strategy, *row) for trace in items for row in trace.rows]
     elif kind == "efficiency":
         meta["prng"] = PRNG_NAME
         meta.update({f"error_{rec.strategy}_{rec.trial}": rec.error
                      for rec in items if rec.error})
         header = "strategy,trial,seed,cy"
-        rows = [f"{rec.strategy},{rec.trial},{rec.seed},{_fmt(rec.c_y)}"
-                for rec in items]
+        rows = [(rec.strategy, rec.trial, rec.seed, rec.c_y) for rec in items]
     else:
         raise UsageError(f"unknown csv kind {kind!r}")
     meta.update(metadata or {})
-    lines = [f"# {k}={str(meta[k]).translate(_ESCAPES)}" for k in sorted(meta)]
-    return "\n".join(lines + [header] + rows) + "\n"
+    return csv_text(meta, header, rows)
 
 
 def read_decay_csv(text: str) -> list:

@@ -21,12 +21,14 @@ from .bench import (
     AxesConfig,
     RunConfig,
     build_problem,
+    csv_text,
     emit_csv,
     fit_loglog_slope,
     read_decay_csv,
     render_svg,
     run_decay,
     run_efficiency_sweep,
+    seeded_trials,
 )
 from . import efficiency
 from .efficiency import ComparisonTerms, RootContext, super_efficiency_residual_1d
@@ -40,7 +42,7 @@ from .estimators import (
     resolve_strategy,
     scaled_preconditioner,
 )
-from .models import OUTER_VARIANTS, sample_y
+from .models import OUTER_VARIANTS
 from .seeding import PRNG_NAME
 
 
@@ -131,15 +133,11 @@ def _cmd_compare(args) -> int:
     problem = build_problem(config)
     precond = scaled_preconditioner(newton_preconditioner(problem),
                                     args.precond_scale)
-    lines = [f"# precond_scale={repr(args.precond_scale)}",
-             f"# prng={PRNG_NAME}", f"# problem={config.problem}",
-             f"# reparam={args.reparam}", f"# seed={config.seed}",
-             "trial,seed,lhs_phi_minus_p,rhs_phi_minus_p,lhs_p_minus_phi,"
-             "rhs_p_minus_phi,delta,delta_lower,sigma,sigma_lower"]
+    meta = {"precond_scale": args.precond_scale, "prng": PRNG_NAME,
+            "problem": config.problem, "reparam": args.reparam, "seed": config.seed}
+    rows = []
     failures = 0
-    for trial in range(config.trials):
-        trial_seed = config.seed + trial
-        y = sample_y(problem.d_y, config.y_low, config.y_high, trial_seed)
+    for trial, trial_seed, y in seeded_trials(config, problem.d_y):
         # One root per trial. The change of variables behind the strategy's
         # sensitivity map is built from the context's problem, so that opt's
         # inverse of Q reuses that root too.
@@ -157,14 +155,12 @@ def _cmd_compare(args) -> int:
         sigma, sigma_lower = float("nan"), float("nan")
         if isinstance(kind, SeparableReparam):
             sigma, sigma_lower, _ = efficiency.reparam_gap(terms)
-        lines.append(",".join([
-            str(trial), str(trial_seed),
-            repr(float(bounds.lhs_phi_minus_p)), repr(float(bounds.rhs_phi_minus_p)),
-            repr(float(bounds.lhs_p_minus_phi)), repr(float(bounds.rhs_p_minus_phi)),
-            repr(float(delta)), repr(float(delta_lower)),
-            repr(float(sigma)), repr(float(sigma_lower)),
-        ]))
-    _write(args.out_path, "\n".join(lines) + "\n")
+        rows.append((trial, trial_seed, bounds.lhs_phi_minus_p, bounds.rhs_phi_minus_p,
+                     bounds.lhs_p_minus_phi, bounds.rhs_p_minus_phi,
+                     delta, delta_lower, sigma, sigma_lower))
+    _write(args.out_path, csv_text(
+        meta, "trial,seed,lhs_phi_minus_p,rhs_phi_minus_p,lhs_p_minus_phi,"
+        "rhs_p_minus_phi,delta,delta_lower,sigma,sigma_lower", rows))
     if failures:
         print(f"{failures} comparison inequalities violated", file=sys.stderr)
         return 3
@@ -177,20 +173,17 @@ def _cmd_ode1d(args) -> int:
     if config.problem not in ("scalar", "linear1d"):
         raise UsageError("ode1d needs a one-dimensional problem (scalar or linear1d)")
     problem = build_problem(config)
-    lines = [f"# prng={PRNG_NAME}", f"# problem={config.problem}",
-             f"# seed={config.seed}", "candidate,trial,seed,y,residual"]
+    meta = {"prng": PRNG_NAME, "problem": config.problem, "seed": config.seed}
+    rows = []
     grid = [0.5, 1.0, 2.0]
-    for trial in range(config.trials):
-        trial_seed = config.seed + trial
-        y = sample_y(1, config.y_low, config.y_high, trial_seed)
+    for trial, trial_seed, y in seeded_trials(config, problem.d_y):
         candidates = [("identity", identity_reparam())]
         candidates += [(f"exp(a={a:g},b={b:g})", exp_family_reparam_1d(a, b))
                        for a in grid for b in grid]
         for name, phi in candidates:
-            residual = super_efficiency_residual_1d(problem, phi, y)
-            lines.append(f"{name},{trial},{trial_seed},{repr(float(y[0]))},"
-                         f"{repr(float(residual))}")
-    _write(args.out_path, "\n".join(lines) + "\n")
+            rows.append((name, trial, trial_seed, y[0],
+                         super_efficiency_residual_1d(problem, phi, y)))
+    _write(args.out_path, csv_text(meta, "candidate,trial,seed,y,residual", rows))
     if args.out_path:
         print(f"wrote {args.out_path}")
     return 0

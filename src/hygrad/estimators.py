@@ -88,8 +88,8 @@ def diag_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
 
 def scaled_preconditioner(precond: PreconditionerOracle, factor: float) -> PreconditionerOracle:
     """P scaled by a constant, handy for manufacturing controlled deviations."""
-    if factor == 0:
-        raise UsageError("scale factor must be nonzero")
+    if factor == 0 or not np.isfinite(factor):
+        raise UsageError("scale factor must be finite and nonzero")
     return PreconditionerOracle(
         solve=lambda x, y, v: precond.solve(x, y, v) / factor,
         matrix=lambda x, y: factor * precond.matrix(x, y))
@@ -343,8 +343,8 @@ def scale_separable_r(sep: SeparableReparam, factor: float) -> SeparableReparam:
     The y-derivative contractions are left untouched on purpose, so the
     scaled family deviates from the Newton-like ideal in R alone.
     """
-    if factor == 0:
-        raise UsageError("scale factor must be nonzero")
+    if factor == 0 or not np.isfinite(factor):
+        raise UsageError("scale factor must be finite and nonzero")
     return replace(
         sep,
         r=lambda x, y: factor * sep.r(x, y),

@@ -1,10 +1,12 @@
 """Concrete problems: ridge and logistic hyperparameter tuning, 1-D fixtures.
 
-Both regression families penalize each coefficient with its own exponential
-weight, so the outer variable y has one entry per feature (d_y = d_x):
+All four share the paper's hyperparameter form, written by one builder, with
+one weight per coefficient (d_y = d_x) and an outer objective of x alone:
 
-    ridge     F(x, y) = 2 A_tr'(A_tr x - b_tr) + exp(y) * x
-    logistic  F(x, y) = -A_tr'(b * sigmoid(-b * A_tr x)) + exp(y) * x
+    F(x, y) = grad f(x) + exp(y) * x, where grad f(x) is
+        ridge         2 A_tr'(A_tr x - b_tr)
+        logistic      -A_tr'(b * sigmoid(-b * A_tr x))
+        scalar-ridge  x - 1,  linear-1d  -1
 
 The module also holds the LIBSVM text-format reader/writer, the seeded
 uniform sampler for y, and synthetic dataset generators used by the
@@ -202,43 +204,59 @@ class OuterVariant:
         return OuterVariant("affine", a=None if a is None else np.asarray(a, float))
 
 
-def _quadratic_outer(val: Dataset, d_y: int) -> CallableOuterOracle:
-    a_val, b_val = val.features, val.labels
-    hess = 2.0 * a_val.T @ a_val
-    d_x = val.d_x
+def _outer_of_x(d: int, value, grad_x, hess_xx) -> CallableOuterOracle:
+    """Outer oracle of an objective that depends on x alone: its y-blocks are zero."""
+    def zero_block(x, y):
+        return np.zeros((d, d))
     return CallableOuterOracle(
-        value=lambda x, y: float(np.sum((a_val @ x - b_val) ** 2)),
-        grad_x=lambda x, y: 2.0 * a_val.T @ (a_val @ x - b_val),
-        grad_y=lambda x, y: np.zeros(d_y),
-        hess_xx=lambda x, y: hess,
-        jac_gradY_x=lambda x, y: np.zeros((d_y, d_x)),
-        jac_gradX_y=lambda x, y: np.zeros((d_x, d_y)),
-    )
+        value=value, grad_x=grad_x, grad_y=lambda x, y: np.zeros(d),
+        hess_xx=hess_xx, jac_gradY_x=zero_block, jac_gradX_y=zero_block)
 
 
-def _affine_outer(a: Array, d_y: int) -> CallableOuterOracle:
-    d_x = a.shape[0]
-    return CallableOuterOracle(
-        value=lambda x, y: float(a @ x),
-        grad_x=lambda x, y: a,
-        grad_y=lambda x, y: np.zeros(d_y),
-        hess_xx=lambda x, y: np.zeros((d_x, d_x)),
-        jac_gradY_x=lambda x, y: np.zeros((d_y, d_x)),
-        jac_gradX_y=lambda x, y: np.zeros((d_x, d_y)),
-    )
-
-
-def _make_outer(outer: OuterVariant, val: Dataset, d_x: int, d_y: int) -> CallableOuterOracle:
+def _make_outer(outer: OuterVariant, train: Dataset, val: Dataset) -> CallableOuterOracle:
+    """Validation loss |A_val x - b_val|^2 or affine a'x; hands out read-only arrays."""
+    d = train.d_x
     if outer.tag == "quadratic":
-        return _quadratic_outer(val, d_y)
-    a = outer.a if outer.a is not None else np.ones(d_x)
-    if a.shape != (d_x,):
-        raise ContractViolation(f"affine outer vector has shape {a.shape}, need ({d_x},)")
-    return _affine_outer(a, d_y)
+        if val.d_x != d:
+            raise ContractViolation(f"train has {d} features, validation has {val.d_x}")
+        a_val, b_val = val.features, val.labels
+        hess = 2.0 * a_val.T @ a_val
+        hess.setflags(write=False)
+        return _outer_of_x(d, lambda x, y: float(np.sum((a_val @ x - b_val) ** 2)),
+                           lambda x, y: 2.0 * a_val.T @ (a_val @ x - b_val),
+                           lambda x, y: hess)
+    a = np.ones(d) if outer.a is None else np.array(outer.a, dtype=float)
+    if a.shape != (d,):
+        raise ContractViolation(f"affine outer vector has shape {a.shape}, need ({d},)")
+    a.setflags(write=False)
+    return _outer_of_x(d, lambda x, y: float(a @ x), lambda x, y: a,
+                       lambda x, y: np.zeros((d, d)))
 
 
 # --------------------------------------------------------------------------
-# ridge
+# the shipped problems: one penalized form, four data terms
+
+def _penalized_problem(name: str, d: int, outer: CallableOuterOracle, data_grad,
+                       data_hess, data_dhess, exact_root) -> BilevelProblem:
+    """F(x, y) = data_grad(x) + exp(y) * x, d_x = d_y = d; data_hess(x) and
+    data_dhess(x, u) give the data term's Hessian and its derivative along u,
+    and exact_root(y, f, jac) gets F(., y) and its x-Jacobian as maps of x."""
+    def residual(x, y):
+        return data_grad(x) + np.exp(y) * x
+
+    def jac_x(x, y):
+        return data_hess(x) + np.diag(np.exp(y))
+
+    return BilevelProblem(inner=CallableInnerOracle(
+        residual=residual,
+        jac_x=jac_x,
+        jac_y=lambda x, y: np.diag(np.exp(y) * x),
+        djac_x_dir_x=lambda x, y, u: data_dhess(x, u),
+        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e),
+        exact_root=lambda y: exact_root(
+            y, lambda x: residual(x, y), lambda x: jac_x(x, y)),
+    ), outer=outer, d_x=d, d_y=d, name=name)
+
 
 def make_ridge(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelProblem:
     """Feature-wise exponentially penalized least squares.
@@ -246,28 +264,17 @@ def make_ridge(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelProb
     The inner residual is affine in x with a symmetric positive definite
     Jacobian 2 A'A + diag(exp(y)), so the exact root is a direct solve.
     """
-    if outer.tag == "quadratic" and train.d_x != val.d_x:
-        raise ContractViolation(
-            f"train has {train.d_x} features, validation has {val.d_x}")
-    d_x = d_y = train.d_x
+    d = train.d_x
     gram2 = 2.0 * train.features.T @ train.features
     rhs2 = 2.0 * train.features.T @ train.labels
+    return _penalized_problem(
+        "ridge", d, _make_outer(outer, train, val),
+        data_grad=lambda x: gram2 @ x - rhs2,
+        data_hess=lambda x: gram2,
+        data_dhess=lambda x, u: np.zeros((d, d)),
+        exact_root=lambda y, f, jac: linear_solve(
+            gram2 + np.diag(np.exp(y)), rhs2, what="F_1"))
 
-    inner = CallableInnerOracle(
-        residual=lambda x, y: gram2 @ x - rhs2 + np.exp(y) * x,
-        jac_x=lambda x, y: gram2 + np.diag(np.exp(y)),
-        jac_y=lambda x, y: np.diag(np.exp(y) * x),
-        djac_x_dir_x=lambda x, y, u: np.zeros((d_x, d_x)),
-        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e),
-        exact_root=lambda y: linear_solve(
-            gram2 + np.diag(np.exp(y)), rhs2, what="F_1"),
-    )
-    return BilevelProblem(inner=inner, outer=_make_outer(outer, val, d_x, d_y),
-                          d_x=d_x, d_y=d_y, name="ridge")
-
-
-# --------------------------------------------------------------------------
-# logistic
 
 def logistic_inner_value(train: Dataset, x: Array, y: Array) -> float:
     """Inner objective whose x-gradient is the logistic residual (for checks)."""
@@ -284,67 +291,44 @@ def make_logistic(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelP
     labels = train.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise DataError("classification labels must be -1 or +1")
-    if outer.tag == "quadratic" and train.d_x != val.d_x:
-        raise ContractViolation(
-            f"train has {train.d_x} features, validation has {val.d_x}")
-    d_x = d_y = train.d_x
+    d = train.d_x
     a_tr = train.features
 
     def margins(x):
         return -labels * (a_tr @ x)
 
-    def residual(x, y):
-        return -a_tr.T @ (labels * stable_sigmoid(margins(x))) + np.exp(y) * x
-
-    def jac_x(x, y):
+    def data_hess(x):
         w = _dsigmoid(margins(x))        # labels squared is 1
-        return a_tr.T @ (w[:, None] * a_tr) + np.diag(np.exp(y))
+        return a_tr.T @ (w[:, None] * a_tr)
 
-    def djac_x_dir_x(x, y, u):
+    def data_dhess(x, u):
         m = margins(x)
         s = stable_sigmoid(m)
         ddsig = _dsigmoid(m) * (1.0 - 2.0 * s)
         w = ddsig * (-labels * (a_tr @ u))
         return a_tr.T @ (w[:, None] * a_tr)
 
-    inner = CallableInnerOracle(
-        residual=residual,
-        jac_x=jac_x,
-        jac_y=lambda x, y: np.diag(np.exp(y) * x),
-        djac_x_dir_x=djac_x_dir_x,
-        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e),
-        exact_root=lambda y: newton_root(
-            lambda x: residual(x, y), lambda x: jac_x(x, y), np.zeros(d_x)),
-    )
-    return BilevelProblem(inner=inner, outer=_make_outer(outer, val, d_x, d_y),
-                          d_x=d_x, d_y=d_y, name="logistic")
+    return _penalized_problem(
+        "logistic", d, _make_outer(outer, train, val),
+        data_grad=lambda x: -a_tr.T @ (labels * stable_sigmoid(margins(x))),
+        data_hess=data_hess,
+        data_dhess=data_dhess,
+        exact_root=lambda y, f, jac: newton_root(f, jac, np.zeros(d)))
 
-
-# --------------------------------------------------------------------------
-# 1-D fixtures with closed-form roots
 
 def scalar_ridge() -> BilevelProblem:
     """d = 1 fixture: F(x, y) = (x - 1) + exp(y) x, g = x^2 / 2.
 
     Root x*(y) = 1 / (1 + e^y); at y = 0 the hypergradient is -1/8.
     """
-    inner = CallableInnerOracle(
-        residual=lambda x, y: (x - 1.0) + np.exp(y) * x,
-        jac_x=lambda x, y: np.array([[1.0 + np.exp(y[0])]]),
-        jac_y=lambda x, y: np.array([[np.exp(y[0]) * x[0]]]),
-        djac_x_dir_x=lambda x, y, u: np.zeros((1, 1)),
-        djac_x_dir_y=lambda x, y, e: np.array([[np.exp(y[0]) * e[0]]]),
-        exact_root=lambda y: np.array([1.0 / (1.0 + np.exp(y[0]))]),
-    )
-    outer = CallableOuterOracle(
-        value=lambda x, y: 0.5 * float(x[0] ** 2),
-        grad_x=lambda x, y: np.array([x[0]]),
-        grad_y=lambda x, y: np.zeros(1),
-        hess_xx=lambda x, y: np.ones((1, 1)),
-        jac_gradY_x=lambda x, y: np.zeros((1, 1)),
-        jac_gradX_y=lambda x, y: np.zeros((1, 1)),
-    )
-    return BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1, name="scalar-ridge")
+    outer = _outer_of_x(1, lambda x, y: 0.5 * float(x[0] ** 2),
+                        lambda x, y: np.array([x[0]]), lambda x, y: np.ones((1, 1)))
+    return _penalized_problem(
+        "scalar-ridge", 1, outer,
+        data_grad=lambda x: x - 1.0,
+        data_hess=lambda x: np.ones((1, 1)),
+        data_dhess=lambda x, u: np.zeros((1, 1)),
+        exact_root=lambda y, f, jac: np.array([1.0 / (1.0 + np.exp(y[0]))]))
 
 
 def linear_1d() -> BilevelProblem:
@@ -353,23 +337,14 @@ def linear_1d() -> BilevelProblem:
     Root x*(y) = exp(-y); the hypergradient is -exp(-y) and the estimation
     map has unit efficiency constant at every y.
     """
-    inner = CallableInnerOracle(
-        residual=lambda x, y: np.exp(y) * x - 1.0,
-        jac_x=lambda x, y: np.array([[np.exp(y[0])]]),
-        jac_y=lambda x, y: np.array([[np.exp(y[0]) * x[0]]]),
-        djac_x_dir_x=lambda x, y, u: np.zeros((1, 1)),
-        djac_x_dir_y=lambda x, y, e: np.array([[np.exp(y[0]) * e[0]]]),
-        exact_root=lambda y: np.array([np.exp(-y[0])]),
-    )
-    outer = CallableOuterOracle(
-        value=lambda x, y: float(x[0]),
-        grad_x=lambda x, y: np.ones(1),
-        grad_y=lambda x, y: np.zeros(1),
-        hess_xx=lambda x, y: np.zeros((1, 1)),
-        jac_gradY_x=lambda x, y: np.zeros((1, 1)),
-        jac_gradX_y=lambda x, y: np.zeros((1, 1)),
-    )
-    return BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1, name="linear-1d")
+    outer = _outer_of_x(1, lambda x, y: float(x[0]), lambda x, y: np.ones(1),
+                        lambda x, y: np.zeros((1, 1)))
+    return _penalized_problem(
+        "linear-1d", 1, outer,
+        data_grad=lambda x: np.full(1, -1.0),
+        data_hess=lambda x: np.zeros((1, 1)),
+        data_dhess=lambda x, u: np.zeros((1, 1)),
+        exact_root=lambda y, f, jac: np.array([np.exp(-y[0])]))
 
 
 # --------------------------------------------------------------------------
@@ -379,8 +354,8 @@ def sample_y(d_y: int, low: float, high: float, seed: int) -> Array:
     """Seeded uniform draw in [low, high); identical seed gives identical bits."""
     if d_y < 1:
         raise UsageError("d_y must be at least 1")
-    if not low < high:
-        raise UsageError(f"need low < high, got [{low}, {high})")
+    if not (low < high and np.isfinite([low, high, high - low]).all()):
+        raise UsageError(f"need a finite range low < high, got [{low}, {high})")
     return rng_from_seed(seed).uniform(low, high, d_y)
 
 

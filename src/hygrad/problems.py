@@ -259,6 +259,10 @@ def validate_oracles(problem: BilevelProblem, x: Array, y: Array,
     return report
 
 
+_FD_STEP = 1e-6
+_FD_DIRECTIONAL_STEP = 1e-4
+
+
 @dataclass(frozen=True)
 class FDInnerOracle:
     """Inner oracle for a user-supplied residual, derivatives by differences.
@@ -272,27 +276,22 @@ class FDInnerOracle:
     d_x: int
     d_y: int
     exact_root_fn: Optional[Callable[[Array], Array]] = None
-    step: float = 1e-6
-    directional_step: float = 1e-4
 
     def residual(self, x, y):
         return np.asarray(self.residual_fn(x, y), float)
 
-    def _step(self, at: Array) -> float:
-        return self.step * (1.0 + float(np.linalg.norm(at)))
-
     def jac_x(self, x, y):
-        return fd_jacobian(lambda xx: self.residual(xx, y), x, self._step(x))
+        return fd_jacobian(lambda xx: self.residual(xx, y), x, fd_step(x, None, _FD_STEP))
 
     def jac_y(self, x, y):
-        return fd_jacobian(lambda yy: self.residual(x, yy), y, self._step(y))
+        return fd_jacobian(lambda yy: self.residual(x, yy), y, fd_step(y, None, _FD_STEP))
 
     def djac_x_dir_x(self, x, y, u):
-        h = self.directional_step * (1.0 + float(np.linalg.norm(x)))
+        h = fd_step(x, None, _FD_DIRECTIONAL_STEP)
         return _fd_directional(lambda xx: self.jac_x(xx, y), x, u, h)
 
     def djac_x_dir_y(self, x, y, e):
-        h = self.directional_step * (1.0 + float(np.linalg.norm(y)))
+        h = fd_step(y, None, _FD_DIRECTIONAL_STEP)
         return _fd_directional(lambda yy: self.jac_x(x, yy), y, e, h)
 
     def exact_root(self, y):

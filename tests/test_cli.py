@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import hygrad as hg
 from hygrad.cli import cli_main
 
@@ -37,6 +39,23 @@ def outputs_per_blas_threads(tmp_path, argv, files):
         assert proc.returncode == 0, proc.stderr
         outputs.append([(cwd / name).read_bytes() for name in files])
     return outputs
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--problem", "scalar", "--steps", "1", "--y-high=inf"],
+    ["decay", "--problem", "scalar", "--steps", "1", "--y-low=-1e308", "--y-high=1e308"],
+    ["decay", "--problem", "scalar", "--steps", "1", "--step-size", "nan"],
+    ["efficiency", "--problem", "scalar", "--trials", "1", "--eps", "nan"],
+    ["efficiency", "--problem", "scalar", "--trials", "1", "--eps", "inf"],
+    ["compare", "--problem", "linear1d", "--trials", "1", "--precond-scale", "nan"],
+    ["compare", "--problem", "linear1d", "--trials", "1", "--precond-scale", "inf"],
+], ids=["y-high-inf", "y-width-overflows", "step-size-nan", "eps-nan", "eps-inf",
+        "precond-scale-nan", "precond-scale-inf"])
+def test_non_finite_numeric_flag_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestDecayCommand:

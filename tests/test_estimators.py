@@ -249,6 +249,13 @@ class TestConstructors:
             hg.Strategy(problem, reparam=sep).estimate(np.ones(base.d_x),
                                                        np.zeros(base.d_y))
 
+    @pytest.mark.parametrize("factor", [np.nan, np.inf])
+    def test_scale_factor_must_be_finite(self, ridge_quadratic, factor):
+        with pytest.raises(hg.UsageError):
+            hg.scaled_preconditioner(hg.newton_preconditioner(ridge_quadratic), factor)
+        with pytest.raises(hg.UsageError):
+            hg.scale_separable_r(hg.newton_separable_reparam(ridge_quadratic), factor)
+
     def test_make_estimator_rejects_unknown(self, scalar_fixture):
         with pytest.raises(hg.UsageError):
             hg.make_estimator(scalar_fixture, "bogus")

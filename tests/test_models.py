@@ -122,6 +122,24 @@ class TestRidge:
             hg.make_ridge(reg_train, bad_val, hg.OuterVariant.quadratic())
 
 
+class TestOuterObjective:
+    def test_hands_out_no_mutable_internals(self, reg_train, reg_val):
+        # Neither the caller's vector nor an array the oracle returns can
+        # change the problem after it is built.
+        a = np.ones(reg_train.d_x)
+        outer = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine(a)).outer
+        x, y = np.ones(reg_train.d_x), np.zeros(reg_train.d_x)
+        value = outer.value(x, y)
+        a[:] = 2.0
+        assert outer.value(x, y) == value
+        with pytest.raises(ValueError):
+            outer.grad_x(x, y)[:] = -1.0
+        assert outer.value(x, y) == value
+        quadratic = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic()).outer
+        with pytest.raises(ValueError):
+            quadratic.hess_xx(x, y)[0, 0] = 0.0
+
+
 class TestLogistic:
     def test_single_sample_root_vs_bisection(self):
         # Root of x = sigmoid(-x), bracketed and bisected to 1e-12.
