@@ -260,6 +260,8 @@ def fit_loglog_slope(trace: DecayTrace, floor: float = 1e-12) -> float:
     Rows at or below the error floor (or with nonpositive inner error) are
     dropped; at least three must remain.
     """
+    if not 0.0 <= floor < np.inf:
+        raise UsageError("floor must be finite and non-negative")
     xs, ys = [], []
     for _, inner, hyper in trace.rows:
         if hyper > floor and inner > 0.0:

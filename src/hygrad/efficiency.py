@@ -451,8 +451,8 @@ def newton_reparam_deviations(problem: BilevelProblem, sep: SeparableReparam,
     dev_r = spectral_norm(sep.r(xstar, y)
                           - linear_solve(f1, np.eye(problem.d_x), what="F_1"))
     dev_r2 = max(
-        spectral_norm(sep.r2_contract_left(xstar, y, w)
-                      - ideal.r2_contract_left(xstar, y, w))
+        spectral_norm(sep.r2_contract(xstar, y, w, w)[0]
+                      - ideal.r2_contract(xstar, y, w, w)[0])
         for w in probes)
     return ReparamDeviations(dev_q=dev_q, dev_q_jac=dev_q_jac,
                              dev_q_hess=dev_q_hess, dev_r=dev_r, dev_r2=dev_r2)
@@ -487,10 +487,7 @@ def super_efficiency_residual_1d(problem: BilevelProblem,
         raise UsageError("degenerate problem: outer gradient vanishes at the root")
     g12 = float(problem.outer.jac_gradX_y(xstar, y)[0, 0])
 
-    p1 = float(phi.jac_z(zstar, y)[0, 0])
-    p2 = float(phi.jac_y(zstar, y)[0, 0])
-    p11 = float(phi.hess_zz_contract(zstar, y, one)[0, 0])
-    p12 = float(phi.hess_zy_contract(zstar, y, one)[0, 0])
+    p1, p2, p11, p12 = (float(t[0, 0]) for t in phi.derivatives(zstar, y, one))
 
     return (p12 / p1 - p2 * p11 / p1 ** 2 - f2 * p11 / (f1 * p1 ** 2)
             - (g12 / g1 - f12 / f1))

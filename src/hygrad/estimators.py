@@ -102,18 +102,17 @@ def scaled_preconditioner(precond: PreconditionerOracle, factor: float) -> Preco
 class Reparameterization:
     """Bijective change of inner variable x = phi(z, y) with derivatives.
 
-    Second derivatives enter only as output-contracted matrices:
+    ``derivatives(z, y, w)`` returns every term the estimate uses at one
+    point, (phi_1, phi_2, phi_11 w, phi_21 w); second derivatives enter only
+    as output-contracted matrices:
 
-        hess_zz_contract(z, y, w)[i, j] = sum_k w_k d2 phi_k / dz_i dz_j
-        hess_zy_contract(z, y, w)[i, e] = sum_k w_k d2 phi_k / dz_i dy_e
+        (phi_11 w)[i, j] = sum_k w_k d2 phi_k / dz_i dz_j
+        (phi_21 w)[i, e] = sum_k w_k d2 phi_k / dz_i dy_e
     """
 
     forward: Callable[[Array, Array], Array]
     inverse: Callable[[Array, Array], Array]
-    jac_z: Callable[[Array, Array], Array]
-    jac_y: Callable[[Array, Array], Array]
-    hess_zz_contract: Callable[[Array, Array, Array], Array]
-    hess_zy_contract: Callable[[Array, Array, Array], Array]
+    derivatives: Callable[[Array, Array, Array], tuple[Array, Array, Array, Array]]
 
 
 def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
@@ -135,12 +134,9 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
     f = problem.residual(x, y)
     f1 = problem.jac_x(x, y)
     f2 = problem.jac_y(x, y)
-    p1 = phi.jac_z(z, y)
-    p2 = phi.jac_y(z, y)
-    czy = phi.hess_zy_contract(z, y, f)
+    p1, p2, czz, czy = phi.derivatives(z, y, f)
     p1_lu = factor(p1, what="phi_1")    # shared by the three phi_1 solves
     u = f2 + f1 @ p2 + p1_lu.solve_T(czy)
-    czz = phi.hess_zz_contract(z, y, f)
     v = p1_lu.solve_T(p1_lu.solve_T(czz).T).T + f1
     return p2.T - solve_transpose(v, u, what="V").T
 
@@ -150,10 +146,9 @@ def identity_reparam() -> Reparameterization:
     return Reparameterization(
         forward=lambda z, y: z,
         inverse=lambda x, y: x,
-        jac_z=lambda z, y: np.eye(z.shape[0]),
-        jac_y=lambda z, y: np.zeros((z.shape[0], y.shape[0])),
-        hess_zz_contract=lambda z, y, w: np.zeros((z.shape[0], z.shape[0])),
-        hess_zy_contract=lambda z, y, w: np.zeros((z.shape[0], y.shape[0])),
+        derivatives=lambda z, y, w: (
+            np.eye(z.shape[0]), np.zeros((z.shape[0], y.shape[0])),
+            np.zeros((z.shape[0], z.shape[0])), np.zeros((z.shape[0], y.shape[0]))),
     )
 
 
@@ -178,10 +173,9 @@ def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
     return Reparameterization(
         forward=lambda z, y: signs * np.exp(z),
         inverse=inverse,
-        jac_z=lambda z, y: np.diag(signs * np.exp(z)),
-        jac_y=lambda z, y: np.zeros((z.shape[0], y.shape[0])),
-        hess_zz_contract=lambda z, y, w: np.diag(w * signs * np.exp(z)),
-        hess_zy_contract=lambda z, y, w: np.zeros((z.shape[0], y.shape[0])),
+        derivatives=lambda z, y, w: (
+            np.diag(signs * np.exp(z)), np.zeros((z.shape[0], y.shape[0])),
+            np.diag(w * signs * np.exp(z)), np.zeros((z.shape[0], y.shape[0]))),
     )
 
 
@@ -199,11 +193,10 @@ def exp_family_reparam_1d(alpha: float, beta: float) -> Reparameterization:
     return Reparameterization(
         forward=lambda z, y: np.array([alpha * np.exp(beta * z[0])]),
         inverse=inverse,
-        jac_z=lambda z, y: np.array([[alpha * beta * np.exp(beta * z[0])]]),
-        jac_y=lambda z, y: np.zeros((1, y.shape[0])),
-        hess_zz_contract=lambda z, y, w: np.array(
-            [[w[0] * alpha * beta * beta * np.exp(beta * z[0])]]),
-        hess_zy_contract=lambda z, y, w: np.zeros((1, y.shape[0])),
+        derivatives=lambda z, y, w: (
+            np.array([[alpha * beta * np.exp(beta * z[0])]]), np.zeros((1, y.shape[0])),
+            np.array([[w[0] * alpha * beta * beta * np.exp(beta * z[0])]]),
+            np.zeros((1, y.shape[0]))),
     )
 
 
@@ -216,16 +209,16 @@ class SeparableReparam:
 
     R carries the y-dependence, Q the z-dependence; the anchor (x, ybar) is
     fixed when the family is instantiated at a query point. Derivatives of R
-    in y enter through two contractions of the 3-tensor R_2:
+    in y enter through the two contractions of the 3-tensor R_2 that
+    ``r2_contract(x, y, w, q)`` returns as (left, right):
 
-        r2_contract_left(x, y, w)[m, e]  = sum_k w_k (R_2)_{km,e}
-        r2_contract_right(x, y, q)[k, e] = sum_m (R_2)_{km,e} q_m
+        left[m, e]  = sum_k w_k (R_2)_{km,e}
+        right[k, e] = sum_m (R_2)_{km,e} q_m
     """
 
     r: Callable[[Array, Array], Array]
     r_solve: Callable[[Array, Array, Array], Array]
-    r2_contract_left: Callable[[Array, Array, Array], Array]
-    r2_contract_right: Callable[[Array, Array, Array], Array]
+    r2_contract: Callable[[Array, Array, Array, Array], tuple[Array, Array]]
     q: Callable[[Array, Array], Array]
     q_jac: Callable[[Array, Array], Array]
     q_hess_contract: Callable[[Array, Array, Array], Array]
@@ -243,15 +236,16 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
     xa = np.array(anchor_x, dtype=float)
     ya = np.array(anchor_y, dtype=float)
     shift = xa if sep.offset else np.zeros_like(xa)
+
+    def derivatives(z, y, w):
+        r, q_jac = sep.r(xa, y), sep.q_jac(z, ya)
+        left, right = sep.r2_contract(xa, y, w, sep.q(z, ya))
+        return r @ q_jac, right, sep.q_hess_contract(z, ya, r.T @ w), q_jac.T @ left
+
     return Reparameterization(
         forward=lambda z, y: sep.r(xa, y) @ sep.q(z, ya) + shift,
         inverse=lambda x, y: sep.q_inverse(sep.r_solve(xa, y, x - shift), ya),
-        jac_z=lambda z, y: sep.r(xa, y) @ sep.q_jac(z, ya),
-        jac_y=lambda z, y: sep.r2_contract_right(xa, y, sep.q(z, ya)),
-        hess_zz_contract=lambda z, y, w: sep.q_hess_contract(
-            z, ya, sep.r(xa, y).T @ w),
-        hess_zy_contract=lambda z, y, w: sep.q_jac(z, ya).T
-        @ sep.r2_contract_left(xa, y, w),
+        derivatives=derivatives,
     )
 
 
@@ -266,18 +260,17 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
     def diagonal(x, y):
         return _jac_x_diagonal(problem, x, y, "R").diagonal
 
-    def r2_contract(x, y, w):
+    def r2_contract(x, y, w, q):
         # R_2 is diagonal per y-coordinate: (R_2)_{kk,e} = -dF1_kk/dy_e / d_k^2,
         # so the left and right contractions share one formula.
         d = diagonal(x, y)
         dirs = np.stack([np.diag(g_e) for g_e in jac_x_y_dirs(problem, x, y)], axis=1)
-        return -dirs * (w / (d * d))[:, None]
+        return -dirs * (w / (d * d))[:, None], -dirs * (q / (d * d))[:, None]
 
     return SeparableReparam(
         r=lambda x, y: np.diag(1.0 / diagonal(x, y)),
         r_solve=lambda x, y, v: v * diagonal(x, y),
-        r2_contract_left=r2_contract,
-        r2_contract_right=r2_contract,
+        r2_contract=r2_contract,
         q=lambda z, ybar: z,
         q_jac=lambda z, ybar: np.eye(z.shape[0]),
         q_hess_contract=lambda z, ybar, w: np.zeros((z.shape[0], z.shape[0])),
@@ -302,19 +295,15 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         f1 = problem.jac_x(x, y)
         return linear_solve(f1, np.eye(problem.d_x), what="F_1")
 
-    # Each contraction factors F_1 once and solves every y-direction's
-    # column in one matrix right-hand side.
-    def r2_contract_left(x, y, w):
+    # Both contractions share one F_1 factorization and one pass over the
+    # y-directions, and solve every direction's column in one matrix
+    # right-hand side.
+    def r2_contract(x, y, w, q):
         f1 = factor(problem.jac_x(x, y), what="F_1")
-        t = f1.solve_T(w)
-        return -f1.solve_T(np.stack([g_e.T @ t for g_e in jac_x_y_dirs(problem, x, y)],
-                                    axis=1))
-
-    def r2_contract_right(x, y, q):
-        f1 = factor(problem.jac_x(x, y), what="F_1")
-        s = f1.solve(q)
-        return -f1.solve(np.stack([g_e @ s for g_e in jac_x_y_dirs(problem, x, y)],
-                                  axis=1))
+        dirs = jac_x_y_dirs(problem, x, y)
+        t, s = f1.solve_T(w), f1.solve(q)
+        return (-f1.solve_T(np.stack([g_e.T @ t for g_e in dirs], axis=1)),
+                -f1.solve(np.stack([g_e @ s for g_e in dirs], axis=1)))
 
     def q_inverse(v, ybar):
         start = problem.exact_root(ybar)
@@ -327,8 +316,7 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
     return SeparableReparam(
         r=r,
         r_solve=lambda x, y, v: problem.jac_x(x, y) @ v,
-        r2_contract_left=r2_contract_left,
-        r2_contract_right=r2_contract_right,
+        r2_contract=r2_contract,
         q=lambda z, ybar: -problem.residual(z, ybar),
         q_jac=lambda z, ybar: -problem.jac_x(z, ybar),
         q_hess_contract=lambda z, ybar, w: -problem.inner.djac_x_dir_x(z, ybar, w),

@@ -160,11 +160,11 @@ class BilevelProblem:
 
 
 def fd_step(at: Array, eps: float | None, rel: float) -> float:
-    """A caller's difference step, checked positive, or rel * (1 + |at|)."""
+    """A caller's difference step, checked positive and finite, or rel * (1 + |at|)."""
     if eps is None:
         return rel * (1.0 + float(np.linalg.norm(at)))
-    if eps <= 0:
-        raise UsageError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise UsageError("eps must be positive and finite")
     return eps
 
 
@@ -213,8 +213,8 @@ def validate_oracles(problem: BilevelProblem, x: Array, y: Array,
     Returns, per oracle, the max relative deviation from a finite difference
     of the parent quantity. Shape mismatches raise ContractViolation.
     """
-    if step <= 0:
-        raise ContractViolation("step must be positive")
+    if not 0 < step < np.inf:
+        raise ContractViolation("step must be positive and finite")
     x = as_vector(x, problem.d_x, "x")
     y = as_vector(y, problem.d_y, "y")
     inner, outer = problem.inner, problem.outer

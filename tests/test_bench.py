@@ -124,6 +124,12 @@ class TestFitSlope:
                 (3, 1e-4, 1e-13), (4, 1e-5, 1e-14)]
         assert hg.fit_loglog_slope(_trace(rows)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("floor", [-1.0, -np.inf, np.nan, np.inf])
+    def test_floor_must_be_finite_and_nonnegative(self, floor):
+        rows = [(k, e, e) for k, e in enumerate(10.0 ** -np.arange(1, 7))]
+        with pytest.raises(hg.UsageError, match="floor"):
+            hg.fit_loglog_slope(_trace(rows), floor=floor)
+
     def test_insufficient_rows(self):
         rows = [(0, 1e-1, 1e-1), (1, 1e-2, 1e-2)]
         with pytest.raises(InsufficientDataError):

@@ -58,6 +58,19 @@ def test_non_finite_numeric_flag_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["decay", "--problem", "scalar", "--steps", "1"],
+    ["efficiency", "--problem", "scalar", "--trials", "1"],
+    ["compare", "--problem", "linear1d", "--trials", "1"],
+    ["ode1d", "--problem", "linear1d", "--trials", "1"],
+], ids=["decay", "efficiency", "compare", "ode1d"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--seed=-1", "--out", str(out)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDecayCommand:
     def test_smoke_writes_csv(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -263,6 +276,18 @@ class TestSlopeCommand:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert run(["slope", "--in", str(tmp_path / "none.csv")]) == 2
+
+    @pytest.mark.parametrize("floor", ["-1", "-inf", "nan", "inf"])
+    def test_floor_must_be_finite_and_nonnegative(self, tmp_path, capsys, floor):
+        # newton is exact on linear1d, so a negative floor would admit its
+        # zero-error rows.
+        out = tmp_path / "t.csv"
+        assert run(["decay", "--problem", "linear1d", "--strategies", "newton",
+                    "--steps", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["slope", "--in", str(out), f"--floor={floor}"]) == 1
+        captured = capsys.readouterr()
+        assert "usage error:" in captured.err and captured.out == ""
 
     def test_unknown_strategy_filter_exits_one(self, tmp_path):
         out = tmp_path / "t.csv"

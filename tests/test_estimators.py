@@ -7,8 +7,9 @@ import pytest
 
 import hygrad as hg
 from hygrad.errors import DomainError, SingularMatrixError
+from hygrad.efficiency import JACOBIAN_FD_STEP
 from hygrad.estimators import resolve_strategy
-from hygrad.problems import CallableInnerOracle
+from hygrad.problems import CallableInnerOracle, fd_jacobian
 
 from conftest import seeded_y
 
@@ -283,6 +284,49 @@ class TestConstructors:
                 assert abs(got[0] - (-0.125)) <= 1e-8, (problem is tiny, strategy)
 
 
+def _relative_gap(got, want):
+    scale = max(np.max(np.abs(got)), np.max(np.abs(want)))
+    return np.max(np.abs(got - want)) / scale if scale > 0 else 0.0
+
+
+class TestDerivatives:
+    # Worst gap measured over these cases at the 1e-5 step: 2.6e-10 (opt's
+    # phi_2 on ridge); a wrong term or operand order is off by O(1).
+    TOL = 1e-8
+
+    def _check(self, phi, z, y):
+        w = np.random.default_rng(3).normal(size=z.shape[0])
+        got = phi.derivatives(z, y, w)
+        want = (fd_jacobian(lambda zz: phi.forward(zz, y), z, JACOBIAN_FD_STEP),
+                fd_jacobian(lambda yy: phi.forward(z, yy), y, JACOBIAN_FD_STEP),
+                fd_jacobian(lambda zz: phi.derivatives(zz, y, w)[0].T @ w, z,
+                            JACOBIAN_FD_STEP),
+                fd_jacobian(lambda yy: phi.derivatives(z, yy, w)[0].T @ w, y,
+                            JACOBIAN_FD_STEP))
+        for name, g, f in zip(("phi_1", "phi_2", "phi_11 w", "phi_21 w"), got, want):
+            assert g.shape == f.shape, name
+            assert _relative_gap(g, f) <= self.TOL, name
+        return got
+
+    def test_closed_form_maps_match_forward(self):
+        y = np.array([0.3, -0.2])
+        self._check(hg.identity_reparam(), np.array([0.4, -1.1, 2.0]), y)
+        self._check(hg.signed_exp_reparam(np.array([0.5, -2.0, 3.0])),
+                    np.array([0.3, -0.4, 0.8]), y)
+        self._check(hg.exp_family_reparam_1d(-1.5, 0.7), np.array([0.4]), y[:1])
+
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    def test_anchored_families_match_forward(self, fixture, request):
+        # Anchored just off the root, with z moved off the anchor's own z so
+        # that Q(z, ybar) = -F is nonzero and opt's phi_2 is not trivially 0.
+        problem = request.getfixturevalue(fixture)
+        x, y = _off_root_point(problem, 71)
+        for family in (hg.diag_scaling_reparam, hg.newton_separable_reparam):
+            phi = hg.anchored_reparam(family(problem), x, y)
+            z = phi.inverse(x, y) + np.linspace(-0.1, 0.1, problem.d_x)
+            assert np.any(self._check(phi, z, y)[1] != 0.0)
+
+
 # Each strategy key and the public building blocks it must reduce to.
 FORMULAS = {
     "vanilla": lambda p, x, y: hg.Strategy(p).estimate(x, y),
@@ -321,6 +365,44 @@ def lu_calls(monkeypatch):
         return original(a, *args, **kwargs)
     monkeypatch.setattr(linalg, "lu_factor", counting)
     return calls
+
+
+def _per_estimate_counts(problem, lu_calls, root_context):
+    """Per strategy, the (jac_x, djac_x_dir_y, LU check) counts of one
+    estimate at the seed-61 point just off the root, built from the problem
+    or from its root context at that y."""
+    x, y = _off_root_point(problem, 61)
+    calls = []
+
+    def counted(name):
+        oracle = getattr(problem.inner, name)
+
+        def call(*args):
+            calls.append(name)
+            return oracle(*args)
+        return call
+    inner = replace(problem.inner, jac_x=counted("jac_x"),
+                    djac_x_dir_y=counted("djac_x_dir_y"))
+    counting = replace(problem, inner=inner)
+    if root_context:
+        counting = hg.RootContext.solve(counting, y).problem
+    counts = {}
+    for key in hg.STRATEGIES:
+        estimator = hg.make_estimator(counting, key)
+        calls.clear()
+        before = len(lu_calls)
+        estimator(x, y)
+        counts[key] = (calls.count("jac_x"), calls.count("djac_x_dir_y"),
+                       len(lu_calls) - before)
+    return counts
+
+
+def _expected_counts(problem, opt_lu):
+    # diag-rep and opt differentiate F_1 along each y-direction once, for
+    # both R_2 contractions.
+    return {"vanilla": (1, 0, 1), "newton": (2, 0, 2), "diag": (2, 0, 1),
+            "exp": (1, 0, 1), "diag-rep": (4, problem.d_y, 1),
+            "opt": (5, problem.d_y, opt_lu)}
 
 
 class TestStrategyTable:
@@ -363,38 +445,27 @@ class TestStrategyTable:
         hg.make_estimator(ridge_quadratic, "opt")
         assert built == [ridge_quadratic]
 
-    @pytest.mark.parametrize("fixture,opt_max", [("ridge_quadratic", 7),
-                                                 ("logistic_quadratic", 9)])
-    def test_lu_factorizations_per_estimate(self, fixture, opt_max, request,
+    @pytest.mark.parametrize("fixture,opt_lu", [("ridge_quadratic", 5),
+                                                ("logistic_quadratic", 7)])
+    def test_lu_factorizations_per_estimate(self, fixture, opt_lu, request,
                                             lu_calls):
-        # Every solve against one matrix shares one factorization.
+        # Every solve against one matrix shares one factorization, and a
+        # change of variables evaluates its terms once per point. From a plain
+        # problem opt also solves the root that seeds q_inverse: one solve on
+        # ridge, three Newton steps on logistic.
         problem = request.getfixturevalue(fixture)
-        x, y = _off_root_point(problem, 61)
-        counts = {}
-        for key in hg.STRATEGIES:
-            estimator = hg.make_estimator(problem, key)
-            before = len(lu_calls)
-            estimator(x, y)
-            counts[key] = len(lu_calls) - before
-        opt = counts.pop("opt")
-        assert counts == {"vanilla": 1, "newton": 2, "diag": 1, "exp": 1,
-                          "diag-rep": 1}
-        # opt's count is its measured value: one F_1 factorization in each
-        # of its closures, plus the root solve that seeds q_inverse.
-        assert 1 <= opt <= opt_max
+        assert _per_estimate_counts(problem, lu_calls, root_context=False) \
+            == _expected_counts(problem, opt_lu)
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_opt_lu_factorizations_from_root_context(self, fixture, request,
                                                      lu_calls):
         # From a root context q_inverse is seeded at the stored root and its
         # Newton run stops at the first residual check, so opt factors only
-        # R = F_1^{-1} (twice), the two R_2 contractions, phi_1 and V.
+        # R = F_1^{-1}, F_1 for both R_2 contractions, phi_1 and V.
         problem = request.getfixturevalue(fixture)
-        x, y = _off_root_point(problem, 61)
-        estimator = hg.make_estimator(hg.RootContext.solve(problem, y).problem, "opt")
-        before = len(lu_calls)
-        estimator(x, y)
-        assert len(lu_calls) - before == 6
+        assert _per_estimate_counts(problem, lu_calls, root_context=True) \
+            == _expected_counts(problem, 4)
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_r2_contractions_match_per_direction_solves(self, fixture, request):
@@ -415,8 +486,8 @@ class TestStrategyTable:
         # One matrix right-hand side and one solve per direction round
         # differently in the last bits only.
         sep = hg.newton_separable_reparam(problem)
-        for got, want in ((sep.r2_contract_left(x, y, w), np.stack(left, axis=1)),
-                          (sep.r2_contract_right(x, y, q), np.stack(right, axis=1))):
+        for got, want in zip(sep.r2_contract(x, y, w, q),
+                             (np.stack(left, axis=1), np.stack(right, axis=1))):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_unknown_kind_rejected(self, scalar_fixture):

@@ -216,6 +216,14 @@ class TestSampleY:
         with pytest.raises(UsageError):
             hg.sample_y(2, 1.0, 1.0, seed=1)
 
+    def test_negative_seed(self):
+        # Every seeded draw, dataset generators included, goes through
+        # rng_from_seed, which names the seed instead of numpy's ValueError.
+        with pytest.raises(UsageError, match="seed"):
+            hg.rng_from_seed(-1)
+        with pytest.raises(UsageError, match="seed"):
+            hg.synthetic_regression_dataset(10, 3, seed=-1)
+
 
 class TestFixtures:
     def test_scalar_ridge_closed_forms(self, scalar_fixture):

@@ -5,7 +5,7 @@ import pytest
 
 import hygrad as hg
 from hygrad.errors import ContractViolation
-from hygrad.problems import CallableInnerOracle, CallableOuterOracle
+from hygrad.problems import CallableInnerOracle, CallableOuterOracle, fd_step
 
 from conftest import seeded_y
 
@@ -80,6 +80,21 @@ class TestValidateOracles:
         with pytest.raises(ContractViolation):
             hg.validate_oracles(scalar_fixture, np.array([0.3]),
                                 np.array([0.0]), step=0.0)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf])
+    def test_rejects_non_finite_step(self, scalar_fixture, step):
+        # A NaN or infinite step used to surface as non-finite residuals.
+        with pytest.raises(ContractViolation, match="step must be"):
+            hg.validate_oracles(scalar_fixture, np.array([0.3]),
+                                np.array([0.0]), step=step)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_fd_step_rejects_bad_eps(self, linear1d_fixture, eps):
+        with pytest.raises(hg.UsageError, match="eps"):
+            fd_step(np.zeros(1), eps, 1e-5)
+        estimator = hg.make_estimator(linear1d_fixture, "vanilla")
+        with pytest.raises(hg.UsageError, match="eps"):
+            hg.efficiency_constant(linear1d_fixture, estimator, np.zeros(1), eps=eps)
 
 
 class TestProblemInvariants:
