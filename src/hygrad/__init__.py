@@ -77,7 +77,6 @@ from .linalg import (
     Factorization,
     factor,
     linear_solve,
-    lu_factor,
     solve_transpose,
     spectral_norm,
     top_singular,

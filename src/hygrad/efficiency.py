@@ -432,7 +432,8 @@ def newton_reparam_deviations(problem: BilevelProblem, sep: SeparableReparam,
 
     Tensor-valued terms (the Q second derivative and the y-derivative of R)
     are compared through contractions against a fixed set of seeded unit
-    probe directions rather than true tensor norms.
+    probe directions rather than true tensor norms. ``dev_r2`` is the
+    larger of the left and right contractions' gaps, over all probes.
     """
     y = as_vector(y, problem.d_y, "y")
     xstar = exact_root(problem, y)
@@ -451,9 +452,10 @@ def newton_reparam_deviations(problem: BilevelProblem, sep: SeparableReparam,
     dev_r = spectral_norm(sep.r(xstar, y)
                           - linear_solve(f1, np.eye(problem.d_x), what="F_1"))
     dev_r2 = max(
-        spectral_norm(sep.r2_contract(xstar, y, w, w)[0]
-                      - ideal.r2_contract(xstar, y, w, w)[0])
-        for w in probes)
+        spectral_norm(got - want)
+        for w in probes
+        for got, want in zip(sep.r2_contract(xstar, y, w, w),
+                             ideal.r2_contract(xstar, y, w, w)))
     return ReparamDeviations(dev_q=dev_q, dev_q_jac=dev_q_jac,
                              dev_q_hess=dev_q_hess, dev_r=dev_r, dev_r2=dev_r2)
 

@@ -3,8 +3,12 @@
 Everything operates on float64 numpy arrays. Matrix inverses are never
 formed; all inverse applications go through a ``Factorization``, which
 checks a matrix for singularity once and then solves against it or its
-transpose with LAPACK ``gesv`` as often as needed. Norms and maximizing
-directions come from one LAPACK SVD.
+transpose with LAPACK ``gesv`` as often as needed. A matrix is singular
+when sigma_min <= SINGULAR_RTOL * sigma_max (1e-14), from one LAPACK SVD
+of singular values only, or from the diagonal of a diagonal matrix; both
+raise SingularMatrixError with one message naming the matrix, the ratio
+and the tolerance. Norms and maximizing directions come from one LAPACK
+SVD.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from .errors import ContractViolation, SingularMatrixError
 
 Array = np.ndarray
 
-# Pivot threshold relative to the largest entry of the input matrix.
-PIVOT_RTOL = 1e-14
+# A matrix is singular when sigma_min <= SINGULAR_RTOL * sigma_max.
+SINGULAR_RTOL = 1e-14
 
 
 def _check_finite(a: Array, name: str) -> Array:
@@ -36,39 +40,26 @@ def _check_square(a: Array, what: str) -> Array:
     return a
 
 
-def _pivot_threshold(a: Array) -> float:
-    return PIVOT_RTOL * (np.max(np.abs(a)) if a.size else 0.0)
+def _check_ratio(smallest: float, largest: float, what: str) -> None:
+    if smallest <= SINGULAR_RTOL * largest:
+        ratio = float(smallest / largest) if largest else 0.0
+        raise SingularMatrixError(
+            f"{what} is singular to working precision (sigma_min/sigma_max "
+            f"{ratio:.3e} <= {SINGULAR_RTOL:g})", what=what)
 
 
-def _singular(what: str, pivot: float, column: int) -> SingularMatrixError:
-    return SingularMatrixError(
-        f"{what} is singular to working precision (pivot {pivot:.3e} "
-        f"at column {column})", what=what)
+def check_nonsingular(a: Array, what: str = "matrix") -> None:
+    """Raise SingularMatrixError naming ``what`` when the square, finite A
+    has sigma_min <= SINGULAR_RTOL * sigma_max, from one LAPACK SVD."""
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as err:
+        raise SingularMatrixError(f"{what}: {err}", what=what) from err
+    _check_ratio(s[-1], s[0], what)
 
 
-def lu_factor(a: Array, what: str = "matrix") -> tuple[Array, Array]:
-    """LU factorization with partial pivoting: returns (lu, piv) with PA = LU.
-
-    ``lu`` packs unit-lower L below the diagonal and U on/above it; ``piv``
-    is the row permutation as an index vector. Raises SingularMatrixError
-    at a pivot within ``PIVOT_RTOL`` of the largest entry; ``factor`` runs
-    it for that check alone.
-    """
-    a = _check_square(a, what)
-    lu = a.copy()
-    n = lu.shape[0]
-    piv = np.arange(n)
-    threshold = _pivot_threshold(a)
-    for k in range(n):
-        p = k + int(np.abs(lu[k:, k]).argmax())
-        if abs(lu[p, k]) <= threshold:
-            raise _singular(what, lu[p, k], k)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
-    return lu, piv
+# The old name of the check, kept for perfbench's tracer until ROADMAP item 2.
+lu_factor = check_nonsingular
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,21 +97,23 @@ class Factorization:
 
 
 def factor(a: Array, what: str = "matrix") -> Factorization:
-    """Check A once for singularity: by ``lu_factor``, or by its diagonal
-    when A is diagonal.
+    """Check A once for singularity, then keep it for solves.
 
-    Both paths raise the same SingularMatrixError naming ``what``, also on
-    a tiny nonzero pivot that ``gesv`` alone would accept. ``lu_factor`` is
-    looked up when called, so a profiler that rebinds it sees every check.
+    A is singular when sigma_min <= SINGULAR_RTOL * sigma_max (1e-14): by
+    one SVD in ``check_nonsingular`` (also bound as ``lu_factor``), or,
+    when A is diagonal, by the same rule on its diagonal,
+    min|d| <= SINGULAR_RTOL * max|d|. Both raise the same
+    SingularMatrixError, naming ``what``, the ratio and the tolerance, also
+    on a matrix that ``gesv`` alone would solve.
     """
     a = _check_square(a, what)
     d = np.diagonal(a)
     if np.count_nonzero(a) != np.count_nonzero(d):
-        lu_factor(a, what=what)
+        check_nonsingular(a, what=what)
         return Factorization(what, matrix=a.copy())
-    small = np.flatnonzero(np.abs(d) <= _pivot_threshold(d))
-    if small.size:
-        raise _singular(what, d[small[0]], int(small[0]))
+    if d.size:
+        magnitudes = np.abs(d)
+        _check_ratio(magnitudes.min(), magnitudes.max(), what)
     return Factorization(what, diagonal=d.copy())
 
 

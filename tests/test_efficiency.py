@@ -1,5 +1,7 @@
 """Efficiency constants, closed-form Jacobians, and comparison bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,18 @@ class TestNewtonReparamDeviations:
             assert dev.dev_r == pytest.approx(eps * r_norm, rel=1e-9)
             assert max(dev.dev_q, dev.dev_q_jac, dev.dev_q_hess,
                        dev.dev_r2) <= 1e-12
+
+    def test_right_r2_contraction_alone_is_measured(self, ridge_quadratic):
+        sep = hg.newton_separable_reparam(ridge_quadratic)
+
+        def doubled_right(x, y, w, q):
+            left, right = sep.r2_contract(x, y, w, q)
+            return left, 2.0 * right
+        dev = hg.newton_reparam_deviations(
+            ridge_quadratic, replace(sep, r2_contract=doubled_right),
+            seeded_y(ridge_quadratic, 18))
+        assert dev.dev_r2 > 0.0
+        assert max(dev.dev_q, dev.dev_q_jac, dev.dev_q_hess, dev.dev_r) <= 1e-12
 
     def test_constant_scales_linearly(self, ridge_quadratic):
         sep = hg.newton_separable_reparam(ridge_quadratic)

@@ -263,8 +263,8 @@ class TestConstructors:
 
     def test_strategy_registry_complete(self, scalar_fixture):
         # Scaling F by 1e-15 moves neither the root nor the hypergradient,
-        # and every strategy checks its matrices by one relative pivot rule,
-        # so the scaled problem runs every strategy too.
+        # and every strategy checks its matrices by one relative singularity
+        # rule, so the scaled problem runs every strategy too.
         s = 1e-15
         inner = scalar_fixture.inner
         tiny = replace(scalar_fixture, inner=replace(
@@ -353,17 +353,17 @@ def _off_root_point(problem, seed):
 
 @pytest.fixture
 def lu_calls(monkeypatch):
-    """Every matrix lu_factor checks from here on. Counting through the module
-    attribute also checks that linalg looks lu_factor up when it factors, as
-    profilers that rebind it need."""
+    """Every matrix the dense singularity check sees from here on. Counting
+    through the module attribute also checks that linalg looks the check up
+    when it factors, as profilers that rebind it need."""
     import hygrad.linalg as linalg
     calls = []
-    original = linalg.lu_factor
+    original = linalg.check_nonsingular
 
     def counting(a, *args, **kwargs):
         calls.append(a)
         return original(a, *args, **kwargs)
-    monkeypatch.setattr(linalg, "lu_factor", counting)
+    monkeypatch.setattr(linalg, "check_nonsingular", counting)
     return calls
 
 

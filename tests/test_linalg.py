@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hygrad as hg
+from hygrad.cli import cli_main
 from hygrad.errors import ContractViolation, SingularMatrixError
 
 
@@ -83,26 +84,22 @@ class TestFactorization:
     def test_dense_matrix_takes_lu_path(self, monkeypatch):
         import hygrad.linalg as linalg
         checked = []
-        original = linalg.lu_factor
+        original = linalg.check_nonsingular
 
         def counting(a, *args, **kwargs):
             checked.append(a)
             return original(a, *args, **kwargs)
-        monkeypatch.setattr(linalg, "lu_factor", counting)
+        monkeypatch.setattr(linalg, "check_nonsingular", counting)
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
         fac = hg.factor(a)
         assert fac.diagonal is None and len(checked) == 1
-        lu, piv = original(a)
         b = np.array([1.0, -2.0])
-        # The reference solves through the pure-Python LU factors.
-        z = np.array([b[piv[0]], b[piv[1]] - lu[1, 0] * b[piv[0]]])
-        x1 = z[1] / lu[1, 1]
-        want = np.array([(z[0] - lu[0, 1] * x1) / lu[0, 0], x1])
+        want = np.array([5.0 / 6.0, -2.0 / 3.0])
         assert np.max(np.abs(fac.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_near_singular_dense_matrix_raises(self):
-        # The second pivot, 1e-15 after elimination, is nonzero but below
-        # PIVOT_RTOL; gesv alone would solve this matrix.
+        # sigma_min/sigma_max is 3.1e-16, below SINGULAR_RTOL; gesv alone
+        # would solve this matrix.
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         for call in (lambda: hg.factor(a, what="F_1"),
                      lambda: hg.linear_solve(a, np.ones(2), what="F_1"),
@@ -111,15 +108,17 @@ class TestFactorization:
                 call()
             assert err.value.what == "F_1"
 
-    @pytest.mark.parametrize("entry", [0.0, 0.5 * hg.linalg.PIVOT_RTOL * 3.0])
+    @pytest.mark.parametrize("entry", [0.0, 0.5 * hg.linalg.SINGULAR_RTOL * 3.0])
     def test_small_diagonal_entry_raises_like_lu(self, entry):
+        # The diagonal path raises exactly as the SVD check does on the
+        # same matrix.
         a = np.diag([2.0, -3.0, entry, 1.0])
-        with pytest.raises(SingularMatrixError) as lu_err:
-            hg.lu_factor(a, what="phi_1")
+        with pytest.raises(SingularMatrixError) as svd_err:
+            hg.linalg.check_nonsingular(a, what="phi_1")
         with pytest.raises(SingularMatrixError) as fast_err:
             hg.factor(a, what="phi_1")
-        assert fast_err.value.what == lu_err.value.what == "phi_1"
-        assert str(fast_err.value) == str(lu_err.value)
+        assert fast_err.value.what == svd_err.value.what == "phi_1"
+        assert str(fast_err.value) == str(svd_err.value)
 
     def test_matrix_rhs_matches_column_solves(self):
         rng = np.random.default_rng(8)
@@ -152,6 +151,94 @@ class TestFactorization:
                 hg.factor(a).solve(np.ones(3))
             with pytest.raises(ContractViolation):
                 hg.factor(a).solve_T(np.ones((3, 2)))
+
+
+def _with_singular_values(rng, s):
+    """U diag(s) V^T for seeded random orthogonal U and V."""
+    d = s.size
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return (u * s) @ v.T
+
+
+class TestSingularityRule:
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_prescribed_singular_values_on_both_sides_of_tolerance(self, d):
+        # sigma_min/sigma_max at least 10x below or above SINGULAR_RTOL, at
+        # scales from 1e-3 to 1e3, as a dense matrix and as a diagonal one.
+        rtol = hg.linalg.SINGULAR_RTOL
+        rng = np.random.default_rng(100 + d)
+        for trial in range(20):
+            singular = trial % 2 == 0
+            ratio = rtol * 10.0 ** (rng.uniform(-4.0, -1.0) if singular
+                                    else rng.uniform(1.0, 4.0))
+            top = 10.0 ** rng.uniform(-3.0, 3.0)
+            s = top * np.concatenate(
+                [[1.0, ratio], 10.0 ** rng.uniform(np.log10(ratio), 0.0, d - 2)])
+            dense = _with_singular_values(rng, np.sort(s)[::-1])
+            diag = np.diag(rng.permutation(s) * rng.choice([-1.0, 1.0], d))
+            if not singular:
+                hg.factor(dense, what="A")
+                hg.factor(diag, what="A")
+                hg.linalg.check_nonsingular(diag, what="A")
+                continue
+            messages = []
+            for call in (lambda: hg.factor(dense, what="A"),
+                         lambda: hg.factor(diag, what="A"),
+                         lambda: hg.linalg.check_nonsingular(diag, what="A")):
+                with pytest.raises(SingularMatrixError) as err:
+                    call()
+                assert err.value.what == "A"
+                messages.append(str(err.value))
+            # The diagonal path and the SVD give one message for one matrix.
+            assert messages[1] == messages[2]
+
+    def test_svd_failure_is_a_singular_matrix_error(self, monkeypatch, tmp_path,
+                                                    libsvm_dir, capsys):
+        svd = np.linalg.svd
+
+        def failing(a, *args, compute_uv=True, **kwargs):
+            if not compute_uv:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(SingularMatrixError) as err:
+            hg.factor(np.array([[2.0, 1.0], [1.0, 3.0]]), what="V")
+        assert err.value.what == "V"
+        assert isinstance(err.value, hg.NumericalFailure)
+        code = cli_main(["compare", "--problem", "ridge", "--outer", "affine",
+                         "--train", str(libsvm_dir / "reg_train.libsvm"),
+                         "--trials", "1", "--out", str(tmp_path / "c.csv")])
+        assert code == 3
+        assert "F_1: SVD did not converge" in capsys.readouterr().err
+
+    def test_profilers_see_every_dense_check_by_identity(self, monkeypatch):
+        # perfbench's tracer counts checks by rebinding the object bound to
+        # linalg.lu_factor wherever a hygrad module holds it.
+        import sys
+
+        import hygrad.linalg as linalg
+        assert linalg.lu_factor is linalg.check_nonsingular
+        original = linalg.lu_factor
+        seen = []
+
+        def counting(a, *args, **kwargs):
+            seen.append(a)
+            return original(a, *args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "hygrad"
+                                       or name.startswith("hygrad.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        dense = np.array([[2.0, 1.0], [0.0, 3.0]])
+        diagonal = np.diag([2.0, 3.0])
+        for a in (dense, diagonal):
+            before = len(seen)
+            hg.factor(a)
+            hg.linear_solve(a, np.ones(2))
+            hg.solve_transpose(a, np.ones(2))
+            assert len(seen) - before == (3 if a is dense else 0)
 
 
 class TestSpectralNorm:
