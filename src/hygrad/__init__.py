@@ -6,7 +6,6 @@ measure how estimation error decays with inner-problem error.
 """
 
 from .bench import (
-    AxesConfig,
     DecayTrace,
     RunConfig,
     SweepRecord,

@@ -21,6 +21,7 @@ import numpy as np
 from .efficiency import RootContext, efficiency_constant
 from .errors import (
     DataError,
+    DomainError,
     HygradError,
     InsufficientDataError,
     ParseError,
@@ -85,7 +86,6 @@ class RunConfig:
     seed: int = 0
     eps: Optional[float] = None
     step_size: Optional[float] = None
-    dims: Optional[int] = None
 
     def __post_init__(self):
         if self.problem not in PROBLEM_KINDS:
@@ -94,10 +94,12 @@ class RunConfig:
             raise UsageError(f"unknown outer variant {self.outer!r}")
         if not self.strategies:
             raise UsageError("at least one strategy is required")
-        for s in self.strategies:
+        for i, s in enumerate(self.strategies):
             if s not in STRATEGIES:
                 raise UsageError(
                     f"unknown strategy {s!r}; choose from {', '.join(STRATEGIES)}")
+            if s in self.strategies[:i]:
+                raise UsageError(f"strategy {s!r} is listed twice")
         if self.steps < 0:
             raise UsageError("steps must be nonnegative")
         if self.trials < 1:
@@ -108,12 +110,9 @@ class RunConfig:
             raise UsageError("eps must be positive and finite")
         if self.step_size is not None and not 0 < self.step_size < np.inf:
             raise UsageError("step size must be positive and finite")
-        if self.dims is not None and self.dims < 1:
-            raise UsageError("dims must be at least 1")
         if self.problem in BUILTIN_PROBLEMS:
             data = [flag for flag, value in (("--train", self.train_path),
-                                             ("--val", self.val_path),
-                                             ("--dims", self.dims))
+                                             ("--val", self.val_path))
                     if value is not None]
             if data:
                 raise UsageError(f"problem {self.problem!r} is built in and reads "
@@ -129,11 +128,11 @@ def build_problem(config: RunConfig) -> BilevelProblem:
     if config.train_path is None:
         raise UsageError(f"problem {config.problem!r} needs --train")
     try:
-        train = load_libsvm(config.train_path, dims=config.dims)
+        train = load_libsvm(config.train_path)
         if config.val_path is not None:
             # Widths can disagree on trailing empty columns, which LIBSVM
             # omits; pad the narrower set with zero columns so both line up.
-            val = load_libsvm(config.val_path, dims=config.dims)
+            val = load_libsvm(config.val_path)
             width = max(train.d_x, val.d_x)
             train, val = _pad_columns(train, width), _pad_columns(val, width)
         else:
@@ -204,11 +203,12 @@ def run_decay(config: RunConfig) -> list:
         rows = []
         filtered = []
         for k, x in enumerate(trajectory.iterates):
-            if strategy == "exp" and np.any(x == 0.0):
-                filtered.append(k)
-                continue
             try:
                 estimate = estimator(x, y)
+            except DomainError:
+                # Outside the change of variables' domain: skip the point.
+                filtered.append(k)
+                continue
             except HygradError as err:
                 meta[f"aborted_{strategy}"] = f"step {k}: {err}"
                 break
@@ -370,38 +370,26 @@ _PALETTE = ("#d02820", "#429cb9", "#50b44f", "#ff9c46", "#ff5fff", "#2a2bc0")
 SVG_WIDTH, SVG_HEIGHT = 720, 480
 
 
-@dataclass(frozen=True)
-class AxesConfig:
-    """Axis labels for the SVG renderer."""
-
-    x_label: str = "step"
-    y_label: str = "error"
-
-
-def _series_from(items: Sequence[Union[DecayTrace, SweepRecord]]) -> list:
-    series = []
+def _series_from(items: Sequence[Union[DecayTrace, SweepRecord]]) -> tuple:
+    """(series, x label, y label): c_y per trial for sweeps, else error per step."""
     if items and isinstance(items[0], SweepRecord):
         by_strategy: dict[str, list] = {}
         for rec in items:
             by_strategy.setdefault(rec.strategy, []).append((rec.trial, rec.c_y))
-        for name, pts in by_strategy.items():
-            series.append((name, pts))
-    else:
-        for trace in items:
-            series.append((trace.strategy,
-                           [(step, hyper) for step, _, hyper in trace.rows]))
-    return series
+        return list(by_strategy.items()), "trial", "efficiency constant"
+    series = [(trace.strategy, [(step, hyper) for step, _, hyper in trace.rows])
+              for trace in items]
+    return series, "step", "hypergradient error"
 
 
-def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]],
-               axes: AxesConfig = AxesConfig()) -> str:
+def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]]) -> str:
     """Standalone SVG line plot: linear x, log10 y, one polyline per strategy.
 
     The y axis ticks sit at integer powers of ten. Identical input yields
     byte-identical output; nonpositive values cannot be drawn on the log
     axis and are skipped.
     """
-    series = _series_from(items)
+    series, x_label, y_label = _series_from(items)
     margin_l, margin_r, margin_t, margin_b = 70, 160, 30, 50
     plot_w = SVG_WIDTH - margin_l - margin_r
     plot_h = SVG_HEIGHT - margin_t - margin_b
@@ -459,11 +447,11 @@ def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]],
                    f'font-size="11">{xv:g}</text>')
 
     out.append(f'<text x="{margin_l + plot_w / 2:.2f}" y="{SVG_HEIGHT - 10}" '
-               f'text-anchor="middle" font-size="12">{axes.x_label}</text>')
+               f'text-anchor="middle" font-size="12">{x_label}</text>')
     out.append(f'<text x="16" y="{margin_t + plot_h / 2:.2f}" '
                f'font-size="12" text-anchor="middle" '
                f'transform="rotate(-90 16 {margin_t + plot_h / 2:.2f})">'
-               f'{axes.y_label}</text>')
+               f'{y_label}</text>')
 
     # one polyline per strategy; legend entries use line elements
     for idx, (name, pts) in enumerate(series):

@@ -18,7 +18,6 @@ from dataclasses import fields
 
 from .bench import (
     PROBLEM_KINDS,
-    AxesConfig,
     RunConfig,
     build_problem,
     csv_text,
@@ -80,8 +79,6 @@ def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
     parser.add_argument("--y-high", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", dest="out_path", default=None)
-    parser.add_argument("--dims", type=int, default=None,
-                        help="feature-count override for LIBSVM files")
     for flag in optional:
         parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
 
@@ -103,18 +100,17 @@ def _write(path: str | None, text: str) -> None:
         raise DataError(f"cannot write {path}: {err}") from err
 
 
-def _write_outputs(args, csv_text: str, items, axes: AxesConfig) -> None:
+def _write_outputs(args, csv_text: str, items) -> None:
     _write(args.out_path, csv_text)
     if args.svg_path:
-        _write(args.svg_path, render_svg(items, axes))
+        _write(args.svg_path, render_svg(items))
     if args.out_path:
         print(f"wrote {args.out_path}")
 
 
 def _cmd_decay(args) -> int:
     traces = run_decay(_config_from(args))
-    _write_outputs(args, emit_csv(traces, kind="decay"), traces,
-                   AxesConfig(x_label="step", y_label="hypergradient error"))
+    _write_outputs(args, emit_csv(traces, kind="decay"), traces)
     return 0
 
 
@@ -123,8 +119,7 @@ def _cmd_efficiency(args) -> int:
     records = run_efficiency_sweep(config)
     meta = {"seed": str(config.seed), "problem": config.problem,
             "outer": config.outer}
-    _write_outputs(args, emit_csv(records, kind="efficiency", metadata=meta), records,
-                   AxesConfig(x_label="trial", y_label="efficiency constant"))
+    _write_outputs(args, emit_csv(records, kind="efficiency", metadata=meta), records)
     return 0
 
 

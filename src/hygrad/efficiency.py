@@ -25,11 +25,12 @@ from .estimators import (
     SeparableReparam,
     StrategyKind,
     jac_x_y_dirs,
+    make_estimator,
     newton_separable_reparam,
     resolve_strategy,
     solution_sensitivity,
 )
-from .linalg import factor, linear_solve, spectral_norm, top_singular
+from .linalg import factor, spectral_norm, top_singular
 from .problems import BilevelProblem, InnerOracle, as_vector, fd_jacobian, fd_step
 from .seeding import rng_from_seed
 from .solvers import exact_root
@@ -72,11 +73,8 @@ class ComparisonBounds:
     v_phi: Array
 
 
-def estimator_for_kind(problem: BilevelProblem, kind: StrategyKind,
-                       name: str = "reparam") -> Estimator:
-    """Estimator of a strategy key (named after it) or of a caller's oracle."""
-    return Estimator(kind if isinstance(kind, str) else name,
-                     resolve_strategy(problem, kind).estimate)
+# The old name of make_estimator, kept for perfbench's tracer until ROADMAP item 2.
+estimator_for_kind = make_estimator
 
 
 # --------------------------------------------------------------------------
@@ -141,14 +139,19 @@ class RootContext:
                    y, xstar)
 
 
+def _root_fd_jacobian(problem: BilevelProblem, fn, y: Array, eps: float | None,
+                      label: str) -> Array:
+    """Central-difference Jacobian of x -> fn(x, y) at the inner root."""
+    y = as_vector(y, problem.d_y, "y")
+    xstar = exact_root(problem, y)
+    return fd_jacobian(lambda x: fn(x, y), xstar,
+                       fd_step(xstar, eps, JACOBIAN_FD_STEP), label)
+
+
 def estimator_jacobian_fd(problem: BilevelProblem, estimator: Estimator,
                           y: Array, eps: float | None = None) -> Array:
     """Central-difference Jacobian in x of an estimator, at the inner root."""
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
-    eps = fd_step(xstar, eps, JACOBIAN_FD_STEP)
-    return fd_jacobian(lambda x: estimator(x, y), xstar, eps,
-                       f"estimator {estimator.name!r}")
+    return _root_fd_jacobian(problem, estimator, y, eps, f"estimator {estimator.name!r}")
 
 
 def efficiency_constant(problem: BilevelProblem, estimator: Estimator,
@@ -164,9 +167,9 @@ def efficiency_constant(problem: BilevelProblem, estimator: Estimator,
 def ift_jacobian_analytic(problem: BilevelProblem, y: Array) -> Array:
     """Jacobian in x of the plain estimate at the root, from the oracles.
 
-    Assembled as g_21 + (sensitivity-term Jacobian) + S g_11 where the
-    middle term contracts the second derivatives of F directionally:
-    row e is -(dF_1/dy_e)' s with s = F_1^{-1} g_1, plus
+    Assembled as J = D + T: D the outer curvature g_21 + S g_11, and T the
+    sensitivity-term Jacobian, which contracts the second derivatives of F
+    directionally: row e is -(dF_1/dy_e)' s with s = F_1^{-1} g_1, plus
     F_2' F_1^{-1} (dF_1/dx along s).
     """
     y = as_vector(y, problem.d_y, "y")
@@ -179,9 +182,7 @@ def ift_jacobian_analytic(problem: BilevelProblem, y: Array) -> Array:
                       axis=0)
     m_s = problem.inner.djac_x_dir_x(xstar, y, s)
     term_x = f2.T @ f1.solve(m_s)
-    sens = solution_sensitivity(problem, xstar, y)
-    return problem.outer.jac_gradY_x(xstar, y) + term_y + term_x \
-        + sens @ problem.outer.hess_xx(xstar, y)
+    return outer_curvature(problem, y) + term_y + term_x
 
 
 def precond_error_factor_at_root(problem: BilevelProblem,
@@ -217,11 +218,8 @@ def sensitivity_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
     """FD Jacobian at the root of x -> S(x, y), S the sensitivity matrix of
     the requested kind: entry [e, k, j] of the (d_y, d_x, d_x) array is
     dS_ek/dx_j."""
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
-    sens = resolve_strategy(problem, kind).sensitivity
-    eps = fd_step(xstar, eps, JACOBIAN_FD_STEP)
-    return fd_jacobian(lambda x: sens(x, y), xstar, eps, "sensitivity matrix")
+    return _root_fd_jacobian(problem, resolve_strategy(problem, kind).sensitivity,
+                             y, eps, "sensitivity matrix")
 
 
 def _term_jacobian(ctx: RootContext, d_s: Array) -> Array:
@@ -286,8 +284,8 @@ class ComparisonTerms:
 
     @cached_property
     def t_p(self) -> Array:
-        return _read_only(sensitivity_term_jacobian_fd(
-            self.ctx.problem, self.precond, self.ctx.y, eps=self.eps))
+        return _read_only(_term_jacobian(self.ctx, sensitivity_jacobian_fd(
+            self.ctx.problem, self.precond, self.ctx.y, eps=self.eps)))
 
     @cached_property
     def d_s_phi(self) -> Array:
@@ -439,18 +437,16 @@ def newton_reparam_deviations(problem: BilevelProblem, sep: SeparableReparam,
     xstar = exact_root(problem, y)
     shift = xstar if sep.offset else np.zeros_like(xstar)
     zstar = sep.q_inverse(sep.r_solve(xstar, y, xstar - shift), y)
-    f1 = problem.jac_x(xstar, y)
-
-    dev_q = float(np.linalg.norm(sep.q(zstar, y) + problem.residual(xstar, y)))
-    dev_q_jac = spectral_norm(sep.q_jac(zstar, y) + f1)
+    # The Newton-like family's own z at the root is x* itself.
     ideal = newton_separable_reparam(problem)
+    dev_q = float(np.linalg.norm(sep.q(zstar, y) - ideal.q(xstar, y)))
+    dev_q_jac = spectral_norm(sep.q_jac(zstar, y) - ideal.q_jac(xstar, y))
     probes = _probe_directions(problem.d_x)
     dev_q_hess = max(
         spectral_norm(sep.q_hess_contract(zstar, y, w)
-                      + problem.inner.djac_x_dir_x(xstar, y, w))
+                      - ideal.q_hess_contract(xstar, y, w))
         for w in probes)
-    dev_r = spectral_norm(sep.r(xstar, y)
-                          - linear_solve(f1, np.eye(problem.d_x), what="F_1"))
+    dev_r = spectral_norm(sep.r(xstar, y) - ideal.r(xstar, y))
     dev_r2 = max(
         spectral_norm(got - want)
         for w in probes

@@ -429,7 +429,9 @@ class Estimator:
         return self.fn(x, y)
 
 
-def make_estimator(problem: BilevelProblem, strategy: str) -> Estimator:
-    """Build the estimator for one of the shipped strategy keys."""
-    return Estimator(strategy, resolve_strategy(problem, strategy).estimate)
+def make_estimator(problem: BilevelProblem, kind: StrategyKind,
+                   name: str = "reparam") -> Estimator:
+    """Estimator of a strategy key (named after it) or of a caller's oracle."""
+    return Estimator(kind if isinstance(kind, str) else name,
+                     resolve_strategy(problem, kind).estimate)
 

@@ -28,14 +28,6 @@ from .solvers import newton_root
 
 Array = np.ndarray
 
-__all__ = [
-    "PRNG_NAME", "Dataset", "OuterVariant", "parse_libsvm", "serialize_libsvm",
-    "load_libsvm", "make_ridge", "make_logistic", "scalar_ridge", "linear_1d",
-    "sample_y", "stable_sigmoid", "softplus", "logistic_inner_value",
-    "rng_from_seed", "synthetic_regression_dataset", "OUTER_VARIANTS",
-    "synthetic_validation_dataset", "synthetic_classification_dataset",
-]
-
 
 # --------------------------------------------------------------------------
 # numerically stable logistic pieces
@@ -101,8 +93,8 @@ def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
 
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
     increasing indices; ``#`` starts a comment. The feature count is the
-    largest index seen unless ``dims`` overrides it (needed when separate
-    train/validation files disagree on trailing empty columns).
+    largest index seen unless ``dims`` overrides it (needed to read back
+    data whose trailing columns are all zero, which LIBSVM omits).
     """
     if isinstance(text, bytes):
         try:
@@ -168,9 +160,9 @@ def serialize_libsvm(dataset: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_libsvm(path: str, dims: int | None = None) -> Dataset:
+def load_libsvm(path: str) -> Dataset:
     with open(path, "rb") as fh:
-        return parse_libsvm(fh.read(), dims=dims)
+        return parse_libsvm(fh.read())
 
 
 # --------------------------------------------------------------------------

@@ -173,7 +173,8 @@ def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float,
     """Central-difference Jacobian of a map, one last-axis column per
     coordinate of ``at`` (a scalar map gives a vector).
 
-    With a label, a package error raised by the map is re-raised as a
+    A step too small to move a coordinate raises UsageError. With a
+    label, a package error raised by the map is re-raised as a
     NumericalFailure naming the map and the probe coordinate.
     """
     cols = []
@@ -181,6 +182,9 @@ def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float,
         hi, lo = at.copy(), at.copy()
         hi[j] += step
         lo[j] -= step
+        if hi[j] == at[j] or lo[j] == at[j]:
+            raise UsageError(f"difference step {step!r} does not move coordinate {j} "
+                             f"(value {float(at[j])!r})")
         try:
             f_hi = np.asarray(fn(hi), float)
             f_lo = np.asarray(fn(lo), float)

@@ -95,23 +95,19 @@ def newton_root(residual_fn, jac_fn, x0: Array) -> Array:
     raise NumericalFailure(f"Newton did not reach tolerance in {NEWTON_MAX_ITER} iterations")
 
 
-def _require_root(problem: BilevelProblem, y: Array) -> Array:
-    root = problem.exact_root(y)
+def exact_root(problem: BilevelProblem, y: Array) -> Array:
+    """The inner root x*(y); CapabilityError when the problem cannot solve it."""
+    root = problem.exact_root(as_vector(y, problem.d_y, "y"))
     if root is None:
         raise CapabilityError(f"problem {problem.name!r} has no exact_root")
     return root
-
-
-def exact_root(problem: BilevelProblem, y: Array) -> Array:
-    """The inner root x*(y); CapabilityError when the problem cannot solve it."""
-    return _require_root(problem, as_vector(y, problem.d_y, "y"))
 
 
 def fd_hypergradient(problem: BilevelProblem, y: Array,
                      eps: float | None = None) -> Array:
     """Ground-truth hypergradient by central differences of y -> g(x*(y), y)."""
     y = as_vector(y, problem.d_y, "y")
-    return fd_jacobian(lambda yy: problem.outer.value(_require_root(problem, yy), yy),
+    return fd_jacobian(lambda yy: problem.outer.value(exact_root(problem, yy), yy),
                        y, fd_step(y, eps, 1e-6))
 
 
@@ -119,4 +115,4 @@ def fd_jac_xstar(problem: BilevelProblem, y: Array,
                  eps: float | None = None) -> Array:
     """Jacobian of the solution map y -> x*(y) by central differences."""
     y = as_vector(y, problem.d_y, "y")
-    return fd_jacobian(lambda yy: _require_root(problem, yy), y, fd_step(y, eps, 1e-6))
+    return fd_jacobian(lambda yy: exact_root(problem, yy), y, fd_step(y, eps, 1e-6))

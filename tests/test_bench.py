@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hygrad as hg
-from hygrad.bench import AxesConfig, DecayTrace, SweepRecord
+from hygrad.bench import DecayTrace, SweepRecord
 from hygrad.errors import InsufficientDataError, UsageError
 
 
@@ -49,6 +49,24 @@ class TestRunDecay:
         assert exp_trace.metadata.get("filtered_steps_exp") == "0"
         assert [r[0] for r in exp_trace.rows] == [r[0] for r in vanilla.rows][1:]
 
+    def test_exp_filters_every_step_of_a_padded_zero_column(self, tmp_path, reg_train,
+                                                            reg_val):
+        # The train file omits an all-zero last column, which padding restores;
+        # descent from the origin keeps that coordinate at 0 at every step.
+        feats = np.array(reg_train.features)
+        feats[:, -1] = 0.0
+        train_path, val_path = tmp_path / "train.libsvm", tmp_path / "val.libsvm"
+        train_path.write_text(hg.serialize_libsvm(hg.Dataset(feats, reg_train.labels)))
+        val_path.write_text(hg.serialize_libsvm(reg_val))
+        config = hg.RunConfig(problem="ridge", train_path=str(train_path),
+                              val_path=str(val_path), strategies=("exp", "vanilla"),
+                              steps=4, seed=3)
+        exp_trace, vanilla = hg.run_decay(config)
+        assert exp_trace.rows == []
+        assert exp_trace.metadata["filtered_steps_exp"] == "0;1;2;3;4"
+        assert "aborted_exp" not in exp_trace.metadata
+        assert len(vanilla.rows) == 5
+
     def test_metadata_names_ground_truth_and_prng(self):
         config = hg.RunConfig(problem="scalar", strategies=("vanilla",),
                               steps=1, seed=0)
@@ -81,7 +99,10 @@ class TestBuildProblem:
                     val_path=str(val_path))
         padded = hg.build_problem(hg.RunConfig(**base))
         assert parsed == [None, None]
-        explicit = hg.build_problem(hg.RunConfig(**base, dims=cls_train.d_x))
+        explicit = hg.make_logistic(
+            hg.parse_libsvm(train_path.read_text()),
+            hg.parse_libsvm(val_path.read_text(), dims=cls_train.d_x),
+            hg.OuterVariant.quadratic())
 
         y = hg.sample_y(padded.d_y, 3.0, 6.0, 8)
         x = np.linspace(-0.5, 0.5, padded.d_x)
@@ -252,5 +273,11 @@ class TestRenderSvg:
     def test_sweep_records_plot(self):
         recs = [SweepRecord("vanilla", 0, 1, 1.0), SweepRecord("vanilla", 1, 2, 2.0),
                 SweepRecord("newton", 0, 1, 1e-9), SweepRecord("newton", 1, 2, 2e-9)]
-        svg = hg.render_svg(recs, AxesConfig(x_label="trial", y_label="constant"))
+        svg = hg.render_svg(recs)
         assert svg.count("<polyline") == 2
+
+    def test_axis_labels_follow_item_type(self):
+        decay = hg.render_svg([_trace([(0, 1.0, 0.5)])])
+        sweep = hg.render_svg([SweepRecord("vanilla", 0, 1, 1.0)])
+        assert ">step</text>" in decay and ">hypergradient error</text>" in decay
+        assert ">trial</text>" in sweep and ">efficiency constant</text>" in sweep

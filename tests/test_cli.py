@@ -71,6 +71,17 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["decay", "--problem", "scalar", "--steps", "1"],
+    ["efficiency", "--problem", "scalar", "--trials", "1"],
+], ids=["decay", "efficiency"])
+def test_duplicate_strategy_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--strategies", "vanilla,vanilla", "--out", str(out)]) == 1
+    assert "strategy 'vanilla' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDecayCommand:
     def test_smoke_writes_csv(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -141,20 +152,11 @@ class TestDecayCommand:
 
     def test_data_flags_on_builtin_problem_exit_one(self, tmp_path, capsys):
         for flag in (["--train", str(tmp_path / "absent.libsvm")],
-                     ["--val", str(tmp_path / "absent.libsvm")], ["--dims", "9"]):
+                     ["--val", str(tmp_path / "absent.libsvm")]):
             assert run(["decay", "--problem", "scalar", "--steps", "3",
                         "--out", str(tmp_path / "o.csv")] + flag) == 1
             assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
-
-    def test_dims_override_pads_features(self, tmp_path):
-        narrow = tmp_path / "narrow.libsvm"
-        narrow.write_text("1 1:1\n-1 2:1\n1 1:0.5 2:0.5\n")
-        out = tmp_path / "o.csv"
-        code = run(["decay", "--problem", "ridge", "--train", str(narrow),
-                    "--outer", "affine", "--dims", "4", "--steps", "3",
-                    "--out", str(out)])
-        assert code == 0
 
 
 class TestEfficiencyCommand:
@@ -172,6 +174,19 @@ class TestEfficiencyCommand:
     def test_flags_it_ignores_are_rejected(self):
         for flag in (["--steps", "5"], ["--step-size", "0.1"]):
             assert run(["efficiency", "--problem", "scalar"] + flag) == 1
+
+    def test_step_that_moves_no_coordinate_is_recorded(self, tmp_path):
+        # x* is near 0.5, where x* + 1e-17 rounds back to x*: every quotient
+        # would read exactly 0, a false super-efficiency.
+        out = tmp_path / "eff.csv"
+        assert run(["efficiency", "--problem", "scalar", "--eps", "1e-17",
+                    "--trials", "2", "--strategies", "vanilla,newton",
+                    "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        errors = [ln for ln in lines if ln.startswith("# error_")]
+        assert len(errors) == 4
+        assert all("step 1e-17 does not move coordinate 0" in ln for ln in errors)
+        assert [ln.rsplit(",", 1)[1] for ln in lines[-4:]] == ["nan"] * 4
 
     def test_deterministic_bytes(self, tmp_path):
         args = ["efficiency", "--problem", "scalar", "--strategies",
@@ -216,6 +231,15 @@ class TestCompareCommand:
             "--trials", "1", "--seed", "5", "--out", "cmp.csv"], ["cmp.csv"])
         assert one == two
 
+    def test_step_that_moves_no_coordinate_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--problem", "linear1d", "--eps", "1e-17",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "does not move coordinate 0" in captured.err
+        assert "inequalities hold" not in captured.out
+        assert not out.exists()
+
     def test_bad_reparam_exits_one(self):
         assert run(["compare", "--problem", "linear1d",
                     "--reparam", "nope"]) == 1
@@ -251,7 +275,7 @@ class TestOde1dCommand:
 
     def test_data_flags_on_builtin_problem_exit_one(self, tmp_path):
         for flag in (["--train", "/nonexistent.libsvm"],
-                     ["--val", "/nonexistent.libsvm"], ["--dims", "9"]):
+                     ["--val", "/nonexistent.libsvm"]):
             assert run(["ode1d", "--problem", "linear1d", "--trials", "1",
                         "--out", str(tmp_path / "o.csv")] + flag) == 1
         assert not (tmp_path / "o.csv").exists()

@@ -330,8 +330,8 @@ class TestNewtonReparamDeviations:
             sep = hg.newton_separable_reparam(problem)
             y = seeded_y(problem, 15, low=low, high=high)
             dev = hg.newton_reparam_deviations(problem, sep, y)
-            assert max(dev.dev_q, dev.dev_q_jac, dev.dev_q_hess, dev.dev_r,
-                       dev.dev_r2) <= 1e-10
+            assert (dev.dev_q, dev.dev_q_jac, dev.dev_q_hess, dev.dev_r,
+                    dev.dev_r2) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_scaled_r_perturbs_only_r(self, ridge_quadratic):
         sep = hg.newton_separable_reparam(ridge_quadratic)

@@ -102,6 +102,11 @@ class TestFDHypergradient:
         spread = max(values) - min(values)
         assert spread <= 1e-6 * (1 + abs(values[0]))
 
+    def test_step_that_moves_no_coordinate_is_usage_error(self, scalar_fixture):
+        # 0.5 + 1e-18 == 0.5, so the quotient would be exactly 0.
+        with pytest.raises(UsageError, match=r"1e-18 .* coordinate 0 \(value 0\.5\)"):
+            hg.fd_hypergradient(scalar_fixture, [0.5], eps=1e-18)
+
     def test_requires_exact_root(self):
         adapter = hg.FDInnerOracle(residual_fn=lambda x, y: x - y, d_x=1, d_y=1)
         problem = hg.BilevelProblem(inner=adapter,
