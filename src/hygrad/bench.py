@@ -150,8 +150,9 @@ def build_problem(config: RunConfig) -> BilevelProblem:
 def _pad_columns(data: Dataset, width: int) -> Dataset:
     if data.d_x == width:
         return data
-    zeros = np.zeros((data.n, width - data.d_x))
-    return Dataset(np.hstack([data.features, zeros]), data.labels)
+    padded = np.hstack([data.features, np.zeros((data.n, width - data.d_x))])
+    padded.setflags(write=False)  # owned by no caller: the Dataset keeps it uncopied
+    return Dataset(padded, data.labels)
 
 
 def seeded_trials(config: RunConfig, d_y: int):
@@ -243,7 +244,7 @@ def run_efficiency_sweep(config: RunConfig) -> list:
         for strategy in config.strategies:
             estimator = make_estimator(ctx.problem, strategy)
             try:
-                c_y = efficiency_constant(ctx.problem, estimator, y, eps=config.eps).c_y
+                c_y = efficiency_constant(ctx, estimator, eps=config.eps).c_y
             except HygradError as err:
                 records.append(failed(strategy, err))
                 continue

@@ -172,12 +172,14 @@ def _cmd_ode1d(args) -> int:
     rows = []
     grid = [0.5, 1.0, 2.0]
     for trial, trial_seed, y in seeded_trials(config, problem.d_y):
+        # One root per trial, shared by every candidate map.
+        ctx = RootContext.solve(problem, y)
         candidates = [("identity", identity_reparam())]
         candidates += [(f"exp(a={a:g},b={b:g})", exp_family_reparam_1d(a, b))
                        for a in grid for b in grid]
         for name, phi in candidates:
             rows.append((name, trial, trial_seed, y[0],
-                         super_efficiency_residual_1d(problem, phi, y)))
+                         super_efficiency_residual_1d(ctx, phi)))
     _write(args.out_path, csv_text(meta, "candidate,trial,seed,y,residual", rows))
     if args.out_path:
         print(f"wrote {args.out_path}")

@@ -7,7 +7,9 @@ a zero constant has quadratically decaying error ("super-efficient").
 
 Everything here is evaluated at the root, where the simplifications behind
 the closed-form Jacobian expressions are valid; nothing is extrapolated to
-other points.
+other points. Every at-root analysis takes one ``RootContext``, whose root
+was solved once, and reads its ``xstar``; estimators and separable families
+built from ``ctx.problem`` reuse that root too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .estimators import (
     solution_sensitivity,
 )
 from .linalg import factor, spectral_norm, top_singular
-from .problems import BilevelProblem, InnerOracle, as_vector, fd_jacobian, fd_step
+from .problems import (BilevelProblem, InnerOracle, _read_only, as_vector,
+                       fd_jacobian, fd_step)
 from .seeding import rng_from_seed
 from .solvers import exact_root
 
@@ -80,13 +83,6 @@ estimator_for_kind = make_estimator
 # --------------------------------------------------------------------------
 # root context
 
-def _read_only(a: Array) -> Array:
-    """A read-only float copy of a, so callers cannot change a stored value."""
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 def _same_bits(a: Array, b: Array) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -118,12 +114,12 @@ class _RootedInner:
 class RootContext:
     """One (problem, y) whose inner root x*(y) was solved once.
 
-    ``problem`` is the caller's problem, except that its exact_root hands
-    out a copy of the stored x* for exactly this y (bit for bit) and solves
-    any other y as before. Estimators, separable families and analyses
-    built from it therefore reuse the root instead of solving it again;
-    a family built from the caller's problem would not. ``y`` and
-    ``xstar`` are read-only.
+    Every at-root analysis takes one and reads ``xstar``. ``problem`` is
+    the caller's problem, except that its exact_root hands out a copy of
+    the stored x* for exactly this y (bit for bit) and solves any other y
+    as before. Estimators and separable families built from it therefore
+    reuse the root instead of solving it again; a family built from the
+    caller's problem would not. ``y`` and ``xstar`` are read-only.
     """
 
     problem: BilevelProblem
@@ -139,32 +135,29 @@ class RootContext:
                    y, xstar)
 
 
-def _root_fd_jacobian(problem: BilevelProblem, fn, y: Array, eps: float | None,
-                      label: str) -> Array:
+def _root_fd_jacobian(ctx: RootContext, fn, eps: float | None, label: str) -> Array:
     """Central-difference Jacobian of x -> fn(x, y) at the inner root."""
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
-    return fd_jacobian(lambda x: fn(x, y), xstar,
-                       fd_step(xstar, eps, JACOBIAN_FD_STEP), label)
+    return fd_jacobian(lambda x: fn(x, ctx.y), ctx.xstar,
+                       fd_step(ctx.xstar, eps, JACOBIAN_FD_STEP), label)
 
 
-def estimator_jacobian_fd(problem: BilevelProblem, estimator: Estimator,
-                          y: Array, eps: float | None = None) -> Array:
+def estimator_jacobian_fd(ctx: RootContext, estimator: Estimator,
+                          eps: float | None = None) -> Array:
     """Central-difference Jacobian in x of an estimator, at the inner root."""
-    return _root_fd_jacobian(problem, estimator, y, eps, f"estimator {estimator.name!r}")
+    return _root_fd_jacobian(ctx, estimator, eps, f"estimator {estimator.name!r}")
 
 
-def efficiency_constant(problem: BilevelProblem, estimator: Estimator,
-                        y: Array, eps: float | None = None) -> EfficiencyReport:
+def efficiency_constant(ctx: RootContext, estimator: Estimator,
+                        eps: float | None = None) -> EfficiencyReport:
     """Efficiency constant via the finite-difference estimator Jacobian."""
-    jac = estimator_jacobian_fd(problem, estimator, y, eps=eps)
+    jac = estimator_jacobian_fd(ctx, estimator, eps=eps)
     return EfficiencyReport(c_y=spectral_norm(jac), jacobian=jac)
 
 
 # --------------------------------------------------------------------------
 # closed-form Jacobians at the root
 
-def ift_jacobian_analytic(problem: BilevelProblem, y: Array) -> Array:
+def ift_jacobian_analytic(ctx: RootContext) -> Array:
     """Jacobian in x of the plain estimate at the root, from the oracles.
 
     Assembled as J = D + T: D the outer curvature g_21 + S g_11, and T the
@@ -172,8 +165,7 @@ def ift_jacobian_analytic(problem: BilevelProblem, y: Array) -> Array:
     directionally: row e is -(dF_1/dy_e)' s with s = F_1^{-1} g_1, plus
     F_2' F_1^{-1} (dF_1/dx along s).
     """
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
+    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     f1 = factor(problem.jac_x(xstar, y), what="F_1")
     f2 = problem.jac_y(xstar, y)
     g1 = problem.outer.grad_x(xstar, y)
@@ -182,44 +174,40 @@ def ift_jacobian_analytic(problem: BilevelProblem, y: Array) -> Array:
                       axis=0)
     m_s = problem.inner.djac_x_dir_x(xstar, y, s)
     term_x = f2.T @ f1.solve(m_s)
-    return outer_curvature(problem, y) + term_y + term_x
+    return outer_curvature(ctx) + term_y + term_x
 
 
-def precond_error_factor_at_root(problem: BilevelProblem,
-                                 precond: PreconditionerOracle, y: Array) -> Array:
+def precond_error_factor_at_root(ctx: RootContext,
+                                 precond: PreconditionerOracle) -> Array:
     """The matrix I - P^{-1} F_1 at the root (the residual term vanishes there)."""
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
-    f1 = problem.jac_x(xstar, y)
-    return np.eye(problem.d_x) - precond.solve(xstar, y, f1)
+    f1 = ctx.problem.jac_x(ctx.xstar, ctx.y)
+    return np.eye(ctx.problem.d_x) - precond.solve(ctx.xstar, ctx.y, f1)
 
 
-def precond_jacobian_at_root(problem: BilevelProblem,
-                             precond: PreconditionerOracle, y: Array) -> Array:
+def precond_jacobian_at_root(ctx: RootContext,
+                             precond: PreconditionerOracle) -> Array:
     """Jacobian of the preconditioned estimate at the root: Omega_1 (I - P^{-1}F_1)."""
-    return ift_jacobian_analytic(problem, y) @ precond_error_factor_at_root(
-        problem, precond, y)
+    return ift_jacobian_analytic(ctx) @ precond_error_factor_at_root(ctx, precond)
 
 
-def outer_curvature(problem: BilevelProblem, y: Array) -> Array:
+def outer_curvature(ctx: RootContext) -> Array:
     """The term g_21 + [dx*/dy]' g_11 at the root.
 
     With an affine outer objective this vanishes, which is exactly when
     inner-only super-efficiency transfers to the hypergradient.
     """
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
+    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     return problem.outer.jac_gradY_x(xstar, y) \
         + solution_sensitivity(problem, xstar, y) @ problem.outer.hess_xx(xstar, y)
 
 
-def sensitivity_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
-                            y: Array, eps: float | None = None) -> Array:
+def sensitivity_jacobian_fd(ctx: RootContext, kind: StrategyKind,
+                            eps: float | None = None) -> Array:
     """FD Jacobian at the root of x -> S(x, y), S the sensitivity matrix of
     the requested kind: entry [e, k, j] of the (d_y, d_x, d_x) array is
     dS_ek/dx_j."""
-    return _root_fd_jacobian(problem, resolve_strategy(problem, kind).sensitivity,
-                             y, eps, "sensitivity matrix")
+    return _root_fd_jacobian(ctx, resolve_strategy(ctx.problem, kind).sensitivity,
+                             eps, "sensitivity matrix")
 
 
 def _term_jacobian(ctx: RootContext, d_s: Array) -> Array:
@@ -232,22 +220,21 @@ def _matrix_constant(d_s: Array) -> float:
     return spectral_norm(d_s.reshape(-1, d_s.shape[-1]))
 
 
-def sensitivity_term_jacobian_fd(problem: BilevelProblem, kind: StrategyKind,
-                                 y: Array, eps: float | None = None) -> Array:
+def sensitivity_term_jacobian_fd(ctx: RootContext, kind: StrategyKind,
+                                 eps: float | None = None) -> Array:
     """FD Jacobian at the root of x -> S(x, y) g_1(x*, y), outer factor frozen,
     so only the implicit factor varies across probes."""
-    ctx = RootContext.solve(problem, y)
-    return _term_jacobian(ctx, sensitivity_jacobian_fd(ctx.problem, kind, ctx.y, eps))
+    return _term_jacobian(ctx, sensitivity_jacobian_fd(ctx, kind, eps))
 
 
-def sensitivity_efficiency_constant(problem: BilevelProblem, kind: StrategyKind,
-                                    y: Array, eps: float | None = None) -> float:
+def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind,
+                                    eps: float | None = None) -> float:
     """Efficiency constant of the sensitivity matrix itself.
 
     Operator norm of the FD Jacobian of x -> vec(S(x, y)), a
     (d_y d_x) x d_x matrix.
     """
-    return _matrix_constant(sensitivity_jacobian_fd(problem, kind, y, eps))
+    return _matrix_constant(sensitivity_jacobian_fd(ctx, kind, eps))
 
 
 # --------------------------------------------------------------------------
@@ -275,22 +262,21 @@ class ComparisonTerms:
 
     @cached_property
     def d(self) -> Array:
-        return _read_only(outer_curvature(self.ctx.problem, self.ctx.y))
+        return _read_only(outer_curvature(self.ctx))
 
     @cached_property
     def e_p(self) -> Array:
-        return _read_only(precond_error_factor_at_root(
-            self.ctx.problem, self.precond, self.ctx.y))
+        return _read_only(precond_error_factor_at_root(self.ctx, self.precond))
 
     @cached_property
     def t_p(self) -> Array:
-        return _read_only(_term_jacobian(self.ctx, sensitivity_jacobian_fd(
-            self.ctx.problem, self.precond, self.ctx.y, eps=self.eps)))
+        return _read_only(sensitivity_term_jacobian_fd(self.ctx, self.precond,
+                                                       eps=self.eps))
 
     @cached_property
     def d_s_phi(self) -> Array:
-        return _read_only(sensitivity_jacobian_fd(
-            self.ctx.problem, self.reparam, self.ctx.y, eps=self.eps))
+        return _read_only(sensitivity_jacobian_fd(self.ctx, self.reparam,
+                                                  eps=self.eps))
 
     @cached_property
     def t_phi(self) -> Array:
@@ -298,17 +284,13 @@ class ComparisonTerms:
 
     @cached_property
     def jac_p(self) -> Array:
-        return self._estimator_jacobian(
-            estimator_for_kind(self.ctx.problem, self.precond, name="precond"))
+        return _read_only(estimator_jacobian_fd(self.ctx, estimator_for_kind(
+            self.ctx.problem, self.precond, name="precond"), eps=self.eps))
 
     @cached_property
     def jac_phi(self) -> Array:
-        return self._estimator_jacobian(
-            estimator_for_kind(self.ctx.problem, self.reparam))
-
-    def _estimator_jacobian(self, estimator: Estimator) -> Array:
-        return _read_only(estimator_jacobian_fd(self.ctx.problem, estimator,
-                                                self.ctx.y, eps=self.eps))
+        return _read_only(estimator_jacobian_fd(self.ctx, estimator_for_kind(
+            self.ctx.problem, self.reparam), eps=self.eps))
 
     @cached_property
     def top_p(self) -> tuple[float, Array]:
@@ -424,8 +406,8 @@ def _probe_directions(dim: int) -> list[Array]:
     return probes
 
 
-def newton_reparam_deviations(problem: BilevelProblem, sep: SeparableReparam,
-                              y: Array) -> ReparamDeviations:
+def newton_reparam_deviations(ctx: RootContext,
+                              sep: SeparableReparam) -> ReparamDeviations:
     """Measure how far a separable family is from the Newton-like one.
 
     Tensor-valued terms (the Q second derivative and the y-derivative of R)
@@ -433,8 +415,7 @@ def newton_reparam_deviations(problem: BilevelProblem, sep: SeparableReparam,
     probe directions rather than true tensor norms. ``dev_r2`` is the
     larger of the left and right contractions' gaps, over all probes.
     """
-    y = as_vector(y, problem.d_y, "y")
-    xstar = exact_root(problem, y)
+    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     shift = xstar if sep.offset else np.zeros_like(xstar)
     zstar = sep.q_inverse(sep.r_solve(xstar, y, xstar - shift), y)
     # The Newton-like family's own z at the root is x* itself.
@@ -459,8 +440,8 @@ def newton_reparam_deviations(problem: BilevelProblem, sep: SeparableReparam,
 # --------------------------------------------------------------------------
 # 1-D super-efficiency residual
 
-def super_efficiency_residual_1d(problem: BilevelProblem,
-                                 phi: Reparameterization, y: Array) -> float:
+def super_efficiency_residual_1d(ctx: RootContext,
+                                 phi: Reparameterization) -> float:
     """Residual of the scalar super-efficiency condition at the root.
 
     For one-dimensional problems whose residual and outer gradient are
@@ -470,10 +451,9 @@ def super_efficiency_residual_1d(problem: BilevelProblem,
         phi_12/phi_1 - phi_2 phi_11 / phi_1^2 - F_2 phi_11 / (F_1 phi_1^2)
             - (g_12/g_1 - F_12/F_1)
     """
+    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     if problem.d_x != 1 or problem.d_y != 1:
         raise UsageError("the scalar residual needs d_x = d_y = 1")
-    y = as_vector(y, 1, "y")
-    xstar = exact_root(problem, y)
     zstar = phi.inverse(xstar, y)
     one = np.ones(1)
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ContractViolation, DataError, ParseError, UsageError
 from .linalg import linear_solve
-from .problems import BilevelProblem, CallableInnerOracle, CallableOuterOracle
+from .problems import (BilevelProblem, CallableInnerOracle, CallableOuterOracle,
+                       _read_only)
 from .seeding import PRNG_NAME, rng_from_seed
 from .solvers import newton_root
 
@@ -65,8 +66,7 @@ class Dataset:
     labels: Array
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        labs = np.asarray(self.labels, dtype=float)
+        feats, labs = _read_only(self.features), _read_only(self.labels)
         if feats.ndim != 2 or labs.ndim != 1 or feats.shape[0] != labs.shape[0]:
             raise DataError(
                 f"features {feats.shape} and labels {labs.shape} are inconsistent")
@@ -74,8 +74,6 @@ class Dataset:
             raise DataError("dataset needs at least one row and one feature")
         if not (np.isfinite(feats).all() and np.isfinite(labs).all()):
             raise DataError("dataset contains non-finite values")
-        feats.setflags(write=False)
-        labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -94,8 +92,11 @@ def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
     increasing indices; ``#`` starts a comment. The feature count is the
     largest index seen unless ``dims`` overrides it (needed to read back
-    data whose trailing columns are all zero, which LIBSVM omits).
+    data whose trailing columns are all zero, which LIBSVM omits); a
+    ``dims`` below 1 is a UsageError.
     """
+    if dims is not None and dims < 1:
+        raise UsageError(f"dims must be at least 1, got {dims!r}")
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -145,7 +146,9 @@ def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             feats[i, idx - 1] = val
-    return Dataset(feats, np.asarray(labels))
+    # Read-only and owned by no caller, so the Dataset keeps it uncopied.
+    feats.setflags(write=False)
+    return Dataset(feats, labels)
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

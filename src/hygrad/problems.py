@@ -27,6 +27,17 @@ from .errors import ContractViolation, HygradError, NumericalFailure, UsageError
 Array = np.ndarray
 
 
+def _read_only(given) -> Array:
+    """given as a read-only float array that no write to the caller's arrays
+    can reach: copied unless it already is read-only and owns its data, or
+    np.asarray made it anew from a non-array."""
+    a = np.asarray(given, dtype=float)
+    if not a.flags.owndata or (a is given and a.flags.writeable):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 def as_vector(a, dim: int | None = None, name: str = "vector") -> Array:
     """Validate and return a finite float64 vector, optionally of length dim."""
     v = np.asarray(a, dtype=float)

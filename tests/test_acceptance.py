@@ -30,7 +30,8 @@ def _median_cy(problem, strategy, trials, seed, low, high):
     for trial in range(trials):
         y = hg.sample_y(problem.d_y, low, high, seed + trial)
         est = hg.make_estimator(problem, strategy)
-        values.append(hg.efficiency_constant(problem, est, y).c_y)
+        values.append(hg.efficiency_constant(hg.RootContext.solve(problem, y),
+                                             est).c_y)
     return float(np.median(values)), values
 
 
@@ -81,9 +82,9 @@ def test_criterion_3_affine_outer_super_efficiency(reg_train, reg_val):
         problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
         for trial in range(10):
             y = hg.sample_y(problem.d_y, -1.0, 1.0, 7 + trial)
-            c = {s: hg.efficiency_constant(
-                problem, hg.make_estimator(problem, s), y).c_y
-                for s in ("vanilla", "newton", "opt")}
+            ctx = hg.RootContext.solve(problem, y)
+            c = {s: hg.efficiency_constant(ctx, hg.make_estimator(problem, s)).c_y
+                 for s in ("vanilla", "newton", "opt")}
             assert c["newton"] <= 1e-6 * c["vanilla"], (trial, c)
             assert c["opt"] <= 1e-6 * c["vanilla"], (trial, c)
 
@@ -93,12 +94,11 @@ def test_criterion_4_quadratic_outer_newton_wins(ridge_quadratic):
                       "times below the Newton-like reparameterization"):
         for trial in range(10):
             y = hg.sample_y(ridge_quadratic.d_y, -1.0, 1.0, 70 + trial)
+            ctx = hg.RootContext.solve(ridge_quadratic, y)
             c_newton = hg.efficiency_constant(
-                ridge_quadratic, hg.make_estimator(ridge_quadratic, "newton"),
-                y).c_y
+                ctx, hg.make_estimator(ridge_quadratic, "newton")).c_y
             c_opt = hg.efficiency_constant(
-                ridge_quadratic, hg.make_estimator(ridge_quadratic, "opt"),
-                y).c_y
+                ctx, hg.make_estimator(ridge_quadratic, "opt")).c_y
             assert c_newton <= 1e-6 * c_opt, (trial, c_newton, c_opt)
 
 
@@ -123,9 +123,10 @@ def test_criterion_6_analytic_vs_fd_jacobians(scalar_fixture, linear1d_fixture,
         for problem in (scalar_fixture, linear1d_fixture, ridge_quadratic):
             for seed in range(20):
                 y = seeded_y(problem, 300 + seed)
-                analytic = hg.ift_jacobian_analytic(problem, y)
+                ctx = hg.RootContext.solve(problem, y)
+                analytic = hg.ift_jacobian_analytic(ctx)
                 fd = hg.estimator_jacobian_fd(
-                    problem, hg.make_estimator(problem, "vanilla"), y)
+                    ctx, hg.make_estimator(problem, "vanilla"))
                 scale = max(hg.spectral_norm(analytic), 1e-30)
                 assert hg.spectral_norm(analytic - fd) <= 1e-4 * scale, \
                     (problem.name, seed)
@@ -152,14 +153,13 @@ def test_criterion_7_theorem_checks(ridge_quadratic, linear1d_fixture):
             xstar = hg.exact_root(ridge_quadratic, y)
 
             # efficiency bound through the sensitivity constant
+            ctx = hg.RootContext.solve(ridge_quadratic, y)
             c_full = hg.efficiency_constant(
-                ridge_quadratic, hg.make_estimator(ridge_quadratic, "vanilla"),
-                y).c_y
-            d_norm = hg.spectral_norm(hg.outer_curvature(ridge_quadratic, y))
+                ctx, hg.make_estimator(ridge_quadratic, "vanilla")).c_y
+            d_norm = hg.spectral_norm(hg.outer_curvature(ctx))
             g1_norm = float(np.linalg.norm(
                 ridge_quadratic.outer.grad_x(xstar, y)))
-            c_sens = hg.sensitivity_efficiency_constant(
-                ridge_quadratic, "vanilla", y)
+            c_sens = hg.sensitivity_efficiency_constant(ctx, "vanilla")
             assert c_full <= d_norm + g1_norm * c_sens + 1e-6 * (1 + c_full), seed
 
             # both comparison inequalities, diagonal preconditioner vs the
@@ -190,16 +190,15 @@ def test_criterion_8_scalar_super_efficiency(linear1d_fixture):
             for beta in (0.5, 1.0, 2.0):
                 phi = hg.exp_family_reparam_1d(alpha, beta)
                 for y in y_values:
-                    r = hg.super_efficiency_residual_1d(linear1d_fixture, phi, y)
+                    ctx = hg.RootContext.solve(linear1d_fixture, y)
+                    r = hg.super_efficiency_residual_1d(ctx, phi)
                     assert abs(r) <= 1e-10, (alpha, beta, float(y[0]), r)
                     c = hg.efficiency_constant(
-                        linear1d_fixture,
-                        hg.estimator_for_kind(linear1d_fixture, phi, "exp"),
-                        y).c_y
+                        ctx, hg.estimator_for_kind(linear1d_fixture, phi, "exp")).c_y
                     assert c <= 1e-8, (alpha, beta, float(y[0]), c)
         for y in y_values:
-            r = hg.super_efficiency_residual_1d(linear1d_fixture,
-                                                hg.identity_reparam(), y)
+            r = hg.super_efficiency_residual_1d(
+                hg.RootContext.solve(linear1d_fixture, y), hg.identity_reparam())
             assert r == pytest.approx(1.0, abs=1e-8)
 
 
@@ -209,9 +208,9 @@ def test_criterion_9_deviation_scaling(ridge_quadratic):
         sep = hg.newton_separable_reparam(ridge_quadratic)
         y = hg.sample_y(ridge_quadratic.d_y, -1.0, 1.0, 900)
         eps_grid = (1e-1, 1e-2, 1e-3, 1e-4)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
         constants = [hg.sensitivity_efficiency_constant(
-            ridge_quadratic, hg.scale_separable_r(sep, 1.0 + e), y)
-            for e in eps_grid]
+            ctx, hg.scale_separable_r(sep, 1.0 + e)) for e in eps_grid]
         slope = float(np.polyfit(np.log(eps_grid), np.log(constants), 1)[0])
         assert slope >= 0.9, (slope, constants)
 

@@ -42,35 +42,36 @@ def _shift_affine_problem():
 class TestEstimatorJacobianFD:
     def test_vanilla_linear1d(self, linear1d_fixture):
         jac = hg.estimator_jacobian_fd(
-            linear1d_fixture, hg.make_estimator(linear1d_fixture, "vanilla"),
-            np.zeros(1))
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
+            hg.make_estimator(linear1d_fixture, "vanilla"))
         assert jac[0, 0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_newton_linear1d_super_efficient(self, linear1d_fixture):
         jac = hg.estimator_jacobian_fd(
-            linear1d_fixture, hg.make_estimator(linear1d_fixture, "newton"),
-            np.zeros(1))
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
+            hg.make_estimator(linear1d_fixture, "newton"))
         assert abs(jac[0, 0]) <= 1e-9
 
     def test_matches_analytic_on_scalar_ridge(self, scalar_fixture):
+        ctx = hg.RootContext.solve(scalar_fixture, np.zeros(1))
         jac = hg.estimator_jacobian_fd(
-            scalar_fixture, hg.make_estimator(scalar_fixture, "vanilla"),
-            np.zeros(1))
-        analytic = hg.ift_jacobian_analytic(scalar_fixture, np.zeros(1))
+            ctx, hg.make_estimator(scalar_fixture, "vanilla"))
+        analytic = hg.ift_jacobian_analytic(ctx)
         assert jac[0, 0] == pytest.approx(analytic[0, 0], rel=1e-5)
 
     def test_failure_names_probe(self, linear1d_fixture):
         bad = hg.Estimator("boom", lambda x, y: (_ for _ in ()).throw(
             hg.NumericalFailure("inner failure")))
         with pytest.raises(hg.NumericalFailure, match="probe"):
-            hg.estimator_jacobian_fd(linear1d_fixture, bad, np.zeros(1))
+            hg.estimator_jacobian_fd(
+                hg.RootContext.solve(linear1d_fixture, np.zeros(1)), bad)
 
 
 class TestEfficiencyConstant:
     def test_linear1d_vanilla_is_one(self, linear1d_fixture):
         report = hg.efficiency_constant(
-            linear1d_fixture, hg.make_estimator(linear1d_fixture, "vanilla"),
-            np.zeros(1))
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
+            hg.make_estimator(linear1d_fixture, "vanilla"))
         assert report.c_y == pytest.approx(1.0, abs=1e-9)
         assert report.c_y == pytest.approx(hg.spectral_norm(report.jacobian),
                                            abs=1e-12)
@@ -78,36 +79,40 @@ class TestEfficiencyConstant:
     def test_exp_family_super_efficient_on_linear1d(self, linear1d_fixture):
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
         est = hg.estimator_for_kind(linear1d_fixture, phi, "exp-family")
-        report = hg.efficiency_constant(linear1d_fixture, est, np.zeros(1))
+        report = hg.efficiency_constant(
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), est)
         assert report.c_y <= 1e-8
 
     def test_newton_family_affine_outer_tiny(self, reg_train, reg_val):
         problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
         y = seeded_y(problem, 14)
+        ctx = hg.RootContext.solve(problem, y)
         c_vanilla = hg.efficiency_constant(
-            problem, hg.make_estimator(problem, "vanilla"), y).c_y
-        c_opt = hg.efficiency_constant(
-            problem, hg.make_estimator(problem, "opt"), y).c_y
+            ctx, hg.make_estimator(problem, "vanilla")).c_y
+        c_opt = hg.efficiency_constant(ctx, hg.make_estimator(problem, "opt")).c_y
         assert c_opt <= 1e-6 * c_vanilla
 
 
 class TestAnalyticJacobian:
     def test_matches_fd_on_ridge(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 23)
-        analytic = hg.ift_jacobian_analytic(ridge_quadratic, y)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
+        analytic = hg.ift_jacobian_analytic(ctx)
         fd = hg.estimator_jacobian_fd(
-            ridge_quadratic, hg.make_estimator(ridge_quadratic, "vanilla"), y)
+            ctx, hg.make_estimator(ridge_quadratic, "vanilla"))
         assert hg.spectral_norm(analytic - fd) <= 1e-5 * hg.spectral_norm(analytic)
 
     def test_super_efficient_case_is_zero(self):
         problem = _shift_affine_problem()
-        jac = hg.ift_jacobian_analytic(problem, np.array([0.3, -0.4]))
+        jac = hg.ift_jacobian_analytic(
+            hg.RootContext.solve(problem, np.array([0.3, -0.4])))
         assert np.max(np.abs(jac)) == 0.0
 
     def test_scalar_ridge_value(self, scalar_fixture):
         # closed form: d/dx [-e^y x / (1+e^y) * x] = -x at the root 0.5,
         # so the Jacobian is -0.5 at y = 0
-        jac = hg.ift_jacobian_analytic(scalar_fixture, np.zeros(1))
+        jac = hg.ift_jacobian_analytic(
+            hg.RootContext.solve(scalar_fixture, np.zeros(1)))
         assert jac[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -115,13 +120,15 @@ class TestPrecondJacobianAtRoot:
     def test_newton_choice_vanishes(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 3)
         jac = hg.precond_jacobian_at_root(
-            ridge_quadratic, hg.newton_preconditioner(ridge_quadratic), y)
+            hg.RootContext.solve(ridge_quadratic, y),
+            hg.newton_preconditioner(ridge_quadratic))
         assert np.max(np.abs(jac)) <= 1e-10
 
     def test_scaled_newton_on_linear1d(self, linear1d_fixture):
         precond = hg.scaled_preconditioner(
             hg.newton_preconditioner(linear1d_fixture), 2.0)
-        jac = hg.precond_jacobian_at_root(linear1d_fixture, precond, np.zeros(1))
+        jac = hg.precond_jacobian_at_root(
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), precond)
         assert jac[0, 0] == pytest.approx(-0.5, abs=1e-10)
         assert hg.spectral_norm(jac) == pytest.approx(0.5, abs=1e-10)
 
@@ -129,25 +136,25 @@ class TestPrecondJacobianAtRoot:
         problem = _diagonal_ridge()
         y = np.array([0.1, -0.3])
         jac = hg.precond_jacobian_at_root(
-            problem, hg.diag_preconditioner(problem), y)
+            hg.RootContext.solve(problem, y), hg.diag_preconditioner(problem))
         assert np.max(np.abs(jac)) <= 1e-12
 
 
 class TestOuterCurvature:
     def test_affine_outer_is_zero(self, reg_train, reg_val):
         problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
-        d = hg.outer_curvature(problem, seeded_y(problem, 4))
+        d = hg.outer_curvature(hg.RootContext.solve(problem, seeded_y(problem, 4)))
         assert np.max(np.abs(d)) == 0.0
 
     def test_scalar_ridge_value(self, scalar_fixture):
-        d = hg.outer_curvature(scalar_fixture, np.zeros(1))
+        d = hg.outer_curvature(hg.RootContext.solve(scalar_fixture, np.zeros(1)))
         assert d[0, 0] == pytest.approx(-0.25, abs=1e-12)
 
     def test_fd_method_agrees(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 5)
         xstar = hg.exact_root(ridge_quadratic, y)
         outer = ridge_quadratic.outer
-        analytic = hg.outer_curvature(ridge_quadratic, y)
+        analytic = hg.outer_curvature(hg.RootContext.solve(ridge_quadratic, y))
         fd = outer.jac_gradY_x(xstar, y) \
             + hg.fd_jac_xstar(ridge_quadratic, y).T @ outer.hess_xx(xstar, y)
         assert np.max(np.abs(analytic - fd)) <= 1e-5 * (1 + np.max(np.abs(analytic)))
@@ -155,30 +162,31 @@ class TestOuterCurvature:
     def test_decomposition_identity(self, ridge_quadratic):
         # full Jacobian = curvature term + sensitivity-term Jacobian, at root
         y = seeded_y(ridge_quadratic, 6)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
         full = hg.estimator_jacobian_fd(
-            ridge_quadratic, hg.make_estimator(ridge_quadratic, "vanilla"), y)
-        d = hg.outer_curvature(ridge_quadratic, y)
-        t = hg.sensitivity_term_jacobian_fd(ridge_quadratic, "vanilla", y)
+            ctx, hg.make_estimator(ridge_quadratic, "vanilla"))
+        d = hg.outer_curvature(ctx)
+        t = hg.sensitivity_term_jacobian_fd(ctx, "vanilla")
         assert hg.spectral_norm(full - (d + t)) <= 1e-5 * (1 + hg.spectral_norm(full))
 
 
 class TestSensitivityTermJacobian:
     def test_vanilla_linear1d(self, linear1d_fixture):
-        t = hg.sensitivity_term_jacobian_fd(linear1d_fixture, "vanilla",
-                                            np.zeros(1))
+        t = hg.sensitivity_term_jacobian_fd(
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), "vanilla")
         assert t[0, 0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_exp_family_cancels_on_linear1d(self, linear1d_fixture):
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
-        t = hg.sensitivity_term_jacobian_fd(linear1d_fixture, phi, np.zeros(1))
+        t = hg.sensitivity_term_jacobian_fd(
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), phi)
         assert abs(t[0, 0]) <= 1e-8
 
     def test_identity_matches_analytic_on_ridge(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 7)
-        t_id = hg.sensitivity_term_jacobian_fd(ridge_quadratic,
-                                               hg.identity_reparam(), y)
-        analytic = hg.ift_jacobian_analytic(ridge_quadratic, y) \
-            - hg.outer_curvature(ridge_quadratic, y)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
+        t_id = hg.sensitivity_term_jacobian_fd(ctx, hg.identity_reparam())
+        analytic = hg.ift_jacobian_analytic(ctx) - hg.outer_curvature(ctx)
         assert hg.spectral_norm(t_id - analytic) <= 1e-5 * (
             1 + hg.spectral_norm(analytic))
 
@@ -285,24 +293,25 @@ class TestReparamGap:
 class TestSensitivityEfficiencyConstant:
     def test_constant_sensitivity_is_zero(self):
         problem = _shift_affine_problem()
-        c = hg.sensitivity_efficiency_constant(problem, "vanilla",
-                                               np.array([0.2, 0.5]))
+        c = hg.sensitivity_efficiency_constant(
+            hg.RootContext.solve(problem, np.array([0.2, 0.5])), "vanilla")
         assert c <= 1e-10
 
     def test_linear1d_is_one(self, linear1d_fixture):
-        c = hg.sensitivity_efficiency_constant(linear1d_fixture, "vanilla",
-                                               np.zeros(1))
+        c = hg.sensitivity_efficiency_constant(
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), "vanilla")
         assert c == pytest.approx(1.0, abs=1e-9)
 
     def test_bound_against_full_constant(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 13)
         xstar = ridge_quadratic.exact_root(y)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
         c_full = hg.efficiency_constant(
-            ridge_quadratic, hg.make_estimator(ridge_quadratic, "vanilla"), y).c_y
-        d_norm = hg.spectral_norm(hg.outer_curvature(ridge_quadratic, y))
+            ctx, hg.make_estimator(ridge_quadratic, "vanilla")).c_y
+        d_norm = hg.spectral_norm(hg.outer_curvature(ctx))
         g1_norm = float(np.linalg.norm(
             ridge_quadratic.outer.grad_x(xstar, y)))
-        c_sens = hg.sensitivity_efficiency_constant(ridge_quadratic, "vanilla", y)
+        c_sens = hg.sensitivity_efficiency_constant(ctx, "vanilla")
         assert c_full <= d_norm + g1_norm * c_sens + 1e-6 * (1 + c_full)
 
 
@@ -312,13 +321,12 @@ class TestAnchoredConstantIdentity:
         sep = hg.diag_scaling_reparam(logistic_quadratic)
         y = seeded_y(logistic_quadratic, 19, low=3.0, high=6.0)
         xstar = logistic_quadratic.exact_root(y)
+        ctx = hg.RootContext.solve(logistic_quadratic, y)
         c_localized = hg.efficiency_constant(
-            logistic_quadratic,
-            hg.estimator_for_kind(logistic_quadratic, sep, "localized"), y).c_y
+            ctx, hg.estimator_for_kind(logistic_quadratic, sep, "localized")).c_y
         frozen = hg.anchored_reparam(sep, xstar, y)
         c_frozen = hg.efficiency_constant(
-            logistic_quadratic,
-            hg.estimator_for_kind(logistic_quadratic, frozen, "frozen"), y).c_y
+            ctx, hg.estimator_for_kind(logistic_quadratic, frozen, "frozen")).c_y
         assert abs(c_localized - c_frozen) <= 1e-6 * (1 + abs(c_frozen))
 
 
@@ -329,7 +337,7 @@ class TestNewtonReparamDeviations:
                                    (logistic_quadratic, 3.0, 6.0)):
             sep = hg.newton_separable_reparam(problem)
             y = seeded_y(problem, 15, low=low, high=high)
-            dev = hg.newton_reparam_deviations(problem, sep, y)
+            dev = hg.newton_reparam_deviations(hg.RootContext.solve(problem, y), sep)
             assert (dev.dev_q, dev.dev_q_jac, dev.dev_q_hess, dev.dev_r,
                     dev.dev_r2) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -338,7 +346,8 @@ class TestNewtonReparamDeviations:
         y = seeded_y(ridge_quadratic, 16)
         for eps in (1e-1, 1e-3):
             dev = hg.newton_reparam_deviations(
-                ridge_quadratic, hg.scale_separable_r(sep, 1.0 + eps), y)
+                hg.RootContext.solve(ridge_quadratic, y),
+                hg.scale_separable_r(sep, 1.0 + eps))
             xstar = hg.exact_root(ridge_quadratic, y)
             r_norm = hg.spectral_norm(sep.r(xstar, y))
             assert dev.dev_r == pytest.approx(eps * r_norm, rel=1e-9)
@@ -352,8 +361,8 @@ class TestNewtonReparamDeviations:
             left, right = sep.r2_contract(x, y, w, q)
             return left, 2.0 * right
         dev = hg.newton_reparam_deviations(
-            ridge_quadratic, replace(sep, r2_contract=doubled_right),
-            seeded_y(ridge_quadratic, 18))
+            hg.RootContext.solve(ridge_quadratic, seeded_y(ridge_quadratic, 18)),
+            replace(sep, r2_contract=doubled_right))
         assert dev.dev_r2 > 0.0
         assert max(dev.dev_q, dev.dev_q_jac, dev.dev_q_hess, dev.dev_r) <= 1e-12
 
@@ -361,9 +370,9 @@ class TestNewtonReparamDeviations:
         sep = hg.newton_separable_reparam(ridge_quadratic)
         y = seeded_y(ridge_quadratic, 17)
         eps_grid = (1e-1, 1e-2, 1e-3, 1e-4)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
         cs = [hg.sensitivity_efficiency_constant(
-            ridge_quadratic, hg.scale_separable_r(sep, 1.0 + e), y)
-            for e in eps_grid]
+            ctx, hg.scale_separable_r(sep, 1.0 + e)) for e in eps_grid]
         xs = np.log(eps_grid)
         ys = np.log(cs)
         slope = float(np.polyfit(xs, ys, 1)[0])
@@ -373,12 +382,14 @@ class TestNewtonReparamDeviations:
 class TestScalarResidual:
     def test_exp_map_is_super_efficient(self, linear1d_fixture):
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
-        r = hg.super_efficiency_residual_1d(linear1d_fixture, phi, np.zeros(1))
+        r = hg.super_efficiency_residual_1d(
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), phi)
         assert abs(r) <= 1e-12
 
     def test_identity_leaves_unit_residual(self, linear1d_fixture):
-        r = hg.super_efficiency_residual_1d(linear1d_fixture,
-                                            hg.identity_reparam(), np.zeros(1))
+        r = hg.super_efficiency_residual_1d(
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
+            hg.identity_reparam())
         assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_two_parameter_family(self, linear1d_fixture):
@@ -387,7 +398,8 @@ class TestScalarResidual:
                 phi = hg.exp_family_reparam_1d(alpha, beta)
                 for seed in range(3):
                     y = seeded_y(linear1d_fixture, 70 + seed)
-                    r = hg.super_efficiency_residual_1d(linear1d_fixture, phi, y)
+                    r = hg.super_efficiency_residual_1d(
+                        hg.RootContext.solve(linear1d_fixture, y), phi)
                     assert abs(r) <= 1e-10, (alpha, beta, seed)
 
     def test_degenerate_outer_gradient(self):
@@ -402,11 +414,11 @@ class TestScalarResidual:
         )
         problem = hg.BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1)
         with pytest.raises(UsageError, match="degenerate"):
-            hg.super_efficiency_residual_1d(problem, hg.identity_reparam(),
-                                            np.zeros(1))
+            hg.super_efficiency_residual_1d(
+                hg.RootContext.solve(problem, np.zeros(1)), hg.identity_reparam())
 
     def test_needs_one_dimension(self, ridge_quadratic):
         with pytest.raises(UsageError):
-            hg.super_efficiency_residual_1d(ridge_quadratic,
-                                            hg.identity_reparam(),
-                                            np.zeros(7))
+            hg.super_efficiency_residual_1d(
+                hg.RootContext.solve(ridge_quadratic, np.zeros(7)),
+                hg.identity_reparam())

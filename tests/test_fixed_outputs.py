@@ -14,5 +14,5 @@ def test_baseline_names_every_invocation_file_once():
             for kind in (("csv", "svg") if svg else ("csv",))]
     got = [line.rsplit(" ", 1)[0]
            for line in tool.BASELINE.read_text().splitlines() if line.strip()]
-    assert len(want) == 22
+    assert len(want) == 23
     assert sorted(got) == sorted(want)

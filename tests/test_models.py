@@ -59,6 +59,16 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             hg.parse_libsvm("1 5:1\n", dims=4)
 
+    @pytest.mark.parametrize("dims", [0, -1])
+    def test_dims_below_one_is_a_usage_error(self, dims):
+        with pytest.raises(UsageError, match=f"got {dims}"):
+            hg.parse_libsvm("1 1:2\n", dims=dims)
+
+    def test_parsed_arrays_are_read_only(self):
+        ds = hg.parse_libsvm("1 1:2\n-1 2:3\n")
+        for stored in (ds.features, ds.labels):
+            assert not stored.flags.writeable
+
     def test_bytes_input(self):
         ds = hg.parse_libsvm(b"2.5 1:1\n")
         assert ds.labels[0] == 2.5
@@ -76,6 +86,34 @@ class TestParseLibsvm:
         back = hg.parse_libsvm(hg.serialize_libsvm(ds), dims=d)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+
+class TestDataset:
+    def test_leaves_caller_arrays_writeable_and_unshared(self):
+        feats, labels = np.ones((3, 2)), np.ones(3)
+        ds = hg.Dataset(feats, labels)
+        assert feats.flags.writeable and labels.flags.writeable
+        feats[0, 0] = 5.0
+        labels[1] = -2.0
+        assert np.array_equal(ds.features, np.ones((3, 2)))
+        assert np.array_equal(ds.labels, np.ones(3))
+        for stored in (ds.features, ds.labels):
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+
+    def test_views_are_copied(self):
+        base = np.ones((3, 4))
+        view = base[:, :2]
+        view.setflags(write=False)
+        ds = hg.Dataset(view, base[:, 2])
+        base[:] = 7.0
+        assert np.array_equal(ds.features, np.ones((3, 2)))
+        assert np.array_equal(ds.labels, np.ones(3))
+
+    def test_read_only_arrays_are_shared(self):
+        other = hg.Dataset(np.ones((3, 2)), np.ones(3))
+        ds = hg.Dataset(other.features, other.labels)
+        assert ds.features is other.features and ds.labels is other.labels
 
 
 class TestRidge:

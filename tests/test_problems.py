@@ -94,7 +94,8 @@ class TestValidateOracles:
             fd_step(np.zeros(1), eps, 1e-5)
         estimator = hg.make_estimator(linear1d_fixture, "vanilla")
         with pytest.raises(hg.UsageError, match="eps"):
-            hg.efficiency_constant(linear1d_fixture, estimator, np.zeros(1), eps=eps)
+            hg.efficiency_constant(hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
+                                   estimator, eps=eps)
 
 
 class TestProblemInvariants:

@@ -20,18 +20,47 @@ def _logistic_y(problem, seed):
     return seeded_y(problem, seed, 3.0, 6.0)
 
 
-@pytest.fixture
-def counting_logistic(logistic_quadratic):
-    """The logistic fixture with every exact root solve recorded."""
+def _counting(problem):
+    """problem with every exact root solve recorded, and the record."""
     solves = []
-    solve = logistic_quadratic.inner.exact_root
+    solve = problem.inner.exact_root
 
     def counted(y):
         solves.append(np.array(y))
         return solve(y)
 
-    inner = replace(logistic_quadratic.inner, exact_root=counted)
-    return replace(logistic_quadratic, inner=inner), solves
+    return replace(problem, inner=replace(problem.inner, exact_root=counted)), solves
+
+
+@pytest.fixture
+def counting_logistic(logistic_quadratic):
+    """The logistic fixture with every exact root solve recorded."""
+    return _counting(logistic_quadratic)
+
+
+# Every at-root analysis, called on a context; estimators, families and
+# preconditioners are built from the context's problem.
+AT_ROOT = {
+    "efficiency_constant": lambda ctx: hg.efficiency_constant(
+        ctx, hg.make_estimator(ctx.problem, "opt")),
+    "estimator_jacobian_fd": lambda ctx: hg.estimator_jacobian_fd(
+        ctx, hg.make_estimator(ctx.problem, "opt")),
+    "sensitivity_jacobian_fd": lambda ctx: hg.sensitivity_jacobian_fd(ctx, "opt"),
+    "sensitivity_term_jacobian_fd":
+        lambda ctx: hg.sensitivity_term_jacobian_fd(ctx, "opt"),
+    "sensitivity_efficiency_constant":
+        lambda ctx: hg.sensitivity_efficiency_constant(ctx, "opt"),
+    "ift_jacobian_analytic": hg.ift_jacobian_analytic,
+    "outer_curvature": hg.outer_curvature,
+    "precond_error_factor_at_root": lambda ctx: hg.precond_error_factor_at_root(
+        ctx, hg.newton_preconditioner(ctx.problem)),
+    "precond_jacobian_at_root": lambda ctx: hg.precond_jacobian_at_root(
+        ctx, hg.newton_preconditioner(ctx.problem)),
+    "newton_reparam_deviations": lambda ctx: hg.newton_reparam_deviations(
+        ctx, hg.newton_separable_reparam(ctx.problem)),
+    "super_efficiency_residual_1d": lambda ctx: hg.super_efficiency_residual_1d(
+        ctx, hg.exp_family_reparam_1d(1.0, 1.0)),
+}
 
 
 class TestRootContext:
@@ -149,7 +178,29 @@ def test_shared_terms_equal_standalone_calls(request, fixture, key):
 
 
 class TestRootSolveCounts:
-    """Each runner solves the inner root once per y it fixes."""
+    """Each runner solves the inner root once per y it fixes, and an analysis
+    given a context solves none."""
+
+    @pytest.mark.parametrize("name", sorted(AT_ROOT))
+    def test_analysis_solves_no_root(self, name, logistic_quadratic,
+                                     linear1d_fixture):
+        one_dim = name == "super_efficiency_residual_1d"
+        problem, solves = _counting(linear1d_fixture if one_dim
+                                    else logistic_quadratic)
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, 5) if one_dim
+                                   else _logistic_y(problem, 5))
+        assert len(solves) == 1
+        AT_ROOT[name](ctx)
+        assert len(solves) == 1, name
+
+    def test_ode1d_solves_once_per_trial(self, linear1d_fixture, monkeypatch,
+                                         tmp_path):
+        problem, solves = _counting(linear1d_fixture)
+        monkeypatch.setattr(cli, "build_problem", lambda config: problem)
+        code = cli.cli_main(["ode1d", "--problem", "linear1d", "--trials", "3",
+                             "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        assert len(solves) == 3
 
     def test_compare_trial_solves_once(self, counting_logistic, monkeypatch,
                                        tmp_path):

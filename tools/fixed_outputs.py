@@ -81,8 +81,9 @@ def invocations() -> list[tuple[str, list[str], bool]]:
                          + ["--reparam", reparam, "--precond-scale", scale,
                             "--seed", str(seed), "--trials", "2"], False))
             seed += 1
-    runs.append(("ode1d-linear1d", ["ode1d", "--problem", "linear1d",
-                                    "--trials", "3", "--seed", "6"], False))
+    for problem, seed in (("linear1d", "6"), ("scalar", "8")):
+        runs.append((f"ode1d-{problem}", ["ode1d", "--problem", problem,
+                                          "--trials", "3", "--seed", seed], False))
     return runs
 
 
