@@ -15,6 +15,7 @@ benchmarks and tests (input files are local; nothing is downloaded).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,15 +34,23 @@ Array = np.ndarray
 # --------------------------------------------------------------------------
 # numerically stable logistic pieces
 
-def stable_sigmoid(t: Array) -> Array:
-    """Logistic sigmoid without overflow; exp is only taken of negatives."""
+def _sigmoid_pair(t: Array) -> tuple[Array, Array]:
+    """(sigmoid(t), sigmoid(-t)) from one exp(-|t|), which cannot overflow.
+
+    Bit for bit the two-branch forms 1/(1 + exp(-t)) for t >= 0 and
+    exp(t)/(1 + exp(t)) for t < 0; at t = +-0 both halves are 0.5.
+    """
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
+    e = np.exp(-np.abs(t))
+    denom = 1.0 + e
     pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    lo, hi = e / denom, 1.0 / denom     # sigmoid(-|t|), sigmoid(|t|)
+    return np.where(pos, hi, lo), np.where(pos, lo, hi)
+
+
+def stable_sigmoid(t: Array) -> Array:
+    """Logistic sigmoid without overflow: one exp(-|t|), no masked gathers."""
+    return _sigmoid_pair(t)[0]
 
 
 def softplus(t: Array) -> Array:
@@ -51,8 +60,8 @@ def softplus(t: Array) -> Array:
 
 
 def _dsigmoid(t: Array) -> Array:
-    s = stable_sigmoid(t)
-    return s * stable_sigmoid(-t)
+    s, s_neg = _sigmoid_pair(t)
+    return s * s_neg
 
 
 # --------------------------------------------------------------------------
@@ -84,6 +93,14 @@ class Dataset:
     @property
     def d_x(self) -> int:
         return self.features.shape[1]
+
+
+def _handed_over(features: Array, labels: Array) -> Dataset:
+    """Dataset of float arrays that this module just built and no caller
+    holds: marked read-only first, so the Dataset keeps them uncopied."""
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    return Dataset(features, labels)
 
 
 def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
@@ -146,9 +163,7 @@ def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             feats[i, idx - 1] = val
-    # Read-only and owned by no caller, so the Dataset keeps it uncopied.
-    feats.setflags(write=False)
-    return Dataset(feats, labels)
+    return _handed_over(feats, np.array(labels))
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
@@ -277,11 +292,33 @@ def logistic_inner_value(train: Dataset, x: Array, y: Array) -> float:
     return float(np.sum(softplus(margins)) + 0.5 * np.sum(np.exp(y) * x * x))
 
 
+def _once_per_point(term):
+    """term(x), computed once per distinct x among the last 4 and read-only.
+
+    Points are the same when their shapes and bits are (-0.0 is not 0.0),
+    so a cached result is the one term would return; a caller's later
+    write to its x cannot reach the cache, which keys on a copy of the bits.
+    """
+    @functools.lru_cache(maxsize=4)
+    def by_bits(shape, bits):
+        out = term(np.frombuffer(bits).reshape(shape))
+        out.setflags(write=False)
+        return out
+
+    def cached(x):
+        x = np.asarray(x, dtype=float)
+        return by_bits(x.shape, x.tobytes())
+    return cached
+
+
 def make_logistic(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelProblem:
     """Penalized logistic regression with labels in {-1, +1}.
 
-    All sigmoid terms go through the overflow-safe forms; the exact root
-    runs damped Newton to a 1e-13 relative residual.
+    All sigmoid terms go through the overflow-safe forms, one exp(-|t|) per
+    pass. The data term's gradient and Hessian depend on x alone, so each
+    is computed once per distinct x (same shape and bits) among the last 4
+    points and handed out read-only; y-probes at a fixed x only add the
+    penalty. The exact root runs damped Newton to a 1e-13 relative residual.
     """
     labels = train.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -292,21 +329,22 @@ def make_logistic(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelP
     def margins(x):
         return -labels * (a_tr @ x)
 
+    def data_grad(x):
+        return -a_tr.T @ (labels * stable_sigmoid(margins(x)))
+
     def data_hess(x):
         w = _dsigmoid(margins(x))        # labels squared is 1
         return a_tr.T @ (w[:, None] * a_tr)
 
     def data_dhess(x, u):
-        m = margins(x)
-        s = stable_sigmoid(m)
-        ddsig = _dsigmoid(m) * (1.0 - 2.0 * s)
-        w = ddsig * (-labels * (a_tr @ u))
+        s, s_neg = _sigmoid_pair(margins(x))
+        w = s * s_neg * (1.0 - 2.0 * s) * (-labels * (a_tr @ u))
         return a_tr.T @ (w[:, None] * a_tr)
 
     return _penalized_problem(
         "logistic", d, _make_outer(outer, train, val),
-        data_grad=lambda x: -a_tr.T @ (labels * stable_sigmoid(margins(x))),
-        data_hess=data_hess,
+        data_grad=_once_per_point(data_grad),
+        data_hess=_once_per_point(data_hess),
         data_dhess=data_dhess,
         exact_root=lambda y, f, jac: newton_root(f, jac, np.zeros(d)))
 
@@ -360,13 +398,13 @@ def synthetic_regression_dataset(n: int, d_x: int, seed: int) -> Dataset:
     feats = rng.normal(size=(n, d_x)) / np.sqrt(n)
     w = rng.normal(size=d_x)
     labels = feats @ w + 0.1 * rng.normal(size=n)
-    return Dataset(feats, labels)
+    return _handed_over(feats, labels)
 
 
 def synthetic_validation_dataset(n: int, d_x: int, seed: int) -> Dataset:
     """Validation data drawn with i.i.d. standard normal entries."""
     rng = rng_from_seed(seed)
-    return Dataset(rng.normal(size=(n, d_x)), rng.normal(size=n))
+    return _handed_over(rng.normal(size=(n, d_x)), rng.normal(size=n))
 
 
 def synthetic_classification_dataset(n: int, d_x: int, seed: int) -> Dataset:
@@ -376,4 +414,4 @@ def synthetic_classification_dataset(n: int, d_x: int, seed: int) -> Dataset:
     w = rng.normal(size=d_x)
     score = feats @ w + 0.5 * rng.normal(size=n)
     labels = np.where(score >= 0, 1.0, -1.0)
-    return Dataset(feats, labels)
+    return _handed_over(feats, labels)

@@ -82,6 +82,17 @@ def test_duplicate_strategy_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_import_leaves_scipy_unloaded():
+    # The package runs on numpy alone; importing scipy roughly doubles
+    # a run's peak RSS (about 29 to 56 MB).
+    code = ("import sys, hygrad, hygrad.cli; "
+            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=_src_dir()),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestDecayCommand:
     def test_smoke_writes_csv(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hygrad as hg
+from hygrad import models
 from hygrad.errors import DataError, ParseError, UsageError
 
 from conftest import seeded_y
@@ -234,6 +235,164 @@ class TestLogistic:
                      - hg.logistic_inner_value(cls_train, lo, y)) / (2 * step)
         residual = logistic_quadratic.residual(x, y)
         assert np.linalg.norm(fd - residual) <= 1e-6 * (1 + np.linalg.norm(residual))
+
+
+def masked_sigmoid(t):
+    """The two-branch sigmoid the one-exp kernel must match bit for bit."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def masked_dsigmoid(t):
+    s = masked_sigmoid(t)
+    return s * masked_sigmoid(-t)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+EDGE_LOGITS = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
+               800.0, -800.0]
+
+
+def kernel_inputs():
+    rng = np.random.default_rng(20)
+    yield pytest.param(np.array(EDGE_LOGITS), id="edges")
+    for t in EDGE_LOGITS + [-3.5]:
+        yield pytest.param(np.array(t), id=f"0-d[{t!r}]")
+    for n in (1, 400, 20000):
+        t = rng.normal(size=n) * rng.choice([1.0, 30.0, 800.0], size=n)
+        yield pytest.param(t, id=f"random[{n}]")
+
+
+class TestSigmoidKernel:
+    @pytest.mark.parametrize("t", list(kernel_inputs()))
+    def test_matches_the_masked_forms_bit_for_bit(self, t):
+        s, s_neg = models._sigmoid_pair(t)
+        assert_same_bits(s, masked_sigmoid(t))
+        assert_same_bits(s_neg, masked_sigmoid(-t))
+        assert_same_bits(hg.stable_sigmoid(t), masked_sigmoid(t))
+        assert_same_bits(models._dsigmoid(t), masked_dsigmoid(t))
+        # The weight of data_dhess: sigma(t) sigma(-t) (1 - 2 sigma(t)).
+        assert_same_bits(s * s_neg * (1.0 - 2.0 * s),
+                         masked_dsigmoid(t) * (1.0 - 2.0 * masked_sigmoid(t)))
+
+    def test_logistic_oracles_match_the_masked_forms(self, cls_train):
+        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
+        a, b = cls_train.features, cls_train.labels
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            x, y, u = (rng.normal(size=5) for _ in range(3))
+            m = -b * (a @ x)
+            data_grad = -a.T @ (b * masked_sigmoid(m))
+            data_hess = a.T @ (masked_dsigmoid(m)[:, None] * a)
+            w = masked_dsigmoid(m) * (1.0 - 2.0 * masked_sigmoid(m)) * (-b * (a @ u))
+            for _ in range(2):                   # computed, then reused
+                assert_same_bits(problem.residual(x, y), data_grad + np.exp(y) * x)
+                assert_same_bits(problem.jac_x(x, y),
+                                 data_hess + np.diag(np.exp(y)))
+                assert_same_bits(problem.inner.djac_x_dir_x(x, y, u),
+                                 a.T @ (w[:, None] * a))
+
+
+class TestLogisticReuse:
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(models, name)
+
+        def spy(t):
+            calls.append(1)
+            return original(t)
+        monkeypatch.setattr(models, name, spy)
+        return calls
+
+    def test_y_probes_at_one_x_evaluate_the_data_term_once(self, monkeypatch,
+                                                          cls_train):
+        hess_calls = self.counting(monkeypatch, "_dsigmoid")
+        grad_calls = self.counting(monkeypatch, "stable_sigmoid")
+        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
+        x = np.random.default_rng(22).normal(size=5)
+        for k in range(5):
+            y = np.full(5, 0.5 * k)
+            problem.jac_x(x, y)
+            problem.residual(x, y)
+        assert len(hess_calls) == 1 and len(grad_calls) == 1
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_results_do_not_depend_on_call_history(self, data, cls_train):
+        rng = np.random.default_rng(23)
+        # Six points, more than the cache holds; 0.0 and -0.0 differ in bits.
+        points = [rng.normal(size=5) for _ in range(4)]
+        points += [np.zeros(5), -np.zeros(5)]
+        ys = [rng.normal(size=5) for _ in range(3)]
+        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
+        calls = data.draw(st.lists(st.tuples(
+            st.integers(0, len(points) - 1), st.integers(0, len(ys) - 1),
+            st.sampled_from(["residual", "jac_x"])), min_size=1, max_size=20))
+        for i, j, method in calls:
+            fresh = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
+            assert_same_bits(getattr(problem, method)(points[i].copy(), ys[j]),
+                             getattr(fresh, method)(points[i], ys[j]))
+
+    def test_caller_writes_do_not_reach_the_cache(self, cls_train):
+        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
+        rng = np.random.default_rng(24)
+        x, y = rng.normal(size=5), rng.normal(size=5)
+        kept = x.copy()
+        before = problem.residual(x, y), problem.jac_x(x, y)
+        x[:] = 1.0
+        after = problem.residual(kept, y), problem.jac_x(kept, y)
+        for first, again in zip(before, after):
+            assert_same_bits(first, again)
+        fresh = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
+        assert_same_bits(problem.residual(x, y), fresh.residual(np.ones(5), y))
+
+    def test_cached_terms_are_read_only_and_last_four_points_kept(self):
+        calls = []
+
+        def term(x):
+            calls.append(x.tobytes())
+            return 2.0 * x
+        cached = models._once_per_point(term)
+        points = [np.full(2, float(k)) for k in range(5)]
+        first = cached(points[0])
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        for x in points[1:4]:
+            cached(x)
+        assert cached(points[0].copy()) is first and len(calls) == 4
+        cached(points[4])                        # evicts points[1]
+        cached(points[1])
+        assert len(calls) == 6
+
+
+class TestSyntheticDatasets:
+    @pytest.mark.parametrize("generator", [
+        hg.synthetic_regression_dataset, hg.synthetic_validation_dataset,
+        hg.synthetic_classification_dataset])
+    def test_arrays_are_handed_over_uncopied(self, monkeypatch, generator):
+        kept = []
+        original = models._read_only
+
+        def spy(given):
+            out = original(given)
+            kept.append(out is given)
+            return out
+        monkeypatch.setattr(models, "_read_only", spy)
+        ds = generator(50, 3, seed=1)
+        assert kept == [True, True]
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable
 
 
 class TestSampleY:
