@@ -194,11 +194,11 @@ def run_decay(config: RunConfig) -> list:
     # Every strategy, opt's inverse of Q included, reuses this one root.
     ctx = RootContext.solve(problem, y)
     xstar = ctx.xstar
-    grad_true = Strategy(ctx.problem).estimate(xstar, y)
+    grad_true = Strategy(problem).estimate(xstar, y)
 
     traces = []
     for strategy in config.strategies:
-        estimator = make_estimator(ctx.problem, strategy)
+        estimator = make_estimator(problem, strategy)
         meta = _base_metadata(config, problem, y)
         meta["steps"] = str(config.steps)
         rows = []
@@ -242,7 +242,7 @@ def run_efficiency_sweep(config: RunConfig) -> list:
             records.extend(failed(strategy, err) for strategy in config.strategies)
             continue
         for strategy in config.strategies:
-            estimator = make_estimator(ctx.problem, strategy)
+            estimator = make_estimator(problem, strategy)
             try:
                 c_y = efficiency_constant(ctx, estimator, eps=config.eps).c_y
             except HygradError as err:

@@ -130,14 +130,13 @@ def _cmd_compare(args) -> int:
                                     args.precond_scale)
     meta = {"precond_scale": args.precond_scale, "prng": PRNG_NAME,
             "problem": config.problem, "reparam": args.reparam, "seed": config.seed}
+    kind = resolve_strategy(problem, args.reparam).reparam
     rows = []
     failures = 0
     for trial, trial_seed, y in seeded_trials(config, problem.d_y):
-        # One root per trial. The change of variables behind the strategy's
-        # sensitivity map is built from the context's problem, so that opt's
-        # inverse of Q reuses that root too.
+        # One root per trial; the problem keeps it, so opt's inverse of Q
+        # reuses it too.
         ctx = RootContext.solve(problem, y)
-        kind = resolve_strategy(ctx.problem, args.reparam).reparam
         terms = ComparisonTerms(ctx, precond, kind, config.eps)
         bounds = efficiency.compare_bounds(terms)
         delta, delta_lower, _ = efficiency.precond_gap(terms)

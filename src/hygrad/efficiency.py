@@ -8,13 +8,13 @@ a zero constant has quadratically decaying error ("super-efficient").
 Everything here is evaluated at the root, where the simplifications behind
 the closed-form Jacobian expressions are valid; nothing is extrapolated to
 other points. Every at-root analysis takes one ``RootContext``, whose root
-was solved once, and reads its ``xstar``; estimators and separable families
-built from ``ctx.problem`` reuse that root too.
+was solved once, and reads its ``xstar``; the problem keeps that root, so
+estimators and separable families built from it reuse the root too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,8 +33,7 @@ from .estimators import (
     solution_sensitivity,
 )
 from .linalg import factor, spectral_norm, top_singular
-from .problems import (BilevelProblem, InnerOracle, _read_only, as_vector,
-                       fd_jacobian, fd_step)
+from .problems import BilevelProblem, _read_only, as_vector, fd_jacobian, fd_step
 from .seeding import rng_from_seed
 from .solvers import exact_root
 
@@ -83,43 +82,14 @@ estimator_for_kind = make_estimator
 # --------------------------------------------------------------------------
 # root context
 
-def _same_bits(a: Array, b: Array) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-class _RootedInner:
-    """An inner oracle whose exact_root answers one y from a stored root.
-
-    Any other y, even one rounding step away, goes to the wrapped oracle;
-    so does every other attribute.
-    """
-
-    def __init__(self, inner: InnerOracle, y: Array, xstar: Array):
-        self._inner = inner
-        self._y = y
-        self._xstar = xstar
-
-    def exact_root(self, y):
-        if _same_bits(np.asarray(y, dtype=float), self._y):
-            return self._xstar.copy()
-        return self._inner.exact_root(y)
-
-    def __getattr__(self, attr):
-        if attr.startswith("_"):
-            raise AttributeError(attr)
-        return getattr(self._inner, attr)
-
-
 @dataclass(frozen=True, eq=False)
 class RootContext:
     """One (problem, y) whose inner root x*(y) was solved once.
 
     Every at-root analysis takes one and reads ``xstar``. ``problem`` is
-    the caller's problem, except that its exact_root hands out a copy of
-    the stored x* for exactly this y (bit for bit) and solves any other y
-    as before. Estimators and separable families built from it therefore
-    reuse the root instead of solving it again; a family built from the
-    caller's problem would not. ``y`` and ``xstar`` are read-only.
+    the caller's problem, which keeps the root it solved; estimators and
+    separable families built from that problem reuse it while y is among
+    the last four it solved. ``y`` and ``xstar`` are read-only.
     """
 
     problem: BilevelProblem
@@ -128,11 +98,9 @@ class RootContext:
 
     @classmethod
     def solve(cls, problem: BilevelProblem, y: Array) -> "RootContext":
-        """Solve the root of problem at y once and wrap both."""
+        """Solve the root of problem at y once."""
         y = _read_only(as_vector(y, problem.d_y, "y"))
-        xstar = _read_only(exact_root(problem, y))
-        return cls(replace(problem, inner=_RootedInner(problem.inner, y, xstar)),
-                   y, xstar)
+        return cls(problem, y, _read_only(exact_root(problem, y)))
 
 
 def _root_fd_jacobian(ctx: RootContext, fn, eps: float | None, label: str) -> Array:

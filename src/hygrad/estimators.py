@@ -289,7 +289,8 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
 
     Inverting Q means solving F(z, ybar) = -v by a damped Newton run seeded
     at the exact root, which the problem must provide; at the anchor v = 0,
-    so from a root context Newton stops at its first residual check.
+    so once the problem has solved ybar, Newton stops at its first residual
+    check.
     """
     def r(x, y):
         f1 = problem.jac_x(x, y)

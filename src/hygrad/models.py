@@ -15,7 +15,6 @@ benchmarks and tests (input files are local; nothing is downloaded).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -292,33 +291,11 @@ def logistic_inner_value(train: Dataset, x: Array, y: Array) -> float:
     return float(np.sum(softplus(margins)) + 0.5 * np.sum(np.exp(y) * x * x))
 
 
-def _once_per_point(term):
-    """term(x), computed once per distinct x among the last 4 and read-only.
-
-    Points are the same when their shapes and bits are (-0.0 is not 0.0),
-    so a cached result is the one term would return; a caller's later
-    write to its x cannot reach the cache, which keys on a copy of the bits.
-    """
-    @functools.lru_cache(maxsize=4)
-    def by_bits(shape, bits):
-        out = term(np.frombuffer(bits).reshape(shape))
-        out.setflags(write=False)
-        return out
-
-    def cached(x):
-        x = np.asarray(x, dtype=float)
-        return by_bits(x.shape, x.tobytes())
-    return cached
-
-
 def make_logistic(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelProblem:
     """Penalized logistic regression with labels in {-1, +1}.
 
     All sigmoid terms go through the overflow-safe forms, one exp(-|t|) per
-    pass. The data term's gradient and Hessian depend on x alone, so each
-    is computed once per distinct x (same shape and bits) among the last 4
-    points and handed out read-only; y-probes at a fixed x only add the
-    penalty. The exact root runs damped Newton to a 1e-13 relative residual.
+    pass. The exact root runs damped Newton to a 1e-13 relative residual.
     """
     labels = train.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -343,8 +320,8 @@ def make_logistic(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelP
 
     return _penalized_problem(
         "logistic", d, _make_outer(outer, train, val),
-        data_grad=_once_per_point(data_grad),
-        data_hess=_once_per_point(data_hess),
+        data_grad=data_grad,
+        data_hess=data_hess,
         data_dhess=data_dhess,
         exact_root=lambda y, f, jac: newton_root(f, jac, np.zeros(d)))
 

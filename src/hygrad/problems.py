@@ -12,11 +12,14 @@ A bilevel problem is a pair of oracles over (x, y) with x the inner variable
 
 All oracles must be pure functions of their arguments: problems are shared
 freely across concurrent read-only evaluations, so implementations must not
-mutate interior state.
+mutate interior state. A ``BilevelProblem``'s memo of recent blocks and
+roots is its only mutable state, and it sits behind ``functools.lru_cache``;
+two threads that compute the same block get equal values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
@@ -25,6 +28,11 @@ import numpy as np
 from .errors import ContractViolation, HygradError, NumericalFailure, UsageError
 
 Array = np.ndarray
+
+# A BilevelProblem keeps the blocks of its last this many points (x, y) and
+# the roots of its last this many y.
+_MEMO_POINTS = 4
+_MEMO_ROOTS = 4
 
 
 def _read_only(given) -> Array:
@@ -142,7 +150,14 @@ class CallableOuterOracle:
 
 @dataclass(frozen=True)
 class BilevelProblem:
-    """An inner/outer oracle pair with declared dimensions."""
+    """An inner/outer oracle pair with declared dimensions.
+
+    ``residual``, ``jac_x`` and ``jac_y`` validate the inner oracle's block
+    and evaluate it once per point among the last 4 points; ``exact_root``
+    solves once per y among the last 4 y. A point is the shapes and bits of
+    x and y, so -0.0 and 0.0 are different points. Blocks are handed out
+    read-only, roots as fresh copies.
+    """
 
     inner: InnerOracle
     outer: OuterOracle
@@ -153,21 +168,40 @@ class BilevelProblem:
     def __post_init__(self):
         if self.d_x < 1 or self.d_y < 1:
             raise ContractViolation("dimensions must be positive")
+        # One dict per point, given each block when it is first asked for.
+        object.__setattr__(self, "_points",
+                           functools.lru_cache(maxsize=_MEMO_POINTS)(lambda point: {}))
+        object.__setattr__(self, "_roots",
+                           functools.lru_cache(maxsize=_MEMO_ROOTS)(self._solve))
 
-    def residual(self, x: Array, y: Array) -> Array:
-        return as_vector(self.inner.residual(x, y), self.d_x, "residual")
+    def _block(self, method: str, x: Array, y: Array, check, shape) -> Array:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        blocks = self._points((x.shape, x.tobytes(), y.shape, y.tobytes()))
+        block = blocks.get(method)
+        if block is None:
+            block = blocks[method] = _read_only(
+                check(getattr(self.inner, method)(x, y), shape, method))
+        return block
 
-    def jac_x(self, x: Array, y: Array) -> Array:
-        return as_matrix(self.inner.jac_x(x, y), (self.d_x, self.d_x), "jac_x")
-
-    def jac_y(self, x: Array, y: Array) -> Array:
-        return as_matrix(self.inner.jac_y(x, y), (self.d_x, self.d_y), "jac_y")
-
-    def exact_root(self, y: Array) -> Optional[Array]:
-        root = self.inner.exact_root(y)
+    def _solve(self, y_shape, y_bits) -> Optional[Array]:
+        root = self.inner.exact_root(np.frombuffer(y_bits).reshape(y_shape))
         if root is None:
             return None
-        return as_vector(root, self.d_x, "exact_root")
+        return _read_only(as_vector(root, self.d_x, "exact_root"))
+
+    def residual(self, x: Array, y: Array) -> Array:
+        return self._block("residual", x, y, as_vector, self.d_x)
+
+    def jac_x(self, x: Array, y: Array) -> Array:
+        return self._block("jac_x", x, y, as_matrix, (self.d_x, self.d_x))
+
+    def jac_y(self, x: Array, y: Array) -> Array:
+        return self._block("jac_y", x, y, as_matrix, (self.d_x, self.d_y))
+
+    def exact_root(self, y: Array) -> Optional[Array]:
+        y = np.asarray(y, dtype=float)
+        root = self._roots(y.shape, y.tobytes())
+        return None if root is None else root.copy()
 
 
 def fd_step(at: Array, eps: float | None, rel: float) -> float:
@@ -208,13 +242,6 @@ def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float,
     return np.stack(cols, axis=-1)
 
 
-def _fd_directional(fn: Callable[[Array], Array], at: Array, direction: Array,
-                    step: float) -> Array:
-    hi = at + step * direction
-    lo = at - step * direction
-    return (np.asarray(fn(hi), float) - np.asarray(fn(lo), float)) / (2 * step)
-
-
 def _rel_mismatch(analytic: Array, approx: Array) -> float:
     analytic = np.asarray(analytic, float)
     approx = np.asarray(approx, float)
@@ -247,13 +274,15 @@ def validate_oracles(problem: BilevelProblem, x: Array, y: Array,
     report["djac_x_dir_x"] = max(
         _rel_mismatch(
             as_matrix(inner.djac_x_dir_x(x, y, u), (d_x, d_x), "djac_x_dir_x"),
-            _fd_directional(lambda xx: problem.jac_x(xx, y), x, u, step))
+            fd_jacobian(lambda t: problem.jac_x(x + t[0] * u, y), np.zeros(1),
+                        step)[..., 0])
         for u in directions_x)
     directions_y = [np.ones(d_y) / np.sqrt(d_y)] + [np.eye(d_y)[j] for j in range(min(d_y, 2))]
     report["djac_x_dir_y"] = max(
         _rel_mismatch(
             as_matrix(inner.djac_x_dir_y(x, y, e), (d_x, d_x), "djac_x_dir_y"),
-            _fd_directional(lambda yy: problem.jac_x(x, yy), y, e, step))
+            fd_jacobian(lambda t: problem.jac_x(x, y + t[0] * e), np.zeros(1),
+                        step)[..., 0])
         for e in directions_y)
 
     grad_x = as_vector(outer.grad_x(x, y), d_x, "grad_x")
@@ -302,12 +331,12 @@ class FDInnerOracle:
         return fd_jacobian(lambda yy: self.residual(x, yy), y, fd_step(y, None, _FD_STEP))
 
     def djac_x_dir_x(self, x, y, u):
-        h = fd_step(x, None, _FD_DIRECTIONAL_STEP)
-        return _fd_directional(lambda xx: self.jac_x(xx, y), x, u, h)
+        return fd_jacobian(lambda t: self.jac_x(x + t[0] * u, y), np.zeros(1),
+                           fd_step(x, None, _FD_DIRECTIONAL_STEP))[..., 0]
 
     def djac_x_dir_y(self, x, y, e):
-        h = fd_step(y, None, _FD_DIRECTIONAL_STEP)
-        return _fd_directional(lambda yy: self.jac_x(x, yy), y, e, h)
+        return fd_jacobian(lambda t: self.jac_x(x, y + t[0] * e), np.zeros(1),
+                           fd_step(y, None, _FD_DIRECTIONAL_STEP))[..., 0]
 
     def exact_root(self, y):
         if self.exact_root_fn is None:

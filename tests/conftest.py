@@ -84,6 +84,12 @@ def comparison_terms(problem, precond, reparam, y):
     return hg.ComparisonTerms(hg.RootContext.solve(problem, y), precond, reparam)
 
 
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
 def rel_err(a, b):
     a = np.asarray(a, float)
     b = np.asarray(b, float)

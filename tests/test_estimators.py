@@ -370,7 +370,9 @@ def lu_calls(monkeypatch):
 def _per_estimate_counts(problem, lu_calls, root_context):
     """Per strategy, the (jac_x, djac_x_dir_y, LU check) counts of one
     estimate at the seed-61 point just off the root, built from the problem
-    or from its root context at that y."""
+    or from its root context at that y. Each strategy gets a fresh counting
+    problem, so no estimate reads blocks that an earlier one left in the
+    problem's memo."""
     x, y = _off_root_point(problem, 61)
     calls = []
 
@@ -383,11 +385,11 @@ def _per_estimate_counts(problem, lu_calls, root_context):
         return call
     inner = replace(problem.inner, jac_x=counted("jac_x"),
                     djac_x_dir_y=counted("djac_x_dir_y"))
-    counting = replace(problem, inner=inner)
-    if root_context:
-        counting = hg.RootContext.solve(counting, y).problem
     counts = {}
     for key in hg.STRATEGIES:
+        counting = replace(problem, inner=inner)
+        if root_context:
+            counting = hg.RootContext.solve(counting, y).problem
         estimator = hg.make_estimator(counting, key)
         calls.clear()
         before = len(lu_calls)
@@ -398,11 +400,12 @@ def _per_estimate_counts(problem, lu_calls, root_context):
 
 
 def _expected_counts(problem, opt_lu):
-    # diag-rep and opt differentiate F_1 along each y-direction once, for
-    # both R_2 contractions.
+    # The problem evaluates F_1 once per point: diag-rep needs it at x only,
+    # opt at x and at z = Q^{-1}(0), the root. Both differentiate F_1 along
+    # each y-direction once, for both R_2 contractions.
     return {"vanilla": (1, 0, 1), "newton": (2, 0, 2), "diag": (2, 0, 1),
-            "exp": (1, 0, 1), "diag-rep": (4, problem.d_y, 1),
-            "opt": (5, problem.d_y, opt_lu)}
+            "exp": (1, 0, 1), "diag-rep": (1, problem.d_y, 1),
+            "opt": (2, problem.d_y, opt_lu)}
 
 
 class TestStrategyTable:

@@ -9,7 +9,7 @@ import hygrad as hg
 from hygrad import models
 from hygrad.errors import DataError, ParseError, UsageError
 
-from conftest import seeded_y
+from conftest import assert_same_bits, seeded_y
 
 
 class TestParseLibsvm:
@@ -253,12 +253,6 @@ def masked_dsigmoid(t):
     return s * masked_sigmoid(-t)
 
 
-def assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
-
-
 EDGE_LOGITS = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
                800.0, -800.0]
 
@@ -301,80 +295,6 @@ class TestSigmoidKernel:
                                  data_hess + np.diag(np.exp(y)))
                 assert_same_bits(problem.inner.djac_x_dir_x(x, y, u),
                                  a.T @ (w[:, None] * a))
-
-
-class TestLogisticReuse:
-    @staticmethod
-    def counting(monkeypatch, name):
-        calls = []
-        original = getattr(models, name)
-
-        def spy(t):
-            calls.append(1)
-            return original(t)
-        monkeypatch.setattr(models, name, spy)
-        return calls
-
-    def test_y_probes_at_one_x_evaluate_the_data_term_once(self, monkeypatch,
-                                                          cls_train):
-        hess_calls = self.counting(monkeypatch, "_dsigmoid")
-        grad_calls = self.counting(monkeypatch, "stable_sigmoid")
-        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
-        x = np.random.default_rng(22).normal(size=5)
-        for k in range(5):
-            y = np.full(5, 0.5 * k)
-            problem.jac_x(x, y)
-            problem.residual(x, y)
-        assert len(hess_calls) == 1 and len(grad_calls) == 1
-
-    @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_results_do_not_depend_on_call_history(self, data, cls_train):
-        rng = np.random.default_rng(23)
-        # Six points, more than the cache holds; 0.0 and -0.0 differ in bits.
-        points = [rng.normal(size=5) for _ in range(4)]
-        points += [np.zeros(5), -np.zeros(5)]
-        ys = [rng.normal(size=5) for _ in range(3)]
-        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
-        calls = data.draw(st.lists(st.tuples(
-            st.integers(0, len(points) - 1), st.integers(0, len(ys) - 1),
-            st.sampled_from(["residual", "jac_x"])), min_size=1, max_size=20))
-        for i, j, method in calls:
-            fresh = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
-            assert_same_bits(getattr(problem, method)(points[i].copy(), ys[j]),
-                             getattr(fresh, method)(points[i], ys[j]))
-
-    def test_caller_writes_do_not_reach_the_cache(self, cls_train):
-        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
-        rng = np.random.default_rng(24)
-        x, y = rng.normal(size=5), rng.normal(size=5)
-        kept = x.copy()
-        before = problem.residual(x, y), problem.jac_x(x, y)
-        x[:] = 1.0
-        after = problem.residual(kept, y), problem.jac_x(kept, y)
-        for first, again in zip(before, after):
-            assert_same_bits(first, again)
-        fresh = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
-        assert_same_bits(problem.residual(x, y), fresh.residual(np.ones(5), y))
-
-    def test_cached_terms_are_read_only_and_last_four_points_kept(self):
-        calls = []
-
-        def term(x):
-            calls.append(x.tobytes())
-            return 2.0 * x
-        cached = models._once_per_point(term)
-        points = [np.full(2, float(k)) for k in range(5)]
-        first = cached(points[0])
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 1.0
-        for x in points[1:4]:
-            cached(x)
-        assert cached(points[0].copy()) is first and len(calls) == 4
-        cached(points[4])                        # evicts points[1]
-        cached(points[1])
-        assert len(calls) == 6
 
 
 class TestSyntheticDatasets:

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hygrad as hg
 from hygrad.errors import ContractViolation
 from hygrad.problems import CallableInnerOracle, CallableOuterOracle, fd_step
 
-from conftest import seeded_y
+from conftest import assert_same_bits, seeded_y
 
 
 def _shift_problem():
@@ -161,3 +163,160 @@ class TestFDAdapter:
     def test_no_root_capability(self):
         adapter = hg.FDInnerOracle(residual_fn=lambda x, y: x - y, d_x=2, d_y=2)
         assert adapter.exact_root(np.zeros(2)) is None
+
+
+def _fd_directional(fn, at, direction, step):
+    """The directional central difference that validate_oracles and
+    FDInnerOracle computed before they shared fd_jacobian's loop."""
+    hi = at + step * direction
+    lo = at - step * direction
+    return (np.asarray(fn(hi), float) - np.asarray(fn(lo), float)) / (2 * step)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_directional_differences_keep_their_bits(seed, ridge_quadratic,
+                                                 logistic_quadratic):
+    """One fd_jacobian column along a direction gives the bits of the
+    two-point formula: x + (-h) d rounds exactly like x - h d."""
+    rng = np.random.default_rng(seed)
+    for problem in (ridge_quadratic, logistic_quadratic):
+        x, y = rng.normal(size=problem.d_x), rng.uniform(-1.0, 1.0, problem.d_y)
+        u, e = rng.normal(size=problem.d_x), rng.normal(size=problem.d_y)
+        step = float(rng.uniform(1e-6, 1e-3))
+        adapter = hg.FDInnerOracle(problem.inner.residual, problem.d_x, problem.d_y)
+        assert_same_bits(
+            adapter.djac_x_dir_x(x, y, u),
+            _fd_directional(lambda xx: adapter.jac_x(xx, y), x, u,
+                            fd_step(x, None, 1e-4)))
+        assert_same_bits(
+            adapter.djac_x_dir_y(x, y, e),
+            _fd_directional(lambda yy: adapter.jac_x(x, yy), y, e,
+                            fd_step(y, None, 1e-4)))
+        # An oracle that returns the old formula's values shows no mismatch
+        # at all in validate_oracles, probed in x and in y.
+        old = hg.BilevelProblem(inner=CallableInnerOracle(
+            residual=problem.inner.residual, jac_x=problem.inner.jac_x,
+            jac_y=problem.inner.jac_y,
+            djac_x_dir_x=lambda xx, yy, uu: _fd_directional(
+                lambda p: problem.jac_x(p, yy), xx, uu, step),
+            djac_x_dir_y=lambda xx, yy, ee: _fd_directional(
+                lambda q: problem.jac_x(xx, q), yy, ee, step),
+        ), outer=problem.outer, d_x=problem.d_x, d_y=problem.d_y)
+        report = hg.validate_oracles(old, x, y, step=step)
+        assert report["djac_x_dir_x"] == 0.0 and report["djac_x_dir_y"] == 0.0
+
+
+# --------------------------------------------------------------------------
+# the per-point memo
+
+MEMO_PROBLEMS = ("ridge", "logistic", "scalar-ridge", "linear-1d", "fd-ridge")
+
+
+@pytest.fixture(scope="session")
+def fresh_problem(reg_train, reg_val, cls_train, cls_val):
+    """Builds a new problem, with an empty memo, of each name in MEMO_PROBLEMS:
+    the four shipped problems and a ridge residual differenced by
+    FDInnerOracle."""
+    def fd_ridge():
+        ridge = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
+        inner = hg.FDInnerOracle(ridge.inner.residual, ridge.d_x, ridge.d_y,
+                                 exact_root_fn=ridge.inner.exact_root)
+        return hg.BilevelProblem(inner=inner, outer=ridge.outer, d_x=ridge.d_x,
+                                 d_y=ridge.d_y, name="fd-ridge")
+    builders = {
+        "ridge": lambda: hg.make_ridge(reg_train, reg_val,
+                                       hg.OuterVariant.quadratic()),
+        "logistic": lambda: hg.make_logistic(cls_train, cls_val,
+                                             hg.OuterVariant.quadratic()),
+        "scalar-ridge": hg.scalar_ridge,
+        "linear-1d": hg.linear_1d,
+        "fd-ridge": fd_ridge,
+    }
+    return lambda name: builders[name]()
+
+
+def _call(problem, method, x, y):
+    return problem.exact_root(y) if method == "exact_root" \
+        else getattr(problem, method)(x, y)
+
+
+@pytest.mark.parametrize("name", MEMO_PROBLEMS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_results_do_not_depend_on_call_history(name, fresh_problem, data):
+    """Any sequence of calls gives, call by call, the bits of a new problem."""
+    problem = fresh_problem(name)
+    rng = np.random.default_rng(23)
+    # Six x and five y, more than the memo holds; 0.0 and -0.0 differ in bits.
+    points = [rng.normal(size=problem.d_x) for _ in range(4)]
+    points += [np.zeros(problem.d_x), -np.zeros(problem.d_x)]
+    ys = [rng.uniform(-1.0, 1.0, problem.d_y) for _ in range(3)]
+    ys += [np.zeros(problem.d_y), -np.zeros(problem.d_y)]
+    calls = data.draw(st.lists(st.tuples(
+        st.integers(0, len(points) - 1), st.integers(0, len(ys) - 1),
+        st.sampled_from(["residual", "jac_x", "jac_y", "exact_root"])),
+        min_size=1, max_size=20))
+    for i, j, method in calls:
+        assert_same_bits(_call(problem, method, points[i].copy(), ys[j].copy()),
+                         _call(fresh_problem(name), method, points[i], ys[j]))
+
+
+@pytest.mark.parametrize("name", MEMO_PROBLEMS)
+def test_caller_writes_do_not_reach_the_memo(name, fresh_problem):
+    problem = fresh_problem(name)
+    rng = np.random.default_rng(24)
+    x, y = rng.normal(size=problem.d_x), rng.uniform(-1.0, 1.0, problem.d_y)
+    kept_x, kept_y = x.copy(), y.copy()
+    methods = ("residual", "jac_x", "jac_y", "exact_root")
+    before = [_call(problem, m, x, y) for m in methods]
+    x[:], y[:] = 1.0, 0.5
+    for method, first in zip(methods, before):
+        assert_same_bits(_call(problem, method, kept_x, kept_y), first)
+        assert_same_bits(_call(problem, method, x, y),
+                         _call(fresh_problem(name), method, x, y))
+
+
+def test_blocks_are_read_only_and_last_four_points_kept():
+    handed, solved = [], []
+
+    def residual(x, y):
+        handed.append(2.0 * x + y)
+        return handed[-1]
+
+    def exact_root(y):
+        solved.append(-y)
+        return solved[-1]
+    inner = CallableInnerOracle(
+        residual=residual, jac_x=lambda x, y: 2.0 * np.eye(2),
+        jac_y=lambda x, y: np.eye(2),
+        djac_x_dir_x=lambda x, y, u: np.zeros((2, 2)),
+        djac_x_dir_y=lambda x, y, e: np.zeros((2, 2)), exact_root=exact_root)
+    problem = hg.BilevelProblem(inner=inner, outer=_shift_problem().outer,
+                                d_x=2, d_y=2)
+    y = np.ones(2)
+    points = [np.full(2, float(k)) for k in range(5)]
+    first = problem.residual(points[0], y)
+    assert not first.flags.writeable and handed[0].flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    for x in points[1:4]:
+        problem.residual(x, y)
+    assert problem.residual(points[0].copy(), y) is first and len(handed) == 4
+    problem.residual(points[4], y)           # evicts points[1]
+    problem.residual(points[1], y)
+    assert len(handed) == 6
+
+    ys = [np.full(2, float(k)) for k in range(5)]
+    root = problem.exact_root(ys[0])
+    assert root.flags.writeable and solved[0].flags.writeable
+    root[:] = 7.0
+    again = problem.exact_root(ys[0])
+    assert np.array_equal(again, -ys[0]) and again is not root
+    for other in ys[1:4]:
+        problem.exact_root(other)
+    problem.exact_root(ys[0])
+    assert len(solved) == 4
+    problem.exact_root(ys[4])                # evicts ys[1]
+    problem.exact_root(ys[1])
+    assert len(solved) == 6

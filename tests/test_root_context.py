@@ -71,13 +71,14 @@ class TestRootContext:
         ctx = hg.RootContext.solve(problem, given_y)
         given_y[0] += 1.0        # the context keeps its own copy
         assert len(solves) == 1
+        assert ctx.problem is problem
         assert np.array_equal(ctx.problem.exact_root(y), ctx.xstar)
         assert np.array_equal(hg.exact_root(ctx.problem, y), problem.exact_root(y))
-        assert len(solves) == 2  # only the plain problem solved again
+        assert len(solves) == 1  # the caller's problem kept the root
 
         other = y * (1.0 + 1e-6)
         got = ctx.problem.exact_root(other)
-        assert len(solves) == 3
+        assert len(solves) == 2
         assert np.array_equal(got, problem.exact_root(other))
         assert not np.array_equal(got, ctx.xstar)
 
