@@ -109,15 +109,28 @@ def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
     increasing indices; ``#`` starts a comment. The feature count is the
     largest index seen unless ``dims`` overrides it (needed to read back
     data whose trailing columns are all zero, which LIBSVM omits); a
-    ``dims`` below 1 is a UsageError.
+    ``dims`` that is not an integer, or is below 1, is a UsageError.
+
+    Regular comment-free text takes a vectorized path (``_parse_regular``);
+    any other text, and every error, goes through the line parser.
     """
-    if dims is not None and dims < 1:
-        raise UsageError(f"dims must be at least 1, got {dims!r}")
+    if dims is not None:
+        if isinstance(dims, bool) or not isinstance(dims, (int, np.integer)):
+            raise UsageError(f"dims must be an integer, got {dims!r}")
+        if dims < 1:
+            raise UsageError(f"dims must be at least 1, got {dims!r}")
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as err:
             raise ParseError(f"not valid UTF-8: {err}") from None
+    parsed = _parse_regular(text, dims)
+    return parsed if parsed is not None else _parse_lines(text, dims)
+
+
+def _parse_lines(text: str, dims: int | None) -> Dataset:
+    """The line-by-line parser: the reference for ``_parse_regular``, and
+    the source of every ParseError and its line number."""
     rows: list[dict[int, float]] = []
     labels: list[float] = []
     max_index = 0
@@ -163,6 +176,122 @@ def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
         for idx, val in entries.items():
             feats[i, idx - 1] = val
     return _handed_over(feats, np.array(labels))
+
+
+# The vectorized parser reads the text in blocks of about this many
+# characters, so that only one block's tokens are alive at a time.
+_BLOCK_CHARS = 1 << 16
+
+# Byte classes of the vectorized parser: an ASCII digit maps to its value,
+# and every byte below 0x20 other than tab, LF and CR to _CONTROL, because
+# str.split and str.splitlines treat some of them (\x0b, \x0c, \x1c-\x1f)
+# as separators. The parser declines a block that holds _CONTROL.
+_TOKEN, _COLON, _BLANK, _NEWLINE, _CONTROL = range(10, 15)
+_BYTE_CLASS = bytes(
+    c - 0x30 if 0x30 <= c <= 0x39 else _COLON if c == 0x3A
+    else _BLANK if c in b" \t" else _NEWLINE if c in b"\n\r"
+    else _CONTROL if c < 0x20 else _TOKEN
+    for c in range(256))
+_MAX_INDEX_DIGITS = 18      # 10**18 - 1 fits in int64
+
+
+def _parse_regular(text: str, dims: int | None) -> Dataset | None:
+    """``_parse_lines(text, dims)`` bit for bit on regular text, else None.
+
+    Regular text is ASCII without ``#`` and without control characters
+    other than tab, LF and CR; each of its lines is blank or reads
+    ``label idx:val ...`` with ASCII-digit indices that are 1-based,
+    strictly increase and fit ``dims``, and with finite numbers that
+    ``float`` reads. The same ``float`` reads every number, so the bits
+    match. On any other text this returns None, so that every ParseError
+    and DataError comes from the line parser.
+    """
+    if not text.isascii() or "#" in text:
+        return None
+    labels, rows, cols, vals = [], [], [], []
+    n = start = 0
+    while start < len(text):
+        # Blocks end just after a LF, so no line (and no CRLF) is split;
+        # text whose lines all end in a lone CR is one block.
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        block = _read_block(text[start:end])
+        if block is None:
+            return None
+        lab, row, col, val = block
+        labels.append(lab)
+        rows.append(row + n)
+        cols.append(col)
+        vals.append(val)
+        n += lab.size
+        start = end
+    if n == 0:
+        return None
+    col = np.concatenate(cols)
+    max_index = int(col.max(initial=0))
+    d_x = dims if dims is not None else max_index
+    if d_x < 1 or max_index > d_x:
+        return None
+    feats = np.zeros((n, d_x))
+    feats[np.concatenate(rows), col - 1] = np.concatenate(vals)
+    return _handed_over(feats, np.concatenate(labels))
+
+
+def _read_block(block: str) -> tuple[Array, Array, Array, Array] | None:
+    """(labels, row of each pair, indices, values) of a block of whole
+    lines, or None where the block is not regular text."""
+    data = bytearray(("\n" + block).encode("ascii"))
+    cls = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
+    if cls.max() == _CONTROL:
+        return None
+    # Sub-tokens are split at blanks, newlines and colons. One is a value
+    # when a colon precedes it, a label when it is the first after a
+    # newline, and an index otherwise.
+    sep = cls >= _COLON
+    start = np.flatnonzero(sep[:-1] > sep[1:]) + 1
+    opens_line = np.zeros(start.size + 1, dtype=bool)
+    opens_line[np.searchsorted(start, np.flatnonzero(cls == _NEWLINE))] = True
+    opens_line = opens_line[:-1]
+    value = cls[start - 1] == _COLON
+    label = opens_line & ~value
+    index = ~opens_line & ~value
+    # Every index is followed by its value across one colon, glued on both
+    # sides.
+    colon = start[value] - 1
+    if (index[-1:].any() or not np.array_equal(value[1:], index[:-1])
+            or sep[colon - 1].any()):
+        return None
+    # Read the indices digit by digit, and blank them and their colons in
+    # data, so that one split of data yields the labels and values in order.
+    # Any other colon stays in a word that float() rejects.
+    chars = np.frombuffer(data, dtype=np.uint8)
+    chars[colon] = ord(" ")
+    first = start[index]
+    width = colon - first
+    digits = int(width.max(initial=0))
+    if digits > _MAX_INDEX_DIGITS:
+        return None
+    col = np.zeros(first.size, dtype=np.int64)
+    for k in range(digits):
+        live = width > k
+        at = first[live] + k
+        digit = cls[at]
+        if (digit > 9).any():
+            return None
+        col[live] = col[live] * 10 + digit
+        chars[at] = ord(" ")
+    row = np.cumsum(label)[index] - 1
+    repeat = (row[1:] == row[:-1]) & (col[1:] <= col[:-1])
+    if (col < 1).any() or repeat.any():
+        return None
+    words = data.decode("ascii").split()
+    try:
+        numbers = np.fromiter(map(float, words), dtype=np.float64, count=len(words))
+    except ValueError:
+        return None
+    if not np.isfinite(numbers).all():
+        return None
+    is_label = label[~index]
+    return numbers[is_label], row, col, numbers[~is_label]
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

@@ -1,5 +1,7 @@
 """Model zoo: LIBSVM parsing, ridge/logistic oracles, fixtures, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,14 @@ class TestParseLibsvm:
         with pytest.raises(UsageError, match=f"got {dims}"):
             hg.parse_libsvm("1 1:2\n", dims=dims)
 
+    @pytest.mark.parametrize("dims", [2.5, True, "3"])
+    def test_non_integer_dims_is_a_usage_error(self, dims):
+        with pytest.raises(UsageError, match=f"integer, got {dims!r}"):
+            hg.parse_libsvm("1 1:2\n", dims=dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        assert hg.parse_libsvm("1 1:2\n", dims=np.int64(3)).d_x == 3
+
     def test_parsed_arrays_are_read_only(self):
         ds = hg.parse_libsvm("1 1:2\n-1 2:3\n")
         for stored in (ds.features, ds.labels):
@@ -87,6 +97,125 @@ class TestParseLibsvm:
         back = hg.parse_libsvm(hg.serialize_libsvm(ds), dims=d)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+
+# Number spellings that float() reads: 17 significant digits, exponents,
+# signed zeros, subnormals and the forms a hand-written file may hold.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBERS = st.one_of(
+    _FINITE.map(repr), _FINITE.map(lambda v: f"{v:.17g}"),
+    _FINITE.map(lambda v: f"{v:.16E}"), st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0.0", "0", "-0", "+1.5", ".5", "5.", "1e-320", "-4e+2",
+                     "1_0.5"]))
+_GAP = st.text(alphabet=" \t", min_size=1, max_size=3)
+_PAD = st.text(alphabet=" \t", max_size=2)
+
+
+@st.composite
+def regular_texts(draw):
+    """(text, dims) that both LIBSVM parsers read: rows with and without
+    pairs, blank and whitespace-only lines, LF, CRLF and lone CR, runs of
+    blanks, indices with leading zeros, with or without a final newline."""
+    width = draw(st.integers(1, 6))
+    lines, max_index = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        lines += draw(st.lists(_PAD, max_size=2))
+        cols = sorted(draw(st.sets(st.integers(1, width), max_size=width)))
+        max_index = max([max_index, *cols])
+        tokens = [draw(_NUMBERS)] + [
+            f"{draw(st.sampled_from(['', '0']))}{c}:{draw(_NUMBERS)}" for c in cols]
+        lines.append(draw(_PAD) + "".join(t + draw(_GAP) for t in tokens[:-1])
+                     + tokens[-1] + draw(_PAD))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    dims = draw(st.one_of(st.none(), st.integers(0, 3)) if max_index
+                else st.integers(1, 3))
+    return text, None if dims is None else max_index + dims
+
+
+def _outcome(parse, text, dims):
+    """What a parser gives: the error's type, message and line, or the bits."""
+    try:
+        ds = parse(text, dims)
+    except DataError as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
+
+
+class TestParserPaths:
+    """The vectorized parser against the line parser, its reference."""
+
+    # What a corruption inserts: separators of every kind, signs, comment
+    # marks, non-ASCII digits and marks, non-finite numbers, stray pairs.
+    PIECES = ["", ":", "#", "+", "-", "_", ".", "e", "0", "7", "x", " ", "\t",
+              "\n", "\r", "\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x7f",
+              "\x85", "\u2028", "\ufeff", "²", "nan", "inf", "1e999", "1:",
+              ":1", " 3:4", " 9"]
+
+    @given(regular_texts(), st.integers(1, 48))
+    @settings(max_examples=60, deadline=None)
+    def test_paths_agree_on_valid_text(self, case, block_chars):
+        text, dims = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_BLOCK_CHARS", block_chars)
+            fast = models._parse_regular(text, dims)
+        assert fast is not None, (text, dims)
+        ref = models._parse_lines(text, dims)
+        assert_same_bits(fast.features, ref.features)
+        assert_same_bits(fast.labels, ref.labels)
+
+    @given(regular_texts(), st.integers(1, 48), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_paths_agree_on_corrupt_text(self, case, block_chars, data):
+        text, dims = case
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 2))
+            piece = data.draw(st.sampled_from(self.PIECES))
+            text = text[:at] + piece + text[at + cut:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_BLOCK_CHARS", block_chars)
+            got = _outcome(hg.parse_libsvm, text, dims)
+        assert got == _outcome(models._parse_lines, text, dims), text
+
+    @pytest.mark.parametrize("text", [
+        "1 2:3:4 5\n",             # as many colons as pairs
+        "1 2:3:\n", "1 2:3 :\n",   # one colon more than values
+        "1 \u00b2:2\n",            # str.isdigit accepts it, int does not
+        "1 +1:2\n", "1 1_0:2\n",   # int accepts these; the fast path declines
+        # Separators of str.splitlines or str.split other than tab, LF and
+        # CR; read as blanks, \x1c, \x0b and \x00 before "2:3" would each
+        # give a valid row.
+        "1 1:2\x1c2 1:3\n", "1 1:2\x1c2:3\n", "1 1:2\x0b2:3\n",
+        "1 1:2\x002:3\n", "1 1:2\x852 1:3\n", "1 1:2\u20282 1:3\n",
+        "1 1:2\x0c2 1:3\n", "\ufeff1 1:2\n",
+        "1 1:nan\n", "inf 1:2\n", "1 1:-inf\n",
+        "1 1:2\n# comment\n",
+    ])
+    def test_named_irregular_texts(self, text):
+        assert models._parse_regular(text, None) is None
+        assert (_outcome(hg.parse_libsvm, text, None)
+                == _outcome(models._parse_lines, text, None))
+
+    def test_blocked_parse_peaks_below_the_line_parser(self):
+        """On a 20000 x 5 file the blocked parser holds less memory at its
+        peak than the line parser; holding every token at once does not."""
+        # 20000 rows drawn from 500 serialized ones: the bytes of a real
+        # file, built without formatting 100000 floats.
+        pool = hg.serialize_libsvm(hg.synthetic_classification_dataset(
+            500, 5, seed=5)).splitlines(keepends=True)
+        text = "".join(pool[i] for i in hg.rng_from_seed(5).integers(0, 500, 20000))
+        peaks = []
+        for parse in (hg.parse_libsvm, models._parse_lines):
+            tracemalloc.start()
+            try:
+                parse(text, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1], peaks
 
 
 class TestDataset:

@@ -39,7 +39,8 @@ def counting_logistic(logistic_quadratic):
 
 
 # Every at-root analysis, called on a context; estimators, families and
-# preconditioners are built from the context's problem.
+# preconditioners are built from ``ctx.problem``, the caller's problem, which
+# keeps the root the context solved.
 AT_ROOT = {
     "efficiency_constant": lambda ctx: hg.efficiency_constant(
         ctx, hg.make_estimator(ctx.problem, "opt")),
@@ -109,17 +110,23 @@ class TestRootContext:
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_context_estimators_equal_plain_ones(ridge_quadratic, logistic_quadratic,
+                                             reg_train, reg_val, cls_train, cls_val,
                                              seed):
     """Every strategy built from the context's problem gives the bits of the
-    one built from the caller's problem, off the root and off the context's y."""
-    for problem, y in ((ridge_quadratic, seeded_y(ridge_quadratic, seed)),
-                       (logistic_quadratic, _logistic_y(logistic_quadratic, seed))):
+    one built from a freshly made problem on the same datasets, off the root
+    and off the context's y."""
+    quadratic = hg.OuterVariant.quadratic()
+    for problem, y, fresh in (
+            (ridge_quadratic, seeded_y(ridge_quadratic, seed),
+             lambda: hg.make_ridge(reg_train, reg_val, quadratic)),
+            (logistic_quadratic, _logistic_y(logistic_quadratic, seed),
+             lambda: hg.make_logistic(cls_train, cls_val, quadratic))):
         ctx = hg.RootContext.solve(problem, y)
         x = ctx.xstar + hg.sample_y(problem.d_x, -0.1, 0.1, seed + 1)
         other_y = y + hg.sample_y(problem.d_y, -1e-3, 1e-3, seed + 2)
         for key in hg.STRATEGIES:
             shared = hg.make_estimator(ctx.problem, key)
-            plain = hg.make_estimator(problem, key)
+            plain = hg.make_estimator(fresh(), key)
             for yy in (y, other_y):
                 assert np.array_equal(shared(x, yy), plain(x, yy)), (key, yy)
 
