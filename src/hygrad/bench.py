@@ -196,30 +196,35 @@ def run_decay(config: RunConfig) -> list:
     xstar = ctx.xstar
     grad_true = Strategy(problem).estimate(xstar, y)
 
-    traces = []
-    for strategy in config.strategies:
-        estimator = make_estimator(problem, strategy)
-        meta = _base_metadata(config, problem, y)
-        meta["steps"] = str(config.steps)
-        rows = []
-        filtered = []
-        for k, x in enumerate(trajectory.iterates):
+    # Steps outer, strategies inner: every strategy at iterate k reads the
+    # blocks and F_1 factorizations that the problem keeps for the points
+    # of that step. A strategy that aborts drops out of later steps.
+    estimators = {s: make_estimator(problem, s) for s in config.strategies}
+    traces = {s: DecayTrace(s, [], dict(_base_metadata(config, problem, y),
+                                        steps=str(config.steps)))
+              for s in config.strategies}
+    filtered = {s: [] for s in config.strategies}
+    live = list(config.strategies)
+    for k, x in enumerate(trajectory.iterates):
+        inner_error = float(np.linalg.norm(x - xstar))
+        for strategy in list(live):
             try:
-                estimate = estimator(x, y)
+                estimate = estimators[strategy](x, y)
             except DomainError:
                 # Outside the change of variables' domain: skip the point.
-                filtered.append(k)
+                filtered[strategy].append(k)
                 continue
             except HygradError as err:
-                meta[f"aborted_{strategy}"] = f"step {k}: {err}"
-                break
-            rows.append((k,
-                         float(np.linalg.norm(x - xstar)),
-                         float(np.linalg.norm(estimate - grad_true))))
-        if filtered:
-            meta[f"filtered_steps_{strategy}"] = ";".join(str(k) for k in filtered)
-        traces.append(DecayTrace(strategy=strategy, rows=rows, metadata=meta))
-    return traces
+                traces[strategy].metadata[f"aborted_{strategy}"] = f"step {k}: {err}"
+                live.remove(strategy)
+                continue
+            traces[strategy].rows.append(
+                (k, inner_error, float(np.linalg.norm(estimate - grad_true))))
+    for strategy, steps in filtered.items():
+        if steps:
+            traces[strategy].metadata[f"filtered_steps_{strategy}"] = \
+                ";".join(str(k) for k in steps)
+    return list(traces.values())
 
 
 def run_efficiency_sweep(config: RunConfig) -> list:

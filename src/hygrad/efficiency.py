@@ -26,13 +26,12 @@ from .estimators import (
     Reparameterization,
     SeparableReparam,
     StrategyKind,
-    jac_x_y_dirs,
     make_estimator,
     newton_separable_reparam,
     resolve_strategy,
     solution_sensitivity,
 )
-from .linalg import factor, spectral_norm, top_singular
+from .linalg import spectral_norm, top_singular
 from .problems import BilevelProblem, _read_only, as_vector, fd_jacobian, fd_step
 from .seeding import rng_from_seed
 from .solvers import exact_root
@@ -134,12 +133,11 @@ def ift_jacobian_analytic(ctx: RootContext) -> Array:
     F_2' F_1^{-1} (dF_1/dx along s).
     """
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
-    f1 = factor(problem.jac_x(xstar, y), what="F_1")
+    f1 = problem.jac_x_factor(xstar, y)
     f2 = problem.jac_y(xstar, y)
     g1 = problem.outer.grad_x(xstar, y)
     s = f1.solve(g1)
-    term_y = np.stack([-g_e.T @ s for g_e in jac_x_y_dirs(problem, xstar, y)],
-                      axis=0)
+    term_y = -problem.djac_x_y_apply_T(xstar, y, s).T
     m_s = problem.inner.djac_x_dir_x(xstar, y, s)
     term_x = f2.T @ f1.solve(m_s)
     return outer_curvature(ctx) + term_y + term_x

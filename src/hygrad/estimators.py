@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import CapabilityError, DomainError, UsageError
-from .linalg import Factorization, factor, linear_solve, solve_transpose
+from .linalg import Factorization, factor, solve_transpose
 from .problems import BilevelProblem, as_vector
 from .solvers import newton_root
 
@@ -45,10 +45,8 @@ def solution_sensitivity(problem: BilevelProblem, x: Array, y: Array) -> Array:
 
     Computed by a transpose solve of F_1 against F_2; exact at the root.
     """
-    f1 = problem.jac_x(x, y)
     f2 = problem.jac_y(x, y)
-    w = solve_transpose(f1, f2, what="F_1")
-    return -w.T
+    return -problem.jac_x_factor(x, y).solve_T(f2).T
 
 
 # --------------------------------------------------------------------------
@@ -69,7 +67,7 @@ class PreconditionerOracle:
 def newton_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
     """P = F_1: the corrective step becomes one Newton step."""
     return PreconditionerOracle(
-        solve=lambda x, y, v: linear_solve(problem.jac_x(x, y), v, what="P"),
+        solve=lambda x, y, v: problem.jac_x_factor(x, y, what="P").solve(v),
         matrix=problem.jac_x)
 
 
@@ -249,12 +247,6 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
     )
 
 
-def jac_x_y_dirs(problem: BilevelProblem, x: Array, y: Array) -> list[Array]:
-    """The y_e-derivative of F_1 for every one-hot direction e, in order."""
-    return [problem.inner.djac_x_dir_y(x, y, direction)
-            for direction in np.eye(problem.d_y)]
-
-
 def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
     """Separable family with R = [diag(F_1)]^{-1} and Q the identity."""
     def diagonal(x, y):
@@ -264,7 +256,7 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         # R_2 is diagonal per y-coordinate: (R_2)_{kk,e} = -dF1_kk/dy_e / d_k^2,
         # so the left and right contractions share one formula.
         d = diagonal(x, y)
-        dirs = np.stack([np.diag(g_e) for g_e in jac_x_y_dirs(problem, x, y)], axis=1)
+        dirs = problem.djac_x_y_diag(x, y)
         return -dirs * (w / (d * d))[:, None], -dirs * (q / (d * d))[:, None]
 
     return SeparableReparam(
@@ -282,9 +274,13 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
 def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
     """Separable family with R = F_1^{-1}, Q = -F, and the anchor offset.
 
-    The q_hess contraction reuses the directional derivative of F_1, which
-    contracts over the output index only because the residual is a gradient
-    field (its second-derivative tensor is symmetric in all indices); every
+    R and both contractions of R_2 solve against the factorization of F_1
+    that the problem keeps per point, so F_1 is checked once per point,
+    whoever else solves against it there; each contraction reads dF_1/dy
+    through one call of the problem's y-coupling methods. The q_hess
+    contraction reuses the directional derivative of F_1, which contracts
+    over the output index only because the residual is a gradient field
+    (its second-derivative tensor is symmetric in all indices); every
     shipped problem satisfies this.
 
     Inverting Q means solving F(z, ybar) = -v by a damped Newton run seeded
@@ -293,18 +289,15 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
     check.
     """
     def r(x, y):
-        f1 = problem.jac_x(x, y)
-        return linear_solve(f1, np.eye(problem.d_x), what="F_1")
+        return problem.jac_x_factor(x, y).solve(np.eye(problem.d_x))
 
-    # Both contractions share one F_1 factorization and one pass over the
-    # y-directions, and solve every direction's column in one matrix
+    # Each contraction solves every y-direction's column in one matrix
     # right-hand side.
     def r2_contract(x, y, w, q):
-        f1 = factor(problem.jac_x(x, y), what="F_1")
-        dirs = jac_x_y_dirs(problem, x, y)
+        f1 = problem.jac_x_factor(x, y)
         t, s = f1.solve_T(w), f1.solve(q)
-        return (-f1.solve_T(np.stack([g_e.T @ t for g_e in dirs], axis=1)),
-                -f1.solve(np.stack([g_e @ s for g_e in dirs], axis=1)))
+        return (-f1.solve_T(problem.djac_x_y_apply_T(x, y, t)),
+                -f1.solve(problem.djac_x_y_apply(x, y, s)))
 
     def q_inverse(v, ybar):
         start = problem.exact_root(ybar)

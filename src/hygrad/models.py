@@ -171,11 +171,20 @@ def _parse_lines(text: str, dims: int | None) -> Dataset:
         raise ParseError("no feature indices found and no dims override given")
     if max_index > d_x:
         raise ParseError(f"index {max_index} exceeds dims override {d_x}")
-    feats = np.zeros((len(rows), d_x))
+    feats = _zero_features(len(rows), d_x)
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             feats[i, idx - 1] = val
     return _handed_over(feats, np.array(labels))
+
+
+def _zero_features(n: int, d_x: int) -> Array:
+    """The zero n x d_x feature matrix both parsers fill; DataError when
+    numpy cannot allocate it, as when one huge index sets the width."""
+    try:
+        return np.zeros((n, d_x))
+    except (ValueError, MemoryError) as err:
+        raise DataError(f"cannot allocate a {n} x {d_x} feature matrix: {err}") from None
 
 
 # The vectorized parser reads the text in blocks of about this many
@@ -204,7 +213,8 @@ def _parse_regular(text: str, dims: int | None) -> Dataset | None:
     strictly increase and fit ``dims``, and with finite numbers that
     ``float`` reads. The same ``float`` reads every number, so the bits
     match. On any other text this returns None, so that every ParseError
-    and DataError comes from the line parser.
+    comes from the line parser; a width numpy cannot allocate raises the
+    line parser's DataError (``_zero_features``).
     """
     if not text.isascii() or "#" in text:
         return None
@@ -231,7 +241,7 @@ def _parse_regular(text: str, dims: int | None) -> Dataset | None:
     d_x = dims if dims is not None else max_index
     if d_x < 1 or max_index > d_x:
         return None
-    feats = np.zeros((n, d_x))
+    feats = _zero_features(n, d_x)
     feats[np.concatenate(rows), col - 1] = np.concatenate(vals)
     return _handed_over(feats, np.concatenate(labels))
 
@@ -385,6 +395,11 @@ def _penalized_problem(name: str, d: int, outer: CallableOuterOracle, data_grad,
     def jac_x(x, y):
         return data_hess(x) + np.diag(np.exp(y))
 
+    # dF_1/dy_e = diag(exp(y) * 1_e) is symmetric, so both contractions
+    # with a vector v are diag(exp(y) * v).
+    def coupling(x, y, v):
+        return np.diag(np.exp(y) * v)
+
     return BilevelProblem(inner=CallableInnerOracle(
         residual=residual,
         jac_x=jac_x,
@@ -393,6 +408,9 @@ def _penalized_problem(name: str, d: int, outer: CallableOuterOracle, data_grad,
         djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e),
         exact_root=lambda y: exact_root(
             y, lambda x: residual(x, y), lambda x: jac_x(x, y)),
+        djac_x_y_apply=coupling,
+        djac_x_y_apply_T=coupling,
+        djac_x_y_diag=lambda x, y: np.diag(np.exp(y)),
     ), outer=outer, d_x=d, d_y=d, name=name)
 
 

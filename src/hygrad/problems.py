@@ -12,9 +12,10 @@ A bilevel problem is a pair of oracles over (x, y) with x the inner variable
 
 All oracles must be pure functions of their arguments: problems are shared
 freely across concurrent read-only evaluations, so implementations must not
-mutate interior state. A ``BilevelProblem``'s memo of recent blocks and
-roots is its only mutable state, and it sits behind ``functools.lru_cache``;
-two threads that compute the same block get equal values.
+mutate interior state. A ``BilevelProblem``'s memo of recent blocks, F_1
+factorizations and roots is its only mutable state, and it sits behind
+``functools.lru_cache``; two threads that compute the same block get equal
+values.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .errors import ContractViolation, HygradError, NumericalFailure, UsageError
+from .linalg import Factorization, factor
 
 Array = np.ndarray
 
@@ -71,7 +73,15 @@ def as_matrix(a, shape: tuple[int, int] | None = None, name: str = "matrix") -> 
 
 
 class InnerOracle(Protocol):
-    """Derivative oracle for the inner residual F(x, y)."""
+    """Derivative oracle for the inner residual F(x, y).
+
+    An oracle may also give the y-coupling contractions of g_e = dF_1/dy_e
+    in closed form, each a (d_x, d_y) matrix: ``djac_x_y_apply(x, y, s)``
+    with columns g_e s, ``djac_x_y_apply_T(x, y, t)`` with columns g_e' t,
+    and ``djac_x_y_diag(x, y)`` with columns diag(g_e). ``BilevelProblem``
+    uses them when the attribute is present and not None, and otherwise
+    contracts ``djac_x_dir_y`` along every one-hot direction.
+    """
 
     def residual(self, x: Array, y: Array) -> Array: ...
 
@@ -134,6 +144,9 @@ class CallableInnerOracle:
     djac_x_dir_x: Callable[[Array, Array, Array], Array]
     djac_x_dir_y: Callable[[Array, Array, Array], Array]
     exact_root: Callable[[Array], Optional[Array]] = _no_exact_root
+    djac_x_y_apply: Optional[Callable[[Array, Array, Array], Array]] = None
+    djac_x_y_apply_T: Optional[Callable[[Array, Array, Array], Array]] = None
+    djac_x_y_diag: Optional[Callable[[Array, Array], Array]] = None
 
 
 @dataclass(frozen=True)
@@ -153,10 +166,15 @@ class BilevelProblem:
     """An inner/outer oracle pair with declared dimensions.
 
     ``residual``, ``jac_x`` and ``jac_y`` validate the inner oracle's block
-    and evaluate it once per point among the last 4 points; ``exact_root``
-    solves once per y among the last 4 y. A point is the shapes and bits of
-    x and y, so -0.0 and 0.0 are different points. Blocks are handed out
-    read-only, roots as fresh copies.
+    and evaluate it once per point among the last 4 points, and
+    ``jac_x_factor`` checks F_1 there once for every solve against it;
+    ``exact_root`` solves once per y among the last 4 y. A point is the
+    shapes and bits of x and y, so -0.0 and 0.0 are different points.
+    Blocks are handed out read-only, roots as fresh copies.
+
+    The three y-coupling contractions (see ``InnerOracle``) call the inner
+    oracle's closed form when it has one, else the one-hot loop over
+    ``djac_x_dir_y``; they are not kept.
     """
 
     inner: InnerOracle
@@ -174,9 +192,12 @@ class BilevelProblem:
         object.__setattr__(self, "_roots",
                            functools.lru_cache(maxsize=_MEMO_ROOTS)(self._solve))
 
-    def _block(self, method: str, x: Array, y: Array, check, shape) -> Array:
+    def _memo(self, x: Array, y: Array) -> tuple[Array, Array, dict]:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        blocks = self._points((x.shape, x.tobytes(), y.shape, y.tobytes()))
+        return x, y, self._points((x.shape, x.tobytes(), y.shape, y.tobytes()))
+
+    def _block(self, method: str, x: Array, y: Array, check, shape) -> Array:
+        x, y, blocks = self._memo(x, y)
         block = blocks.get(method)
         if block is None:
             block = blocks[method] = _read_only(
@@ -198,10 +219,56 @@ class BilevelProblem:
     def jac_y(self, x: Array, y: Array) -> Array:
         return self._block("jac_y", x, y, as_matrix, (self.d_x, self.d_y))
 
+    def jac_x_factor(self, x: Array, y: Array, what: str = "F_1") -> Factorization:
+        """``factor(jac_x(x, y), what)``, checked once per point. A singular
+        F_1 is not kept: every caller checks it again and raises
+        SingularMatrixError naming its own ``what``."""
+        x, y, blocks = self._memo(x, y)
+        lu = blocks.get("factor")
+        if lu is None:
+            lu = blocks["factor"] = factor(self.jac_x(x, y), what)
+        return lu
+
+    def djac_x_y_apply(self, x: Array, y: Array, s: Array) -> Array:
+        """The (d_x, d_y) matrix whose column e is (dF_1/dy_e) s."""
+        return self._coupling("djac_x_y_apply", x, y, s)
+
+    def djac_x_y_apply_T(self, x: Array, y: Array, t: Array) -> Array:
+        """The (d_x, d_y) matrix whose column e is (dF_1/dy_e)' t."""
+        return self._coupling("djac_x_y_apply_T", x, y, t)
+
+    def djac_x_y_diag(self, x: Array, y: Array) -> Array:
+        """The (d_x, d_y) matrix whose column e is diag(dF_1/dy_e)."""
+        return self._coupling("djac_x_y_diag", x, y)
+
+    def _coupling(self, method: str, x: Array, y: Array, *vector: Array) -> Array:
+        closed = getattr(self.inner, method, None)
+        m = closed(x, y, *vector) if closed is not None \
+            else one_hot_coupling(self.inner, method, x, y, self.d_y, *vector)
+        return as_matrix(m, (self.d_x, self.d_y), method)
+
     def exact_root(self, y: Array) -> Optional[Array]:
         y = np.asarray(y, dtype=float)
         root = self._roots(y.shape, y.tobytes())
         return None if root is None else root.copy()
+
+
+# Column e of each y-coupling contraction, from g_e = dF_1/dy_e.
+_COUPLING_COLUMNS = {
+    "djac_x_y_apply": lambda g_e, s: g_e @ s,
+    "djac_x_y_apply_T": lambda g_e, t: g_e.T @ t,
+    "djac_x_y_diag": lambda g_e: np.diag(g_e),
+}
+
+
+def one_hot_coupling(inner: InnerOracle, method: str, x: Array, y: Array,
+                     d_y: int, *vector: Array) -> Array:
+    """A y-coupling contraction (``djac_x_y_apply``, ``djac_x_y_apply_T`` or
+    ``djac_x_y_diag``) from ``inner.djac_x_dir_y`` along every one-hot
+    direction of y: the reference for an oracle's closed form."""
+    column = _COUPLING_COLUMNS[method]
+    return np.stack([column(inner.djac_x_dir_y(x, y, e), *vector)
+                     for e in np.eye(d_y)], axis=1)
 
 
 def fd_step(at: Array, eps: float | None, rel: float) -> float:
@@ -253,7 +320,9 @@ def validate_oracles(problem: BilevelProblem, x: Array, y: Array,
     """Cross-check every analytic derivative oracle against central differences.
 
     Returns, per oracle, the max relative deviation from a finite difference
-    of the parent quantity. Shape mismatches raise ContractViolation.
+    of the parent quantity; for the three y-coupling contractions, from the
+    one-hot loop over djac_x_dir_y. Shape mismatches raise
+    ContractViolation.
     """
     if not 0 < step < np.inf:
         raise ContractViolation("step must be positive and finite")
@@ -284,6 +353,14 @@ def validate_oracles(problem: BilevelProblem, x: Array, y: Array,
             fd_jacobian(lambda t: problem.jac_x(x, y + t[0] * e), np.zeros(1),
                         step)[..., 0])
         for e in directions_y)
+    # A closed form left behind when djac_x_dir_y changes shows here.
+    for method in ("djac_x_y_apply", "djac_x_y_apply_T"):
+        report[method] = max(
+            _rel_mismatch(getattr(problem, method)(x, y, u),
+                          one_hot_coupling(inner, method, x, y, d_y, u))
+            for u in directions_x)
+    report["djac_x_y_diag"] = _rel_mismatch(
+        problem.djac_x_y_diag(x, y), one_hot_coupling(inner, "djac_x_y_diag", x, y, d_y))
 
     grad_x = as_vector(outer.grad_x(x, y), d_x, "grad_x")
     grad_y = as_vector(outer.grad_y(x, y), d_y, "grad_y")

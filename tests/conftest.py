@@ -16,6 +16,9 @@ REG_VAL_SEED = 2025
 CLS_TRAIN_SEED = 11
 CLS_VAL_SEED = 12
 
+# The inner oracle's optional closed-form y-coupling contractions.
+COUPLINGS = ("djac_x_y_apply", "djac_x_y_apply_T", "djac_x_y_diag")
+
 
 @pytest.fixture(scope="session")
 def reg_train():
@@ -73,6 +76,22 @@ def libsvm_dir(tmp_path_factory, reg_train, reg_val, cls_train, cls_val):
     (root / "cls_train.libsvm").write_text(hg.serialize_libsvm(cls_train))
     (root / "cls_val.libsvm").write_text(hg.serialize_libsvm(cls_val))
     return root
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Every matrix the dense singularity check sees from here on. Counting
+    through the module attribute also checks that linalg looks the check up
+    when it factors, as profilers that rebind it need."""
+    import hygrad.linalg as linalg
+    calls = []
+    original = linalg.check_nonsingular
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(linalg, "check_nonsingular", counting)
+    return calls
 
 
 def seeded_y(problem, seed, low=-1.0, high=1.0):

@@ -1,5 +1,7 @@
 """Benchmark runner, slope fitting, CSV and SVG emission."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,85 @@ class TestRunDecay:
         assert exp_trace.metadata["filtered_steps_exp"] == "0;1;2;3;4"
         assert "aborted_exp" not in exp_trace.metadata
         assert len(vanilla.rows) == 5
+
+    def test_aborted_strategy_keeps_earlier_rows_and_drops_out(self, monkeypatch):
+        # diag fails at step 3: it keeps steps 0-2, records the failure and
+        # is not called again; every other strategy, and exp's skipped
+        # start, are as in a run without the failure.
+        config = hg.RunConfig(problem="scalar", strategies=hg.STRATEGIES, steps=6,
+                              seed=2, step_size=0.1)
+        plain = {t.strategy: t for t in hg.run_decay(config)}
+        make = hg.bench.make_estimator
+        diag_calls = []
+
+        def failing_diag(problem, kind):
+            estimator = make(problem, kind)
+            if kind != "diag":
+                return estimator
+
+            def estimate(x, y):
+                diag_calls.append(x)
+                if len(diag_calls) == 4:
+                    raise hg.NumericalFailure("injected failure")
+                return estimator(x, y)
+            return hg.Estimator(estimator.name, estimate)
+        monkeypatch.setattr(hg.bench, "make_estimator", failing_diag)
+        traces = {t.strategy: t for t in hg.run_decay(config)}
+        assert len(diag_calls) == 4
+        assert traces["diag"].rows == plain["diag"].rows[:3]
+        assert traces["diag"].metadata["aborted_diag"] == "step 3: injected failure"
+        assert "aborted_diag" not in plain["diag"].metadata
+        for strategy in hg.STRATEGIES:
+            if strategy != "diag":
+                assert traces[strategy].rows == plain[strategy].rows, strategy
+                assert traces[strategy].metadata == plain[strategy].metadata, strategy
+        assert traces["exp"].metadata["filtered_steps_exp"] == "0"
+
+    def test_one_step_shares_its_points_across_strategies(self, logistic_quadratic,
+                                                         monkeypatch, lu_calls):
+        # Per strategy, the inner jac_x and residual calls and the dense
+        # singularity checks of one estimate in a decay step. Strategies run
+        # inside each step, so they share the blocks and the F_1
+        # factorization of x_k: only vanilla evaluates and checks F_1(x_k),
+        # only newton evaluates F(x_k), newton and diag evaluate F_1 at
+        # their corrected points, and opt re-evaluates F and F_1 at the root,
+        # which the problem's memo of four points has dropped by then.
+        calls = []
+
+        def counted(name):
+            oracle = getattr(logistic_quadratic.inner, name)
+
+            def call(*args):
+                calls.append(name)
+                return oracle(*args)
+            return call
+        problem = replace(logistic_quadratic, inner=replace(
+            logistic_quadratic.inner, jac_x=counted("jac_x"),
+            residual=counted("residual")))
+        monkeypatch.setattr(hg.bench, "build_problem", lambda config: problem)
+        make = hg.bench.make_estimator
+        counts = {}
+
+        def counting(problem, kind):
+            estimator = make(problem, kind)
+
+            def estimate(x, y):
+                before, checks = len(calls), len(lu_calls)
+                try:
+                    return estimator(x, y)
+                finally:
+                    counts.setdefault(kind, []).append(
+                        (calls[before:].count("jac_x"),
+                         calls[before:].count("residual"), len(lu_calls) - checks))
+            return hg.Estimator(estimator.name, estimate)
+        monkeypatch.setattr(hg.bench, "make_estimator", counting)
+        steps = 6
+        hg.run_decay(hg.RunConfig(problem="logistic", strategies=hg.STRATEGIES,
+                                  steps=steps, y_low=3.0, y_high=6.0, seed=2))
+        per_step = {"vanilla": (1, 0, 1), "newton": (1, 1, 1), "diag": (1, 0, 1),
+                    "exp": (0, 0, 1), "diag-rep": (0, 0, 1), "opt": (1, 1, 2)}
+        for k in range(1, steps + 1):
+            assert {s: counts[s][k] for s in hg.STRATEGIES} == per_step, k
 
     def test_metadata_names_ground_truth_and_prng(self):
         config = hg.RunConfig(problem="scalar", strategies=("vanilla",),

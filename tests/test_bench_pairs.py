@@ -1,0 +1,55 @@
+"""The summary arithmetic of ``tools/bench_pairs.py`` (no benchmark runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quartiles_inclusive(tool):
+    assert tool.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert tool.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
+    assert tool.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr(tool):
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [p + 3.0 for p in parent]
+    s = tool.summarize(parent, change, "higher", 0.25)
+    assert s["parent"] == {"q1": 11.0, "median": 12.0, "q3": 13.0}
+    assert s["change"]["median"] == 15.0
+    assert (s["wins"], s["ties"], s["pairs"]) == (10, 0, 10)
+    assert s["parent_iqr"] == 2.0 and s["median_gain"] == 3.0
+    assert s["relative_gain"] == 0.25
+    assert s["gain_holds"] and s["within_bound"]
+
+    # One loss and one tie leave 8 wins of 10: no gain, though the median moved.
+    change[0], change[1] = parent[0] - 1.0, parent[1]
+    s = tool.summarize(parent, change, "higher", 0.25)
+    assert (s["wins"], s["ties"]) == (8, 1) and not s["gain_holds"]
+
+    # Every pair won, but by less than the parent's spread.
+    s = tool.summarize(parent, [p + 1.0 for p in parent], "higher", 0.25)
+    assert s["wins"] == 10 and not s["gain_holds"]
+
+
+def test_lower_is_better_and_the_bound(tool):
+    parent = [2.0, 2.0, 2.0, 2.0]
+    s = tool.summarize(parent, [1.0, 1.0, 1.0, 1.0], "lower", 0.05)
+    assert s["wins"] == 4 and s["median_gain"] == 1.0 and s["gain_holds"]
+    s = tool.summarize(parent, [2.09, 2.09, 2.09, 2.09], "lower", 0.05)
+    assert s["wins"] == 0 and s["within_bound"]
+    s = tool.summarize(parent, [2.11, 2.11, 2.11, 2.11], "lower", 0.05)
+    assert not s["within_bound"]
+    with pytest.raises(ValueError):
+        tool.summarize(parent, [1.0], "lower", 0.05)

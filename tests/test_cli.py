@@ -161,6 +161,13 @@ class TestDecayCommand:
                     "--outer", "affine"])
         assert code == 2
 
+    def test_width_numpy_cannot_allocate_exits_two(self, tmp_path):
+        huge = tmp_path / "huge.libsvm"
+        huge.write_text("1 99999999999999999:1\n")
+        code = run(["decay", "--problem", "ridge", "--train", str(huge),
+                    "--outer", "affine"])
+        assert code == 2
+
     def test_data_flags_on_builtin_problem_exit_one(self, tmp_path, capsys):
         for flag in (["--train", str(tmp_path / "absent.libsvm")],
                      ["--val", str(tmp_path / "absent.libsvm")]):

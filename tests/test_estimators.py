@@ -11,7 +11,7 @@ from hygrad.efficiency import JACOBIAN_FD_STEP
 from hygrad.estimators import resolve_strategy
 from hygrad.problems import CallableInnerOracle, fd_jacobian
 
-from conftest import seeded_y
+from conftest import COUPLINGS, seeded_y
 
 
 def shipped_problems(scalar_fixture, linear1d_fixture, ridge_quadratic,
@@ -264,7 +264,8 @@ class TestConstructors:
     def test_strategy_registry_complete(self, scalar_fixture):
         # Scaling F by 1e-15 moves neither the root nor the hypergradient,
         # and every strategy checks its matrices by one relative singularity
-        # rule, so the scaled problem runs every strategy too.
+        # rule, so the scaled problem runs every strategy too. Every
+        # derivative is scaled, the closed-form y-couplings included.
         s = 1e-15
         inner = scalar_fixture.inner
         tiny = replace(scalar_fixture, inner=replace(
@@ -273,8 +274,12 @@ class TestConstructors:
             jac_x=lambda x, y: s * inner.jac_x(x, y),
             jac_y=lambda x, y: s * inner.jac_y(x, y),
             djac_x_dir_x=lambda x, y, u: s * inner.djac_x_dir_x(x, y, u),
-            djac_x_dir_y=lambda x, y, e: s * inner.djac_x_dir_y(x, y, e)))
+            djac_x_dir_y=lambda x, y, e: s * inner.djac_x_dir_y(x, y, e),
+            djac_x_y_apply=lambda x, y, v: s * inner.djac_x_y_apply(x, y, v),
+            djac_x_y_apply_T=lambda x, y, v: s * inner.djac_x_y_apply_T(x, y, v),
+            djac_x_y_diag=lambda x, y: s * inner.djac_x_y_diag(x, y)))
         y = np.zeros(1)
+        assert max(hg.validate_oracles(tiny, np.array([0.3]), y).values()) <= 1e-8
         for problem in (scalar_fixture, tiny):
             xstar = problem.exact_root(y)
             for strategy in hg.STRATEGIES:
@@ -351,28 +356,12 @@ def _off_root_point(problem, seed):
     return x, y
 
 
-@pytest.fixture
-def lu_calls(monkeypatch):
-    """Every matrix the dense singularity check sees from here on. Counting
-    through the module attribute also checks that linalg looks the check up
-    when it factors, as profilers that rebind it need."""
-    import hygrad.linalg as linalg
-    calls = []
-    original = linalg.check_nonsingular
-
-    def counting(a, *args, **kwargs):
-        calls.append(a)
-        return original(a, *args, **kwargs)
-    monkeypatch.setattr(linalg, "check_nonsingular", counting)
-    return calls
-
-
 def _per_estimate_counts(problem, lu_calls, root_context):
-    """Per strategy, the (jac_x, djac_x_dir_y, LU check) counts of one
-    estimate at the seed-61 point just off the root, built from the problem
-    or from its root context at that y. Each strategy gets a fresh counting
-    problem, so no estimate reads blocks that an earlier one left in the
-    problem's memo."""
+    """Per strategy, the (jac_x, djac_x_dir_y, y-coupling, LU check) counts
+    of one estimate at the seed-61 point just off the root, built from the
+    problem or from its root context at that y. Each strategy gets a fresh
+    counting problem, so no estimate reads blocks or factorizations that an
+    earlier one left in the problem's memo."""
     x, y = _off_root_point(problem, 61)
     calls = []
 
@@ -384,7 +373,8 @@ def _per_estimate_counts(problem, lu_calls, root_context):
             return oracle(*args)
         return call
     inner = replace(problem.inner, jac_x=counted("jac_x"),
-                    djac_x_dir_y=counted("djac_x_dir_y"))
+                    djac_x_dir_y=counted("djac_x_dir_y"),
+                    **{name: counted(name) for name in COUPLINGS})
     counts = {}
     for key in hg.STRATEGIES:
         counting = replace(problem, inner=inner)
@@ -395,17 +385,18 @@ def _per_estimate_counts(problem, lu_calls, root_context):
         before = len(lu_calls)
         estimator(x, y)
         counts[key] = (calls.count("jac_x"), calls.count("djac_x_dir_y"),
-                       len(lu_calls) - before)
+                       sum(map(calls.count, COUPLINGS)), len(lu_calls) - before)
     return counts
 
 
-def _expected_counts(problem, opt_lu):
+def _expected_counts(opt_lu):
     # The problem evaluates F_1 once per point: diag-rep needs it at x only,
-    # opt at x and at z = Q^{-1}(0), the root. Both differentiate F_1 along
-    # each y-direction once, for both R_2 contractions.
-    return {"vanilla": (1, 0, 1), "newton": (2, 0, 2), "diag": (2, 0, 1),
-            "exp": (1, 0, 1), "diag-rep": (1, problem.d_y, 1),
-            "opt": (2, problem.d_y, opt_lu)}
+    # opt at x and at z = Q^{-1}(0), the root. Neither differentiates F_1
+    # along a one-hot y-direction: diag-rep reads R_2 from one closed-form
+    # diagonal call, opt from one closed-form call per R_2 contraction.
+    return {"vanilla": (1, 0, 0, 1), "newton": (2, 0, 0, 2),
+            "diag": (2, 0, 0, 1), "exp": (1, 0, 0, 1),
+            "diag-rep": (1, 0, 1, 1), "opt": (2, 0, 2, opt_lu)}
 
 
 class TestStrategyTable:
@@ -448,27 +439,28 @@ class TestStrategyTable:
         hg.make_estimator(ridge_quadratic, "opt")
         assert built == [ridge_quadratic]
 
-    @pytest.mark.parametrize("fixture,opt_lu", [("ridge_quadratic", 5),
-                                                ("logistic_quadratic", 7)])
+    @pytest.mark.parametrize("fixture,opt_lu", [("ridge_quadratic", 4),
+                                                ("logistic_quadratic", 6)])
     def test_lu_factorizations_per_estimate(self, fixture, opt_lu, request,
                                             lu_calls):
-        # Every solve against one matrix shares one factorization, and a
-        # change of variables evaluates its terms once per point. From a plain
-        # problem opt also solves the root that seeds q_inverse: one solve on
-        # ridge, three Newton steps on logistic.
+        # Every solve against one matrix shares one factorization, F_1's
+        # kept per point by the problem, and a change of variables evaluates
+        # its terms once per point. From a plain problem opt also solves the
+        # root that seeds q_inverse: one solve on ridge, three Newton steps
+        # on logistic.
         problem = request.getfixturevalue(fixture)
         assert _per_estimate_counts(problem, lu_calls, root_context=False) \
-            == _expected_counts(problem, opt_lu)
+            == _expected_counts(opt_lu)
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_opt_lu_factorizations_from_root_context(self, fixture, request,
                                                      lu_calls):
         # From a root context q_inverse is seeded at the stored root and its
-        # Newton run stops at the first residual check, so opt factors only
-        # R = F_1^{-1}, F_1 for both R_2 contractions, phi_1 and V.
+        # Newton run stops at the first residual check, so opt checks only
+        # F_1 (once, for R and both R_2 contractions), phi_1 and V.
         problem = request.getfixturevalue(fixture)
         assert _per_estimate_counts(problem, lu_calls, root_context=True) \
-            == _expected_counts(problem, 4)
+            == _expected_counts(3)
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_r2_contractions_match_per_direction_solves(self, fixture, request):

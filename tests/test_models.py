@@ -199,6 +199,18 @@ class TestParserPaths:
         assert (_outcome(hg.parse_libsvm, text, None)
                 == _outcome(models._parse_lines, text, None))
 
+    # A 20-digit index is past the fast path's 18 digits; a 17-digit one
+    # passes it, and a comment sends either to the line parser. numpy
+    # refuses both widths at once, without touching memory.
+    @pytest.mark.parametrize("index", ["99999999999999999999", "99999999999999999"])
+    @pytest.mark.parametrize("comment", ["", "# the line parser\n"])
+    def test_width_numpy_cannot_allocate_is_a_data_error(self, index, comment):
+        text = f"{comment}1 {index}:1\n"
+        with pytest.raises(DataError, match=f"cannot allocate a 1 x {index} feature"):
+            hg.parse_libsvm(text)
+        assert (_outcome(hg.parse_libsvm, text, None)
+                == _outcome(models._parse_lines, text, None))
+
     def test_blocked_parse_peaks_below_the_line_parser(self):
         """On a 20000 x 5 file the blocked parser holds less memory at its
         peak than the line parser; holding every token at once does not."""

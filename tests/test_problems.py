@@ -1,5 +1,7 @@
 """Oracle contracts: finite-difference validation and shape checking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 import hygrad as hg
 from hygrad.errors import ContractViolation
-from hygrad.problems import CallableInnerOracle, CallableOuterOracle, fd_step
+from hygrad.problems import (CallableInnerOracle, CallableOuterOracle, fd_step,
+                             one_hot_coupling)
 
-from conftest import assert_same_bits, seeded_y
+from conftest import COUPLINGS, assert_same_bits, seeded_y
 
 
 def _shift_problem():
@@ -237,8 +240,11 @@ def fresh_problem(reg_train, reg_val, cls_train, cls_val):
 
 
 def _call(problem, method, x, y):
-    return problem.exact_root(y) if method == "exact_root" \
-        else getattr(problem, method)(x, y)
+    if method == "exact_root":
+        return problem.exact_root(y)
+    if method == "jac_x_factor":
+        return problem.jac_x_factor(x, y).solve(np.linspace(1.0, 2.0, problem.d_x))
+    return getattr(problem, method)(x, y)
 
 
 @pytest.mark.parametrize("name", MEMO_PROBLEMS)
@@ -255,7 +261,8 @@ def test_results_do_not_depend_on_call_history(name, fresh_problem, data):
     ys += [np.zeros(problem.d_y), -np.zeros(problem.d_y)]
     calls = data.draw(st.lists(st.tuples(
         st.integers(0, len(points) - 1), st.integers(0, len(ys) - 1),
-        st.sampled_from(["residual", "jac_x", "jac_y", "exact_root"])),
+        st.sampled_from(["residual", "jac_x", "jac_y", "jac_x_factor",
+                         "exact_root"])),
         min_size=1, max_size=20))
     for i, j, method in calls:
         assert_same_bits(_call(problem, method, points[i].copy(), ys[j].copy()),
@@ -268,7 +275,7 @@ def test_caller_writes_do_not_reach_the_memo(name, fresh_problem):
     rng = np.random.default_rng(24)
     x, y = rng.normal(size=problem.d_x), rng.uniform(-1.0, 1.0, problem.d_y)
     kept_x, kept_y = x.copy(), y.copy()
-    methods = ("residual", "jac_x", "jac_y", "exact_root")
+    methods = ("residual", "jac_x", "jac_y", "jac_x_factor", "exact_root")
     before = [_call(problem, m, x, y) for m in methods]
     x[:], y[:] = 1.0, 0.5
     for method, first in zip(methods, before):
@@ -320,3 +327,54 @@ def test_blocks_are_read_only_and_last_four_points_kept():
     problem.exact_root(ys[4])                # evicts ys[1]
     problem.exact_root(ys[1])
     assert len(solved) == 6
+
+
+# --------------------------------------------------------------------------
+# the y-coupling contractions
+
+def _coupling_args(method, v):
+    return () if method == "djac_x_y_diag" else (v,)
+
+
+@pytest.mark.parametrize("name", ("ridge", "logistic", "scalar-ridge", "linear-1d"))
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_closed_form_couplings_equal_the_one_hot_loop(name, fresh_problem, seed):
+    """Every shipped problem's closed-form contraction equals the loop over
+    djac_x_dir_y along each one-hot y-direction, at random points and
+    vectors with some exact zeros."""
+    problem = fresh_problem(name)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=problem.d_x) * 10.0 ** rng.uniform(-3, 3)
+    y = rng.uniform(-5.0, 5.0, problem.d_y)
+    v = rng.normal(size=problem.d_x) * 10.0 ** rng.uniform(-3, 3)
+    v[rng.random(problem.d_x) < 0.3] = 0.0
+    for method in COUPLINGS:
+        assert getattr(problem.inner, method) is not None
+        got = getattr(problem, method)(x, y, *_coupling_args(method, v))
+        want = one_hot_coupling(problem.inner, method, x, y, problem.d_y,
+                                *_coupling_args(method, v))
+        assert got.shape == (problem.d_x, problem.d_y)
+        assert np.array_equal(got, want), method
+
+
+def test_validation_flags_a_stale_closed_form(ridge_quadratic, fresh_problem):
+    """Swapping djac_x_dir_y alone leaves the closed forms behind, and
+    validate_oracles names all three; an oracle without closed forms gets
+    the one-hot loop, which matches itself."""
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=ridge_quadratic.d_x)
+    y = rng.uniform(-1.0, 1.0, ridge_quadratic.d_y)
+    inner = ridge_quadratic.inner
+    stale = replace(ridge_quadratic, inner=replace(
+        inner, djac_x_dir_y=lambda xx, yy, e: 2.0 * inner.djac_x_dir_y(xx, yy, e)))
+    report = hg.validate_oracles(stale, x, y)
+    assert all(report[method] >= 0.1 for method in COUPLINGS), report
+    fd = fresh_problem("fd-ridge")
+    report = hg.validate_oracles(fd, x, y)
+    assert all(report[method] == 0.0 for method in COUPLINGS), report
+    v = rng.normal(size=fd.d_x)
+    for method in COUPLINGS:
+        assert_same_bits(getattr(fd, method)(x, y, *_coupling_args(method, v)),
+                         one_hot_coupling(fd.inner, method, x, y, fd.d_y,
+                                          *_coupling_args(method, v)))
