@@ -20,12 +20,10 @@ from .bench import (
 from .efficiency import (
     ComparisonBounds,
     ComparisonTerms,
-    EfficiencyReport,
     ReparamDeviations,
     RootContext,
     compare_bounds,
     efficiency_constant,
-    estimator_for_kind,
     estimator_jacobian_fd,
     ift_jacobian_analytic,
     newton_reparam_deviations,

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .estimators import STRATEGIES, Strategy, make_estimator
 from .models import (
-    OUTER_VARIANTS,
     Dataset,
     OuterVariant,
     linear_1d,
@@ -90,8 +89,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEM_KINDS:
             raise UsageError(f"unknown problem {self.problem!r}")
-        if self.outer not in OUTER_VARIANTS:
-            raise UsageError(f"unknown outer variant {self.outer!r}")
+        OuterVariant(self.outer)  # UsageError on an unknown tag
         if not self.strategies:
             raise UsageError("at least one strategy is required")
         for i, s in enumerate(self.strategies):
@@ -249,7 +247,7 @@ def run_efficiency_sweep(config: RunConfig) -> list:
         for strategy in config.strategies:
             estimator = make_estimator(problem, strategy)
             try:
-                c_y = efficiency_constant(ctx, estimator, eps=config.eps).c_y
+                c_y = efficiency_constant(ctx, estimator, eps=config.eps)
             except HygradError as err:
                 records.append(failed(strategy, err))
                 continue
@@ -308,24 +306,23 @@ def csv_text(meta: dict, header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(items: Sequence[Union[DecayTrace, SweepRecord]], kind: str,
+def emit_csv(items: Sequence[Union[DecayTrace, SweepRecord]],
              metadata: Optional[dict] = None) -> str:
-    """Serialize traces or sweep records to CSV text (see ``csv_text``); the
-    caller's metadata overrides the records' own keys."""
+    """Serialize sweep records, or else traces (no items: an empty decay
+    table), to CSV text (see ``csv_text``); the caller's metadata overrides
+    the records' own keys."""
     meta: dict[str, str] = {}
-    if kind == "decay":
-        for trace in items:
-            meta.update(trace.metadata)
-        header = _DECAY_HEADER
-        rows = [(trace.strategy, *row) for trace in items for row in trace.rows]
-    elif kind == "efficiency":
+    if items and isinstance(items[0], SweepRecord):
         meta["prng"] = PRNG_NAME
         meta.update({f"error_{rec.strategy}_{rec.trial}": rec.error
                      for rec in items if rec.error})
         header = "strategy,trial,seed,cy"
         rows = [(rec.strategy, rec.trial, rec.seed, rec.c_y) for rec in items]
     else:
-        raise UsageError(f"unknown csv kind {kind!r}")
+        for trace in items:
+            meta.update(trace.metadata)
+        header = _DECAY_HEADER
+        rows = [(trace.strategy, *row) for trace in items for row in trace.rows]
     meta.update(metadata or {})
     return csv_text(meta, header, rows)
 

@@ -110,7 +110,7 @@ def _write_outputs(args, csv_text: str, items) -> None:
 
 def _cmd_decay(args) -> int:
     traces = run_decay(_config_from(args))
-    _write_outputs(args, emit_csv(traces, kind="decay"), traces)
+    _write_outputs(args, emit_csv(traces), traces)
     return 0
 
 
@@ -119,7 +119,7 @@ def _cmd_efficiency(args) -> int:
     records = run_efficiency_sweep(config)
     meta = {"seed": str(config.seed), "problem": config.problem,
             "outer": config.outer}
-    _write_outputs(args, emit_csv(records, kind="efficiency", metadata=meta), records)
+    _write_outputs(args, emit_csv(records, metadata=meta), records)
     return 0
 
 
@@ -139,7 +139,7 @@ def _cmd_compare(args) -> int:
         ctx = RootContext.solve(problem, y)
         terms = ComparisonTerms(ctx, precond, kind, config.eps)
         bounds = efficiency.compare_bounds(terms)
-        delta, delta_lower, _ = efficiency.precond_gap(terms)
+        delta, delta_lower = efficiency.precond_gap(terms)
         slack_phi = 1e-6 * (1.0 + abs(bounds.lhs_phi_minus_p))
         slack_p = 1e-6 * (1.0 + abs(bounds.lhs_p_minus_phi))
         if bounds.lhs_phi_minus_p < bounds.rhs_phi_minus_p - slack_phi:
@@ -148,7 +148,7 @@ def _cmd_compare(args) -> int:
             failures += 1
         sigma, sigma_lower = float("nan"), float("nan")
         if isinstance(kind, SeparableReparam):
-            sigma, sigma_lower, _ = efficiency.reparam_gap(terms)
+            sigma, sigma_lower = efficiency.reparam_gap(terms)
         rows.append((trial, trial_seed, bounds.lhs_phi_minus_p, bounds.rhs_phi_minus_p,
                      bounds.lhs_p_minus_phi, bounds.rhs_p_minus_phi,
                      delta, delta_lower, sigma, sigma_lower))

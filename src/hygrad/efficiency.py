@@ -49,14 +49,6 @@ PROBE_SEED = 90210
 
 
 @dataclass(frozen=True)
-class EfficiencyReport:
-    """Efficiency constant at one y and the FD Jacobian it is the norm of."""
-
-    c_y: float
-    jacobian: Array
-
-
-@dataclass(frozen=True)
 class ComparisonBounds:
     """Both sides of the two quadratic comparison inequalities.
 
@@ -115,10 +107,10 @@ def estimator_jacobian_fd(ctx: RootContext, estimator: Estimator,
 
 
 def efficiency_constant(ctx: RootContext, estimator: Estimator,
-                        eps: float | None = None) -> EfficiencyReport:
-    """Efficiency constant via the finite-difference estimator Jacobian."""
-    jac = estimator_jacobian_fd(ctx, estimator, eps=eps)
-    return EfficiencyReport(c_y=spectral_norm(jac), jacobian=jac)
+                        eps: float | None = None) -> float:
+    """Efficiency constant c_y: the spectral norm of the finite-difference
+    estimator Jacobian (``estimator_jacobian_fd``)."""
+    return spectral_norm(estimator_jacobian_fd(ctx, estimator, eps=eps))
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +243,7 @@ class ComparisonTerms:
     @cached_property
     def jac_p(self) -> Array:
         return _read_only(estimator_jacobian_fd(self.ctx, estimator_for_kind(
-            self.ctx.problem, self.precond, name="precond"), eps=self.eps))
+            self.ctx.problem, self.precond), eps=self.eps))
 
     @cached_property
     def jac_phi(self) -> Array:
@@ -305,32 +297,28 @@ def compare_bounds(terms: ComparisonTerms) -> ComparisonBounds:
     )
 
 
-def precond_gap(terms: ComparisonTerms) -> tuple[float, float, float]:
+def precond_gap(terms: ComparisonTerms) -> tuple[float, float]:
     """Asymptotic advantage of a near-ideal preconditioner.
 
-    Returns (delta, lower_bound, lhs) with delta the deviation of P from F_1
-    at the root, lhs the difference of squared efficiency constants
-    (reparameterized minus preconditioned), and lower_bound the term that
-    survives as delta -> 0. lhs >= lower_bound up to o(delta) and FD noise.
+    Returns (delta, lower_bound) with delta the deviation of P from F_1 at
+    the root and lower_bound the term that survives as delta -> 0:
+    compare_bounds' lhs_phi_minus_p >= lower_bound up to o(delta) and FD
+    noise.
     """
     problem, y, xstar = terms.ctx.problem, terms.ctx.y, terms.ctx.xstar
     delta = spectral_norm(terms.precond.matrix(xstar, y) - problem.jac_x(xstar, y))
 
-    d, t_phi = terms.d, terms.t_phi
-    c_p, v_p = terms.top_p
-    lower = float(np.linalg.norm((d + t_phi) @ v_p) ** 2)
-    c_phi = terms.top_phi[0]
-    return delta, lower, c_phi ** 2 - c_p ** 2
+    v_p = terms.top_p[1]
+    return delta, float(np.linalg.norm((terms.d + terms.t_phi) @ v_p) ** 2)
 
 
-def reparam_gap(terms: ComparisonTerms) -> tuple[float, float, float]:
+def reparam_gap(terms: ComparisonTerms) -> tuple[float, float]:
     """Asymptotic advantage of a near-ideal localized reparameterization,
     the terms' reparameterization being a SeparableReparam (else UsageError).
 
-    Returns (sigma, lower_bound, lhs) with sigma = |g_1| times the
-    sensitivity efficiency constant of the localized family, lhs the
-    difference of squared efficiency constants (preconditioned minus
-    localized), and lower_bound the sigma -> 0 limit term.
+    Returns (sigma, lower_bound) with sigma = |g_1| times the sensitivity
+    efficiency constant of the localized family and lower_bound the
+    sigma -> 0 limit term of compare_bounds' lhs_p_minus_phi.
     """
     if not isinstance(terms.reparam, SeparableReparam):
         kind = terms.reparam if isinstance(terms.reparam, str) \
@@ -340,12 +328,9 @@ def reparam_gap(terms: ComparisonTerms) -> tuple[float, float, float]:
     g1 = terms.ctx.problem.outer.grad_x(terms.ctx.xstar, terms.ctx.y)
     sigma = float(np.linalg.norm(g1)) * _matrix_constant(terms.d_s_phi)
 
-    d, e_p, t_p = terms.d, terms.e_p, terms.t_p
-    c_loc, v_phi = terms.top_phi
-    lower = float(np.linalg.norm((d + t_p) @ e_p @ v_phi) ** 2
-                  - np.linalg.norm(d @ v_phi) ** 2)
-    c_p = terms.top_p[0]
-    return sigma, lower, c_p ** 2 - c_loc ** 2
+    d, v_phi = terms.d, terms.top_phi[1]
+    return sigma, float(np.linalg.norm((d + terms.t_p) @ terms.e_p @ v_phi) ** 2
+                        - np.linalg.norm(d @ v_phi) ** 2)
 
 
 # --------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, UsageError
+from .errors import DomainError, UsageError
 from .linalg import Factorization, factor, solve_transpose
 from .problems import BilevelProblem, as_vector
-from .solvers import newton_root
+from .solvers import exact_root, newton_root
 
 Array = np.ndarray
 
@@ -179,8 +179,8 @@ def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
 
 def exp_family_reparam_1d(alpha: float, beta: float) -> Reparameterization:
     """Scalar map phi(z) = alpha * exp(beta z) (z and x one-dimensional)."""
-    if alpha == 0 or beta == 0:
-        raise UsageError("alpha and beta must be nonzero")
+    if not (np.isfinite(alpha) and np.isfinite(beta)) or alpha == 0 or beta == 0:
+        raise UsageError("alpha and beta must be finite and nonzero")
 
     def inverse(x, y):
         q = x[0] / alpha
@@ -284,7 +284,7 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
     shipped problem satisfies this.
 
     Inverting Q means solving F(z, ybar) = -v by a damped Newton run seeded
-    at the exact root, which the problem must provide; at the anchor v = 0,
+    at the exact root (CapabilityError without one); at the anchor v = 0,
     so once the problem has solved ybar, Newton stops at its first residual
     check.
     """
@@ -300,12 +300,8 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
                 -f1.solve(problem.djac_x_y_apply(x, y, s)))
 
     def q_inverse(v, ybar):
-        start = problem.exact_root(ybar)
-        if start is None:
-            raise CapabilityError("inverting the Newton-like family requires "
-                                  "the problem to provide exact_root")
         return newton_root(lambda z: problem.residual(z, ybar) + v,
-                           lambda z: problem.jac_x(z, ybar), start)
+                           lambda z: problem.jac_x(z, ybar), exact_root(problem, ybar))
 
     return SeparableReparam(
         r=r,
@@ -423,9 +419,10 @@ class Estimator:
         return self.fn(x, y)
 
 
-def make_estimator(problem: BilevelProblem, kind: StrategyKind,
-                   name: str = "reparam") -> Estimator:
-    """Estimator of a strategy key (named after it) or of a caller's oracle."""
-    return Estimator(kind if isinstance(kind, str) else name,
-                     resolve_strategy(problem, kind).estimate)
+def make_estimator(problem: BilevelProblem, kind: StrategyKind) -> Estimator:
+    """Estimator of a strategy key, named after it, or of a caller's oracle,
+    named "precond" for a PreconditionerOracle and "reparam" otherwise."""
+    name = kind if isinstance(kind, str) else \
+        "precond" if isinstance(kind, PreconditionerOracle) else "reparam"
+    return Estimator(name, resolve_strategy(problem, kind).estimate)
 

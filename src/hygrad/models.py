@@ -16,7 +16,6 @@ benchmarks and tests (input files are local; nothing is downloaded).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -330,14 +329,13 @@ OUTER_VARIANTS = ("quadratic", "affine")
 
 @dataclass(frozen=True)
 class OuterVariant:
-    """Outer objective choice: validation loss, or an affine functional of x.
+    """Outer objective choice: validation loss, or the affine functional 1'x.
 
     The affine form has zero second derivatives, which is the regime where
     inner-only super-efficiency transfers to the full estimate.
     """
 
     tag: str
-    a: Optional[Array] = None
 
     def __post_init__(self):
         if self.tag not in OUTER_VARIANTS:
@@ -348,8 +346,8 @@ class OuterVariant:
         return OuterVariant("quadratic")
 
     @staticmethod
-    def affine(a: Optional[Array] = None) -> "OuterVariant":
-        return OuterVariant("affine", a=None if a is None else np.asarray(a, float))
+    def affine() -> "OuterVariant":
+        return OuterVariant("affine")
 
 
 def _outer_of_x(d: int, value, grad_x, hess_xx) -> CallableOuterOracle:
@@ -362,7 +360,7 @@ def _outer_of_x(d: int, value, grad_x, hess_xx) -> CallableOuterOracle:
 
 
 def _make_outer(outer: OuterVariant, train: Dataset, val: Dataset) -> CallableOuterOracle:
-    """Validation loss |A_val x - b_val|^2 or affine a'x; hands out read-only arrays."""
+    """Validation loss |A_val x - b_val|^2 or affine 1'x; hands out read-only arrays."""
     d = train.d_x
     if outer.tag == "quadratic":
         if val.d_x != d:
@@ -373,9 +371,7 @@ def _make_outer(outer: OuterVariant, train: Dataset, val: Dataset) -> CallableOu
         return _outer_of_x(d, lambda x, y: float(np.sum((a_val @ x - b_val) ** 2)),
                            lambda x, y: 2.0 * a_val.T @ (a_val @ x - b_val),
                            lambda x, y: hess)
-    a = np.ones(d) if outer.a is None else np.array(outer.a, dtype=float)
-    if a.shape != (d,):
-        raise ContractViolation(f"affine outer vector has shape {a.shape}, need ({d},)")
+    a = np.ones(d)
     a.setflags(write=False)
     return _outer_of_x(d, lambda x, y: float(a @ x), lambda x, y: a,
                        lambda x, y: np.zeros((d, d)))

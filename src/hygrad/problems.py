@@ -32,8 +32,9 @@ from .linalg import Factorization, factor
 Array = np.ndarray
 
 # A BilevelProblem keeps the blocks of its last this many points (x, y) and
-# the roots of its last this many y.
-_MEMO_POINTS = 4
+# the roots of its last this many y. Five points hold one decay step's x_k,
+# newton's and diag's corrected points, the root and the previous x_{k-1}.
+_MEMO_POINTS = 5
 _MEMO_ROOTS = 4
 
 
@@ -166,7 +167,7 @@ class BilevelProblem:
     """An inner/outer oracle pair with declared dimensions.
 
     ``residual``, ``jac_x`` and ``jac_y`` validate the inner oracle's block
-    and evaluate it once per point among the last 4 points, and
+    and evaluate it once per point among the last 5 points, and
     ``jac_x_factor`` checks F_1 there once for every solve against it;
     ``exact_root`` solves once per y among the last 4 y. A point is the
     shapes and bits of x and y, so -0.0 and 0.0 are different points.
@@ -394,8 +395,6 @@ class FDInnerOracle:
     """
 
     residual_fn: Callable[[Array, Array], Array]
-    d_x: int
-    d_y: int
     exact_root_fn: Optional[Callable[[Array], Array]] = None
 
     def residual(self, x, y):

@@ -36,11 +36,13 @@ def gradient_descent(problem: BilevelProblem, y: Array, x0: Array, steps: int,
     """Run x_k = x_{k-1} - tau * F(x_{k-1}, y) for a fixed number of steps.
 
     With step_size None, tau = 1 / lambda_max(F_1(x0, y)), frozen at x0 and
-    never recomputed. Non-finite iterates raise NumericalFailure carrying
-    the step index.
+    never recomputed; a given step_size must be positive and finite.
+    Non-finite iterates raise NumericalFailure carrying the step index.
     """
     if steps < 0:
         raise UsageError("steps must be nonnegative")
+    if step_size is not None and not 0 < step_size < np.inf:
+        raise UsageError("step size must be positive and finite")
     x = as_vector(x0, problem.d_x, "x0")
     y = as_vector(y, problem.d_y, "y")
     if step_size is None:

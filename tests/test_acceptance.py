@@ -30,8 +30,7 @@ def _median_cy(problem, strategy, trials, seed, low, high):
     for trial in range(trials):
         y = hg.sample_y(problem.d_y, low, high, seed + trial)
         est = hg.make_estimator(problem, strategy)
-        values.append(hg.efficiency_constant(hg.RootContext.solve(problem, y),
-                                             est).c_y)
+        values.append(hg.efficiency_constant(hg.RootContext.solve(problem, y), est))
     return float(np.median(values)), values
 
 
@@ -83,7 +82,7 @@ def test_criterion_3_affine_outer_super_efficiency(reg_train, reg_val):
         for trial in range(10):
             y = hg.sample_y(problem.d_y, -1.0, 1.0, 7 + trial)
             ctx = hg.RootContext.solve(problem, y)
-            c = {s: hg.efficiency_constant(ctx, hg.make_estimator(problem, s)).c_y
+            c = {s: hg.efficiency_constant(ctx, hg.make_estimator(problem, s))
                  for s in ("vanilla", "newton", "opt")}
             assert c["newton"] <= 1e-6 * c["vanilla"], (trial, c)
             assert c["opt"] <= 1e-6 * c["vanilla"], (trial, c)
@@ -96,9 +95,9 @@ def test_criterion_4_quadratic_outer_newton_wins(ridge_quadratic):
             y = hg.sample_y(ridge_quadratic.d_y, -1.0, 1.0, 70 + trial)
             ctx = hg.RootContext.solve(ridge_quadratic, y)
             c_newton = hg.efficiency_constant(
-                ctx, hg.make_estimator(ridge_quadratic, "newton")).c_y
+                ctx, hg.make_estimator(ridge_quadratic, "newton"))
             c_opt = hg.efficiency_constant(
-                ctx, hg.make_estimator(ridge_quadratic, "opt")).c_y
+                ctx, hg.make_estimator(ridge_quadratic, "opt"))
             assert c_newton <= 1e-6 * c_opt, (trial, c_newton, c_opt)
 
 
@@ -155,7 +154,7 @@ def test_criterion_7_theorem_checks(ridge_quadratic, linear1d_fixture):
             # efficiency bound through the sensitivity constant
             ctx = hg.RootContext.solve(ridge_quadratic, y)
             c_full = hg.efficiency_constant(
-                ctx, hg.make_estimator(ridge_quadratic, "vanilla")).c_y
+                ctx, hg.make_estimator(ridge_quadratic, "vanilla"))
             d_norm = hg.spectral_norm(hg.outer_curvature(ctx))
             g1_norm = float(np.linalg.norm(
                 ridge_quadratic.outer.grad_x(xstar, y)))
@@ -171,13 +170,15 @@ def test_criterion_7_theorem_checks(ridge_quadratic, linear1d_fixture):
                 - 1e-6 * (1 + abs(b.lhs_p_minus_phi)), seed
 
             # near-ideal preconditioner bound at zero deviation
-            _, lower_p, lhs_p = hg.precond_gap(
-                comparison_terms(ridge_quadratic, newton_p, "exp", y))
+            terms = comparison_terms(ridge_quadratic, newton_p, "exp", y)
+            _, lower_p = hg.precond_gap(terms)
+            lhs_p = hg.compare_bounds(terms).lhs_phi_minus_p
             assert lhs_p >= lower_p - 1e-6 * (1 + abs(lhs_p)), seed
 
             # localized-reparameterization bound with the Newton-like family
-            _, lower_r, lhs_r = hg.reparam_gap(
-                comparison_terms(ridge_quadratic, diag_p, opt, y))
+            terms = comparison_terms(ridge_quadratic, diag_p, opt, y)
+            _, lower_r = hg.reparam_gap(terms)
+            lhs_r = hg.compare_bounds(terms).lhs_p_minus_phi
             assert lhs_r >= lower_r - 1e-6 * (1 + abs(lhs_r)), seed
 
 
@@ -194,7 +195,7 @@ def test_criterion_8_scalar_super_efficiency(linear1d_fixture):
                     r = hg.super_efficiency_residual_1d(ctx, phi)
                     assert abs(r) <= 1e-10, (alpha, beta, float(y[0]), r)
                     c = hg.efficiency_constant(
-                        ctx, hg.estimator_for_kind(linear1d_fixture, phi, "exp")).c_y
+                        ctx, hg.make_estimator(linear1d_fixture, phi))
                     assert c <= 1e-8, (alpha, beta, float(y[0]), c)
         for y in y_values:
             r = hg.super_efficiency_residual_1d(
@@ -261,15 +262,15 @@ def test_criterion_10_parser_and_io(reg_train, libsvm_dir, tmp_path):
                           val_path=str(libsvm_dir / "cls_val.libsvm"),
                           strategies=("vanilla", "diag"), steps=25,
                           y_low=3.0, y_high=6.0, seed=77)
-        csv_a = hg.emit_csv(hg.run_decay(hg.RunConfig(**decay_args)), kind="decay")
-        csv_b = hg.emit_csv(hg.run_decay(hg.RunConfig(**decay_args)), kind="decay")
+        csv_a = hg.emit_csv(hg.run_decay(hg.RunConfig(**decay_args)))
+        csv_b = hg.emit_csv(hg.run_decay(hg.RunConfig(**decay_args)))
         assert csv_a.encode() == csv_b.encode()
 
         sweep_cfg = hg.RunConfig(problem="scalar",
                                  strategies=("vanilla", "newton"),
                                  trials=5, seed=13)
-        eff_a = hg.emit_csv(hg.run_efficiency_sweep(sweep_cfg), kind="efficiency")
-        eff_b = hg.emit_csv(hg.run_efficiency_sweep(sweep_cfg), kind="efficiency")
+        eff_a = hg.emit_csv(hg.run_efficiency_sweep(sweep_cfg))
+        eff_b = hg.emit_csv(hg.run_efficiency_sweep(sweep_cfg))
         assert eff_a.encode() == eff_b.encode()
 
         traces = hg.read_decay_csv(csv_a)

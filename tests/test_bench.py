@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hygrad as hg
 from hygrad.bench import DecayTrace, SweepRecord
-from hygrad.errors import InsufficientDataError, UsageError
+from hygrad.errors import InsufficientDataError
 
 
 def _trace(rows, strategy="s"):
@@ -108,9 +108,10 @@ class TestRunDecay:
         # singularity checks of one estimate in a decay step. Strategies run
         # inside each step, so they share the blocks and the F_1
         # factorization of x_k: only vanilla evaluates and checks F_1(x_k),
-        # only newton evaluates F(x_k), newton and diag evaluate F_1 at
-        # their corrected points, and opt re-evaluates F and F_1 at the root,
-        # which the problem's memo of four points has dropped by then.
+        # only newton evaluates F(x_k), and newton and diag evaluate F_1 at
+        # their corrected points. opt reads F and F_1 at the root from the
+        # problem's memo of five points, which still holds it after x_k and
+        # the two corrected points.
         calls = []
 
         def counted(name):
@@ -144,7 +145,7 @@ class TestRunDecay:
         hg.run_decay(hg.RunConfig(problem="logistic", strategies=hg.STRATEGIES,
                                   steps=steps, y_low=3.0, y_high=6.0, seed=2))
         per_step = {"vanilla": (1, 0, 1), "newton": (1, 1, 1), "diag": (1, 0, 1),
-                    "exp": (0, 0, 1), "diag-rep": (0, 0, 1), "opt": (1, 1, 2)}
+                    "exp": (0, 0, 1), "diag-rep": (0, 0, 1), "opt": (0, 0, 2)}
         for k in range(1, steps + 1):
             assert {s: counts[s][k] for s in hg.STRATEGIES} == per_step, k
 
@@ -245,11 +246,11 @@ class TestFitSlope:
 
 class TestEmitCsv:
     def test_empty_trace_list_header_only(self):
-        assert hg.emit_csv([], kind="decay") == \
+        assert hg.emit_csv([]) == \
             "strategy,step,inner_error,hypergrad_error\n"
 
     def test_single_row_schema(self):
-        text = hg.emit_csv([_trace([(0, 0.5, 0.25)])], kind="decay")
+        text = hg.emit_csv([_trace([(0, 0.5, 0.25)])])
         lines = text.splitlines()
         assert lines[0] == "strategy,step,inner_error,hypergrad_error"
         assert lines[1] == "s,0,0.5,0.25"
@@ -257,7 +258,7 @@ class TestEmitCsv:
     def test_metadata_lines_precede_header(self):
         trace = DecayTrace(strategy="s", rows=[(0, 1.0, 1.0)],
                            metadata={"seed": "1", "prng": "pcg64"})
-        lines = hg.emit_csv([trace], kind="decay").splitlines()
+        lines = hg.emit_csv([trace]).splitlines()
         assert lines[0] == "# prng=pcg64"
         assert lines[1] == "# seed=1"
         assert lines[2].startswith("strategy,")
@@ -267,10 +268,10 @@ class TestEmitCsv:
         rows = [(k, float(rng.uniform(1e-16, 1.0)), float(rng.uniform(1e-16, 1.0)))
                 for k in range(20)]
         trace = DecayTrace(strategy="vanilla", rows=rows, metadata={"seed": "4"})
-        text = hg.emit_csv([trace], kind="decay")
+        text = hg.emit_csv([trace])
         back = hg.read_decay_csv(text)
         assert back[0].rows == rows
-        assert hg.emit_csv(back, kind="decay") == text
+        assert hg.emit_csv(back) == text
 
     @pytest.mark.parametrize("value", [
         "x\nstrategy,step,inner_error,hypergrad_error\nopt,9,9,9",
@@ -278,7 +279,7 @@ class TestEmitCsv:
     def test_metadata_value_cannot_inject_lines(self, value):
         trace = DecayTrace(strategy="vanilla", rows=[(0, 1.0, 2.0)],
                            metadata={"train": value})
-        text = hg.emit_csv([trace], kind="decay")
+        text = hg.emit_csv([trace])
         assert text.count("\n") == 3
         back = hg.read_decay_csv(text)
         assert [(t.strategy, t.rows) for t in back] == [("vanilla", [(0, 1.0, 2.0)])]
@@ -286,25 +287,21 @@ class TestEmitCsv:
 
     def test_values_without_escapes_keep_their_bytes(self):
         trace = DecayTrace(strategy="s", rows=[], metadata={"train": "/a b/c=d,#e"})
-        assert hg.emit_csv([trace], kind="decay").splitlines()[0] == \
+        assert hg.emit_csv([trace]).splitlines()[0] == \
             "# train=/a b/c=d,#e"
 
     def test_efficiency_error_stays_on_one_line(self):
         rec = SweepRecord(strategy="opt", trial=0, seed=7, c_y=float("nan"),
                           error="first\nsecond\rthird")
-        lines = hg.emit_csv([rec], kind="efficiency").split("\n")
+        lines = hg.emit_csv([rec]).split("\n")
         assert "# error_opt_0=first\\nsecond\\rthird" in lines
         assert lines[-3:] == ["strategy,trial,seed,cy", "opt,0,7,nan", ""]
 
     def test_efficiency_schema(self):
         rec = SweepRecord(strategy="newton", trial=0, seed=7, c_y=1.5e-9)
-        lines = hg.emit_csv([rec], kind="efficiency").splitlines()
+        lines = hg.emit_csv([rec]).splitlines()
         assert lines[-2] == "strategy,trial,seed,cy"
         assert lines[-1] == "newton,0,7,1.5e-09"
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            hg.emit_csv([], kind="nope")
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,7 +310,7 @@ class TestEmitCsv:
 def test_metadata_round_trip_property(value, key):
     rows = [(0, 0.5, 0.25), (1, 0.125, 1e-300)]
     trace = DecayTrace(strategy="opt", rows=rows, metadata={key: value})
-    back = hg.read_decay_csv(hg.emit_csv([trace], kind="decay"))
+    back = hg.read_decay_csv(hg.emit_csv([trace]))
     assert [(t.strategy, t.rows, t.metadata) for t in back] == \
         [("opt", rows, {key: value})]
 

@@ -69,27 +69,27 @@ class TestEstimatorJacobianFD:
 
 class TestEfficiencyConstant:
     def test_linear1d_vanilla_is_one(self, linear1d_fixture):
-        report = hg.efficiency_constant(
-            hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
-            hg.make_estimator(linear1d_fixture, "vanilla"))
-        assert report.c_y == pytest.approx(1.0, abs=1e-9)
-        assert report.c_y == pytest.approx(hg.spectral_norm(report.jacobian),
-                                           abs=1e-12)
+        ctx = hg.RootContext.solve(linear1d_fixture, np.zeros(1))
+        estimator = hg.make_estimator(linear1d_fixture, "vanilla")
+        c_y = hg.efficiency_constant(ctx, estimator)
+        assert c_y == pytest.approx(1.0, abs=1e-9)
+        assert c_y == pytest.approx(
+            hg.spectral_norm(hg.estimator_jacobian_fd(ctx, estimator)), abs=1e-12)
 
     def test_exp_family_super_efficient_on_linear1d(self, linear1d_fixture):
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
-        est = hg.estimator_for_kind(linear1d_fixture, phi, "exp-family")
-        report = hg.efficiency_constant(
+        est = hg.make_estimator(linear1d_fixture, phi)
+        c_y = hg.efficiency_constant(
             hg.RootContext.solve(linear1d_fixture, np.zeros(1)), est)
-        assert report.c_y <= 1e-8
+        assert c_y <= 1e-8
 
     def test_newton_family_affine_outer_tiny(self, reg_train, reg_val):
         problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
         y = seeded_y(problem, 14)
         ctx = hg.RootContext.solve(problem, y)
         c_vanilla = hg.efficiency_constant(
-            ctx, hg.make_estimator(problem, "vanilla")).c_y
-        c_opt = hg.efficiency_constant(ctx, hg.make_estimator(problem, "opt")).c_y
+            ctx, hg.make_estimator(problem, "vanilla"))
+        c_opt = hg.efficiency_constant(ctx, hg.make_estimator(problem, "opt"))
         assert c_opt <= 1e-6 * c_vanilla
 
 
@@ -223,11 +223,21 @@ class TestCompareBounds:
             assert bounds.lhs_p_minus_phi >= bounds.rhs_p_minus_phi - slack_p
 
 
+def _precond_gap(terms):
+    """precond_gap's (delta, lower) and the lhs it bounds, from compare_bounds."""
+    return (*hg.precond_gap(terms), hg.compare_bounds(terms).lhs_phi_minus_p)
+
+
+def _reparam_gap(terms):
+    """reparam_gap's (sigma, lower) and the lhs it bounds, from compare_bounds."""
+    return (*hg.reparam_gap(terms), hg.compare_bounds(terms).lhs_p_minus_phi)
+
+
 class TestPrecondGap:
     def test_exact_newton_dominates(self, ridge_quadratic):
         precond = hg.newton_preconditioner(ridge_quadratic)
         y = seeded_y(ridge_quadratic, 9)
-        delta, lower, lhs = hg.precond_gap(
+        delta, lower, lhs = _precond_gap(
             comparison_terms(ridge_quadratic, precond, "exp", y))
         assert delta <= 1e-10
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
@@ -238,7 +248,7 @@ class TestPrecondGap:
         for scale_delta in (1e-3, 1e-4, 1e-5):
             precond = hg.scaled_preconditioner(
                 hg.newton_preconditioner(ridge_quadratic), 1.0 + scale_delta)
-            delta, lower, lhs = hg.precond_gap(
+            delta, lower, lhs = _precond_gap(
                 comparison_terms(ridge_quadratic, precond, "exp", y))
             assert delta == pytest.approx(
                 scale_delta * hg.spectral_norm(
@@ -252,7 +262,7 @@ class TestPrecondGap:
         problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
         sep = hg.newton_separable_reparam(problem)
         y = seeded_y(problem, 10)
-        delta, lower, lhs = hg.precond_gap(
+        delta, lower, lhs = _precond_gap(
             comparison_terms(problem, hg.newton_preconditioner(problem), sep, y))
         assert delta <= 1e-10
         assert abs(lower) <= 1e-12
@@ -265,7 +275,7 @@ class TestReparamGap:
         sep = hg.newton_separable_reparam(problem)
         precond = hg.diag_preconditioner(problem)
         y = seeded_y(problem, 11)
-        sigma, lower, lhs = hg.reparam_gap(comparison_terms(problem, precond, sep, y))
+        sigma, lower, lhs = _reparam_gap(comparison_terms(problem, precond, sep, y))
         assert sigma <= 1e-6
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
 
@@ -274,7 +284,7 @@ class TestReparamGap:
         bad = hg.scaled_preconditioner(
             hg.newton_preconditioner(ridge_quadratic), 5.0)
         y = seeded_y(ridge_quadratic, 12)
-        sigma, lower, lhs = hg.reparam_gap(
+        sigma, lower, lhs = _reparam_gap(
             comparison_terms(ridge_quadratic, bad, sep, y))
         assert lhs > 0.0
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
@@ -307,7 +317,7 @@ class TestSensitivityEfficiencyConstant:
         xstar = ridge_quadratic.exact_root(y)
         ctx = hg.RootContext.solve(ridge_quadratic, y)
         c_full = hg.efficiency_constant(
-            ctx, hg.make_estimator(ridge_quadratic, "vanilla")).c_y
+            ctx, hg.make_estimator(ridge_quadratic, "vanilla"))
         d_norm = hg.spectral_norm(hg.outer_curvature(ctx))
         g1_norm = float(np.linalg.norm(
             ridge_quadratic.outer.grad_x(xstar, y)))
@@ -323,10 +333,10 @@ class TestAnchoredConstantIdentity:
         xstar = logistic_quadratic.exact_root(y)
         ctx = hg.RootContext.solve(logistic_quadratic, y)
         c_localized = hg.efficiency_constant(
-            ctx, hg.estimator_for_kind(logistic_quadratic, sep, "localized")).c_y
+            ctx, hg.make_estimator(logistic_quadratic, sep))
         frozen = hg.anchored_reparam(sep, xstar, y)
         c_frozen = hg.efficiency_constant(
-            ctx, hg.estimator_for_kind(logistic_quadratic, frozen, "frozen")).c_y
+            ctx, hg.make_estimator(logistic_quadratic, frozen))
         assert abs(c_localized - c_frozen) <= 1e-6 * (1 + abs(c_frozen))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hygrad as hg
+from hygrad import efficiency
 from hygrad.errors import DomainError, SingularMatrixError
 from hygrad.efficiency import JACOBIAN_FD_STEP
 from hygrad.estimators import resolve_strategy
@@ -257,6 +258,12 @@ class TestConstructors:
         with pytest.raises(hg.UsageError):
             hg.scale_separable_r(hg.newton_separable_reparam(ridge_quadratic), factor)
 
+    @pytest.mark.parametrize("alpha,beta", [(np.nan, 1.0), (np.inf, 1.0),
+                                            (1.0, np.nan), (1.0, -np.inf)])
+    def test_exp_family_parameters_must_be_finite(self, alpha, beta):
+        with pytest.raises(hg.UsageError, match="finite and nonzero"):
+            hg.exp_family_reparam_1d(alpha, beta)
+
     def test_make_estimator_rejects_unknown(self, scalar_fixture):
         with pytest.raises(hg.UsageError):
             hg.make_estimator(scalar_fixture, "bogus")
@@ -418,13 +425,21 @@ class TestStrategyTable:
     def test_kind_functions_accept_separable_keys(self, ridge_quadratic, strategy,
                                                   family):
         x, y = _off_root_point(ridge_quadratic, 52)
-        est = hg.estimator_for_kind(ridge_quadratic, strategy)
+        est = efficiency.estimator_for_kind(ridge_quadratic, strategy)
         assert est.name == strategy
         assert np.array_equal(est(x, y),
                               hg.make_estimator(ridge_quadratic, strategy)(x, y))
         sens = resolve_strategy(ridge_quadratic, strategy).sensitivity
         assert np.array_equal(sens(x, y), hg.Strategy(
             ridge_quadratic, reparam=family(ridge_quadratic)).sensitivity(x, y))
+
+    def test_oracle_kinds_named_by_type(self, ridge_quadratic):
+        # The tracer labels the comparison's preconditioned side "precond".
+        problem = ridge_quadratic
+        assert hg.make_estimator(problem, hg.newton_preconditioner(problem)).name \
+            == "precond"
+        for kind in (hg.identity_reparam(), hg.newton_separable_reparam(problem)):
+            assert hg.make_estimator(problem, kind).name == "reparam"
 
     def test_constructors_looked_up_when_built(self, ridge_quadratic, monkeypatch):
         # Profilers rebind the module attribute; the table must call it.

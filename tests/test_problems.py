@@ -57,7 +57,7 @@ class TestValidateOracles:
                                                cls_val):
         logistic_affine = hg.make_logistic(
             cls_train, cls_val,
-            hg.OuterVariant.affine(np.linspace(-1.0, 1.0, cls_train.d_x)))
+            hg.OuterVariant.affine())
         for problem in (scalar_fixture, linear1d_fixture, ridge_quadratic,
                         ridge_affine, logistic_quadratic, logistic_affine):
             for seed in range(20):
@@ -144,9 +144,7 @@ class TestConcurrentEvaluation:
 class TestFDAdapter:
     def test_matches_analytic_ridge(self, reg_train, reg_val):
         analytic = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
-        adapter = hg.FDInnerOracle(
-            residual_fn=analytic.inner.residual,
-            d_x=analytic.d_x, d_y=analytic.d_y)
+        adapter = hg.FDInnerOracle(residual_fn=analytic.inner.residual)
         rng = np.random.default_rng(5)
         x = rng.normal(size=analytic.d_x)
         y = rng.uniform(-1, 1, size=analytic.d_y)
@@ -156,15 +154,14 @@ class TestFDAdapter:
                            atol=1e-6, rtol=1e-6)
 
     def test_directional_derivatives_close(self, scalar_fixture):
-        adapter = hg.FDInnerOracle(
-            residual_fn=scalar_fixture.inner.residual, d_x=1, d_y=1)
+        adapter = hg.FDInnerOracle(residual_fn=scalar_fixture.inner.residual)
         x, y, u = np.array([0.4]), np.array([0.2]), np.array([1.0])
         got = adapter.djac_x_dir_y(x, y, u)
         want = scalar_fixture.inner.djac_x_dir_y(x, y, u)
         assert np.allclose(got, want, atol=1e-4)
 
     def test_no_root_capability(self):
-        adapter = hg.FDInnerOracle(residual_fn=lambda x, y: x - y, d_x=2, d_y=2)
+        adapter = hg.FDInnerOracle(residual_fn=lambda x, y: x - y)
         assert adapter.exact_root(np.zeros(2)) is None
 
 
@@ -187,7 +184,7 @@ def test_directional_differences_keep_their_bits(seed, ridge_quadratic,
         x, y = rng.normal(size=problem.d_x), rng.uniform(-1.0, 1.0, problem.d_y)
         u, e = rng.normal(size=problem.d_x), rng.normal(size=problem.d_y)
         step = float(rng.uniform(1e-6, 1e-3))
-        adapter = hg.FDInnerOracle(problem.inner.residual, problem.d_x, problem.d_y)
+        adapter = hg.FDInnerOracle(problem.inner.residual)
         assert_same_bits(
             adapter.djac_x_dir_x(x, y, u),
             _fd_directional(lambda xx: adapter.jac_x(xx, y), x, u,
@@ -223,7 +220,7 @@ def fresh_problem(reg_train, reg_val, cls_train, cls_val):
     FDInnerOracle."""
     def fd_ridge():
         ridge = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
-        inner = hg.FDInnerOracle(ridge.inner.residual, ridge.d_x, ridge.d_y,
+        inner = hg.FDInnerOracle(ridge.inner.residual,
                                  exact_root_fn=ridge.inner.exact_root)
         return hg.BilevelProblem(inner=inner, outer=ridge.outer, d_x=ridge.d_x,
                                  d_y=ridge.d_y, name="fd-ridge")
@@ -284,7 +281,7 @@ def test_caller_writes_do_not_reach_the_memo(name, fresh_problem):
                          _call(fresh_problem(name), method, x, y))
 
 
-def test_blocks_are_read_only_and_last_four_points_kept():
+def test_blocks_are_read_only_and_last_five_points_kept():
     handed, solved = [], []
 
     def residual(x, y):
@@ -302,17 +299,17 @@ def test_blocks_are_read_only_and_last_four_points_kept():
     problem = hg.BilevelProblem(inner=inner, outer=_shift_problem().outer,
                                 d_x=2, d_y=2)
     y = np.ones(2)
-    points = [np.full(2, float(k)) for k in range(5)]
+    points = [np.full(2, float(k)) for k in range(6)]
     first = problem.residual(points[0], y)
     assert not first.flags.writeable and handed[0].flags.writeable
     with pytest.raises(ValueError):
         first[0] = 1.0
-    for x in points[1:4]:
+    for x in points[1:5]:
         problem.residual(x, y)
-    assert problem.residual(points[0].copy(), y) is first and len(handed) == 4
-    problem.residual(points[4], y)           # evicts points[1]
+    assert problem.residual(points[0].copy(), y) is first and len(handed) == 5
+    problem.residual(points[5], y)           # evicts points[1]
     problem.residual(points[1], y)
-    assert len(handed) == 6
+    assert len(handed) == 7
 
     ys = [np.full(2, float(k)) for k in range(5)]
     root = problem.exact_root(ys[0])

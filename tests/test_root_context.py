@@ -217,8 +217,8 @@ class TestRootSolveCounts:
         opt_calls = []
         estimator_for_kind = efficiency.estimator_for_kind
 
-        def counted(problem, kind, name="reparam"):
-            estimator = estimator_for_kind(problem, kind, name=name)
+        def counted(problem, kind):
+            estimator = estimator_for_kind(problem, kind)
             if not isinstance(kind, hg.SeparableReparam):
                 return estimator
             return hg.Estimator(estimator.name,

@@ -48,6 +48,13 @@ class TestGradientDescent:
         with pytest.raises(UsageError):
             hg.gradient_descent(scalar_fixture, np.zeros(1), np.zeros(1), steps=-1)
 
+    @pytest.mark.parametrize("step_size", [-1.0, 0.0, np.nan, np.inf])
+    def test_step_size_must_be_positive_and_finite(self, scalar_fixture, step_size):
+        # A negative step would run ascent, and NaN would fail only at step 1.
+        with pytest.raises(UsageError, match="step size must be positive and finite"):
+            hg.gradient_descent(scalar_fixture, np.zeros(1), np.zeros(1), steps=3,
+                                step_size=step_size)
+
 
 class TestNewtonRoot:
     def test_logistic_root_tolerance(self, logistic_quadratic):
@@ -108,7 +115,7 @@ class TestFDHypergradient:
             hg.fd_hypergradient(scalar_fixture, [0.5], eps=1e-18)
 
     def test_requires_exact_root(self):
-        adapter = hg.FDInnerOracle(residual_fn=lambda x, y: x - y, d_x=1, d_y=1)
+        adapter = hg.FDInnerOracle(residual_fn=lambda x, y: x - y)
         problem = hg.BilevelProblem(inner=adapter,
                                     outer=hg.scalar_ridge().outer, d_x=1, d_y=1)
         with pytest.raises(CapabilityError):
