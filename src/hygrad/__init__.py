@@ -81,7 +81,6 @@ from .linalg import (
 from .models import (
     PRNG_NAME,
     Dataset,
-    OuterVariant,
     linear_1d,
     load_libsvm,
     logistic_inner_value,
@@ -108,7 +107,6 @@ from .problems import (
     validate_oracles,
 )
 from .solvers import (
-    Trajectory,
     exact_root,
     fd_hypergradient,
     fd_jac_xstar,

@@ -30,7 +30,7 @@ from .errors import (
 from .estimators import STRATEGIES, Strategy, make_estimator
 from .models import (
     Dataset,
-    OuterVariant,
+    check_outer,
     linear_1d,
     load_libsvm,
     make_logistic,
@@ -89,7 +89,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEM_KINDS:
             raise UsageError(f"unknown problem {self.problem!r}")
-        OuterVariant(self.outer)  # UsageError on an unknown tag
+        check_outer(self.outer)
         if not self.strategies:
             raise UsageError("at least one strategy is required")
         for i, s in enumerate(self.strategies):
@@ -139,10 +139,9 @@ def build_problem(config: RunConfig) -> BilevelProblem:
             val = train
     except OSError as err:
         raise DataError(f"cannot read dataset: {err}") from err
-    outer = OuterVariant(config.outer)
     if config.problem == "ridge":
-        return make_ridge(train, val, outer)
-    return make_logistic(train, val, outer)
+        return make_ridge(train, val, config.outer)
+    return make_logistic(train, val, config.outer)
 
 
 def _pad_columns(data: Dataset, width: int) -> Dataset:
@@ -186,9 +185,8 @@ def run_decay(config: RunConfig) -> list:
     """
     problem = build_problem(config)
     y = sample_y(problem.d_y, config.y_low, config.y_high, config.seed)
-    x0 = np.zeros(problem.d_x)
-    trajectory = gradient_descent(problem, y, x0, config.steps,
-                                  step_size=config.step_size)
+    iterates = gradient_descent(problem, y, np.zeros(problem.d_x), config.steps,
+                                step_size=config.step_size)
     # Every strategy, opt's inverse of Q included, reuses this one root.
     ctx = RootContext.solve(problem, y)
     xstar = ctx.xstar
@@ -203,7 +201,7 @@ def run_decay(config: RunConfig) -> list:
               for s in config.strategies}
     filtered = {s: [] for s in config.strategies}
     live = list(config.strategies)
-    for k, x in enumerate(trajectory.iterates):
+    for k, x in enumerate(iterates):
         inner_error = float(np.linalg.norm(x - xstar))
         for strategy in list(live):
             try:
@@ -245,9 +243,8 @@ def run_efficiency_sweep(config: RunConfig) -> list:
             records.extend(failed(strategy, err) for strategy in config.strategies)
             continue
         for strategy in config.strategies:
-            estimator = make_estimator(problem, strategy)
             try:
-                c_y = efficiency_constant(ctx, estimator, eps=config.eps)
+                c_y = efficiency_constant(ctx, strategy, eps=config.eps)
             except HygradError as err:
                 records.append(failed(strategy, err))
                 continue
@@ -389,8 +386,8 @@ def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]]) -> str:
     """Standalone SVG line plot: linear x, log10 y, one polyline per strategy.
 
     The y axis ticks sit at integer powers of ten. Identical input yields
-    byte-identical output; nonpositive values cannot be drawn on the log
-    axis and are skipped.
+    byte-identical output; nonpositive and non-finite values cannot be drawn
+    on the log axis and are skipped.
     """
     series, x_label, y_label = _series_from(items)
     margin_l, margin_r, margin_t, margin_b = 70, 160, 30, 50
@@ -398,7 +395,7 @@ def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]]) -> str:
     plot_h = SVG_HEIGHT - margin_t - margin_b
 
     xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts if y > 0.0]
+    ys = [y for _, pts in series for _, y in pts if 0.0 < y < np.inf]
     x_min, x_max = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_min == x_max:
         x_min, x_max = x_min - 0.5, x_max + 0.5
@@ -459,7 +456,7 @@ def render_svg(items: Sequence[Union[DecayTrace, SweepRecord]]) -> str:
     # one polyline per strategy; legend entries use line elements
     for idx, (name, pts) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts if y > 0.0)
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts if 0.0 < y < np.inf)
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                    f'points="{coords}"/>')
         ly = margin_t + 16 + 18 * idx

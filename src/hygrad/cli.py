@@ -58,35 +58,36 @@ def _strategy_list(text: str) -> tuple:
 
 # Flags that only some subcommands read; each subcommand names its own.
 _OPTIONAL_FLAGS = {
-    "--strategies": dict(type=_strategy_list, default="vanilla",
+    "--strategies": dict(type=_strategy_list,
                          help=f"comma-separated subset of {','.join(STRATEGIES)}"),
-    "--steps": dict(type=int, default=30),
-    "--step-size": dict(type=float, default=None,
+    "--steps": dict(type=int),
+    "--step-size": dict(type=float,
                         help="constant descent step; default freezes 1/L at x0"),
-    "--trials": dict(type=int, default=10),
-    "--eps": dict(type=float, default=None),
-    "--svg": dict(dest="svg_path", default=None),
+    "--trials": dict(type=int),
+    "--eps": dict(type=float),
+    "--svg": dict(dest="svg_path"),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
-    """The flags every run subcommand reads, plus the named optional ones."""
-    parser.add_argument("--problem", default="scalar", choices=PROBLEM_KINDS)
-    parser.add_argument("--train", dest="train_path", default=None)
-    parser.add_argument("--val", dest="val_path", default=None)
-    parser.add_argument("--outer", default="quadratic", choices=OUTER_VARIANTS)
-    parser.add_argument("--y-low", type=float, default=-1.0)
-    parser.add_argument("--y-high", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", dest="out_path", default=None)
+    """The flags every run subcommand reads, plus the named optional ones; a
+    flag that sets a RunConfig field defaults to that field's default."""
+    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig)})
+    parser.add_argument("--problem", choices=PROBLEM_KINDS)
+    parser.add_argument("--train", dest="train_path")
+    parser.add_argument("--val", dest="val_path")
+    parser.add_argument("--outer", choices=OUTER_VARIANTS)
+    parser.add_argument("--y-low", type=float)
+    parser.add_argument("--y-high", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", dest="out_path")
     for flag in optional:
         parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the parsed flags; a field without a flag keeps its default."""
-    names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
+    """RunConfig from the parsed flags and the defaults of the fields without one."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _write(path: str | None, text: str) -> None:

@@ -9,7 +9,9 @@ Everything here is evaluated at the root, where the simplifications behind
 the closed-form Jacobian expressions are valid; nothing is extrapolated to
 other points. Every at-root analysis takes one ``RootContext``, whose root
 was solved once, and reads its ``xstar``; the problem keeps that root, so
-estimators and separable families built from it reuse the root too.
+estimators and separable families built from it reuse the root too. An
+analysis of an estimator takes its strategy kind, a key or a caller's
+oracle, and builds the estimator from the context's problem.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from .errors import UsageError
 from .estimators import (
-    Estimator,
     PreconditionerOracle,
     Reparameterization,
     SeparableReparam,
@@ -100,17 +101,19 @@ def _root_fd_jacobian(ctx: RootContext, fn, eps: float | None, label: str) -> Ar
                        fd_step(ctx.xstar, eps, JACOBIAN_FD_STEP), label)
 
 
-def estimator_jacobian_fd(ctx: RootContext, estimator: Estimator,
+def estimator_jacobian_fd(ctx: RootContext, kind: StrategyKind,
                           eps: float | None = None) -> Array:
-    """Central-difference Jacobian in x of an estimator, at the inner root."""
+    """Central-difference Jacobian in x, at the inner root, of the estimator
+    of a strategy key or a caller's oracle, built from the context's problem."""
+    estimator = make_estimator(ctx.problem, kind)
     return _root_fd_jacobian(ctx, estimator, eps, f"estimator {estimator.name!r}")
 
 
-def efficiency_constant(ctx: RootContext, estimator: Estimator,
+def efficiency_constant(ctx: RootContext, kind: StrategyKind,
                         eps: float | None = None) -> float:
     """Efficiency constant c_y: the spectral norm of the finite-difference
     estimator Jacobian (``estimator_jacobian_fd``)."""
-    return spectral_norm(estimator_jacobian_fd(ctx, estimator, eps=eps))
+    return spectral_norm(estimator_jacobian_fd(ctx, kind, eps=eps))
 
 
 # --------------------------------------------------------------------------
@@ -242,13 +245,11 @@ class ComparisonTerms:
 
     @cached_property
     def jac_p(self) -> Array:
-        return _read_only(estimator_jacobian_fd(self.ctx, estimator_for_kind(
-            self.ctx.problem, self.precond), eps=self.eps))
+        return _read_only(estimator_jacobian_fd(self.ctx, self.precond, eps=self.eps))
 
     @cached_property
     def jac_phi(self) -> Array:
-        return _read_only(estimator_jacobian_fd(self.ctx, estimator_for_kind(
-            self.ctx.problem, self.reparam), eps=self.eps))
+        return _read_only(estimator_jacobian_fd(self.ctx, self.reparam, eps=self.eps))
 
     @cached_property
     def top_p(self) -> tuple[float, Array]:

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Factorization, factor, solve_transpose
+from .linalg import factor, solve_transpose
 from .problems import BilevelProblem, as_vector
 from .solvers import exact_root, newton_root
 
@@ -71,17 +71,11 @@ def newton_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
         matrix=problem.jac_x)
 
 
-def _jac_x_diagonal(problem: BilevelProblem, x: Array, y: Array,
-                    what: str) -> Factorization:
-    """diag(F_1), checked by ``factor`` like every other matrix it solves."""
-    return factor(np.diag(np.diag(problem.jac_x(x, y))), what)
-
-
 def diag_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
     """P = diag(F_1), the Jacobi choice."""
     return PreconditionerOracle(
-        solve=lambda x, y, v: _jac_x_diagonal(problem, x, y, "P").solve(v),
-        matrix=lambda x, y: np.diag(_jac_x_diagonal(problem, x, y, "P").diagonal))
+        solve=lambda x, y, v: problem.jac_x_diagonal(x, y, "P").solve(v),
+        matrix=lambda x, y: np.diag(problem.jac_x_diagonal(x, y, "P").diagonal))
 
 
 def scaled_preconditioner(precond: PreconditionerOracle, factor: float) -> PreconditionerOracle:
@@ -153,11 +147,12 @@ def identity_reparam() -> Reparameterization:
 def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
     """phi(z) = sign(anchor) * exp(z), element-wise.
 
-    Every anchor coordinate must be nonzero: a zero sign would collapse a
-    coordinate of the map. Callers that sweep iterates are expected to skip
-    such points rather than perturb them.
+    The anchor must be a finite vector (else ContractViolation) with every
+    coordinate nonzero: a zero sign would collapse a coordinate of the map.
+    Callers that sweep iterates are expected to skip such points rather
+    than perturb them.
     """
-    anchor = np.asarray(anchor_x, dtype=float)
+    anchor = as_vector(anchor_x, name="anchor")
     if np.any(anchor == 0.0):
         raise DomainError("exponential reparameterization needs nonzero coordinates")
     signs = np.sign(anchor)
@@ -248,9 +243,10 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
 
 
 def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
-    """Separable family with R = [diag(F_1)]^{-1} and Q the identity."""
+    """Separable family with R = [diag(F_1)]^{-1} and Q the identity; the
+    problem checks diag(F_1) once per point for R, R's solve and R_2."""
     def diagonal(x, y):
-        return _jac_x_diagonal(problem, x, y, "R").diagonal
+        return problem.jac_x_diagonal(x, y, "R").diagonal
 
     def r2_contract(x, y, w, q):
         # R_2 is diagonal per y-coordinate: (R_2)_{kk,e} = -dF1_kk/dy_e / d_k^2,

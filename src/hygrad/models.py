@@ -323,31 +323,17 @@ def load_libsvm(path: str) -> Dataset:
 # --------------------------------------------------------------------------
 # outer objectives
 
-# Outer objective tags, as OuterVariant, RunConfig and the CLI accept them.
+# Outer objective tags: the validation loss, or the affine functional 1'x.
+# The affine form has zero second derivatives, which is the regime where
+# inner-only super-efficiency transfers to the full estimate.
 OUTER_VARIANTS = ("quadratic", "affine")
 
 
-@dataclass(frozen=True)
-class OuterVariant:
-    """Outer objective choice: validation loss, or the affine functional 1'x.
-
-    The affine form has zero second derivatives, which is the regime where
-    inner-only super-efficiency transfers to the full estimate.
-    """
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in OUTER_VARIANTS:
-            raise UsageError(f"unknown outer variant {self.tag!r}")
-
-    @staticmethod
-    def quadratic() -> "OuterVariant":
-        return OuterVariant("quadratic")
-
-    @staticmethod
-    def affine() -> "OuterVariant":
-        return OuterVariant("affine")
+def check_outer(outer: str) -> str:
+    """The outer tag itself when it is one of OUTER_VARIANTS, else UsageError."""
+    if outer not in OUTER_VARIANTS:
+        raise UsageError(f"unknown outer variant {outer!r}")
+    return outer
 
 
 def _outer_of_x(d: int, value, grad_x, hess_xx) -> CallableOuterOracle:
@@ -359,10 +345,10 @@ def _outer_of_x(d: int, value, grad_x, hess_xx) -> CallableOuterOracle:
         hess_xx=hess_xx, jac_gradY_x=zero_block, jac_gradX_y=zero_block)
 
 
-def _make_outer(outer: OuterVariant, train: Dataset, val: Dataset) -> CallableOuterOracle:
+def _make_outer(outer: str, train: Dataset, val: Dataset) -> CallableOuterOracle:
     """Validation loss |A_val x - b_val|^2 or affine 1'x; hands out read-only arrays."""
     d = train.d_x
-    if outer.tag == "quadratic":
+    if check_outer(outer) == "quadratic":
         if val.d_x != d:
             raise ContractViolation(f"train has {d} features, validation has {val.d_x}")
         a_val, b_val = val.features, val.labels
@@ -410,7 +396,7 @@ def _penalized_problem(name: str, d: int, outer: CallableOuterOracle, data_grad,
     ), outer=outer, d_x=d, d_y=d, name=name)
 
 
-def make_ridge(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelProblem:
+def make_ridge(train: Dataset, val: Dataset, outer: str) -> BilevelProblem:
     """Feature-wise exponentially penalized least squares.
 
     The inner residual is affine in x with a symmetric positive definite
@@ -434,7 +420,7 @@ def logistic_inner_value(train: Dataset, x: Array, y: Array) -> float:
     return float(np.sum(softplus(margins)) + 0.5 * np.sum(np.exp(y) * x * x))
 
 
-def make_logistic(train: Dataset, val: Dataset, outer: OuterVariant) -> BilevelProblem:
+def make_logistic(train: Dataset, val: Dataset, outer: str) -> BilevelProblem:
     """Penalized logistic regression with labels in {-1, +1}.
 
     All sigmoid terms go through the overflow-safe forms, one exp(-|t|) per

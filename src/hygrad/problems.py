@@ -12,10 +12,10 @@ A bilevel problem is a pair of oracles over (x, y) with x the inner variable
 
 All oracles must be pure functions of their arguments: problems are shared
 freely across concurrent read-only evaluations, so implementations must not
-mutate interior state. A ``BilevelProblem``'s memo of recent blocks, F_1
-factorizations and roots is its only mutable state, and it sits behind
-``functools.lru_cache``; two threads that compute the same block get equal
-values.
+mutate interior state. A ``BilevelProblem``'s memo of recent blocks, F_1 and
+diag(F_1) factorizations and roots is its only mutable state, and it sits
+behind ``functools.lru_cache``; two threads that compute the same block get
+equal values.
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ class BilevelProblem:
 
     ``residual``, ``jac_x`` and ``jac_y`` validate the inner oracle's block
     and evaluate it once per point among the last 5 points, and
-    ``jac_x_factor`` checks F_1 there once for every solve against it;
+    ``jac_x_factor`` and ``jac_x_diagonal`` check F_1 and diag(F_1) there
+    once for every solve against them;
     ``exact_root`` solves once per y among the last 4 y. A point is the
     shapes and bits of x and y, so -0.0 and 0.0 are different points.
     Blocks are handed out read-only, roots as fresh copies.
@@ -224,10 +225,18 @@ class BilevelProblem:
         """``factor(jac_x(x, y), what)``, checked once per point. A singular
         F_1 is not kept: every caller checks it again and raises
         SingularMatrixError naming its own ``what``."""
+        return self._factor("factor", lambda f1: f1, x, y, what)
+
+    def jac_x_diagonal(self, x: Array, y: Array, what: str) -> Factorization:
+        """``factor(diag(F_1), what)``, checked once per point and, like
+        ``jac_x_factor``, not kept when singular."""
+        return self._factor("diagonal", lambda f1: np.diag(np.diag(f1)), x, y, what)
+
+    def _factor(self, key: str, part, x: Array, y: Array, what: str) -> Factorization:
         x, y, blocks = self._memo(x, y)
-        lu = blocks.get("factor")
+        lu = blocks.get(key)
         if lu is None:
-            lu = blocks["factor"] = factor(self.jac_x(x, y), what)
+            lu = blocks[key] = factor(part(self.jac_x(x, y)), what)
         return lu
 
     def djac_x_y_apply(self, x: Array, y: Array, s: Array) -> Array:

@@ -7,8 +7,6 @@ value, so it shares no code path with the estimation formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapabilityError, NumericalFailure, UsageError
@@ -24,16 +22,10 @@ ROOT_TOL = 1e-13
 NEWTON_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Gradient-descent iterates including the start point."""
-
-    iterates: list
-
-
 def gradient_descent(problem: BilevelProblem, y: Array, x0: Array, steps: int,
-                     step_size: float | None = None) -> Trajectory:
-    """Run x_k = x_{k-1} - tau * F(x_{k-1}, y) for a fixed number of steps.
+                     step_size: float | None = None) -> list[Array]:
+    """Run x_k = x_{k-1} - tau * F(x_{k-1}, y) for a fixed number of steps;
+    returns the iterates x_0, ..., x_steps.
 
     With step_size None, tau = 1 / lambda_max(F_1(x0, y)), frozen at x0 and
     never recomputed; a given step_size must be positive and finite.
@@ -60,7 +52,7 @@ def gradient_descent(problem: BilevelProblem, y: Array, x0: Array, steps: int,
             raise NumericalFailure(f"iterate became non-finite at step {k + 1}",
                                    step=k + 1)
         iterates.append(x)
-    return Trajectory(iterates=iterates)
+    return iterates
 
 
 def newton_root(residual_fn, jac_fn, x0: Array) -> Array:

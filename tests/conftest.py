@@ -44,17 +44,17 @@ def cls_val():
 
 @pytest.fixture(scope="session")
 def ridge_quadratic(reg_train, reg_val):
-    return hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
+    return hg.make_ridge(reg_train, reg_val, "quadratic")
 
 
 @pytest.fixture(scope="session")
 def ridge_affine(reg_train, reg_val):
-    return hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
+    return hg.make_ridge(reg_train, reg_val, "affine")
 
 
 @pytest.fixture(scope="session")
 def logistic_quadratic(cls_train, cls_val):
-    return hg.make_logistic(cls_train, cls_val, hg.OuterVariant.quadratic())
+    return hg.make_logistic(cls_train, cls_val, "quadratic")
 
 
 @pytest.fixture(scope="session")

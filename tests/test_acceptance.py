@@ -29,8 +29,7 @@ def _median_cy(problem, strategy, trials, seed, low, high):
     values = []
     for trial in range(trials):
         y = hg.sample_y(problem.d_y, low, high, seed + trial)
-        est = hg.make_estimator(problem, strategy)
-        values.append(hg.efficiency_constant(hg.RootContext.solve(problem, y), est))
+        values.append(hg.efficiency_constant(hg.RootContext.solve(problem, y), strategy))
     return float(np.median(values)), values
 
 
@@ -78,11 +77,11 @@ def test_criterion_2_decay_slopes(libsvm_dir):
 def test_criterion_3_affine_outer_super_efficiency(reg_train, reg_val):
     with criterion(3, "affine outer: Newton preconditioner and Newton-like "
                       "reparameterization both at least 1e6 times below plain"):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
+        problem = hg.make_ridge(reg_train, reg_val, "affine")
         for trial in range(10):
             y = hg.sample_y(problem.d_y, -1.0, 1.0, 7 + trial)
             ctx = hg.RootContext.solve(problem, y)
-            c = {s: hg.efficiency_constant(ctx, hg.make_estimator(problem, s))
+            c = {s: hg.efficiency_constant(ctx, s)
                  for s in ("vanilla", "newton", "opt")}
             assert c["newton"] <= 1e-6 * c["vanilla"], (trial, c)
             assert c["opt"] <= 1e-6 * c["vanilla"], (trial, c)
@@ -94,10 +93,8 @@ def test_criterion_4_quadratic_outer_newton_wins(ridge_quadratic):
         for trial in range(10):
             y = hg.sample_y(ridge_quadratic.d_y, -1.0, 1.0, 70 + trial)
             ctx = hg.RootContext.solve(ridge_quadratic, y)
-            c_newton = hg.efficiency_constant(
-                ctx, hg.make_estimator(ridge_quadratic, "newton"))
-            c_opt = hg.efficiency_constant(
-                ctx, hg.make_estimator(ridge_quadratic, "opt"))
+            c_newton = hg.efficiency_constant(ctx, "newton")
+            c_opt = hg.efficiency_constant(ctx, "opt")
             assert c_newton <= 1e-6 * c_opt, (trial, c_newton, c_opt)
 
 
@@ -124,8 +121,7 @@ def test_criterion_6_analytic_vs_fd_jacobians(scalar_fixture, linear1d_fixture,
                 y = seeded_y(problem, 300 + seed)
                 ctx = hg.RootContext.solve(problem, y)
                 analytic = hg.ift_jacobian_analytic(ctx)
-                fd = hg.estimator_jacobian_fd(
-                    ctx, hg.make_estimator(problem, "vanilla"))
+                fd = hg.estimator_jacobian_fd(ctx, "vanilla")
                 scale = max(hg.spectral_norm(analytic), 1e-30)
                 assert hg.spectral_norm(analytic - fd) <= 1e-4 * scale, \
                     (problem.name, seed)
@@ -153,8 +149,7 @@ def test_criterion_7_theorem_checks(ridge_quadratic, linear1d_fixture):
 
             # efficiency bound through the sensitivity constant
             ctx = hg.RootContext.solve(ridge_quadratic, y)
-            c_full = hg.efficiency_constant(
-                ctx, hg.make_estimator(ridge_quadratic, "vanilla"))
+            c_full = hg.efficiency_constant(ctx, "vanilla")
             d_norm = hg.spectral_norm(hg.outer_curvature(ctx))
             g1_norm = float(np.linalg.norm(
                 ridge_quadratic.outer.grad_x(xstar, y)))
@@ -194,8 +189,7 @@ def test_criterion_8_scalar_super_efficiency(linear1d_fixture):
                     ctx = hg.RootContext.solve(linear1d_fixture, y)
                     r = hg.super_efficiency_residual_1d(ctx, phi)
                     assert abs(r) <= 1e-10, (alpha, beta, float(y[0]), r)
-                    c = hg.efficiency_constant(
-                        ctx, hg.make_estimator(linear1d_fixture, phi))
+                    c = hg.efficiency_constant(ctx, phi)
                     assert c <= 1e-8, (alpha, beta, float(y[0]), c)
         for y in y_values:
             r = hg.super_efficiency_residual_1d(

@@ -184,7 +184,7 @@ class TestBuildProblem:
         explicit = hg.make_logistic(
             hg.parse_libsvm(train_path.read_text()),
             hg.parse_libsvm(val_path.read_text(), dims=cls_train.d_x),
-            hg.OuterVariant.quadratic())
+            "quadratic")
 
         y = hg.sample_y(padded.d_y, 3.0, 6.0, 8)
         x = np.linspace(-0.5, 0.5, padded.d_x)
@@ -347,6 +347,15 @@ class TestRenderSvg:
         # the zero row cannot appear on a log axis; one coordinate pair drawn
         poly = [ln for ln in svg.splitlines() if "<polyline" in ln][0]
         assert poly.count(",") == 1
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_skipped_like_nonpositive(self, bad):
+        # A skipped point still widens the x axis, whatever made it skipped.
+        rows = [(0, 1.0, bad), (1, 0.5, 0.1), (2, 0.25, 1e-3)]
+        svg = hg.render_svg([_trace(rows)])
+        assert svg == hg.render_svg([_trace([(0, 1.0, 0.0)] + rows[1:])])
+        poly = [ln for ln in svg.splitlines() if "<polyline" in ln][0]
+        assert poly.count(",") == 2
 
     def test_sweep_records_plot(self):
         recs = [SweepRecord("vanilla", 0, 1, 1.0), SweepRecord("vanilla", 1, 2, 2.0),

@@ -82,6 +82,12 @@ def test_duplicate_strategy_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["decay", "efficiency", "compare", "ode1d"])
+def test_flag_defaults_are_the_run_config_defaults(command):
+    from hygrad.cli import _build_parser, _config_from
+    assert _config_from(_build_parser().parse_args([command])) == hg.RunConfig()
+
+
 def test_import_leaves_scipy_unloaded():
     # The package runs on numpy alone; importing scipy roughly doubles
     # a run's peak RSS (about 29 to 56 MB).

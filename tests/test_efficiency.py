@@ -15,7 +15,7 @@ from conftest import comparison_terms, seeded_y
 def _diagonal_ridge():
     """Ridge whose data Gram matrix is diagonal, so diag(F_1) = F_1."""
     train = hg.Dataset(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 2.0]))
-    return hg.make_ridge(train, train, hg.OuterVariant.quadratic())
+    return hg.make_ridge(train, train, "quadratic")
 
 
 def _shift_affine_problem():
@@ -42,27 +42,25 @@ def _shift_affine_problem():
 class TestEstimatorJacobianFD:
     def test_vanilla_linear1d(self, linear1d_fixture):
         jac = hg.estimator_jacobian_fd(
-            hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
-            hg.make_estimator(linear1d_fixture, "vanilla"))
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), "vanilla")
         assert jac[0, 0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_newton_linear1d_super_efficient(self, linear1d_fixture):
         jac = hg.estimator_jacobian_fd(
-            hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
-            hg.make_estimator(linear1d_fixture, "newton"))
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), "newton")
         assert abs(jac[0, 0]) <= 1e-9
 
     def test_matches_analytic_on_scalar_ridge(self, scalar_fixture):
         ctx = hg.RootContext.solve(scalar_fixture, np.zeros(1))
-        jac = hg.estimator_jacobian_fd(
-            ctx, hg.make_estimator(scalar_fixture, "vanilla"))
+        jac = hg.estimator_jacobian_fd(ctx, "vanilla")
         analytic = hg.ift_jacobian_analytic(ctx)
         assert jac[0, 0] == pytest.approx(analytic[0, 0], rel=1e-5)
 
     def test_failure_names_probe(self, linear1d_fixture):
-        bad = hg.Estimator("boom", lambda x, y: (_ for _ in ()).throw(
-            hg.NumericalFailure("inner failure")))
-        with pytest.raises(hg.NumericalFailure, match="probe"):
+        def boom(*args):
+            raise hg.NumericalFailure("inner failure")
+        bad = hg.PreconditionerOracle(solve=boom, matrix=boom)
+        with pytest.raises(hg.NumericalFailure, match="'precond' failed at probe"):
             hg.estimator_jacobian_fd(
                 hg.RootContext.solve(linear1d_fixture, np.zeros(1)), bad)
 
@@ -70,26 +68,23 @@ class TestEstimatorJacobianFD:
 class TestEfficiencyConstant:
     def test_linear1d_vanilla_is_one(self, linear1d_fixture):
         ctx = hg.RootContext.solve(linear1d_fixture, np.zeros(1))
-        estimator = hg.make_estimator(linear1d_fixture, "vanilla")
-        c_y = hg.efficiency_constant(ctx, estimator)
+        c_y = hg.efficiency_constant(ctx, "vanilla")
         assert c_y == pytest.approx(1.0, abs=1e-9)
         assert c_y == pytest.approx(
-            hg.spectral_norm(hg.estimator_jacobian_fd(ctx, estimator)), abs=1e-12)
+            hg.spectral_norm(hg.estimator_jacobian_fd(ctx, "vanilla")), abs=1e-12)
 
     def test_exp_family_super_efficient_on_linear1d(self, linear1d_fixture):
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
-        est = hg.make_estimator(linear1d_fixture, phi)
         c_y = hg.efficiency_constant(
-            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), est)
+            hg.RootContext.solve(linear1d_fixture, np.zeros(1)), phi)
         assert c_y <= 1e-8
 
     def test_newton_family_affine_outer_tiny(self, reg_train, reg_val):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
+        problem = hg.make_ridge(reg_train, reg_val, "affine")
         y = seeded_y(problem, 14)
         ctx = hg.RootContext.solve(problem, y)
-        c_vanilla = hg.efficiency_constant(
-            ctx, hg.make_estimator(problem, "vanilla"))
-        c_opt = hg.efficiency_constant(ctx, hg.make_estimator(problem, "opt"))
+        c_vanilla = hg.efficiency_constant(ctx, "vanilla")
+        c_opt = hg.efficiency_constant(ctx, "opt")
         assert c_opt <= 1e-6 * c_vanilla
 
 
@@ -98,8 +93,7 @@ class TestAnalyticJacobian:
         y = seeded_y(ridge_quadratic, 23)
         ctx = hg.RootContext.solve(ridge_quadratic, y)
         analytic = hg.ift_jacobian_analytic(ctx)
-        fd = hg.estimator_jacobian_fd(
-            ctx, hg.make_estimator(ridge_quadratic, "vanilla"))
+        fd = hg.estimator_jacobian_fd(ctx, "vanilla")
         assert hg.spectral_norm(analytic - fd) <= 1e-5 * hg.spectral_norm(analytic)
 
     def test_super_efficient_case_is_zero(self):
@@ -142,7 +136,7 @@ class TestPrecondJacobianAtRoot:
 
 class TestOuterCurvature:
     def test_affine_outer_is_zero(self, reg_train, reg_val):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
+        problem = hg.make_ridge(reg_train, reg_val, "affine")
         d = hg.outer_curvature(hg.RootContext.solve(problem, seeded_y(problem, 4)))
         assert np.max(np.abs(d)) == 0.0
 
@@ -163,8 +157,7 @@ class TestOuterCurvature:
         # full Jacobian = curvature term + sensitivity-term Jacobian, at root
         y = seeded_y(ridge_quadratic, 6)
         ctx = hg.RootContext.solve(ridge_quadratic, y)
-        full = hg.estimator_jacobian_fd(
-            ctx, hg.make_estimator(ridge_quadratic, "vanilla"))
+        full = hg.estimator_jacobian_fd(ctx, "vanilla")
         d = hg.outer_curvature(ctx)
         t = hg.sensitivity_term_jacobian_fd(ctx, "vanilla")
         assert hg.spectral_norm(full - (d + t)) <= 1e-5 * (1 + hg.spectral_norm(full))
@@ -259,7 +252,7 @@ class TestPrecondGap:
         assert violations[-1] <= violations[0] + 1e-9
 
     def test_super_efficient_pair_degenerates(self, reg_train, reg_val):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
+        problem = hg.make_ridge(reg_train, reg_val, "affine")
         sep = hg.newton_separable_reparam(problem)
         y = seeded_y(problem, 10)
         delta, lower, lhs = _precond_gap(
@@ -271,7 +264,7 @@ class TestPrecondGap:
 
 class TestReparamGap:
     def test_newton_family_affine_outer(self, reg_train, reg_val):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
+        problem = hg.make_ridge(reg_train, reg_val, "affine")
         sep = hg.newton_separable_reparam(problem)
         precond = hg.diag_preconditioner(problem)
         y = seeded_y(problem, 11)
@@ -316,8 +309,7 @@ class TestSensitivityEfficiencyConstant:
         y = seeded_y(ridge_quadratic, 13)
         xstar = ridge_quadratic.exact_root(y)
         ctx = hg.RootContext.solve(ridge_quadratic, y)
-        c_full = hg.efficiency_constant(
-            ctx, hg.make_estimator(ridge_quadratic, "vanilla"))
+        c_full = hg.efficiency_constant(ctx, "vanilla")
         d_norm = hg.spectral_norm(hg.outer_curvature(ctx))
         g1_norm = float(np.linalg.norm(
             ridge_quadratic.outer.grad_x(xstar, y)))
@@ -332,11 +324,9 @@ class TestAnchoredConstantIdentity:
         y = seeded_y(logistic_quadratic, 19, low=3.0, high=6.0)
         xstar = logistic_quadratic.exact_root(y)
         ctx = hg.RootContext.solve(logistic_quadratic, y)
-        c_localized = hg.efficiency_constant(
-            ctx, hg.make_estimator(logistic_quadratic, sep))
+        c_localized = hg.efficiency_constant(ctx, sep)
         frozen = hg.anchored_reparam(sep, xstar, y)
-        c_frozen = hg.efficiency_constant(
-            ctx, hg.make_estimator(logistic_quadratic, frozen))
+        c_frozen = hg.efficiency_constant(ctx, frozen)
         assert abs(c_localized - c_frozen) <= 1e-6 * (1 + abs(c_frozen))
 
 

@@ -107,7 +107,7 @@ class TestPreconditionedEstimate:
 
     def test_newton_recovers_truth_from_any_start_on_ridge(self, reg_train,
                                                            reg_val):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
+        problem = hg.make_ridge(reg_train, reg_val, "quadratic")
         precond = hg.newton_preconditioner(problem)
         y = seeded_y(problem, 77)
         truth = hg.Strategy(problem).estimate(problem.exact_root(y), y)
@@ -182,7 +182,7 @@ class TestLocalizedEstimate:
         assert got[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_newton_family_exact_anywhere_affine_outer(self, reg_train, reg_val):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
+        problem = hg.make_ridge(reg_train, reg_val, "affine")
         sep = hg.newton_separable_reparam(problem)
         y = seeded_y(problem, 40)
         truth = hg.fd_hypergradient(problem, y)
@@ -215,6 +215,11 @@ class TestConstructors:
     def test_exp_zero_coordinate_rejected(self):
         with pytest.raises(DomainError):
             hg.signed_exp_reparam(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_exp_non_finite_anchor_rejected(self, bad):
+        with pytest.raises(hg.ContractViolation, match="anchor"):
+            hg.signed_exp_reparam(np.array([bad, 1.0]))
 
     def test_exp_sign_mismatch_rejected(self):
         phi = hg.signed_exp_reparam(np.array([1.0]))
@@ -476,6 +481,30 @@ class TestStrategyTable:
         problem = request.getfixturevalue(fixture)
         assert _per_estimate_counts(problem, lu_calls, root_context=True) \
             == _expected_counts(3)
+
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    def test_diag_f1_checked_once_per_point(self, fixture, request, monkeypatch):
+        # diag-rep's R, R's solve and R_2 read one check of diag(F_1) per
+        # point from the problem, and none where diag's P has checked it.
+        import hygrad.problems as problems
+        checked = []
+        original = problems.factor
+
+        def counting(a, what="matrix"):
+            checked.append(what)
+            return original(a, what)
+        monkeypatch.setattr(problems, "factor", counting)
+        problem = replace(request.getfixturevalue(fixture))     # an empty memo
+        x, y = _off_root_point(problem, 81)
+        hg.make_estimator(problem, "diag-rep")(x, y)
+        assert checked == ["R"]
+        x = x + 0.01
+        checked.clear()
+        hg.make_estimator(problem, "diag")(x, y)
+        assert checked == ["P", "F_1"]      # F_1 at diag's corrected point
+        checked.clear()
+        hg.make_estimator(problem, "diag-rep")(x, y)
+        assert checked == []
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_r2_contractions_match_per_direction_solves(self, fixture, request):

@@ -42,10 +42,7 @@ def test_every_invocation_reproduces_its_baseline_digests(tool, tmp_path,
                     for line in tool.BASELINE.read_text().splitlines() if line.strip())
     differ = []
     for name, args, svg in tool.invocations():
-        files = [("csv", f"{name}.csv")] + ([("svg", f"{name}.svg")] if svg else [])
-        argv = args + ["--out", files[0][1]]
-        if svg:
-            argv += ["--svg", files[1][1]]
+        argv, files = tool.command_line(name, args, svg)
         assert cli_main(argv) == 0, name
         for kind, path in files:
             digest = hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()

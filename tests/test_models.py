@@ -264,7 +264,7 @@ class TestRidge:
         # fixture: the root is 1/(1 + e^y).
         s = 1.0 / np.sqrt(2.0)
         train = hg.Dataset(np.array([[s]]), np.array([s]))
-        problem = hg.make_ridge(train, train, hg.OuterVariant.affine())
+        problem = hg.make_ridge(train, train, "affine")
         y = np.zeros(1)
         assert problem.exact_root(y)[0] == pytest.approx(0.5, abs=1e-14)
         x = np.array([0.3])
@@ -274,7 +274,7 @@ class TestRidge:
             scalar_fixture.jac_x(x, y)[0, 0], abs=1e-14)
 
     def test_unregularized_limit(self, reg_train, reg_val):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
+        problem = hg.make_ridge(reg_train, reg_val, "quadratic")
         y = -30.0 * np.ones(problem.d_y)
         root = problem.exact_root(y)
         gram2 = 2.0 * reg_train.features.T @ reg_train.features
@@ -299,28 +299,35 @@ class TestRidge:
     def test_dimension_mismatch_rejected(self, reg_train):
         bad_val = hg.synthetic_validation_dataset(10, 3, seed=0)
         with pytest.raises(hg.ContractViolation):
-            hg.make_ridge(reg_train, bad_val, hg.OuterVariant.quadratic())
+            hg.make_ridge(reg_train, bad_val, "quadratic")
 
 
 class TestOuterObjective:
     def test_hands_out_no_mutable_internals(self, reg_train, reg_val):
         # No array the oracle returns can change the problem after it is built.
-        outer = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine()).outer
+        outer = hg.make_ridge(reg_train, reg_val, "affine").outer
         x, y = np.ones(reg_train.d_x), np.zeros(reg_train.d_x)
         value = outer.value(x, y)
         with pytest.raises(ValueError):
             outer.grad_x(x, y)[:] = -1.0
         assert outer.value(x, y) == value
-        quadratic = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic()).outer
+        quadratic = hg.make_ridge(reg_train, reg_val, "quadratic").outer
         with pytest.raises(ValueError):
             quadratic.hess_xx(x, y)[0, 0] = 0.0
 
+
+    def test_unknown_tag_rejected_by_builders_and_config(self, reg_train, cls_train):
+        for build in (lambda: hg.make_ridge(reg_train, reg_train, "bogus"),
+                      lambda: hg.make_logistic(cls_train, cls_train, "bogus"),
+                      lambda: hg.RunConfig(outer="bogus")):
+            with pytest.raises(hg.UsageError, match="unknown outer variant 'bogus'"):
+                build()
 
 class TestLogistic:
     def test_single_sample_root_vs_bisection(self):
         # Root of x = sigmoid(-x), bracketed and bisected to 1e-12.
         train = hg.Dataset(np.array([[1.0]]), np.array([1.0]))
-        problem = hg.make_logistic(train, train, hg.OuterVariant.affine())
+        problem = hg.make_logistic(train, train, "affine")
         lo, hi = 0.0, 1.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -334,7 +341,7 @@ class TestLogistic:
         assert root == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
     def test_zero_logits_exact(self, cls_train):
-        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
+        problem = hg.make_logistic(cls_train, cls_train, "affine")
         y = np.zeros(problem.d_y)
         expected = -0.5 * cls_train.features.T @ cls_train.labels
         assert np.array_equal(problem.residual(np.zeros(problem.d_x), y), expected)
@@ -348,14 +355,14 @@ class TestLogistic:
         assert np.all(np.isfinite(s))
         assert s[0] == 1.0 and s[1] == 0.0
         train = hg.Dataset(np.array([[1.0]]), np.array([1.0]))
-        problem = hg.make_logistic(train, train, hg.OuterVariant.affine())
+        problem = hg.make_logistic(train, train, "affine")
         jac = problem.jac_x(np.array([800.0]), np.zeros(1))
         assert np.isfinite(jac).all()
 
     def test_label_validation(self, cls_train):
         bad = hg.Dataset(cls_train.features, np.abs(cls_train.labels) * 2.0)
         with pytest.raises(DataError):
-            hg.make_logistic(bad, cls_train, hg.OuterVariant.affine())
+            hg.make_logistic(bad, cls_train, "affine")
 
     def test_residual_is_gradient_of_objective(self, logistic_quadratic,
                                                cls_train):
@@ -417,7 +424,7 @@ class TestSigmoidKernel:
                          masked_dsigmoid(t) * (1.0 - 2.0 * masked_sigmoid(t)))
 
     def test_logistic_oracles_match_the_masked_forms(self, cls_train):
-        problem = hg.make_logistic(cls_train, cls_train, hg.OuterVariant.affine())
+        problem = hg.make_logistic(cls_train, cls_train, "affine")
         a, b = cls_train.features, cls_train.labels
         rng = np.random.default_rng(21)
         for _ in range(3):

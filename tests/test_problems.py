@@ -55,9 +55,7 @@ class TestValidateOracles:
                                                ridge_quadratic, ridge_affine,
                                                logistic_quadratic, cls_train,
                                                cls_val):
-        logistic_affine = hg.make_logistic(
-            cls_train, cls_val,
-            hg.OuterVariant.affine())
+        logistic_affine = hg.make_logistic(cls_train, cls_val, "affine")
         for problem in (scalar_fixture, linear1d_fixture, ridge_quadratic,
                         ridge_affine, logistic_quadratic, logistic_affine):
             for seed in range(20):
@@ -97,10 +95,9 @@ class TestValidateOracles:
     def test_fd_step_rejects_bad_eps(self, linear1d_fixture, eps):
         with pytest.raises(hg.UsageError, match="eps"):
             fd_step(np.zeros(1), eps, 1e-5)
-        estimator = hg.make_estimator(linear1d_fixture, "vanilla")
         with pytest.raises(hg.UsageError, match="eps"):
             hg.efficiency_constant(hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
-                                   estimator, eps=eps)
+                                   "vanilla", eps=eps)
 
 
 class TestProblemInvariants:
@@ -143,7 +140,7 @@ class TestConcurrentEvaluation:
 
 class TestFDAdapter:
     def test_matches_analytic_ridge(self, reg_train, reg_val):
-        analytic = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
+        analytic = hg.make_ridge(reg_train, reg_val, "quadratic")
         adapter = hg.FDInnerOracle(residual_fn=analytic.inner.residual)
         rng = np.random.default_rng(5)
         x = rng.normal(size=analytic.d_x)
@@ -219,16 +216,14 @@ def fresh_problem(reg_train, reg_val, cls_train, cls_val):
     the four shipped problems and a ridge residual differenced by
     FDInnerOracle."""
     def fd_ridge():
-        ridge = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.quadratic())
+        ridge = hg.make_ridge(reg_train, reg_val, "quadratic")
         inner = hg.FDInnerOracle(ridge.inner.residual,
                                  exact_root_fn=ridge.inner.exact_root)
         return hg.BilevelProblem(inner=inner, outer=ridge.outer, d_x=ridge.d_x,
                                  d_y=ridge.d_y, name="fd-ridge")
     builders = {
-        "ridge": lambda: hg.make_ridge(reg_train, reg_val,
-                                       hg.OuterVariant.quadratic()),
-        "logistic": lambda: hg.make_logistic(cls_train, cls_val,
-                                             hg.OuterVariant.quadratic()),
+        "ridge": lambda: hg.make_ridge(reg_train, reg_val, "quadratic"),
+        "logistic": lambda: hg.make_logistic(cls_train, cls_val, "quadratic"),
         "scalar-ridge": hg.scalar_ridge,
         "linear-1d": hg.linear_1d,
         "fd-ridge": fd_ridge,

@@ -15,10 +15,10 @@ PUBLIC_NAMES = [
     "ContractViolation", "DataError", "Dataset", "DecayTrace", "DomainError",
     "Estimator", "FDInnerOracle", "Factorization", "HygradError",
     "InnerOracle", "InsufficientDataError", "NumericalFailure", "OuterOracle",
-    "OuterVariant", "PRNG_NAME", "ParseError", "PreconditionerOracle",
+    "PRNG_NAME", "ParseError", "PreconditionerOracle",
     "ReparamDeviations", "Reparameterization", "RootContext", "RunConfig",
     "STRATEGIES", "SeparableReparam", "SingularMatrixError", "Strategy",
-    "SweepRecord", "Trajectory", "UsageError", "anchored_reparam",
+    "SweepRecord", "UsageError", "anchored_reparam",
     "build_problem", "compare_bounds", "diag_preconditioner",
     "diag_scaling_reparam", "efficiency_constant", "emit_csv",
     "estimator_jacobian_fd", "exact_root", "exp_family_reparam_1d", "factor",

@@ -42,10 +42,8 @@ def counting_logistic(logistic_quadratic):
 # preconditioners are built from ``ctx.problem``, the caller's problem, which
 # keeps the root the context solved.
 AT_ROOT = {
-    "efficiency_constant": lambda ctx: hg.efficiency_constant(
-        ctx, hg.make_estimator(ctx.problem, "opt")),
-    "estimator_jacobian_fd": lambda ctx: hg.estimator_jacobian_fd(
-        ctx, hg.make_estimator(ctx.problem, "opt")),
+    "efficiency_constant": lambda ctx: hg.efficiency_constant(ctx, "opt"),
+    "estimator_jacobian_fd": lambda ctx: hg.estimator_jacobian_fd(ctx, "opt"),
     "sensitivity_jacobian_fd": lambda ctx: hg.sensitivity_jacobian_fd(ctx, "opt"),
     "sensitivity_term_jacobian_fd":
         lambda ctx: hg.sensitivity_term_jacobian_fd(ctx, "opt"),
@@ -115,12 +113,11 @@ def test_context_estimators_equal_plain_ones(ridge_quadratic, logistic_quadratic
     """Every strategy built from the context's problem gives the bits of the
     one built from a freshly made problem on the same datasets, off the root
     and off the context's y."""
-    quadratic = hg.OuterVariant.quadratic()
     for problem, y, fresh in (
             (ridge_quadratic, seeded_y(ridge_quadratic, seed),
-             lambda: hg.make_ridge(reg_train, reg_val, quadratic)),
+             lambda: hg.make_ridge(reg_train, reg_val, "quadratic")),
             (logistic_quadratic, _logistic_y(logistic_quadratic, seed),
-             lambda: hg.make_logistic(cls_train, cls_val, quadratic))):
+             lambda: hg.make_logistic(cls_train, cls_val, "quadratic"))):
         ctx = hg.RootContext.solve(problem, y)
         x = ctx.xstar + hg.sample_y(problem.d_x, -0.1, 0.1, seed + 1)
         other_y = y + hg.sample_y(problem.d_y, -1e-3, 1e-3, seed + 2)
@@ -215,16 +212,16 @@ class TestRootSolveCounts:
         problem, solves = counting_logistic
         monkeypatch.setattr(cli, "build_problem", lambda config: problem)
         opt_calls = []
-        estimator_for_kind = efficiency.estimator_for_kind
+        make_estimator = efficiency.make_estimator
 
         def counted(problem, kind):
-            estimator = estimator_for_kind(problem, kind)
+            estimator = make_estimator(problem, kind)
             if not isinstance(kind, hg.SeparableReparam):
                 return estimator
             return hg.Estimator(estimator.name,
                                 lambda x, y: opt_calls.append(1) or estimator(x, y))
 
-        monkeypatch.setattr(efficiency, "estimator_for_kind", counted)
+        monkeypatch.setattr(efficiency, "make_estimator", counted)
         code = cli.cli_main(["compare", "--problem", "logistic", "--reparam", "opt",
                              "--trials", "1", "--y-low", "3", "--y-high", "6",
                              "--seed", "8", "--out", str(tmp_path / "c.csv")])

@@ -11,21 +11,21 @@ from conftest import seeded_y
 
 class TestGradientDescent:
     def test_linear1d_single_step(self, linear1d_fixture):
-        traj = hg.gradient_descent(linear1d_fixture, np.zeros(1), np.zeros(1),
-                                   steps=1, step_size=0.5)
-        assert traj.iterates[1][0] == pytest.approx(0.5, abs=0)
+        iterates = hg.gradient_descent(linear1d_fixture, np.zeros(1), np.zeros(1),
+                                       steps=1, step_size=0.5)
+        assert iterates[1][0] == pytest.approx(0.5, abs=0)
 
     def test_zero_steps(self, scalar_fixture):
-        traj = hg.gradient_descent(scalar_fixture, np.zeros(1),
-                                   np.array([0.3]), steps=0)
-        assert len(traj.iterates) == 1
-        assert traj.iterates[0][0] == 0.3
+        iterates = hg.gradient_descent(scalar_fixture, np.zeros(1),
+                                       np.array([0.3]), steps=0)
+        assert len(iterates) == 1
+        assert iterates[0][0] == 0.3
 
     def test_scalar_ridge_contracts_monotonically(self, scalar_fixture):
         y = np.zeros(1)
-        traj = hg.gradient_descent(scalar_fixture, y, np.array([-2.0]),
-                                   steps=25, step_size=0.25)
-        errors = [abs(x[0] - 0.5) for x in traj.iterates]
+        iterates = hg.gradient_descent(scalar_fixture, y, np.array([-2.0]),
+                                       steps=25, step_size=0.25)
+        errors = [abs(x[0] - 0.5) for x in iterates]
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1e-3
 
@@ -33,9 +33,9 @@ class TestGradientDescent:
         y = seeded_y(ridge_quadratic, 2)
         x0 = np.ones(ridge_quadratic.d_x)
         xstar = ridge_quadratic.exact_root(y)
-        traj = hg.gradient_descent(ridge_quadratic, y, x0, steps=40)
+        iterates = hg.gradient_descent(ridge_quadratic, y, x0, steps=40)
         start = np.linalg.norm(x0 - xstar)
-        for x in traj.iterates:
+        for x in iterates:
             assert np.linalg.norm(x - xstar) <= start + 1e-12
 
     def test_divergence_reports_step(self, scalar_fixture):
@@ -74,7 +74,7 @@ class TestNewtonRoot:
         # the line search stalls there on a Newton step below one ulp of x.
         train = hg.synthetic_classification_dataset(20000, 5, seed=1711)
         val = hg.synthetic_classification_dataset(20000, 5, seed=1712)
-        problem = hg.make_logistic(train, val, hg.OuterVariant.quadratic())
+        problem = hg.make_logistic(train, val, "quadratic")
         y = hg.sample_y(5, 3, 6, 855)
         root = hg.exact_root(problem, y)
         resid = np.linalg.norm(problem.residual(root, y))
@@ -96,7 +96,7 @@ class TestFDHypergradient:
         assert got[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_affine_outer_matches_chain_rule(self, reg_train, reg_val):
-        problem = hg.make_ridge(reg_train, reg_val, hg.OuterVariant.affine())
+        problem = hg.make_ridge(reg_train, reg_val, "affine")
         y = seeded_y(problem, 6)
         grad = hg.fd_hypergradient(problem, y)
         a = problem.outer.grad_x(np.zeros(problem.d_x), y)

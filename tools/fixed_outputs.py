@@ -103,6 +103,14 @@ def write_datasets(out: Path) -> None:
         (out / f"{name}.libsvm").write_text(hg.serialize_libsvm(data))
 
 
+def command_line(name: str, args: list[str], svg: bool) -> tuple[list[str], list]:
+    """One invocation's CLI arguments with its --out (and --svg) file, and
+    the (kind, file name) pairs of the files it writes, named after it."""
+    files = [("csv", f"{name}.csv")] + ([("svg", f"{name}.svg")] if svg else [])
+    argv = args + ["--out", files[0][1]] + (["--svg", files[1][1]] if svg else [])
+    return argv, files
+
+
 def run_invocations(out: Path) -> tuple[int, dict[str, str]]:
     """Run every invocation into out: (exit status, {"invocation file": sha256})."""
     out.mkdir(parents=True, exist_ok=True)
@@ -111,11 +119,9 @@ def run_invocations(out: Path) -> tuple[int, dict[str, str]]:
     status = 0
     digests = {}
     for name, args, svg in invocations():
-        files = [("csv", f"{name}.csv")] + ([("svg", f"{name}.svg")] if svg else [])
-        argv = [sys.executable, "-m", "hygrad.cli"] + args + ["--out", files[0][1]]
-        if svg:
-            argv += ["--svg", files[1][1]]
-        proc = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
+        argv, files = command_line(name, args, svg)
+        proc = subprocess.run([sys.executable, "-m", "hygrad.cli"] + argv, cwd=out,
+                              env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             print(f"{name}: exit {proc.returncode}: {proc.stderr.strip()}",
                   file=sys.stderr)
