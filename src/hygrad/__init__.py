@@ -30,8 +30,8 @@ from .efficiency import (
     outer_curvature,
     precond_error_factor_at_root,
     precond_gap,
-    precond_jacobian_at_root,
     reparam_gap,
+    root_jacobian,
     sensitivity_efficiency_constant,
     sensitivity_jacobian_fd,
     sensitivity_term_jacobian_fd,

@@ -5,6 +5,12 @@ Jacobian in x, taken at the inner root: it is the first-order factor by
 which inner error is amplified into hypergradient error. An estimator with
 a zero constant has quadratically decaying error ("super-efficient").
 
+At the root that Jacobian is assembled from a few blocks: the outer
+curvature D, the plain sensitivity term T, the preconditioner error factor
+E = I - P^{-1} F_1 and a change of variables' sensitivity term T_phi
+(``root_jacobian``). D, T and E have closed forms; T_phi vanishes for the
+Newton-like family and is differenced for every other change of variables.
+
 Everything here is evaluated at the root, where the simplifications behind
 the closed-form Jacobian expressions are valid; nothing is extrapolated to
 other points. Every at-root analysis takes one ``RootContext``, whose root
@@ -54,9 +60,8 @@ class ComparisonBounds:
     """Both sides of the two quadratic comparison inequalities.
 
     lhs_phi_minus_p compares against rhs_phi_minus_p (and symmetrically for
-    p_minus_phi); each lhs must dominate its rhs up to finite-difference
-    noise. v_p and v_phi are the unit maximizers of the two estimator
-    Jacobians' actions.
+    p_minus_phi); each lhs dominates its rhs up to rounding. v_p and v_phi
+    are the unit maximizers of the two estimator Jacobians' actions.
     """
 
     lhs_phi_minus_p: float
@@ -109,23 +114,48 @@ def estimator_jacobian_fd(ctx: RootContext, kind: StrategyKind,
     return _root_fd_jacobian(ctx, estimator, eps, f"estimator {estimator.name!r}")
 
 
+def root_jacobian(ctx: RootContext, kind: StrategyKind,
+                  eps: float | None = None) -> Array:
+    """Jacobian in x, at the inner root, of the estimator of a strategy key
+    or a caller's oracle, assembled from the blocks D, T, E and T_phi:
+
+    - plain (vanilla): D + T;
+    - a corrective step P (newton, diag or a caller's oracle): (D + T) E,
+      since the step leaves S as it is;
+    - the "opt" key: D, since T_phi = 0 for the Newton-like family;
+    - any other change of variables: D + T_phi, T_phi from the FD Jacobian
+      of S with step eps (``sensitivity_jacobian_fd``).
+
+    eps is checked on every path, also where nothing is differenced.
+    """
+    strategy = resolve_strategy(ctx.problem, kind)
+    fd_step(ctx.xstar, eps, JACOBIAN_FD_STEP)
+    d = outer_curvature(ctx)
+    if strategy.reparam is None:
+        jac = d + _sensitivity_term(ctx)
+        if strategy.precond is None:
+            return jac
+        return jac @ precond_error_factor_at_root(ctx, strategy.precond)
+    if kind == "opt":
+        return d
+    return d + _term_jacobian(ctx, sensitivity_jacobian_fd(ctx, kind, eps))
+
+
 def efficiency_constant(ctx: RootContext, kind: StrategyKind,
                         eps: float | None = None) -> float:
-    """Efficiency constant c_y: the spectral norm of the finite-difference
-    estimator Jacobian (``estimator_jacobian_fd``)."""
-    return spectral_norm(estimator_jacobian_fd(ctx, kind, eps=eps))
+    """Efficiency constant c_y: the spectral norm of ``root_jacobian``."""
+    return spectral_norm(root_jacobian(ctx, kind, eps))
 
 
 # --------------------------------------------------------------------------
-# closed-form Jacobians at the root
+# closed-form blocks at the root
 
-def ift_jacobian_analytic(ctx: RootContext) -> Array:
-    """Jacobian in x of the plain estimate at the root, from the oracles.
+def _sensitivity_term(ctx: RootContext) -> Array:
+    """T, the Jacobian of x -> S(x, y) g_1(x*, y) for the plain S.
 
-    Assembled as J = D + T: D the outer curvature g_21 + S g_11, and T the
-    sensitivity-term Jacobian, which contracts the second derivatives of F
-    directionally: row e is -(dF_1/dy_e)' s with s = F_1^{-1} g_1, plus
-    F_2' F_1^{-1} (dF_1/dx along s).
+    It contracts the second derivatives of F directionally: row e is
+    -(dF_1/dy_e)' s with s = F_1^{-1} g_1, plus F_2' F_1^{-1} (dF_1/dx
+    along s).
     """
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     f1 = problem.jac_x_factor(xstar, y)
@@ -135,7 +165,14 @@ def ift_jacobian_analytic(ctx: RootContext) -> Array:
     term_y = -problem.djac_x_y_apply_T(xstar, y, s).T
     m_s = problem.inner.djac_x_dir_x(xstar, y, s)
     term_x = f2.T @ f1.solve(m_s)
-    return outer_curvature(ctx) + term_y + term_x
+    return term_y + term_x
+
+
+def ift_jacobian_analytic(ctx: RootContext) -> Array:
+    """Jacobian in x of the plain estimate at the root, from the oracles:
+    J = D + T, D the outer curvature g_21 + S g_11 and T the
+    sensitivity-term Jacobian."""
+    return outer_curvature(ctx) + _sensitivity_term(ctx)
 
 
 def precond_error_factor_at_root(ctx: RootContext,
@@ -143,12 +180,6 @@ def precond_error_factor_at_root(ctx: RootContext,
     """The matrix I - P^{-1} F_1 at the root (the residual term vanishes there)."""
     f1 = ctx.problem.jac_x(ctx.xstar, ctx.y)
     return np.eye(ctx.problem.d_x) - precond.solve(ctx.xstar, ctx.y, f1)
-
-
-def precond_jacobian_at_root(ctx: RootContext,
-                             precond: PreconditionerOracle) -> Array:
-    """Jacobian of the preconditioned estimate at the root: Omega_1 (I - P^{-1}F_1)."""
-    return ift_jacobian_analytic(ctx) @ precond_error_factor_at_root(ctx, precond)
 
 
 def outer_curvature(ctx: RootContext) -> Array:
@@ -207,13 +238,15 @@ class ComparisonTerms:
     share for one trial, each computed from the context's problem when
     first read and then kept (arrays read-only).
 
-    D is the outer curvature, E the preconditioner error factor, T_P and
-    T_phi the sensitivity-term Jacobians, J_P and J_phi the FD Jacobians of
-    the preconditioned and reparameterized estimators, and ``top_*`` their
-    top singular pairs, whose values are the efficiency constants. With a
-    separable ``reparam``, J_phi is also reparam_gap's localized Jacobian.
-    ``d_s_phi``, the FD Jacobian of that side's S, gives T_phi and
-    reparam_gap's sensitivity constant.
+    D is the outer curvature, E the preconditioner error factor, T_P the
+    closed-form sensitivity term T (a corrective step leaves S as it is)
+    and T_phi the reparameterized one. J_P = (D + T_P) E and
+    J_phi = D + T_phi are the two estimators' Jacobians, the products that
+    also build compare_bounds' U and V, and ``top_*`` their top singular
+    pairs, whose values are the efficiency constants. With a separable
+    ``reparam``, J_phi is also reparam_gap's localized Jacobian.
+    ``d_s_phi``, the FD Jacobian of that side's S and the trial's only
+    difference, gives T_phi and reparam_gap's sensitivity constant.
     """
 
     ctx: RootContext
@@ -231,8 +264,7 @@ class ComparisonTerms:
 
     @cached_property
     def t_p(self) -> Array:
-        return _read_only(sensitivity_term_jacobian_fd(self.ctx, self.precond,
-                                                       eps=self.eps))
+        return _read_only(_sensitivity_term(self.ctx))
 
     @cached_property
     def d_s_phi(self) -> Array:
@@ -245,11 +277,11 @@ class ComparisonTerms:
 
     @cached_property
     def jac_p(self) -> Array:
-        return _read_only(estimator_jacobian_fd(self.ctx, self.precond, eps=self.eps))
+        return _read_only((self.d + self.t_p) @ self.e_p)
 
     @cached_property
     def jac_phi(self) -> Array:
-        return _read_only(estimator_jacobian_fd(self.ctx, self.reparam, eps=self.eps))
+        return _read_only(self.d + self.t_phi)
 
     @cached_property
     def top_p(self) -> tuple[float, Array]:

@@ -158,7 +158,7 @@ def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
     signs = np.sign(anchor)
 
     def inverse(x, y):
-        q = signs * np.asarray(x, float)
+        q = signs * as_vector(x, signs.shape[0], "x")
         if np.any(q <= 0.0):
             raise DomainError("point is outside the signed-exponential range")
         return np.log(q)
@@ -178,7 +178,7 @@ def exp_family_reparam_1d(alpha: float, beta: float) -> Reparameterization:
         raise UsageError("alpha and beta must be finite and nonzero")
 
     def inverse(x, y):
-        q = x[0] / alpha
+        q = as_vector(x, 1, "x")[0] / alpha
         if q <= 0.0:
             raise DomainError("point is outside the exponential range")
         return np.array([np.log(q) / beta])

@@ -21,7 +21,7 @@ equal values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -222,14 +222,15 @@ class BilevelProblem:
         return self._block("jac_y", x, y, as_matrix, (self.d_x, self.d_y))
 
     def jac_x_factor(self, x: Array, y: Array, what: str = "F_1") -> Factorization:
-        """``factor(jac_x(x, y), what)``, checked once per point. A singular
-        F_1 is not kept: every caller checks it again and raises
-        SingularMatrixError naming its own ``what``."""
+        """``factor(jac_x(x, y), what)``, checked once per point and labelled
+        with each caller's own ``what``. A singular F_1 is not kept: every
+        caller checks it again and raises SingularMatrixError naming its own
+        ``what``."""
         return self._factor("factor", lambda f1: f1, x, y, what)
 
     def jac_x_diagonal(self, x: Array, y: Array, what: str) -> Factorization:
         """``factor(diag(F_1), what)``, checked once per point and, like
-        ``jac_x_factor``, not kept when singular."""
+        ``jac_x_factor``, labelled per caller and not kept when singular."""
         return self._factor("diagonal", lambda f1: np.diag(np.diag(f1)), x, y, what)
 
     def _factor(self, key: str, part, x: Array, y: Array, what: str) -> Factorization:
@@ -237,7 +238,9 @@ class BilevelProblem:
         lu = blocks.get(key)
         if lu is None:
             lu = blocks[key] = factor(part(self.jac_x(x, y)), what)
-        return lu
+        # The kept factorization carries its first caller's label; a copy
+        # shares its arrays.
+        return lu if lu.what == what else replace(lu, what=what)
 
     def djac_x_y_apply(self, x: Array, y: Array, s: Array) -> Array:
         """The (d_x, d_y) matrix whose column e is (dF_1/dy_e) s."""

@@ -201,10 +201,11 @@ class TestEfficiencyCommand:
 
     def test_step_that_moves_no_coordinate_is_recorded(self, tmp_path):
         # x* is near 0.5, where x* + 1e-17 rounds back to x*: every quotient
-        # would read exactly 0, a false super-efficiency.
+        # would read exactly 0, a false super-efficiency. exp and diag-rep
+        # difference their sensitivity matrix; the other kinds use none.
         out = tmp_path / "eff.csv"
         assert run(["efficiency", "--problem", "scalar", "--eps", "1e-17",
-                    "--trials", "2", "--strategies", "vanilla,newton",
+                    "--trials", "2", "--strategies", "exp,diag-rep",
                     "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         errors = [ln for ln in lines if ln.startswith("# error_")]

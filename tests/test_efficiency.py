@@ -71,7 +71,7 @@ class TestEfficiencyConstant:
         c_y = hg.efficiency_constant(ctx, "vanilla")
         assert c_y == pytest.approx(1.0, abs=1e-9)
         assert c_y == pytest.approx(
-            hg.spectral_norm(hg.estimator_jacobian_fd(ctx, "vanilla")), abs=1e-12)
+            hg.spectral_norm(hg.ift_jacobian_analytic(ctx)), abs=1e-12)
 
     def test_exp_family_super_efficient_on_linear1d(self, linear1d_fixture):
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
@@ -110,10 +110,61 @@ class TestAnalyticJacobian:
         assert jac[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
 
+# The Taylor check of root_jacobian against the estimator it describes: along
+# a unit v, r1(h) = |e(x* + hv) - e(x*) - h J v| has order 2 in h exactly
+# when J is the derivative of e at x*, and order 1 otherwise. Steps are
+# these multiples of max(|x*|, 1); the order is the least-squares slope of
+# log r1 against log h over all four.
+TAYLOR_STEPS = (1e-2, 1e-3, 1e-4, 1e-5)
+TAYLOR_ORDER = 1.9
+# Where the estimate is affine in x around the root (F is linear in x on
+# these problems, and a Newton-like step or map, or a plain estimate with an
+# affine outer, follows it exactly), r1 is rounding at every step: at most
+# this share of 1 + |e(x*)|. Over seeds 0-19 the largest such r1 was 4.9e-14
+# of it, and the smallest second-order r1 at the largest step 1.4e-7.
+TAYLOR_FLOOR = 1e-12
+ROUNDING_KINDS = {
+    "logistic_quadratic": (),
+    "ridge_quadratic": ("newton", "opt"),
+    "scalar_fixture": ("newton", "diag", "diag-rep", "opt"),
+    "linear1d_fixture": ("vanilla", "newton", "diag", "diag-rep", "opt"),
+}
+
+
+def _taylor_remainders(ctx, kind, v):
+    """(steps, r1 at each step, |e(x*)|) for root_jacobian(ctx, kind) along v."""
+    estimate = hg.make_estimator(ctx.problem, kind)
+    jac = hg.root_jacobian(ctx, kind)
+    at_root = estimate(ctx.xstar, ctx.y)
+    steps = max(float(np.linalg.norm(ctx.xstar)), 1.0) * np.array(TAYLOR_STEPS)
+    r1 = np.array([np.linalg.norm(estimate(ctx.xstar + h * v, ctx.y) - at_root
+                                  - h * (jac @ v)) for h in steps])
+    return steps, r1, float(np.linalg.norm(at_root))
+
+
+@pytest.mark.parametrize("fixture", sorted(ROUNDING_KINDS))
+def test_root_jacobian_is_the_estimators_derivative(fixture, request):
+    problem = request.getfixturevalue(fixture)
+    low, high = (3.0, 6.0) if fixture == "logistic_quadratic" else (-1.0, 1.0)
+    for seed in range(3):
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, 600 + seed, low, high))
+        v = hg.rng_from_seed(700 + seed).normal(size=problem.d_x)
+        v /= np.linalg.norm(v)
+        for kind in hg.STRATEGIES:
+            steps, r1, size = _taylor_remainders(ctx, kind, v)
+            floor = TAYLOR_FLOOR * (1.0 + size)
+            if kind in ROUNDING_KINDS[fixture]:
+                assert np.all(r1 <= floor), (fixture, seed, kind, r1)
+                continue
+            assert r1[0] > floor, (fixture, seed, kind, r1)
+            order = float(np.polyfit(np.log(steps), np.log(r1), 1)[0])
+            assert order >= TAYLOR_ORDER, (fixture, seed, kind, order, r1)
+
+
 class TestPrecondJacobianAtRoot:
     def test_newton_choice_vanishes(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 3)
-        jac = hg.precond_jacobian_at_root(
+        jac = hg.root_jacobian(
             hg.RootContext.solve(ridge_quadratic, y),
             hg.newton_preconditioner(ridge_quadratic))
         assert np.max(np.abs(jac)) <= 1e-10
@@ -121,7 +172,7 @@ class TestPrecondJacobianAtRoot:
     def test_scaled_newton_on_linear1d(self, linear1d_fixture):
         precond = hg.scaled_preconditioner(
             hg.newton_preconditioner(linear1d_fixture), 2.0)
-        jac = hg.precond_jacobian_at_root(
+        jac = hg.root_jacobian(
             hg.RootContext.solve(linear1d_fixture, np.zeros(1)), precond)
         assert jac[0, 0] == pytest.approx(-0.5, abs=1e-10)
         assert hg.spectral_norm(jac) == pytest.approx(0.5, abs=1e-10)
@@ -129,7 +180,7 @@ class TestPrecondJacobianAtRoot:
     def test_diag_on_diagonal_system_vanishes(self):
         problem = _diagonal_ridge()
         y = np.array([0.1, -0.3])
-        jac = hg.precond_jacobian_at_root(
+        jac = hg.root_jacobian(
             hg.RootContext.solve(problem, y), hg.diag_preconditioner(problem))
         assert np.max(np.abs(jac)) <= 1e-12
 

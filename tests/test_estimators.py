@@ -221,6 +221,15 @@ class TestConstructors:
         with pytest.raises(hg.ContractViolation, match="anchor"):
             hg.signed_exp_reparam(np.array([bad, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_exp_inverse_rejects_non_finite_points(self, bad):
+        y = np.zeros(1)
+        with pytest.raises(hg.ContractViolation, match="non-finite"):
+            hg.signed_exp_reparam(np.array([1.0, 2.0])).inverse(
+                np.array([bad, 1.0]), y)
+        with pytest.raises(hg.ContractViolation, match="non-finite"):
+            hg.exp_family_reparam_1d(1.0, 1.0).inverse(np.array([bad]), y)
+
     def test_exp_sign_mismatch_rejected(self):
         phi = hg.signed_exp_reparam(np.array([1.0]))
         with pytest.raises(DomainError):

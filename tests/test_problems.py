@@ -321,6 +321,20 @@ def test_blocks_are_read_only_and_last_five_points_kept():
     assert len(solved) == 6
 
 
+@pytest.mark.parametrize("method, first, later", [
+    ("jac_x_factor", "P", "F_1"), ("jac_x_diagonal", "P", "R")])
+def test_kept_factorization_names_each_callers_matrix(method, first, later):
+    problem = hg.scalar_ridge()
+    x, y = np.array([0.3]), np.array([0.2])
+    kept = getattr(problem, method)(x, y, first)
+    again = getattr(problem, method)(x, y, later)
+    assert again.what == later and kept.what == first
+    assert again.diagonal is kept.diagonal and again.matrix is kept.matrix
+    assert getattr(problem, method)(x, y, first) is kept
+    with pytest.raises(ContractViolation, match=f"{later} has 1 rows"):
+        again.solve(np.ones(2))
+
+
 # --------------------------------------------------------------------------
 # the y-coupling contractions
 

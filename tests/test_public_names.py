@@ -28,8 +28,8 @@ PUBLIC_NAMES = [
     "make_ridge", "newton_preconditioner", "newton_reparam_deviations",
     "newton_root", "newton_separable_reparam", "outer_curvature",
     "parse_libsvm", "precond_error_factor_at_root", "precond_gap",
-    "precond_jacobian_at_root", "read_decay_csv", "render_svg", "reparam_gap",
-    "reparam_sensitivity", "rng_from_seed", "run_decay",
+    "read_decay_csv", "render_svg", "reparam_gap",
+    "reparam_sensitivity", "rng_from_seed", "root_jacobian", "run_decay",
     "run_efficiency_sweep", "sample_y", "scalar_ridge", "scale_separable_r",
     "scaled_preconditioner", "sensitivity_efficiency_constant",
     "sensitivity_jacobian_fd", "sensitivity_term_jacobian_fd",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hygrad as hg
-from hygrad import cli, efficiency
+from hygrad import cli
 from hygrad.estimators import resolve_strategy
 
 from conftest import seeded_y
@@ -53,7 +53,7 @@ AT_ROOT = {
     "outer_curvature": hg.outer_curvature,
     "precond_error_factor_at_root": lambda ctx: hg.precond_error_factor_at_root(
         ctx, hg.newton_preconditioner(ctx.problem)),
-    "precond_jacobian_at_root": lambda ctx: hg.precond_jacobian_at_root(
+    "root_jacobian": lambda ctx: hg.root_jacobian(
         ctx, hg.newton_preconditioner(ctx.problem)),
     "newton_reparam_deviations": lambda ctx: hg.newton_reparam_deviations(
         ctx, hg.newton_separable_reparam(ctx.problem)),
@@ -211,25 +211,23 @@ class TestRootSolveCounts:
                                        tmp_path):
         problem, solves = counting_logistic
         monkeypatch.setattr(cli, "build_problem", lambda config: problem)
-        opt_calls = []
-        make_estimator = efficiency.make_estimator
+        reparams = []
+        sensitivity = hg.Strategy.sensitivity
 
-        def counted(problem, kind):
-            estimator = make_estimator(problem, kind)
-            if not isinstance(kind, hg.SeparableReparam):
-                return estimator
-            return hg.Estimator(estimator.name,
-                                lambda x, y: opt_calls.append(1) or estimator(x, y))
+        def counted(strategy, x, y):
+            reparams.append(strategy.reparam)
+            return sensitivity(strategy, x, y)
 
-        monkeypatch.setattr(efficiency, "make_estimator", counted)
+        monkeypatch.setattr(hg.Strategy, "sensitivity", counted)
         code = cli.cli_main(["compare", "--problem", "logistic", "--reparam", "opt",
                              "--trials", "1", "--y-low", "3", "--y-high", "6",
                              "--seed", "8", "--out", str(tmp_path / "c.csv")])
         assert code == 0
         assert len(solves) == 1
-        # One FD Jacobian of the opt estimator per trial, shared by all three
-        # comparison functions.
-        assert len(opt_calls) == 2 * problem.d_x
+        # One FD Jacobian of the opt sensitivity matrix per trial (d_s_phi),
+        # shared by all three comparison functions; nothing else differences.
+        assert len(reparams) == 2 * problem.d_x
+        assert all(isinstance(r, hg.SeparableReparam) for r in reparams)
 
     def test_decay_solves_once(self, counting_logistic, monkeypatch):
         problem, solves = counting_logistic
