@@ -25,7 +25,6 @@ from .efficiency import (
     compare_bounds,
     efficiency_constant,
     estimator_jacobian_fd,
-    ift_jacobian_analytic,
     newton_reparam_deviations,
     outer_curvature,
     precond_error_factor_at_root,
@@ -34,7 +33,6 @@ from .efficiency import (
     root_jacobian,
     sensitivity_efficiency_constant,
     sensitivity_jacobian_fd,
-    sensitivity_term_jacobian_fd,
     super_efficiency_residual_1d,
 )
 from .errors import (

@@ -47,6 +47,9 @@ Array = np.ndarray
 PROBLEM_KINDS = ("ridge", "logistic", "scalar", "linear1d")
 # Problems with closed-form data of their own, built without data files.
 BUILTIN_PROBLEMS = ("scalar", "linear1d")
+# Widest dataset a ridge or logistic problem is built from: each d x d block
+# (the Gram matrix, F_1) then takes at most 128 MiB.
+MAX_FEATURES = 4096
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,9 @@ def build_problem(config: RunConfig) -> BilevelProblem:
             val = train
     except OSError as err:
         raise DataError(f"cannot read dataset: {err}") from err
+    if train.d_x > MAX_FEATURES:
+        raise DataError(f"dataset has {train.d_x} features, more than the "
+                        f"{MAX_FEATURES} a problem is built from")
     if config.problem == "ridge":
         return make_ridge(train, val, config.outer)
     return make_logistic(train, val, config.outer)

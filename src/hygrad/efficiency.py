@@ -8,8 +8,13 @@ a zero constant has quadratically decaying error ("super-efficient").
 At the root that Jacobian is assembled from a few blocks: the outer
 curvature D, the plain sensitivity term T, the preconditioner error factor
 E = I - P^{-1} F_1 and a change of variables' sensitivity term T_phi
-(``root_jacobian``). D, T and E have closed forms; T_phi vanishes for the
-Newton-like family and is differenced for every other change of variables.
+(``root_jacobian``, the only code that multiplies by E or adds T). D, T
+and E have closed forms; T_phi vanishes for the Newton-like family (opt's
+constant is exactly |D|) and is differenced for every other change of
+variables. The comparison's J_phi differences S also for opt, since
+reparam_gap needs that FD Jacobian anyway; its U+- and V+- are J_phi +- J_P.
+What ties root_jacobian to the estimators is the Taylor check
+``test_root_jacobian_is_the_estimators_derivative``.
 
 Everything here is evaluated at the root, where the simplifications behind
 the closed-form Jacobian expressions are valid; nothing is extrapolated to
@@ -168,13 +173,6 @@ def _sensitivity_term(ctx: RootContext) -> Array:
     return term_y + term_x
 
 
-def ift_jacobian_analytic(ctx: RootContext) -> Array:
-    """Jacobian in x of the plain estimate at the root, from the oracles:
-    J = D + T, D the outer curvature g_21 + S g_11 and T the
-    sensitivity-term Jacobian."""
-    return outer_curvature(ctx) + _sensitivity_term(ctx)
-
-
 def precond_error_factor_at_root(ctx: RootContext,
                                  precond: PreconditionerOracle) -> Array:
     """The matrix I - P^{-1} F_1 at the root (the residual term vanishes there)."""
@@ -212,13 +210,6 @@ def _matrix_constant(d_s: Array) -> float:
     return spectral_norm(d_s.reshape(-1, d_s.shape[-1]))
 
 
-def sensitivity_term_jacobian_fd(ctx: RootContext, kind: StrategyKind,
-                                 eps: float | None = None) -> Array:
-    """FD Jacobian at the root of x -> S(x, y) g_1(x*, y), outer factor frozen,
-    so only the implicit factor varies across probes."""
-    return _term_jacobian(ctx, sensitivity_jacobian_fd(ctx, kind, eps))
-
-
 def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind,
                                     eps: float | None = None) -> float:
     """Efficiency constant of the sensitivity matrix itself.
@@ -238,15 +229,13 @@ class ComparisonTerms:
     share for one trial, each computed from the context's problem when
     first read and then kept (arrays read-only).
 
-    D is the outer curvature, E the preconditioner error factor, T_P the
-    closed-form sensitivity term T (a corrective step leaves S as it is)
-    and T_phi the reparameterized one. J_P = (D + T_P) E and
-    J_phi = D + T_phi are the two estimators' Jacobians, the products that
-    also build compare_bounds' U and V, and ``top_*`` their top singular
-    pairs, whose values are the efficiency constants. With a separable
-    ``reparam``, J_phi is also reparam_gap's localized Jacobian.
-    ``d_s_phi``, the FD Jacobian of that side's S and the trial's only
-    difference, gives T_phi and reparam_gap's sensitivity constant.
+    J_P = (D + T) E is the preconditioned estimator's ``root_jacobian`` and
+    J_phi = D + T_phi the reparameterized one's, D the outer curvature, and
+    ``top_*`` their top singular pairs, whose values are the efficiency
+    constants. With a separable ``reparam``, J_phi is also reparam_gap's
+    localized Jacobian. ``d_s_phi``, the FD Jacobian of that side's S and
+    the trial's only difference, gives T_phi and reparam_gap's sensitivity
+    constant.
     """
 
     ctx: RootContext
@@ -259,29 +248,18 @@ class ComparisonTerms:
         return _read_only(outer_curvature(self.ctx))
 
     @cached_property
-    def e_p(self) -> Array:
-        return _read_only(precond_error_factor_at_root(self.ctx, self.precond))
-
-    @cached_property
-    def t_p(self) -> Array:
-        return _read_only(_sensitivity_term(self.ctx))
-
-    @cached_property
     def d_s_phi(self) -> Array:
         return _read_only(sensitivity_jacobian_fd(self.ctx, self.reparam,
                                                   eps=self.eps))
 
     @cached_property
-    def t_phi(self) -> Array:
-        return _read_only(_term_jacobian(self.ctx, self.d_s_phi))
-
-    @cached_property
     def jac_p(self) -> Array:
-        return _read_only((self.d + self.t_p) @ self.e_p)
+        return _read_only(root_jacobian(self.ctx, self.precond))
 
     @cached_property
     def jac_phi(self) -> Array:
-        return _read_only(self.d + self.t_phi)
+        # Not root_jacobian, which would difference S again for reparam_gap.
+        return _read_only(self.d + _term_jacobian(self.ctx, self.d_s_phi))
 
     @cached_property
     def top_p(self) -> tuple[float, Array]:
@@ -298,33 +276,26 @@ def compare_bounds(terms: ComparisonTerms) -> ComparisonBounds:
     """Evaluate both quadratic comparison inequalities between a
     preconditioned and a reparameterized estimator at the root.
 
-    With D the outer curvature term, T/T_phi the sensitivity-term Jacobians
-    of the two sides (T is the plain one: a corrective step leaves S as it
-    is) and E the preconditioner error factor:
+    With J_P and J_phi the two estimators' Jacobians and (sigma_P, v_P),
+    (sigma_phi, v_phi) their top singular pairs, the paper's matrices are
+    U+- = J_phi +- J_P and V+- = J_P +- J_phi, so
 
-        U+- = D +- D E + T_phi +- T E
-        V+- = D E +- D + T E +- T_phi
+        rhs_phi_minus_p = (U+ v_P).(U- v_P) = |J_phi v_P|^2 - sigma_P^2
+        rhs_p_minus_phi = (V+ v_phi).(V- v_phi) = |J_P v_phi|^2 - sigma_phi^2
 
-    and each lhs (difference of squared efficiency constants) dominates the
-    inner product of the corresponding U/V pair applied to the other
-    estimator's maximizing direction.
+    and each lhs, a difference of squared efficiency constants, dominates
+    its rhs because sigma_phi >= |J_phi v_P| and sigma_P >= |J_P v_phi|.
     """
-    d, e_p, t_p, t_phi = terms.d, terms.e_p, terms.t_p, terms.t_phi
-
-    u_plus = d + d @ e_p + t_phi + t_p @ e_p
-    u_minus = d - d @ e_p + t_phi - t_p @ e_p
-    v_plus = d @ e_p + d + t_p @ e_p + t_phi
-    v_minus = d @ e_p - d + t_p @ e_p - t_phi
-
+    jac_p, jac_phi = terms.jac_p, terms.jac_phi
     sigma_p, v_p = terms.top_p
     sigma_phi, v_phi = terms.top_phi
 
     lhs_phi_minus_p = sigma_phi ** 2 - sigma_p ** 2
     return ComparisonBounds(
         lhs_phi_minus_p=lhs_phi_minus_p,
-        rhs_phi_minus_p=float((u_plus @ v_p) @ (u_minus @ v_p)),
+        rhs_phi_minus_p=float(((jac_phi + jac_p) @ v_p) @ ((jac_phi - jac_p) @ v_p)),
         lhs_p_minus_phi=-lhs_phi_minus_p,
-        rhs_p_minus_phi=float((v_plus @ v_phi) @ (v_minus @ v_phi)),
+        rhs_p_minus_phi=float(((jac_p + jac_phi) @ v_phi) @ ((jac_p - jac_phi) @ v_phi)),
         v_p=v_p.copy(),
         v_phi=v_phi.copy(),
     )
@@ -340,9 +311,7 @@ def precond_gap(terms: ComparisonTerms) -> tuple[float, float]:
     """
     problem, y, xstar = terms.ctx.problem, terms.ctx.y, terms.ctx.xstar
     delta = spectral_norm(terms.precond.matrix(xstar, y) - problem.jac_x(xstar, y))
-
-    v_p = terms.top_p[1]
-    return delta, float(np.linalg.norm((terms.d + terms.t_phi) @ v_p) ** 2)
+    return delta, float(np.linalg.norm(terms.jac_phi @ terms.top_p[1]) ** 2)
 
 
 def reparam_gap(terms: ComparisonTerms) -> tuple[float, float]:
@@ -361,9 +330,9 @@ def reparam_gap(terms: ComparisonTerms) -> tuple[float, float]:
     g1 = terms.ctx.problem.outer.grad_x(terms.ctx.xstar, terms.ctx.y)
     sigma = float(np.linalg.norm(g1)) * _matrix_constant(terms.d_s_phi)
 
-    d, v_phi = terms.d, terms.top_phi[1]
-    return sigma, float(np.linalg.norm((d + terms.t_p) @ terms.e_p @ v_phi) ** 2
-                        - np.linalg.norm(d @ v_phi) ** 2)
+    v_phi = terms.top_phi[1]
+    return sigma, float(np.linalg.norm(terms.jac_p @ v_phi) ** 2
+                        - np.linalg.norm(terms.d @ v_phi) ** 2)
 
 
 # --------------------------------------------------------------------------

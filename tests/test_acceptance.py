@@ -120,7 +120,7 @@ def test_criterion_6_analytic_vs_fd_jacobians(scalar_fixture, linear1d_fixture,
             for seed in range(20):
                 y = seeded_y(problem, 300 + seed)
                 ctx = hg.RootContext.solve(problem, y)
-                analytic = hg.ift_jacobian_analytic(ctx)
+                analytic = hg.root_jacobian(ctx, "vanilla")
                 fd = hg.estimator_jacobian_fd(ctx, "vanilla")
                 scale = max(hg.spectral_norm(analytic), 1e-30)
                 assert hg.spectral_norm(analytic - fd) <= 1e-4 * scale, \

@@ -195,6 +195,17 @@ class TestEfficiencyCommand:
                 if ln and not ln.startswith(("#", "strategy,"))]
         assert len(rows) == 20
 
+    def test_width_above_the_feature_cap_exits_two(self, tmp_path, capsys):
+        # Parses to a 2 x 200000 matrix; its d x d Gram block would take 298 GiB.
+        wide = tmp_path / "wide.libsvm"
+        wide.write_text("1 200000:1\n-1 1:1\n")
+        code = run(["efficiency", "--problem", "ridge", "--outer", "affine",
+                    "--train", str(wide), "--trials", "1",
+                    "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"200000 features, more than the {hg.bench.MAX_FEATURES}" \
+            in capsys.readouterr().err
+
     def test_flags_it_ignores_are_rejected(self):
         for flag in (["--steps", "5"], ["--step-size", "0.1"]):
             assert run(["efficiency", "--problem", "scalar"] + flag) == 1

@@ -39,6 +39,13 @@ def _shift_affine_problem():
     return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="shift")
 
 
+def _sensitivity_term_fd(ctx, kind):
+    """FD Jacobian at the root of x -> S(x, y) g_1(x*, y), the outer factor
+    frozen: the FD Jacobian of S contracted with g_1."""
+    g1 = ctx.problem.outer.grad_x(ctx.xstar, ctx.y)
+    return np.einsum("ekj,k->ej", hg.sensitivity_jacobian_fd(ctx, kind), g1)
+
+
 class TestEstimatorJacobianFD:
     def test_vanilla_linear1d(self, linear1d_fixture):
         jac = hg.estimator_jacobian_fd(
@@ -53,7 +60,7 @@ class TestEstimatorJacobianFD:
     def test_matches_analytic_on_scalar_ridge(self, scalar_fixture):
         ctx = hg.RootContext.solve(scalar_fixture, np.zeros(1))
         jac = hg.estimator_jacobian_fd(ctx, "vanilla")
-        analytic = hg.ift_jacobian_analytic(ctx)
+        analytic = hg.root_jacobian(ctx, "vanilla")
         assert jac[0, 0] == pytest.approx(analytic[0, 0], rel=1e-5)
 
     def test_failure_names_probe(self, linear1d_fixture):
@@ -71,7 +78,7 @@ class TestEfficiencyConstant:
         c_y = hg.efficiency_constant(ctx, "vanilla")
         assert c_y == pytest.approx(1.0, abs=1e-9)
         assert c_y == pytest.approx(
-            hg.spectral_norm(hg.ift_jacobian_analytic(ctx)), abs=1e-12)
+            hg.spectral_norm(hg.root_jacobian(ctx, "vanilla")), abs=1e-12)
 
     def test_exp_family_super_efficient_on_linear1d(self, linear1d_fixture):
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
@@ -92,21 +99,21 @@ class TestAnalyticJacobian:
     def test_matches_fd_on_ridge(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 23)
         ctx = hg.RootContext.solve(ridge_quadratic, y)
-        analytic = hg.ift_jacobian_analytic(ctx)
+        analytic = hg.root_jacobian(ctx, "vanilla")
         fd = hg.estimator_jacobian_fd(ctx, "vanilla")
         assert hg.spectral_norm(analytic - fd) <= 1e-5 * hg.spectral_norm(analytic)
 
     def test_super_efficient_case_is_zero(self):
         problem = _shift_affine_problem()
-        jac = hg.ift_jacobian_analytic(
-            hg.RootContext.solve(problem, np.array([0.3, -0.4])))
+        jac = hg.root_jacobian(
+            hg.RootContext.solve(problem, np.array([0.3, -0.4])), "vanilla")
         assert np.max(np.abs(jac)) == 0.0
 
     def test_scalar_ridge_value(self, scalar_fixture):
         # closed form: d/dx [-e^y x / (1+e^y) * x] = -x at the root 0.5,
         # so the Jacobian is -0.5 at y = 0
-        jac = hg.ift_jacobian_analytic(
-            hg.RootContext.solve(scalar_fixture, np.zeros(1)))
+        jac = hg.root_jacobian(
+            hg.RootContext.solve(scalar_fixture, np.zeros(1)), "vanilla")
         assert jac[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -210,27 +217,27 @@ class TestOuterCurvature:
         ctx = hg.RootContext.solve(ridge_quadratic, y)
         full = hg.estimator_jacobian_fd(ctx, "vanilla")
         d = hg.outer_curvature(ctx)
-        t = hg.sensitivity_term_jacobian_fd(ctx, "vanilla")
+        t = _sensitivity_term_fd(ctx, "vanilla")
         assert hg.spectral_norm(full - (d + t)) <= 1e-5 * (1 + hg.spectral_norm(full))
 
 
 class TestSensitivityTermJacobian:
     def test_vanilla_linear1d(self, linear1d_fixture):
-        t = hg.sensitivity_term_jacobian_fd(
+        t = _sensitivity_term_fd(
             hg.RootContext.solve(linear1d_fixture, np.zeros(1)), "vanilla")
         assert t[0, 0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_exp_family_cancels_on_linear1d(self, linear1d_fixture):
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
-        t = hg.sensitivity_term_jacobian_fd(
+        t = _sensitivity_term_fd(
             hg.RootContext.solve(linear1d_fixture, np.zeros(1)), phi)
         assert abs(t[0, 0]) <= 1e-8
 
     def test_identity_matches_analytic_on_ridge(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 7)
         ctx = hg.RootContext.solve(ridge_quadratic, y)
-        t_id = hg.sensitivity_term_jacobian_fd(ctx, hg.identity_reparam())
-        analytic = hg.ift_jacobian_analytic(ctx) - hg.outer_curvature(ctx)
+        t_id = _sensitivity_term_fd(ctx, hg.identity_reparam())
+        analytic = hg.root_jacobian(ctx, "vanilla") - hg.outer_curvature(ctx)
         assert hg.spectral_norm(t_id - analytic) <= 1e-5 * (
             1 + hg.spectral_norm(analytic))
 

@@ -162,6 +162,28 @@ class TestFDAdapter:
         assert adapter.exact_root(np.zeros(2)) is None
 
 
+# Largest validate_oracles mismatch allowed at a random point. Over seeds
+# 0-1499 on the six problems below, x normal and y uniform in [-1, 6), the
+# largest was 9.4e-10 (logistic djac_x_dir_x) and the 99.9th percentile 7.1e-10.
+ORACLE_FD_MISMATCH = 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_shipped_oracles_match_their_finite_differences(
+        seed, scalar_fixture, linear1d_fixture, ridge_quadratic, ridge_affine,
+        logistic_quadratic, cls_train, cls_val):
+    """Every analytic oracle of the four shipped problems, under both outer
+    objectives, matches its central difference at a seeded random point."""
+    logistic_affine = hg.make_logistic(cls_train, cls_val, "affine")
+    for problem in (scalar_fixture, linear1d_fixture, ridge_quadratic,
+                    ridge_affine, logistic_quadratic, logistic_affine):
+        rng = hg.rng_from_seed(seed)
+        x, y = rng.normal(size=problem.d_x), rng.uniform(-1.0, 6.0, problem.d_y)
+        report = hg.validate_oracles(problem, x, y)
+        assert max(report.values()) <= ORACLE_FD_MISMATCH, (problem.name, report)
+
+
 def _fd_directional(fn, at, direction, step):
     """The directional central difference that validate_oracles and
     FDInnerOracle computed before they shared fd_jacobian's loop."""

@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "diag_scaling_reparam", "efficiency_constant", "emit_csv",
     "estimator_jacobian_fd", "exact_root", "exp_family_reparam_1d", "factor",
     "fd_hypergradient", "fd_jac_xstar", "fit_loglog_slope", "gradient_descent",
-    "identity_reparam", "ift_jacobian_analytic", "linear_1d", "linear_solve",
+    "identity_reparam", "linear_1d", "linear_solve",
     "load_libsvm", "logistic_inner_value", "make_estimator", "make_logistic",
     "make_ridge", "newton_preconditioner", "newton_reparam_deviations",
     "newton_root", "newton_separable_reparam", "outer_curvature",
@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
     "reparam_sensitivity", "rng_from_seed", "root_jacobian", "run_decay",
     "run_efficiency_sweep", "sample_y", "scalar_ridge", "scale_separable_r",
     "scaled_preconditioner", "sensitivity_efficiency_constant",
-    "sensitivity_jacobian_fd", "sensitivity_term_jacobian_fd",
+    "sensitivity_jacobian_fd",
     "serialize_libsvm", "signed_exp_reparam", "softplus",
     "solution_sensitivity", "solve_transpose", "spectral_norm",
     "stable_sigmoid", "super_efficiency_residual_1d",

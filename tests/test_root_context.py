@@ -14,6 +14,10 @@ from hygrad.estimators import resolve_strategy
 from conftest import seeded_y
 
 SEPARABLE_KEYS = ("exp", "diag-rep", "opt")
+# compare_bounds' rhs against |J v|^2 - sigma^2, as a share of
+# sigma_P^2 + sigma_phi^2: over seeds 0-19, diag and scaled-Newton P and the
+# three keys on both fixtures, the largest gap was 3.0e-15.
+RHS_ROUNDING = 1e-13
 
 
 def _logistic_y(problem, seed):
@@ -45,11 +49,8 @@ AT_ROOT = {
     "efficiency_constant": lambda ctx: hg.efficiency_constant(ctx, "opt"),
     "estimator_jacobian_fd": lambda ctx: hg.estimator_jacobian_fd(ctx, "opt"),
     "sensitivity_jacobian_fd": lambda ctx: hg.sensitivity_jacobian_fd(ctx, "opt"),
-    "sensitivity_term_jacobian_fd":
-        lambda ctx: hg.sensitivity_term_jacobian_fd(ctx, "opt"),
     "sensitivity_efficiency_constant":
         lambda ctx: hg.sensitivity_efficiency_constant(ctx, "opt"),
-    "ift_jacobian_analytic": hg.ift_jacobian_analytic,
     "outer_curvature": hg.outer_curvature,
     "precond_error_factor_at_root": lambda ctx: hg.precond_error_factor_at_root(
         ctx, hg.newton_preconditioner(ctx.problem)),
@@ -99,8 +100,8 @@ class TestRootContext:
         bounds.v_p[:] = 0.0
         again = hg.compare_bounds(terms)
         assert np.array_equal(again.v_p, v_p)
-        for stored in (terms.d, terms.e_p, terms.t_p, terms.t_phi, terms.jac_p,
-                       terms.jac_phi, terms.top_p[1], terms.top_phi[1]):
+        for stored in (terms.d, terms.d_s_phi, terms.jac_p, terms.jac_phi,
+                       terms.top_p[1], terms.top_phi[1]):
             with pytest.raises(ValueError):
                 stored[0] = 1.0
 
@@ -151,13 +152,15 @@ def test_all_strategies_consistent_at_context_root(ridge_quadratic,
 @pytest.mark.parametrize("key", SEPARABLE_KEYS)
 def test_shared_terms_equal_standalone_calls(request, fixture, key):
     """One terms object shared by the three comparison functions gives the
-    bits of fresh terms built for each function alone."""
+    bits of fresh terms built for each function alone. For a diagonal and a
+    scaled Newton P, J_P is the bits of root_jacobian, its top singular value
+    is the efficiency constant, and each rhs is |J v|^2 - sigma^2."""
     problem = request.getfixturevalue(fixture)
     y = seeded_y(problem, 21) if fixture.startswith("ridge") \
         else _logistic_y(problem, 21)
     precond = hg.scaled_preconditioner(hg.newton_preconditioner(problem), 1.5)
 
-    def fresh_terms():
+    def fresh_terms(precond=precond):
         ctx = hg.RootContext.solve(problem, y)
         return hg.ComparisonTerms(ctx, precond,
                                   resolve_strategy(ctx.problem, key).reparam)
@@ -180,6 +183,18 @@ def test_shared_terms_equal_standalone_calls(request, fixture, key):
         assert getattr(got, field) == getattr(bounds, field), field
     assert np.array_equal(got.v_p, bounds.v_p)
     assert np.array_equal(got.v_phi, bounds.v_phi)
+
+    for precond in (hg.diag_preconditioner(problem), precond):
+        terms = fresh_terms(precond)
+        ctx, (sigma_p, v_p), (sigma_phi, v_phi) = terms.ctx, terms.top_p, terms.top_phi
+        assert np.array_equal(terms.jac_p, hg.root_jacobian(ctx, precond))
+        assert sigma_p == hg.efficiency_constant(ctx, precond)
+        got = hg.compare_bounds(terms)
+        tol = RHS_ROUNDING * (sigma_p ** 2 + sigma_phi ** 2)
+        assert abs(got.rhs_phi_minus_p - (np.linalg.norm(terms.jac_phi @ v_p) ** 2
+                                          - sigma_p ** 2)) <= tol
+        assert abs(got.rhs_p_minus_phi - (np.linalg.norm(terms.jac_p @ v_phi) ** 2
+                                          - sigma_phi ** 2)) <= tol
 
 
 class TestRootSolveCounts:
