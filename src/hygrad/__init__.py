@@ -32,6 +32,7 @@ from .efficiency import (
     reparam_gap,
     root_jacobian,
     sensitivity_efficiency_constant,
+    sensitivity_jacobian,
     sensitivity_jacobian_fd,
     super_efficiency_residual_1d,
 )

@@ -86,7 +86,6 @@ class RunConfig:
     y_high: float = 1.0
     trials: int = 10
     seed: int = 0
-    eps: Optional[float] = None
     step_size: Optional[float] = None
 
     def __post_init__(self):
@@ -107,8 +106,6 @@ class RunConfig:
             raise UsageError("trials must be at least 1")
         if not self.y_low < self.y_high:
             raise UsageError("need y-low < y-high")
-        if self.eps is not None and not 0 < self.eps < np.inf:
-            raise UsageError("eps must be positive and finite")
         if self.step_size is not None and not 0 < self.step_size < np.inf:
             raise UsageError("step size must be positive and finite")
         if self.problem in BUILTIN_PROBLEMS:
@@ -250,7 +247,7 @@ def run_efficiency_sweep(config: RunConfig) -> list:
             continue
         for strategy in config.strategies:
             try:
-                c_y = efficiency_constant(ctx, strategy, eps=config.eps)
+                c_y = efficiency_constant(ctx, strategy)
             except HygradError as err:
                 records.append(failed(strategy, err))
                 continue

@@ -64,7 +64,6 @@ _OPTIONAL_FLAGS = {
     "--step-size": dict(type=float,
                         help="constant descent step; default freezes 1/L at x0"),
     "--trials": dict(type=int),
-    "--eps": dict(type=float),
     "--svg": dict(dest="svg_path"),
 }
 
@@ -138,7 +137,7 @@ def _cmd_compare(args) -> int:
         # One root per trial; the problem keeps it, so opt's inverse of Q
         # reuses it too.
         ctx = RootContext.solve(problem, y)
-        terms = ComparisonTerms(ctx, precond, kind, config.eps)
+        terms = ComparisonTerms(ctx, precond, kind)
         bounds = efficiency.compare_bounds(terms)
         delta, delta_lower = efficiency.precond_gap(terms)
         slack_phi = 1e-6 * (1.0 + abs(bounds.lhs_phi_minus_p))
@@ -213,11 +212,11 @@ def _build_parser() -> _Parser:
     p_decay.set_defaults(func=_cmd_decay)
 
     p_eff = sub.add_parser("efficiency", help="efficiency constants over y draws")
-    _add_common(p_eff, "--strategies", "--trials", "--eps", "--svg")
+    _add_common(p_eff, "--strategies", "--trials", "--svg")
     p_eff.set_defaults(func=_cmd_efficiency)
 
     p_cmp = sub.add_parser("compare", help="comparison-bound numeric checks")
-    _add_common(p_cmp, "--trials", "--eps")
+    _add_common(p_cmp, "--trials")
     p_cmp.add_argument("--precond-scale", type=float, default=1.0,
                        help="scale the Newton preconditioner to control its error")
     p_cmp.add_argument("--reparam", default="exp", choices=("exp", "diag-rep", "opt"),

@@ -5,24 +5,21 @@ Jacobian in x, taken at the inner root: it is the first-order factor by
 which inner error is amplified into hypergradient error. An estimator with
 a zero constant has quadratically decaying error ("super-efficient").
 
-At the root that Jacobian is assembled from a few blocks: the outer
-curvature D, the plain sensitivity term T, the preconditioner error factor
-E = I - P^{-1} F_1 and a change of variables' sensitivity term T_phi
-(``root_jacobian``, the only code that multiplies by E or adds T). D, T
-and E have closed forms; T_phi vanishes for the Newton-like family (opt's
-constant is exactly |D|) and is differenced for every other change of
-variables. The comparison's J_phi differences S also for opt, since
-reparam_gap needs that FD Jacobian anyway; its U+- and V+- are J_phi +- J_P.
-What ties root_jacobian to the estimators is the Taylor check
-``test_root_jacobian_is_the_estimators_derivative``.
+At the root that Jacobian is assembled from closed-form blocks
+(``root_jacobian``): the outer curvature D, the g_1 contraction T of the
+Jacobian of S (``sensitivity_jacobian``; T_phi for a change of variables)
+and the preconditioner error factor E = I - P^{-1} F_1. Nothing on that
+path is differenced; the ``*_fd`` Jacobians are test references. T_phi
+vanishes for the Newton-like family, so opt's constant is exactly |D|; the
+comparison's U+- and V+- are J_phi +- J_P. The Taylor check
+``test_root_jacobian_is_the_estimators_derivative`` ties root_jacobian to
+the estimators. Everything here holds at the root only, where F = 0.
 
-Everything here is evaluated at the root, where the simplifications behind
-the closed-form Jacobian expressions are valid; nothing is extrapolated to
-other points. Every at-root analysis takes one ``RootContext``, whose root
-was solved once, and reads its ``xstar``; the problem keeps that root, so
-estimators and separable families built from it reuse the root too. An
-analysis of an estimator takes its strategy kind, a key or a caller's
-oracle, and builds the estimator from the context's problem.
+Every at-root analysis takes one ``RootContext``, whose root was solved
+once, and reads its ``xstar``; the problem keeps that root, so estimators
+and separable families built from it reuse the root too. An analysis of an
+estimator takes its strategy kind, a key or a caller's oracle, and builds
+the estimator from the context's problem.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import CapabilityError, UsageError
 from .estimators import (
     PreconditionerOracle,
     Reparameterization,
@@ -43,12 +40,16 @@ from .estimators import (
     resolve_strategy,
     solution_sensitivity,
 )
-from .linalg import spectral_norm, top_singular
+from .linalg import factor, spectral_norm, top_singular
 from .problems import BilevelProblem, _read_only, as_vector, fd_jacobian, fd_step
 from .seeding import rng_from_seed
 from .solvers import exact_root
 
 Array = np.ndarray
+
+# Largest |F_1 - F_1'| / |F_1| that sensitivity_jacobian accepts with a phi:
+# 160 times the 6.3e-11 of FDInnerOracle's differenced F_1 at shipped roots.
+SYMMETRY_RTOL = 1e-8
 
 # Default relative step for estimator Jacobians; larger than the first-order
 # steps because these maps get differenced near a stationary value.
@@ -105,72 +106,73 @@ class RootContext:
         return cls(problem, y, _read_only(exact_root(problem, y)))
 
 
-def _root_fd_jacobian(ctx: RootContext, fn, eps: float | None, label: str) -> Array:
-    """Central-difference Jacobian of x -> fn(x, y) at the inner root."""
-    return fd_jacobian(lambda x: fn(x, ctx.y), ctx.xstar,
-                       fd_step(ctx.xstar, eps, JACOBIAN_FD_STEP), label)
-
-
 def estimator_jacobian_fd(ctx: RootContext, kind: StrategyKind,
                           eps: float | None = None) -> Array:
     """Central-difference Jacobian in x, at the inner root, of the estimator
     of a strategy key or a caller's oracle, built from the context's problem."""
     estimator = make_estimator(ctx.problem, kind)
-    return _root_fd_jacobian(ctx, estimator, eps, f"estimator {estimator.name!r}")
+    return fd_jacobian(lambda x: estimator(x, ctx.y), ctx.xstar,
+                       fd_step(ctx.xstar, eps, JACOBIAN_FD_STEP),
+                       f"estimator {estimator.name!r}")
 
 
-def root_jacobian(ctx: RootContext, kind: StrategyKind,
-                  eps: float | None = None) -> Array:
+def root_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
     """Jacobian in x, at the inner root, of the estimator of a strategy key
-    or a caller's oracle, assembled from the blocks D, T, E and T_phi:
-
-    - plain (vanilla): D + T;
-    - a corrective step P (newton, diag or a caller's oracle): (D + T) E,
-      since the step leaves S as it is;
-    - the "opt" key: D, since T_phi = 0 for the Newton-like family;
-    - any other change of variables: D + T_phi, T_phi from the FD Jacobian
-      of S with step eps (``sensitivity_jacobian_fd``).
-
-    eps is checked on every path, also where nothing is differenced.
-    """
+    or a caller's oracle: D for the "opt" key (T_phi = 0 for the Newton-like
+    family), else D + T with T the g_1 contraction of ``sensitivity_jacobian``
+    (T_phi for a change of variables), times E for a corrective step P
+    (newton, diag or a caller's oracle), which leaves S as it is."""
     strategy = resolve_strategy(ctx.problem, kind)
-    fd_step(ctx.xstar, eps, JACOBIAN_FD_STEP)
     d = outer_curvature(ctx)
-    if strategy.reparam is None:
-        jac = d + _sensitivity_term(ctx)
-        if strategy.precond is None:
-            return jac
-        return jac @ precond_error_factor_at_root(ctx, strategy.precond)
     if kind == "opt":
         return d
-    return d + _term_jacobian(ctx, sensitivity_jacobian_fd(ctx, kind, eps))
+    jac = d + _term_jacobian(ctx, sensitivity_jacobian(ctx, kind))
+    if strategy.precond is None:
+        return jac
+    return jac @ precond_error_factor_at_root(ctx, strategy.precond)
 
 
-def efficiency_constant(ctx: RootContext, kind: StrategyKind,
-                        eps: float | None = None) -> float:
+def efficiency_constant(ctx: RootContext, kind: StrategyKind) -> float:
     """Efficiency constant c_y: the spectral norm of ``root_jacobian``."""
-    return spectral_norm(root_jacobian(ctx, kind, eps))
+    return spectral_norm(root_jacobian(ctx, kind))
 
 
 # --------------------------------------------------------------------------
 # closed-form blocks at the root
 
-def _sensitivity_term(ctx: RootContext) -> Array:
-    """T, the Jacobian of x -> S(x, y) g_1(x*, y) for the plain S.
+def sensitivity_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
+    """Jacobian at the root of x -> S(x, y), S the sensitivity matrix of the
+    requested kind, in closed form: entry [e, k, j] of the (d_y, d_x, d_x)
+    array is dS_ek/dx_j.
 
-    It contracts the second derivatives of F directionally: row e is
-    -(dF_1/dy_e)' s with s = F_1^{-1} g_1, plus F_2' F_1^{-1} (dF_1/dx
-    along s).
+    At the root F = 0, so only the terms of ``reparam_sensitivity`` linear
+    in F move, along dF = F_1 e_j. With F_1 symmetric, slice j is
+
+        [-(dF_2/dx_j)' - S dF_1/dx_j + (phi_2' - S) phi_1^{-T} (phi_11 F_1 e_j)
+         phi_1^{-1} - (phi_21 F_1 e_j)' phi_1^{-1}] F_1^{-1},
+
+    S the plain sensitivity and the phi terms, absent for the plain S, at
+    z* = phi^{-1}(x*, y); for exp they are -S diag(F_1 e_j / x*) F_1^{-1}.
+    With a phi, |F_1 - F_1'| > SYMMETRY_RTOL |F_1| raises CapabilityError.
     """
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
-    f1 = problem.jac_x_factor(xstar, y)
-    f2 = problem.jac_y(xstar, y)
-    g1 = problem.outer.grad_x(xstar, y)
-    s = f1.solve(g1)
-    term_y = -problem.djac_x_y_apply_T(xstar, y, s).T
-    m_s = problem.inner.djac_x_dir_x(xstar, y, s)
-    term_x = f2.T @ f1.solve(m_s)
-    return term_y + term_x
+    f1 = problem.jac_x(xstar, y)
+    s = solution_sensitivity(problem, xstar, y)
+    # Column block j is slice j transposed, before the solve against F_1'.
+    rhs = np.hstack([-problem.djac_x_y_apply(xstar, y, e)
+                     - problem.inner.djac_x_dir_x(xstar, y, e).T @ s.T
+                     for e in np.eye(problem.d_x)])
+    phi = resolve_strategy(problem, kind).change_of_variables(xstar, y)
+    if phi is not None:
+        if np.linalg.norm(f1 - f1.T) > SYMMETRY_RTOL * np.linalg.norm(f1):
+            raise CapabilityError("a change of variables' dS/dx needs F_1 = F_1'")
+        z = phi.inverse(xstar, y)
+        terms = [phi.derivatives(z, y, col) for col in f1.T]
+        p1_lu = factor(terms[0][0], what="phi_1")
+        w = p1_lu.solve(terms[0][1] - s.T)     # [(phi_2' - S) phi_1^{-T}]'
+        rhs += p1_lu.solve_T(np.hstack([czz.T @ w - czy for *_, czz, czy in terms]))
+    d_s = problem.jac_x_factor(xstar, y).solve_T(rhs)
+    return d_s.reshape(problem.d_x, problem.d_x, problem.d_y).transpose(2, 0, 1)
 
 
 def precond_error_factor_at_root(ctx: RootContext,
@@ -196,8 +198,9 @@ def sensitivity_jacobian_fd(ctx: RootContext, kind: StrategyKind,
     """FD Jacobian at the root of x -> S(x, y), S the sensitivity matrix of
     the requested kind: entry [e, k, j] of the (d_y, d_x, d_x) array is
     dS_ek/dx_j."""
-    return _root_fd_jacobian(ctx, resolve_strategy(ctx.problem, kind).sensitivity,
-                             eps, "sensitivity matrix")
+    sensitivity = resolve_strategy(ctx.problem, kind).sensitivity
+    return fd_jacobian(lambda x: sensitivity(x, ctx.y), ctx.xstar,
+                       fd_step(ctx.xstar, eps, JACOBIAN_FD_STEP), "sensitivity matrix")
 
 
 def _term_jacobian(ctx: RootContext, d_s: Array) -> Array:
@@ -210,14 +213,10 @@ def _matrix_constant(d_s: Array) -> float:
     return spectral_norm(d_s.reshape(-1, d_s.shape[-1]))
 
 
-def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind,
-                                    eps: float | None = None) -> float:
-    """Efficiency constant of the sensitivity matrix itself.
-
-    Operator norm of the FD Jacobian of x -> vec(S(x, y)), a
-    (d_y d_x) x d_x matrix.
-    """
-    return _matrix_constant(sensitivity_jacobian_fd(ctx, kind, eps))
+def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind) -> float:
+    """Efficiency constant of the sensitivity matrix itself: the operator norm
+    of the (d_y d_x) x d_x Jacobian of x -> vec(S(x, y)) (``sensitivity_jacobian``)."""
+    return _matrix_constant(sensitivity_jacobian(ctx, kind))
 
 
 # --------------------------------------------------------------------------
@@ -233,15 +232,13 @@ class ComparisonTerms:
     J_phi = D + T_phi the reparameterized one's, D the outer curvature, and
     ``top_*`` their top singular pairs, whose values are the efficiency
     constants. With a separable ``reparam``, J_phi is also reparam_gap's
-    localized Jacobian. ``d_s_phi``, the FD Jacobian of that side's S and
-    the trial's only difference, gives T_phi and reparam_gap's sensitivity
-    constant.
+    localized Jacobian. ``d_s_phi``, the ``sensitivity_jacobian`` of that
+    side's S, gives T_phi and reparam_gap's sensitivity constant.
     """
 
     ctx: RootContext
     precond: PreconditionerOracle
     reparam: StrategyKind
-    eps: float | None = None
 
     @cached_property
     def d(self) -> Array:
@@ -249,8 +246,7 @@ class ComparisonTerms:
 
     @cached_property
     def d_s_phi(self) -> Array:
-        return _read_only(sensitivity_jacobian_fd(self.ctx, self.reparam,
-                                                  eps=self.eps))
+        return _read_only(sensitivity_jacobian(self.ctx, self.reparam))
 
     @cached_property
     def jac_p(self) -> Array:
@@ -258,7 +254,7 @@ class ComparisonTerms:
 
     @cached_property
     def jac_phi(self) -> Array:
-        # Not root_jacobian, which would difference S again for reparam_gap.
+        # Not root_jacobian, which would build d_s_phi again.
         return _read_only(self.d + _term_jacobian(self.ctx, self.d_s_phi))
 
     @cached_property

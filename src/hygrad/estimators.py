@@ -347,14 +347,17 @@ class Strategy:
     precond: Optional[PreconditionerOracle] = None
     reparam: Union[None, str, Reparameterization, SeparableReparam] = None
 
+    def change_of_variables(self, x: Array, y: Array) -> Optional[Reparameterization]:
+        """The phi behind S at (x, y) (anchored at x if re-anchored), or None."""
+        if isinstance(self.reparam, SeparableReparam):
+            return anchored_reparam(self.reparam, x, y)
+        return signed_exp_reparam(x) if self.reparam == "exp" else self.reparam
+
     def sensitivity(self, x: Array, y: Array) -> Array:
         """The sensitivity matrix S(x, y)."""
-        if self.reparam is None:
+        phi = self.change_of_variables(x, y)
+        if phi is None:
             return solution_sensitivity(self.problem, x, y)
-        if isinstance(self.reparam, SeparableReparam):
-            phi = anchored_reparam(self.reparam, x, y)
-        else:
-            phi = signed_exp_reparam(x) if self.reparam == "exp" else self.reparam
         return reparam_sensitivity(self.problem, phi, x, y)
 
     def estimate(self, x: Array, y: Array) -> Array:

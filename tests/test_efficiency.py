@@ -39,6 +39,54 @@ def _shift_affine_problem():
     return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="shift")
 
 
+def _nonsymmetric_problem():
+    """F = (A + diag(e^y)) x + b x_0 x_1 e_0 - c with a nonsymmetric A, so
+    neither F_1 nor dF_1/dx_j is symmetric."""
+    a, b = np.array([[2.0, 0.6], [-0.4, 1.5]]), 0.3
+    c, t = np.array([1.0, -0.5]), np.array([0.3, 0.7])
+
+    def residual(x, y):
+        return (a + np.diag(np.exp(y))) @ x + np.array([b * x[0] * x[1], 0.0]) - c
+
+    def jac_x(x, y):
+        return a + np.diag(np.exp(y)) + np.array([[b * x[1], b * x[0]], [0.0, 0.0]])
+
+    inner = CallableInnerOracle(
+        residual=residual,
+        jac_x=jac_x,
+        jac_y=lambda x, y: np.diag(np.exp(y) * x),
+        djac_x_dir_x=lambda x, y, u: np.array([[b * u[1], b * u[0]], [0.0, 0.0]]),
+        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e),
+        exact_root=lambda y: hg.newton_root(lambda x: residual(x, y),
+                                            lambda x: jac_x(x, y), np.zeros(2)),
+    )
+    outer = CallableOuterOracle(
+        value=lambda x, y: 0.5 * float(np.sum((x - t) ** 2)),
+        grad_x=lambda x, y: x - t,
+        grad_y=lambda x, y: np.zeros(2),
+        hess_xx=lambda x, y: np.eye(2),
+        jac_gradY_x=lambda x, y: np.zeros((2, 2)),
+        jac_gradX_y=lambda x, y: np.zeros((2, 2)),
+    )
+    return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="nonsym")
+
+
+def _sinh_reparam():
+    """x = e^{y_0} sinh(z), a fixed map with phi_2, phi_11 and phi_21 all
+    nonzero at the root; no shipped kind has both phi_2 and phi_11 there."""
+    def derivatives(z, y, w):
+        scale, p2, czy = np.exp(y[0]), np.zeros((z.shape[0], y.shape[0])), \
+            np.zeros((z.shape[0], y.shape[0]))
+        p2[:, 0] = scale * np.sinh(z)
+        czy[:, 0] = w * scale * np.cosh(z)
+        return (np.diag(scale * np.cosh(z)), p2, np.diag(w * scale * np.sinh(z)), czy)
+
+    return hg.Reparameterization(
+        forward=lambda z, y: np.exp(y[0]) * np.sinh(z),
+        inverse=lambda x, y: np.arcsinh(x / np.exp(y[0])),
+        derivatives=derivatives)
+
+
 def _sensitivity_term_fd(ctx, kind):
     """FD Jacobian at the root of x -> S(x, y) g_1(x*, y), the outer factor
     frozen: the FD Jacobian of S contracted with g_1."""
@@ -240,6 +288,80 @@ class TestSensitivityTermJacobian:
         analytic = hg.root_jacobian(ctx, "vanilla") - hg.outer_curvature(ctx)
         assert hg.spectral_norm(t_id - analytic) <= 1e-5 * (
             1 + hg.spectral_norm(analytic))
+
+
+# The closed-form Jacobian of S against its FD reference, differenced with
+# step FD_REFERENCE_STEP * min(1, min_i |x*_i|): exp's S varies like F / x, so
+# a fixed step is not small next to a root coordinate near 0. Over seeds 0-19
+# of the four fixtures the largest |closed - FD| / (1 + max|FD|) was 4.0e-8
+# (exp, logistic seed 17, min|x*_i| = 8.6e-5; 3.9e-8 over seeds 20-59);
+# elsewhere it is rounding, below 1e-9.
+FD_REFERENCE_STEP = 1e-4
+FD_REFERENCE_TOL = 4e-7
+# root_jacobian of vanilla and newton against estimator_jacobian_fd on the
+# nonsymmetric problem: at most 1.3e-12 of 1 + max|FD| over seeds 0-19.
+NONSYMMETRIC_FD_TOL = 1e-10
+
+
+def _reference_kinds(problem):
+    kinds = ["vanilla", "exp", "diag-rep", "opt",
+             hg.scale_separable_r(hg.newton_separable_reparam(problem), 1.3),
+             _sinh_reparam()]
+    if problem.d_x == 1:
+        kinds.append(hg.exp_family_reparam_1d(1.0, 1.0))
+    return kinds
+
+
+class TestSensitivityJacobian:
+    @pytest.mark.parametrize("fixture", sorted(ROUNDING_KINDS))
+    def test_matches_the_fd_reference(self, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        low, high = (3.0, 6.0) if fixture == "logistic_quadratic" else (-1.0, 1.0)
+        for seed in range(20):
+            ctx = hg.RootContext.solve(problem, seeded_y(problem, seed, low, high))
+            step = FD_REFERENCE_STEP * min(1.0, float(np.min(np.abs(ctx.xstar))))
+            for kind in _reference_kinds(problem):
+                closed = hg.sensitivity_jacobian(ctx, kind)
+                fd = hg.sensitivity_jacobian_fd(ctx, kind, eps=step)
+                assert closed.shape == (problem.d_y, problem.d_x, problem.d_x)
+                assert np.max(np.abs(closed - fd)) <= FD_REFERENCE_TOL * (
+                    1 + np.max(np.abs(fd))), (fixture, seed, kind)
+
+    def test_exp_near_a_zero_root_coordinate(self, logistic_quadratic):
+        # min|x*_i| = 6.7e-4 here, where a difference of S at the default
+        # step is off by 1.2e-3 relative.
+        ctx = hg.RootContext.solve(logistic_quadratic,
+                                   seeded_y(logistic_quadratic, 613, 3.0, 6.0))
+        fine = hg.outer_curvature(ctx) + np.einsum(
+            "ekj,k->ej", hg.sensitivity_jacobian_fd(ctx, "exp", eps=1e-7),
+            logistic_quadratic.outer.grad_x(ctx.xstar, ctx.y))
+        jac = hg.root_jacobian(ctx, "exp")
+        assert hg.spectral_norm(jac - fine) <= 1e-6 * hg.spectral_norm(fine)
+
+    def test_opt_key_is_the_general_formula(self, ridge_quadratic, ridge_affine,
+                                            logistic_quadratic, scalar_fixture,
+                                            linear1d_fixture):
+        # The "opt" shortcut D against D + T_phi of the same family.
+        for problem in (ridge_quadratic, ridge_affine, logistic_quadratic,
+                        scalar_fixture, linear1d_fixture):
+            low, high = (3.0, 6.0) if problem is logistic_quadratic else (-1.0, 1.0)
+            for seed in range(20):
+                ctx = hg.RootContext.solve(problem, seeded_y(problem, seed, low, high))
+                general = hg.root_jacobian(ctx, hg.newton_separable_reparam(problem))
+                scale = 1 + hg.spectral_norm(hg.root_jacobian(ctx, "vanilla"))
+                assert hg.spectral_norm(general - hg.root_jacobian(ctx, "opt")) \
+                    <= 1e-14 * scale, (problem.name, seed)
+
+    def test_change_of_variables_needs_a_symmetric_f1(self):
+        problem = _nonsymmetric_problem()
+        ctx = hg.RootContext.solve(problem, np.array([0.2, -0.3]))
+        for kind in ("exp", "diag-rep"):
+            with pytest.raises(hg.CapabilityError, match="F_1"):
+                hg.root_jacobian(ctx, kind)
+        for kind in ("vanilla", "newton"):
+            fd = hg.estimator_jacobian_fd(ctx, kind)
+            assert np.max(np.abs(hg.root_jacobian(ctx, kind) - fd)) \
+                <= NONSYMMETRIC_FD_TOL * (1 + np.max(np.abs(fd))), kind
 
 
 class TestCompareBounds:

@@ -96,8 +96,8 @@ class TestValidateOracles:
         with pytest.raises(hg.UsageError, match="eps"):
             fd_step(np.zeros(1), eps, 1e-5)
         with pytest.raises(hg.UsageError, match="eps"):
-            hg.efficiency_constant(hg.RootContext.solve(linear1d_fixture, np.zeros(1)),
-                                   "vanilla", eps=eps)
+            hg.sensitivity_jacobian_fd(
+                hg.RootContext.solve(linear1d_fixture, np.zeros(1)), "vanilla", eps=eps)
 
 
 class TestProblemInvariants:

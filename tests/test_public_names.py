@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
     "reparam_sensitivity", "rng_from_seed", "root_jacobian", "run_decay",
     "run_efficiency_sweep", "sample_y", "scalar_ridge", "scale_separable_r",
     "scaled_preconditioner", "sensitivity_efficiency_constant",
-    "sensitivity_jacobian_fd",
+    "sensitivity_jacobian", "sensitivity_jacobian_fd",
     "serialize_libsvm", "signed_exp_reparam", "softplus",
     "solution_sensitivity", "solve_transpose", "spectral_norm",
     "stable_sigmoid", "super_efficiency_residual_1d",

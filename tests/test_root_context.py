@@ -48,6 +48,7 @@ def counting_logistic(logistic_quadratic):
 AT_ROOT = {
     "efficiency_constant": lambda ctx: hg.efficiency_constant(ctx, "opt"),
     "estimator_jacobian_fd": lambda ctx: hg.estimator_jacobian_fd(ctx, "opt"),
+    "sensitivity_jacobian": lambda ctx: hg.sensitivity_jacobian(ctx, "opt"),
     "sensitivity_jacobian_fd": lambda ctx: hg.sensitivity_jacobian_fd(ctx, "opt"),
     "sensitivity_efficiency_constant":
         lambda ctx: hg.sensitivity_efficiency_constant(ctx, "opt"),
@@ -239,10 +240,8 @@ class TestRootSolveCounts:
                              "--seed", "8", "--out", str(tmp_path / "c.csv")])
         assert code == 0
         assert len(solves) == 1
-        # One FD Jacobian of the opt sensitivity matrix per trial (d_s_phi),
-        # shared by all three comparison functions; nothing else differences.
-        assert len(reparams) == 2 * problem.d_x
-        assert all(isinstance(r, hg.SeparableReparam) for r in reparams)
+        # The trial's Jacobians of S are closed forms: nothing evaluates S.
+        assert reparams == []
 
     def test_decay_solves_once(self, counting_logistic, monkeypatch):
         problem, solves = counting_logistic
