@@ -53,3 +53,17 @@ def test_lower_is_better_and_the_bound(tool):
     assert not s["within_bound"]
     with pytest.raises(ValueError):
         tool.summarize(parent, [1.0], "lower", 0.05)
+
+
+def test_records_accumulate_keyed_by_parent_and_change(tool):
+    legacy = {"parent": "p0", "pairs": 10}          # one record, no change key
+    first = {"parent": "p1", "change": "c1", "pairs": 10}
+    records = tool.accumulate(legacy, first)
+    assert records == [legacy, first]
+    assert tool.accumulate(None, first) == [first]
+
+    # The same pair again replaces its entry; another pair is appended.
+    rerun = dict(first, pairs=3)
+    assert tool.accumulate(records, rerun) == [legacy, rerun]
+    other = {"parent": "p1", "change": "c2", "pairs": 10}
+    assert tool.accumulate(records, other) == [legacy, first, other]

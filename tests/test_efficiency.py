@@ -7,6 +7,7 @@ import pytest
 
 import hygrad as hg
 from hygrad.errors import UsageError
+from hygrad.estimators import resolve_strategy
 from hygrad.problems import CallableInnerOracle, CallableOuterOracle
 
 from conftest import comparison_terms, seeded_y
@@ -362,6 +363,93 @@ class TestSensitivityJacobian:
             fd = hg.estimator_jacobian_fd(ctx, kind)
             assert np.max(np.abs(hg.root_jacobian(ctx, kind) - fd)) \
                 <= NONSYMMETRIC_FD_TOL * (1 + np.max(np.abs(fd))), kind
+
+
+# root_jacobian, which contracts g_1 before differentiating, against D + the
+# g_1 contraction of sensitivity_jacobian (times E with a P): over seeds 0-19
+# of the four fixtures the largest |contracted - full| / (1 + max|full|) was
+# 1.1e-15 (opt, logistic seed 8).
+CONTRACTION_TOL = 1e-14
+
+
+@pytest.mark.parametrize("fixture", sorted(ROUNDING_KINDS))
+def test_root_jacobian_contracts_the_sensitivity_jacobian(fixture, request):
+    problem = request.getfixturevalue(fixture)
+    low, high = (3.0, 6.0) if fixture == "logistic_quadratic" else (-1.0, 1.0)
+    kinds = [*hg.STRATEGIES,
+             *(k for k in _reference_kinds(problem) if not isinstance(k, str))]
+    for seed in range(20):
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, seed, low, high))
+        g1 = problem.outer.grad_x(ctx.xstar, ctx.y)
+        for kind in kinds:
+            full = hg.outer_curvature(ctx) + np.einsum(
+                "ekj,k->ej", hg.sensitivity_jacobian(ctx, kind), g1)
+            precond = resolve_strategy(problem, kind).precond
+            if precond is not None:
+                full = full @ hg.precond_error_factor_at_root(ctx, precond)
+            assert np.max(np.abs(hg.root_jacobian(ctx, kind) - full)) \
+                <= CONTRACTION_TOL * (1 + np.max(np.abs(full))), (fixture, seed, kind)
+
+
+def _counting_couplings(problem):
+    """problem with every inner djac_x_dir_x call recorded, and the record."""
+    calls = []
+    djac = problem.inner.djac_x_dir_x
+
+    def counted(x, y, u):
+        calls.append(u)
+        return djac(x, y, u)
+
+    return replace(problem, inner=replace(problem.inner, djac_x_dir_x=counted)), calls
+
+
+class TestCouplingCallCounts:
+    """An efficiency constant contracts g_1 first: one coupling contraction
+    per kind, not the d_x slices of the Jacobian of S."""
+
+    @pytest.fixture
+    def no_tensor(self, monkeypatch):
+        def refused(ctx, kind):
+            raise AssertionError("efficiency_constant built the Jacobian of S")
+        monkeypatch.setattr(hg.efficiency, "sensitivity_jacobian", refused)
+
+    @pytest.mark.parametrize("kind", ["vanilla", "newton", "diag"])
+    def test_one_coupling_call_without_a_phi(self, kind, logistic_quadratic, no_tensor):
+        problem, calls = _counting_couplings(logistic_quadratic)
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, 5, 3.0, 6.0))
+        hg.efficiency_constant(ctx, kind)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["exp", "diag-rep"])
+    def test_a_phi_derivative_per_coordinate(self, kind, logistic_quadratic,
+                                             no_tensor, monkeypatch):
+        ctx = hg.RootContext.solve(logistic_quadratic,
+                                   seeded_y(logistic_quadratic, 5, 3.0, 6.0))
+        calls = []
+        change_of_variables = hg.Strategy.change_of_variables
+
+        def counted(strategy, x, y):
+            phi = change_of_variables(strategy, x, y)
+
+            def derivatives(z, y, w):
+                calls.append(w)
+                return phi.derivatives(z, y, w)
+            return replace(phi, derivatives=derivatives)
+
+        monkeypatch.setattr(hg.Strategy, "change_of_variables", counted)
+        hg.efficiency_constant(ctx, kind)
+        assert len(calls) == logistic_quadratic.d_x
+
+    def test_ridge_sweep_at_d20(self, monkeypatch):
+        train = hg.synthetic_regression_dataset(60, 20, seed=1)
+        val = hg.synthetic_validation_dataset(60, 20, seed=2)
+        problem, calls = _counting_couplings(hg.make_ridge(train, val, "quadratic"))
+        monkeypatch.setattr(hg.bench, "build_problem", lambda config: problem)
+        records = hg.run_efficiency_sweep(hg.RunConfig(
+            problem="ridge", strategies=hg.STRATEGIES, trials=1, seed=3))
+        assert not any(r.error for r in records)
+        # One per kind but opt, whose Jacobian is D.
+        assert len(calls) == 5
 
 
 class TestCompareBounds:

@@ -10,16 +10,20 @@ side runs its own, unchanged ``perfbench/run.py``, one run at a time. Pair
 i runs the parent first when i is even and the change first when it is
 odd, so that a drift in the machine's speed favours neither side.
 
-It writes ``BENCH_<W>.json`` in the current directory: the revision, seed
-and run length, every run's ``correct``/``attempted``/``failed`` and
-metric values, and per end-to-end metric of ``BENCHMARK.json`` each side's
-median and quartiles and the change's wins. ``gain_holds`` applies the rule
+It appends one record to the list in ``BENCH_<W>.json`` in the current
+directory: the parent and change commits, seed and run length, every run's
+``correct``/``attempted``/``failed`` and metric values, and per end-to-end
+metric of ``BENCHMARK.json`` each side's median and quartiles and the
+change's wins. The parent and change commits key the record: it replaces
+an earlier one with the same pair, and a file holding a single record (the
+older format) reads as the first entry. ``gain_holds`` applies the rule
 a claimed gain must meet: the change wins at least nine tenths of the pairs
 (ties count for neither), and its median beats the parent's by more than
 the parent's interquartile range. ``within_bound`` says whether the
 change's median is worse than the parent's by no more than the metric's
 bound. The working tree of the change side is measured as it is, committed
-or not.
+or not; its commit reads ``<HEAD>-dirty`` when a tracked file other than
+the ``BENCH_*.json`` records differs from HEAD.
 """
 
 from __future__ import annotations
@@ -89,6 +93,28 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def change_commit() -> str:
+    """The checkout's HEAD commit id, with ``-dirty`` appended when a tracked
+    file other than the ``BENCH_*.json`` records differs from it."""
+    head = subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=CHECKOUT,
+                          capture_output=True, text=True, check=True).stdout.strip()
+    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", ".",
+                            ":(exclude)BENCH_*.json"], cwd=CHECKOUT).returncode
+    return head + "-dirty" if dirty else head
+
+
+def accumulate(records: object, record: dict) -> list:
+    """``records``, the parsed contents of a BENCH file (a list, or one
+    record in the older format), with ``record`` appended in place of any
+    entry with the same parent and change commits."""
+    if records is None:
+        records = []
+    elif not isinstance(records, list):
+        records = [records]
+    key = (record["parent"], record["change"])
+    return [r for r in records if (r["parent"], r.get("change")) != key] + [record]
+
+
 def export(rev: str, into: Path) -> str:
     """Write the files of ``rev`` into ``into``; return its commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
@@ -120,6 +146,7 @@ def main(argv=None) -> int:
     if args.workload not in {w["name"] for w in bench["workloads"]}:
         ap.error(f"unknown workload {args.workload!r}")
     runs = {"parent": [], "change": []}
+    change = change_commit()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = export(args.parent_rev, Path(tmp))
         roots = {"parent": Path(tmp) / "parent", "change": CHECKOUT}
@@ -137,13 +164,15 @@ def main(argv=None) -> int:
                                     [r["metrics"][m["name"]] for r in runs["change"]],
                                     m["better"], m["bound"])
                for m in bench["end_to_end"]}
-    record = {"workload": args.workload, "parent": commit, "seed": args.seed,
-              "seconds": seconds, "pairs": args.pairs,
+    record = {"workload": args.workload, "parent": commit, "change": change,
+              "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
               "all_correct": all(r["correct"] and r["failed"] == 0
                                  for side in runs.values() for r in side),
               "summary": summary, "runs": runs}
     out = Path(f"BENCH_{args.workload}.json")
-    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    records = accumulate(json.loads(out.read_text()) if out.exists() else None,
+                         record)
+    out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     for name, s in summary.items():
         print(f"{name}: parent {s['parent']['median']:.4g} "
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}], change "
