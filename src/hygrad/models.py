@@ -23,7 +23,7 @@ from .errors import ContractViolation, DataError, ParseError, UsageError
 from .linalg import linear_solve
 from .problems import (BilevelProblem, CallableInnerOracle, CallableOuterOracle,
                        _read_only)
-from .seeding import PRNG_NAME, rng_from_seed
+from .seeding import PRNG_NAME, _pcg64_uniform, rng_from_seed
 from .solvers import newton_root
 
 Array = np.ndarray
@@ -490,12 +490,14 @@ def linear_1d() -> BilevelProblem:
 # sampling and synthetic data
 
 def sample_y(d_y: int, low: float, high: float, seed: int) -> Array:
-    """Seeded uniform draw in [low, high); identical seed gives identical bits."""
+    """Seeded uniform draw in [low, high): the bits of
+    ``Generator(PCG64(seed)).uniform(low, high, d_y)``, computed without
+    importing ``numpy.random`` (``seeding._pcg64_uniform``)."""
     if d_y < 1:
         raise UsageError("d_y must be at least 1")
     if not (low < high and np.isfinite([low, high, high - low]).all()):
         raise UsageError(f"need a finite range low < high, got [{low}, {high})")
-    return rng_from_seed(seed).uniform(low, high, d_y)
+    return np.array(_pcg64_uniform(seed, low, high, d_y))
 
 
 def synthetic_regression_dataset(n: int, d_x: int, seed: int) -> Dataset:

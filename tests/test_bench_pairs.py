@@ -1,7 +1,9 @@
 """The summary arithmetic of ``tools/bench_pairs.py`` (no benchmark runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -67,3 +69,49 @@ def test_records_accumulate_keyed_by_parent_and_change(tool):
     assert tool.accumulate(records, rerun) == [legacy, rerun]
     other = {"parent": "p1", "change": "c2", "pairs": 10}
     assert tool.accumulate(records, other) == [legacy, first, other]
+
+
+def test_main_records_each_sides_traced_counts(tool, monkeypatch, tmp_path):
+    # A stubbed perfbench/run.py: end-to-end runs report the four metrics,
+    # traced runs a count, a time and a ratio, with one count that differs.
+    calls = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        calls.append((Path(cwd).name, cmd[2:]))
+        if "--trace" in cmd:
+            metrics = {"linalg.lu_factor.calls": (2, "count"),
+                       "models.oracle.jac_x.calls": (
+                           1 if Path(cwd).name == "parent" else 3, "count"),
+                       "linalg.self_s": (0.01, "s"),
+                       "linalg.lu_factor.distinct_frac": (1.0, "ratio")}
+        else:
+            metrics = {"setup_s": (0.2, "s"), "wall_s": (0.3, "s"),
+                       "rows_per_s": (100.0, "rows/s"), "peak_rss_mb": (40.0, "MB")}
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}})
+        return SimpleNamespace(returncode=0, stdout="# env {}\n" + line, stderr="")
+
+    def fake_export(rev, into):
+        (into / "parent").mkdir()
+        return "p" * 40
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    monkeypatch.setattr(tool, "export", fake_export)
+    monkeypatch.setattr(tool, "change_commit", lambda: "c" * 40)
+    monkeypatch.chdir(tmp_path)
+    assert tool.main(["HEAD", "--workload", "efficiency-ridge", "--pairs", "2",
+                      "--seed", "7"]) == 0
+
+    traced = [(root, args) for root, args in calls if "--trace" in args]
+    assert sorted(root for root, _ in traced) == ["parent", tool.CHECKOUT.name]
+    for _, args in traced:
+        assert args == ["--workload", "efficiency-ridge", "--seed", "101",
+                        "--seconds", "0", "--trace", "1"]
+    assert len(calls) == 2 * 2 + 2
+    [record] = json.loads((tmp_path / "BENCH_efficiency-ridge.json").read_text())
+    assert record["counts_seed"] == 101
+    assert record["counts"] == {
+        "parent": {"linalg.lu_factor.calls": 2, "models.oracle.jac_x.calls": 1},
+        "change": {"linalg.lu_factor.calls": 2, "models.oracle.jac_x.calls": 3}}
+    assert record["counts_identical"] is False
+    assert record["all_correct"] and record["summary"]["rows_per_s"]["ties"] == 2

@@ -97,6 +97,21 @@ def test_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_runs_leave_numpy_random_unloaded(tmp_path):
+    # sample_y computes the PCG64 stream itself; importing numpy.random
+    # would add about 10 ms to every run's compute phase.
+    code = ("import sys\n"
+            "from hygrad.cli import cli_main\n"
+            "for command in ('decay', 'efficiency', 'compare'):\n"
+            "    assert cli_main([command, '--problem', 'scalar', '--out',\n"
+            "                     command + '.csv']) == 0, command\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=_src_dir()),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestDecayCommand:
     def test_smoke_writes_csv(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -72,20 +72,29 @@ def _nonsymmetric_problem():
     return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="nonsym")
 
 
-def _sinh_reparam():
-    """x = e^{y_0} sinh(z), a fixed map with phi_2, phi_11 and phi_21 all
-    nonzero at the root; no shipped kind has both phi_2 and phi_11 there."""
+def _sinh_reparam(a):
+    """x = e^{y_0} A sinh(z) for a fixed invertible A, a map with phi_2,
+    phi_11 and phi_21 all nonzero at the root; no shipped kind has both
+    phi_2 and phi_11 there. With a nonsymmetric A, phi_1 = e^{y_0} A
+    diag(cosh z) is nonsymmetric, which tells phi_1^{-1} from phi_1^{-T}:
+    every shipped phi_1 is diagonal at the root."""
     def derivatives(z, y, w):
-        scale, p2, czy = np.exp(y[0]), np.zeros((z.shape[0], y.shape[0])), \
-            np.zeros((z.shape[0], y.shape[0]))
-        p2[:, 0] = scale * np.sinh(z)
-        czy[:, 0] = w * scale * np.cosh(z)
-        return (np.diag(scale * np.cosh(z)), p2, np.diag(w * scale * np.sinh(z)), czy)
+        scale, wa = np.exp(y[0]), a.T @ w
+        p2, czy = np.zeros((z.shape[0], y.shape[0])), np.zeros((z.shape[0], y.shape[0]))
+        p2[:, 0] = scale * (a @ np.sinh(z))
+        czy[:, 0] = wa * scale * np.cosh(z)
+        return (scale * a * np.cosh(z), p2, np.diag(wa * scale * np.sinh(z)), czy)
 
     return hg.Reparameterization(
-        forward=lambda z, y: np.exp(y[0]) * np.sinh(z),
-        inverse=lambda x, y: np.arcsinh(x / np.exp(y[0])),
+        forward=lambda z, y: np.exp(y[0]) * (a @ np.sinh(z)),
+        inverse=lambda x, y: np.arcsinh(np.linalg.solve(a, x) / np.exp(y[0])),
         derivatives=derivatives)
+
+
+def _nonsymmetric_mix(d):
+    """A fixed, nonsymmetric, well-conditioned d x d matrix for _sinh_reparam."""
+    return 1.5 * np.eye(d) + np.triu(np.full((d, d), 0.4), 1) \
+        - np.tril(np.full((d, d), 0.3), -1)
 
 
 def _sensitivity_term_fd(ctx, kind):
@@ -241,6 +250,47 @@ class TestPrecondJacobianAtRoot:
         assert np.max(np.abs(jac)) <= 1e-12
 
 
+def _cross_outer_logistic(problem, val):
+    """problem's logistic inner with g = 1/2 |A x - b|^2 + y'K x on the
+    validation set (A scaled by 1/sqrt(n)), K fixed and nonsymmetric: the
+    only outer objective here whose g_21 = K and g_12 = K' are nonzero."""
+    a, b = val.features / np.sqrt(val.n), val.labels / np.sqrt(val.n)
+    k = _nonsymmetric_mix(problem.d_x)
+    outer = CallableOuterOracle(
+        value=lambda x, y: 0.5 * float(np.sum((a @ x - b) ** 2)) + float(y @ k @ x),
+        grad_x=lambda x, y: a.T @ (a @ x - b) + k.T @ y,
+        grad_y=lambda x, y: k @ x,
+        hess_xx=lambda x, y: a.T @ a,
+        jac_gradY_x=lambda x, y: k,
+        jac_gradX_y=lambda x, y: k.T,
+    )
+    return replace(problem, outer=outer, name="logistic-cross")
+
+
+# root_jacobian against estimator_jacobian_fd with g_21 != 0: over seeds
+# 0-19 at most 2.6e-10 of 1 + max|FD| (newton, seed 13). Only vanilla and
+# diag see g_21: newton's Jacobian (D + T) E has E = 0.
+CROSS_OUTER_FD_TOL = 1e-8
+
+
+class TestCrossOuterTerm:
+    def test_oracles_match_their_differences(self, logistic_quadratic, cls_val):
+        problem = _cross_outer_logistic(logistic_quadratic, cls_val)
+        y = seeded_y(problem, 3, 3.0, 6.0)
+        x = hg.exact_root(problem, y)
+        assert max(hg.validate_oracles(problem, x, y).values()) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["vanilla", "newton", "diag"])
+    def test_root_jacobian_matches_the_fd_jacobian(self, kind, logistic_quadratic,
+                                                   cls_val):
+        problem = _cross_outer_logistic(logistic_quadratic, cls_val)
+        for seed in range(20):
+            ctx = hg.RootContext.solve(problem, seeded_y(problem, seed, 3.0, 6.0))
+            fd = hg.estimator_jacobian_fd(ctx, kind)
+            assert np.max(np.abs(hg.root_jacobian(ctx, kind) - fd)) \
+                <= CROSS_OUTER_FD_TOL * (1 + np.max(np.abs(fd))), seed
+
+
 class TestOuterCurvature:
     def test_affine_outer_is_zero(self, reg_train, reg_val):
         problem = hg.make_ridge(reg_train, reg_val, "affine")
@@ -302,12 +352,18 @@ FD_REFERENCE_TOL = 4e-7
 # root_jacobian of vanilla and newton against estimator_jacobian_fd on the
 # nonsymmetric problem: at most 1.3e-12 of 1 + max|FD| over seeds 0-19.
 NONSYMMETRIC_FD_TOL = 1e-10
+# root_jacobian of the caller maps among the reference kinds against
+# estimator_jacobian_fd at its default step: over seeds 0-19 of the four
+# fixtures at most 1.3e-8 of 1 + max|FD| (the sinh map, ridge seed 3; the
+# nonsymmetric one 2.8e-9).
+CALLER_MAP_FD_TOL = 1e-7
 
 
 def _reference_kinds(problem):
     kinds = ["vanilla", "exp", "diag-rep", "opt",
              hg.scale_separable_r(hg.newton_separable_reparam(problem), 1.3),
-             _sinh_reparam()]
+             _sinh_reparam(np.eye(problem.d_x)),
+             _sinh_reparam(_nonsymmetric_mix(problem.d_x))]
     if problem.d_x == 1:
         kinds.append(hg.exp_family_reparam_1d(1.0, 1.0))
     return kinds
@@ -363,6 +419,19 @@ class TestSensitivityJacobian:
             fd = hg.estimator_jacobian_fd(ctx, kind)
             assert np.max(np.abs(hg.root_jacobian(ctx, kind) - fd)) \
                 <= NONSYMMETRIC_FD_TOL * (1 + np.max(np.abs(fd))), kind
+
+
+@pytest.mark.parametrize("fixture", sorted(ROUNDING_KINDS))
+def test_root_jacobian_of_caller_maps_matches_the_fd_jacobian(fixture, request):
+    problem = request.getfixturevalue(fixture)
+    low, high = (3.0, 6.0) if fixture == "logistic_quadratic" else (-1.0, 1.0)
+    kinds = [k for k in _reference_kinds(problem) if not isinstance(k, str)]
+    for seed in range(20):
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, seed, low, high))
+        for kind in kinds:
+            fd = hg.estimator_jacobian_fd(ctx, kind)
+            assert np.max(np.abs(hg.root_jacobian(ctx, kind) - fd)) \
+                <= CALLER_MAP_FD_TOL * (1 + np.max(np.abs(fd))), (fixture, seed, kind)
 
 
 # root_jacobian, which contracts g_1 before differentiating, against D + the

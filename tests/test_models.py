@@ -1,5 +1,8 @@
 """Model zoo: LIBSVM parsing, ridge/logistic oracles, fixtures, sampling."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -484,6 +487,61 @@ class TestSampleY:
             hg.rng_from_seed(-1)
         with pytest.raises(UsageError, match="seed"):
             hg.synthetic_regression_dataset(10, 3, seed=-1)
+        with pytest.raises(UsageError, match="non-negative"):
+            hg.sample_y(3, 0.0, 1.0, -1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None,
+                                      np.float64(4.0), np.array([5])])
+    def test_non_integer_seed(self, seed):
+        # The rule parse_libsvm applies to dims: an int or numpy integer,
+        # not a bool (True would silently draw with seed 1).
+        with pytest.raises(UsageError, match="seed must be an integer"):
+            hg.sample_y(3, 0.0, 1.0, seed)
+        with pytest.raises(UsageError, match="seed must be an integer"):
+            hg.rng_from_seed(seed)
+
+    def test_numpy_integer_seed(self):
+        for seed in (np.int64(7), np.uint8(7), np.uint64(7)):
+            assert_same_bits(hg.sample_y(3, 0.0, 1.0, seed),
+                             hg.sample_y(3, 0.0, 1.0, 7))
+            assert_same_bits(hg.rng_from_seed(seed).uniform(size=3),
+                             hg.rng_from_seed(7).uniform(size=3))
+
+    def test_bits_equal_numpys_pcg64_uniform(self):
+        # sample_y computes Generator(PCG64(seed)).uniform itself; seeds of
+        # one to four 32-bit words take different SeedSequence paths.
+        seeds = [*range(40), 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1,
+                 2**64, 2**64 + 3, 2**96 + 5, 2**100 + 3, 2**128 + 7, 3**90]
+        ranges = [(0.0, 1.0), (-1.0, 1.0), (3, 6), (-7, 2), (-1e-3, 1e-3),
+                  (1e300, 1.5e300)]
+        sizes = [1, 2, 3, 5, 20, 61, 4096]
+        for i, seed in enumerate(seeds):
+            for j, (low, high) in enumerate(ranges):
+                n = sizes[(i + j) % len(sizes)]
+                expected = np.random.Generator(np.random.PCG64(seed)).uniform(
+                    low, high, n)
+                assert_same_bits(hg.sample_y(n, low, high, seed), expected)
+
+    def test_draw_costs_less_than_the_numpy_random_import(self):
+        # The 4096-value draw, best of three, against importing numpy.random
+        # in the same fresh interpreter.
+        code = ("import time\n"
+                "import numpy\n"
+                "from hygrad.seeding import _pcg64_uniform\n"
+                "draw = []\n"
+                "for _ in range(3):\n"
+                "    t = time.perf_counter()\n"
+                "    _pcg64_uniform(2**64 + 3, -1.0, 1.0, 4096)\n"
+                "    draw.append(time.perf_counter() - t)\n"
+                "t = time.perf_counter()\n"
+                "import numpy.random\n"
+                "print(min(draw), time.perf_counter() - t)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(models.__file__))),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        draw_s, import_s = map(float, proc.stdout.split())
+        assert draw_s < import_s, (draw_s, import_s)
 
 
 class TestFixtures:

@@ -21,7 +21,10 @@ a claimed gain must meet: the change wins at least nine tenths of the pairs
 (ties count for neither), and its median beats the parent's by more than
 the parent's interquartile range. ``within_bound`` says whether the
 change's median is worse than the parent's by no more than the metric's
-bound. The working tree of the change side is measured as it is, committed
+bound. After the pairs, one ``perfbench/run.py --trace 1 --seconds 0 --seed
+101`` run on each side gives the per-layer metrics whose unit is ``count``
+(factorizations, oracle calls), which the record keeps under ``counts``,
+machine-independent, with ``counts_identical``. The working tree of the change side is measured as it is, committed
 or not; its commit reads ``<HEAD>-dirty`` when a tracked file other than
 the ``BENCH_*.json`` records differs from HEAD.
 """
@@ -76,21 +79,38 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     }
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run from ``root``; its last stdout line."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True)
+COUNT_SEED = 101
+
+
+def run_bench(root: Path, args: list) -> tuple:
+    """``perfbench/run.py args`` from ``root``: (exit code, the JSON object
+    of its last stdout line)."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *args],
+                          cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
-        result = json.loads(lines[-1])
+        return proc.returncode, json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         raise SystemExit(f"perfbench/run.py failed in {root} ({proc.returncode}):\n"
                          + proc.stderr)
-    return {"exit_code": proc.returncode, "correct": result["correct"],
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One end-to-end ``perfbench/run.py`` run from ``root``."""
+    code, result = run_bench(root, ["--workload", workload, "--seed", str(seed),
+                                    "--seconds", str(seconds)])
+    return {"exit_code": code, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def traced_counts(root: Path, workload: str) -> dict:
+    """The ``count`` metrics of one traced ``perfbench/run.py`` run from
+    ``root`` at ``COUNT_SEED``."""
+    _, result = run_bench(root, ["--workload", workload, "--seed", str(COUNT_SEED),
+                                 "--seconds", "0", "--trace", "1"])
+    return {k: v["value"] for k, v in result["metrics"].items()
+            if v["unit"] == "count"}
 
 
 def change_commit() -> str:
@@ -159,6 +179,8 @@ def main(argv=None) -> int:
                 print(f"pair {i} {side}: correct={r['correct']} failed={r['failed']} "
                       + " ".join(f"{m['name']}={r['metrics'][m['name']]:.4g}"
                                  for m in bench["end_to_end"]), flush=True)
+        counts = {side: traced_counts(root, args.workload)
+                  for side, root in roots.items()}
 
     summary = {m["name"]: summarize([r["metrics"][m["name"]] for r in runs["parent"]],
                                     [r["metrics"][m["name"]] for r in runs["change"]],
@@ -168,7 +190,8 @@ def main(argv=None) -> int:
               "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
               "all_correct": all(r["correct"] and r["failed"] == 0
                                  for side in runs.values() for r in side),
-              "summary": summary, "runs": runs}
+              "summary": summary, "runs": runs, "counts_seed": COUNT_SEED,
+              "counts": counts, "counts_identical": counts["parent"] == counts["change"]}
     out = Path(f"BENCH_{args.workload}.json")
     records = accumulate(json.loads(out.read_text()) if out.exists() else None,
                          record)
@@ -179,6 +202,11 @@ def main(argv=None) -> int:
               f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
               f"{s['change']['q3']:.4g}], wins {s['wins']}/{s['pairs']}, "
               f"gain_holds={s['gain_holds']} within_bound={s['within_bound']}")
+    for name in sorted(counts["parent"].keys() | counts["change"].keys()):
+        before, after = counts["parent"].get(name), counts["change"].get(name)
+        if before != after:
+            print(f"count {name}: parent {before}, change {after}")
+    print(f"traced counts at seed {COUNT_SEED} identical: {record['counts_identical']}")
     print(f"wrote {out}")
     return 0
 
