@@ -23,10 +23,11 @@ the parent's interquartile range. ``within_bound`` says whether the
 change's median is worse than the parent's by no more than the metric's
 bound. After the pairs, one ``perfbench/run.py --trace 1 --seconds 0 --seed
 101`` run on each side gives the per-layer metrics whose unit is ``count``
-(factorizations, oracle calls), which the record keeps under ``counts``,
-machine-independent, with ``counts_identical``. The working tree of the change side is measured as it is, committed
-or not; its commit reads ``<HEAD>-dirty`` when a tracked file other than
-the ``BENCH_*.json`` records differs from HEAD.
+(factorizations, oracle calls), which do not depend on the machine; the
+record keeps them under ``counts``, with ``counts_identical``. The working
+tree of the change side is measured as it is, committed or not; its commit
+reads ``<HEAD>-dirty`` when a tracked file other than the ``BENCH_*.json``
+records differs from HEAD.
 """
 
 from __future__ import annotations
