@@ -36,14 +36,17 @@ def _sigmoid_pair(t: Array) -> tuple[Array, Array]:
     """(sigmoid(t), sigmoid(-t)) from one exp(-|t|), which cannot overflow.
 
     Bit for bit the two-branch forms 1/(1 + exp(-t)) for t >= 0 and
-    exp(t)/(1 + exp(t)) for t < 0; at t = +-0 both halves are 0.5.
+    exp(t)/(1 + exp(t)) for t < 0; at t = +-0 both halves are 0.5. The
+    branch is a select without np.where: as 0 <= exp(-|t|) <= 1, the
+    numerator max(exp(-|t|), [t >= 0]) is 1 where t >= 0 and exp(-|t|)
+    elsewhere, so each half is the same division of the same operands as
+    the two-branch form.
     """
     t = np.asarray(t, dtype=float)
     e = np.exp(-np.abs(t))
     denom = 1.0 + e
     pos = t >= 0
-    lo, hi = e / denom, 1.0 / denom     # sigmoid(-|t|), sigmoid(|t|)
-    return np.where(pos, hi, lo), np.where(pos, lo, hi)
+    return np.maximum(e, pos) / denom, np.maximum(e, ~pos) / denom
 
 
 def stable_sigmoid(t: Array) -> Array:
@@ -55,11 +58,6 @@ def softplus(t: Array) -> Array:
     """log(1 + exp(t)) evaluated as max(t, 0) + log1p(exp(-|t|))."""
     t = np.asarray(t, dtype=float)
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
-def _dsigmoid(t: Array) -> Array:
-    s, s_neg = _sigmoid_pair(t)
-    return s * s_neg
 
 
 # --------------------------------------------------------------------------
@@ -423,27 +421,42 @@ def logistic_inner_value(train: Dataset, x: Array, y: Array) -> float:
 def make_logistic(train: Dataset, val: Dataset, outer: str) -> BilevelProblem:
     """Penalized logistic regression with labels in {-1, +1}.
 
-    All sigmoid terms go through the overflow-safe forms, one exp(-|t|) per
-    pass. The exact root runs damped Newton to a 1e-13 relative residual.
+    All sigmoid terms go through the overflow-safe pair, one exp(-|t|) per
+    pass. The margins -b * (A x) and the pair (sigmoid, sigmoid(-.)) of them
+    are computed once per point and shared by F, F_1 and dF_1[u]: the last
+    point's pair is kept, keyed on x's shape and bits, so a point costs one
+    matvec and one sigmoid pass however many of them are asked for there.
+    The exact root runs damped Newton to a 1e-13 relative residual.
     """
     labels = train.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise DataError("classification labels must be -1 or +1")
     d = train.d_x
     a_tr = train.features
+    kept = (None, None)                 # the last point's key and pair
 
-    def margins(x):
-        return -labels * (a_tr @ x)
+    def sigmoid_pair_at(x):
+        # kept is read and replaced whole, so a caller on another thread
+        # cannot pair one point's key with another point's sigmoids.
+        nonlocal kept
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        kept_key, pair = kept
+        if kept_key != key:
+            pair = _sigmoid_pair(-labels * (a_tr @ x))
+            kept = key, pair
+        return pair
 
     def data_grad(x):
-        return -a_tr.T @ (labels * stable_sigmoid(margins(x)))
+        s, _ = sigmoid_pair_at(x)
+        return -a_tr.T @ (labels * s)
 
     def data_hess(x):
-        w = _dsigmoid(margins(x))        # labels squared is 1
-        return a_tr.T @ (w[:, None] * a_tr)
+        s, s_neg = sigmoid_pair_at(x)
+        return a_tr.T @ ((s * s_neg)[:, None] * a_tr)      # labels squared is 1
 
     def data_dhess(x, u):
-        s, s_neg = _sigmoid_pair(margins(x))
+        s, s_neg = sigmoid_pair_at(x)
         w = s * s_neg * (1.0 - 2.0 * s) * (-labels * (a_tr @ u))
         return a_tr.T @ (w[:, None] * a_tr)
 

@@ -60,14 +60,23 @@ def newton_root(residual_fn, jac_fn, x0: Array) -> Array:
 
     Stops when |F(x)| <= ROOT_TOL * (1 + |x|), or when the line search stalls on
     a Newton step no longer than 4 eps (1 + |x|), i.e. at the rounding floor
-    of F; a stall on a longer step raises.
+    of F. A stall on a longer step raises NumericalFailure, and so does a
+    point still above tolerance after NEWTON_MAX_ITER iterations; ``step`` is
+    the iteration, and the message gives the |F| reached and the tolerance.
+    F is evaluated once per point, at x0 and at each line-search trial: an
+    accepted trial's value is carried into the next iteration.
     """
     x = np.asarray(x0, dtype=float)
-    for _ in range(NEWTON_MAX_ITER):
-        f = np.asarray(residual_fn(x), dtype=float)
+    f = np.asarray(residual_fn(x), dtype=float)
+    for k in range(NEWTON_MAX_ITER + 1):          # k iterations done
         norm_f = float(np.linalg.norm(f))
-        if norm_f <= ROOT_TOL * (1.0 + float(np.linalg.norm(x))):
+        tol = ROOT_TOL * (1.0 + float(np.linalg.norm(x)))
+        if norm_f <= tol:
             return x
+        reached = f"|F| = {norm_f:.3e} against tolerance {tol:.3e}"
+        if k == NEWTON_MAX_ITER:
+            raise NumericalFailure(
+                f"Newton did not reach tolerance in {k} iterations: {reached}", step=k)
         dx = linear_solve(jac_fn(x), -f, what="F_1")
         merit = 0.5 * norm_f ** 2
         t = 1.0
@@ -77,7 +86,7 @@ def newton_root(residual_fn, jac_fn, x0: Array) -> Array:
             if np.isfinite(f_trial).all() and (
                     0.5 * float(np.linalg.norm(f_trial)) ** 2
                     <= merit * (1.0 - 2e-4 * t)):
-                x = trial
+                x, f = trial, f_trial
                 break
             t *= 0.5
         else:
@@ -85,8 +94,9 @@ def newton_root(residual_fn, jac_fn, x0: Array) -> Array:
             # further: x is the root to working precision.
             if np.linalg.norm(dx) <= 4.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(x)):
                 return x
-            raise NumericalFailure("Newton line search stalled")
-    raise NumericalFailure(f"Newton did not reach tolerance in {NEWTON_MAX_ITER} iterations")
+            raise NumericalFailure(
+                f"Newton line search stalled at iteration {k + 1}: {reached}",
+                step=k + 1)
 
 
 def exact_root(problem: BilevelProblem, y: Array) -> Array:

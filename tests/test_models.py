@@ -421,27 +421,63 @@ class TestSigmoidKernel:
         assert_same_bits(s, masked_sigmoid(t))
         assert_same_bits(s_neg, masked_sigmoid(-t))
         assert_same_bits(hg.stable_sigmoid(t), masked_sigmoid(t))
-        assert_same_bits(models._dsigmoid(t), masked_dsigmoid(t))
+        assert_same_bits(s * s_neg, masked_dsigmoid(t))
         # The weight of data_dhess: sigma(t) sigma(-t) (1 - 2 sigma(t)).
         assert_same_bits(s * s_neg * (1.0 - 2.0 * s),
                          masked_dsigmoid(t) * (1.0 - 2.0 * masked_sigmoid(t)))
 
     def test_logistic_oracles_match_the_masked_forms(self, cls_train):
         problem = hg.make_logistic(cls_train, cls_train, "affine")
+        inner = problem.inner
         a, b = cls_train.features, cls_train.labels
         rng = np.random.default_rng(21)
-        for _ in range(3):
-            x, y, u = (rng.normal(size=5) for _ in range(3))
+        points = [tuple(rng.normal(size=5) for _ in range(3)) for _ in range(3)]
+        for (x, y, u), other in zip(points, points[1:] + points[:1]):
             m = -b * (a @ x)
             data_grad = -a.T @ (b * masked_sigmoid(m))
             data_hess = a.T @ (masked_dsigmoid(m)[:, None] * a)
             w = masked_dsigmoid(m) * (1.0 - 2.0 * masked_sigmoid(m)) * (-b * (a @ u))
-            for _ in range(2):                   # computed, then reused
-                assert_same_bits(problem.residual(x, y), data_grad + np.exp(y) * x)
-                assert_same_bits(problem.jac_x(x, y),
-                                 data_hess + np.diag(np.exp(y)))
-                assert_same_bits(problem.inner.djac_x_dir_x(x, y, u),
-                                 a.T @ (w[:, None] * a))
+            for _ in range(2):      # computed, then again after another point
+                assert_same_bits(inner.residual(x, y), data_grad + np.exp(y) * x)
+                assert_same_bits(inner.jac_x(x, y), data_hess + np.diag(np.exp(y)))
+                assert_same_bits(inner.djac_x_dir_x(x, y, u), a.T @ (w[:, None] * a))
+                inner.djac_x_dir_x(*other)
+
+    def test_one_sigmoid_pass_per_point(self, monkeypatch, cls_train):
+        passes = []
+        original = models._sigmoid_pair
+
+        def spy(t):
+            passes.append(t)
+            return original(t)
+        monkeypatch.setattr(models, "_sigmoid_pair", spy)
+        inner = hg.make_logistic(cls_train, cls_train, "affine").inner
+        rng = np.random.default_rng(22)
+        x, x2, y, u, v = (rng.normal(size=5) for _ in range(5))
+
+        def all_oracles(at):
+            inner.residual(at, y)
+            inner.jac_x(at, y)
+            inner.djac_x_dir_x(at, y, u)
+            inner.djac_x_dir_x(at, y, v)
+        all_oracles(x)
+        assert len(passes) == 1
+        all_oracles(x2)
+        assert len(passes) == 2
+        all_oracles(x)
+        assert len(passes) == 3
+
+    def test_a_point_mutated_in_place_is_a_new_point(self, cls_train):
+        problem = hg.make_logistic(cls_train, cls_train, "affine")
+        rng = np.random.default_rng(23)
+        x, y, u = (rng.normal(size=5) for _ in range(3))
+        calls = [("residual", ()), ("jac_x", ()), ("djac_x_dir_x", (u,))]
+        for method, args in calls:
+            getattr(problem.inner, method)(x, y, *args)
+            x[0] += 0.5
+            fresh = hg.make_logistic(cls_train, cls_train, "affine")
+            assert_same_bits(getattr(problem.inner, method)(x, y, *args),
+                             getattr(fresh.inner, method)(x, y, *args))
 
 
 class TestSyntheticDatasets:

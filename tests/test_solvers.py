@@ -82,8 +82,40 @@ class TestNewtonRoot:
 
     def test_stall_on_a_long_step_raises(self):
         # A Jacobian of the wrong sign points every step uphill.
-        with pytest.raises(NumericalFailure, match="stalled"):
+        with pytest.raises(NumericalFailure,
+                           match=r"stalled at iteration 1: \|F\| = 1\.000e\+00 "
+                                 r"against tolerance 1\.000e-13") as exc:
             hg.newton_root(lambda x: x - 1.0, lambda x: -np.eye(1), np.zeros(1))
+        assert exc.value.step == 1
+
+    def test_iteration_cap_raises(self):
+        # J = 1e3 I shrinks each accepted step of F(x) = x to x / 1000.
+        with pytest.raises(NumericalFailure,
+                           match=r"did not reach tolerance in 100 iterations: "
+                                 r"\|F\| = 9\.048e-01 against tolerance 1\.905e-13"
+                           ) as exc:
+            hg.newton_root(lambda x: x, lambda x: 1e3 * np.eye(1), np.ones(1))
+        assert exc.value.step == hg.solvers.NEWTON_MAX_ITER == 100
+
+    def test_residual_once_per_point(self, logistic_quadratic):
+        # F at x0, then at each line-search trial; an accepted trial's value
+        # is carried into the next iteration, never computed again.
+        y = seeded_y(logistic_quadratic, 4, low=3.0, high=6.0)
+        seen, jac_points = [], []
+
+        def residual_fn(x):
+            seen.append(x.tobytes())
+            return logistic_quadratic.inner.residual(x, y)
+
+        def jac_fn(x):
+            jac_points.append(x.tobytes())
+            return logistic_quadratic.inner.jac_x(x, y)
+        x0 = np.zeros(logistic_quadratic.d_x)
+        root = hg.newton_root(residual_fn, jac_fn, x0)
+        trials = set(seen) - {x0.tobytes()}      # each trial is a new point
+        assert seen[0] == x0.tobytes() and len(seen) == 1 + len(trials)
+        assert len(trials) >= len(jac_points) >= 2
+        assert set(jac_points) <= set(seen) and root.tobytes() in seen
 
 
 class TestFDHypergradient:
