@@ -8,17 +8,17 @@ a zero constant has quadratically decaying error ("super-efficient").
 At the root that Jacobian is assembled from closed-form blocks
 (``root_jacobian``): the outer curvature D, the Jacobian T of x -> S g_1
 (T_phi for a change of variables) and the preconditioner error factor
-E = I - P^{-1} F_1. T contracts g_1 before differentiating, so it takes one
-call each of ``djac_x_y_apply_T`` and ``djac_x_dir_x`` per kind (and, for a
-change of variables, d_x calls of ``phi.derivatives``); the whole Jacobian
-of S (``sensitivity_jacobian``), with d_x calls of each second derivative
-of F, is built only for the matrix constant and the comparison's J_phi.
-Nothing on these paths is differenced; the ``*_fd`` Jacobians are test
-references. T_phi vanishes for the Newton-like family, so opt's constant
-is exactly |D|; the comparison's U+- and V+- are J_phi +- J_P. The Taylor
-check ``test_root_jacobian_is_the_estimators_derivative`` ties
-root_jacobian to the estimators. Everything here holds at the root only,
-where F = 0.
+E = I - P^{-1} F_1. One formula, ``_sensitivity_term``, differentiates S
+contracted with fixed vectors g_k, one call each of ``djac_x_y_apply_T``
+and ``djac_x_dir_x`` per vector (and, for a change of variables, d_x calls
+of ``phi.derivatives``): T is its value at g_1, and the whole Jacobian of S
+(``sensitivity_jacobian``), read only by the matrix constant and the
+comparison's J_phi, its value at the d_x unit vectors. Nothing on these
+paths is differenced; the ``*_fd`` Jacobians are test references. T_phi
+vanishes for the Newton-like family, so opt's constant is exactly |D|; the
+comparison's U+- and V+- are J_phi +- J_P. The Taylor check
+``test_root_jacobian_is_the_estimators_derivative`` ties root_jacobian to
+the estimators. Everything here holds at the root only, where F = 0.
 
 Every at-root analysis takes one ``RootContext``, whose root was solved
 once, and reads its ``xstar``; the problem keeps that root, so estimators
@@ -132,7 +132,8 @@ def root_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
     d = outer_curvature(ctx)
     if kind == "opt":
         return d
-    jac = d + _sensitivity_term(ctx, kind)
+    g1 = ctx.problem.outer.grad_x(ctx.xstar, ctx.y)
+    jac = d + _sensitivity_term(ctx, kind, g1[:, None])[0]
     if strategy.precond is None:
         return jac
     return jac @ precond_error_factor_at_root(ctx, strategy.precond)
@@ -146,84 +147,51 @@ def efficiency_constant(ctx: RootContext, kind: StrategyKind) -> float:
 # --------------------------------------------------------------------------
 # closed-form blocks at the root
 
-def _sensitivity_term(ctx: RootContext, kind: StrategyKind) -> Array:
-    """T, the Jacobian at the root of x -> S(x, y) g_1(x*, y), S the
-    sensitivity matrix of the requested kind, with g_1 contracted before
-    differentiating. With u = F_1^{-1} g_1 and v = phi_1^{-1} u, column j is
+def _sensitivity_term(ctx: RootContext, kind: StrategyKind, g: Array) -> Array:
+    """The Jacobians at the root of x -> S(x, y) g_k, S the sensitivity
+    matrix of the requested kind, for the m columns g_k of the (d_x, m)
+    matrix g, each held fixed: an (m, d_y, d_x) array. With u = F_1^{-1} g_k
+    and v = phi_1^{-1} u, column j of slice k is
 
         -(dF_2/dx_j)' u - S (dF_1/dx_j) u + W' (phi_11 F_1 e_j) v
             - (phi_21 F_1 e_j)' v,
 
-    the g_1 contraction of ``sensitivity_jacobian``'s slice j, W as in
-    ``_change_of_variables_at_root``. The plain part takes one call each of
-    ``djac_x_y_apply_T`` and ``djac_x_dir_x`` and holds for any F_1; the phi
-    terms, absent for the plain S, need F_1 = F_1'.
+    S the plain sensitivity, W = phi_1^{-1} (phi_2 - S') and the phi terms,
+    absent for the plain S, at z* = phi^{-1}(x*, y); for exp they are
+    -S diag(F_1 e_j / x*) F_1^{-1} g_k. At the root F = 0, so only the terms
+    of ``reparam_sensitivity`` linear in F move, along dF = F_1 e_j. The
+    plain part takes one call each of ``djac_x_y_apply_T`` and
+    ``djac_x_dir_x`` per column and holds for any F_1; the phi terms take
+    d_x calls of ``phi.derivatives`` and need F_1 = F_1', so
+    |F_1 - F_1'| > SYMMETRY_RTOL |F_1| raises CapabilityError.
     """
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     s = solution_sensitivity(problem, xstar, y)
-    u = problem.jac_x_factor(xstar, y).solve(problem.outer.grad_x(xstar, y))
-    term = -problem.djac_x_y_apply_T(xstar, y, u).T \
-        - s @ problem.inner.djac_x_dir_x(xstar, y, u)
-    phi = _change_of_variables_at_root(ctx, kind, s)
-    if phi is not None:
-        terms, p1_lu, w = phi
-        v = p1_lu.solve(u)
-        term += np.column_stack([w.T @ (czz @ v) - czy.T @ v for *_, czz, czy in terms])
-    return term
-
-
-def sensitivity_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
-    """Jacobian at the root of x -> S(x, y), S the sensitivity matrix of the
-    requested kind, in closed form: entry [e, k, j] of the (d_y, d_x, d_x)
-    array is dS_ek/dx_j.
-
-    At the root F = 0, so only the terms of ``reparam_sensitivity`` linear
-    in F move, along dF = F_1 e_j. With F_1 symmetric, slice j is
-
-        [-(dF_2/dx_j)' - S dF_1/dx_j + W' (phi_11 F_1 e_j) phi_1^{-1}
-         - (phi_21 F_1 e_j)' phi_1^{-1}] F_1^{-1},
-
-    S the plain sensitivity and the phi terms, absent for the plain S, at
-    z* = phi^{-1}(x*, y) (``_change_of_variables_at_root``); for exp they
-    are -S diag(F_1 e_j / x*) F_1^{-1}. The plain slices take d_x calls each
-    of ``djac_x_y_apply`` and ``djac_x_dir_x``, so only the matrix constant
-    and the comparison's J_phi read this array; efficiency constants take
-    its g_1 contraction from ``_sensitivity_term``.
-    """
-    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
-    s = solution_sensitivity(problem, xstar, y)
-    # Column block j is slice j transposed, before the solve against F_1'.
-    rhs = np.hstack([-problem.djac_x_y_apply(xstar, y, e)
-                     - problem.inner.djac_x_dir_x(xstar, y, e).T @ s.T
-                     for e in np.eye(problem.d_x)])
-    phi = _change_of_variables_at_root(ctx, kind, s)
-    if phi is not None:
-        terms, p1_lu, w = phi
-        rhs += p1_lu.solve_T(np.hstack([czz.T @ w - czy for *_, czz, czy in terms]))
-    d_s = problem.jac_x_factor(xstar, y).solve_T(rhs)
-    return d_s.reshape(problem.d_x, problem.d_x, problem.d_y).transpose(2, 0, 1)
-
-
-def _change_of_variables_at_root(ctx: RootContext, kind: StrategyKind,
-                                 s: Array) -> tuple | None:
-    """For the change of variables phi behind S of the requested kind, at
-    z* = phi^{-1}(x*, y): the list of ``phi.derivatives(z*, y, F_1 e_j)``
-    over j, the factorization of phi_1 and W = phi_1^{-1} (phi_2 - S'), S
-    the plain sensitivity; None for the plain S. The phi terms of the
-    Jacobian of S assume F_1 = F_1', so |F_1 - F_1'| > SYMMETRY_RTOL |F_1|
-    raises CapabilityError.
-    """
-    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
+    u = problem.jac_x_factor(xstar, y).solve(g)
+    term = np.stack([-problem.djac_x_y_apply_T(xstar, y, col).T
+                     - s @ problem.inner.djac_x_dir_x(xstar, y, col) for col in u.T])
     phi = resolve_strategy(problem, kind).change_of_variables(xstar, y)
     if phi is None:
-        return None
+        return term
     f1 = problem.jac_x(xstar, y)
     if np.linalg.norm(f1 - f1.T) > SYMMETRY_RTOL * np.linalg.norm(f1):
         raise CapabilityError("a change of variables' dS/dx needs F_1 = F_1'")
     z = phi.inverse(xstar, y)
     terms = [phi.derivatives(z, y, col) for col in f1.T]
+    czz, czy = (np.stack([t[i] for t in terms]) for i in (2, 3))
     p1_lu = factor(terms[0][0], what="phi_1")
-    return terms, p1_lu, p1_lu.solve(terms[0][1] - s.T)
+    w, v = p1_lu.solve(terms[0][1] - s.T), p1_lu.solve(u)
+    return term + (w.T @ (czz @ v) - czy.transpose(0, 2, 1) @ v).transpose(2, 1, 0)
+
+
+def sensitivity_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
+    """Jacobian at the root of x -> S(x, y), S the sensitivity matrix of the
+    requested kind, in closed form: entry [e, k, j] of the (d_y, d_x, d_x)
+    array is dS_ek/dx_j. Its [:, k] slice is ``_sensitivity_term`` at e_k, so
+    this takes d_x calls of each second derivative of F; only the matrix
+    constant and the comparison's J_phi read it.
+    """
+    return _sensitivity_term(ctx, kind, np.eye(ctx.problem.d_x)).transpose(1, 0, 2)
 
 
 def precond_error_factor_at_root(ctx: RootContext,
@@ -301,7 +269,8 @@ class ComparisonTerms:
     @cached_property
     def jac_phi(self) -> Array:
         # T_phi is the g_1 contraction of d_s_phi, which reparam_gap's sigma
-        # reads anyway.
+        # reads anyway; root_jacobian would redo the phi derivatives and make
+        # one more coupling call.
         ctx = self.ctx
         g1 = ctx.problem.outer.grad_x(ctx.xstar, ctx.y)
         return _read_only(self.d + np.einsum("ekj,k->ej", self.d_s_phi, g1))

@@ -41,23 +41,32 @@ def _shift_affine_problem():
 
 
 def _nonsymmetric_problem():
-    """F = (A + diag(e^y)) x + b x_0 x_1 e_0 - c with a nonsymmetric A, so
-    neither F_1 nor dF_1/dx_j is symmetric."""
+    """F = (A + diag(e^y) + y_0 N) x + b x_0 x_1 e_0 - c with nonsymmetric A
+    and N, so neither F_1, dF_1/dx_j nor dF_1/dy_0 is symmetric: the last
+    tells (dF_1/dy_e)' u from (dF_1/dy_e) u."""
     a, b = np.array([[2.0, 0.6], [-0.4, 1.5]]), 0.3
+    n = np.array([[0.0, 0.5], [-0.2, 0.1]])
     c, t = np.array([1.0, -0.5]), np.array([0.3, 0.7])
 
     def residual(x, y):
-        return (a + np.diag(np.exp(y))) @ x + np.array([b * x[0] * x[1], 0.0]) - c
+        return (a + np.diag(np.exp(y)) + y[0] * n) @ x \
+            + np.array([b * x[0] * x[1], 0.0]) - c
 
     def jac_x(x, y):
-        return a + np.diag(np.exp(y)) + np.array([[b * x[1], b * x[0]], [0.0, 0.0]])
+        return a + np.diag(np.exp(y)) + y[0] * n \
+            + np.array([[b * x[1], b * x[0]], [0.0, 0.0]])
+
+    def jac_y(x, y):
+        f2 = np.diag(np.exp(y) * x)
+        f2[:, 0] += n @ x
+        return f2
 
     inner = CallableInnerOracle(
         residual=residual,
         jac_x=jac_x,
-        jac_y=lambda x, y: np.diag(np.exp(y) * x),
+        jac_y=jac_y,
         djac_x_dir_x=lambda x, y, u: np.array([[b * u[1], b * u[0]], [0.0, 0.0]]),
-        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e),
+        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e) + e[0] * n,
         exact_root=lambda y: hg.newton_root(lambda x: residual(x, y),
                                             lambda x: jac_x(x, y), np.zeros(2)),
     )
@@ -349,8 +358,10 @@ class TestSensitivityTermJacobian:
 # elsewhere it is rounding, below 1e-9.
 FD_REFERENCE_STEP = 1e-4
 FD_REFERENCE_TOL = 4e-7
-# root_jacobian of vanilla and newton against estimator_jacobian_fd on the
-# nonsymmetric problem: at most 1.3e-12 of 1 + max|FD| over seeds 0-19.
+# root_jacobian of vanilla and newton, and vanilla's sensitivity_jacobian,
+# against their FD references on the nonsymmetric problem: over seeds 0-19
+# at most 1.8e-12, 1.6e-12 and 1.2e-12 of 1 + max|FD|. With
+# djac_x_y_apply_T swapped for djac_x_y_apply, vanilla's two read 0.23 and 0.27.
 NONSYMMETRIC_FD_TOL = 1e-10
 # root_jacobian of the caller maps among the reference kinds against
 # estimator_jacobian_fd at its default step: over seeds 0-19 of the four
@@ -415,10 +426,17 @@ class TestSensitivityJacobian:
         for kind in ("exp", "diag-rep"):
             with pytest.raises(hg.CapabilityError, match="F_1"):
                 hg.root_jacobian(ctx, kind)
-        for kind in ("vanilla", "newton"):
-            fd = hg.estimator_jacobian_fd(ctx, kind)
-            assert np.max(np.abs(hg.root_jacobian(ctx, kind) - fd)) \
-                <= NONSYMMETRIC_FD_TOL * (1 + np.max(np.abs(fd))), kind
+        for seed in range(20):
+            ctx = hg.RootContext.solve(problem, seeded_y(problem, seed))
+            assert max(hg.validate_oracles(problem, ctx.xstar, ctx.y).values()) \
+                <= 1e-8, seed
+            pairs = [(hg.root_jacobian(ctx, kind), hg.estimator_jacobian_fd(ctx, kind))
+                     for kind in ("vanilla", "newton")]
+            pairs.append((hg.sensitivity_jacobian(ctx, "vanilla"),
+                          hg.sensitivity_jacobian_fd(ctx, "vanilla")))
+            for i, (closed, fd) in enumerate(pairs):
+                assert np.max(np.abs(closed - fd)) \
+                    <= NONSYMMETRIC_FD_TOL * (1 + np.max(np.abs(fd))), (seed, i)
 
 
 @pytest.mark.parametrize("fixture", sorted(ROUNDING_KINDS))
@@ -434,10 +452,12 @@ def test_root_jacobian_of_caller_maps_matches_the_fd_jacobian(fixture, request):
                 <= CALLER_MAP_FD_TOL * (1 + np.max(np.abs(fd))), (fixture, seed, kind)
 
 
-# root_jacobian, which contracts g_1 before differentiating, against D + the
-# g_1 contraction of sensitivity_jacobian (times E with a P): over seeds 0-19
-# of the four fixtures the largest |contracted - full| / (1 + max|full|) was
-# 1.1e-15 (opt, logistic seed 8).
+# root_jacobian, the Jacobian of S g_1 at the one column g_1, against D + the
+# g_1 contraction of sensitivity_jacobian, the same formula at the d_x unit
+# columns (times E with a P): the term is linear in g, so this checks the
+# column batching and the axis layout. Over seeds 0-19 of the four fixtures
+# the largest |contracted - full| / (1 + max|full|) was 9.2e-16 (opt,
+# logistic seed 8).
 CONTRACTION_TOL = 1e-14
 
 
@@ -474,7 +494,7 @@ def _counting_couplings(problem):
 
 class TestCouplingCallCounts:
     """An efficiency constant contracts g_1 first: one coupling contraction
-    per kind, not the d_x slices of the Jacobian of S."""
+    per kind, not the d_x slices of the Jacobian of S, which take one each."""
 
     @pytest.fixture
     def no_tensor(self, monkeypatch):
@@ -519,6 +539,12 @@ class TestCouplingCallCounts:
         assert not any(r.error for r in records)
         # One per kind but opt, whose Jacobian is D.
         assert len(calls) == 5
+
+    def test_the_tensor_takes_one_per_coordinate(self, logistic_quadratic):
+        problem, calls = _counting_couplings(logistic_quadratic)
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, 5, 3.0, 6.0))
+        hg.sensitivity_jacobian(ctx, "vanilla")
+        assert len(calls) == problem.d_x
 
 
 class TestCompareBounds:

@@ -41,7 +41,9 @@ BASELINE = Path(__file__).resolve().with_name("fixed_outputs.sha256")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 STRATEGIES = "vanilla,newton,diag,exp,diag-rep,opt"
-# Values this small on both sides are finite-difference noise, not output.
+# Values this small on both sides are rounding, not output: the CLI takes no
+# difference step, and compare opt's sigma, zero in exact arithmetic, reads
+# 2.2e-14 to 6.0e-14.
 ABS_FLOOR = 1e-7
 
 RIDGE = ["--train", "ridge_train.libsvm", "--val", "ridge_val.libsvm"]
