@@ -70,8 +70,9 @@ _OPTIONAL_FLAGS = {
 
 def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
     """The flags every run subcommand reads, plus the named optional ones; a
-    flag that sets a RunConfig field defaults to that field's default."""
-    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig)})
+    flag that sets a RunConfig field defaults to that field's default, and
+    a subcommand without ``--svg`` writes no SVG."""
+    parser.set_defaults(svg_path=None, **{f.name: f.default for f in fields(RunConfig)})
     parser.add_argument("--problem", choices=PROBLEM_KINDS)
     parser.add_argument("--train", dest="train_path")
     parser.add_argument("--val", dest="val_path")
@@ -140,11 +141,11 @@ def _cmd_compare(args) -> int:
         terms = ComparisonTerms(ctx, precond, kind)
         bounds = efficiency.compare_bounds(terms)
         delta, delta_lower = efficiency.precond_gap(terms)
-        slack_phi = 1e-6 * (1.0 + abs(bounds.lhs_phi_minus_p))
-        slack_p = 1e-6 * (1.0 + abs(bounds.lhs_p_minus_phi))
-        if bounds.lhs_phi_minus_p < bounds.rhs_phi_minus_p - slack_phi:
+        # lhs_p_minus_phi = -lhs_phi_minus_p, so one slack serves both.
+        slack = 1e-6 * (1.0 + abs(bounds.lhs_phi_minus_p))
+        if bounds.lhs_phi_minus_p < bounds.rhs_phi_minus_p - slack:
             failures += 1
-        if bounds.lhs_p_minus_phi < bounds.rhs_p_minus_phi - slack_p:
+        if bounds.lhs_p_minus_phi < bounds.rhs_p_minus_phi - slack:
             failures += 1
         sigma, sigma_lower = float("nan"), float("nan")
         if isinstance(kind, SeparableReparam):
@@ -179,9 +180,7 @@ def _cmd_ode1d(args) -> int:
         for name, phi in candidates:
             rows.append((name, trial, trial_seed, y[0],
                          super_efficiency_residual_1d(ctx, phi)))
-    _write(args.out_path, csv_text(meta, "candidate,trial,seed,y,residual", rows))
-    if args.out_path:
-        print(f"wrote {args.out_path}")
+    _write_outputs(args, csv_text(meta, "candidate,trial,seed,y,residual", rows), rows)
     return 0
 
 

@@ -40,6 +40,7 @@ from .estimators import (
     Reparameterization,
     SeparableReparam,
     StrategyKind,
+    anchored_reparam,
     make_estimator,
     newton_separable_reparam,
     resolve_strategy,
@@ -383,8 +384,7 @@ def newton_reparam_deviations(ctx: RootContext,
     larger of the left and right contractions' gaps, over all probes.
     """
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
-    shift = xstar if sep.offset else np.zeros_like(xstar)
-    zstar = sep.q_inverse(sep.r_solve(xstar, y, xstar - shift), y)
+    zstar = anchored_reparam(sep, xstar, y).inverse(xstar, y)
     # The Newton-like family's own z at the root is x* itself.
     ideal = newton_separable_reparam(problem)
     dev_q = float(np.linalg.norm(sep.q(zstar, y) - ideal.q(xstar, y)))

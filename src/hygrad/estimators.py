@@ -144,6 +144,27 @@ def identity_reparam() -> Reparameterization:
     )
 
 
+def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
+    """phi(z) = a * exp(b z), element-wise over ``size`` coordinates, for a
+    nonzero b and a nonzero a (one scalar, or one value per coordinate);
+    phi does not depend on y. a b and a b^2 are formed once, here."""
+    ab, ab2 = a * b, a * b * b
+
+    def inverse(x, y):
+        q = as_vector(x, size, "x") / a
+        if (q <= 0.0).any():
+            raise DomainError("point is outside the exponential range")
+        return np.log(q) / b
+
+    def derivatives(z, y, w):
+        e = np.exp(b * z)
+        return (np.diag(ab * e), np.zeros((size, y.shape[0])),
+                np.diag(w * ab2 * e), np.zeros((size, y.shape[0])))
+
+    return Reparameterization(forward=lambda z, y: a * np.exp(b * z),
+                              inverse=inverse, derivatives=derivatives)
+
+
 def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
     """phi(z) = sign(anchor) * exp(z), element-wise.
 
@@ -152,45 +173,17 @@ def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
     Callers that sweep iterates are expected to skip such points rather
     than perturb them.
     """
-    anchor = as_vector(anchor_x, name="anchor")
-    if np.any(anchor == 0.0):
+    signs = np.sign(as_vector(anchor_x, name="anchor"))
+    if not signs.all():
         raise DomainError("exponential reparameterization needs nonzero coordinates")
-    signs = np.sign(anchor)
-
-    def inverse(x, y):
-        q = signs * as_vector(x, signs.shape[0], "x")
-        if np.any(q <= 0.0):
-            raise DomainError("point is outside the signed-exponential range")
-        return np.log(q)
-
-    return Reparameterization(
-        forward=lambda z, y: signs * np.exp(z),
-        inverse=inverse,
-        derivatives=lambda z, y, w: (
-            np.diag(signs * np.exp(z)), np.zeros((z.shape[0], y.shape[0])),
-            np.diag(w * signs * np.exp(z)), np.zeros((z.shape[0], y.shape[0]))),
-    )
+    return _exp_map(signs, 1.0, signs.shape[0])
 
 
 def exp_family_reparam_1d(alpha: float, beta: float) -> Reparameterization:
     """Scalar map phi(z) = alpha * exp(beta z) (z and x one-dimensional)."""
     if not (np.isfinite(alpha) and np.isfinite(beta)) or alpha == 0 or beta == 0:
         raise UsageError("alpha and beta must be finite and nonzero")
-
-    def inverse(x, y):
-        q = as_vector(x, 1, "x")[0] / alpha
-        if q <= 0.0:
-            raise DomainError("point is outside the exponential range")
-        return np.array([np.log(q) / beta])
-
-    return Reparameterization(
-        forward=lambda z, y: np.array([alpha * np.exp(beta * z[0])]),
-        inverse=inverse,
-        derivatives=lambda z, y, w: (
-            np.array([[alpha * beta * np.exp(beta * z[0])]]), np.zeros((1, y.shape[0])),
-            np.array([[w[0] * alpha * beta * beta * np.exp(beta * z[0])]]),
-            np.zeros((1, y.shape[0]))),
-    )
+    return _exp_map(alpha, beta, 1)
 
 
 # --------------------------------------------------------------------------

@@ -10,12 +10,12 @@ A bilevel problem is a pair of oracles over (x, y) with x the inner variable
 - the outer oracle exposes the objective value, gradients, and the
   second-derivative blocks the estimators need.
 
-All oracles must be pure functions of their arguments: problems are shared
-freely across concurrent read-only evaluations, so implementations must not
-mutate interior state. A ``BilevelProblem``'s memo of recent blocks, F_1 and
-diag(F_1) factorizations and roots is its only mutable state, and it sits
-behind ``functools.lru_cache``; two threads that compute the same block get
-equal values.
+An oracle's results must depend only on its arguments, since problems are
+shared freely across concurrent evaluations; an oracle's cache (the logistic
+oracle keeps its last point's sigmoids) is replaced whole, never in parts. A
+``BilevelProblem``'s memo of recent blocks, F_1 and diag(F_1) factorizations
+and roots sits behind ``functools.lru_cache``; two threads that compute the
+same block get equal values.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Benchmark runner, slope fitting, CSV and SVG emission."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import hygrad as hg
 from hygrad.bench import DecayTrace, SweepRecord
-from hygrad.errors import InsufficientDataError
+from hygrad.errors import InsufficientDataError, ParseError
 
 
 def _trace(rows, strategy="s"):
@@ -211,6 +212,80 @@ class TestRunEfficiencySweep:
                               trials=3, seed=100)
         records = hg.run_efficiency_sweep(config)
         assert [r.seed for r in records] == [100, 101, 102]
+
+    def test_failing_constant_marks_only_its_record(self, monkeypatch):
+        # newton's constant fails at trial 1 only: that record holds NaN and
+        # the error, the sweep goes on, and every other record is as in a
+        # run without the failure.
+        config = hg.RunConfig(problem="scalar", strategies=("vanilla", "newton", "diag"),
+                              trials=3, seed=9)
+        plain = hg.run_efficiency_sweep(config)
+        real = hg.bench.efficiency_constant
+        newton_calls = []
+
+        def failing(ctx, strategy):
+            if strategy == "newton":
+                newton_calls.append(ctx.y)
+                if len(newton_calls) == 2:
+                    raise hg.NumericalFailure("injected failure")
+            return real(ctx, strategy)
+        monkeypatch.setattr(hg.bench, "efficiency_constant", failing)
+        records = hg.run_efficiency_sweep(config)
+        assert [(r.strategy, r.trial, r.seed) for r in records] == \
+            [(r.strategy, r.trial, r.seed) for r in plain]
+        for got, want in zip(records, plain):
+            if (got.strategy, got.trial) == ("newton", 1):
+                assert np.isnan(got.c_y) and got.error == "injected failure"
+            else:
+                assert got == want
+        lines = hg.emit_csv(records).splitlines()
+        assert "# error_newton_1=injected failure" in lines
+        assert "newton,1,10,nan" in lines
+
+    def test_failing_root_marks_every_strategy_of_its_trial(self, monkeypatch):
+        config = hg.RunConfig(problem="scalar", strategies=("vanilla", "exp", "opt"),
+                              trials=3, seed=9)
+        plain = hg.run_efficiency_sweep(config)
+        real = hg.bench.RootContext
+        solves = []
+
+        def solve(problem, y):
+            solves.append(y)
+            if len(solves) == 2:
+                raise hg.NumericalFailure("no root")
+            return real.solve(problem, y)
+        monkeypatch.setattr(hg.bench, "RootContext", SimpleNamespace(solve=solve))
+        records = hg.run_efficiency_sweep(config)
+        assert len(solves) == 3
+        assert [(r.strategy, r.trial, r.seed) for r in records] == \
+            [(r.strategy, r.trial, r.seed) for r in plain]
+        for got, want in zip(records, plain):
+            if got.trial == 1:
+                assert np.isnan(got.c_y) and got.error == "no root"
+            else:
+                assert got == want
+        meta = [ln for ln in hg.emit_csv(records).splitlines() if ln.startswith("# error_")]
+        assert meta == [f"# error_{s}_1=no root" for s in sorted(config.strategies)]
+
+
+class TestReadDecayCsv:
+    HEADER = "strategy,step,inner_error,hypergrad_error"
+
+    @pytest.mark.parametrize("text, line, match", [
+        ("# seed=1\nstrategy,step,inner\nvanilla,0,1.0\n", 2, "unexpected header"),
+        (f"{HEADER}\nvanilla,0,1.0,0.5\n\nvanilla,1,0.5\n", 4,
+         "expected 4 columns, got 3"),
+        (f"# a=b\n{HEADER}\nvanilla,0,1.0,0.5\nvanilla,one,0.5,0.25\n", 4,
+         "invalid literal for int"),
+        (f"{HEADER}\nvanilla,0,1.0,0.5\nvanilla,1,half,0.25\n", 3,
+         "could not convert string to float"),
+        ("# seed=1\n\n# a=b\n", None, "no header line found"),
+    ], ids=["wrong-header", "three-columns", "non-numeric-step", "non-numeric-error",
+            "no-header"])
+    def test_malformed_text_names_its_line(self, text, line, match):
+        with pytest.raises(ParseError, match=match) as exc:
+            hg.read_decay_csv(text)
+        assert exc.value.line == line
 
 
 class TestFitSlope:

@@ -58,9 +58,9 @@ def test_lower_is_better_and_the_bound(tool):
 
 
 def test_records_accumulate_keyed_by_parent_and_change(tool):
-    legacy = {"parent": "p0", "pairs": 10}          # one record, no change key
+    legacy = {"parent": "p0", "pairs": 10}          # an early record, no change key
     first = {"parent": "p1", "change": "c1", "pairs": 10}
-    records = tool.accumulate(legacy, first)
+    records = tool.accumulate([legacy], first)
     assert records == [legacy, first]
     assert tool.accumulate(None, first) == [first]
 
@@ -74,14 +74,17 @@ def test_records_accumulate_keyed_by_parent_and_change(tool):
 def test_main_records_each_sides_traced_counts(tool, monkeypatch, tmp_path):
     # A stubbed perfbench/run.py: end-to-end runs report the four metrics,
     # traced runs a count, a time and a ratio, with one count that differs.
+    # Each call is keyed by its side's role, whatever the checkout's
+    # directory is named.
     calls = []
 
     def fake_run(cmd, cwd, capture_output, text):
-        calls.append((Path(cwd).name, cmd[2:]))
+        role = "change" if Path(cwd).resolve() == tool.CHECKOUT else "parent"
+        calls.append((role, cmd[2:]))
         if "--trace" in cmd:
             metrics = {"linalg.lu_factor.calls": (2, "count"),
                        "models.oracle.jac_x.calls": (
-                           1 if Path(cwd).name == "parent" else 3, "count"),
+                           1 if role == "parent" else 3, "count"),
                        "linalg.self_s": (0.01, "s"),
                        "linalg.lu_factor.distinct_frac": (1.0, "ratio")}
         else:
@@ -102,12 +105,14 @@ def test_main_records_each_sides_traced_counts(tool, monkeypatch, tmp_path):
     assert tool.main(["HEAD", "--workload", "efficiency-ridge", "--pairs", "2",
                       "--seed", "7"]) == 0
 
-    traced = [(root, args) for root, args in calls if "--trace" in args]
-    assert sorted(root for root, _ in traced) == ["parent", tool.CHECKOUT.name]
+    traced = [(role, args) for role, args in calls if "--trace" in args]
+    assert sorted(role for role, _ in traced) == ["change", "parent"]
     for _, args in traced:
         assert args == ["--workload", "efficiency-ridge", "--seed", "101",
                         "--seconds", "0", "--trace", "1"]
     assert len(calls) == 2 * 2 + 2
+    assert [role for role, args in calls if "--trace" not in args] == \
+        ["parent", "change", "change", "parent"]
     [record] = json.loads((tmp_path / "BENCH_efficiency-ridge.json").read_text())
     assert record["counts_seed"] == 101
     assert record["counts"] == {

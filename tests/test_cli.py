@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hygrad as hg
@@ -265,6 +266,36 @@ class TestCompareCommand:
             "--precond-scale", "1.5", "--y-low", "3", "--y-high", "6",
             "--trials", "1", "--seed", "5", "--out", "cmp.csv"], ["cmp.csv"])
         assert one == two
+
+    # (lhs_phi_minus_p, rhs_phi_minus_p, rhs_p_minus_phi) returned by a stubbed
+    # compare_bounds, with lhs_p_minus_phi = -lhs_phi_minus_p, and the number
+    # of inequalities that run violates. The slack is 1e-6 (1 + |lhs|).
+    @pytest.mark.parametrize("lhs, rhs_phi, rhs_p, violated", [
+        (1.0, 2.0, 0.0, 2),
+        (1.0, 2.0, -2.0, 1),
+        (1.0, 0.5, 0.0, 1),
+        (1e6, 1e6 + 0.9, -1e6 + 0.9, 0),
+        (1e6, 1e6 + 1.1, -1e6 + 1.1, 2),
+    ], ids=["both", "phi-minus-p", "p-minus-phi", "within-slack", "beyond-slack"])
+    def test_violations_are_counted_and_exit_three(self, tmp_path, capsys, monkeypatch,
+                                                   lhs, rhs_phi, rhs_p, violated):
+        def fake_bounds(terms):
+            return hg.ComparisonBounds(
+                lhs_phi_minus_p=lhs, rhs_phi_minus_p=rhs_phi, lhs_p_minus_phi=-lhs,
+                rhs_p_minus_phi=rhs_p, v_p=np.ones(1), v_phi=np.ones(1))
+        monkeypatch.setattr(hg.efficiency, "compare_bounds", fake_bounds)
+        out = tmp_path / "cmp.csv"
+        code = run(["compare", "--problem", "linear1d", "--trials", "1", "--seed", "2",
+                    "--out", str(out)])
+        captured = capsys.readouterr()
+        # The CSV is written whether or not an inequality fails.
+        assert out.read_text().splitlines()[-1].startswith(
+            f"0,2,{lhs!r},{rhs_phi!r},{-lhs!r},{rhs_p!r},")
+        if violated:
+            assert code == 3
+            assert f"{violated} comparison inequalities violated" in captured.err
+        else:
+            assert code == 0 and captured.err == ""
 
     def test_bad_reparam_exits_one(self):
         assert run(["compare", "--problem", "linear1d",

@@ -234,6 +234,8 @@ class TestConstructors:
         phi = hg.signed_exp_reparam(np.array([1.0]))
         with pytest.raises(DomainError):
             phi.inverse(np.array([-1.0]), np.zeros(1))
+        with pytest.raises(DomainError):
+            hg.exp_family_reparam_1d(-1.5, 0.7).inverse(np.array([0.4]), np.zeros(1))
 
     def test_preconditioner_solve_matches_matrix(self, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 2)

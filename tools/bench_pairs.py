@@ -15,8 +15,7 @@ directory: the parent and change commits, seed and run length, every run's
 ``correct``/``attempted``/``failed`` and metric values, and per end-to-end
 metric of ``BENCHMARK.json`` each side's median and quartiles and the
 change's wins. The parent and change commits key the record: it replaces
-an earlier one with the same pair, and a file holding a single record (the
-older format) reads as the first entry. ``gain_holds`` applies the rule
+an earlier one with the same pair. ``gain_holds`` applies the rule
 a claimed gain must meet: the change wins at least nine tenths of the pairs
 (ties count for neither), and its median beats the parent's by more than
 the parent's interquartile range. ``within_bound`` says whether the
@@ -124,16 +123,12 @@ def change_commit() -> str:
     return head + "-dirty" if dirty else head
 
 
-def accumulate(records: object, record: dict) -> list:
-    """``records``, the parsed contents of a BENCH file (a list, or one
-    record in the older format), with ``record`` appended in place of any
-    entry with the same parent and change commits."""
-    if records is None:
-        records = []
-    elif not isinstance(records, list):
-        records = [records]
+def accumulate(records: list | None, record: dict) -> list:
+    """``records``, the parsed list of a BENCH file (None for no file), with
+    ``record`` appended in place of any entry with the same parent and
+    change commits. The earliest entries have no ``change`` key."""
     key = (record["parent"], record["change"])
-    return [r for r in records if (r["parent"], r.get("change")) != key] + [record]
+    return [r for r in records or [] if (r["parent"], r.get("change")) != key] + [record]
 
 
 def export(rev: str, into: Path) -> str:
