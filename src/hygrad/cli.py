@@ -131,14 +131,15 @@ def _cmd_compare(args) -> int:
                                     args.precond_scale)
     meta = {"precond_scale": args.precond_scale, "prng": PRNG_NAME,
             "problem": config.problem, "reparam": args.reparam, "seed": config.seed}
-    kind = resolve_strategy(problem, args.reparam).reparam
+    separable = isinstance(resolve_strategy(problem, args.reparam).reparam,
+                           SeparableReparam)
     rows = []
     failures = 0
     for trial, trial_seed, y in seeded_trials(config, problem.d_y):
         # One root per trial; the problem keeps it, so opt's inverse of Q
         # reuses it too.
         ctx = RootContext.solve(problem, y)
-        terms = ComparisonTerms(ctx, precond, kind)
+        terms = ComparisonTerms(ctx, precond, args.reparam)
         bounds = efficiency.compare_bounds(terms)
         delta, delta_lower = efficiency.precond_gap(terms)
         # lhs_p_minus_phi = -lhs_phi_minus_p, so one slack serves both.
@@ -148,7 +149,7 @@ def _cmd_compare(args) -> int:
         if bounds.lhs_p_minus_phi < bounds.rhs_p_minus_phi - slack:
             failures += 1
         sigma, sigma_lower = float("nan"), float("nan")
-        if isinstance(kind, SeparableReparam):
+        if separable:
             sigma, sigma_lower = efficiency.reparam_gap(terms)
         rows.append((trial, trial_seed, bounds.lhs_phi_minus_p, bounds.rhs_phi_minus_p,
                      bounds.lhs_p_minus_phi, bounds.rhs_p_minus_phi,

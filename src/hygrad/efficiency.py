@@ -12,13 +12,14 @@ E = I - P^{-1} F_1. One formula, ``_sensitivity_term``, differentiates S
 contracted with fixed vectors g_k, one call each of ``djac_x_y_apply_T``
 and ``djac_x_dir_x`` per vector (and, for a change of variables, d_x calls
 of ``phi.derivatives``): T is its value at g_1, and the whole Jacobian of S
-(``sensitivity_jacobian``), read only by the matrix constant and the
-comparison's J_phi, its value at the d_x unit vectors. Nothing on these
-paths is differenced; the ``*_fd`` Jacobians are test references. T_phi
-vanishes for the Newton-like family, so opt's constant is exactly |D|; the
-comparison's U+- and V+- are J_phi +- J_P. The Taylor check
-``test_root_jacobian_is_the_estimators_derivative`` ties root_jacobian to
-the estimators. Everything here holds at the root only, where F = 0.
+(``sensitivity_jacobian``), read only by the sensitivity efficiency
+constant (reparam_gap's sigma), its value at the d_x unit vectors. Nothing
+on these paths is differenced; the ``*_fd`` Jacobians are test references.
+T_phi vanishes for the Newton-like family, so opt's constant is exactly
+|D|; the comparison's U+- and V+- are J_phi +- J_P, both ``root_jacobian``.
+The Taylor check ``test_root_jacobian_is_the_estimators_derivative`` ties
+root_jacobian to the estimators. Everything here holds at the root only,
+where F = 0.
 
 Every at-root analysis takes one ``RootContext``, whose root was solved
 once, and reads its ``xstar``; the problem keeps that root, so estimators
@@ -189,8 +190,8 @@ def sensitivity_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
     """Jacobian at the root of x -> S(x, y), S the sensitivity matrix of the
     requested kind, in closed form: entry [e, k, j] of the (d_y, d_x, d_x)
     array is dS_ek/dx_j. Its [:, k] slice is ``_sensitivity_term`` at e_k, so
-    this takes d_x calls of each second derivative of F; only the matrix
-    constant and the comparison's J_phi read it.
+    this takes d_x calls of each second derivative of F; only
+    ``sensitivity_efficiency_constant`` reads it.
     """
     return _sensitivity_term(ctx, kind, np.eye(ctx.problem.d_x)).transpose(1, 0, 2)
 
@@ -223,15 +224,11 @@ def sensitivity_jacobian_fd(ctx: RootContext, kind: StrategyKind,
                        fd_step(ctx.xstar, eps, JACOBIAN_FD_STEP), "sensitivity matrix")
 
 
-def _matrix_constant(d_s: Array) -> float:
-    """Operator norm of the Jacobian of x -> vec(S(x, y))."""
-    return spectral_norm(d_s.reshape(-1, d_s.shape[-1]))
-
-
 def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind) -> float:
     """Efficiency constant of the sensitivity matrix itself: the operator norm
     of the (d_y d_x) x d_x Jacobian of x -> vec(S(x, y)) (``sensitivity_jacobian``)."""
-    return _matrix_constant(sensitivity_jacobian(ctx, kind))
+    d_s = sensitivity_jacobian(ctx, kind)
+    return spectral_norm(d_s.reshape(-1, d_s.shape[-1]))
 
 
 # --------------------------------------------------------------------------
@@ -239,16 +236,15 @@ def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind) -> flo
 
 @dataclass(frozen=True, eq=False)
 class ComparisonTerms:
-    """The at-root terms that compare_bounds, precond_gap and reparam_gap
-    share for one trial, each computed from the context's problem when
-    first read and then kept (arrays read-only).
+    """The at-root terms that at least two of compare_bounds, precond_gap and
+    reparam_gap read for one trial, each computed from the context's problem
+    when first read and then kept (arrays read-only).
 
-    J_P = (D + T) E is the preconditioned estimator's ``root_jacobian`` and
-    J_phi = D + T_phi the reparameterized one's, D the outer curvature, and
-    ``top_*`` their top singular pairs, whose values are the efficiency
-    constants. With a separable ``reparam``, J_phi is also reparam_gap's
-    localized Jacobian. ``d_s_phi``, the ``sensitivity_jacobian`` of that
-    side's S, gives T_phi and reparam_gap's sensitivity constant.
+    J_P and J_phi are the ``root_jacobian`` of the preconditioned and the
+    reparameterized estimator, (D + T) E and D + T_phi with D the outer
+    curvature, and ``top_*`` their top singular pairs, whose values are the
+    efficiency constants. With the "opt" key J_phi is D, by the rule
+    ``root_jacobian`` applies to that key.
     """
 
     ctx: RootContext
@@ -256,25 +252,12 @@ class ComparisonTerms:
     reparam: StrategyKind
 
     @cached_property
-    def d(self) -> Array:
-        return _read_only(outer_curvature(self.ctx))
-
-    @cached_property
-    def d_s_phi(self) -> Array:
-        return _read_only(sensitivity_jacobian(self.ctx, self.reparam))
-
-    @cached_property
     def jac_p(self) -> Array:
         return _read_only(root_jacobian(self.ctx, self.precond))
 
     @cached_property
     def jac_phi(self) -> Array:
-        # T_phi is the g_1 contraction of d_s_phi, which reparam_gap's sigma
-        # reads anyway; root_jacobian would redo the phi derivatives and make
-        # one more coupling call.
-        ctx = self.ctx
-        g1 = ctx.problem.outer.grad_x(ctx.xstar, ctx.y)
-        return _read_only(self.d + np.einsum("ekj,k->ej", self.d_s_phi, g1))
+        return _read_only(root_jacobian(self.ctx, self.reparam))
 
     @cached_property
     def top_p(self) -> tuple[float, Array]:
@@ -331,23 +314,26 @@ def precond_gap(terms: ComparisonTerms) -> tuple[float, float]:
 
 def reparam_gap(terms: ComparisonTerms) -> tuple[float, float]:
     """Asymptotic advantage of a near-ideal localized reparameterization,
-    the terms' reparameterization being a SeparableReparam (else UsageError).
+    the terms' reparameterization being a SeparableReparam or the key of one
+    (else UsageError).
 
     Returns (sigma, lower_bound) with sigma = |g_1| times the sensitivity
     efficiency constant of the localized family and lower_bound the
     sigma -> 0 limit term of compare_bounds' lhs_p_minus_phi.
     """
-    if not isinstance(terms.reparam, SeparableReparam):
+    ctx = terms.ctx
+    if not isinstance(resolve_strategy(ctx.problem, terms.reparam).reparam,
+                      SeparableReparam):
         kind = terms.reparam if isinstance(terms.reparam, str) \
             else type(terms.reparam).__name__
         raise UsageError(f"reparam_gap needs a localized family "
                          f"(SeparableReparam), not {kind!r}")
-    g1 = terms.ctx.problem.outer.grad_x(terms.ctx.xstar, terms.ctx.y)
-    sigma = float(np.linalg.norm(g1)) * _matrix_constant(terms.d_s_phi)
+    g1 = ctx.problem.outer.grad_x(ctx.xstar, ctx.y)
+    sigma = float(np.linalg.norm(g1)) * sensitivity_efficiency_constant(ctx, terms.reparam)
 
     v_phi = terms.top_phi[1]
     return sigma, float(np.linalg.norm(terms.jac_p @ v_phi) ** 2
-                        - np.linalg.norm(terms.d @ v_phi) ** 2)
+                        - np.linalg.norm(outer_curvature(ctx) @ v_phi) ** 2)
 
 
 # --------------------------------------------------------------------------

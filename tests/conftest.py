@@ -94,6 +94,28 @@ def lu_calls(monkeypatch):
     return calls
 
 
+def shift_problem(d):
+    """F(x, y) = x - y with the affine outer objective 1'x: every derivative
+    is exact and the root, x* = y, has a constant sensitivity."""
+    inner = hg.CallableInnerOracle(
+        residual=lambda x, y: x - y,
+        jac_x=lambda x, y: np.eye(d),
+        jac_y=lambda x, y: -np.eye(d),
+        djac_x_dir_x=lambda x, y, u: np.zeros((d, d)),
+        djac_x_dir_y=lambda x, y, e: np.zeros((d, d)),
+        exact_root=lambda y: y.copy(),
+    )
+    outer = hg.CallableOuterOracle(
+        value=lambda x, y: float(np.sum(x)),
+        grad_x=lambda x, y: np.ones(d),
+        grad_y=lambda x, y: np.zeros(d),
+        hess_xx=lambda x, y: np.zeros((d, d)),
+        jac_gradY_x=lambda x, y: np.zeros((d, d)),
+        jac_gradX_y=lambda x, y: np.zeros((d, d)),
+    )
+    return hg.BilevelProblem(inner=inner, outer=outer, d_x=d, d_y=d, name="shift")
+
+
 def seeded_y(problem, seed, low=-1.0, high=1.0):
     return hg.sample_y(problem.d_y, low, high, seed)
 

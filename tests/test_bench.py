@@ -197,6 +197,25 @@ class TestBuildProblem:
                                   getattr(explicit.outer, method)(x, y))
 
 
+    def test_quadratic_outer_needs_val(self, libsvm_dir):
+        config = hg.RunConfig(problem="ridge",
+                              train_path=str(libsvm_dir / "reg_train.libsvm"))
+        with pytest.raises(hg.UsageError, match="needs --val"):
+            hg.build_problem(config)
+
+
+@pytest.mark.parametrize("fields, match", [
+    (dict(problem="bogus"), "unknown problem 'bogus'"),
+    (dict(strategies=()), "at least one strategy"),
+    (dict(steps=-1), "steps must be nonnegative"),
+    (dict(trials=0), "trials must be at least 1"),
+    (dict(y_low=1.0, y_high=1.0), "need y-low < y-high"),
+], ids=["problem", "strategies", "steps", "trials", "y-range"])
+def test_run_config_refuses(fields, match):
+    with pytest.raises(hg.UsageError, match=match):
+        hg.RunConfig(**{"problem": "scalar", **fields})
+
+
 class TestRunEfficiencySweep:
     def test_row_count_and_determinism(self):
         config = hg.RunConfig(problem="scalar", strategies=("vanilla", "newton"),

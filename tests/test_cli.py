@@ -310,6 +310,18 @@ class TestCompareCommand:
 
 
 class TestOde1dCommand:
+    def test_without_out_writes_csv_to_stdout(self, capsys):
+        assert run(["ode1d", "--problem", "linear1d", "--trials", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "candidate,trial,seed,y,residual" in lines
+        assert lines[-1].startswith("exp(a=2,b=2),0,")
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "o.csv"
+        assert run(["ode1d", "--problem", "linear1d", "--trials", "1",
+                    "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
     def test_writes_residuals(self, tmp_path):
         out = tmp_path / "ode.csv"
         code = run(["ode1d", "--problem", "linear1d", "--trials", "2",

@@ -10,34 +10,13 @@ from hygrad.errors import UsageError
 from hygrad.estimators import resolve_strategy
 from hygrad.problems import CallableInnerOracle, CallableOuterOracle
 
-from conftest import comparison_terms, seeded_y
+from conftest import assert_same_bits, comparison_terms, seeded_y, shift_problem
 
 
 def _diagonal_ridge():
     """Ridge whose data Gram matrix is diagonal, so diag(F_1) = F_1."""
     train = hg.Dataset(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 2.0]))
     return hg.make_ridge(train, train, "quadratic")
-
-
-def _shift_affine_problem():
-    """F = x - y with y-independent Jacobian and affine outer objective."""
-    inner = CallableInnerOracle(
-        residual=lambda x, y: x - y,
-        jac_x=lambda x, y: np.eye(2),
-        jac_y=lambda x, y: -np.eye(2),
-        djac_x_dir_x=lambda x, y, u: np.zeros((2, 2)),
-        djac_x_dir_y=lambda x, y, e: np.zeros((2, 2)),
-        exact_root=lambda y: y.copy(),
-    )
-    outer = CallableOuterOracle(
-        value=lambda x, y: float(np.sum(x)),
-        grad_x=lambda x, y: np.ones(2),
-        grad_y=lambda x, y: np.zeros(2),
-        hess_xx=lambda x, y: np.zeros((2, 2)),
-        jac_gradY_x=lambda x, y: np.zeros((2, 2)),
-        jac_gradX_y=lambda x, y: np.zeros((2, 2)),
-    )
-    return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="shift")
 
 
 def _nonsymmetric_problem():
@@ -171,7 +150,7 @@ class TestAnalyticJacobian:
         assert hg.spectral_norm(analytic - fd) <= 1e-5 * hg.spectral_norm(analytic)
 
     def test_super_efficient_case_is_zero(self):
-        problem = _shift_affine_problem()
+        problem = shift_problem(2)
         jac = hg.root_jacobian(
             hg.RootContext.solve(problem, np.array([0.3, -0.4])), "vanilla")
         assert np.max(np.abs(jac)) == 0.0
@@ -492,15 +471,17 @@ def _counting_couplings(problem):
     return replace(problem, inner=replace(problem.inner, djac_x_dir_x=counted)), calls
 
 
+@pytest.fixture
+def no_tensor(monkeypatch):
+    """Fail any call that builds the whole Jacobian of S."""
+    def refused(ctx, kind):
+        raise AssertionError("built the Jacobian of S")
+    monkeypatch.setattr(hg.efficiency, "sensitivity_jacobian", refused)
+
+
 class TestCouplingCallCounts:
     """An efficiency constant contracts g_1 first: one coupling contraction
     per kind, not the d_x slices of the Jacobian of S, which take one each."""
-
-    @pytest.fixture
-    def no_tensor(self, monkeypatch):
-        def refused(ctx, kind):
-            raise AssertionError("efficiency_constant built the Jacobian of S")
-        monkeypatch.setattr(hg.efficiency, "sensitivity_jacobian", refused)
 
     @pytest.mark.parametrize("kind", ["vanilla", "newton", "diag"])
     def test_one_coupling_call_without_a_phi(self, kind, logistic_quadratic, no_tensor):
@@ -577,6 +558,40 @@ class TestCompareBounds:
             slack_p = 1e-6 * (1 + abs(bounds.lhs_p_minus_phi))
             assert bounds.lhs_phi_minus_p >= bounds.rhs_phi_minus_p - slack_phi
             assert bounds.lhs_p_minus_phi >= bounds.rhs_p_minus_phi - slack_p
+
+
+class TestComparisonJacobians:
+    """Both comparison Jacobians are root_jacobian's, read with the key the
+    comparison was given."""
+
+    def test_exp_contracts_g1_first(self, logistic_quadratic, no_tensor):
+        problem, calls = _counting_couplings(logistic_quadratic)
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, 5, 3.0, 6.0))
+        precond = hg.scaled_preconditioner(hg.newton_preconditioner(problem), 1.5)
+        terms = hg.ComparisonTerms(ctx, precond, "exp")
+        hg.compare_bounds(terms)
+        hg.precond_gap(terms)
+        # One contraction for J_P and one for J_phi.
+        assert len(calls) == 2
+        assert_same_bits(terms.jac_phi, hg.root_jacobian(ctx, "exp"))
+
+    def test_opt_is_the_outer_curvature(self, logistic_quadratic):
+        ctx = hg.RootContext.solve(logistic_quadratic,
+                                   seeded_y(logistic_quadratic, 5, 3.0, 6.0))
+        terms = hg.ComparisonTerms(ctx, hg.diag_preconditioner(logistic_quadratic),
+                                   "opt")
+        assert_same_bits(terms.jac_phi, hg.outer_curvature(ctx))
+
+    @pytest.mark.parametrize("key", ["diag-rep", "opt"])
+    def test_reparam_gap_takes_a_key(self, key, ridge_quadratic):
+        y = seeded_y(ridge_quadratic, 14)
+        precond = hg.diag_preconditioner(ridge_quadratic)
+        sigma, lower = hg.reparam_gap(comparison_terms(ridge_quadratic, precond, key, y))
+        sep = resolve_strategy(ridge_quadratic, key).reparam
+        want_sigma, want_lower = hg.reparam_gap(
+            comparison_terms(ridge_quadratic, precond, sep, y))
+        assert_same_bits(sigma, want_sigma)
+        assert lower == pytest.approx(want_lower, rel=1e-12, abs=1e-12)
 
 
 def _precond_gap(terms):
@@ -658,7 +673,7 @@ class TestReparamGap:
 
 class TestSensitivityEfficiencyConstant:
     def test_constant_sensitivity_is_zero(self):
-        problem = _shift_affine_problem()
+        problem = shift_problem(2)
         c = hg.sensitivity_efficiency_constant(
             hg.RootContext.solve(problem, np.array([0.2, 0.5])), "vanilla")
         assert c <= 1e-10

@@ -49,3 +49,52 @@ def test_every_invocation_reproduces_its_baseline_digests(tool, tmp_path,
             if digest != baseline[f"{name} {kind}"]:
                 differ.append(f"{name} {kind}")
     assert not differ, f"outputs differ from the baseline: {', '.join(differ)}"
+
+
+CSV = "# seed=1\nstrategy,step,value\nnewton,0,2.0\nnewton,1,nan\nopt,0,1e-9\n"
+
+
+def _drift(tool, capsys, tmp_path, a_text, b_text):
+    """drift over one file written as a_text and b_text: (status, lines)."""
+    for name, text in (("a", a_text), ("b", b_text)):
+        (tmp_path / name).mkdir()
+        if text is not None:
+            (tmp_path / name / "run.csv").write_text(text)
+    status = tool.drift(tmp_path / "a", tmp_path / "b")
+    return status, capsys.readouterr().out.splitlines()
+
+
+def test_drift_of_identical_files_prints_only_the_count(tool, capsys, tmp_path):
+    # step and value, for each of the keys newton and opt.
+    assert _drift(tool, capsys, tmp_path, CSV, CSV) == (0, ["4 rows unchanged"])
+
+
+def test_drift_prints_a_moved_value_and_its_relative_change(tool, capsys, tmp_path):
+    status, lines = _drift(tool, capsys, tmp_path, CSV,
+                           CSV.replace("newton,0,2.0", "newton,0,2.5"))
+    assert status == 0
+    assert lines == ["run newton value 2.000e-01 2.000e-01", "3 rows unchanged"]
+
+
+def test_drift_below_the_floor_reads_zero_when_gated(tool, capsys, tmp_path):
+    status, lines = _drift(tool, capsys, tmp_path, CSV,
+                           CSV.replace("opt,0,1e-9", "opt,0,2e-9"))
+    assert status == 0
+    assert lines == ["run opt value 5.000e-01 0.000e+00", "3 rows unchanged"]
+
+
+def test_drift_counts_nan_against_nan_as_unchanged(tool, capsys, tmp_path):
+    text = "strategy,value\nnewton,nan\n"
+    assert _drift(tool, capsys, tmp_path, text, text) == (0, ["1 rows unchanged"])
+
+
+@pytest.mark.parametrize("b_text", [
+    CSV.replace("strategy,step,value", "strategy,step,other"),
+    CSV + "opt,1,3.0\n",
+    CSV.replace("opt,0,1e-9", "diag,0,1e-9"),
+    None,
+], ids=["header", "row-count", "non-numeric-cell", "missing-file"])
+def test_drift_exits_one_when_files_do_not_line_up(tool, capsys, tmp_path, b_text):
+    status, lines = _drift(tool, capsys, tmp_path, CSV, b_text)
+    assert status == 1
+    assert lines[0].startswith("run.csv: ")

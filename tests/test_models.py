@@ -260,6 +260,17 @@ class TestDataset:
         ds = hg.Dataset(other.features, other.labels)
         assert ds.features is other.features and ds.labels is other.labels
 
+    @pytest.mark.parametrize("features, labels, match", [
+        (np.ones(3), np.ones(3), "inconsistent"),
+        (np.ones((3, 2)), np.ones((3, 1)), "inconsistent"),
+        (np.ones((3, 2)), np.ones(2), "inconsistent"),
+        (np.ones((0, 2)), np.ones(0), "at least one row and one feature"),
+        (np.ones((3, 0)), np.ones(3), "at least one row and one feature"),
+    ])
+    def test_shapes_are_checked(self, features, labels, match):
+        with pytest.raises(DataError, match=match):
+            hg.Dataset(features, labels)
+
 
 class TestRidge:
     def test_scalar_fixture_equivalence(self, scalar_fixture):

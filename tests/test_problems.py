@@ -9,37 +9,14 @@ from hypothesis import strategies as st
 
 import hygrad as hg
 from hygrad.errors import ContractViolation
-from hygrad.problems import (CallableInnerOracle, CallableOuterOracle, fd_step,
-                             one_hot_coupling)
+from hygrad.problems import CallableInnerOracle, fd_step, one_hot_coupling
 
-from conftest import COUPLINGS, assert_same_bits, seeded_y
-
-
-def _shift_problem():
-    """F(x, y) = x - y with an affine outer objective; all derivatives exact."""
-    d = 3
-    inner = CallableInnerOracle(
-        residual=lambda x, y: x - y,
-        jac_x=lambda x, y: np.eye(d),
-        jac_y=lambda x, y: -np.eye(d),
-        djac_x_dir_x=lambda x, y, u: np.zeros((d, d)),
-        djac_x_dir_y=lambda x, y, e: np.zeros((d, d)),
-        exact_root=lambda y: y.copy(),
-    )
-    outer = CallableOuterOracle(
-        value=lambda x, y: float(np.sum(x)),
-        grad_x=lambda x, y: np.ones(d),
-        grad_y=lambda x, y: np.zeros(d),
-        hess_xx=lambda x, y: np.zeros((d, d)),
-        jac_gradY_x=lambda x, y: np.zeros((d, d)),
-        jac_gradX_y=lambda x, y: np.zeros((d, d)),
-    )
-    return hg.BilevelProblem(inner=inner, outer=outer, d_x=d, d_y=d, name="shift")
+from conftest import COUPLINGS, assert_same_bits, seeded_y, shift_problem
 
 
 class TestValidateOracles:
     def test_affine_map_is_exact(self):
-        problem = _shift_problem()
+        problem = shift_problem(3)
         rng = np.random.default_rng(0)
         report = hg.validate_oracles(problem, rng.normal(size=3),
                                      rng.normal(size=3), step=1e-5)
@@ -78,6 +55,19 @@ class TestValidateOracles:
             outer=scalar_fixture.outer, d_x=1, d_y=1)
         with pytest.raises(ContractViolation):
             hg.validate_oracles(broken, np.array([0.3]), np.array([0.0]))
+
+    @pytest.mark.parametrize("method, block, match", [
+        ("residual", np.zeros((3, 1)), "residual must be 1-d"),
+        ("jac_x", np.zeros(3), "jac_x must be 2-d"),
+        ("jac_x", np.zeros((3, 2)), r"jac_x must have shape \(3, 3\)"),
+        ("jac_x", np.full((3, 3), np.nan), "jac_x contains non-finite"),
+    ])
+    def test_problem_checks_its_oracles_blocks(self, method, block, match):
+        problem = shift_problem(3)
+        broken = replace(problem, inner=replace(problem.inner,
+                                                **{method: lambda x, y: block}))
+        with pytest.raises(ContractViolation, match=match):
+            getattr(broken, method)(np.zeros(3), np.zeros(3))
 
     def test_rejects_nonpositive_step(self, scalar_fixture):
         with pytest.raises(ContractViolation):
@@ -313,7 +303,7 @@ def test_blocks_are_read_only_and_last_five_points_kept():
         jac_y=lambda x, y: np.eye(2),
         djac_x_dir_x=lambda x, y, u: np.zeros((2, 2)),
         djac_x_dir_y=lambda x, y, e: np.zeros((2, 2)), exact_root=exact_root)
-    problem = hg.BilevelProblem(inner=inner, outer=_shift_problem().outer,
+    problem = hg.BilevelProblem(inner=inner, outer=shift_problem(2).outer,
                                 d_x=2, d_y=2)
     y = np.ones(2)
     points = [np.full(2, float(k)) for k in range(6)]

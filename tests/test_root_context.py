@@ -101,8 +101,7 @@ class TestRootContext:
         bounds.v_p[:] = 0.0
         again = hg.compare_bounds(terms)
         assert np.array_equal(again.v_p, v_p)
-        for stored in (terms.d, terms.d_s_phi, terms.jac_p, terms.jac_phi,
-                       terms.top_p[1], terms.top_phi[1]):
+        for stored in (terms.jac_p, terms.jac_phi, terms.top_p[1], terms.top_phi[1]):
             with pytest.raises(ValueError):
                 stored[0] = 1.0
 

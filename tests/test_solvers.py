@@ -1,12 +1,14 @@
 """Gradient descent, Newton root-finding, and the FD ground-truth oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hygrad as hg
 from hygrad.errors import CapabilityError, NumericalFailure, UsageError
 
-from conftest import seeded_y
+from conftest import seeded_y, shift_problem
 
 
 class TestGradientDescent:
@@ -43,6 +45,13 @@ class TestGradientDescent:
             hg.gradient_descent(scalar_fixture, np.zeros(1), np.array([1.0]),
                                 steps=50, step_size=1e160)
         assert exc.value.step is not None
+
+    def test_zero_jacobian_has_no_step_size(self):
+        problem = shift_problem(2)
+        flat = replace(problem, inner=replace(problem.inner,
+                                              jac_x=lambda x, y: np.zeros((2, 2))))
+        with pytest.raises(NumericalFailure, match="zero Jacobian"):
+            hg.gradient_descent(flat, np.zeros(2), np.ones(2), steps=3)
 
     def test_negative_steps_rejected(self, scalar_fixture):
         with pytest.raises(UsageError):

@@ -17,12 +17,15 @@ format). It names every file whose digest differs or is missing on either
 side and exits 1 if there is one. The digests depend on the BLAS build and
 the CPU, so a mismatch on another machine is a question, not a verdict.
 
-``drift`` reads the CSV files of two such directories and prints, for each
-file, row key (the strategy or candidate column, ``*`` when the first column
-is numeric) and numeric column, the largest relative difference
+``drift`` reads the CSV files of two such directories and, for each file,
+row key (the strategy or candidate column, ``*`` when the first column is
+numeric) and numeric column, takes the largest relative difference
 |a - b| / max(|a|, |b|) over all rows, and the same over the rows where
-max(|a|, |b|) > 1e-7. Two NaNs count as equal. It exits 1 when the files'
-headers, row counts or non-numeric cells differ.
+max(|a|, |b|) > 1e-7. Two NaNs count as equal. It prints one such row for
+every (file, key, column) whose first difference is nonzero, then one
+``N rows unchanged`` line for the rest. It exits 1 when a file is missing
+from the second directory or the files' headers, row counts or non-numeric
+cells differ.
 
 Run it from anywhere; it uses the ``src/`` of the checkout it lives in.
 """
@@ -179,6 +182,7 @@ def _rel(a: float, b: float) -> float:
 
 def drift(a_dir: Path, b_dir: Path) -> int:
     status = 0
+    unchanged = 0
     for a_path in sorted(a_dir.glob("*.csv")):
         b_path = b_dir / a_path.name
         if not b_path.exists():
@@ -208,7 +212,11 @@ def drift(a_dir: Path, b_dir: Path) -> int:
                 entry[0] = max(entry[0], rel)
                 entry[1] = max(entry[1], gated)
         for (key, col), (rel, gated) in worst.items():
-            print(f"{a_path.stem} {key} {col} {rel:.3e} {gated:.3e}")
+            if rel == 0.0:
+                unchanged += 1
+            else:
+                print(f"{a_path.stem} {key} {col} {rel:.3e} {gated:.3e}")
+    print(f"{unchanged} rows unchanged")
     return status
 
 
