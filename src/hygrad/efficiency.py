@@ -12,11 +12,11 @@ E = I - P^{-1} F_1. One formula, ``_sensitivity_term``, differentiates S
 contracted with fixed vectors g_k, one call each of ``djac_x_y_apply_T``
 and ``djac_x_dir_x`` per vector (and, for a change of variables, d_x calls
 of ``phi.derivatives``): T is its value at g_1, and the whole Jacobian of S
-(``sensitivity_jacobian``), read only by the sensitivity efficiency
-constant (reparam_gap's sigma), its value at the d_x unit vectors. Nothing
-on these paths is differenced; the ``*_fd`` Jacobians are test references.
-T_phi vanishes for the Newton-like family, so opt's constant is exactly
-|D|; the comparison's U+- and V+- are J_phi +- J_P, both ``root_jacobian``.
+(``sensitivity_jacobian``, read only by reparam_gap's sigma) its value at
+the d_x unit vectors. For the "opt" key it is zero, read without a solve:
+the Newton-like family's S is stationary at the root, so c_y = |D| and
+sigma = 0. Nothing on these paths is differenced; the ``*_fd`` Jacobians
+are test references. The comparison's J_phi and J_P are ``root_jacobian``'s.
 The Taylor check ``test_root_jacobian_is_the_estimators_derivative`` ties
 root_jacobian to the estimators. Everything here holds at the root only,
 where F = 0.
@@ -125,17 +125,12 @@ def estimator_jacobian_fd(ctx: RootContext, kind: StrategyKind,
 
 def root_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
     """Jacobian in x, at the inner root, of the estimator of a strategy key
-    or a caller's oracle: D for the "opt" key (T_phi = 0 for the Newton-like
-    family), else D + T with T the Jacobian of x -> S(x, y) g_1(x*, y)
-    (``_sensitivity_term``; T_phi for a change of variables), times E for a
-    corrective step P (newton, diag or a caller's oracle), which leaves S as
-    it is."""
+    or a caller's oracle: D + T with T the Jacobian of x -> S(x, y) g_1(x*, y)
+    (``_sensitivity_term``; T_phi for a change of variables, zero for the
+    "opt" key, so that key's Jacobian is D), times E for a corrective step P
+    (newton, diag or a caller's oracle), which leaves S as it is."""
     strategy = resolve_strategy(ctx.problem, kind)
-    d = outer_curvature(ctx)
-    if kind == "opt":
-        return d
-    g1 = ctx.problem.outer.grad_x(ctx.xstar, ctx.y)
-    jac = d + _sensitivity_term(ctx, kind, g1[:, None])[0]
+    jac = outer_curvature(ctx) + _sensitivity_term(ctx, kind)[0]
     if strategy.precond is None:
         return jac
     return jac @ precond_error_factor_at_root(ctx, strategy.precond)
@@ -149,11 +144,12 @@ def efficiency_constant(ctx: RootContext, kind: StrategyKind) -> float:
 # --------------------------------------------------------------------------
 # closed-form blocks at the root
 
-def _sensitivity_term(ctx: RootContext, kind: StrategyKind, g: Array) -> Array:
+def _sensitivity_term(ctx: RootContext, kind: StrategyKind,
+                      g: Array | None = None) -> Array:
     """The Jacobians at the root of x -> S(x, y) g_k, S the sensitivity
     matrix of the requested kind, for the m columns g_k of the (d_x, m)
-    matrix g, each held fixed: an (m, d_y, d_x) array. With u = F_1^{-1} g_k
-    and v = phi_1^{-1} u, column j of slice k is
+    matrix g (by default g_1(x*, y)), each held fixed: an (m, d_y, d_x)
+    array. With u = F_1^{-1} g_k and v = phi_1^{-1} u, column j of slice k is
 
         -(dF_2/dx_j)' u - S (dF_1/dx_j) u + W' (phi_11 F_1 e_j) v
             - (phi_21 F_1 e_j)' v,
@@ -164,20 +160,27 @@ def _sensitivity_term(ctx: RootContext, kind: StrategyKind, g: Array) -> Array:
     of ``reparam_sensitivity`` linear in F move, along dF = F_1 e_j. The
     plain part takes one call each of ``djac_x_y_apply_T`` and
     ``djac_x_dir_x`` per column and holds for any F_1; the phi terms take
-    d_x calls of ``phi.derivatives`` and need F_1 = F_1', so
-    |F_1 - F_1'| > SYMMETRY_RTOL |F_1| raises CapabilityError.
+    d_x calls of ``phi.derivatives`` and need F_1 = F_1', so for any change
+    of variables |F_1 - F_1'| > SYMMETRY_RTOL |F_1| raises CapabilityError.
+    After that check the "opt" key's array is zero, with no further call.
     """
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
+    strategy = resolve_strategy(problem, kind)
+    f1 = problem.jac_x(xstar, y)
+    if strategy.reparam is not None \
+            and np.linalg.norm(f1 - f1.T) > SYMMETRY_RTOL * np.linalg.norm(f1):
+        raise CapabilityError("a change of variables' dS/dx needs F_1 = F_1'")
+    if kind == "opt":
+        return np.zeros((1 if g is None else g.shape[1], problem.d_y, problem.d_x))
+    if g is None:
+        g = problem.outer.grad_x(xstar, y)[:, None]
     s = solution_sensitivity(problem, xstar, y)
     u = problem.jac_x_factor(xstar, y).solve(g)
     term = np.stack([-problem.djac_x_y_apply_T(xstar, y, col).T
                      - s @ problem.inner.djac_x_dir_x(xstar, y, col) for col in u.T])
-    phi = resolve_strategy(problem, kind).change_of_variables(xstar, y)
+    phi = strategy.change_of_variables(xstar, y)
     if phi is None:
         return term
-    f1 = problem.jac_x(xstar, y)
-    if np.linalg.norm(f1 - f1.T) > SYMMETRY_RTOL * np.linalg.norm(f1):
-        raise CapabilityError("a change of variables' dS/dx needs F_1 = F_1'")
     z = phi.inverse(xstar, y)
     terms = [phi.derivatives(z, y, col) for col in f1.T]
     czz, czy = (np.stack([t[i] for t in terms]) for i in (2, 3))
@@ -190,8 +193,8 @@ def sensitivity_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
     """Jacobian at the root of x -> S(x, y), S the sensitivity matrix of the
     requested kind, in closed form: entry [e, k, j] of the (d_y, d_x, d_x)
     array is dS_ek/dx_j. Its [:, k] slice is ``_sensitivity_term`` at e_k, so
-    this takes d_x calls of each second derivative of F; only
-    ``sensitivity_efficiency_constant`` reads it.
+    this takes d_x calls of each second derivative of F (none for the "opt"
+    key, whose array is zero); only ``sensitivity_efficiency_constant`` reads it.
     """
     return _sensitivity_term(ctx, kind, np.eye(ctx.problem.d_x)).transpose(1, 0, 2)
 
@@ -243,8 +246,8 @@ class ComparisonTerms:
     J_P and J_phi are the ``root_jacobian`` of the preconditioned and the
     reparameterized estimator, (D + T) E and D + T_phi with D the outer
     curvature, and ``top_*`` their top singular pairs, whose values are the
-    efficiency constants. With the "opt" key J_phi is D, by the rule
-    ``root_jacobian`` applies to that key.
+    efficiency constants. With the "opt" key J_phi is D: that key's
+    Jacobian of S is zero (``_sensitivity_term``).
     """
 
     ctx: RootContext
@@ -318,8 +321,9 @@ def reparam_gap(terms: ComparisonTerms) -> tuple[float, float]:
     (else UsageError).
 
     Returns (sigma, lower_bound) with sigma = |g_1| times the sensitivity
-    efficiency constant of the localized family and lower_bound the
-    sigma -> 0 limit term of compare_bounds' lhs_p_minus_phi.
+    efficiency constant of the localized family (exactly 0 for the "opt"
+    key) and lower_bound the sigma -> 0 limit term of compare_bounds'
+    lhs_p_minus_phi.
     """
     ctx = terms.ctx
     if not isinstance(resolve_strategy(ctx.problem, terms.reparam).reparam,

@@ -347,6 +347,11 @@ NONSYMMETRIC_FD_TOL = 1e-10
 # fixtures at most 1.3e-8 of 1 + max|FD| (the sinh map, ridge seed 3; the
 # nonsymmetric one 2.8e-9).
 CALLER_MAP_FD_TOL = 1e-7
+# The general formula's Jacobian of S for the Newton-like family, zero in
+# exact arithmetic, over seeds 0-19 of the five fixtures: at most 2.4e-16 of
+# 1 + max|vanilla's| (logistic seed 2); reparam_gap's sigma by that formula
+# at most 2.4e-16 of |g_1| (1 + vanilla's sensitivity constant), the same case.
+OPT_ROUNDING_TOL = 1e-14
 
 
 def _reference_kinds(problem):
@@ -399,12 +404,29 @@ class TestSensitivityJacobian:
                 assert hg.spectral_norm(general - hg.root_jacobian(ctx, "opt")) \
                     <= 1e-14 * scale, (problem.name, seed)
 
+    def test_opt_key_is_zero(self, ridge_quadratic, ridge_affine, logistic_quadratic,
+                             scalar_fixture, linear1d_fixture):
+        # The key's zero against the general formula on the same family.
+        for problem in (ridge_quadratic, ridge_affine, logistic_quadratic,
+                        scalar_fixture, linear1d_fixture):
+            low, high = (3.0, 6.0) if problem is logistic_quadratic else (-1.0, 1.0)
+            for seed in range(20):
+                ctx = hg.RootContext.solve(problem, seeded_y(problem, seed, low, high))
+                key = hg.sensitivity_jacobian(ctx, "opt")
+                assert key.shape == (problem.d_y, problem.d_x, problem.d_x)
+                assert_same_bits(key, np.zeros_like(key))
+                general = hg.sensitivity_jacobian(ctx, hg.newton_separable_reparam(problem))
+                scale = 1 + np.max(np.abs(hg.sensitivity_jacobian(ctx, "vanilla")))
+                assert np.max(np.abs(general)) <= OPT_ROUNDING_TOL * scale, \
+                    (problem.name, seed)
+
     def test_change_of_variables_needs_a_symmetric_f1(self):
         problem = _nonsymmetric_problem()
         ctx = hg.RootContext.solve(problem, np.array([0.2, -0.3]))
-        for kind in ("exp", "diag-rep"):
-            with pytest.raises(hg.CapabilityError, match="F_1"):
-                hg.root_jacobian(ctx, kind)
+        for kind in ("exp", "diag-rep", "opt"):
+            for jacobian in (hg.root_jacobian, hg.sensitivity_jacobian):
+                with pytest.raises(hg.CapabilityError, match="F_1"):
+                    jacobian(ctx, kind)
         for seed in range(20):
             ctx = hg.RootContext.solve(problem, seeded_y(problem, seed))
             assert max(hg.validate_oracles(problem, ctx.xstar, ctx.y).values()) \
@@ -479,6 +501,26 @@ def no_tensor(monkeypatch):
     monkeypatch.setattr(hg.efficiency, "sensitivity_jacobian", refused)
 
 
+@pytest.fixture
+def phi_derivative_calls(monkeypatch):
+    """Record every phi.derivatives call of a strategy's change of variables."""
+    calls = []
+    change_of_variables = hg.Strategy.change_of_variables
+
+    def counted(strategy, x, y):
+        phi = change_of_variables(strategy, x, y)
+        if phi is None:
+            return None
+
+        def derivatives(z, y, w):
+            calls.append(w)
+            return phi.derivatives(z, y, w)
+        return replace(phi, derivatives=derivatives)
+
+    monkeypatch.setattr(hg.Strategy, "change_of_variables", counted)
+    return calls
+
+
 class TestCouplingCallCounts:
     """An efficiency constant contracts g_1 first: one coupling contraction
     per kind, not the d_x slices of the Jacobian of S, which take one each."""
@@ -492,23 +534,11 @@ class TestCouplingCallCounts:
 
     @pytest.mark.parametrize("kind", ["exp", "diag-rep"])
     def test_a_phi_derivative_per_coordinate(self, kind, logistic_quadratic,
-                                             no_tensor, monkeypatch):
+                                             no_tensor, phi_derivative_calls):
         ctx = hg.RootContext.solve(logistic_quadratic,
                                    seeded_y(logistic_quadratic, 5, 3.0, 6.0))
-        calls = []
-        change_of_variables = hg.Strategy.change_of_variables
-
-        def counted(strategy, x, y):
-            phi = change_of_variables(strategy, x, y)
-
-            def derivatives(z, y, w):
-                calls.append(w)
-                return phi.derivatives(z, y, w)
-            return replace(phi, derivatives=derivatives)
-
-        monkeypatch.setattr(hg.Strategy, "change_of_variables", counted)
         hg.efficiency_constant(ctx, kind)
-        assert len(calls) == logistic_quadratic.d_x
+        assert len(phi_derivative_calls) == logistic_quadratic.d_x
 
     def test_ridge_sweep_at_d20(self, monkeypatch):
         train = hg.synthetic_regression_dataset(60, 20, seed=1)
@@ -582,7 +612,7 @@ class TestComparisonJacobians:
                                    "opt")
         assert_same_bits(terms.jac_phi, hg.outer_curvature(ctx))
 
-    @pytest.mark.parametrize("key", ["diag-rep", "opt"])
+    @pytest.mark.parametrize("key", ["diag-rep"])
     def test_reparam_gap_takes_a_key(self, key, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 14)
         precond = hg.diag_preconditioner(ridge_quadratic)
@@ -592,6 +622,39 @@ class TestComparisonJacobians:
             comparison_terms(ridge_quadratic, precond, sep, y))
         assert_same_bits(sigma, want_sigma)
         assert lower == pytest.approx(want_lower, rel=1e-12, abs=1e-12)
+
+    def test_opt_key_sigma_is_zero(self, ridge_quadratic, ridge_affine,
+                                   logistic_quadratic, scalar_fixture,
+                                   linear1d_fixture):
+        # The key's sigma is exactly 0; the family's, by the general formula,
+        # is rounding.
+        for problem in (ridge_quadratic, ridge_affine, logistic_quadratic,
+                        scalar_fixture, linear1d_fixture):
+            low, high = (3.0, 6.0) if problem is logistic_quadratic else (-1.0, 1.0)
+            precond = hg.diag_preconditioner(problem)
+            sep = hg.newton_separable_reparam(problem)
+            for seed in range(20):
+                y = seeded_y(problem, seed, low, high)
+                sigma, _ = hg.reparam_gap(comparison_terms(problem, precond, "opt", y))
+                assert_same_bits(sigma, 0.0)
+                terms = comparison_terms(problem, precond, sep, y)
+                general, _ = hg.reparam_gap(terms)
+                g1 = np.linalg.norm(problem.outer.grad_x(terms.ctx.xstar, y))
+                assert general <= OPT_ROUNDING_TOL * g1 * (
+                    1 + hg.sensitivity_efficiency_constant(terms.ctx, "vanilla")), \
+                    (problem.name, seed)
+
+    def test_an_opt_trial_takes_one_coupling_call(self, logistic_quadratic,
+                                                  phi_derivative_calls):
+        problem, calls = _counting_couplings(logistic_quadratic)
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, 5, 3.0, 6.0))
+        terms = hg.ComparisonTerms(ctx, hg.diag_preconditioner(problem), "opt")
+        hg.compare_bounds(terms)
+        hg.precond_gap(terms)
+        hg.reparam_gap(terms)
+        # J_P's contraction only: the key's Jacobian of S is zero.
+        assert len(calls) == 1
+        assert phi_derivative_calls == []
 
 
 def _precond_gap(terms):

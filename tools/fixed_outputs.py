@@ -45,8 +45,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 STRATEGIES = "vanilla,newton,diag,exp,diag-rep,opt"
 # Values this small on both sides are rounding, not output: the CLI takes no
-# difference step, and compare opt's sigma, zero in exact arithmetic, reads
-# 2.2e-14 to 6.0e-14.
+# difference step, and newton's c_y, zero in exact arithmetic, reads 9.4e-18
+# to 1.8e-14. Compare opt's sigma is exactly 0: its Jacobian of S is not formed.
 ABS_FLOOR = 1e-7
 
 RIDGE = ["--train", "ridge_train.libsvm", "--val", "ridge_val.libsvm"]
