@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import factor, solve_transpose
+from .linalg import factor
 from .problems import BilevelProblem, as_vector
 from .solvers import exact_root, newton_root
 
@@ -120,17 +120,20 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
     (The transpose on the phi_1 inverse in U follows from the chain rule;
     it matters only for changes of variables with a nonsymmetric Jacobian.)
     At the root both contraction terms vanish and this reduces to the plain
-    sensitivity matrix, whatever phi is.
+    sensitivity matrix, whatever phi is. Where phi_11 F is zero (phi linear
+    in z, as in diag-rep), V is F_1, and the solve goes through the
+    problem's factorization of F_1, checked once per point.
     """
     z = phi.inverse(x, y)
     f = problem.residual(x, y)
     f1 = problem.jac_x(x, y)
     f2 = problem.jac_y(x, y)
     p1, p2, czz, czy = phi.derivatives(z, y, f)
-    p1_lu = factor(p1, what="phi_1")    # shared by the three phi_1 solves
+    p1_lu = factor(p1, what="phi_1")    # shared by the phi_1 solves
     u = f2 + f1 @ p2 + p1_lu.solve_T(czy)
-    v = p1_lu.solve_T(p1_lu.solve_T(czz).T).T + f1
-    return p2.T - solve_transpose(v, u, what="V").T
+    v_lu = factor(p1_lu.solve_T(p1_lu.solve_T(czz).T).T + f1, what="V") \
+        if np.any(czz) else problem.jac_x_factor(x, y, "V")
+    return p2.T - v_lu.solve_T(u).T
 
 
 def identity_reparam() -> Reparameterization:

@@ -418,6 +418,14 @@ def logistic_inner_value(train: Dataset, x: Array, y: Array) -> float:
     return float(np.sum(softplus(margins)) + 0.5 * np.sum(np.exp(y) * x * x))
 
 
+def _column_major(features: Array) -> Array:
+    """The features as a read-only column-major matrix: a column-major
+    matrix itself, else a column-major copy."""
+    a = np.asfortranarray(features)
+    a.setflags(write=False)
+    return a
+
+
 def make_logistic(train: Dataset, val: Dataset, outer: str) -> BilevelProblem:
     """Penalized logistic regression with labels in {-1, +1}.
 
@@ -426,13 +434,17 @@ def make_logistic(train: Dataset, val: Dataset, outer: str) -> BilevelProblem:
     are computed once per point and shared by F, F_1 and dF_1[u]: the last
     point's pair is kept, keyed on x's shape and bits, so a point costs one
     matvec and one sigmoid pass however many of them are asked for there.
+    Every product with A goes through one read-only, column-major copy of
+    the training features (none is made when they already are column-major):
+    OpenBLAS runs the products of a tall, narrow A about twice as fast on it
+    as on the parser's row-major matrix.
     The exact root runs damped Newton to a 1e-13 relative residual.
     """
     labels = train.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise DataError("classification labels must be -1 or +1")
     d = train.d_x
-    a_tr = train.features
+    a_tr = _column_major(train.features)
     kept = (None, None)                 # the last point's key and pair
 
     def sigmoid_pair_at(x):

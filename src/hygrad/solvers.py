@@ -58,11 +58,12 @@ def gradient_descent(problem: BilevelProblem, y: Array, x0: Array, steps: int,
 def newton_root(residual_fn, jac_fn, x0: Array) -> Array:
     """Damped Newton with Armijo backtracking on the squared residual.
 
-    Stops when |F(x)| <= ROOT_TOL * (1 + |x|), or when the line search stalls on
-    a Newton step no longer than 4 eps (1 + |x|), i.e. at the rounding floor
-    of F. A stall on a longer step raises NumericalFailure, and so does a
-    point still above tolerance after NEWTON_MAX_ITER iterations; ``step`` is
-    the iteration, and the message gives the |F| reached and the tolerance.
+    Stops when |F(x)| <= ROOT_TOL * (1 + |x|), or, before any line search,
+    when the Newton step is no longer than 4 eps (1 + |x|), i.e. at the
+    rounding floor of F, where no trial along it can lower |F|. A line search
+    that stalls raises NumericalFailure, and so does a point still above
+    tolerance after NEWTON_MAX_ITER iterations; ``step`` is the iteration,
+    and the message gives the |F| reached and the tolerance.
     F is evaluated once per point, at x0 and at each line-search trial: an
     accepted trial's value is carried into the next iteration.
     """
@@ -78,6 +79,10 @@ def newton_root(residual_fn, jac_fn, x0: Array) -> Array:
             raise NumericalFailure(
                 f"Newton did not reach tolerance in {k} iterations: {reached}", step=k)
         dx = linear_solve(jac_fn(x), -f, what="F_1")
+        # A full step below the rounding of x cannot lower |F| any further:
+        # x is the root to working precision.
+        if np.linalg.norm(dx) <= 4.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(x)):
+            return x
         merit = 0.5 * norm_f ** 2
         t = 1.0
         while t >= 1e-12:
@@ -90,10 +95,6 @@ def newton_root(residual_fn, jac_fn, x0: Array) -> Array:
                 break
             t *= 0.5
         else:
-            # A full step below the rounding of x cannot lower |F| any
-            # further: x is the root to working precision.
-            if np.linalg.norm(dx) <= 4.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(x)):
-                return x
             raise NumericalFailure(
                 f"Newton line search stalled at iteration {k + 1}: {reached}",
                 step=k + 1)

@@ -470,7 +470,7 @@ class TestStrategyTable:
         hg.make_estimator(ridge_quadratic, "opt")
         assert built == [ridge_quadratic]
 
-    @pytest.mark.parametrize("fixture,opt_lu", [("ridge_quadratic", 4),
+    @pytest.mark.parametrize("fixture,opt_lu", [("ridge_quadratic", 3),
                                                 ("logistic_quadratic", 6)])
     def test_lu_factorizations_per_estimate(self, fixture, opt_lu, request,
                                             lu_calls):
@@ -478,7 +478,7 @@ class TestStrategyTable:
         # kept per point by the problem, and a change of variables evaluates
         # its terms once per point. From a plain problem opt also solves the
         # root that seeds q_inverse: one solve on ridge, three Newton steps
-        # on logistic.
+        # on logistic. On ridge dF_1 is zero, so opt's V is F_1 itself.
         problem = request.getfixturevalue(fixture)
         assert _per_estimate_counts(problem, lu_calls, root_context=False) \
             == _expected_counts(opt_lu)
@@ -488,15 +488,18 @@ class TestStrategyTable:
                                                      lu_calls):
         # From a root context q_inverse is seeded at the stored root and its
         # Newton run stops at the first residual check, so opt checks only
-        # F_1 (once, for R and both R_2 contractions), phi_1 and V.
+        # F_1 (once, for R and both R_2 contractions), phi_1 and V; on ridge
+        # V is F_1.
         problem = request.getfixturevalue(fixture)
+        opt_lu = {"ridge_quadratic": 2, "logistic_quadratic": 3}[fixture]
         assert _per_estimate_counts(problem, lu_calls, root_context=True) \
-            == _expected_counts(3)
+            == _expected_counts(opt_lu)
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_diag_f1_checked_once_per_point(self, fixture, request, monkeypatch):
         # diag-rep's R, R's solve and R_2 read one check of diag(F_1) per
-        # point from the problem, and none where diag's P has checked it.
+        # point from the problem, and none where diag's P has checked it;
+        # its V is F_1, read from the problem's check of F_1 there.
         import hygrad.problems as problems
         checked = []
         original = problems.factor
@@ -508,14 +511,25 @@ class TestStrategyTable:
         problem = replace(request.getfixturevalue(fixture))     # an empty memo
         x, y = _off_root_point(problem, 81)
         hg.make_estimator(problem, "diag-rep")(x, y)
-        assert checked == ["R"]
+        assert checked == ["R", "V"]
         x = x + 0.01
         checked.clear()
         hg.make_estimator(problem, "diag")(x, y)
         assert checked == ["P", "F_1"]      # F_1 at diag's corrected point
         checked.clear()
         hg.make_estimator(problem, "diag-rep")(x, y)
-        assert checked == []
+        assert checked == ["V"]
+
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    def test_diag_rep_one_dense_check_per_point(self, fixture, request, lu_calls):
+        # diag-rep's Q is the identity, so phi_11 F is zero and V is F_1: a
+        # point where vanilla has checked F_1 needs no second dense check.
+        problem = replace(request.getfixturevalue(fixture))     # an empty memo
+        x, y = _off_root_point(problem, 82)
+        lu_calls.clear()        # the checks of the root solve
+        hg.make_estimator(problem, "vanilla")(x, y)
+        hg.make_estimator(problem, "diag-rep")(x, y)
+        assert len(lu_calls) == 1
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_r2_contractions_match_per_direction_solves(self, fixture, request):

@@ -357,8 +357,51 @@ class TestLogistic:
     def test_zero_logits_exact(self, cls_train):
         problem = hg.make_logistic(cls_train, cls_train, "affine")
         y = np.zeros(problem.d_y)
-        expected = -0.5 * cls_train.features.T @ cls_train.labels
+        # The oracles multiply the column-major copy of the features.
+        expected = -0.5 * np.asfortranarray(cls_train.features).T @ cls_train.labels
         assert np.array_equal(problem.residual(np.zeros(problem.d_x), y), expected)
+
+    @staticmethod
+    def kept_features(monkeypatch, train):
+        """The training matrix that make_logistic keeps for its oracles."""
+        kept = []
+        original = models._column_major
+
+        def spy(features):
+            kept.append(original(features))
+            return kept[-1]
+        monkeypatch.setattr(models, "_column_major", spy)
+        hg.make_logistic(train, train, "affine")
+        (features,) = kept
+        return features
+
+    def test_features_kept_column_major_and_read_only(self, monkeypatch, cls_train):
+        features = self.kept_features(monkeypatch, cls_train)
+        assert features.flags.f_contiguous and not features.flags.writeable
+        assert np.array_equal(features, cls_train.features)
+        assert cls_train.features.flags.c_contiguous        # the parser's layout
+
+    def test_column_major_features_not_copied(self, monkeypatch, cls_train):
+        fortran = np.asfortranarray(cls_train.features)
+        fortran.setflags(write=False)
+        train = hg.Dataset(fortran, cls_train.labels)
+        features = self.kept_features(monkeypatch, train)
+        assert np.shares_memory(features, fortran) and features.flags.f_contiguous
+
+    def test_either_layout_gives_the_same_bits(self, cls_train):
+        fortran = np.asfortranarray(cls_train.features)
+        fortran.setflags(write=False)
+        row_major, column_major = (
+            hg.make_logistic(hg.Dataset(a, cls_train.labels), cls_train, "affine")
+            for a in (cls_train.features, fortran))
+        rng = np.random.default_rng(23)
+        x, u = rng.normal(size=5), rng.normal(size=5)
+        y = rng.uniform(3.0, 6.0, size=5)
+        for method, args in (("residual", (x, y)), ("jac_x", (x, y)),
+                             ("djac_x_dir_x", (x, y, u))):
+            assert_same_bits(getattr(row_major.inner, method)(*args),
+                             getattr(column_major.inner, method)(*args))
+        assert_same_bits(row_major.exact_root(y), column_major.exact_root(y))
 
     def test_sigmoid_at_zero_is_half(self):
         assert hg.stable_sigmoid(np.array([0.0]))[0] == 0.5
@@ -440,7 +483,7 @@ class TestSigmoidKernel:
     def test_logistic_oracles_match_the_masked_forms(self, cls_train):
         problem = hg.make_logistic(cls_train, cls_train, "affine")
         inner = problem.inner
-        a, b = cls_train.features, cls_train.labels
+        a, b = np.asfortranarray(cls_train.features), cls_train.labels
         rng = np.random.default_rng(21)
         points = [tuple(rng.normal(size=5) for _ in range(3)) for _ in range(3)]
         for (x, y, u), other in zip(points, points[1:] + points[:1]):

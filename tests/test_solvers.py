@@ -79,15 +79,36 @@ class TestNewtonRoot:
         assert root[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_stall_at_rounding_floor_returns_root(self):
-        # Over 20000 rows the rounding floor of F lies just above ROOT_TOL;
-        # the line search stalls there on a Newton step below one ulp of x.
+        # Over 20000 rows the rounding floor of F (2e-13 to 1e-12) straddles
+        # ROOT_TOL (1 + |x|), about 4e-13. With the column-major features the
+        # root at y seed 855 reaches tolerance, while at y seed 14 F stays
+        # above it and Newton stops on a step below 4 eps (1 + |x|).
         train = hg.synthetic_classification_dataset(20000, 5, seed=1711)
         val = hg.synthetic_classification_dataset(20000, 5, seed=1712)
         problem = hg.make_logistic(train, val, "quadratic")
-        y = hg.sample_y(5, 3, 6, 855)
-        root = hg.exact_root(problem, y)
-        resid = np.linalg.norm(problem.residual(root, y))
-        assert resid <= 1e-11 * (1.0 + np.linalg.norm(root))
+        for y_seed in (855, 14):
+            y = hg.sample_y(5, 3, 6, y_seed)
+            root = hg.exact_root(problem, y)
+            resid = np.linalg.norm(problem.residual(root, y))
+            assert resid <= 1e-11 * (1.0 + np.linalg.norm(root)), y_seed
+
+    def test_step_below_rounding_floor_stops_before_line_search(self):
+        # F has a rounding floor of 5e-13 to 9e-13 that depends on the bits
+        # of x, above ROOT_TOL (1 + |x|) = 2e-13 at the root x = 1, while
+        # J = 1e5 I makes the Newton step there below 1e-17, far below
+        # 4 eps (1 + |x|). Every trial along that step rounds back to x, so a
+        # line search would spend all its 40 trials there.
+        points = []
+
+        def residual_fn(x):
+            points.append(x[0])
+            floor = 5e-13 * (1.0 + (x.view(np.uint64) % np.uint64(7)) / 8.0)
+            return 1e5 * (x - 1.0) + floor
+
+        root = hg.newton_root(residual_fn, lambda x: 1e5 * np.eye(1), np.zeros(1))
+        # F at x0, then at the accepted full step, and no trial after it.
+        assert points == [0.0, 1.0] and root[0] == 1.0
+        assert np.linalg.norm(residual_fn(root)) > 1e-13 * (1.0 + np.linalg.norm(root))
 
     def test_stall_on_a_long_step_raises(self):
         # A Jacobian of the wrong sign points every step uphill.
