@@ -23,14 +23,19 @@ where F = 0.
 
 Every at-root analysis takes one ``RootContext``, whose root was solved
 once, and reads its ``xstar``; the problem keeps that root, so estimators
-and separable families built from it reuse the root too. An analysis of an
-estimator takes its strategy kind, a key or a caller's oracle, and builds
-the estimator from the context's problem.
+and separable families built from it reuse the root too. The context also
+keeps, computed when first read, the root blocks no strategy changes: the
+plain S, D, g_1 and T's plain part at g_1, and per change of variables the
+phi terms that do not depend on g. An efficiency sweep thus builds D and the
+g_1 contraction once for all six kinds, and a comparison trial builds its
+phi terms once for J_phi and sigma. An analysis of an estimator takes its
+strategy kind, a key or a caller's oracle, and builds the estimator from the
+context's problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +45,7 @@ from .estimators import (
     PreconditionerOracle,
     Reparameterization,
     SeparableReparam,
+    Strategy,
     StrategyKind,
     anchored_reparam,
     make_estimator,
@@ -94,23 +100,70 @@ estimator_for_kind = make_estimator
 
 @dataclass(frozen=True, eq=False)
 class RootContext:
-    """One (problem, y) whose inner root x*(y) was solved once.
+    """One (problem, y) whose inner root x*(y) was solved once, and the root
+    blocks that do not depend on the strategy, each computed when first read.
 
     Every at-root analysis takes one and reads ``xstar``. ``problem`` is
     the caller's problem, which keeps the root it solved; estimators and
     separable families built from that problem reuse it while y is among
-    the last four it solved. ``y`` and ``xstar`` are read-only.
+    the last four it solved. The context also keeps the plain sensitivity
+    S, the outer curvature D, g_1 with u = F_1^{-1} g_1 and the plain part
+    of ``_sensitivity_term`` at g_1, and, per change of variables (a key,
+    or a caller's oracle by identity), the g-independent part of its phi
+    terms. ``y``, ``xstar`` and every kept array are read-only.
     """
 
     problem: BilevelProblem
     y: Array
     xstar: Array
+    _preludes: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def solve(cls, problem: BilevelProblem, y: Array) -> "RootContext":
         """Solve the root of problem at y once."""
         y = _read_only(as_vector(y, problem.d_y, "y"))
         return cls(problem, y, _read_only(exact_root(problem, y)))
+
+    @cached_property
+    def _sensitivity(self) -> Array:
+        return _read_only(solution_sensitivity(self.problem, self.xstar, self.y))
+
+    @cached_property
+    def _curvature(self) -> Array:
+        outer, y, xstar = self.problem.outer, self.y, self.xstar
+        return _read_only(outer.jac_gradY_x(xstar, y)
+                          + self._sensitivity @ outer.hess_xx(xstar, y))
+
+    @cached_property
+    def _g1(self) -> Array:
+        return _read_only(self.problem.outer.grad_x(self.xstar, self.y))
+
+    @cached_property
+    def _g1_term(self) -> tuple[Array, Array]:
+        """u = F_1^{-1} g_1 as one column, and the plain part of
+        ``_sensitivity_term`` at g_1."""
+        u = self.problem.jac_x_factor(self.xstar, self.y).solve(self._g1[:, None])
+        return _read_only(u), _read_only(_plain_term(self, u))
+
+    def _prelude(self, kind: StrategyKind, strategy: Strategy) -> tuple:
+        """The phi terms of ``_sensitivity_term`` that do not depend on g,
+        for a kind with a change of variables, at z* = phi^{-1}(x*, y):
+        phi_11 and phi_21 contracted with each column of F_1 (d_x calls of
+        ``phi.derivatives``) and stacked, the checked phi_1, and
+        W = phi_1^{-1} (phi_2 - S'). Kept per key, and per caller's oracle
+        by identity, beside that oracle so that its id stays its own."""
+        key = kind if isinstance(kind, str) else id(kind)
+        if key not in self._preludes:
+            y, xstar = self.y, self.xstar
+            phi = strategy.change_of_variables(xstar, y)
+            z = phi.inverse(xstar, y)
+            f1 = self.problem.jac_x(xstar, y)
+            terms = [phi.derivatives(z, y, col) for col in f1.T]
+            czz, czy = (_read_only(np.stack([t[i] for t in terms])) for i in (2, 3))
+            p1_lu = factor(terms[0][0], what="phi_1")
+            w = _read_only(p1_lu.solve(terms[0][1] - self._sensitivity.T))
+            self._preludes[key] = kind, (czz, czy, p1_lu, w)
+        return self._preludes[key][1]
 
 
 def estimator_jacobian_fd(ctx: RootContext, kind: StrategyKind,
@@ -163,6 +216,8 @@ def _sensitivity_term(ctx: RootContext, kind: StrategyKind,
     d_x calls of ``phi.derivatives`` and need F_1 = F_1', so for any change
     of variables |F_1 - F_1'| > SYMMETRY_RTOL |F_1| raises CapabilityError.
     After that check the "opt" key's array is zero, with no further call.
+    S, the default g's u and plain part, and the phi terms independent of g
+    are read from the context, so only another g calls the oracles again.
     """
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     strategy = resolve_strategy(problem, kind)
@@ -173,20 +228,24 @@ def _sensitivity_term(ctx: RootContext, kind: StrategyKind,
     if kind == "opt":
         return np.zeros((1 if g is None else g.shape[1], problem.d_y, problem.d_x))
     if g is None:
-        g = problem.outer.grad_x(xstar, y)[:, None]
-    s = solution_sensitivity(problem, xstar, y)
-    u = problem.jac_x_factor(xstar, y).solve(g)
-    term = np.stack([-problem.djac_x_y_apply_T(xstar, y, col).T
-                     - s @ problem.inner.djac_x_dir_x(xstar, y, col) for col in u.T])
-    phi = strategy.change_of_variables(xstar, y)
-    if phi is None:
+        u, term = ctx._g1_term
+    else:
+        u = problem.jac_x_factor(xstar, y).solve(g)
+        term = _plain_term(ctx, u)
+    if strategy.reparam is None:
         return term
-    z = phi.inverse(xstar, y)
-    terms = [phi.derivatives(z, y, col) for col in f1.T]
-    czz, czy = (np.stack([t[i] for t in terms]) for i in (2, 3))
-    p1_lu = factor(terms[0][0], what="phi_1")
-    w, v = p1_lu.solve(terms[0][1] - s.T), p1_lu.solve(u)
+    czz, czy, p1_lu, w = ctx._prelude(kind, strategy)
+    v = p1_lu.solve(u)
     return term + (w.T @ (czz @ v) - czy.transpose(0, 2, 1) @ v).transpose(2, 1, 0)
+
+
+def _plain_term(ctx: RootContext, u: Array) -> Array:
+    """The part of ``_sensitivity_term`` that every kind shares, for the
+    columns of u = F_1^{-1} g."""
+    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
+    return np.stack([-problem.djac_x_y_apply_T(xstar, y, col).T
+                     - ctx._sensitivity @ problem.inner.djac_x_dir_x(xstar, y, col)
+                     for col in u.T])
 
 
 def sensitivity_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
@@ -212,9 +271,7 @@ def outer_curvature(ctx: RootContext) -> Array:
     With an affine outer objective this vanishes, which is exactly when
     inner-only super-efficiency transfers to the hypergradient.
     """
-    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
-    return problem.outer.jac_gradY_x(xstar, y) \
-        + solution_sensitivity(problem, xstar, y) @ problem.outer.hess_xx(xstar, y)
+    return ctx._curvature
 
 
 def sensitivity_jacobian_fd(ctx: RootContext, kind: StrategyKind,
@@ -332,8 +389,8 @@ def reparam_gap(terms: ComparisonTerms) -> tuple[float, float]:
             else type(terms.reparam).__name__
         raise UsageError(f"reparam_gap needs a localized family "
                          f"(SeparableReparam), not {kind!r}")
-    g1 = ctx.problem.outer.grad_x(ctx.xstar, ctx.y)
-    sigma = float(np.linalg.norm(g1)) * sensitivity_efficiency_constant(ctx, terms.reparam)
+    sigma = float(np.linalg.norm(ctx._g1)) \
+        * sensitivity_efficiency_constant(ctx, terms.reparam)
 
     v_phi = terms.top_phi[1]
     return sigma, float(np.linalg.norm(terms.jac_p @ v_phi) ** 2

@@ -222,10 +222,10 @@ class BilevelProblem:
         return self._block("jac_y", x, y, as_matrix, (self.d_x, self.d_y))
 
     def jac_x_factor(self, x: Array, y: Array, what: str = "F_1") -> Factorization:
-        """``factor(jac_x(x, y), what)``, checked once per point and labelled
-        with each caller's own ``what``. A singular F_1 is not kept: every
-        caller checks it again and raises SingularMatrixError naming its own
-        ``what``."""
+        """``factor(jac_x(x, y), what)``, checked once per point and kept
+        there once per ``what``, so each caller's label names its matrix. A
+        singular F_1 is not kept: every caller checks it again and raises
+        SingularMatrixError naming its own ``what``."""
         return self._factor("factor", lambda f1: f1, x, y, what)
 
     def jac_x_diagonal(self, x: Array, y: Array, what: str) -> Factorization:
@@ -235,12 +235,16 @@ class BilevelProblem:
 
     def _factor(self, key: str, part, x: Array, y: Array, what: str) -> Factorization:
         x, y, blocks = self._memo(x, y)
-        lu = blocks.get(key)
+        lu = blocks.get((key, what))
         if lu is None:
-            lu = blocks[key] = factor(part(self.jac_x(x, y)), what)
-        # The kept factorization carries its first caller's label; a copy
-        # shares its arrays.
-        return lu if lu.what == what else replace(lu, what=what)
+            # Each label gets one copy of the first factorization, sharing
+            # its arrays.
+            first = blocks.get(key)
+            lu = factor(part(self.jac_x(x, y)), what) if first is None \
+                else replace(first, what=what)
+            blocks.setdefault(key, lu)
+            blocks[(key, what)] = lu
+        return lu
 
     def djac_x_y_apply(self, x: Array, y: Array, s: Array) -> Array:
         """The (d_x, d_y) matrix whose column e is (dF_1/dy_e) s."""

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -74,12 +75,13 @@ def test_records_accumulate_keyed_by_parent_and_change(tool):
 def test_main_records_each_sides_traced_counts(tool, monkeypatch, tmp_path):
     # A stubbed perfbench/run.py: end-to-end runs report the four metrics,
     # traced runs a count, a time and a ratio, with one count that differs.
-    # Each call is keyed by its side's role, whatever the checkout's
+    # Each call is keyed by the export it runs in, whatever the checkout's
     # directory is named.
-    calls = []
+    calls, roots = [], set()
 
     def fake_run(cmd, cwd, capture_output, text):
-        role = "change" if Path(cwd).resolve() == tool.CHECKOUT else "parent"
+        role = Path(cwd).name
+        roots.add(Path(cwd))
         calls.append((role, cmd[2:]))
         if "--trace" in cmd:
             metrics = {"linalg.lu_factor.calls": (2, "count"),
@@ -100,11 +102,16 @@ def test_main_records_each_sides_traced_counts(tool, monkeypatch, tmp_path):
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
     monkeypatch.setattr(tool, "export", fake_export)
+    monkeypatch.setattr(tool, "export_tree", lambda into: (into / "change").mkdir())
     monkeypatch.setattr(tool, "change_commit", lambda: "c" * 40)
     monkeypatch.chdir(tmp_path)
     assert tool.main(["HEAD", "--workload", "efficiency-ridge", "--pairs", "2",
                       "--seed", "7"]) == 0
 
+    # Both sides run from exports side by side, not from the checkout.
+    assert sorted(root.name for root in roots) == ["change", "parent"]
+    assert len({root.parent for root in roots}) == 1
+    assert tool.CHECKOUT not in {root.resolve() for root in roots}
     traced = [(role, args) for role, args in calls if "--trace" in args]
     assert sorted(role for role, _ in traced) == ["change", "parent"]
     for _, args in traced:
@@ -120,3 +127,31 @@ def test_main_records_each_sides_traced_counts(tool, monkeypatch, tmp_path):
         "change": {"linalg.lu_factor.calls": 2, "models.oracle.jac_x.calls": 3}}
     assert record["counts_identical"] is False
     assert record["all_correct"] and record["summary"]["rows_per_s"]["ties"] == 2
+
+
+def test_exports_hold_the_commit_and_the_working_tree(tool, monkeypatch, tmp_path):
+    # A throwaway repository: one committed file, then edited and not
+    # committed, beside a file git does not track.
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+    git("init", "-q")
+    (repo / "pkg" / "code.py").write_text("committed\n")
+    git("add", "pkg/code.py")
+    git("commit", "-q", "-m", "one file")
+    (repo / "pkg" / "code.py").write_text("edited\n")
+    (repo / "scratch.txt").write_text("untracked\n")
+    monkeypatch.setattr(tool, "CHECKOUT", repo)
+
+    out = tmp_path / "out"
+    out.mkdir()
+    commit = tool.export("HEAD", out)
+    tool.export_tree(out)
+    assert len(commit) == 40
+    assert (out / "parent" / "pkg" / "code.py").read_text() == "committed\n"
+    assert (out / "change" / "pkg" / "code.py").read_text() == "edited\n"
+    assert not (out / "change" / "scratch.txt").exists()
+    assert tool.change_commit() == commit + "-dirty"

@@ -548,8 +548,9 @@ class TestCouplingCallCounts:
         records = hg.run_efficiency_sweep(hg.RunConfig(
             problem="ridge", strategies=hg.STRATEGIES, trials=1, seed=3))
         assert not any(r.error for r in records)
-        # One per kind but opt, whose Jacobian is D.
-        assert len(calls) == 5
+        # One per sweep: the context keeps the g_1 term every kind but opt
+        # reads.
+        assert len(calls) == 1
 
     def test_the_tensor_takes_one_per_coordinate(self, logistic_quadratic):
         problem, calls = _counting_couplings(logistic_quadratic)
@@ -601,9 +602,23 @@ class TestComparisonJacobians:
         terms = hg.ComparisonTerms(ctx, precond, "exp")
         hg.compare_bounds(terms)
         hg.precond_gap(terms)
-        # One contraction for J_P and one for J_phi.
-        assert len(calls) == 2
+        # One contraction, which J_P and J_phi read from the context.
+        assert len(calls) == 1
         assert_same_bits(terms.jac_phi, hg.root_jacobian(ctx, "exp"))
+
+    def test_diag_rep_trial_runs_one_phi_prelude(self, logistic_quadratic,
+                                                 phi_derivative_calls):
+        # J_phi and reparam_gap's sigma read one prelude from the context:
+        # d_x phi.derivatives calls, not 2 d_x.
+        ctx = hg.RootContext.solve(logistic_quadratic,
+                                   seeded_y(logistic_quadratic, 5, 3.0, 6.0))
+        precond = hg.scaled_preconditioner(
+            hg.newton_preconditioner(logistic_quadratic), 1.5)
+        terms = hg.ComparisonTerms(ctx, precond, "diag-rep")
+        hg.compare_bounds(terms)
+        hg.precond_gap(terms)
+        hg.reparam_gap(terms)
+        assert len(phi_derivative_calls) == logistic_quadratic.d_x
 
     def test_opt_is_the_outer_curvature(self, logistic_quadratic):
         ctx = hg.RootContext.solve(logistic_quadratic,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hygrad as hg
-from hygrad.errors import ContractViolation
+from hygrad.errors import ContractViolation, SingularMatrixError
 from hygrad.problems import CallableInnerOracle, fd_step, one_hot_coupling
 
 from conftest import COUPLINGS, assert_same_bits, seeded_y, shift_problem
@@ -343,8 +343,22 @@ def test_kept_factorization_names_each_callers_matrix(method, first, later):
     assert again.what == later and kept.what == first
     assert again.diagonal is kept.diagonal and again.matrix is kept.matrix
     assert getattr(problem, method)(x, y, first) is kept
+    # One Factorization per label at a point: no copy on a second request.
+    assert getattr(problem, method)(x, y, later) is again
     with pytest.raises(ContractViolation, match=f"{later} has 1 rows"):
         again.solve(np.ones(2))
+
+
+@pytest.mark.parametrize("method", ["jac_x_factor", "jac_x_diagonal"])
+def test_singular_f1_raises_under_each_callers_label(method):
+    shift = shift_problem(2)
+    problem = replace(shift, inner=replace(
+        shift.inner, jac_x=lambda x, y: np.diag([1.0, 0.0])))
+    x, y = np.zeros(2), np.ones(2)
+    for what in ("P", "R", "P"):
+        with pytest.raises(SingularMatrixError) as err:
+            getattr(problem, method)(x, y, what)
+        assert err.value.what == what and what in str(err.value)
 
 
 # --------------------------------------------------------------------------

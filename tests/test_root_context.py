@@ -11,7 +11,7 @@ import hygrad as hg
 from hygrad import cli
 from hygrad.estimators import resolve_strategy
 
-from conftest import seeded_y
+from conftest import assert_same_bits, seeded_y
 
 SEPARABLE_KEYS = ("exp", "diag-rep", "opt")
 # compare_bounds' rhs against |J v|^2 - sigma^2, as a share of
@@ -104,6 +104,72 @@ class TestRootContext:
         for stored in (terms.jac_p, terms.jac_phi, terms.top_p[1], terms.top_phi[1]):
             with pytest.raises(ValueError):
                 stored[0] = 1.0
+
+
+FIVE_FIXTURES = ("ridge_quadratic", "ridge_affine", "logistic_quadratic",
+                 "scalar_fixture", "linear1d_fixture")
+
+
+def _fixture_y(request, fixture, seed):
+    problem = request.getfixturevalue(fixture)
+    return problem, (_logistic_y(problem, seed) if fixture.startswith("logistic")
+                     else seeded_y(problem, seed))
+
+
+def _kept_arrays(value):
+    """Every array a context keeps, through its tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _kept_arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _kept_arrays(item)
+
+
+class TestKeptRootBlocks:
+    """A context computes each strategy-independent root block once; what it
+    keeps is what a fresh context computes, and read-only."""
+
+    @pytest.mark.parametrize("fixture", FIVE_FIXTURES)
+    def test_shared_context_equals_fresh_contexts(self, request, fixture):
+        problem, y = _fixture_y(request, fixture, 17)
+        shared = hg.RootContext.solve(problem, y)
+        precond = hg.diag_preconditioner(problem)
+
+        def fresh():
+            return hg.RootContext.solve(problem, y)
+
+        for key in hg.STRATEGIES:
+            assert_same_bits(hg.root_jacobian(shared, key),
+                             hg.root_jacobian(fresh(), key))
+            assert_same_bits(hg.sensitivity_jacobian(shared, key),
+                             hg.sensitivity_jacobian(fresh(), key))
+        for key in ("diag-rep", "opt"):
+            # Fresh terms on the shared context, against a fresh context.
+            assert hg.reparam_gap(hg.ComparisonTerms(shared, precond, key)) \
+                == hg.reparam_gap(hg.ComparisonTerms(fresh(), precond, key)), key
+        # A second read returns what the first kept.
+        for key in hg.STRATEGIES:
+            assert_same_bits(hg.root_jacobian(shared, key),
+                             hg.root_jacobian(fresh(), key))
+
+    def test_kept_arrays_are_read_only(self, logistic_quadratic):
+        ctx = hg.RootContext.solve(logistic_quadratic,
+                                   _logistic_y(logistic_quadratic, 3))
+        before = {key: hg.root_jacobian(ctx, key) for key in hg.STRATEGIES}
+        hg.sensitivity_jacobian(ctx, "diag-rep")
+        kept = list(_kept_arrays(vars(ctx)))
+        # y, x*, S, D, g_1, u, the g_1 term, and czz, czy, W for exp and diag-rep.
+        assert len(kept) == 7 + 2 * 3
+        for array in kept:
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
+        with pytest.raises(ValueError):
+            hg.outer_curvature(ctx)[0, 0] = 1.0
+        for key in hg.STRATEGIES:
+            assert_same_bits(hg.root_jacobian(ctx, key), before[key])
 
 
 @settings(max_examples=8, deadline=None)
@@ -262,3 +328,27 @@ class TestRootSolveCounts:
         assert len(records) == 2 * len(hg.STRATEGIES)
         assert not any(r.error for r in records)
         assert len(solves) == 2
+
+    def test_efficiency_sweep_reads_the_kept_blocks(self, logistic_quadratic,
+                                                    monkeypatch):
+        # The g_1 term (one djac_x_dir_x call) and D (one hess_xx call) are
+        # computed once per context, whichever of the six kinds reads them.
+        calls = []
+
+        def counted(oracle, method):
+            original = getattr(oracle, method)
+
+            def call(*args):
+                calls.append(method)
+                return original(*args)
+            return replace(oracle, **{method: call})
+
+        problem = replace(logistic_quadratic,
+                          inner=counted(logistic_quadratic.inner, "djac_x_dir_x"),
+                          outer=counted(logistic_quadratic.outer, "hess_xx"))
+        monkeypatch.setattr(hg.bench, "build_problem", lambda config: problem)
+        records = hg.run_efficiency_sweep(hg.RunConfig(
+            problem="logistic", strategies=hg.STRATEGIES, trials=2,
+            y_low=3.0, y_high=6.0, seed=4))
+        assert not any(r.error for r in records)
+        assert sorted(calls) == ["djac_x_dir_x"] * 2 + ["hess_xx"] * 2

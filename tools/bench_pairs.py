@@ -2,10 +2,14 @@
 
     python3 tools/bench_pairs.py PARENT_REV --workload W --pairs N --seed S
 
-exports the committed files of ``PARENT_REV`` (``git archive``) into a
-temporary directory and runs ``perfbench/run.py --workload W --seed S
---seconds T`` there and in the checkout this script lives in, N times each,
-``T`` being ``run_seconds`` from the checkout's ``BENCHMARK.json``. Each
+exports the committed files of ``PARENT_REV`` (``git archive``) into
+``parent/`` of a temporary directory, copies the tracked files of the
+checkout this script lives in, as they are in its working tree, into
+``change/`` beside it, and runs ``perfbench/run.py --workload W --seed S
+--seconds T`` in each, N times, ``T`` being ``run_seconds`` from the
+checkout's ``BENCHMARK.json``. Both sides run from directories of one
+depth and name length, because a run's ``peak_rss_mb`` depends on where it
+runs from. Each
 side runs its own, unchanged ``perfbench/run.py``, one run at a time. Pair
 i runs the parent first when i is even and the change first when it is
 odd, so that a drift in the machine's speed favours neither side.
@@ -23,16 +27,17 @@ change's median is worse than the parent's by no more than the metric's
 bound. After the pairs, one ``perfbench/run.py --trace 1 --seconds 0 --seed
 101`` run on each side gives the per-layer metrics whose unit is ``count``
 (factorizations, oracle calls), which do not depend on the machine; the
-record keeps them under ``counts``, with ``counts_identical``. The working
-tree of the change side is measured as it is, committed or not; its commit
+record keeps them under ``counts``, with ``counts_identical``. The change
+side measures the tracked files as they are, committed or not; its commit
 reads ``<HEAD>-dirty`` when a tracked file other than the ``BENCH_*.json``
-records differs from HEAD.
+records differs from HEAD. Untracked files are not copied.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -147,6 +152,20 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
+def export_tree(into: Path) -> None:
+    """Copy the checkout's tracked files, as they are in its working tree,
+    into ``into / "change"``; a tracked file deleted from the tree is left
+    out."""
+    names = subprocess.run(["git", "ls-files", "-z"], cwd=CHECKOUT,
+                           capture_output=True, check=True).stdout
+    root = into / "change"
+    for name in filter(None, names.decode().split("\0")):
+        source = CHECKOUT / name
+        if source.is_file():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, root / name)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_rev")
@@ -165,7 +184,8 @@ def main(argv=None) -> int:
     change = change_commit()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = export(args.parent_rev, Path(tmp))
-        roots = {"parent": Path(tmp) / "parent", "change": CHECKOUT}
+        export_tree(Path(tmp))
+        roots = {side: Path(tmp) / side for side in runs}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
