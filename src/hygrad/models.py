@@ -100,7 +100,7 @@ def _handed_over(features: Array, labels: Array) -> Dataset:
 
 
 def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
-    """Parse LIBSVM sparse text into a dense Dataset.
+    """Parse LIBSVM sparse text, a str or UTF-8 bytes, into a dense Dataset.
 
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
     increasing indices; ``#`` starts a comment. The feature count is the
@@ -108,21 +108,24 @@ def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
     data whose trailing columns are all zero, which LIBSVM omits); a
     ``dims`` that is not an integer, or is below 1, is a UsageError.
 
-    Regular comment-free text takes a vectorized path (``_parse_regular``);
-    any other text, and every error, goes through the line parser.
+    Regular comment-free ASCII text takes a blocked path (``_parse_regular``)
+    that holds at its peak the input, the output and one block; other text,
+    and every error, goes to the line parser, which decodes bytes as UTF-8.
     """
     if dims is not None:
         if isinstance(dims, bool) or not isinstance(dims, (int, np.integer)):
             raise UsageError(f"dims must be an integer, got {dims!r}")
         if dims < 1:
             raise UsageError(f"dims must be at least 1, got {dims!r}")
+    parsed = _parse_regular(text, dims)
+    if parsed is not None:
+        return parsed
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as err:
             raise ParseError(f"not valid UTF-8: {err}") from None
-    parsed = _parse_regular(text, dims)
-    return parsed if parsed is not None else _parse_lines(text, dims)
+    return _parse_lines(text, dims)
 
 
 def _parse_lines(text: str, dims: int | None) -> Dataset:
@@ -201,7 +204,7 @@ _BYTE_CLASS = bytes(
 _MAX_INDEX_DIGITS = 18      # 10**18 - 1 fits in int64
 
 
-def _parse_regular(text: str, dims: int | None) -> Dataset | None:
+def _parse_regular(text: str | bytes, dims: int | None) -> Dataset | None:
     """``_parse_lines(text, dims)`` bit for bit on regular text, else None.
 
     Regular text is ASCII without ``#`` and without control characters
@@ -210,43 +213,48 @@ def _parse_regular(text: str, dims: int | None) -> Dataset | None:
     strictly increase and fit ``dims``, and with finite numbers that
     ``float`` reads. The same ``float`` reads every number, so the bits
     match. On any other text this returns None, so that every ParseError
-    comes from the line parser; a width numpy cannot allocate raises the
-    line parser's DataError (``_zero_features``).
+    comes from the line parser, as does the DataError of a width numpy
+    cannot allocate (``_zero_features``), which names the true row count.
+    Blocks are scattered as read into a matrix of a row per line, widened
+    by a larger index; the rows of blank lines are cut off last.
     """
-    if not text.isascii() or "#" in text:
+    lf, cr, mark = (b"\n", b"\r", b"#") if isinstance(text, bytes) else ("\n", "\r", "#")
+    if not text.isascii() or mark in text:
         return None
-    labels, rows, cols, vals = [], [], [], []
-    n = start = 0
-    while start < len(text):
-        # Blocks end just after a LF, so no line (and no CRLF) is split;
-        # text whose lines all end in a lone CR is one block.
-        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        block = _read_block(text[start:end])
-        if block is None:
-            return None
-        lab, row, col, val = block
-        labels.append(lab)
-        rows.append(row + n)
-        cols.append(col)
-        vals.append(val)
-        n += lab.size
-        start = end
-    if n == 0:
+    lines = (text.count(lf) + text.count(cr) - text.count(cr + lf)
+             + (not text.endswith((lf, cr))))
+    try:
+        feats, labels, n, start = _zero_features(lines, dims or 0), np.empty(lines), 0, 0
+        while start < len(text):
+            # Blocks end just after a LF, so no line (and no CRLF) is split;
+            # text whose lines all end in a lone CR is one block.
+            end = text.find(lf, start + _BLOCK_CHARS - 1) + 1 or len(text)
+            block = text[start:end]
+            block = _read_block(block if isinstance(block, bytes) else block.encode())
+            if block is None:
+                return None
+            lab, row, col, val = block
+            width = int(col.max(initial=0))
+            if width > feats.shape[1]:
+                if dims is not None:
+                    return None
+                feats, narrow = _zero_features(lines, width), feats
+                feats[:n, :narrow.shape[1]] = narrow[:n]
+            labels[n:n + lab.size] = lab
+            feats[row + n, col - 1] = val
+            n += lab.size
+            start = end
+        if n < lines:
+            feats, labels = feats[:n].copy(), labels[:n].copy()
+        return _handed_over(feats, labels)
+    except DataError:       # no row, no feature, or a width numpy cannot allocate
         return None
-    col = np.concatenate(cols)
-    max_index = int(col.max(initial=0))
-    d_x = dims if dims is not None else max_index
-    if d_x < 1 or max_index > d_x:
-        return None
-    feats = _zero_features(n, d_x)
-    feats[np.concatenate(rows), col - 1] = np.concatenate(vals)
-    return _handed_over(feats, np.concatenate(labels))
 
 
-def _read_block(block: str) -> tuple[Array, Array, Array, Array] | None:
+def _read_block(block: bytes) -> tuple[Array, Array, Array, Array] | None:
     """(labels, row of each pair, indices, values) of a block of whole
-    lines, or None where the block is not regular text."""
-    data = bytearray(("\n" + block).encode("ascii"))
+    lines of ASCII bytes, or None where the block is not regular text."""
+    data = bytearray(b"\n" + block)
     cls = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
     if cls.max() == _CONTROL:
         return None
@@ -314,6 +322,7 @@ def serialize_libsvm(dataset: Dataset) -> str:
 
 
 def load_libsvm(path: str) -> Dataset:
+    """Read the LIBSVM file at ``path`` as bytes and parse them (``parse_libsvm``)."""
     with open(path, "rb") as fh:
         return parse_libsvm(fh.read())
 
