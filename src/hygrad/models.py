@@ -215,13 +215,13 @@ def _parse_regular(text: str | bytes, dims: int | None) -> Dataset | None:
     match. On any other text this returns None, so that every ParseError
     comes from the line parser, as does the DataError of a width numpy
     cannot allocate (``_zero_features``), which names the true row count.
-    Blocks are scattered as read into a matrix of a row per line, widened
-    by a larger index; the rows of blank lines are cut off last.
+    Blocks are scattered as read into a matrix of a row per LF or CR,
+    widened by a larger index; rows left by blank or CRLF lines are cut last.
     """
     lf, cr, mark = (b"\n", b"\r", b"#") if isinstance(text, bytes) else ("\n", "\r", "#")
     if not text.isascii() or mark in text:
         return None
-    lines = (text.count(lf) + text.count(cr) - text.count(cr + lf)
+    lines = (text.count(lf) + (text.count(cr) if cr in text else 0)
              + (not text.endswith((lf, cr))))
     try:
         feats, labels, n, start = _zero_features(lines, dims or 0), np.empty(lines), 0, 0

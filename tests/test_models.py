@@ -260,8 +260,8 @@ class TestParserPaths:
     def test_blocked_parse_peaks_below_the_input_size(self, tall_text):
         """Parsing a file's bytes holds the output and one block's arrays,
         less than the input itself: 1.8 MB of the 2.3 MB of a 20000 x 5
-        file, where decoding it whole and keeping every block's pairs to the
-        end held 8.9 MB."""
+        file. A decoded copy of the input, or every block's pairs kept to
+        the end, would each exceed the input's size."""
         data = tall_text.encode()
         assert _traced_peak(hg.parse_libsvm, data) < len(data)
 
