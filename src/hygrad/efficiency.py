@@ -10,8 +10,9 @@ At the root that Jacobian is assembled from closed-form blocks
 (T_phi for a change of variables) and the preconditioner error factor
 E = I - P^{-1} F_1. One formula, ``_sensitivity_term``, differentiates S
 contracted with fixed vectors g_k, one call each of ``djac_x_y_apply_T``
-and ``djac_x_dir_x`` per vector (and, for a change of variables, d_x calls
-of ``phi.derivatives``): T is its value at g_1, and the whole Jacobian of S
+and ``djac_x_dir_x`` per vector (and, for a change of variables, one call
+of ``phi.derivatives`` on the stack of F_1's d_x columns): T is its value
+at g_1, and the whole Jacobian of S
 (``sensitivity_jacobian``, read only by reparam_gap's sigma) its value at
 the d_x unit vectors. For the "opt" key it is zero, read without a solve:
 the Newton-like family's S is stationary at the root, so c_y = |D| and
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapabilityError, UsageError
+from .errors import CapabilityError, ContractViolation, UsageError
 from .estimators import (
     PreconditionerOracle,
     Reparameterization,
@@ -148,21 +149,28 @@ class RootContext:
     def _prelude(self, kind: StrategyKind, strategy: Strategy) -> tuple:
         """The phi terms of ``_sensitivity_term`` that do not depend on g,
         for a kind with a change of variables, at z* = phi^{-1}(x*, y):
-        phi_11 and phi_21 contracted with each column of F_1 (d_x calls of
-        ``phi.derivatives``) and stacked, the checked phi_1, and
-        W = phi_1^{-1} (phi_2 - S'). Kept per key, and per caller's oracle
-        by identity, beside that oracle so that its id stays its own."""
+        phi_11 and phi_21 contracted with each column of F_1 (one call of
+        ``phi.derivatives`` on the stack F_1'), the checked phi_1, and
+        W = phi_1^{-1} (phi_2 - S'). A map whose contractions lack the
+        stack's leading d_x raises ContractViolation. Kept per key, and per
+        caller's oracle by identity, beside that oracle so that its id stays
+        its own."""
         key = kind if isinstance(kind, str) else id(kind)
         if key not in self._preludes:
-            y, xstar = self.y, self.xstar
+            problem, y, xstar = self.problem, self.y, self.xstar
             phi = strategy.change_of_variables(xstar, y)
             z = phi.inverse(xstar, y)
-            f1 = self.problem.jac_x(xstar, y)
-            terms = [phi.derivatives(z, y, col) for col in f1.T]
-            czz, czy = (_read_only(np.stack([t[i] for t in terms])) for i in (2, 3))
-            p1_lu = factor(terms[0][0], what="phi_1")
-            w = _read_only(p1_lu.solve(terms[0][1] - self._sensitivity.T))
-            self._preludes[key] = kind, (czz, czy, p1_lu, w)
+            p1, p2, czz, czy = phi.derivatives(z, y, problem.jac_x(xstar, y).T)
+            d_x, d_y = problem.d_x, problem.d_y
+            for name, term, shape in (("phi_11 w", czz, (d_x, d_x, d_x)),
+                                      ("phi_21 w", czy, (d_x, d_x, d_y))):
+                if np.shape(term) != shape:
+                    raise ContractViolation(
+                        f"phi.derivatives on a stack of {d_x} directions returned "
+                        f"{name} of shape {np.shape(term)}, expected {shape}")
+            p1_lu = factor(p1, what="phi_1")
+            w = _read_only(p1_lu.solve(p2 - self._sensitivity.T))
+            self._preludes[key] = kind, (_read_only(czz), _read_only(czy), p1_lu, w)
         return self._preludes[key][1]
 
 
@@ -213,7 +221,7 @@ def _sensitivity_term(ctx: RootContext, kind: StrategyKind,
     of ``reparam_sensitivity`` linear in F move, along dF = F_1 e_j. The
     plain part takes one call each of ``djac_x_y_apply_T`` and
     ``djac_x_dir_x`` per column and holds for any F_1; the phi terms take
-    d_x calls of ``phi.derivatives`` and need F_1 = F_1', so for any change
+    one stacked call of ``phi.derivatives`` and need F_1 = F_1', so for any change
     of variables |F_1 - F_1'| > SYMMETRY_RTOL |F_1| raises CapabilityError.
     After that check the "opt" key's array is zero, with no further call.
     S, the default g's u and plain part, and the phi terms independent of g
@@ -412,13 +420,14 @@ class ReparamDeviations:
     dev_r2: float
 
 
-def _probe_directions(dim: int) -> list[Array]:
+def _probe_directions(dim: int) -> Array:
+    """PROBE_COUNT seeded unit directions, one per row."""
     rng = rng_from_seed(PROBE_SEED)
     probes = []
     for _ in range(PROBE_COUNT):
         v = rng.normal(size=dim)
         probes.append(v / np.linalg.norm(v))
-    return probes
+    return np.array(probes)
 
 
 def newton_reparam_deviations(ctx: RootContext,
@@ -437,10 +446,8 @@ def newton_reparam_deviations(ctx: RootContext,
     dev_q = float(np.linalg.norm(sep.q(zstar, y) - ideal.q(xstar, y)))
     dev_q_jac = spectral_norm(sep.q_jac(zstar, y) - ideal.q_jac(xstar, y))
     probes = _probe_directions(problem.d_x)
-    dev_q_hess = max(
-        spectral_norm(sep.q_hess_contract(zstar, y, w)
-                      - ideal.q_hess_contract(xstar, y, w))
-        for w in probes)
+    dev_q_hess = max(map(spectral_norm, sep.q_hess_contract(zstar, y, probes)
+                         - ideal.q_hess_contract(xstar, y, probes)))
     dev_r = spectral_norm(sep.r(xstar, y) - ideal.r(xstar, y))
     dev_r2 = max(
         spectral_norm(got - want)

@@ -100,6 +100,13 @@ class Reparameterization:
 
         (phi_11 w)[i, j] = sum_k w_k d2 phi_k / dz_i dz_j
         (phi_21 w)[i, e] = sum_k w_k d2 phi_k / dz_i dy_e
+
+    w is one direction, shape (d_x,), or a stack of m directions, shape
+    (m, d_x), one per row; for a stack the two contractions come back with
+    the leading m, (m, d_x, d_x) and (m, d_x, d_y), and slice k equals the
+    call with row k alone. phi_1 and phi_2 do not depend on w. The at-root
+    analyses contract the d_x columns of F_1 in one call, so a caller's map
+    must accept a stack.
     """
 
     forward: Callable[[Array, Array], Array]
@@ -136,6 +143,14 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
     return p2.T - v_lu.solve_T(u).T
 
 
+def _diag_stack(v: Array) -> Array:
+    """``np.diag`` over the last axis: (..., d) -> (..., d, d)."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
 def identity_reparam() -> Reparameterization:
     """phi(z, y) = z; the estimate collapses to the plain implicit formula."""
     return Reparameterization(
@@ -143,7 +158,8 @@ def identity_reparam() -> Reparameterization:
         inverse=lambda x, y: x,
         derivatives=lambda z, y, w: (
             np.eye(z.shape[0]), np.zeros((z.shape[0], y.shape[0])),
-            np.zeros((z.shape[0], z.shape[0])), np.zeros((z.shape[0], y.shape[0]))),
+            np.zeros(w.shape[:-1] + (z.shape[0], z.shape[0])),
+            np.zeros(w.shape[:-1] + (z.shape[0], y.shape[0]))),
     )
 
 
@@ -162,7 +178,7 @@ def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
     def derivatives(z, y, w):
         e = np.exp(b * z)
         return (np.diag(ab * e), np.zeros((size, y.shape[0])),
-                np.diag(w * ab2 * e), np.zeros((size, y.shape[0])))
+                _diag_stack(w * ab2 * e), np.zeros(w.shape[:-1] + (size, y.shape[0])))
 
     return Reparameterization(forward=lambda z, y: a * np.exp(b * z),
                               inverse=inverse, derivatives=derivatives)
@@ -203,6 +219,12 @@ class SeparableReparam:
 
         left[m, e]  = sum_k w_k (R_2)_{km,e}
         right[k, e] = sum_m (R_2)_{km,e} q_m
+
+    As in ``Reparameterization.derivatives``, the w of ``r2_contract`` and
+    of ``q_hess_contract(z, ybar, w)`` is one direction (d_x,) or a stack
+    (m, d_x), one per row; for a stack, ``left`` and the q_hess contraction
+    come back with the leading m, slice k equal to the call with row k
+    alone, and ``right`` is unchanged.
     """
 
     r: Callable[[Array, Array], Array]
@@ -220,7 +242,9 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
     """Freeze the separable family at an anchor, yielding a full phi oracle.
 
     x enters R through the anchor while y stays live, so the y-derivatives
-    of phi flow through R_2 at the anchor point.
+    of phi flow through R_2 at the anchor point. The phi oracle takes a
+    stack of directions as the family's contractions do, and contracts R'
+    with each row by the same BLAS call as a single direction.
     """
     xa = np.array(anchor_x, dtype=float)
     ya = np.array(anchor_y, dtype=float)
@@ -229,7 +253,8 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
     def derivatives(z, y, w):
         r, q_jac = sep.r(xa, y), sep.q_jac(z, ya)
         left, right = sep.r2_contract(xa, y, w, sep.q(z, ya))
-        return r @ q_jac, right, sep.q_hess_contract(z, ya, r.T @ w), q_jac.T @ left
+        rw = (r.T @ w[..., None])[..., 0]
+        return r @ q_jac, right, sep.q_hess_contract(z, ya, rw), q_jac.T @ left
 
     return Reparameterization(
         forward=lambda z, y: sep.r(xa, y) @ sep.q(z, ya) + shift,
@@ -249,7 +274,7 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         # so the left and right contractions share one formula.
         d = diagonal(x, y)
         dirs = problem.djac_x_y_diag(x, y)
-        return -dirs * (w / (d * d))[:, None], -dirs * (q / (d * d))[:, None]
+        return -dirs * (w / (d * d))[..., None], -dirs * (q / (d * d))[:, None]
 
     return SeparableReparam(
         r=lambda x, y: np.diag(1.0 / diagonal(x, y)),
@@ -257,10 +282,15 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         r2_contract=r2_contract,
         q=lambda z, ybar: z,
         q_jac=lambda z, ybar: np.eye(z.shape[0]),
-        q_hess_contract=lambda z, ybar, w: np.zeros((z.shape[0], z.shape[0])),
+        q_hess_contract=lambda z, ybar, w: np.zeros(w.shape[:-1] + (z.shape[0],) * 2),
         q_inverse=lambda v, ybar: v,
         offset=False,
     )
+
+
+def _per_direction(contract: Callable[[Array], Array], w: Array) -> Array:
+    """contract(w) for one direction; for a stack, each row's, stacked."""
+    return contract(w) if w.ndim == 1 else np.stack([contract(v) for v in w])
 
 
 def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
@@ -269,11 +299,12 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
     R and both contractions of R_2 solve against the factorization of F_1
     that the problem keeps per point, so F_1 is checked once per point,
     whoever else solves against it there; each contraction reads dF_1/dy
-    through one call of the problem's y-coupling methods. The q_hess
-    contraction reuses the directional derivative of F_1, which contracts
-    over the output index only because the residual is a gradient field
-    (its second-derivative tensor is symmetric in all indices); every
-    shipped problem satisfies this.
+    through one call of the problem's y-coupling methods per direction. The
+    q_hess contraction reuses the directional derivative of F_1, which
+    contracts over the output index only because the residual is a gradient
+    field (its second-derivative tensor is symmetric in all indices); every
+    shipped problem satisfies this. A stack of w runs those solves and calls
+    one row at a time, so each slice has the bits of its single call.
 
     Inverting Q means solving F(z, ybar) = -v by a damped Newton run seeded
     at the exact root (CapabilityError without one); at the anchor v = 0,
@@ -284,12 +315,12 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         return problem.jac_x_factor(x, y).solve(np.eye(problem.d_x))
 
     # Each contraction solves every y-direction's column in one matrix
-    # right-hand side.
+    # right-hand side; a stack of w runs its directions one at a time.
     def r2_contract(x, y, w, q):
         f1 = problem.jac_x_factor(x, y)
-        t, s = f1.solve_T(w), f1.solve(q)
-        return (-f1.solve_T(problem.djac_x_y_apply_T(x, y, t)),
-                -f1.solve(problem.djac_x_y_apply(x, y, s)))
+        left = _per_direction(lambda v: -f1.solve_T(
+            problem.djac_x_y_apply_T(x, y, f1.solve_T(v))), w)
+        return left, -f1.solve(problem.djac_x_y_apply(x, y, f1.solve(q)))
 
     def q_inverse(v, ybar):
         return newton_root(lambda z: problem.residual(z, ybar) + v,
@@ -301,7 +332,8 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         r2_contract=r2_contract,
         q=lambda z, ybar: -problem.residual(z, ybar),
         q_jac=lambda z, ybar: -problem.jac_x(z, ybar),
-        q_hess_contract=lambda z, ybar, w: -problem.inner.djac_x_dir_x(z, ybar, w),
+        q_hess_contract=lambda z, ybar, w: _per_direction(
+            lambda v: -problem.inner.djac_x_dir_x(z, ybar, v), w),
         q_inverse=q_inverse,
         offset=True,
     )

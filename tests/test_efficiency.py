@@ -65,13 +65,16 @@ def _sinh_reparam(a):
     phi_11 and phi_21 all nonzero at the root; no shipped kind has both
     phi_2 and phi_11 there. With a nonsymmetric A, phi_1 = e^{y_0} A
     diag(cosh z) is nonsymmetric, which tells phi_1^{-1} from phi_1^{-T}:
-    every shipped phi_1 is diagonal at the root."""
+    every shipped phi_1 is diagonal at the root. Like every map, it takes
+    one direction w or a stack of them, one per row."""
     def derivatives(z, y, w):
-        scale, wa = np.exp(y[0]), a.T @ w
-        p2, czy = np.zeros((z.shape[0], y.shape[0])), np.zeros((z.shape[0], y.shape[0]))
+        scale, wa = np.exp(y[0]), w @ a
+        p2 = np.zeros((z.shape[0], y.shape[0]))
+        czy = np.zeros(w.shape[:-1] + (z.shape[0], y.shape[0]))
         p2[:, 0] = scale * (a @ np.sinh(z))
-        czy[:, 0] = wa * scale * np.cosh(z)
-        return (scale * a * np.cosh(z), p2, np.diag(wa * scale * np.sinh(z)), czy)
+        czy[..., 0] = wa * scale * np.cosh(z)
+        czz = (wa * scale * np.sinh(z))[..., None] * np.eye(z.shape[0])
+        return (scale * a * np.cosh(z), p2, czz, czy)
 
     return hg.Reparameterization(
         forward=lambda z, y: np.exp(y[0]) * (a @ np.sinh(z)),
@@ -533,12 +536,15 @@ class TestCouplingCallCounts:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", ["exp", "diag-rep"])
-    def test_a_phi_derivative_per_coordinate(self, kind, logistic_quadratic,
+    def test_one_stacked_phi_derivative_call(self, kind, logistic_quadratic,
                                              no_tensor, phi_derivative_calls):
+        # The phi prelude contracts every column of F_1 in one call.
         ctx = hg.RootContext.solve(logistic_quadratic,
                                    seeded_y(logistic_quadratic, 5, 3.0, 6.0))
         hg.efficiency_constant(ctx, kind)
-        assert len(phi_derivative_calls) == logistic_quadratic.d_x
+        assert len(phi_derivative_calls) == 1
+        assert_same_bits(phi_derivative_calls[0],
+                         logistic_quadratic.jac_x(ctx.xstar, ctx.y).T)
 
     def test_ridge_sweep_at_d20(self, monkeypatch):
         train = hg.synthetic_regression_dataset(60, 20, seed=1)
@@ -557,6 +563,28 @@ class TestCouplingCallCounts:
         ctx = hg.RootContext.solve(problem, seeded_y(problem, 5, 3.0, 6.0))
         hg.sensitivity_jacobian(ctx, "vanilla")
         assert len(calls) == problem.d_x
+
+
+def test_a_map_without_stacks_is_a_contract_violation(ridge_quadratic):
+    # The signed exponential as written for one direction only: on a stack,
+    # np.diag returns the diagonal of w e^z, and phi_21 w has no leading m.
+    ctx = hg.RootContext.solve(ridge_quadratic, seeded_y(ridge_quadratic, 5))
+    signs, d_x = np.sign(ctx.xstar), ridge_quadratic.d_x
+
+    def derivatives(z, y, w):
+        e = signs * np.exp(z)
+        return (np.diag(e), np.zeros((d_x, y.shape[0])),
+                np.diag(w * e), np.zeros((d_x, y.shape[0])))
+    phi = hg.Reparameterization(forward=lambda z, y: signs * np.exp(z),
+                                inverse=lambda x, y: np.log(x / signs),
+                                derivatives=derivatives)
+    x = ctx.xstar + 0.01
+    assert np.allclose(hg.reparam_sensitivity(ridge_quadratic, phi, x, ctx.y),
+                       hg.Strategy(ridge_quadratic, reparam="exp").sensitivity(x, ctx.y),
+                       rtol=1e-12, atol=0.0)
+    with pytest.raises(hg.ContractViolation,
+                       match=rf"derivatives.*expected \({d_x}, {d_x}, {d_x}\)"):
+        hg.root_jacobian(ctx, phi)
 
 
 class TestCompareBounds:
@@ -609,7 +637,7 @@ class TestComparisonJacobians:
     def test_diag_rep_trial_runs_one_phi_prelude(self, logistic_quadratic,
                                                  phi_derivative_calls):
         # J_phi and reparam_gap's sigma read one prelude from the context:
-        # d_x phi.derivatives calls, not 2 d_x.
+        # one phi.derivatives call on the stack F_1', not two.
         ctx = hg.RootContext.solve(logistic_quadratic,
                                    seeded_y(logistic_quadratic, 5, 3.0, 6.0))
         precond = hg.scaled_preconditioner(
@@ -618,7 +646,9 @@ class TestComparisonJacobians:
         hg.compare_bounds(terms)
         hg.precond_gap(terms)
         hg.reparam_gap(terms)
-        assert len(phi_derivative_calls) == logistic_quadratic.d_x
+        assert len(phi_derivative_calls) == 1
+        assert_same_bits(phi_derivative_calls[0],
+                         logistic_quadratic.jac_x(ctx.xstar, ctx.y).T)
 
     def test_opt_is_the_outer_curvature(self, logistic_quadratic):
         ctx = hg.RootContext.solve(logistic_quadratic,

@@ -334,6 +334,15 @@ class TestDerivatives:
         for name, g, f in zip(("phi_1", "phi_2", "phi_11 w", "phi_21 w"), got, want):
             assert g.shape == f.shape, name
             assert _relative_gap(g, f) <= self.TOL, name
+        # A stack of three directions: phi_1 and phi_2 as for one, and each
+        # contraction's slice k with the bits of the call on row k alone.
+        stack = np.random.default_rng(4).normal(size=(3, z.shape[0]))
+        stacked = phi.derivatives(z, y, stack)
+        singles = [phi.derivatives(z, y, v) for v in stack]
+        for i in (0, 1):
+            assert np.array_equal(stacked[i], singles[0][i])
+        for i in (2, 3):
+            assert np.array_equal(stacked[i], np.stack([t[i] for t in singles]))
         return got
 
     def test_closed_form_maps_match_forward(self):
@@ -553,6 +562,15 @@ class TestStrategyTable:
         for got, want in zip(sep.r2_contract(x, y, w, q),
                              (np.stack(left, axis=1), np.stack(right, axis=1))):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # A stack of directions runs them one at a time: each slice has the
+        # bits of its single call, and the right contraction is unchanged.
+        stack = np.stack([w, q, w - q])
+        got_left, got_right = sep.r2_contract(x, y, stack, q)
+        singles = [sep.r2_contract(x, y, v, q) for v in stack]
+        assert np.array_equal(got_left, np.stack([t[0] for t in singles]))
+        assert np.array_equal(got_right, singles[0][1])
+        assert np.array_equal(sep.q_hess_contract(x, y, stack),
+                              np.stack([sep.q_hess_contract(x, y, v) for v in stack]))
 
     def test_unknown_kind_rejected(self, scalar_fixture):
         for kind in ("bogus", 3, None):
