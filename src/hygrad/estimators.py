@@ -145,10 +145,10 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
 
 def _diag_stack(v: Array) -> Array:
     """``np.diag`` over the last axis: (..., d) -> (..., d, d)."""
-    out = np.zeros(v.shape + v.shape[-1:])
-    i = np.arange(v.shape[-1])
-    out[..., i, i] = v
-    return out
+    d = v.shape[-1]
+    out = np.zeros(v.shape[:-1] + (d * d,))
+    out[..., ::d + 1] = v
+    return out.reshape(v.shape + (d,))
 
 
 def identity_reparam() -> Reparameterization:
