@@ -12,9 +12,8 @@ E = I - P^{-1} F_1. One formula, ``_sensitivity_term``, differentiates S
 contracted with fixed vectors g_k, one call each of ``djac_x_y_apply_T``
 and ``djac_x_dir_x`` per vector (and, for a change of variables, one call
 of ``phi.derivatives`` on the stack of F_1's d_x columns): T is its value
-at g_1, and the whole Jacobian of S
-(``sensitivity_jacobian``, read only by reparam_gap's sigma) its value at
-the d_x unit vectors. For the "opt" key it is zero, read without a solve:
+at g_1, and the whole Jacobian of S (``sensitivity_jacobian``, read only
+by reparam_gap's sigma) its value at the d_x unit vectors. For the "opt" key it is zero, read without a solve:
 the Newton-like family's S is stationary at the root, so c_y = |D| and
 sigma = 0. Nothing on these paths is differenced; the ``*_fd`` Jacobians
 are test references. The comparison's J_phi and J_P are ``root_jacobian``'s.
@@ -221,8 +220,9 @@ def _sensitivity_term(ctx: RootContext, kind: StrategyKind,
     of ``reparam_sensitivity`` linear in F move, along dF = F_1 e_j. The
     plain part takes one call each of ``djac_x_y_apply_T`` and
     ``djac_x_dir_x`` per column and holds for any F_1; the phi terms take
-    one stacked call of ``phi.derivatives`` and need F_1 = F_1', so for any change
-    of variables |F_1 - F_1'| > SYMMETRY_RTOL |F_1| raises CapabilityError.
+    one stacked call of ``phi.derivatives`` and need F_1 = F_1', so for any
+    change of variables |F_1 - F_1'| > SYMMETRY_RTOL |F_1| raises
+    CapabilityError.
     After that check the "opt" key's array is zero, with no further call.
     S, the default g's u and plain part, and the phi terms independent of g
     are read from the context, so only another g calls the oracles again.

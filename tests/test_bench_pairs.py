@@ -71,6 +71,15 @@ def test_records_accumulate_keyed_by_parent_and_change(tool):
     other = {"parent": "p1", "change": "c2", "pairs": 10}
     assert tool.accumulate(records, other) == [legacy, first, other]
 
+    # The seed is part of the key: a pair run at two seeds keeps both.
+    seeded = dict(first, seed=2026)
+    records = tool.accumulate(records, seeded)
+    assert records == [legacy, first, seeded]
+    reseeded = dict(first, seed=4242)
+    assert tool.accumulate(records, reseeded) == [legacy, first, seeded, reseeded]
+    assert tool.accumulate(records, dict(seeded, pairs=3)) == [
+        legacy, first, dict(seeded, pairs=3)]
+
 
 def test_main_records_each_sides_traced_counts(tool, monkeypatch, tmp_path):
     # A stubbed perfbench/run.py: end-to-end runs report the four metrics,

@@ -18,8 +18,9 @@ It appends one record to the list in ``BENCH_<W>.json`` in the current
 directory: the parent and change commits, seed and run length, every run's
 ``correct``/``attempted``/``failed`` and metric values, and per end-to-end
 metric of ``BENCHMARK.json`` each side's median and quartiles and the
-change's wins. The parent and change commits key the record: it replaces
-an earlier one with the same pair. ``gain_holds`` applies the rule
+change's wins. The parent and change commits and the seed key the record:
+it replaces an earlier one with the same pair and seed, so each seed of a
+pair keeps its own record. ``gain_holds`` applies the rule
 a claimed gain must meet: the change wins at least nine tenths of the pairs
 (ties count for neither), and its median beats the parent's by more than
 the parent's interquartile range. ``within_bound`` says whether the
@@ -131,9 +132,10 @@ def change_commit() -> str:
 def accumulate(records: list | None, record: dict) -> list:
     """``records``, the parsed list of a BENCH file (None for no file), with
     ``record`` appended in place of any entry with the same parent and
-    change commits. The earliest entries have no ``change`` key."""
-    key = (record["parent"], record["change"])
-    return [r for r in records or [] if (r["parent"], r.get("change")) != key] + [record]
+    change commits and seed. The earliest entries have no ``change`` key."""
+    key = (record["parent"], record["change"], record.get("seed"))
+    return [r for r in records or []
+            if (r["parent"], r.get("change"), r.get("seed")) != key] + [record]
 
 
 def export(rev: str, into: Path) -> str:
