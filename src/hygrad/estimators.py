@@ -12,10 +12,13 @@ differing only in two parts:
   without it x' = x;
 - the sensitivity map S, the estimate of [dx*/dy]': the plain implicit
   matrix -F_2' F_1^{-1}, or the one induced by a change of variables
-  x = phi(z, y), possibly re-anchored at every query point.
+  x = phi(z, y), possibly re-anchored at every query point; the shipped
+  changes of variables carry S in closed form, and ``reparam_sensitivity``
+  is the generic formula for any other.
 
-All of them are consistent (exact when x is the inner root); they differ in
-how fast their error decays as x approaches the root. ``STRATEGY_TABLE``
+All of them are consistent (exact when x is the inner root and F_1 is
+symmetric, as for every shipped problem); they differ in how fast their
+error decays as x approaches the root. ``STRATEGY_TABLE``
 names the shipped pairs.
 
 Inverse applications are linear solves throughout; no matrix is inverted
@@ -30,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import factor
+from .linalg import check_diagonal, factor
 from .problems import BilevelProblem, as_vector
 from .solvers import exact_root, newton_root
 
@@ -107,11 +110,19 @@ class Reparameterization:
     call with row k alone. phi_1 and phi_2 do not depend on w. The at-root
     analyses contract the d_x columns of F_1 in one call, so a caller's map
     must accept a stack.
+
+    ``sensitivity(problem, x, y)``, when set, is the map's closed form of
+    ``reparam_sensitivity(problem, phi, x, y)``: ``Strategy.sensitivity``
+    calls it in place of the generic formula, as ``BilevelProblem`` calls an
+    oracle's closed-form y-coupling. It must raise where the generic formula
+    raises, DomainError outside the map's range included. The exponential
+    maps set it; a caller who replaces another field clears it.
     """
 
     forward: Callable[[Array, Array], Array]
     inverse: Callable[[Array, Array], Array]
     derivatives: Callable[[Array, Array, Array], tuple[Array, Array, Array, Array]]
+    sensitivity: Optional[Callable[[BilevelProblem, Array, Array], Array]] = None
 
 
 def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
@@ -166,7 +177,14 @@ def identity_reparam() -> Reparameterization:
 def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
     """phi(z) = a * exp(b z), element-wise over ``size`` coordinates, for a
     nonzero b and a nonzero a (one scalar, or one value per coordinate);
-    phi does not depend on y. a b and a b^2 are formed once, here."""
+    phi does not depend on y. a b and a b^2 are formed once, here.
+
+    The sensitivity has a closed form: at x = phi(z), phi_1 = diag(b x),
+    phi_2 = phi_21 F = 0 and phi_1^{-T} (phi_11 F) phi_1^{-1} = diag(F / x),
+    so S = -(V^{-T} F_2)' with V = F_1 + diag(F / x), and V is F_1 where F
+    is zero. Like the generic formula it checks x through the inverse and
+    then phi_1.
+    """
     ab, ab2 = a * b, a * b * b
 
     def inverse(x, y):
@@ -180,8 +198,16 @@ def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
         return (np.diag(ab * e), np.zeros((size, y.shape[0])),
                 _diag_stack(w * ab2 * e), np.zeros(w.shape[:-1] + (size, y.shape[0])))
 
+    def sensitivity(problem, x, y):
+        check_diagonal(ab * np.exp(b * inverse(x, y)), "phi_1")
+        f = problem.residual(x, y)
+        v_lu = factor(problem.jac_x(x, y) + np.diag(f / x), "V") if np.any(f) \
+            else problem.jac_x_factor(x, y, "V")
+        return -v_lu.solve_T(problem.jac_y(x, y)).T
+
     return Reparameterization(forward=lambda z, y: a * np.exp(b * z),
-                              inverse=inverse, derivatives=derivatives)
+                              inverse=inverse, derivatives=derivatives,
+                              sensitivity=sensitivity)
 
 
 def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
@@ -225,6 +251,14 @@ class SeparableReparam:
     (m, d_x), one per row; for a stack, ``left`` and the q_hess contraction
     come back with the leading m, slice k equal to the call with row k
     alone, and ``right`` is unchanged.
+
+    ``sensitivity(x, y)``, when set, is the family's closed form of the
+    sensitivity of the family anchored at (x, y) itself, read from the
+    problem the family was built for: ``Strategy.sensitivity`` calls it in
+    place of ``reparam_sensitivity`` of ``anchored_reparam(family, x, y)``.
+    The diag-scaling and Newton-like families set it. It holds only for the
+    family's own fields, so ``scale_separable_r`` clears it, and so must a
+    caller who replaces a field.
     """
 
     r: Callable[[Array, Array], Array]
@@ -235,6 +269,7 @@ class SeparableReparam:
     q_hess_contract: Callable[[Array, Array, Array], Array]
     q_inverse: Callable[[Array, Array], Array]
     offset: bool
+    sensitivity: Optional[Callable[[Array, Array], Array]] = None
 
 
 def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
@@ -265,7 +300,13 @@ def anchored_reparam(sep: SeparableReparam, anchor_x: Array,
 
 def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
     """Separable family with R = [diag(F_1)]^{-1} and Q the identity; the
-    problem checks diag(F_1) once per point for R, R's solve and R_2."""
+    problem checks diag(F_1) once per point for R, R's solve and R_2.
+
+    Anchored at the query point, with d = diag(F_1) and D the columns of
+    ``djac_x_y_diag``: phi_1 = R is diagonal and phi_11 F is zero, so V is
+    F_1; phi_2 = -D (x / d) and U = F_2 + F_1 phi_2 - D (F / d), rows scaled
+    element-wise. The sensitivity solves V through the problem's F_1.
+    """
     def diagonal(x, y):
         return problem.jac_x_diagonal(x, y, "R").diagonal
 
@@ -276,6 +317,14 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         dirs = problem.djac_x_y_diag(x, y)
         return -dirs * (w / (d * d))[..., None], -dirs * (q / (d * d))[:, None]
 
+    def sensitivity(x, y):
+        d = diagonal(x, y)
+        dirs = problem.djac_x_y_diag(x, y)
+        p2 = -dirs * (x / d)[:, None]
+        u = problem.jac_y(x, y) + problem.jac_x(x, y) @ p2 \
+            - dirs * (problem.residual(x, y) / d)[:, None]
+        return p2.T - problem.jac_x_factor(x, y, "V").solve_T(u).T
+
     return SeparableReparam(
         r=lambda x, y: np.diag(1.0 / diagonal(x, y)),
         r_solve=lambda x, y, v: v * diagonal(x, y),
@@ -285,6 +334,7 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         q_hess_contract=lambda z, ybar, w: np.zeros(w.shape[:-1] + (z.shape[0],) * 2),
         q_inverse=lambda v, ybar: v,
         offset=False,
+        sensitivity=sensitivity,
     )
 
 
@@ -310,6 +360,18 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
     at the exact root (CapabilityError without one); at the anchor v = 0,
     so once the problem has solved ybar, Newton stops at its first residual
     check.
+
+    Anchored at the query point (x, y), z is the root x* at y, and the
+    Jacobian of Q cancels out of U, so the sensitivity has a closed form
+    that neither runs Newton nor forms phi_1 = -A^{-1} B. With A = F_1(x, y),
+    B = F_1(x*, y), r* = F(x*, y), a = A^{-T} F and s = A^{-1} r*:
+
+        phi_2 = A^{-1} djac_x_y_apply(x, y, s)
+        U = F_2 + djac_x_y_apply(x, y, s) - djac_x_y_apply_T(x, y, a)
+        V = A - M' djac_x_dir_x(x*, y, a) M,  M = B^{-1} A
+
+    A and B are solved through the problem's factorizations at x and x*;
+    where the djac_x_dir_x term is zero, V is A.
     """
     def r(x, y):
         return problem.jac_x_factor(x, y).solve(np.eye(problem.d_x))
@@ -326,6 +388,21 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         return newton_root(lambda z: problem.residual(z, ybar) + v,
                            lambda z: problem.jac_x(z, ybar), exact_root(problem, ybar))
 
+    def sensitivity(x, y):
+        xstar = exact_root(problem, y)
+        a_lu = problem.jac_x_factor(x, y)
+        a = a_lu.solve_T(problem.residual(x, y))
+        apply_s = problem.djac_x_y_apply(x, y, a_lu.solve(problem.residual(xstar, y)))
+        u = problem.jac_y(x, y) + apply_s - problem.djac_x_y_apply_T(x, y, a)
+        c = problem.inner.djac_x_dir_x(xstar, y, a)
+        if np.any(c):
+            f1 = problem.jac_x(x, y)
+            m = problem.jac_x_factor(xstar, y, "Q_1").solve(f1)
+            v_lu = factor(f1 - m.T @ c @ m, "V")
+        else:
+            v_lu = problem.jac_x_factor(x, y, "V")
+        return a_lu.solve(apply_s).T - v_lu.solve_T(u).T
+
     return SeparableReparam(
         r=r,
         r_solve=lambda x, y, v: problem.jac_x(x, y) @ v,
@@ -336,6 +413,7 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
             lambda v: -problem.inner.djac_x_dir_x(z, ybar, v), w),
         q_inverse=q_inverse,
         offset=True,
+        sensitivity=sensitivity,
     )
 
 
@@ -343,7 +421,9 @@ def scale_separable_r(sep: SeparableReparam, factor: float) -> SeparableReparam:
     """Scale only the R field of a separable family (controlled deviation).
 
     The y-derivative contractions are left untouched on purpose, so the
-    scaled family deviates from the Newton-like ideal in R alone.
+    scaled family deviates from the Newton-like ideal in R alone. Its
+    sensitivity is the generic formula's: the family's closed form is
+    cleared.
     """
     if factor == 0 or not np.isfinite(factor):
         raise UsageError("scale factor must be finite and nonzero")
@@ -351,6 +431,7 @@ def scale_separable_r(sep: SeparableReparam, factor: float) -> SeparableReparam:
         sep,
         r=lambda x, y: factor * sep.r(x, y),
         r_solve=lambda x, y, v: sep.r_solve(x, y, v) / factor,
+        sensitivity=None,
     )
 
 
@@ -382,10 +463,16 @@ class Strategy:
         return signed_exp_reparam(x) if self.reparam == "exp" else self.reparam
 
     def sensitivity(self, x: Array, y: Array) -> Array:
-        """The sensitivity matrix S(x, y)."""
+        """The sensitivity matrix S(x, y): the change of variables' closed
+        form when it has one, else ``reparam_sensitivity``."""
+        reparam = self.reparam
+        if isinstance(reparam, SeparableReparam) and reparam.sensitivity is not None:
+            return reparam.sensitivity(x, y)
         phi = self.change_of_variables(x, y)
         if phi is None:
             return solution_sensitivity(self.problem, x, y)
+        if phi.sensitivity is not None:
+            return phi.sensitivity(self.problem, x, y)
         return reparam_sensitivity(self.problem, phi, x, y)
 
     def estimate(self, x: Array, y: Array) -> Array:

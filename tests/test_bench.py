@@ -111,9 +111,9 @@ class TestRunDecay:
         # factorization of x_k: only vanilla evaluates and checks F_1(x_k),
         # and diag-rep's V = F_1 solves against that check; only newton
         # evaluates F(x_k), and newton and diag evaluate F_1 at their
-        # corrected points. opt reads F and F_1 at the root from the
-        # problem's memo of five points, which still holds it after x_k and
-        # the two corrected points.
+        # corrected points. opt reads F, F_1 and the check of F_1 at the root
+        # from the problem's memo of five points, which still holds it after
+        # x_k and the two corrected points, and checks only its V.
         calls = []
 
         def counted(name):
@@ -147,7 +147,7 @@ class TestRunDecay:
         hg.run_decay(hg.RunConfig(problem="logistic", strategies=hg.STRATEGIES,
                                   steps=steps, y_low=3.0, y_high=6.0, seed=2))
         per_step = {"vanilla": (1, 0, 1), "newton": (1, 1, 1), "diag": (1, 0, 1),
-                    "exp": (0, 0, 1), "diag-rep": (0, 0, 0), "opt": (0, 0, 2)}
+                    "exp": (0, 0, 1), "diag-rep": (0, 0, 0), "opt": (0, 0, 1)}
         for k in range(1, steps + 1):
             assert {s: counts[s][k] for s in hg.STRATEGIES} == per_step, k
 

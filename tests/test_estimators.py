@@ -421,14 +421,15 @@ def _per_estimate_counts(problem, lu_calls, root_context):
     return counts
 
 
-def _expected_counts(opt_lu):
+def _expected_counts(opt_jac_x, opt_lu):
     # The problem evaluates F_1 once per point: diag-rep needs it at x only,
-    # opt at x and at z = Q^{-1}(0), the root. Neither differentiates F_1
-    # along a one-hot y-direction: diag-rep reads R_2 from one closed-form
-    # diagonal call, opt from one closed-form call per R_2 contraction.
+    # opt at x and, where V has a djac_x_dir_x term, at the root. Neither
+    # differentiates F_1 along a one-hot y-direction: diag-rep reads its
+    # y-coupling from one closed-form diagonal call, opt from one call each
+    # of the two closed-form contractions.
     return {"vanilla": (1, 0, 0, 1), "newton": (2, 0, 0, 2),
             "diag": (2, 0, 0, 1), "exp": (1, 0, 0, 1),
-            "diag-rep": (1, 0, 1, 1), "opt": (2, 0, 2, opt_lu)}
+            "diag-rep": (1, 0, 1, 1), "opt": (opt_jac_x, 0, 2, opt_lu)}
 
 
 class TestStrategyTable:
@@ -479,30 +480,30 @@ class TestStrategyTable:
         hg.make_estimator(ridge_quadratic, "opt")
         assert built == [ridge_quadratic]
 
-    @pytest.mark.parametrize("fixture,opt_lu", [("ridge_quadratic", 3),
-                                                ("logistic_quadratic", 6)])
-    def test_lu_factorizations_per_estimate(self, fixture, opt_lu, request,
-                                            lu_calls):
+    @pytest.mark.parametrize("fixture,opt_jac_x,opt_lu", [
+        ("ridge_quadratic", 1, 2), ("logistic_quadratic", 2, 6)])
+    def test_lu_factorizations_per_estimate(self, fixture, opt_jac_x, opt_lu,
+                                            request, lu_calls):
         # Every solve against one matrix shares one factorization, F_1's
         # kept per point by the problem, and a change of variables evaluates
         # its terms once per point. From a plain problem opt also solves the
-        # root that seeds q_inverse: one solve on ridge, three Newton steps
-        # on logistic. On ridge dF_1 is zero, so opt's V is F_1 itself.
+        # root x*: one solve on ridge, three Newton steps on logistic. On
+        # ridge dF_1 is zero, so opt's V is F_1 itself and F_1(x*) is not
+        # needed; on logistic opt checks F_1, F_1(x*) and V.
         problem = request.getfixturevalue(fixture)
         assert _per_estimate_counts(problem, lu_calls, root_context=False) \
-            == _expected_counts(opt_lu)
+            == _expected_counts(opt_jac_x, opt_lu)
 
-    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
-    def test_opt_lu_factorizations_from_root_context(self, fixture, request,
-                                                     lu_calls):
-        # From a root context q_inverse is seeded at the stored root and its
-        # Newton run stops at the first residual check, so opt checks only
-        # F_1 (once, for R and both R_2 contractions), phi_1 and V; on ridge
-        # V is F_1.
+    @pytest.mark.parametrize("fixture,opt_jac_x,opt_lu", [
+        ("ridge_quadratic", 1, 1), ("logistic_quadratic", 2, 3)])
+    def test_opt_lu_factorizations_from_root_context(self, fixture, opt_jac_x,
+                                                     opt_lu, request, lu_calls):
+        # From a root context opt reads the stored root and runs no Newton,
+        # so it checks only F_1 (once, for both solves against it), and on
+        # logistic F_1(x*) and V; on ridge V is F_1.
         problem = request.getfixturevalue(fixture)
-        opt_lu = {"ridge_quadratic": 2, "logistic_quadratic": 3}[fixture]
         assert _per_estimate_counts(problem, lu_calls, root_context=True) \
-            == _expected_counts(opt_lu)
+            == _expected_counts(opt_jac_x, opt_lu)
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_diag_f1_checked_once_per_point(self, fixture, request, monkeypatch):
