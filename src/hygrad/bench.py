@@ -190,7 +190,8 @@ def run_decay(config: RunConfig) -> list:
     y = sample_y(problem.d_y, config.y_low, config.y_high, config.seed)
     iterates = gradient_descent(problem, y, np.zeros(problem.d_x), config.steps,
                                 step_size=config.step_size)
-    # Every strategy, opt's inverse of Q included, reuses this one root.
+    # opt's sensitivity reads this one root, with F and the check of F_1 at
+    # it, from the problem at every step.
     ctx = RootContext.solve(problem, y)
     xstar = ctx.xstar
     grad_true = Strategy(problem).estimate(xstar, y)

@@ -116,6 +116,47 @@ def shift_problem(d):
     return hg.BilevelProblem(inner=inner, outer=outer, d_x=d, d_y=d, name="shift")
 
 
+def nonsymmetric_problem():
+    """F = (A + diag(e^y) + y_0 N) x + b x_0 x_1 e_0 - c with nonsymmetric A
+    and N, so neither F_1, dF_1/dx_j nor dF_1/dy_0 is symmetric: the last
+    tells (dF_1/dy_e)' u from (dF_1/dy_e) u."""
+    a, b = np.array([[2.0, 0.6], [-0.4, 1.5]]), 0.3
+    n = np.array([[0.0, 0.5], [-0.2, 0.1]])
+    c, t = np.array([1.0, -0.5]), np.array([0.3, 0.7])
+
+    def residual(x, y):
+        return (a + np.diag(np.exp(y)) + y[0] * n) @ x \
+            + np.array([b * x[0] * x[1], 0.0]) - c
+
+    def jac_x(x, y):
+        return a + np.diag(np.exp(y)) + y[0] * n \
+            + np.array([[b * x[1], b * x[0]], [0.0, 0.0]])
+
+    def jac_y(x, y):
+        f2 = np.diag(np.exp(y) * x)
+        f2[:, 0] += n @ x
+        return f2
+
+    inner = hg.CallableInnerOracle(
+        residual=residual,
+        jac_x=jac_x,
+        jac_y=jac_y,
+        djac_x_dir_x=lambda x, y, u: np.array([[b * u[1], b * u[0]], [0.0, 0.0]]),
+        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e) + e[0] * n,
+        exact_root=lambda y: hg.newton_root(lambda x: residual(x, y),
+                                            lambda x: jac_x(x, y), np.zeros(2)),
+    )
+    outer = hg.CallableOuterOracle(
+        value=lambda x, y: 0.5 * float(np.sum((x - t) ** 2)),
+        grad_x=lambda x, y: x - t,
+        grad_y=lambda x, y: np.zeros(2),
+        hess_xx=lambda x, y: np.eye(2),
+        jac_gradY_x=lambda x, y: np.zeros((2, 2)),
+        jac_gradX_y=lambda x, y: np.zeros((2, 2)),
+    )
+    return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="nonsym")
+
+
 def seeded_y(problem, seed, low=-1.0, high=1.0):
     return hg.sample_y(problem.d_y, low, high, seed)
 

@@ -81,6 +81,45 @@ def test_records_accumulate_keyed_by_parent_and_change(tool):
         legacy, first, dict(seeded, pairs=3)]
 
 
+def test_trajectory_lists_each_workloads_records_in_order(tool, tmp_path,
+                                                           monkeypatch, capsys):
+    parent, change = [10.0, 11.0, 12.0, 13.0], [14.0, 15.0, 16.0, 17.0]
+    gained = {"rows_per_s": tool.summarize(parent, change, "higher", 0.25),
+              "wall_s": tool.summarize(change, parent, "lower", 0.25)}
+    flat = {"rows_per_s": tool.summarize(parent, parent, "higher", 0.25)}
+    records = [
+        {"workload": "decay", "parent": "a" * 40, "seed": 1, "pairs": 4,
+         "summary": flat},                                  # early: no change key
+        {"workload": "compare", "parent": "b" * 40, "change": "c" * 40,
+         "seed": 2026, "pairs": 4, "summary": gained},
+        {"workload": "decay", "parent": "d" * 40, "change": "e" * 40,
+         "seed": 4242, "pairs": 4, "summary": gained},
+    ]
+    want = [
+        "decay",
+        "  aaaaaaa -> ?  seed 1  4 pairs",
+        "    rows_per_s: 11.5 -> 11.5  wins 0/4  gain_holds=False",
+        "  ddddddd -> eeeeeee  seed 4242  4 pairs",
+        "    rows_per_s: 11.5 -> 15.5  wins 4/4  gain_holds=True",
+        "    wall_s: 15.5 -> 11.5  wins 4/4  gain_holds=True",
+        "compare",
+        "  bbbbbbb -> ccccccc  seed 2026  4 pairs",
+        "    rows_per_s: 11.5 -> 15.5  wins 4/4  gain_holds=True",
+        "    wall_s: 15.5 -> 11.5  wins 4/4  gain_holds=True",
+    ]
+    assert tool.trajectory_lines(records) == want
+
+    # The command reads the files it is given, or every BENCH file here,
+    # and leaves them as they were.
+    text = json.dumps(records)
+    (tmp_path / "BENCH_x.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["trajectory"], ["trajectory", str(tmp_path / "BENCH_x.json")]):
+        assert tool.main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == want
+    assert (tmp_path / "BENCH_x.json").read_text() == text
+
+
 def test_main_records_each_sides_traced_counts(tool, monkeypatch, tmp_path):
     # A stubbed perfbench/run.py: end-to-end runs report the four metrics,
     # traced runs a count, a time and a ratio, with one count that differs.

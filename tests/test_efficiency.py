@@ -8,56 +8,16 @@ import pytest
 import hygrad as hg
 from hygrad.errors import UsageError
 from hygrad.estimators import resolve_strategy
-from hygrad.problems import CallableInnerOracle, CallableOuterOracle
+from hygrad.problems import CallableOuterOracle
 
-from conftest import assert_same_bits, comparison_terms, seeded_y, shift_problem
+from conftest import (assert_same_bits, comparison_terms, nonsymmetric_problem, seeded_y,
+                      shift_problem)
 
 
 def _diagonal_ridge():
     """Ridge whose data Gram matrix is diagonal, so diag(F_1) = F_1."""
     train = hg.Dataset(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 2.0]))
     return hg.make_ridge(train, train, "quadratic")
-
-
-def _nonsymmetric_problem():
-    """F = (A + diag(e^y) + y_0 N) x + b x_0 x_1 e_0 - c with nonsymmetric A
-    and N, so neither F_1, dF_1/dx_j nor dF_1/dy_0 is symmetric: the last
-    tells (dF_1/dy_e)' u from (dF_1/dy_e) u."""
-    a, b = np.array([[2.0, 0.6], [-0.4, 1.5]]), 0.3
-    n = np.array([[0.0, 0.5], [-0.2, 0.1]])
-    c, t = np.array([1.0, -0.5]), np.array([0.3, 0.7])
-
-    def residual(x, y):
-        return (a + np.diag(np.exp(y)) + y[0] * n) @ x \
-            + np.array([b * x[0] * x[1], 0.0]) - c
-
-    def jac_x(x, y):
-        return a + np.diag(np.exp(y)) + y[0] * n \
-            + np.array([[b * x[1], b * x[0]], [0.0, 0.0]])
-
-    def jac_y(x, y):
-        f2 = np.diag(np.exp(y) * x)
-        f2[:, 0] += n @ x
-        return f2
-
-    inner = CallableInnerOracle(
-        residual=residual,
-        jac_x=jac_x,
-        jac_y=jac_y,
-        djac_x_dir_x=lambda x, y, u: np.array([[b * u[1], b * u[0]], [0.0, 0.0]]),
-        djac_x_dir_y=lambda x, y, e: np.diag(np.exp(y) * e) + e[0] * n,
-        exact_root=lambda y: hg.newton_root(lambda x: residual(x, y),
-                                            lambda x: jac_x(x, y), np.zeros(2)),
-    )
-    outer = CallableOuterOracle(
-        value=lambda x, y: 0.5 * float(np.sum((x - t) ** 2)),
-        grad_x=lambda x, y: x - t,
-        grad_y=lambda x, y: np.zeros(2),
-        hess_xx=lambda x, y: np.eye(2),
-        jac_gradY_x=lambda x, y: np.zeros((2, 2)),
-        jac_gradX_y=lambda x, y: np.zeros((2, 2)),
-    )
-    return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="nonsym")
 
 
 def _sinh_reparam(a):
@@ -424,7 +384,7 @@ class TestSensitivityJacobian:
                     (problem.name, seed)
 
     def test_change_of_variables_needs_a_symmetric_f1(self):
-        problem = _nonsymmetric_problem()
+        problem = nonsymmetric_problem()
         ctx = hg.RootContext.solve(problem, np.array([0.2, -0.3]))
         for kind in ("exp", "diag-rep", "opt"):
             for jacobian in (hg.root_jacobian, hg.sensitivity_jacobian):

@@ -12,7 +12,7 @@ from hygrad.efficiency import JACOBIAN_FD_STEP
 from hygrad.estimators import resolve_strategy
 from hygrad.problems import CallableInnerOracle, fd_jacobian
 
-from conftest import COUPLINGS, seeded_y
+from conftest import COUPLINGS, nonsymmetric_problem, rel_err, seeded_y
 
 
 def shipped_problems(scalar_fixture, linear1d_fixture, ridge_quadratic,
@@ -201,6 +201,134 @@ class TestLocalizedEstimate:
         x = np.linspace(-1.0, 1.0, ridge_quadratic.d_x)
         got = hg.Strategy(ridge_quadratic, reparam=sep).sensitivity(x, y)
         assert np.max(np.abs(got - truth)) <= 1e-6 * (1 + np.max(np.abs(truth)))
+
+
+@pytest.fixture(scope="module")
+def nonsymmetric():
+    return nonsymmetric_problem()
+
+
+# Largest relative gap between a closed-form S and the generic formula's
+# over the cases below: 2.1e-15, exp on logistic. A solve against F_1 where
+# the formula solves against F_1' fails the nonsymmetric case at its first
+# point, by 2.1e-4 in opt's F_1^{-T} F, 0.11 in diag-rep's V solve and 0.55
+# in exp's.
+CLOSED_FORM_RTOL = 1e-13
+
+# exp_family_reparam_1d's (alpha, beta) and a point of the map's range.
+EXP_1D_CASES = [(1.0, 1.0, 0.9), (-1.5, 0.7, -0.4), (2.0, -0.3, 0.25)]
+
+
+def _generic_separable(problem, family, x, y):
+    """reparam_sensitivity of the family, its closed form cleared, anchored
+    at (x, y)."""
+    phi = hg.anchored_reparam(replace(family, sensitivity=None), x, y)
+    return hg.reparam_sensitivity(problem, phi, x, y)
+
+
+class TestClosedFormSensitivity:
+    """Each shipped change of variables against ``reparam_sensitivity`` of
+    the same map with its closed form cleared, at seeded points off the
+    root, near and far."""
+
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic",
+                                         "nonsymmetric"])
+    def test_matches_the_generic_formula(self, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        low, high = (3.0, 6.0) if problem.name == "logistic" else (-1.0, 1.0)
+        families = {"diag-rep": hg.diag_scaling_reparam(problem),
+                    "opt": hg.newton_separable_reparam(problem)}
+        for seed in range(4):
+            y = seeded_y(problem, seed, low=low, high=high)
+            rng = np.random.default_rng(seed)
+            for scale in (1e-3, 1e-1):
+                x = problem.exact_root(y) + rng.normal(scale=scale, size=problem.d_x)
+                for name, family in families.items():
+                    gap = rel_err(family.sensitivity(x, y),
+                                  _generic_separable(problem, family, x, y))
+                    assert gap <= CLOSED_FORM_RTOL, (name, seed, scale, gap)
+                phi = hg.signed_exp_reparam(x)
+                gap = rel_err(phi.sensitivity(problem, x, y), hg.reparam_sensitivity(
+                    problem, replace(phi, sensitivity=None), x, y))
+                assert gap <= CLOSED_FORM_RTOL, ("exp", seed, scale, gap)
+
+    @pytest.mark.parametrize("fixture", ["scalar_fixture", "linear1d_fixture"])
+    def test_exp_family_1d_matches_the_generic_formula(self, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        y = np.array([0.3])
+        for alpha, beta, x in EXP_1D_CASES:
+            phi = hg.exp_family_reparam_1d(alpha, beta)
+            x = np.array([x])
+            gap = rel_err(phi.sensitivity(problem, x, y), hg.reparam_sensitivity(
+                problem, replace(phi, sensitivity=None), x, y))
+            assert gap <= CLOSED_FORM_RTOL, (alpha, beta, gap)
+
+    def test_strategy_calls_the_closed_form(self, ridge_quadratic):
+        x, y = _off_root_point(ridge_quadratic, 92)
+        marker = np.full((ridge_quadratic.d_y, ridge_quadratic.d_x), 7.0)
+        for reparam in (
+                replace(hg.signed_exp_reparam(x), sensitivity=lambda p, x, y: marker),
+                replace(hg.newton_separable_reparam(ridge_quadratic),
+                        sensitivity=lambda x, y: marker)):
+            assert hg.Strategy(ridge_quadratic, reparam=reparam).sensitivity(x, y) \
+                is marker
+
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    def test_scaled_family_takes_the_generic_path(self, fixture, request):
+        # Scaling R makes the family no longer Newton-like, so the Newton
+        # closed form must not ride along on the copy.
+        problem = request.getfixturevalue(fixture)
+        x, y = _off_root_point(problem, 93)
+        family = hg.newton_separable_reparam(problem)
+        scaled = hg.scale_separable_r(family, 1.5)
+        assert scaled.sensitivity is None
+        got = hg.Strategy(problem, reparam=scaled).sensitivity(x, y)
+        assert np.array_equal(got, hg.reparam_sensitivity(
+            problem, hg.anchored_reparam(scaled, x, y), x, y))
+        assert rel_err(got, hg.Strategy(problem, reparam=family).sensitivity(x, y)) \
+            > 1e-6
+
+
+class TestClosedFormDomain:
+    """The exponential closed form raises DomainError exactly where the
+    generic formula's inverse does."""
+
+    @staticmethod
+    def _paths(problem, phi):
+        generic = replace(phi, sensitivity=None)
+        return (lambda x, y: phi.sensitivity(problem, x, y),
+                lambda x, y: hg.reparam_sensitivity(problem, generic, x, y))
+
+    def _assert_both_refuse(self, problem, phi, x, y):
+        for path in self._paths(problem, phi):
+            with pytest.raises(DomainError):
+                path(x, y)
+
+    def test_signed_map_refuses_zero_and_flipped_coordinates(self, ridge_quadratic):
+        problem = ridge_quadratic
+        x, y = _off_root_point(problem, 94)
+        phi = hg.signed_exp_reparam(x)
+        for j in (0, problem.d_x - 1):
+            for bad in (0.0, -0.0, -x[j]):
+                moved = x.copy()
+                moved[j] = bad
+                self._assert_both_refuse(problem, phi, moved, y)
+        # The "exp" key anchors at the point itself, so it refuses a zero.
+        moved = x.copy()
+        moved[1] = 0.0
+        with pytest.raises(DomainError):
+            hg.Strategy(problem, reparam="exp").sensitivity(moved, y)
+
+    @pytest.mark.parametrize("fixture", ["scalar_fixture", "linear1d_fixture"])
+    def test_family_1d_refuses_the_other_half_line(self, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        y = np.array([0.3])
+        for alpha, beta, inside in EXP_1D_CASES:
+            phi = hg.exp_family_reparam_1d(alpha, beta)
+            for x in (0.0, -0.0, -inside, -1e-300 * inside):
+                self._assert_both_refuse(problem, phi, np.array([x]), y)
+            for path in self._paths(problem, phi):
+                assert np.isfinite(path(np.array([inside]), y)).all()
 
 
 class TestConstructors:
@@ -421,6 +549,11 @@ def _per_estimate_counts(problem, lu_calls, root_context):
     return counts
 
 
+# opt evaluates F_1 at the root too where V has a djac_x_dir_x term: not on
+# ridge, whose dF_1 is zero.
+OPT_JAC_X = {"ridge_quadratic": 1, "logistic_quadratic": 2}
+
+
 def _expected_counts(opt_jac_x, opt_lu):
     # The problem evaluates F_1 once per point: diag-rep needs it at x only,
     # opt at x and, where V has a djac_x_dir_x term, at the root. Neither
@@ -480,10 +613,10 @@ class TestStrategyTable:
         hg.make_estimator(ridge_quadratic, "opt")
         assert built == [ridge_quadratic]
 
-    @pytest.mark.parametrize("fixture,opt_jac_x,opt_lu", [
-        ("ridge_quadratic", 1, 2), ("logistic_quadratic", 2, 6)])
-    def test_lu_factorizations_per_estimate(self, fixture, opt_jac_x, opt_lu,
-                                            request, lu_calls):
+    @pytest.mark.parametrize("fixture,opt_lu", [("ridge_quadratic", 2),
+                                                ("logistic_quadratic", 6)])
+    def test_lu_factorizations_per_estimate(self, fixture, opt_lu, request,
+                                            lu_calls):
         # Every solve against one matrix shares one factorization, F_1's
         # kept per point by the problem, and a change of variables evaluates
         # its terms once per point. From a plain problem opt also solves the
@@ -492,18 +625,18 @@ class TestStrategyTable:
         # needed; on logistic opt checks F_1, F_1(x*) and V.
         problem = request.getfixturevalue(fixture)
         assert _per_estimate_counts(problem, lu_calls, root_context=False) \
-            == _expected_counts(opt_jac_x, opt_lu)
+            == _expected_counts(OPT_JAC_X[fixture], opt_lu)
 
-    @pytest.mark.parametrize("fixture,opt_jac_x,opt_lu", [
-        ("ridge_quadratic", 1, 1), ("logistic_quadratic", 2, 3)])
-    def test_opt_lu_factorizations_from_root_context(self, fixture, opt_jac_x,
-                                                     opt_lu, request, lu_calls):
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    def test_opt_lu_factorizations_from_root_context(self, fixture, request,
+                                                     lu_calls):
         # From a root context opt reads the stored root and runs no Newton,
         # so it checks only F_1 (once, for both solves against it), and on
         # logistic F_1(x*) and V; on ridge V is F_1.
         problem = request.getfixturevalue(fixture)
+        opt_lu = {"ridge_quadratic": 1, "logistic_quadratic": 3}[fixture]
         assert _per_estimate_counts(problem, lu_calls, root_context=True) \
-            == _expected_counts(opt_jac_x, opt_lu)
+            == _expected_counts(OPT_JAC_X[fixture], opt_lu)
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_diag_f1_checked_once_per_point(self, fixture, request, monkeypatch):

@@ -32,6 +32,14 @@ record keeps them under ``counts``, with ``counts_identical``. The change
 side measures the tracked files as they are, committed or not; its commit
 reads ``<HEAD>-dirty`` when a tracked file other than the ``BENCH_*.json``
 records differs from HEAD. Untracked files are not copied.
+
+    python3 tools/bench_pairs.py trajectory [BENCH_FILE ...]
+
+reads the given ``BENCH_*.json`` records, by default every one in the
+current directory, without changing them, and prints per workload and
+record its parent and change commits, seed and pair count, then per
+end-to-end metric the parent's and the change's medians, the change's wins
+and ``gain_holds``.
 """
 
 from __future__ import annotations
@@ -138,6 +146,24 @@ def accumulate(records: list | None, record: dict) -> list:
             if (r["parent"], r.get("change"), r.get("seed")) != key] + [record]
 
 
+def trajectory_lines(records: list) -> list:
+    """The lines ``trajectory`` prints for a list of records: per workload,
+    in order of first appearance, a header, then per record one line naming
+    the pair and one per metric of its summary. The earliest records have
+    no ``change`` key; they read ``?``."""
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in records):
+        lines.append(workload)
+        for r in (r for r in records if r["workload"] == workload):
+            lines.append(f"  {r['parent'][:7]} -> {r.get('change', '?')[:7]}  "
+                         f"seed {r.get('seed', '?')}  {r['pairs']} pairs")
+            for name, s in r["summary"].items():
+                lines.append(f"    {name}: {s['parent']['median']:.4g} -> "
+                             f"{s['change']['median']:.4g}  wins {s['wins']}/"
+                             f"{s['pairs']}  gain_holds={s['gain_holds']}")
+    return lines
+
+
 def export(rev: str, into: Path) -> str:
     """Write the files of ``rev`` into ``into``; return its commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
@@ -169,6 +195,12 @@ def export_tree(into: Path) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["trajectory"]:
+        paths = [Path(a) for a in argv[1:]] or sorted(Path.cwd().glob("BENCH_*.json"))
+        records = [r for path in paths for r in json.loads(path.read_text())]
+        print("\n".join(trajectory_lines(records)))
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_rev")
     ap.add_argument("--workload", required=True)
