@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import check_diagonal, factor
+from .linalg import factor
 from .problems import BilevelProblem, as_vector
 from .solvers import exact_root, newton_root
 
@@ -199,7 +199,7 @@ def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
                 _diag_stack(w * ab2 * e), np.zeros(w.shape[:-1] + (size, y.shape[0])))
 
     def sensitivity(problem, x, y):
-        check_diagonal(ab * np.exp(b * inverse(x, y)), "phi_1")
+        factor(np.diag(ab * np.exp(b * inverse(x, y))), "phi_1")
         f = problem.residual(x, y)
         v_lu = factor(problem.jac_x(x, y) + np.diag(f / x), "V") if np.any(f) \
             else problem.jac_x_factor(x, y, "V")

@@ -111,16 +111,10 @@ def factor(a: Array, what: str = "matrix") -> Factorization:
     if np.count_nonzero(a) != np.count_nonzero(d):
         check_nonsingular(a, what=what)
         return Factorization(what, matrix=a.copy())
-    check_diagonal(d, what)
-    return Factorization(what, diagonal=d.copy())
-
-
-def check_diagonal(d: Array, what: str = "matrix") -> None:
-    """``factor``'s check of the diagonal matrix diag(d), without forming it:
-    SingularMatrixError naming ``what`` when min|d| <= SINGULAR_RTOL * max|d|."""
     if d.size:
         magnitudes = np.abs(d)
         _check_ratio(magnitudes.min(), magnitudes.max(), what)
+    return Factorization(what, diagonal=d.copy())
 
 
 def linear_solve(a: Array, b: Array, what: str = "matrix") -> Array:
