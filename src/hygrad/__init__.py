@@ -20,12 +20,10 @@ from .bench import (
 from .efficiency import (
     ComparisonBounds,
     ComparisonTerms,
-    ReparamDeviations,
     RootContext,
     compare_bounds,
     efficiency_constant,
     estimator_jacobian_fd,
-    newton_reparam_deviations,
     outer_curvature,
     precond_error_factor_at_root,
     precond_gap,

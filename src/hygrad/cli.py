@@ -176,7 +176,7 @@ def _cmd_ode1d(args) -> int:
         # One root per trial, shared by every candidate map.
         ctx = RootContext.solve(problem, y)
         candidates = [("identity", identity_reparam())]
-        candidates += [(f"exp(a={a:g},b={b:g})", exp_family_reparam_1d(a, b))
+        candidates += [(f"exp(a={a:g};b={b:g})", exp_family_reparam_1d(a, b))
                        for a in grid for b in grid]
         for name, phi in candidates:
             rows.append((name, trial, trial_seed, y[0],

@@ -47,15 +47,12 @@ from .estimators import (
     SeparableReparam,
     Strategy,
     StrategyKind,
-    anchored_reparam,
     make_estimator,
-    newton_separable_reparam,
     resolve_strategy,
     solution_sensitivity,
 )
 from .linalg import factor, spectral_norm, top_singular
 from .problems import BilevelProblem, _read_only, as_vector, fd_jacobian, fd_step
-from .seeding import rng_from_seed
 from .solvers import exact_root
 
 Array = np.ndarray
@@ -67,11 +64,6 @@ SYMMETRY_RTOL = 1e-8
 # Default relative step for estimator Jacobians; larger than the first-order
 # steps because these maps get differenced near a stationary value.
 JACOBIAN_FD_STEP = 1e-5
-
-# Operator-norm deviations of 3-tensor terms are sampled over this many
-# seeded unit probe directions instead of computing true tensor norms.
-PROBE_COUNT = 8
-PROBE_SEED = 90210
 
 
 @dataclass(frozen=True)
@@ -406,87 +398,28 @@ def reparam_gap(terms: ComparisonTerms) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# deviations from the Newton-like separable family
-
-@dataclass(frozen=True)
-class ReparamDeviations:
-    """Operator-norm distances of (R, Q) and derivatives from the Newton-like
-    choice, measured at the root. All five vanish for that family itself."""
-
-    dev_q: float
-    dev_q_jac: float
-    dev_q_hess: float
-    dev_r: float
-    dev_r2: float
-
-
-def _probe_directions(dim: int) -> Array:
-    """PROBE_COUNT seeded unit directions, one per row."""
-    rng = rng_from_seed(PROBE_SEED)
-    probes = []
-    for _ in range(PROBE_COUNT):
-        v = rng.normal(size=dim)
-        probes.append(v / np.linalg.norm(v))
-    return np.array(probes)
-
-
-def newton_reparam_deviations(ctx: RootContext,
-                              sep: SeparableReparam) -> ReparamDeviations:
-    """Measure how far a separable family is from the Newton-like one.
-
-    Tensor-valued terms (the Q second derivative and the y-derivative of R)
-    are compared through contractions against a fixed set of seeded unit
-    probe directions rather than true tensor norms. ``dev_r2`` is the
-    larger of the left and right contractions' gaps, over all probes.
-    """
-    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
-    zstar = anchored_reparam(sep, xstar, y).inverse(xstar, y)
-    # The Newton-like family's own z at the root is x* itself.
-    ideal = newton_separable_reparam(problem)
-    dev_q = float(np.linalg.norm(sep.q(zstar, y) - ideal.q(xstar, y)))
-    dev_q_jac = spectral_norm(sep.q_jac(zstar, y) - ideal.q_jac(xstar, y))
-    probes = _probe_directions(problem.d_x)
-    dev_q_hess = max(map(spectral_norm, sep.q_hess_contract(zstar, y, probes)
-                         - ideal.q_hess_contract(xstar, y, probes)))
-    dev_r = spectral_norm(sep.r(xstar, y) - ideal.r(xstar, y))
-    dev_r2 = max(
-        spectral_norm(got - want)
-        for w in probes
-        for got, want in zip(sep.r2_contract(xstar, y, w, w),
-                             ideal.r2_contract(xstar, y, w, w)))
-    return ReparamDeviations(dev_q=dev_q, dev_q_jac=dev_q_jac,
-                             dev_q_hess=dev_q_hess, dev_r=dev_r, dev_r2=dev_r2)
-
-
-# --------------------------------------------------------------------------
 # 1-D super-efficiency residual
 
 def super_efficiency_residual_1d(ctx: RootContext,
                                  phi: Reparameterization) -> float:
     """Residual of the scalar super-efficiency condition at the root.
 
-    For one-dimensional problems whose residual and outer gradient are
-    linear in x, the change of variables phi kills the first-order error
-    exactly when this residual is zero:
+    For a problem with d_x = d_y = 1 the residual is
 
-        phi_12/phi_1 - phi_2 phi_11 / phi_1^2 - F_2 phi_11 / (F_1 phi_1^2)
-            - (g_12/g_1 - F_12/F_1)
+        -(g_21 + T_phi) / g_1
+
+    with T_phi the Jacobian at the root of x -> S_phi(x, y) g_1
+    (``_sensitivity_term``): ``root_jacobian`` less S g_11, the part that no
+    change of variables removes, over -g_1. The change of variables phi kills
+    the rest of the first-order error exactly when the residual is zero; with
+    an affine outer objective S g_11 = 0, so the residual's size is then
+    c_y / |g_1|. It holds for any 1-D residual F, linear in x or not.
     """
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     if problem.d_x != 1 or problem.d_y != 1:
         raise UsageError("the scalar residual needs d_x = d_y = 1")
-    zstar = phi.inverse(xstar, y)
-    one = np.ones(1)
-
-    f1 = float(problem.jac_x(xstar, y)[0, 0])
-    f2 = float(problem.jac_y(xstar, y)[0, 0])
-    f12 = float(problem.inner.djac_x_dir_y(xstar, y, one)[0, 0])
-    g1 = float(problem.outer.grad_x(xstar, y)[0])
+    g1 = float(ctx._g1[0])
     if g1 == 0.0:
         raise UsageError("degenerate problem: outer gradient vanishes at the root")
-    g12 = float(problem.outer.jac_gradX_y(xstar, y)[0, 0])
-
-    p1, p2, p11, p12 = (float(t[0, 0]) for t in phi.derivatives(zstar, y, one))
-
-    return (p12 / p1 - p2 * p11 / p1 ** 2 - f2 * p11 / (f1 * p1 ** 2)
-            - (g12 / g1 - f12 / f1))
+    g21 = float(problem.outer.jac_gradY_x(xstar, y)[0, 0])
+    return -(g21 + float(_sensitivity_term(ctx, phi)[0, 0, 0])) / g1

@@ -4,13 +4,13 @@ Every seeded draw follows numpy's ``Generator(PCG64(seed))`` stream, seeded
 through ``SeedSequence``, so that identical seeds reproduce identical
 streams; outputs record the generator name in their metadata.
 
-``rng_from_seed`` returns that generator, for the synthetic datasets and the
-efficiency probes. The hyperparameter draw of every CLI run
-(``models.sample_y``) computes the stream itself, in ``_pcg64_uniform``:
-it needs only a handful of doubles, and ``numpy.random`` costs about 10 ms
-to import, which CLI commands therefore never do. A test pins that draw bit
-for bit to numpy's. A seed is an ``int`` or numpy integer, not a ``bool``,
-and is non-negative; anything else is a UsageError.
+``rng_from_seed`` returns that generator, for the synthetic datasets. The
+hyperparameter draw of every CLI run (``models.sample_y``) computes the
+stream itself, in ``_pcg64_uniform``: it needs only a handful of doubles,
+and ``numpy.random`` costs about 10 ms to import, which CLI commands
+therefore never do. A test pins that draw bit for bit to numpy's. A seed
+is an ``int`` or numpy integer, not a ``bool``, and is non-negative;
+anything else is a UsageError.
 """
 
 from __future__ import annotations

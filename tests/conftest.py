@@ -157,6 +157,47 @@ def nonsymmetric_problem():
     return hg.BilevelProblem(inner=inner, outer=outer, d_x=2, d_y=2, name="nonsym")
 
 
+def cubic_1d_problem(outer):
+    """The 1-D residual F = x + x^3 + e^y x - 1, nonlinear in x, with the
+    affine outer objective g = x or the quadratic g = (x - 2)^2 / 2 + 0.3 x y,
+    whose g_21 is nonzero. Every derivative is exact; the root, in (0, 1),
+    comes from ``newton_root``."""
+    def residual(x, y):
+        return x + x ** 3 + np.exp(y) * x - 1.0
+
+    def jac_x(x, y):
+        return np.array([[1.0 + 3.0 * x[0] ** 2 + np.exp(y[0])]])
+
+    inner = hg.CallableInnerOracle(
+        residual=residual,
+        jac_x=jac_x,
+        jac_y=lambda x, y: np.array([[np.exp(y[0]) * x[0]]]),
+        djac_x_dir_x=lambda x, y, u: np.array([[6.0 * x[0] * u[0]]]),
+        djac_x_dir_y=lambda x, y, e: np.array([[np.exp(y[0]) * e[0]]]),
+        exact_root=lambda y: hg.newton_root(lambda x: residual(x, y),
+                                            lambda x: jac_x(x, y), np.zeros(1)),
+    )
+    if outer == "affine":
+        outer = hg.CallableOuterOracle(
+            value=lambda x, y: float(x[0]),
+            grad_x=lambda x, y: np.ones(1),
+            grad_y=lambda x, y: np.zeros(1),
+            hess_xx=lambda x, y: np.zeros((1, 1)),
+            jac_gradY_x=lambda x, y: np.zeros((1, 1)),
+            jac_gradX_y=lambda x, y: np.zeros((1, 1)),
+        )
+    else:
+        outer = hg.CallableOuterOracle(
+            value=lambda x, y: float(0.5 * (x[0] - 2.0) ** 2 + 0.3 * x[0] * y[0]),
+            grad_x=lambda x, y: np.array([x[0] - 2.0 + 0.3 * y[0]]),
+            grad_y=lambda x, y: np.array([0.3 * x[0]]),
+            hess_xx=lambda x, y: np.ones((1, 1)),
+            jac_gradY_x=lambda x, y: np.full((1, 1), 0.3),
+            jac_gradX_y=lambda x, y: np.full((1, 1), 0.3),
+        )
+    return hg.BilevelProblem(inner=inner, outer=outer, d_x=1, d_y=1, name="cubic-1d")
+
+
 def seeded_y(problem, seed, low=-1.0, high=1.0):
     return hg.sample_y(problem.d_y, low, high, seed)
 

@@ -314,7 +314,7 @@ class TestOde1dCommand:
         assert run(["ode1d", "--problem", "linear1d", "--trials", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "candidate,trial,seed,y,residual" in lines
-        assert lines[-1].startswith("exp(a=2,b=2),0,")
+        assert lines[-1].startswith("exp(a=2;b=2),0,")
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         out = tmp_path / "absent" / "o.csv"

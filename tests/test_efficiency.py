@@ -10,8 +10,8 @@ from hygrad.errors import UsageError
 from hygrad.estimators import resolve_strategy
 from hygrad.problems import CallableOuterOracle
 
-from conftest import (assert_same_bits, comparison_terms, nonsymmetric_problem, seeded_y,
-                      shift_problem)
+from conftest import (assert_same_bits, comparison_terms, cubic_1d_problem,
+                      nonsymmetric_problem, seeded_y, shift_problem)
 
 
 def _diagonal_ridge():
@@ -762,6 +762,18 @@ class TestSensitivityEfficiencyConstant:
         c_sens = hg.sensitivity_efficiency_constant(ctx, "vanilla")
         assert c_full <= d_norm + g1_norm * c_sens + 1e-6 * (1 + c_full)
 
+    def test_constant_scales_linearly(self, ridge_quadratic):
+        sep = hg.newton_separable_reparam(ridge_quadratic)
+        y = seeded_y(ridge_quadratic, 17)
+        eps_grid = (1e-1, 1e-2, 1e-3, 1e-4)
+        ctx = hg.RootContext.solve(ridge_quadratic, y)
+        cs = [hg.sensitivity_efficiency_constant(
+            ctx, hg.scale_separable_r(sep, 1.0 + e)) for e in eps_grid]
+        xs = np.log(eps_grid)
+        ys = np.log(cs)
+        slope = float(np.polyfit(xs, ys, 1)[0])
+        assert slope >= 0.9
+
 
 class TestAnchoredConstantIdentity:
     def test_localized_equals_frozen_anchor(self, logistic_quadratic):
@@ -774,55 +786,6 @@ class TestAnchoredConstantIdentity:
         frozen = hg.anchored_reparam(sep, xstar, y)
         c_frozen = hg.efficiency_constant(ctx, frozen)
         assert abs(c_localized - c_frozen) <= 1e-6 * (1 + abs(c_frozen))
-
-
-class TestNewtonReparamDeviations:
-    def test_newton_family_has_no_deviation(self, ridge_quadratic,
-                                            logistic_quadratic):
-        for problem, low, high in ((ridge_quadratic, -1.0, 1.0),
-                                   (logistic_quadratic, 3.0, 6.0)):
-            sep = hg.newton_separable_reparam(problem)
-            y = seeded_y(problem, 15, low=low, high=high)
-            dev = hg.newton_reparam_deviations(hg.RootContext.solve(problem, y), sep)
-            assert (dev.dev_q, dev.dev_q_jac, dev.dev_q_hess, dev.dev_r,
-                    dev.dev_r2) == (0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_scaled_r_perturbs_only_r(self, ridge_quadratic):
-        sep = hg.newton_separable_reparam(ridge_quadratic)
-        y = seeded_y(ridge_quadratic, 16)
-        for eps in (1e-1, 1e-3):
-            dev = hg.newton_reparam_deviations(
-                hg.RootContext.solve(ridge_quadratic, y),
-                hg.scale_separable_r(sep, 1.0 + eps))
-            xstar = hg.exact_root(ridge_quadratic, y)
-            r_norm = hg.spectral_norm(sep.r(xstar, y))
-            assert dev.dev_r == pytest.approx(eps * r_norm, rel=1e-9)
-            assert max(dev.dev_q, dev.dev_q_jac, dev.dev_q_hess,
-                       dev.dev_r2) <= 1e-12
-
-    def test_right_r2_contraction_alone_is_measured(self, ridge_quadratic):
-        sep = hg.newton_separable_reparam(ridge_quadratic)
-
-        def doubled_right(x, y, w, q):
-            left, right = sep.r2_contract(x, y, w, q)
-            return left, 2.0 * right
-        dev = hg.newton_reparam_deviations(
-            hg.RootContext.solve(ridge_quadratic, seeded_y(ridge_quadratic, 18)),
-            replace(sep, r2_contract=doubled_right))
-        assert dev.dev_r2 > 0.0
-        assert max(dev.dev_q, dev.dev_q_jac, dev.dev_q_hess, dev.dev_r) <= 1e-12
-
-    def test_constant_scales_linearly(self, ridge_quadratic):
-        sep = hg.newton_separable_reparam(ridge_quadratic)
-        y = seeded_y(ridge_quadratic, 17)
-        eps_grid = (1e-1, 1e-2, 1e-3, 1e-4)
-        ctx = hg.RootContext.solve(ridge_quadratic, y)
-        cs = [hg.sensitivity_efficiency_constant(
-            ctx, hg.scale_separable_r(sep, 1.0 + e)) for e in eps_grid]
-        xs = np.log(eps_grid)
-        ys = np.log(cs)
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        assert slope >= 0.9
 
 
 class TestScalarResidual:
@@ -847,6 +810,27 @@ class TestScalarResidual:
                     r = hg.super_efficiency_residual_1d(
                         hg.RootContext.solve(linear1d_fixture, y), phi)
                     assert abs(r) <= 1e-10, (alpha, beta, seed)
+
+    @pytest.mark.parametrize("outer", ["affine", "quadratic"])
+    def test_nonlinear_residual_matches_the_estimator_jacobian(self, outer):
+        # -(J - D + g_21) / g_1 with J the estimator's FD Jacobian. Over these
+        # twelve cases the largest gap is 2.6e-9 (FD truncation); a residual
+        # that drops the -S F_11 u term of a nonlinear F is off by 0.11-0.18.
+        problem = cubic_1d_problem(outer)
+        for y in (np.zeros(1), np.full(1, 0.7)):
+            ctx = hg.RootContext.solve(problem, y)
+            xstar = ctx.xstar
+            g1 = float(problem.outer.grad_x(xstar, y)[0])
+            g21 = float(problem.outer.jac_gradY_x(xstar, y)[0, 0])
+            d = float(hg.outer_curvature(ctx)[0, 0])
+            for phi in (hg.identity_reparam(), hg.exp_family_reparam_1d(1.0, 1.0),
+                        hg.exp_family_reparam_1d(0.5, 2.0)):
+                r = hg.super_efficiency_residual_1d(ctx, phi)
+                jac = float(hg.estimator_jacobian_fd(ctx, phi)[0, 0])
+                assert abs(r - -(jac - d + g21) / g1) <= 1e-8, (float(y[0]), r)
+                if outer == "affine":   # g_1 = 1 and D = 0: |residual| is c_y
+                    assert abs(r) == pytest.approx(hg.efficiency_constant(ctx, phi),
+                                                   rel=1e-14)
 
     def test_degenerate_outer_gradient(self):
         inner = hg.linear_1d().inner

@@ -613,10 +613,8 @@ class TestStrategyTable:
         hg.make_estimator(ridge_quadratic, "opt")
         assert built == [ridge_quadratic]
 
-    @pytest.mark.parametrize("fixture,opt_lu", [("ridge_quadratic", 2),
-                                                ("logistic_quadratic", 6)])
-    def test_lu_factorizations_per_estimate(self, fixture, opt_lu, request,
-                                            lu_calls):
+    @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
+    def test_lu_factorizations_per_estimate(self, fixture, request, lu_calls):
         # Every solve against one matrix shares one factorization, F_1's
         # kept per point by the problem, and a change of variables evaluates
         # its terms once per point. From a plain problem opt also solves the
@@ -624,6 +622,7 @@ class TestStrategyTable:
         # ridge dF_1 is zero, so opt's V is F_1 itself and F_1(x*) is not
         # needed; on logistic opt checks F_1, F_1(x*) and V.
         problem = request.getfixturevalue(fixture)
+        opt_lu = {"ridge_quadratic": 2, "logistic_quadratic": 6}[fixture]
         assert _per_estimate_counts(problem, lu_calls, root_context=False) \
             == _expected_counts(OPT_JAC_X[fixture], opt_lu)
 

@@ -45,9 +45,15 @@ def test_every_invocation_reproduces_its_baseline_digests(tool, tmp_path,
         argv, files = tool.command_line(name, args, svg)
         assert cli_main(argv) == 0, name
         for kind, path in files:
-            digest = hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
-            if digest != baseline[f"{name} {kind}"]:
+            data = (tmp_path / path).read_bytes()
+            if hashlib.sha256(data).hexdigest() != baseline[f"{name} {kind}"]:
                 differ.append(f"{name} {kind}")
+            if kind == "csv":
+                lines = [ln for ln in data.decode().splitlines()
+                         if not ln.startswith("#")]
+                width = lines[0].count(",")
+                assert all(ln.count(",") == width for ln in lines), \
+                    f"{path}: a row's field count differs from its header's"
     assert not differ, f"outputs differ from the baseline: {', '.join(differ)}"
 
 
@@ -81,6 +87,15 @@ def test_drift_below_the_floor_reads_zero_when_gated(tool, capsys, tmp_path):
                            CSV.replace("opt,0,1e-9", "opt,0,2e-9"))
     assert status == 0
     assert lines == ["run opt value 5.000e-01 0.000e+00", "3 rows unchanged"]
+
+
+def test_drift_reads_the_last_column_of_a_key_with_a_comma(tool, capsys, tmp_path):
+    text = "candidate,trial,value\nexp(a=1,b=2),0,1.0\n"
+    status, lines = _drift(tool, capsys, tmp_path, text,
+                           text.replace(",0,1.0", ",0,1.5"))
+    assert status == 0
+    assert lines == ["run exp(a=1,b=2) value 3.333e-01 3.333e-01",
+                     "1 rows unchanged"]
 
 
 def test_drift_counts_nan_against_nan_as_unchanged(tool, capsys, tmp_path):

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "Estimator", "FDInnerOracle", "Factorization", "HygradError",
     "InnerOracle", "InsufficientDataError", "NumericalFailure", "OuterOracle",
     "PRNG_NAME", "ParseError", "PreconditionerOracle",
-    "ReparamDeviations", "Reparameterization", "RootContext", "RunConfig",
+    "Reparameterization", "RootContext", "RunConfig",
     "STRATEGIES", "SeparableReparam", "SingularMatrixError", "Strategy",
     "SweepRecord", "UsageError", "anchored_reparam",
     "build_problem", "compare_bounds", "diag_preconditioner",
@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "fd_hypergradient", "fd_jac_xstar", "fit_loglog_slope", "gradient_descent",
     "identity_reparam", "linear_1d", "linear_solve",
     "load_libsvm", "logistic_inner_value", "make_estimator", "make_logistic",
-    "make_ridge", "newton_preconditioner", "newton_reparam_deviations",
+    "make_ridge", "newton_preconditioner",
     "newton_root", "newton_separable_reparam", "outer_curvature",
     "parse_libsvm", "precond_error_factor_at_root", "precond_gap",
     "read_decay_csv", "render_svg", "reparam_gap",

@@ -57,8 +57,6 @@ AT_ROOT = {
         ctx, hg.newton_preconditioner(ctx.problem)),
     "root_jacobian": lambda ctx: hg.root_jacobian(
         ctx, hg.newton_preconditioner(ctx.problem)),
-    "newton_reparam_deviations": lambda ctx: hg.newton_reparam_deviations(
-        ctx, hg.newton_separable_reparam(ctx.problem)),
     "super_efficiency_residual_1d": lambda ctx: hg.super_efficiency_residual_1d(
         ctx, hg.exp_family_reparam_1d(1.0, 1.0)),
 }

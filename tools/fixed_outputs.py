@@ -160,9 +160,12 @@ def check(out: Path) -> int:
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header's fields and each row's, split from the right so that
+    only the first column, the row key, may hold a comma."""
     lines = [ln for ln in path.read_text().splitlines()
              if ln and not ln.startswith("#")]
-    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    header = lines[0].split(",")
+    return header, [ln.rsplit(",", len(header) - 1) for ln in lines[1:]]
 
 
 def _number(cell: str) -> float | None:
