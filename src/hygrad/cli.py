@@ -136,8 +136,7 @@ def _cmd_compare(args) -> int:
     rows = []
     failures = 0
     for trial, trial_seed, y in seeded_trials(config, problem.d_y):
-        # One root per trial; the problem keeps it, so opt's inverse of Q
-        # reuses it too.
+        # One root per trial, read by every at-root block of the trial.
         ctx = RootContext.solve(problem, y)
         terms = ComparisonTerms(ctx, precond, args.reparam)
         bounds = efficiency.compare_bounds(terms)
@@ -223,7 +222,8 @@ def _build_parser() -> _Parser:
                        help="reparameterization side")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_ode = sub.add_parser("ode1d", help="scalar super-efficiency residuals")
+    p_ode = sub.add_parser("ode1d", help="scalar super-efficiency residuals (the nine "
+                           "exp(a;b) candidates coincide by construction)")
     _add_common(p_ode, "--trials")
     p_ode.set_defaults(func=_cmd_ode1d)
 

@@ -52,7 +52,8 @@ from .estimators import (
     solution_sensitivity,
 )
 from .linalg import factor, spectral_norm, top_singular
-from .problems import BilevelProblem, _read_only, as_vector, fd_jacobian, fd_step
+from .problems import (BilevelProblem, _read_only, as_matrix, as_vector, fd_jacobian,
+                       fd_step)
 from .solvers import exact_root
 
 Array = np.ndarray
@@ -123,12 +124,15 @@ class RootContext:
     @cached_property
     def _curvature(self) -> Array:
         outer, y, xstar = self.problem.outer, self.y, self.xstar
-        return _read_only(outer.jac_gradY_x(xstar, y)
-                          + self._sensitivity @ outer.hess_xx(xstar, y))
+        d_x, d_y = self.problem.d_x, self.problem.d_y
+        g21 = as_matrix(outer.jac_gradY_x(xstar, y), (d_y, d_x), "jac_gradY_x")
+        g11 = as_matrix(outer.hess_xx(xstar, y), (d_x, d_x), "hess_xx")
+        return _read_only(g21 + self._sensitivity @ g11)
 
     @cached_property
     def _g1(self) -> Array:
-        return _read_only(self.problem.outer.grad_x(self.xstar, self.y))
+        return _read_only(as_vector(self.problem.outer.grad_x(self.xstar, self.y),
+                                    self.problem.d_x, "grad_x"))
 
     @cached_property
     def _g1_term(self) -> tuple[Array, Array]:

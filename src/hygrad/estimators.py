@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .linalg import factor
-from .problems import BilevelProblem, as_vector
+from .problems import BilevelProblem, as_points, as_vector, per_row
 from .solvers import exact_root, newton_root
 
 Array = np.ndarray
@@ -47,9 +47,10 @@ def solution_sensitivity(problem: BilevelProblem, x: Array, y: Array) -> Array:
     """The matrix -F_2' F_1^{-1}, the implicit estimate of [dx*/dy]'.
 
     Computed by a transpose solve of F_1 against F_2; exact at the root.
+    For a stack of points, the stack of matrices.
     """
     f2 = problem.jac_y(x, y)
-    return -problem.jac_x_factor(x, y).solve_T(f2).T
+    return -np.swapaxes(problem.jac_x_factor(x, y).solve_T(f2), -1, -2)
 
 
 # --------------------------------------------------------------------------
@@ -61,6 +62,9 @@ class PreconditionerOracle:
 
     ``solve`` applies [P(x, y)]^{-1} to a vector or to the columns of a
     matrix; ``matrix`` hands out P(x, y) itself for deviation measurements.
+    An estimate on a stack of points x, shape (m, d_x), calls ``solve``
+    with that stack and one vector per row, and a caller's oracle must
+    return P(x_k, y)^{-1} v_k in row k.
     """
 
     solve: Callable[[Array, Array, Array], Array]
@@ -116,7 +120,9 @@ class Reparameterization:
     calls it in place of the generic formula, as ``BilevelProblem`` calls an
     oracle's closed-form y-coupling. It must raise where the generic formula
     raises, DomainError outside the map's range included. The exponential
-    maps set it; a caller who replaces another field clears it.
+    maps set it; a caller who replaces another field clears it. An
+    estimate on a stack of points x, shape (m, d_x), calls it with that
+    stack, and a caller's closed form must return the (m, d_y, d_x) stack.
     """
 
     forward: Callable[[Array, Array], Array]
@@ -183,12 +189,12 @@ def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
     phi_2 = phi_21 F = 0 and phi_1^{-T} (phi_11 F) phi_1^{-1} = diag(F / x),
     so S = -(V^{-T} F_2)' with V = F_1 + diag(F / x), and V is F_1 where F
     is zero. Like the generic formula it checks x through the inverse and
-    then phi_1.
+    then phi_1. For a stack x, shape (m, size), a may hold one row per point.
     """
     ab, ab2 = a * b, a * b * b
 
     def inverse(x, y):
-        q = as_vector(x, size, "x") / a
+        q = as_points(x, size, "x") / a
         if (q <= 0.0).any():
             raise DomainError("point is outside the exponential range")
         return np.log(q) / b
@@ -199,11 +205,11 @@ def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
                 _diag_stack(w * ab2 * e), np.zeros(w.shape[:-1] + (size, y.shape[0])))
 
     def sensitivity(problem, x, y):
-        factor(np.diag(ab * np.exp(b * inverse(x, y))), "phi_1")
+        factor(_diag_stack(ab * np.exp(b * inverse(x, y))), "phi_1")
         f = problem.residual(x, y)
-        v_lu = factor(problem.jac_x(x, y) + np.diag(f / x), "V") if np.any(f) \
+        v_lu = factor(problem.jac_x(x, y) + _diag_stack(f / x), "V") if np.any(f) \
             else problem.jac_x_factor(x, y, "V")
-        return -v_lu.solve_T(problem.jac_y(x, y)).T
+        return -np.swapaxes(v_lu.solve_T(problem.jac_y(x, y)), -1, -2)
 
     return Reparameterization(forward=lambda z, y: a * np.exp(b * z),
                               inverse=inverse, derivatives=derivatives,
@@ -216,12 +222,12 @@ def signed_exp_reparam(anchor_x: Array) -> Reparameterization:
     The anchor must be a finite vector (else ContractViolation) with every
     coordinate nonzero: a zero sign would collapse a coordinate of the map.
     Callers that sweep iterates are expected to skip such points rather
-    than perturb them.
+    than perturb them. A stack of anchors (m, d) anchors a stack of points.
     """
-    signs = np.sign(as_vector(anchor_x, name="anchor"))
+    signs = np.sign(as_points(anchor_x, name="anchor"))
     if not signs.all():
         raise DomainError("exponential reparameterization needs nonzero coordinates")
-    return _exp_map(signs, 1.0, signs.shape[0])
+    return _exp_map(signs, 1.0, signs.shape[-1])
 
 
 def exp_family_reparam_1d(alpha: float, beta: float) -> Reparameterization:
@@ -320,10 +326,10 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
     def sensitivity(x, y):
         d = diagonal(x, y)
         dirs = problem.djac_x_y_diag(x, y)
-        p2 = -dirs * (x / d)[:, None]
+        p2 = -dirs * (x / d)[..., None]
         u = problem.jac_y(x, y) + problem.jac_x(x, y) @ p2 \
-            - dirs * (problem.residual(x, y) / d)[:, None]
-        return p2.T - problem.jac_x_factor(x, y, "V").solve_T(u).T
+            - dirs * (problem.residual(x, y) / d)[..., None]
+        return np.swapaxes(p2 - problem.jac_x_factor(x, y, "V").solve_T(u), -1, -2)
 
     return SeparableReparam(
         r=lambda x, y: np.diag(1.0 / diagonal(x, y)),
@@ -336,11 +342,6 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         offset=False,
         sensitivity=sensitivity,
     )
-
-
-def _per_direction(contract: Callable[[Array], Array], w: Array) -> Array:
-    """contract(w) for one direction; for a stack, each row's, stacked."""
-    return contract(w) if w.ndim == 1 else np.stack([contract(v) for v in w])
 
 
 def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
@@ -380,7 +381,7 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
     # right-hand side; a stack of w runs its directions one at a time.
     def r2_contract(x, y, w, q):
         f1 = problem.jac_x_factor(x, y)
-        left = _per_direction(lambda v: -f1.solve_T(
+        left = per_row(lambda v: -f1.solve_T(
             problem.djac_x_y_apply_T(x, y, f1.solve_T(v))), w)
         return left, -f1.solve(problem.djac_x_y_apply(x, y, f1.solve(q)))
 
@@ -392,16 +393,17 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         xstar = exact_root(problem, y)
         a_lu = problem.jac_x_factor(x, y)
         a = a_lu.solve_T(problem.residual(x, y))
-        apply_s = problem.djac_x_y_apply(x, y, a_lu.solve(problem.residual(xstar, y)))
+        apply_s = problem.djac_x_y_apply(x, y, a_lu.solve(
+            np.broadcast_to(problem.residual(xstar, y), np.shape(x))))
         u = problem.jac_y(x, y) + apply_s - problem.djac_x_y_apply_T(x, y, a)
-        c = problem.inner.djac_x_dir_x(xstar, y, a)
+        c = per_row(lambda _, v: problem.inner.djac_x_dir_x(xstar, y, v), x, a)
         if np.any(c):
             f1 = problem.jac_x(x, y)
             m = problem.jac_x_factor(xstar, y, "Q_1").solve(f1)
-            v_lu = factor(f1 - m.T @ c @ m, "V")
+            v_lu = factor(f1 - np.swapaxes(m, -1, -2) @ c @ m, "V")
         else:
             v_lu = problem.jac_x_factor(x, y, "V")
-        return a_lu.solve(apply_s).T - v_lu.solve_T(u).T
+        return np.swapaxes(a_lu.solve(apply_s) - v_lu.solve_T(u), -1, -2)
 
     return SeparableReparam(
         r=r,
@@ -409,7 +411,7 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         r2_contract=r2_contract,
         q=lambda z, ybar: -problem.residual(z, ybar),
         q_jac=lambda z, ybar: -problem.jac_x(z, ybar),
-        q_hess_contract=lambda z, ybar, w: _per_direction(
+        q_hess_contract=lambda z, ybar, w: per_row(
             lambda v: -problem.inner.djac_x_dir_x(z, ybar, v), w),
         q_inverse=q_inverse,
         offset=True,
@@ -450,6 +452,13 @@ class Strategy:
     - "exp": the signed exponential, re-anchored at every query point;
     - a Reparameterization: that fixed phi;
     - a SeparableReparam: the family anchored at every query point.
+
+    ``estimate`` and ``sensitivity`` also take a stack of points x, shape
+    (m, d_x), and return (m, d_y) and (m, d_y, d_x), row k with the bits of
+    the call with row k alone: the shipped formulas run once on the problem's
+    stacked blocks, checks and solves, and a map without a closed form runs
+    ``reparam_sensitivity`` one row at a time. A stacked call raises exactly
+    when some row's call would, though not always with that row's error.
     """
 
     problem: BilevelProblem
@@ -468,23 +477,26 @@ class Strategy:
         reparam = self.reparam
         if isinstance(reparam, SeparableReparam) and reparam.sensitivity is not None:
             return reparam.sensitivity(x, y)
-        phi = self.change_of_variables(x, y)
-        if phi is None:
+        if reparam is None:
             return solution_sensitivity(self.problem, x, y)
-        if phi.sensitivity is not None:
+        phi = signed_exp_reparam(x) if reparam == "exp" else reparam
+        if isinstance(phi, Reparameterization) and phi.sensitivity is not None:
             return phi.sensitivity(self.problem, x, y)
-        return reparam_sensitivity(self.problem, phi, x, y)
+        return per_row(lambda p: reparam_sensitivity(
+            self.problem, self.change_of_variables(p, y), p, y), x)
 
     def estimate(self, x: Array, y: Array) -> Array:
         """Hypergradient estimate g_2 + S g_1 at the corrected point."""
-        problem = self.problem
-        x = as_vector(x, problem.d_x, "x")
-        y = as_vector(y, problem.d_y, "y")
+        problem, outer = self.problem, self.problem.outer
+        d_x, d_y = problem.d_x, problem.d_y
+        x = as_points(x, d_x, "x")
+        y = as_vector(y, d_y, "y")
         if self.precond is not None:
-            x = as_vector(x - self.precond.solve(x, y, problem.residual(x, y)),
-                          problem.d_x, "x")
-        return problem.outer.grad_y(x, y) + self.sensitivity(x, y) \
-            @ problem.outer.grad_x(x, y)
+            x = as_points(x - self.precond.solve(x, y, problem.residual(x, y)), d_x, "x")
+        g2 = per_row(lambda p: as_vector(outer.grad_y(p, y), d_y, "grad_y"), x)
+        s = self.sensitivity(x, y)
+        g1 = per_row(lambda p: as_vector(outer.grad_x(p, y), d_x, "grad_x"), x)
+        return g2 + (s @ g1[..., None])[..., 0]
 
 
 # Each shipped strategy key as its (P, S) pair. The entries call the

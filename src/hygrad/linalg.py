@@ -7,7 +7,9 @@ transpose with LAPACK ``gesv`` as often as needed. A matrix is singular
 when sigma_min <= SINGULAR_RTOL * sigma_max (1e-14), from one LAPACK SVD
 of singular values only, or from the diagonal of a diagonal matrix; both
 raise SingularMatrixError with one message naming the matrix, the ratio
-and the tolerance. Norms and maximizing directions come from one LAPACK
+and the tolerance. A stack of matrices, shape (m, n, n), is checked by one
+stacked SVD and solved by one broadcast ``gesv``, each matrix with the bits
+of its single call. Norms and maximizing directions come from one LAPACK
 SVD.
 """
 
@@ -35,27 +37,31 @@ def _check_finite(a: Array, name: str) -> Array:
 
 def _check_square(a: Array, what: str) -> Array:
     a = _check_finite(a, what)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ContractViolation(f"{what} must be square, got shape {a.shape}")
     return a
 
 
-def _check_ratio(smallest: float, largest: float, what: str) -> None:
-    if smallest <= SINGULAR_RTOL * largest:
-        ratio = float(smallest / largest) if largest else 0.0
+def _check_ratio(smallest, largest, what: str) -> None:
+    bad = np.flatnonzero(np.asarray(smallest) <= SINGULAR_RTOL * np.asarray(largest))
+    if bad.size:
+        small, large = np.ravel(smallest)[bad[0]], np.ravel(largest)[bad[0]]
+        ratio = float(small / large) if large else 0.0
+        where = what if np.ndim(smallest) == 0 else f"{what} (row {bad[0]})"
         raise SingularMatrixError(
-            f"{what} is singular to working precision (sigma_min/sigma_max "
-            f"{ratio:.3e} <= {SINGULAR_RTOL:g})", what=what)
+            f"{where} is singular to working precision (sigma_min/sigma_max "
+            f"{ratio:.3e} <= {SINGULAR_RTOL:g})", what=where)
 
 
 def check_nonsingular(a: Array, what: str = "matrix") -> None:
     """Raise SingularMatrixError naming ``what`` when the square, finite A
-    has sigma_min <= SINGULAR_RTOL * sigma_max, from one LAPACK SVD."""
+    has sigma_min <= SINGULAR_RTOL * sigma_max, from one LAPACK SVD; for a
+    stack, one stacked SVD, and the message names the first singular row."""
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"{what}: {err}", what=what) from err
-    _check_ratio(s[-1], s[0], what)
+    _check_ratio(s[..., -1], s[..., 0], what)
 
 
 # The old name of the check, kept for perfbench's tracer until ROADMAP item 2.
@@ -64,17 +70,22 @@ lu_factor = check_nonsingular
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """A square matrix checked once, for any number of solves.
+    """A square matrix, or a stack of m of them, checked once for any number
+    of solves.
 
-    ``solve`` applies the inverse and ``solve_T`` the inverse transpose, to a
-    vector or to every column of a matrix at once, through LAPACK ``gesv``.
-    A diagonal matrix keeps only its diagonal (``matrix`` is None), and a
-    solve divides by it.
+    ``solve`` applies the inverse and ``solve_T`` the inverse transpose
+    through LAPACK ``gesv``: for one matrix, to a vector (n,) or a matrix
+    (n, k), also with a leading stack axis; for a stack, to vectors (m, n)
+    or matrices (m, n, k), row k against matrix k with the bits of its
+    single call. A diagonal matrix keeps only its diagonal (``matrix`` is
+    None), and a solve divides by it. A stack that mixes diagonal and other
+    matrices keeps one factorization per matrix in ``rows``.
     """
 
     what: str
     diagonal: Optional[Array] = None
     matrix: Optional[Array] = None
+    rows: tuple = ()
 
     def solve(self, b: Array) -> Array:
         """X with A X = B."""
@@ -85,36 +96,53 @@ class Factorization:
         return self._apply(b, transpose=True)
 
     def _apply(self, b: Array, transpose: bool) -> Array:
-        d = self.diagonal
-        n = (d if d is not None else self.matrix).shape[0]
         b = _check_finite(b, "right-hand side")
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ContractViolation(
-                f"right-hand side has shape {b.shape}, {self.what} has {n} rows")
+        if self.rows:
+            return np.stack([part._apply(row, transpose)
+                             for part, row in zip(self.rows, b, strict=True)])
+        d = self.diagonal
+        lead = d.shape if d is not None else self.matrix.shape[:-1]
+        vector = b.ndim == len(lead)
+        shape = b.shape if vector else b.shape[:-1]
+        # One matrix also solves a stack of matrix right-hand sides.
+        if shape != lead and not (len(lead) == 1 and b.ndim == 3 and shape[1:] == lead):
+            stack = f" in a stack of {lead[0]}" if len(lead) == 2 else ""
+            raise ContractViolation(f"right-hand side has shape {b.shape}, "
+                                    f"{self.what} has {lead[-1]} rows{stack}")
         if d is None:
-            return np.linalg.solve(self.matrix.T if transpose else self.matrix, b)
-        return b / d if b.ndim == 1 else b / d[:, None]
+            a = np.swapaxes(self.matrix, -1, -2) if transpose else self.matrix
+            return np.linalg.solve(a, b[..., None])[..., 0] if vector \
+                else np.linalg.solve(a, b)
+        return b / d if vector else b / d[..., None]
 
 
 def factor(a: Array, what: str = "matrix") -> Factorization:
-    """Check A once for singularity, then keep it for solves.
+    """Check A, or a stack of matrices, once for singularity, then keep it
+    for solves.
 
     A is singular when sigma_min <= SINGULAR_RTOL * sigma_max (1e-14): by
     one SVD in ``check_nonsingular`` (also bound as ``lu_factor``), or,
     when A is diagonal, by the same rule on its diagonal,
     min|d| <= SINGULAR_RTOL * max|d|. Both raise the same
     SingularMatrixError, naming ``what``, the ratio and the tolerance, also
-    on a matrix that ``gesv`` alone would solve.
+    on a matrix that ``gesv`` alone would solve. On a stack, the error's
+    ``what`` and message name the first singular row, as "F_1 (row 2)". A
+    stack with no diagonal matrix takes one stacked SVD, and one that mixes
+    diagonal and other matrices is factored one matrix at a time.
     """
     a = _check_square(a, what)
-    d = np.diagonal(a)
-    if np.count_nonzero(a) != np.count_nonzero(d):
+    d = np.diagonal(a, axis1=-2, axis2=-1)
+    dense = np.count_nonzero(a, axis=(-2, -1)) != np.count_nonzero(d, axis=-1)
+    if dense.all():
         check_nonsingular(a, what=what)
         return Factorization(what, matrix=a.copy())
-    if d.size:
-        magnitudes = np.abs(d)
-        _check_ratio(magnitudes.min(), magnitudes.max(), what)
-    return Factorization(what, diagonal=d.copy())
+    if not dense.any():
+        if d.size:
+            magnitudes = np.abs(d)
+            _check_ratio(magnitudes.min(axis=-1), magnitudes.max(axis=-1), what)
+        return Factorization(what, diagonal=d.copy())
+    return Factorization(what, rows=tuple(factor(matrix, f"{what} (row {k})")
+                                          for k, matrix in enumerate(a)))
 
 
 def linear_solve(a: Array, b: Array, what: str = "matrix") -> Array:

@@ -32,8 +32,9 @@ from .linalg import Factorization, factor
 Array = np.ndarray
 
 # A BilevelProblem keeps the blocks of its last this many points (x, y) and
-# the roots of its last this many y. Five points hold one decay step's x_k,
-# newton's and diag's corrected points, the root and the previous x_{k-1}.
+# the roots of its last this many y. A point may be a stack: five points hold
+# one decay block's stack of iterates, newton's and diag's corrected stacks
+# and the root, with one to spare.
 _MEMO_POINTS = 5
 _MEMO_ROOTS = 4
 
@@ -59,6 +60,21 @@ def as_vector(a, dim: int | None = None, name: str = "vector") -> Array:
     if not np.isfinite(v).all():
         raise ContractViolation(f"{name} contains non-finite entries")
     return v
+
+
+def as_points(a, dim: int | None = None, name: str = "x") -> Array:
+    """A point, validated by ``as_vector``, or a stack of m >= 1 points,
+    shape (m, dim), one per row, validated likewise."""
+    p = np.asarray(a, dtype=float)
+    if p.ndim == 2 and p.shape[0] and dim in (None, p.shape[1]):
+        return as_vector(p.reshape(-1), None, name).reshape(p.shape)
+    return as_vector(p, dim, name)
+
+
+def per_row(fn: Callable[..., Array], x: Array, *args: Array) -> Array:
+    """fn(x, *args) for one point x; for a stack, fn on each row of x and
+    the same row of each arg, stacked."""
+    return fn(x, *args) if x.ndim == 1 else np.stack([fn(*row) for row in zip(x, *args)])
 
 
 def as_matrix(a, shape: tuple[int, int] | None = None, name: str = "matrix") -> Array:
@@ -174,9 +190,14 @@ class BilevelProblem:
     shapes and bits of x and y, so -0.0 and 0.0 are different points.
     Blocks are handed out read-only, roots as fresh copies.
 
+    x may also be a stack of m points, shape (m, d_x): each method then
+    calls the per-point oracle once per row, validates each row, and keeps
+    the stacked blocks and factorization as one point, row k with the bits
+    of the call with row k alone.
+
     The three y-coupling contractions (see ``InnerOracle``) call the inner
     oracle's closed form when it has one, else the one-hot loop over
-    ``djac_x_dir_y``; they are not kept.
+    ``djac_x_dir_y``, once per row of a stack; they are not kept.
     """
 
     inner: InnerOracle
@@ -202,8 +223,9 @@ class BilevelProblem:
         x, y, blocks = self._memo(x, y)
         block = blocks.get(method)
         if block is None:
+            oracle = getattr(self.inner, method)
             block = blocks[method] = _read_only(
-                check(getattr(self.inner, method)(x, y), shape, method))
+                per_row(lambda p: check(oracle(p, y), shape, method), x))
         return block
 
     def _solve(self, y_shape, y_bits) -> Optional[Array]:
@@ -231,7 +253,7 @@ class BilevelProblem:
     def jac_x_diagonal(self, x: Array, y: Array, what: str) -> Factorization:
         """``factor(diag(F_1), what)``, checked once per point and, like
         ``jac_x_factor``, labelled per caller and not kept when singular."""
-        return self._factor("diagonal", lambda f1: np.diag(np.diag(f1)), x, y, what)
+        return self._factor("diagonal", lambda f1: f1 * np.eye(self.d_x), x, y, what)
 
     def _factor(self, key: str, part, x: Array, y: Array, what: str) -> Factorization:
         x, y, blocks = self._memo(x, y)
@@ -260,9 +282,10 @@ class BilevelProblem:
 
     def _coupling(self, method: str, x: Array, y: Array, *vector: Array) -> Array:
         closed = getattr(self.inner, method, None)
-        m = closed(x, y, *vector) if closed is not None \
-            else one_hot_coupling(self.inner, method, x, y, self.d_y, *vector)
-        return as_matrix(m, (self.d_x, self.d_y), method)
+        return per_row(lambda x, *v: as_matrix(
+            closed(x, y, *v) if closed is not None
+            else one_hot_coupling(self.inner, method, x, y, self.d_y, *v),
+            (self.d_x, self.d_y), method), np.asarray(x, dtype=float), *vector)
 
     def exact_root(self, y: Array) -> Optional[Array]:
         y = np.asarray(y, dtype=float)

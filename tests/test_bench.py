@@ -12,9 +12,74 @@ import hygrad as hg
 from hygrad.bench import DecayTrace, SweepRecord
 from hygrad.errors import InsufficientDataError, ParseError
 
+from conftest import CLASSIFICATION_TRAIN_SHAPE
+
 
 def _trace(rows, strategy="s"):
     return DecayTrace(strategy=strategy, rows=rows, metadata={})
+
+
+def _fail_at_step(monkeypatch, config, kind, step, calls,
+                  error=hg.NumericalFailure("injected failure")):
+    """Make run_decay's estimator of ``kind`` raise ``error`` on every call
+    whose points include the iterate of ``step``, and record the shape of
+    each call's x in ``calls``."""
+    problem = hg.build_problem(config)
+    y = hg.sample_y(problem.d_y, config.y_low, config.y_high, config.seed)
+    point = hg.gradient_descent(problem, y, np.zeros(problem.d_x), config.steps,
+                                step_size=config.step_size)[step]
+    make = hg.bench.make_estimator
+
+    def patched(problem, key):
+        estimator = make(problem, key)
+        if key != kind:
+            return estimator
+
+        def estimate(x, y):
+            calls.append(np.shape(x))
+            if any(np.array_equal(row, point) for row in np.atleast_2d(x)):
+                raise error
+            return estimator(x, y)
+        return hg.Estimator(estimator.name, estimate)
+    monkeypatch.setattr(hg.bench, "make_estimator", patched)
+
+
+def _per_step_decay(config):
+    """The decay traces one estimate per step and strategy: the reference
+    that run_decay's block loop must reproduce byte for byte. It builds its
+    problem and estimators through the bench module, so patches of
+    build_problem and make_estimator reach it too."""
+    problem = hg.bench.build_problem(config)
+    y = hg.sample_y(problem.d_y, config.y_low, config.y_high, config.seed)
+    iterates = hg.gradient_descent(problem, y, np.zeros(problem.d_x), config.steps,
+                                   step_size=config.step_size)
+    xstar = hg.RootContext.solve(problem, y).xstar
+    grad_true = hg.Strategy(problem).estimate(xstar, y)
+    estimators = {s: hg.bench.make_estimator(problem, s) for s in config.strategies}
+    traces = {s: DecayTrace(s, [], dict(hg.bench._base_metadata(config, problem, y),
+                                        steps=str(config.steps)))
+              for s in config.strategies}
+    filtered = {s: [] for s in config.strategies}
+    live = list(config.strategies)
+    for k, x in enumerate(iterates):
+        for strategy in list(live):
+            try:
+                estimate = estimators[strategy](x, y)
+            except hg.DomainError:
+                filtered[strategy].append(k)
+                continue
+            except hg.HygradError as err:
+                traces[strategy].metadata[f"aborted_{strategy}"] = f"step {k}: {err}"
+                live.remove(strategy)
+                continue
+            traces[strategy].rows.append(
+                (k, float(np.linalg.norm(x - xstar)),
+                 float(np.linalg.norm(estimate - grad_true))))
+    for strategy, steps in filtered.items():
+        if steps:
+            traces[strategy].metadata[f"filtered_steps_{strategy}"] = \
+                ";".join(map(str, steps))
+    return list(traces.values())
 
 
 class TestRunDecay:
@@ -71,29 +136,18 @@ class TestRunDecay:
         assert len(vanilla.rows) == 5
 
     def test_aborted_strategy_keeps_earlier_rows_and_drops_out(self, monkeypatch):
-        # diag fails at step 3: it keeps steps 0-2, records the failure and
-        # is not called again; every other strategy, and exp's skipped
-        # start, are as in a run without the failure.
+        # diag fails at step 3: its stacked call on the block of steps 1-6
+        # raises, so it runs that block one step at a time, keeps steps
+        # 0-2, records the failure and is not called again; every other
+        # strategy, and exp's skipped start, are as in a run without the
+        # failure.
         config = hg.RunConfig(problem="scalar", strategies=hg.STRATEGIES, steps=6,
                               seed=2, step_size=0.1)
         plain = {t.strategy: t for t in hg.run_decay(config)}
-        make = hg.bench.make_estimator
         diag_calls = []
-
-        def failing_diag(problem, kind):
-            estimator = make(problem, kind)
-            if kind != "diag":
-                return estimator
-
-            def estimate(x, y):
-                diag_calls.append(x)
-                if len(diag_calls) == 4:
-                    raise hg.NumericalFailure("injected failure")
-                return estimator(x, y)
-            return hg.Estimator(estimator.name, estimate)
-        monkeypatch.setattr(hg.bench, "make_estimator", failing_diag)
+        _fail_at_step(monkeypatch, config, "diag", 3, diag_calls)
         traces = {t.strategy: t for t in hg.run_decay(config)}
-        assert len(diag_calls) == 4
+        assert diag_calls == [(1,), (6, 1), (1,), (1,), (1,)]
         assert traces["diag"].rows == plain["diag"].rows[:3]
         assert traces["diag"].metadata["aborted_diag"] == "step 3: injected failure"
         assert "aborted_diag" not in plain["diag"].metadata
@@ -105,15 +159,17 @@ class TestRunDecay:
 
     def test_one_step_shares_its_points_across_strategies(self, logistic_quadratic,
                                                          monkeypatch, lu_calls):
-        # Per strategy, the inner jac_x and residual calls and the dense
-        # singularity checks of one estimate in a decay step. Strategies run
-        # inside each step, so they share the blocks and the F_1
-        # factorization of x_k: only vanilla evaluates and checks F_1(x_k),
-        # and diag-rep's V = F_1 solves against that check; only newton
-        # evaluates F(x_k), and newton and diag evaluate F_1 at their
-        # corrected points. opt reads F, F_1 and the check of F_1 at the root
-        # from the problem's memo of five points, which still holds it after
-        # x_k and the two corrected points, and checks only its V.
+        # Per strategy and stacked call, the rows of the block, the inner
+        # jac_x and residual calls and the dense singularity checks. Each
+        # row costs the oracle calls one step's estimate costs, and each
+        # block one stacked check per matrix. Strategies run inside each
+        # block, so they share the blocks and the F_1 factorization of the
+        # block's stack: only vanilla evaluates and checks F_1 there, and
+        # diag-rep's V = F_1 solves against that check; only newton
+        # evaluates F there, and newton and diag evaluate F_1 at their
+        # corrected stacks. opt reads F, F_1 and the check of F_1 at the
+        # root from the problem's memo of five points, which still holds it
+        # after the block's three stacks, and checks only its V.
         calls = []
 
         def counted(name):
@@ -139,17 +195,58 @@ class TestRunDecay:
                     return estimator(x, y)
                 finally:
                     counts.setdefault(kind, []).append(
-                        (calls[before:].count("jac_x"),
+                        (np.shape(x), calls[before:].count("jac_x"),
                          calls[before:].count("residual"), len(lu_calls) - checks))
             return hg.Estimator(estimator.name, estimate)
         monkeypatch.setattr(hg.bench, "make_estimator", counting)
-        steps = 6
+        block = hg.bench.DECAY_BLOCK_STEPS
         hg.run_decay(hg.RunConfig(problem="logistic", strategies=hg.STRATEGIES,
-                                  steps=steps, y_low=3.0, y_high=6.0, seed=2))
-        per_step = {"vanilla": (1, 0, 1), "newton": (1, 1, 1), "diag": (1, 0, 1),
-                    "exp": (0, 0, 1), "diag-rep": (0, 0, 0), "opt": (0, 0, 1)}
-        for k in range(1, steps + 1):
-            assert {s: counts[s][k] for s in hg.STRATEGIES} == per_step, k
+                                  steps=block + 3, y_low=3.0, y_high=6.0, seed=2))
+        per_row = {"vanilla": (1, 0), "newton": (1, 1), "diag": (1, 0),
+                   "exp": (0, 0), "diag-rep": (0, 0), "opt": (0, 0)}
+        checks = {"vanilla": 1, "newton": 1, "diag": 1, "exp": 1, "diag-rep": 0,
+                  "opt": 1}
+        for s in hg.STRATEGIES:
+            jac_x, residual = per_row[s]
+            # The start comes first, as one point.
+            assert [shape for shape, *_ in counts[s]] == \
+                [(problem.d_x,), (block, problem.d_x), (3, problem.d_x)], s
+            assert [tuple(c) for _, *c in counts[s][1:]] == [
+                (rows * jac_x, rows * residual, checks[s]) for rows in (block, 3)], s
+
+    @pytest.fixture
+    def logistic_config(self, libsvm_dir):
+        # Two full blocks and part of a third after the start.
+        return hg.RunConfig(problem="logistic", train_path=str(libsvm_dir / "cls_train.libsvm"),
+                            val_path=str(libsvm_dir / "cls_val.libsvm"),
+                            strategies=hg.STRATEGIES,
+                            steps=2 * hg.bench.DECAY_BLOCK_STEPS + 3,
+                            y_low=3.0, y_high=6.0, seed=2)
+
+    def test_blocks_write_the_csv_of_one_step_at_a_time(self, logistic_config):
+        assert hg.emit_csv(hg.run_decay(logistic_config)) == \
+            hg.emit_csv(_per_step_decay(logistic_config))
+
+    def test_failures_mid_block_write_the_csv_of_one_step_at_a_time(
+            self, logistic_config, monkeypatch):
+        # opt aborts and newton leaves a point out, each inside the second
+        # block; exp's start is skipped as always.
+        block = hg.bench.DECAY_BLOCK_STEPS
+        opt_calls, newton_calls = [], []
+        _fail_at_step(monkeypatch, logistic_config, "opt", block + 5, opt_calls)
+        _fail_at_step(monkeypatch, logistic_config, "newton", block + 2, newton_calls,
+                      error=hg.DomainError("injected domain error"))
+        got = hg.emit_csv(hg.run_decay(logistic_config))
+        d = CLASSIFICATION_TRAIN_SHAPE[1]
+        # The start, the first block, then the second block stacked and
+        # again one step at a time, up to opt's failure or past newton's
+        # skipped point; newton then stacks the last block.
+        assert opt_calls == [(d,), (block, d), (block, d)] + [(d,)] * 5
+        assert newton_calls == [(d,), (block, d), (block, d)] + [(d,)] * block \
+            + [(3, d)]
+        assert got == hg.emit_csv(_per_step_decay(logistic_config))
+        assert f"# aborted_opt=step {block + 5}: injected failure" in got.splitlines()
+        assert f"# filtered_steps_newton={block + 2}" in got.splitlines()
 
     def test_metadata_names_ground_truth_and_prng(self):
         config = hg.RunConfig(problem="scalar", strategies=("vanilla",),

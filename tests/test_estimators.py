@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hygrad as hg
 from hygrad import efficiency
@@ -12,7 +14,8 @@ from hygrad.efficiency import JACOBIAN_FD_STEP
 from hygrad.estimators import resolve_strategy
 from hygrad.problems import CallableInnerOracle, fd_jacobian
 
-from conftest import COUPLINGS, nonsymmetric_problem, rel_err, seeded_y
+from conftest import (COUPLINGS, assert_same_bits, nonsymmetric_problem, rel_err,
+                      seeded_y, shift_problem)
 
 
 def shipped_problems(scalar_fixture, linear1d_fixture, ridge_quadratic,
@@ -709,3 +712,108 @@ class TestStrategyTable:
         for kind in ("bogus", 3, None):
             with pytest.raises(hg.UsageError):
                 resolve_strategy(scalar_fixture, kind)
+
+
+# --------------------------------------------------------------------------
+# stacks of points
+
+@pytest.mark.parametrize("name", ["ridge_quadratic", "logistic_quadratic", "nonsymmetric"])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.integers(1, 7), seed=st.integers(0, 2 ** 16))
+def test_stacked_rows_have_the_bits_of_single_calls(request, name, m, seed):
+    # Every shipped strategy on a seeded stack of points near the root: the
+    # stacked call raises exactly when some row's call does, and otherwise
+    # row k has the bits of the call with row k alone.
+    problem = request.getfixturevalue(name)
+    rng = np.random.default_rng(seed)
+    y = seeded_y(problem, seed)
+    xstar = hg.exact_root(problem, y)
+    x = xstar + 0.05 * (1.0 + np.abs(xstar)) * rng.standard_normal((m, problem.d_x))
+    for key in hg.STRATEGIES:
+        estimator = hg.make_estimator(problem, key)
+        singles = []
+        for row in x:
+            try:
+                singles.append(estimator(row, y))
+            except hg.HygradError as err:
+                singles.append(err)
+        if any(isinstance(single, hg.HygradError) for single in singles):
+            with pytest.raises(hg.HygradError):
+                estimator(x, y)
+            continue
+        stacked = estimator(x, y)
+        assert stacked.shape == (m, problem.d_y), key
+        for k, single in enumerate(singles):
+            assert_same_bits(stacked[k], single)
+
+
+def _singular_at_one(problem):
+    """The problem with F_1 = [[1, x_0], [x_0, 1]], singular where x_0 = 1."""
+    return replace(problem, inner=replace(
+        problem.inner, jac_x=lambda x, y: np.array([[1.0, x[0]], [x[0], 1.0]])))
+
+
+class TestStacks:
+    def test_one_singular_row_makes_the_stack_raise(self):
+        problem = _singular_at_one(shift_problem(2))
+        y = np.zeros(2)
+        x = np.array([[0.5, 0.1], [1.0, 0.2], [0.2, 0.3]])
+        estimator = hg.make_estimator(problem, "vanilla")
+        with pytest.raises(SingularMatrixError, match=r"F_1 \(row 1\) is singular") as err:
+            estimator(x, y)
+        assert err.value.what == "F_1 (row 1)"
+        with pytest.raises(SingularMatrixError, match="^F_1 is singular"):
+            estimator(x[1], y)
+        rest = estimator(x[[0, 2]], y)
+        assert_same_bits(rest[0], estimator(x[0], y))
+        assert_same_bits(rest[1], estimator(x[2], y))
+
+    def test_one_row_out_of_exp_domain_makes_the_stack_raise(self, ridge_quadratic):
+        y = seeded_y(ridge_quadratic, 5)
+        x = np.tile(hg.exact_root(ridge_quadratic, y), (3, 1)) + 0.01
+        x[1, 2] = 0.0
+        estimator = hg.make_estimator(ridge_quadratic, "exp")
+        with pytest.raises(DomainError):
+            estimator(x, y)
+        with pytest.raises(DomainError):
+            estimator(x[1], y)
+        for k in (0, 2):
+            estimator(x[k], y)
+
+    def test_a_caller_map_without_closed_form_runs_row_by_row(self, ridge_quadratic):
+        y = seeded_y(ridge_quadratic, 6)
+        x = hg.exact_root(ridge_quadratic, y) + np.linspace(0.1, 0.3, 2)[:, None]
+        family = replace(hg.diag_scaling_reparam(ridge_quadratic), sensitivity=None)
+        estimator = hg.make_estimator(ridge_quadratic, family)
+        stacked = estimator(x, y)
+        for k in range(2):
+            assert_same_bits(stacked[k], estimator(x[k], y))
+
+    @pytest.mark.parametrize("block", ["grad_x", "grad_y"])
+    def test_outer_gradients_are_validated_per_point(self, reg_train, reg_val, block):
+        # A column for a vector broadcast through g_2 + S g_1 unnoticed.
+        train = hg.Dataset(reg_train.features[:, :3], reg_train.labels)
+        val = hg.Dataset(reg_val.features[:, :3], reg_val.labels)
+        problem = hg.make_ridge(train, val, "quadratic")
+        gradient = getattr(problem.outer, block)
+        problem = replace(problem, outer=replace(
+            problem.outer, **{block: lambda x, y: gradient(x, y)[:, None]}))
+        y = seeded_y(problem, 3)
+        x = hg.exact_root(problem, y) + 0.1
+        for key in hg.STRATEGIES:
+            for point in (x, np.stack([x, x + 0.1])):
+                with pytest.raises(hg.ContractViolation, match=f"{block} must be 1-d"):
+                    hg.make_estimator(problem, key)(point, y)
+        if block == "grad_x":
+            with pytest.raises(hg.ContractViolation, match="grad_x must be 1-d"):
+                hg.efficiency_constant(hg.RootContext.solve(problem, y), "vanilla")
+
+    @pytest.mark.parametrize("block", ["hess_xx", "jac_gradY_x"])
+    def test_root_context_validates_the_outer_curvature(self, ridge_quadratic, block):
+        matrix = getattr(ridge_quadratic.outer, block)
+        problem = replace(ridge_quadratic, outer=replace(
+            ridge_quadratic.outer, **{block: lambda x, y: matrix(x, y)[:, :-1]}))
+        ctx = hg.RootContext.solve(problem, seeded_y(problem, 2))
+        with pytest.raises(hg.ContractViolation, match=f"{block} must have shape"):
+            hg.efficiency_constant(ctx, "vanilla")

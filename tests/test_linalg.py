@@ -161,6 +161,66 @@ def _with_singular_values(rng, s):
     return (u * s) @ v.T
 
 
+class TestStackedFactorization:
+    """A stack of matrices, one check and one broadcast solve, each row with
+    the bits of its single call."""
+
+    @staticmethod
+    def _stack(m=4, n=5, seed=3):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, n, n)) + n * np.eye(n), rng
+
+    def test_rows_have_the_bits_of_single_solves(self, lu_calls):
+        a, rng = self._stack()
+        lu = hg.factor(a, "A")
+        assert len(lu_calls) == 1 and lu_calls[0].shape == a.shape
+        vectors, matrices = rng.standard_normal((4, 5)), rng.standard_normal((4, 5, 3))
+        for solve in ("solve", "solve_T"):
+            for b in (vectors, matrices):
+                got = getattr(lu, solve)(b)
+                assert got.shape == b.shape
+                for k in range(4):
+                    want = getattr(hg.factor(a[k], "A"), solve)(b[k])
+                    assert np.array_equal(got[k], want), (solve, b.ndim, k)
+
+    def test_one_matrix_solves_a_stack_of_matrices(self):
+        a, rng = self._stack(m=1)
+        b = rng.standard_normal((3, 5, 2))
+        lu = hg.factor(a[0], "A")
+        got = lu.solve(b)
+        assert all(np.array_equal(got[k], lu.solve(b[k])) for k in range(3))
+
+    def test_a_mixed_stack_is_factored_one_matrix_at_a_time(self, lu_calls):
+        a, rng = self._stack(m=3)
+        a[1] = np.diag(np.arange(1.0, 6.0))
+        lu = hg.factor(a, "A")
+        assert [part.matrix is None for part in lu.rows] == [False, True, False]
+        assert len(lu_calls) == 2
+        b = rng.standard_normal((3, 5))
+        got = lu.solve_T(b)
+        for k in range(3):
+            assert np.array_equal(got[k], hg.factor(a[k], "A").solve_T(b[k]))
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_a_singular_row_is_named(self, diagonal):
+        a, _ = self._stack(m=3)
+        if diagonal:
+            a = a * np.eye(5)
+        a[2, :, 0] = 0.0
+        with pytest.raises(SingularMatrixError, match=r"^A \(row 2\) is singular") as err:
+            hg.factor(a, "A")
+        assert err.value.what == "A (row 2)"
+        hg.factor(a[:2], "A")
+
+    def test_rejects_a_right_hand_side_of_another_stack(self):
+        a, rng = self._stack(m=3)
+        lu = hg.factor(a, "A")
+        for b in (rng.standard_normal(5), rng.standard_normal((2, 5)),
+                  rng.standard_normal((3, 4)), rng.standard_normal((3, 4, 2))):
+            with pytest.raises(ContractViolation, match="right-hand side has shape"):
+                lu.solve(b)
+
+
 class TestSingularityRule:
     @pytest.mark.parametrize("d", [2, 5, 20])
     def test_prescribed_singular_values_on_both_sides_of_tolerance(self, d):
