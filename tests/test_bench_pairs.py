@@ -203,3 +203,98 @@ def test_exports_hold_the_commit_and_the_working_tree(tool, monkeypatch, tmp_pat
     assert (out / "change" / "pkg" / "code.py").read_text() == "edited\n"
     assert not (out / "change" / "scratch.txt").exists()
     assert tool.change_commit() == commit + "-dirty"
+
+
+def test_the_control_gap_tightens_the_gain_rule(tool):
+    assert tool.median_abs_gap([1.0, 2.0, 3.0], [1.5, 1.0, 3.0]) == 0.5
+    with pytest.raises(ValueError):
+        tool.median_abs_gap([1.0], [])
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [p + 3.0 for p in parent]
+    plain = tool.summarize(parent, change, "higher", 0.25)
+    assert "control_gap" not in plain and "beats_control" not in plain
+    beaten = tool.summarize(parent, change, "higher", 0.25, control_gap=2.5)
+    assert beaten == dict(plain, control_gap=2.5, beats_control=True)
+    # A gain that holds by the pair rule but not beyond the A/A gap.
+    unbeaten = tool.summarize(parent, change, "higher", 0.25, control_gap=3.0)
+    assert unbeaten["gain_holds"] and not unbeaten["beats_control"]
+    s = tool.summarize([2.0] * 4, [1.0] * 4, "lower", 0.05, control_gap=0.2)
+    assert s["median_gain"] == 1.0 and s["beats_control"]
+
+
+def test_a_control_record_is_kept_apart_from_the_pair_record(tool):
+    pair = {"parent": "p1", "change": "p1", "seed": 7, "pairs": 10}
+    control = dict(pair, control=True)
+    records = tool.accumulate([pair], control)
+    assert records == [pair, control]
+    assert tool.accumulate(records, dict(control, pairs=3)) == [
+        pair, dict(control, pairs=3)]
+
+
+def test_trajectory_marks_the_control_and_its_gap(tool):
+    parent, second = [10.0, 11.0, 12.0, 13.0], [10.5, 11.0, 11.0, 13.5]
+    control = {"rows_per_s": dict(tool.summarize(parent, second, "higher", 0.25),
+                                  median_abs_gap=0.5)}
+    gained = {"rows_per_s": tool.summarize(parent, [14.0, 15.0, 16.0, 17.0],
+                                           "higher", 0.25, control_gap=0.5)}
+    records = [{"workload": "decay", "parent": "a" * 40, "change": "a" * 40,
+                "control": True, "seed": 3, "pairs": 4, "summary": control},
+               {"workload": "decay", "parent": "a" * 40, "change": "b" * 40,
+                "seed": 3, "pairs": 4, "summary": gained}]
+    assert tool.trajectory_lines(records) == [
+        "decay",
+        "  aaaaaaa A/A control  seed 3  4 pairs",
+        "    rows_per_s: 11.5 -> 11  wins 2/4  median_abs_gap=0.5",
+        "  aaaaaaa -> bbbbbbb  seed 3  4 pairs",
+        "    rows_per_s: 11.5 -> 15.5  wins 4/4  gain_holds=True  beats_control=True",
+    ]
+
+
+def test_main_runs_the_control_round_from_a_second_export(tool, monkeypatch,
+                                                          tmp_path):
+    calls = []
+    rows = {"parent": 100.0, "second": 101.0, "change": 130.0}
+
+    def fake_run(cmd, cwd, capture_output, text):
+        role = Path(cwd).name
+        calls.append((role, "--trace" in cmd))
+        metrics = {"linalg.lu_factor.calls": (2, "count")} if "--trace" in cmd else {
+            "setup_s": (0.2, "s"), "wall_s": (0.3, "s"),
+            "rows_per_s": (rows[role] + 0.5 * len(calls), "rows/s"),
+            "peak_rss_mb": (40.0, "MB")}
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}})
+        return SimpleNamespace(returncode=0, stdout=line, stderr="")
+
+    def fake_export(rev, into, name="parent"):
+        (into / name).mkdir()
+        return "p" * 40
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    monkeypatch.setattr(tool, "export", fake_export)
+    monkeypatch.setattr(tool, "export_tree", lambda into: (into / "change").mkdir())
+    monkeypatch.setattr(tool, "change_commit", lambda: "c" * 40)
+    monkeypatch.chdir(tmp_path)
+    assert tool.main(["HEAD", "--workload", "decay-logistic", "--pairs", "2",
+                      "--seed", "7", "--control"]) == 0
+
+    # Per pair, the change's pair then the A/A pair, both in alternating
+    # order; the traced counts come from the parent and the change only.
+    assert calls == [("parent", False), ("change", False), ("parent", False),
+                     ("second", False), ("change", False), ("parent", False),
+                     ("second", False), ("parent", False),
+                     ("parent", True), ("change", True)]
+    control, pair = json.loads((tmp_path / "BENCH_decay-logistic.json").read_text())
+    assert control["control"] is True and "control" not in pair
+    assert control["parent"] == control["change"] == pair["parent"] == "p" * 40
+    assert pair["change"] == "c" * 40 and "counts" not in control
+    assert sorted(control["runs"]) == ["parent", "second"]
+    assert sorted(pair["runs"]) == ["change", "parent"]
+    rows_aa = control["summary"]["rows_per_s"]
+    # A/A gaps: pair 0 reads 101.5 and 102 at calls 3 and 4, pair 1 reads
+    # 103.5 and 103 at calls 8 and 7.
+    assert rows_aa["median_abs_gap"] == 1.0
+    gained = pair["summary"]["rows_per_s"]
+    assert gained["control_gap"] == 1.0 and gained["beats_control"]
+    assert pair["summary"]["setup_s"]["control_gap"] == 0.0
+    assert not pair["summary"]["setup_s"]["beats_control"]

@@ -33,13 +33,28 @@ side measures the tracked files as they are, committed or not; its commit
 reads ``<HEAD>-dirty`` when a tracked file other than the ``BENCH_*.json``
 records differs from HEAD. Untracked files are not copied.
 
+    python3 tools/bench_pairs.py PARENT_REV --workload W --pairs N --seed S --control
+
+also runs an A/A round: the parent against a second export of itself, in
+``second/`` beside ``parent/``, N pairs interleaved with the change's, pair
+i of each round taking its sides in the same alternating order. The round
+is appended as its own record (``"control": true``, the parent's commit on
+both sides, keyed apart from the pair record), whose summary also gives
+each metric's ``median_abs_gap``, the median over pairs of |A - A'|: how
+far two runs of one tree fall apart. The pair record's summary then holds,
+per metric, that gap as ``control_gap`` and ``beats_control``, whether the
+change's median gain exceeds it. A claimed gain needs ``beats_control`` as
+well as ``gain_holds``: the control tightens that rule and does not
+replace it.
+
     python3 tools/bench_pairs.py trajectory [BENCH_FILE ...]
 
 reads the given ``BENCH_*.json`` records, by default every one in the
 current directory, without changing them, and prints per workload and
 record its parent and change commits, seed and pair count, then per
 end-to-end metric the parent's and the change's medians, the change's wins
-and ``gain_holds``.
+and ``gain_holds`` (and ``beats_control`` when the record has it); an A/A
+record reads ``A/A control`` and gives each metric's ``median_abs_gap``.
 """
 
 from __future__ import annotations
@@ -65,11 +80,20 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summarize(parent: list, change: list, better: str, bound: float) -> dict:
+def median_abs_gap(first: list, second: list) -> float:
+    """The median over pairs of |second[i] - first[i]|."""
+    if len(first) != len(second) or not first:
+        raise ValueError("need the same positive number of runs on each side")
+    return statistics.median(abs(b - a) for a, b in zip(first, second))
+
+
+def summarize(parent: list, change: list, better: str, bound: float,
+              control_gap: float | None = None) -> dict:
     """The pair statistics of one metric: ``parent[i]`` and ``change[i]``
     are the i-th pair's values, ``better`` is "lower" or "higher", and
     ``bound`` the share of the parent's median by which the change's may be
-    worse."""
+    worse. With an A/A round's ``median_abs_gap`` as ``control_gap``, it
+    also says whether the change's median gain exceeds that gap."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on each side")
     sign = 1.0 if better == "higher" else -1.0
@@ -78,7 +102,7 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     p_q, c_q = quartiles(parent), quartiles(change)
     parent_iqr = p_q[2] - p_q[0]
     gain = sign * (c_q[1] - p_q[1])
-    return {
+    summary = {
         "better": better,
         "pairs": len(parent),
         "parent": {"q1": p_q[0], "median": p_q[1], "q3": p_q[2]},
@@ -91,6 +115,10 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
         "gain_holds": 10 * wins >= 9 * len(parent) and gain > parent_iqr,
         "within_bound": -gain <= bound * abs(p_q[1]),
     }
+    if control_gap is not None:
+        summary["control_gap"] = control_gap
+        summary["beats_control"] = gain > control_gap
+    return summary
 
 
 COUNT_SEED = 101
@@ -140,10 +168,11 @@ def change_commit() -> str:
 def accumulate(records: list | None, record: dict) -> list:
     """``records``, the parsed list of a BENCH file (None for no file), with
     ``record`` appended in place of any entry with the same parent and
-    change commits and seed. The earliest entries have no ``change`` key."""
-    key = (record["parent"], record["change"], record.get("seed"))
-    return [r for r in records or []
-            if (r["parent"], r.get("change"), r.get("seed")) != key] + [record]
+    change commits, seed and kind (an A/A control or not). The earliest
+    entries have no ``change`` key."""
+    def key(r):
+        return r["parent"], r.get("change"), r.get("seed"), r.get("control", False)
+    return [r for r in records or [] if key(r) != key(record)] + [record]
 
 
 def trajectory_lines(records: list) -> list:
@@ -155,25 +184,31 @@ def trajectory_lines(records: list) -> list:
     for workload in dict.fromkeys(r["workload"] for r in records):
         lines.append(workload)
         for r in (r for r in records if r["workload"] == workload):
-            lines.append(f"  {r['parent'][:7]} -> {r.get('change', '?')[:7]}  "
+            pair = "A/A control" if r.get("control") \
+                else f"-> {r.get('change', '?')[:7]}"
+            lines.append(f"  {r['parent'][:7]} {pair}  "
                          f"seed {r.get('seed', '?')}  {r['pairs']} pairs")
             for name, s in r["summary"].items():
+                verdict = f"median_abs_gap={s['median_abs_gap']:.4g}" \
+                    if r.get("control") else f"gain_holds={s['gain_holds']}" + (
+                        f"  beats_control={s['beats_control']}"
+                        if "beats_control" in s else "")
                 lines.append(f"    {name}: {s['parent']['median']:.4g} -> "
                              f"{s['change']['median']:.4g}  wins {s['wins']}/"
-                             f"{s['pairs']}  gain_holds={s['gain_holds']}")
+                             f"{s['pairs']}  {verdict}")
     return lines
 
 
-def export(rev: str, into: Path) -> str:
-    """Write the files of ``rev`` into ``into``; return its commit id."""
+def export(rev: str, into: Path, name: str = "parent") -> str:
+    """Write the files of ``rev`` into ``into / name``; return its commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
                             cwd=CHECKOUT, capture_output=True, text=True,
                             check=True).stdout.strip()
-    archive = into / "parent.tar"
+    archive = into / f"{name}.tar"
     with open(archive, "wb") as fh:
         subprocess.run(["git", "archive", "--format=tar", commit], cwd=CHECKOUT,
                        stdout=fh, check=True)
-    root = into / "parent"
+    root = into / name
     with tarfile.open(archive) as tar:
         tar.extractall(root, filter="data")
     archive.unlink()
@@ -206,6 +241,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--control", action="store_true",
+                    help="also run an A/A round of the parent against itself")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -214,44 +251,71 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     if args.workload not in {w["name"] for w in bench["workloads"]}:
         ap.error(f"unknown workload {args.workload!r}")
-    runs = {"parent": [], "change": []}
+    # Each round's two sides; the A/A round's parent runs are its own.
+    rounds = {"pair": ("parent", "change")}
+    if args.control:
+        rounds["control"] = ("parent", "second")
+    runs = {name: {side: [] for side in sides} for name, sides in rounds.items()}
     change = change_commit()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = export(args.parent_rev, Path(tmp))
         export_tree(Path(tmp))
-        roots = {side: Path(tmp) / side for side in runs}
+        if args.control:
+            export(args.parent_rev, Path(tmp), "second")
+        roots = {side: Path(tmp) / side for sides in rounds.values() for side in sides}
         for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(roots[side], args.workload, args.seed,
-                                           seconds))
-                r = runs[side][-1]
-                print(f"pair {i} {side}: correct={r['correct']} failed={r['failed']} "
-                      + " ".join(f"{m['name']}={r['metrics'][m['name']]:.4g}"
-                                 for m in bench["end_to_end"]), flush=True)
-        counts = {side: traced_counts(root, args.workload)
-                  for side, root in roots.items()}
+            for name, sides in rounds.items():
+                for side in sides if i % 2 == 0 else sides[::-1]:
+                    runs[name][side].append(run_once(roots[side], args.workload,
+                                                     args.seed, seconds))
+                    r = runs[name][side][-1]
+                    print(f"pair {i} {name} {side}: correct={r['correct']} "
+                          f"failed={r['failed']} "
+                          + " ".join(f"{m['name']}={r['metrics'][m['name']]:.4g}"
+                                     for m in bench["end_to_end"]), flush=True)
+        counts = {side: traced_counts(roots[side], args.workload)
+                  for side in rounds["pair"]}
 
-    summary = {m["name"]: summarize([r["metrics"][m["name"]] for r in runs["parent"]],
-                                    [r["metrics"][m["name"]] for r in runs["change"]],
-                                    m["better"], m["bound"])
-               for m in bench["end_to_end"]}
-    record = {"workload": args.workload, "parent": commit, "change": change,
-              "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
-              "all_correct": all(r["correct"] and r["failed"] == 0
-                                 for side in runs.values() for r in side),
-              "summary": summary, "runs": runs, "counts_seed": COUNT_SEED,
-              "counts": counts, "counts_identical": counts["parent"] == counts["change"]}
+    def values(name: str, side: str, metric: str) -> list:
+        return [r["metrics"][metric] for r in runs[name][side]]
+
+    def record_of(name: str, summary: dict) -> dict:
+        return {"workload": args.workload, "parent": commit, "seed": args.seed,
+                "seconds": seconds, "pairs": args.pairs, "summary": summary,
+                "all_correct": all(r["correct"] and r["failed"] == 0
+                                   for side in runs[name].values() for r in side),
+                "runs": runs[name]}
+
     out = Path(f"BENCH_{args.workload}.json")
-    records = accumulate(json.loads(out.read_text()) if out.exists() else None,
-                         record)
+    records = json.loads(out.read_text()) if out.exists() else None
+    gaps = {}
+    if args.control:
+        control = {}
+        for m in bench["end_to_end"]:
+            first, second = (values("control", side, m["name"])
+                             for side in rounds["control"])
+            gaps[m["name"]] = median_abs_gap(first, second)
+            control[m["name"]] = dict(summarize(first, second, m["better"], m["bound"]),
+                                      median_abs_gap=gaps[m["name"]])
+        records = accumulate(records, dict(record_of("control", control),
+                                           change=commit, control=True))
+    summary = {m["name"]: summarize(values("pair", "parent", m["name"]),
+                                    values("pair", "change", m["name"]),
+                                    m["better"], m["bound"], gaps.get(m["name"]))
+               for m in bench["end_to_end"]}
+    record = dict(record_of("pair", summary), change=change, counts_seed=COUNT_SEED,
+                  counts=counts, counts_identical=counts["parent"] == counts["change"])
+    records = accumulate(records, record)
     out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     for name, s in summary.items():
+        control = f" control_gap={s['control_gap']:.4g} " \
+            f"beats_control={s['beats_control']}" if "control_gap" in s else ""
         print(f"{name}: parent {s['parent']['median']:.4g} "
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}], change "
               f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
               f"{s['change']['q3']:.4g}], wins {s['wins']}/{s['pairs']}, "
-              f"gain_holds={s['gain_holds']} within_bound={s['within_bound']}")
+              f"gain_holds={s['gain_holds']} within_bound={s['within_bound']}"
+              + control)
     for name in sorted(counts["parent"].keys() | counts["change"].keys()):
         before, after = counts["parent"].get(name), counts["change"].get(name)
         if before != after:
