@@ -480,7 +480,7 @@ class Strategy:
         if reparam is None:
             return solution_sensitivity(self.problem, x, y)
         phi = signed_exp_reparam(x) if reparam == "exp" else reparam
-        if isinstance(phi, Reparameterization) and phi.sensitivity is not None:
+        if phi.sensitivity is not None:
             return phi.sensitivity(self.problem, x, y)
         return per_row(lambda p: reparam_sensitivity(
             self.problem, self.change_of_variables(p, y), p, y), x)
