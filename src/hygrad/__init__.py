@@ -19,7 +19,6 @@ from .bench import (
 )
 from .efficiency import (
     ComparisonBounds,
-    ComparisonTerms,
     RootContext,
     compare_bounds,
     efficiency_constant,

@@ -131,21 +131,19 @@ def build_problem(config: RunConfig) -> BilevelProblem:
         raise UsageError(f"problem {config.problem!r} needs --train")
     try:
         train = load_libsvm(config.train_path)
-        if config.val_path is not None:
-            # Widths can disagree on trailing empty columns, which LIBSVM
-            # omits; pad the narrower set with zero columns so both line up.
-            val = load_libsvm(config.val_path)
-            width = max(train.d_x, val.d_x)
-            train, val = _pad_columns(train, width), _pad_columns(val, width)
-        else:
-            if config.outer == "quadratic":
-                raise UsageError("quadratic outer objective needs --val")
-            val = train
+        if config.val_path is None and config.outer == "quadratic":
+            raise UsageError("quadratic outer objective needs --val")
+        val = train if config.val_path is None else load_libsvm(config.val_path)
     except OSError as err:
         raise DataError(f"cannot read dataset: {err}") from err
-    if train.d_x > MAX_FEATURES:
-        raise DataError(f"dataset has {train.d_x} features, more than the "
+    # The cap is checked before padding, which would build the wide copy.
+    width = max(train.d_x, val.d_x)
+    if width > MAX_FEATURES:
+        raise DataError(f"dataset has {width} features, more than the "
                         f"{MAX_FEATURES} a problem is built from")
+    # Widths can disagree on trailing empty columns, which LIBSVM omits;
+    # pad the narrower set with zero columns so both line up.
+    train, val = _pad_columns(train, width), _pad_columns(val, width)
     if config.problem == "ridge":
         return make_ridge(train, val, config.outer)
     return make_logistic(train, val, config.outer)

@@ -30,7 +30,7 @@ from .bench import (
     seeded_trials,
 )
 from . import efficiency
-from .efficiency import ComparisonTerms, RootContext, super_efficiency_residual_1d
+from .efficiency import RootContext, super_efficiency_residual_1d
 from .errors import DataError, HygradError, UsageError
 from .estimators import (
     STRATEGIES,
@@ -138,9 +138,8 @@ def _cmd_compare(args) -> int:
     for trial, trial_seed, y in seeded_trials(config, problem.d_y):
         # One root per trial, read by every at-root block of the trial.
         ctx = RootContext.solve(problem, y)
-        terms = ComparisonTerms(ctx, precond, args.reparam)
-        bounds = efficiency.compare_bounds(terms)
-        delta, delta_lower = efficiency.precond_gap(terms)
+        bounds = efficiency.compare_bounds(ctx, precond, args.reparam)
+        delta, delta_lower = efficiency.precond_gap(ctx, precond, args.reparam)
         # lhs_p_minus_phi = -lhs_phi_minus_p, so one slack serves both.
         slack = 1e-6 * (1.0 + abs(bounds.lhs_phi_minus_p))
         if bounds.lhs_phi_minus_p < bounds.rhs_phi_minus_p - slack:
@@ -149,7 +148,7 @@ def _cmd_compare(args) -> int:
             failures += 1
         sigma, sigma_lower = float("nan"), float("nan")
         if separable:
-            sigma, sigma_lower = efficiency.reparam_gap(terms)
+            sigma, sigma_lower = efficiency.reparam_gap(ctx, precond, args.reparam)
         rows.append((trial, trial_seed, bounds.lhs_phi_minus_p, bounds.rhs_phi_minus_p,
                      bounds.lhs_p_minus_phi, bounds.rhs_p_minus_phi,
                      delta, delta_lower, sigma, sigma_lower))

@@ -13,24 +13,26 @@ contracted with fixed vectors g_k, one call each of ``djac_x_y_apply_T``
 and ``djac_x_dir_x`` per vector (and, for a change of variables, one call
 of ``phi.derivatives`` on the stack of F_1's d_x columns): T is its value
 at g_1, and the whole Jacobian of S (``sensitivity_jacobian``, read only
-by reparam_gap's sigma) its value at the d_x unit vectors. For the "opt" key it is zero, read without a solve:
-the Newton-like family's S is stationary at the root, so c_y = |D| and
-sigma = 0. Nothing on these paths is differenced; the ``*_fd`` Jacobians
-are test references. The comparison's J_phi and J_P are ``root_jacobian``'s.
-The Taylor check ``test_root_jacobian_is_the_estimators_derivative`` ties
+by reparam_gap's sigma) its value at the d_x unit vectors. For the "opt"
+key it is zero, read without a solve: the Newton-like family's S is
+stationary at the root, so c_y = |D| and sigma = 0. Nothing on these paths
+is differenced; the ``*_fd`` Jacobians are test references. The Taylor
+check ``test_root_jacobian_is_the_estimators_derivative`` ties
 root_jacobian to the estimators. Everything here holds at the root only,
 where F = 0.
 
 Every at-root analysis takes one ``RootContext``, whose root was solved
 once, and reads its ``xstar``; the problem keeps that root, so estimators
 and separable families built from it reuse the root too. The context also
-keeps, computed when first read, the root blocks no strategy changes: the
-plain S, D, g_1 and T's plain part at g_1, and per change of variables the
-phi terms that do not depend on g. An efficiency sweep thus builds D and the
-g_1 contraction once for all six kinds, and a comparison trial builds its
-phi terms once for J_phi and sigma. An analysis of an estimator takes its
-strategy kind, a key or a caller's oracle, and builds the estimator from the
-context's problem.
+keeps, computed when first read, the root blocks no strategy changes (the
+plain S, D, g_1 and T's plain part at g_1) and, per kind, its Jacobian,
+that Jacobian's top singular pair and a change of variables' phi terms
+that do not depend on g. An efficiency sweep thus builds D and the g_1
+contraction once for all six kinds, and a comparison trial builds its phi
+terms once for J_phi and sigma and reads J_P, J_phi and their top pairs
+from the context. An analysis of an estimator takes its strategy kind, a
+key or a caller's oracle, and builds the estimator from the context's
+problem.
 """
 
 from __future__ import annotations
@@ -101,15 +103,16 @@ class RootContext:
     separable families built from that problem reuse it while y is among
     the last four it solved. The context also keeps the plain sensitivity
     S, the outer curvature D, g_1 with u = F_1^{-1} g_1 and the plain part
-    of ``_sensitivity_term`` at g_1, and, per change of variables (a key,
-    or a caller's oracle by identity), the g-independent part of its phi
-    terms. ``y``, ``xstar`` and every kept array are read-only.
+    of ``_sensitivity_term`` at g_1, and, per kind (a key, or a caller's
+    oracle by identity), its ``root_jacobian``, that Jacobian's top
+    singular pair and, for a change of variables, the g-independent part
+    of its phi terms. ``y``, ``xstar`` and every kept array are read-only.
     """
 
     problem: BilevelProblem
     y: Array
     xstar: Array
-    _preludes: dict = field(default_factory=dict, init=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def solve(cls, problem: BilevelProblem, y: Array) -> "RootContext":
@@ -141,17 +144,23 @@ class RootContext:
         u = self.problem.jac_x_factor(self.xstar, self.y).solve(self._g1[:, None])
         return _read_only(u), _read_only(_plain_term(self, u))
 
+    def _keep(self, part: str, kind: StrategyKind, compute):
+        """compute()'s value for one part of one kind, computed when first
+        read and then kept: per key, and per caller's oracle by identity,
+        beside that oracle so that its id stays its own."""
+        key = part, (kind if isinstance(kind, str) else id(kind))
+        if key not in self._kept:
+            self._kept[key] = kind, compute()
+        return self._kept[key][1]
+
     def _prelude(self, kind: StrategyKind, strategy: Strategy) -> tuple:
         """The phi terms of ``_sensitivity_term`` that do not depend on g,
         for a kind with a change of variables, at z* = phi^{-1}(x*, y):
         phi_11 and phi_21 contracted with each column of F_1 (one call of
         ``phi.derivatives`` on the stack F_1'), the checked phi_1, and
         W = phi_1^{-1} (phi_2 - S'). A map whose contractions lack the
-        stack's leading d_x raises ContractViolation. Kept per key, and per
-        caller's oracle by identity, beside that oracle so that its id stays
-        its own."""
-        key = kind if isinstance(kind, str) else id(kind)
-        if key not in self._preludes:
+        stack's leading d_x raises ContractViolation."""
+        def compute():
             problem, y, xstar = self.problem, self.y, self.xstar
             phi = strategy.change_of_variables(xstar, y)
             z = phi.inverse(xstar, y)
@@ -165,8 +174,8 @@ class RootContext:
                         f"{name} of shape {np.shape(term)}, expected {shape}")
             p1_lu = factor(p1, what="phi_1")
             w = _read_only(p1_lu.solve(p2 - self._sensitivity.T))
-            self._preludes[key] = kind, (_read_only(czz), _read_only(czy), p1_lu, w)
-        return self._preludes[key][1]
+            return _read_only(czz), _read_only(czy), p1_lu, w
+        return self._keep("prelude", kind, compute)
 
 
 def estimator_jacobian_fd(ctx: RootContext, kind: StrategyKind,
@@ -184,17 +193,30 @@ def root_jacobian(ctx: RootContext, kind: StrategyKind) -> Array:
     or a caller's oracle: D + T with T the Jacobian of x -> S(x, y) g_1(x*, y)
     (``_sensitivity_term``; T_phi for a change of variables, zero for the
     "opt" key, so that key's Jacobian is D), times E for a corrective step P
-    (newton, diag or a caller's oracle), which leaves S as it is."""
-    strategy = resolve_strategy(ctx.problem, kind)
-    jac = outer_curvature(ctx) + _sensitivity_term(ctx, kind)[0]
-    if strategy.precond is None:
-        return jac
-    return jac @ precond_error_factor_at_root(ctx, strategy.precond)
+    (newton, diag or a caller's oracle), which leaves S as it is. The
+    context keeps it; each call returns a fresh copy."""
+    def assemble():
+        strategy = resolve_strategy(ctx.problem, kind)
+        jac = outer_curvature(ctx) + _sensitivity_term(ctx, kind)[0]
+        if strategy.precond is not None:
+            jac = jac @ precond_error_factor_at_root(ctx, strategy.precond)
+        return _read_only(jac)
+    return ctx._keep("jacobian", kind, assemble).copy()
 
 
 def efficiency_constant(ctx: RootContext, kind: StrategyKind) -> float:
-    """Efficiency constant c_y: the spectral norm of ``root_jacobian``."""
-    return spectral_norm(root_jacobian(ctx, kind))
+    """Efficiency constant c_y: the spectral norm of ``root_jacobian``, read
+    from the top singular pair the context keeps."""
+    return _top_pair(ctx, kind)[0]
+
+
+def _top_pair(ctx: RootContext, kind: StrategyKind) -> tuple[float, Array]:
+    """The top singular value and right vector of ``root_jacobian``, from
+    one SVD per context, kept read-only."""
+    def svd():
+        sigma, v = top_singular(root_jacobian(ctx, kind))
+        return sigma, _read_only(v)
+    return ctx._keep("top pair", kind, svd)
 
 
 # --------------------------------------------------------------------------
@@ -298,49 +320,14 @@ def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind) -> flo
 # --------------------------------------------------------------------------
 # comparison bounds
 
-@dataclass(frozen=True, eq=False)
-class ComparisonTerms:
-    """The at-root terms that at least two of compare_bounds, precond_gap and
-    reparam_gap read for one trial, each computed from the context's problem
-    when first read and then kept (arrays read-only).
+def compare_bounds(ctx: RootContext, precond: PreconditionerOracle,
+                   reparam: StrategyKind) -> ComparisonBounds:
+    """Evaluate both quadratic comparison inequalities between the estimator
+    preconditioned by P and the one reparameterized by phi at the root.
 
-    J_P and J_phi are the ``root_jacobian`` of the preconditioned and the
-    reparameterized estimator, (D + T) E and D + T_phi with D the outer
-    curvature, and ``top_*`` their top singular pairs, whose values are the
-    efficiency constants. With the "opt" key J_phi is D: that key's
-    Jacobian of S is zero (``_sensitivity_term``).
-    """
-
-    ctx: RootContext
-    precond: PreconditionerOracle
-    reparam: StrategyKind
-
-    @cached_property
-    def jac_p(self) -> Array:
-        return _read_only(root_jacobian(self.ctx, self.precond))
-
-    @cached_property
-    def jac_phi(self) -> Array:
-        return _read_only(root_jacobian(self.ctx, self.reparam))
-
-    @cached_property
-    def top_p(self) -> tuple[float, Array]:
-        sigma, v = top_singular(self.jac_p)
-        return sigma, _read_only(v)
-
-    @cached_property
-    def top_phi(self) -> tuple[float, Array]:
-        sigma, v = top_singular(self.jac_phi)
-        return sigma, _read_only(v)
-
-
-def compare_bounds(terms: ComparisonTerms) -> ComparisonBounds:
-    """Evaluate both quadratic comparison inequalities between a
-    preconditioned and a reparameterized estimator at the root.
-
-    With J_P and J_phi the two estimators' Jacobians and (sigma_P, v_P),
-    (sigma_phi, v_phi) their top singular pairs, the paper's matrices are
-    U+- = J_phi +- J_P and V+- = J_P +- J_phi, so
+    With J_P and J_phi the two estimators' ``root_jacobian`` and (sigma_P,
+    v_P), (sigma_phi, v_phi) their top pairs, all kept by the context, the
+    paper's matrices are U+- = J_phi +- J_P and V+- = J_P +- J_phi, so
 
         rhs_phi_minus_p = (U+ v_P).(U- v_P) = |J_phi v_P|^2 - sigma_P^2
         rhs_p_minus_phi = (V+ v_phi).(V- v_phi) = |J_P v_phi|^2 - sigma_phi^2
@@ -348,9 +335,9 @@ def compare_bounds(terms: ComparisonTerms) -> ComparisonBounds:
     and each lhs, a difference of squared efficiency constants, dominates
     its rhs because sigma_phi >= |J_phi v_P| and sigma_P >= |J_P v_phi|.
     """
-    jac_p, jac_phi = terms.jac_p, terms.jac_phi
-    sigma_p, v_p = terms.top_p
-    sigma_phi, v_phi = terms.top_phi
+    jac_p, jac_phi = root_jacobian(ctx, precond), root_jacobian(ctx, reparam)
+    sigma_p, v_p = _top_pair(ctx, precond)
+    sigma_phi, v_phi = _top_pair(ctx, reparam)
 
     lhs_phi_minus_p = sigma_phi ** 2 - sigma_p ** 2
     return ComparisonBounds(
@@ -363,41 +350,40 @@ def compare_bounds(terms: ComparisonTerms) -> ComparisonBounds:
     )
 
 
-def precond_gap(terms: ComparisonTerms) -> tuple[float, float]:
+def precond_gap(ctx: RootContext, precond: PreconditionerOracle,
+                reparam: StrategyKind) -> tuple[float, float]:
     """Asymptotic advantage of a near-ideal preconditioner.
 
     Returns (delta, lower_bound) with delta the deviation of P from F_1 at
-    the root and lower_bound the term that survives as delta -> 0:
-    compare_bounds' lhs_phi_minus_p >= lower_bound up to o(delta) and FD
-    noise.
+    the root and lower_bound = |J_phi v_P|^2, read from the context: the
+    term that survives as delta -> 0, so compare_bounds' lhs_phi_minus_p >=
+    lower_bound up to o(delta) and FD noise.
     """
-    problem, y, xstar = terms.ctx.problem, terms.ctx.y, terms.ctx.xstar
-    delta = spectral_norm(terms.precond.matrix(xstar, y) - problem.jac_x(xstar, y))
-    return delta, float(np.linalg.norm(terms.jac_phi @ terms.top_p[1]) ** 2)
+    problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
+    delta = spectral_norm(precond.matrix(xstar, y) - problem.jac_x(xstar, y))
+    return delta, float(np.linalg.norm(root_jacobian(ctx, reparam)
+                                       @ _top_pair(ctx, precond)[1]) ** 2)
 
 
-def reparam_gap(terms: ComparisonTerms) -> tuple[float, float]:
+def reparam_gap(ctx: RootContext, precond: PreconditionerOracle,
+                reparam: StrategyKind) -> tuple[float, float]:
     """Asymptotic advantage of a near-ideal localized reparameterization,
-    the terms' reparameterization being a SeparableReparam or the key of one
-    (else UsageError).
+    reparam being a SeparableReparam or the key of one (else UsageError).
 
     Returns (sigma, lower_bound) with sigma = |g_1| times the sensitivity
     efficiency constant of the localized family (exactly 0 for the "opt"
-    key) and lower_bound the sigma -> 0 limit term of compare_bounds'
-    lhs_p_minus_phi.
+    key) and lower_bound = |J_P v_phi|^2 - |D v_phi|^2, read from the
+    context, the sigma -> 0 limit term of compare_bounds' lhs_p_minus_phi.
     """
-    ctx = terms.ctx
-    if not isinstance(resolve_strategy(ctx.problem, terms.reparam).reparam,
+    if not isinstance(resolve_strategy(ctx.problem, reparam).reparam,
                       SeparableReparam):
-        kind = terms.reparam if isinstance(terms.reparam, str) \
-            else type(terms.reparam).__name__
+        kind = reparam if isinstance(reparam, str) else type(reparam).__name__
         raise UsageError(f"reparam_gap needs a localized family "
                          f"(SeparableReparam), not {kind!r}")
-    sigma = float(np.linalg.norm(ctx._g1)) \
-        * sensitivity_efficiency_constant(ctx, terms.reparam)
+    sigma = float(np.linalg.norm(ctx._g1)) * sensitivity_efficiency_constant(ctx, reparam)
 
-    v_phi = terms.top_phi[1]
-    return sigma, float(np.linalg.norm(terms.jac_p @ v_phi) ** 2
+    v_phi = _top_pair(ctx, reparam)[1]
+    return sigma, float(np.linalg.norm(root_jacobian(ctx, precond) @ v_phi) ** 2
                         - np.linalg.norm(outer_curvature(ctx) @ v_phi) ** 2)
 
 

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import factor
+from .linalg import Factorization, factor
 from .problems import BilevelProblem, as_points, as_vector, per_row
 from .solvers import exact_root, newton_root
 
@@ -50,7 +50,13 @@ def solution_sensitivity(problem: BilevelProblem, x: Array, y: Array) -> Array:
     For a stack of points, the stack of matrices.
     """
     f2 = problem.jac_y(x, y)
-    return -np.swapaxes(problem.jac_x_factor(x, y).solve_T(f2), -1, -2)
+    return _sensitivity_from(problem.jac_x_factor(x, y), f2)
+
+
+def _sensitivity_from(v_lu: Factorization, u: Array, p2: Optional[Array] = None) -> Array:
+    """The sensitivity matrix (phi_2 - V^{-T} U)', with phi_2 = 0 if not given."""
+    vu = v_lu.solve_T(u)
+    return np.swapaxes(-vu if p2 is None else p2 - vu, -1, -2)
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +163,7 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
     u = f2 + f1 @ p2 + p1_lu.solve_T(czy)
     v_lu = factor(p1_lu.solve_T(p1_lu.solve_T(czz).T).T + f1, what="V") \
         if np.any(czz) else problem.jac_x_factor(x, y, "V")
-    return p2.T - v_lu.solve_T(u).T
+    return _sensitivity_from(v_lu, u, p2)
 
 
 def _diag_stack(v: Array) -> Array:
@@ -209,7 +215,7 @@ def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
         f = problem.residual(x, y)
         v_lu = factor(problem.jac_x(x, y) + _diag_stack(f / x), "V") if np.any(f) \
             else problem.jac_x_factor(x, y, "V")
-        return -np.swapaxes(v_lu.solve_T(problem.jac_y(x, y)), -1, -2)
+        return _sensitivity_from(v_lu, problem.jac_y(x, y))
 
     return Reparameterization(forward=lambda z, y: a * np.exp(b * z),
                               inverse=inverse, derivatives=derivatives,
@@ -329,7 +335,7 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         p2 = -dirs * (x / d)[..., None]
         u = problem.jac_y(x, y) + problem.jac_x(x, y) @ p2 \
             - dirs * (problem.residual(x, y) / d)[..., None]
-        return np.swapaxes(p2 - problem.jac_x_factor(x, y, "V").solve_T(u), -1, -2)
+        return _sensitivity_from(problem.jac_x_factor(x, y, "V"), u, p2)
 
     return SeparableReparam(
         r=lambda x, y: np.diag(1.0 / diagonal(x, y)),
@@ -403,7 +409,7 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
             v_lu = factor(f1 - np.swapaxes(m, -1, -2) @ c @ m, "V")
         else:
             v_lu = problem.jac_x_factor(x, y, "V")
-        return np.swapaxes(a_lu.solve(apply_s) - v_lu.solve_T(u), -1, -2)
+        return _sensitivity_from(v_lu, u, a_lu.solve(apply_s))
 
     return SeparableReparam(
         r=r,

@@ -202,9 +202,10 @@ def seeded_y(problem, seed, low=-1.0, high=1.0):
     return hg.sample_y(problem.d_y, low, high, seed)
 
 
-def comparison_terms(problem, precond, reparam, y):
-    """Fresh comparison terms: the root of problem at y, solved once."""
-    return hg.ComparisonTerms(hg.RootContext.solve(problem, y), precond, reparam)
+def comparison_args(problem, precond, reparam, y):
+    """The comparison functions' (ctx, precond, reparam), ctx a fresh
+    context: the root of problem at y, solved once."""
+    return hg.RootContext.solve(problem, y), precond, reparam
 
 
 def assert_same_bits(a, b):

@@ -12,7 +12,7 @@ import pytest
 import hygrad as hg
 from hygrad.errors import DataError, HygradError
 
-from conftest import comparison_terms, seeded_y
+from conftest import comparison_args, seeded_y
 
 
 @contextmanager
@@ -136,7 +136,7 @@ def test_criterion_7_theorem_checks(ridge_quadratic, linear1d_fixture):
             hg.newton_preconditioner(linear1d_fixture), 2.0)
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
         bounds = hg.compare_bounds(
-            comparison_terms(linear1d_fixture, precond2, phi, np.zeros(1)))
+            *comparison_args(linear1d_fixture, precond2, phi, np.zeros(1)))
         assert bounds.lhs_p_minus_phi == pytest.approx(0.25, abs=1e-8)
         assert bounds.rhs_p_minus_phi == pytest.approx(0.25, abs=1e-8)
 
@@ -158,22 +158,22 @@ def test_criterion_7_theorem_checks(ridge_quadratic, linear1d_fixture):
 
             # both comparison inequalities, diagonal preconditioner vs the
             # anchored exponential map
-            b = hg.compare_bounds(comparison_terms(ridge_quadratic, diag_p, "exp", y))
+            b = hg.compare_bounds(*comparison_args(ridge_quadratic, diag_p, "exp", y))
             assert b.lhs_phi_minus_p >= b.rhs_phi_minus_p \
                 - 1e-6 * (1 + abs(b.lhs_phi_minus_p)), seed
             assert b.lhs_p_minus_phi >= b.rhs_p_minus_phi \
                 - 1e-6 * (1 + abs(b.lhs_p_minus_phi)), seed
 
             # near-ideal preconditioner bound at zero deviation
-            terms = comparison_terms(ridge_quadratic, newton_p, "exp", y)
-            _, lower_p = hg.precond_gap(terms)
-            lhs_p = hg.compare_bounds(terms).lhs_phi_minus_p
+            args = comparison_args(ridge_quadratic, newton_p, "exp", y)
+            _, lower_p = hg.precond_gap(*args)
+            lhs_p = hg.compare_bounds(*args).lhs_phi_minus_p
             assert lhs_p >= lower_p - 1e-6 * (1 + abs(lhs_p)), seed
 
             # localized-reparameterization bound with the Newton-like family
-            terms = comparison_terms(ridge_quadratic, diag_p, opt, y)
-            _, lower_r = hg.reparam_gap(terms)
-            lhs_r = hg.compare_bounds(terms).lhs_p_minus_phi
+            args = comparison_args(ridge_quadratic, diag_p, opt, y)
+            _, lower_r = hg.reparam_gap(*args)
+            lhs_r = hg.compare_bounds(*args).lhs_p_minus_phi
             assert lhs_r >= lower_r - 1e-6 * (1 + abs(lhs_r)), seed
 
 

@@ -220,6 +220,23 @@ class TestEfficiencyCommand:
         assert f"200000 features, more than the {hg.bench.MAX_FEATURES}" \
             in capsys.readouterr().err
 
+    def test_wide_val_is_refused_before_padding(self, tmp_path, capsys, monkeypatch):
+        # Padding the narrow train set to the val set's width would build the
+        # wide copy the cap exists to refuse.
+        train, val = tmp_path / "train.libsvm", tmp_path / "val.libsvm"
+        train.write_text("1 1:1\n-1 2:1\n")
+        val.write_text("1 200000:1\n")
+
+        def refused(data, width):
+            raise AssertionError(f"padded to {width} columns")
+        monkeypatch.setattr(hg.bench, "_pad_columns", refused)
+        code = run(["efficiency", "--problem", "ridge", "--train", str(train),
+                    "--val", str(val), "--trials", "1",
+                    "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"200000 features, more than the {hg.bench.MAX_FEATURES}" \
+            in capsys.readouterr().err
+
     def test_flags_it_ignores_are_rejected(self):
         for flag in (["--steps", "5"], ["--step-size", "0.1"], ["--eps", "1e-4"]):
             assert run(["efficiency", "--problem", "scalar"] + flag) == 1
@@ -279,7 +296,7 @@ class TestCompareCommand:
     ], ids=["both", "phi-minus-p", "p-minus-phi", "within-slack", "beyond-slack"])
     def test_violations_are_counted_and_exit_three(self, tmp_path, capsys, monkeypatch,
                                                    lhs, rhs_phi, rhs_p, violated):
-        def fake_bounds(terms):
+        def fake_bounds(ctx, precond, reparam):
             return hg.ComparisonBounds(
                 lhs_phi_minus_p=lhs, rhs_phi_minus_p=rhs_phi, lhs_p_minus_phi=-lhs,
                 rhs_p_minus_phi=rhs_p, v_p=np.ones(1), v_phi=np.ones(1))

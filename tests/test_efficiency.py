@@ -10,7 +10,7 @@ from hygrad.errors import UsageError
 from hygrad.estimators import resolve_strategy
 from hygrad.problems import CallableOuterOracle
 
-from conftest import (assert_same_bits, comparison_terms, cubic_1d_problem,
+from conftest import (assert_same_bits, comparison_args, cubic_1d_problem,
                       nonsymmetric_problem, seeded_y, shift_problem)
 
 
@@ -553,14 +553,14 @@ class TestCompareBounds:
             hg.newton_preconditioner(linear1d_fixture), 2.0)
         phi = hg.exp_family_reparam_1d(1.0, 1.0)
         bounds = hg.compare_bounds(
-            comparison_terms(linear1d_fixture, precond, phi, np.zeros(1)))
+            *comparison_args(linear1d_fixture, precond, phi, np.zeros(1)))
         assert bounds.lhs_p_minus_phi == pytest.approx(0.25, abs=1e-8)
         assert bounds.rhs_p_minus_phi == pytest.approx(0.25, abs=1e-8)
         assert abs(np.linalg.norm(bounds.v_p) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(bounds.v_phi) - 1.0) <= 1e-12
 
     def test_newton_plus_identity_tight(self, linear1d_fixture):
-        bounds = hg.compare_bounds(comparison_terms(
+        bounds = hg.compare_bounds(*comparison_args(
             linear1d_fixture, hg.newton_preconditioner(linear1d_fixture),
             hg.identity_reparam(), np.zeros(1)))
         assert bounds.lhs_phi_minus_p == pytest.approx(1.0, abs=1e-8)
@@ -572,7 +572,7 @@ class TestCompareBounds:
         for seed in range(10):
             y = seeded_y(ridge_quadratic, 200 + seed)
             bounds = hg.compare_bounds(
-                comparison_terms(ridge_quadratic, precond, "exp", y))
+                *comparison_args(ridge_quadratic, precond, "exp", y))
             slack_phi = 1e-6 * (1 + abs(bounds.lhs_phi_minus_p))
             slack_p = 1e-6 * (1 + abs(bounds.lhs_p_minus_phi))
             assert bounds.lhs_phi_minus_p >= bounds.rhs_phi_minus_p - slack_phi
@@ -587,12 +587,12 @@ class TestComparisonJacobians:
         problem, calls = _counting_couplings(logistic_quadratic)
         ctx = hg.RootContext.solve(problem, seeded_y(problem, 5, 3.0, 6.0))
         precond = hg.scaled_preconditioner(hg.newton_preconditioner(problem), 1.5)
-        terms = hg.ComparisonTerms(ctx, precond, "exp")
-        hg.compare_bounds(terms)
-        hg.precond_gap(terms)
+        hg.compare_bounds(ctx, precond, "exp")
+        hg.precond_gap(ctx, precond, "exp")
         # One contraction, which J_P and J_phi read from the context.
         assert len(calls) == 1
-        assert_same_bits(terms.jac_phi, hg.root_jacobian(ctx, "exp"))
+        assert_same_bits(hg.root_jacobian(ctx, "exp"), hg.root_jacobian(
+            hg.RootContext.solve(problem, ctx.y), "exp"))
 
     def test_diag_rep_trial_runs_one_phi_prelude(self, logistic_quadratic,
                                                  phi_derivative_calls):
@@ -602,10 +602,9 @@ class TestComparisonJacobians:
                                    seeded_y(logistic_quadratic, 5, 3.0, 6.0))
         precond = hg.scaled_preconditioner(
             hg.newton_preconditioner(logistic_quadratic), 1.5)
-        terms = hg.ComparisonTerms(ctx, precond, "diag-rep")
-        hg.compare_bounds(terms)
-        hg.precond_gap(terms)
-        hg.reparam_gap(terms)
+        hg.compare_bounds(ctx, precond, "diag-rep")
+        hg.precond_gap(ctx, precond, "diag-rep")
+        hg.reparam_gap(ctx, precond, "diag-rep")
         assert len(phi_derivative_calls) == 1
         assert_same_bits(phi_derivative_calls[0],
                          logistic_quadratic.jac_x(ctx.xstar, ctx.y).T)
@@ -613,18 +612,17 @@ class TestComparisonJacobians:
     def test_opt_is_the_outer_curvature(self, logistic_quadratic):
         ctx = hg.RootContext.solve(logistic_quadratic,
                                    seeded_y(logistic_quadratic, 5, 3.0, 6.0))
-        terms = hg.ComparisonTerms(ctx, hg.diag_preconditioner(logistic_quadratic),
-                                   "opt")
-        assert_same_bits(terms.jac_phi, hg.outer_curvature(ctx))
+        hg.compare_bounds(ctx, hg.diag_preconditioner(logistic_quadratic), "opt")
+        assert_same_bits(hg.root_jacobian(ctx, "opt"), hg.outer_curvature(ctx))
 
     @pytest.mark.parametrize("key", ["diag-rep"])
     def test_reparam_gap_takes_a_key(self, key, ridge_quadratic):
         y = seeded_y(ridge_quadratic, 14)
         precond = hg.diag_preconditioner(ridge_quadratic)
-        sigma, lower = hg.reparam_gap(comparison_terms(ridge_quadratic, precond, key, y))
+        sigma, lower = hg.reparam_gap(*comparison_args(ridge_quadratic, precond, key, y))
         sep = resolve_strategy(ridge_quadratic, key).reparam
         want_sigma, want_lower = hg.reparam_gap(
-            comparison_terms(ridge_quadratic, precond, sep, y))
+            *comparison_args(ridge_quadratic, precond, sep, y))
         assert_same_bits(sigma, want_sigma)
         assert lower == pytest.approx(want_lower, rel=1e-12, abs=1e-12)
 
@@ -640,36 +638,36 @@ class TestComparisonJacobians:
             sep = hg.newton_separable_reparam(problem)
             for seed in range(20):
                 y = seeded_y(problem, seed, low, high)
-                sigma, _ = hg.reparam_gap(comparison_terms(problem, precond, "opt", y))
+                sigma, _ = hg.reparam_gap(*comparison_args(problem, precond, "opt", y))
                 assert_same_bits(sigma, 0.0)
-                terms = comparison_terms(problem, precond, sep, y)
-                general, _ = hg.reparam_gap(terms)
-                g1 = np.linalg.norm(problem.outer.grad_x(terms.ctx.xstar, y))
+                ctx = hg.RootContext.solve(problem, y)
+                general, _ = hg.reparam_gap(ctx, precond, sep)
+                g1 = np.linalg.norm(problem.outer.grad_x(ctx.xstar, y))
                 assert general <= OPT_ROUNDING_TOL * g1 * (
-                    1 + hg.sensitivity_efficiency_constant(terms.ctx, "vanilla")), \
+                    1 + hg.sensitivity_efficiency_constant(ctx, "vanilla")), \
                     (problem.name, seed)
 
     def test_an_opt_trial_takes_one_coupling_call(self, logistic_quadratic,
                                                   phi_derivative_calls):
         problem, calls = _counting_couplings(logistic_quadratic)
         ctx = hg.RootContext.solve(problem, seeded_y(problem, 5, 3.0, 6.0))
-        terms = hg.ComparisonTerms(ctx, hg.diag_preconditioner(problem), "opt")
-        hg.compare_bounds(terms)
-        hg.precond_gap(terms)
-        hg.reparam_gap(terms)
+        precond = hg.diag_preconditioner(problem)
+        hg.compare_bounds(ctx, precond, "opt")
+        hg.precond_gap(ctx, precond, "opt")
+        hg.reparam_gap(ctx, precond, "opt")
         # J_P's contraction only: the key's Jacobian of S is zero.
         assert len(calls) == 1
         assert phi_derivative_calls == []
 
 
-def _precond_gap(terms):
+def _precond_gap(args):
     """precond_gap's (delta, lower) and the lhs it bounds, from compare_bounds."""
-    return (*hg.precond_gap(terms), hg.compare_bounds(terms).lhs_phi_minus_p)
+    return (*hg.precond_gap(*args), hg.compare_bounds(*args).lhs_phi_minus_p)
 
 
-def _reparam_gap(terms):
+def _reparam_gap(args):
     """reparam_gap's (sigma, lower) and the lhs it bounds, from compare_bounds."""
-    return (*hg.reparam_gap(terms), hg.compare_bounds(terms).lhs_p_minus_phi)
+    return (*hg.reparam_gap(*args), hg.compare_bounds(*args).lhs_p_minus_phi)
 
 
 class TestPrecondGap:
@@ -677,7 +675,7 @@ class TestPrecondGap:
         precond = hg.newton_preconditioner(ridge_quadratic)
         y = seeded_y(ridge_quadratic, 9)
         delta, lower, lhs = _precond_gap(
-            comparison_terms(ridge_quadratic, precond, "exp", y))
+            comparison_args(ridge_quadratic, precond, "exp", y))
         assert delta <= 1e-10
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
 
@@ -688,7 +686,7 @@ class TestPrecondGap:
             precond = hg.scaled_preconditioner(
                 hg.newton_preconditioner(ridge_quadratic), 1.0 + scale_delta)
             delta, lower, lhs = _precond_gap(
-                comparison_terms(ridge_quadratic, precond, "exp", y))
+                comparison_args(ridge_quadratic, precond, "exp", y))
             assert delta == pytest.approx(
                 scale_delta * hg.spectral_norm(
                     ridge_quadratic.jac_x(hg.exact_root(ridge_quadratic, y), y)),
@@ -702,7 +700,7 @@ class TestPrecondGap:
         sep = hg.newton_separable_reparam(problem)
         y = seeded_y(problem, 10)
         delta, lower, lhs = _precond_gap(
-            comparison_terms(problem, hg.newton_preconditioner(problem), sep, y))
+            comparison_args(problem, hg.newton_preconditioner(problem), sep, y))
         assert delta <= 1e-10
         assert abs(lower) <= 1e-12
         assert abs(lhs) <= 1e-12
@@ -714,7 +712,7 @@ class TestReparamGap:
         sep = hg.newton_separable_reparam(problem)
         precond = hg.diag_preconditioner(problem)
         y = seeded_y(problem, 11)
-        sigma, lower, lhs = _reparam_gap(comparison_terms(problem, precond, sep, y))
+        sigma, lower, lhs = _reparam_gap(comparison_args(problem, precond, sep, y))
         assert sigma <= 1e-6
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
 
@@ -724,7 +722,7 @@ class TestReparamGap:
             hg.newton_preconditioner(ridge_quadratic), 5.0)
         y = seeded_y(ridge_quadratic, 12)
         sigma, lower, lhs = _reparam_gap(
-            comparison_terms(ridge_quadratic, bad, sep, y))
+            comparison_args(ridge_quadratic, bad, sep, y))
         assert lhs > 0.0
         assert lhs >= lower - 1e-6 * (1 + abs(lhs))
 
@@ -734,9 +732,9 @@ class TestReparamGap:
         precond = hg.newton_preconditioner(ridge_quadratic)
         for kind, name in (("exp", "'exp'"),
                            (hg.identity_reparam(), "'Reparameterization'")):
-            terms = comparison_terms(ridge_quadratic, precond, kind, y)
+            args = comparison_args(ridge_quadratic, precond, kind, y)
             with pytest.raises(UsageError, match=name):
-                hg.reparam_gap(terms)
+                hg.reparam_gap(*args)
 
 
 class TestSensitivityEfficiencyConstant:

@@ -11,8 +11,8 @@ import hygrad as hg
 
 PUBLIC_NAMES = [
     "BilevelProblem", "CallableInnerOracle", "CallableOuterOracle",
-    "CapabilityError", "ComparisonBounds", "ComparisonTerms",
-    "ContractViolation", "DataError", "Dataset", "DecayTrace", "DomainError",
+    "CapabilityError", "ComparisonBounds", "ContractViolation",
+    "DataError", "Dataset", "DecayTrace", "DomainError",
     "Estimator", "FDInnerOracle", "Factorization", "HygradError",
     "InnerOracle", "InsufficientDataError", "NumericalFailure", "OuterOracle",
     "PRNG_NAME", "ParseError", "PreconditionerOracle",

@@ -1,4 +1,4 @@
-"""One root per (problem, y): the root context and the shared comparison terms."""
+"""One root per (problem, y): the root context and what it keeps."""
 
 from dataclasses import replace
 
@@ -93,15 +93,17 @@ class TestRootContext:
                 stored[0] = 1.0
 
         precond = hg.diag_preconditioner(ridge_quadratic)
-        terms = hg.ComparisonTerms(ctx, precond, "exp")
-        bounds = hg.compare_bounds(terms)
+        bounds = hg.compare_bounds(ctx, precond, "exp")
         v_p = bounds.v_p.copy()
         bounds.v_p[:] = 0.0
-        again = hg.compare_bounds(terms)
+        # root_jacobian hands out a copy of the Jacobian the context keeps.
+        hg.root_jacobian(ctx, precond)[:] = 0.0
+        again = hg.compare_bounds(ctx, precond, "exp")
         assert np.array_equal(again.v_p, v_p)
-        for stored in (terms.jac_p, terms.jac_phi, terms.top_p[1], terms.top_phi[1]):
+        assert again.rhs_phi_minus_p == bounds.rhs_phi_minus_p
+        for stored in _kept_arrays(vars(ctx)):
             with pytest.raises(ValueError):
-                stored[0] = 1.0
+                stored.flat[0] = 1.0
 
 
 FIVE_FIXTURES = ("ridge_quadratic", "ridge_affine", "logistic_quadratic",
@@ -145,9 +147,8 @@ class TestKeptRootBlocks:
             assert_same_bits(hg.sensitivity_jacobian(shared, key),
                              hg.sensitivity_jacobian(fresh(), key))
         for key in ("diag-rep", "opt"):
-            # Fresh terms on the shared context, against a fresh context.
-            assert hg.reparam_gap(hg.ComparisonTerms(shared, precond, key)) \
-                == hg.reparam_gap(hg.ComparisonTerms(fresh(), precond, key)), key
+            assert hg.reparam_gap(shared, precond, key) \
+                == hg.reparam_gap(fresh(), precond, key), key
         # A second read returns what the first kept.
         for key in hg.STRATEGIES:
             assert_same_bits(hg.root_jacobian(shared, key),
@@ -158,9 +159,12 @@ class TestKeptRootBlocks:
                                    _logistic_y(logistic_quadratic, 3))
         before = {key: hg.root_jacobian(ctx, key) for key in hg.STRATEGIES}
         hg.sensitivity_jacobian(ctx, "diag-rep")
+        for key in hg.STRATEGIES:
+            hg.efficiency_constant(ctx, key)
         kept = list(_kept_arrays(vars(ctx)))
-        # y, x*, S, D, g_1, u, the g_1 term, and czz, czy, W for exp and diag-rep.
-        assert len(kept) == 7 + 2 * 3
+        # y, x*, S, D, g_1, u, the g_1 term, czz, czy, W for exp and diag-rep,
+        # and each kind's Jacobian and top singular vector.
+        assert len(kept) == 7 + 2 * 3 + 2 * len(hg.STRATEGIES)
         for array in kept:
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
@@ -168,6 +172,28 @@ class TestKeptRootBlocks:
             hg.outer_curvature(ctx)[0, 0] = 1.0
         for key in hg.STRATEGIES:
             assert_same_bits(hg.root_jacobian(ctx, key), before[key])
+
+    def test_one_svd_of_j_p_per_context(self, logistic_quadratic, monkeypatch):
+        # c_y and the three comparison functions read the top pair of J_P
+        # that the context keeps, whoever asks first.
+        problem = logistic_quadratic
+        ctx = hg.RootContext.solve(problem, _logistic_y(problem, 3))
+        precond = hg.scaled_preconditioner(hg.newton_preconditioner(problem), 1.5)
+        jac_p = hg.root_jacobian(ctx, precond)
+        svds = []
+        top_singular = hg.linalg.top_singular
+
+        def counted(m):
+            svds.append(np.array(m))
+            return top_singular(m)
+        monkeypatch.setattr(hg.linalg, "top_singular", counted)
+        monkeypatch.setattr(hg.efficiency, "top_singular", counted)
+        sigma_p = hg.efficiency_constant(ctx, precond)
+        hg.compare_bounds(ctx, precond, "opt")
+        hg.precond_gap(ctx, precond, "opt")
+        hg.reparam_gap(ctx, precond, "opt")
+        assert sum(np.array_equal(m, jac_p) for m in svds) == 1
+        assert sigma_p == top_singular(jac_p)[0]
 
 
 @settings(max_examples=8, deadline=None)
@@ -215,33 +241,32 @@ def test_all_strategies_consistent_at_context_root(ridge_quadratic,
 @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
 @pytest.mark.parametrize("key", SEPARABLE_KEYS)
 def test_shared_terms_equal_standalone_calls(request, fixture, key):
-    """One terms object shared by the three comparison functions gives the
-    bits of fresh terms built for each function alone. For a diagonal and a
-    scaled Newton P, J_P is the bits of root_jacobian, its top singular value
-    is the efficiency constant, and each rhs is |J v|^2 - sigma^2."""
+    """The terms one context keeps for the three comparison functions give
+    the bits of a fresh context for each function alone. For a diagonal and
+    a scaled Newton P, the kept top singular value of J_P is root_jacobian's
+    norm, and each rhs is |J v|^2 - sigma^2."""
     problem = request.getfixturevalue(fixture)
     y = seeded_y(problem, 21) if fixture.startswith("ridge") \
         else _logistic_y(problem, 21)
     precond = hg.scaled_preconditioner(hg.newton_preconditioner(problem), 1.5)
 
-    def fresh_terms(precond=precond):
+    def fresh_args(precond=precond):
         ctx = hg.RootContext.solve(problem, y)
-        return hg.ComparisonTerms(ctx, precond,
-                                  resolve_strategy(ctx.problem, key).reparam)
+        return ctx, precond, resolve_strategy(ctx.problem, key).reparam
 
     # reparam_gap is defined for the localized (separable) families only.
     localized = key != "exp"
-    bounds = hg.compare_bounds(fresh_terms())
-    gap_p = hg.precond_gap(fresh_terms())
-    gap_r = hg.reparam_gap(fresh_terms()) if localized else None
+    bounds = hg.compare_bounds(*fresh_args())
+    gap_p = hg.precond_gap(*fresh_args())
+    gap_r = hg.reparam_gap(*fresh_args()) if localized else None
 
-    terms = fresh_terms()
-    # The terms are filled in the order they are first read; any order gives
-    # the same bits.
+    args = fresh_args()
+    # The context fills its entries in the order they are first read; any
+    # order gives the same bits.
     if localized:
-        assert hg.reparam_gap(terms) == gap_r
-    assert hg.precond_gap(terms) == gap_p
-    got = hg.compare_bounds(terms)
+        assert hg.reparam_gap(*args) == gap_r
+    assert hg.precond_gap(*args) == gap_p
+    got = hg.compare_bounds(*args)
     for field in ("lhs_phi_minus_p", "rhs_phi_minus_p", "lhs_p_minus_phi",
                   "rhs_p_minus_phi"):
         assert getattr(got, field) == getattr(bounds, field), field
@@ -249,15 +274,17 @@ def test_shared_terms_equal_standalone_calls(request, fixture, key):
     assert np.array_equal(got.v_phi, bounds.v_phi)
 
     for precond in (hg.diag_preconditioner(problem), precond):
-        terms = fresh_terms(precond)
-        ctx, (sigma_p, v_p), (sigma_phi, v_phi) = terms.ctx, terms.top_p, terms.top_phi
-        assert np.array_equal(terms.jac_p, hg.root_jacobian(ctx, precond))
-        assert sigma_p == hg.efficiency_constant(ctx, precond)
-        got = hg.compare_bounds(terms)
+        ctx, _, reparam = args = fresh_args(precond)
+        got = hg.compare_bounds(*args)
+        v_p, v_phi = got.v_p, got.v_phi
+        jac_p, jac_phi = hg.root_jacobian(ctx, precond), hg.root_jacobian(ctx, reparam)
+        sigma_p = hg.efficiency_constant(ctx, precond)
+        sigma_phi = hg.efficiency_constant(ctx, reparam)
+        assert sigma_p == hg.spectral_norm(jac_p)
         tol = RHS_ROUNDING * (sigma_p ** 2 + sigma_phi ** 2)
-        assert abs(got.rhs_phi_minus_p - (np.linalg.norm(terms.jac_phi @ v_p) ** 2
+        assert abs(got.rhs_phi_minus_p - (np.linalg.norm(jac_phi @ v_p) ** 2
                                           - sigma_p ** 2)) <= tol
-        assert abs(got.rhs_p_minus_phi - (np.linalg.norm(terms.jac_p @ v_phi) ** 2
+        assert abs(got.rhs_p_minus_phi - (np.linalg.norm(jac_p @ v_phi) ** 2
                                           - sigma_phi ** 2)) <= tol
 
 
