@@ -270,7 +270,7 @@ def _plain_term(ctx: RootContext, u: Array) -> Array:
     columns of u = F_1^{-1} g."""
     problem, y, xstar = ctx.problem, ctx.y, ctx.xstar
     return np.stack([-problem.djac_x_y_apply_T(xstar, y, col).T
-                     - ctx._sensitivity @ problem.inner.djac_x_dir_x(xstar, y, col)
+                     - ctx._sensitivity @ problem.djac_x_dir_x(xstar, y, col)
                      for col in u.T])
 
 
@@ -311,10 +311,10 @@ def sensitivity_jacobian_fd(ctx: RootContext, kind: StrategyKind,
 
 
 def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind) -> float:
-    """Efficiency constant of the sensitivity matrix itself: the operator norm
-    of the (d_y d_x) x d_x Jacobian of x -> vec(S(x, y)) (``sensitivity_jacobian``)."""
+    """Efficiency constant of S: the operator norm of the (d_y d_x) x d_x Jacobian
+    of x -> vec(S(x, y)) (``sensitivity_jacobian``); 0.0, with no SVD, if it is 0."""
     d_s = sensitivity_jacobian(ctx, kind)
-    return spectral_norm(d_s.reshape(-1, d_s.shape[-1]))
+    return spectral_norm(d_s.reshape(-1, d_s.shape[-1])) if d_s.any() else 0.0
 
 
 # --------------------------------------------------------------------------
@@ -411,5 +411,5 @@ def super_efficiency_residual_1d(ctx: RootContext,
     g1 = float(ctx._g1[0])
     if g1 == 0.0:
         raise UsageError("degenerate problem: outer gradient vanishes at the root")
-    g21 = float(problem.outer.jac_gradY_x(xstar, y)[0, 0])
+    g21 = float(as_matrix(problem.outer.jac_gradY_x(xstar, y), (1, 1), "jac_gradY_x")[0, 0])
     return -(g21 + float(_sensitivity_term(ctx, phi)[0, 0, 0])) / g1

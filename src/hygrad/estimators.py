@@ -402,7 +402,7 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         apply_s = problem.djac_x_y_apply(x, y, a_lu.solve(
             np.broadcast_to(problem.residual(xstar, y), np.shape(x))))
         u = problem.jac_y(x, y) + apply_s - problem.djac_x_y_apply_T(x, y, a)
-        c = per_row(lambda _, v: problem.inner.djac_x_dir_x(xstar, y, v), x, a)
+        c = problem.djac_x_dir_x(xstar, y, a)
         if np.any(c):
             f1 = problem.jac_x(x, y)
             m = problem.jac_x_factor(xstar, y, "Q_1").solve(f1)
@@ -417,8 +417,7 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         r2_contract=r2_contract,
         q=lambda z, ybar: -problem.residual(z, ybar),
         q_jac=lambda z, ybar: -problem.jac_x(z, ybar),
-        q_hess_contract=lambda z, ybar, w: per_row(
-            lambda v: -problem.inner.djac_x_dir_x(z, ybar, v), w),
+        q_hess_contract=lambda z, ybar, w: -problem.djac_x_dir_x(z, ybar, w),
         q_inverse=q_inverse,
         offset=True,
         sensitivity=sensitivity,

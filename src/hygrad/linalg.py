@@ -79,10 +79,10 @@ class Factorization:
     or matrices (m, n, k), row k against matrix k with the bits of its
     single call. A diagonal matrix keeps only its diagonal (``matrix`` is
     None), and a solve divides by it. A stack that mixes diagonal and other
-    matrices keeps one factorization per matrix in ``rows``.
+    matrices keeps one factorization per matrix in ``rows``. Only ``factor``
+    names the matrix, in the errors of its check.
     """
 
-    what: str
     diagonal: Optional[Array] = None
     matrix: Optional[Array] = None
     rows: tuple = ()
@@ -108,7 +108,7 @@ class Factorization:
         if shape != lead and not (len(lead) == 1 and b.ndim == 3 and shape[1:] == lead):
             stack = f" in a stack of {lead[0]}" if len(lead) == 2 else ""
             raise ContractViolation(f"right-hand side has shape {b.shape}, "
-                                    f"{self.what} has {lead[-1]} rows{stack}")
+                                    f"the matrix has {lead[-1]} rows{stack}")
         if d is None:
             a = np.swapaxes(self.matrix, -1, -2) if transpose else self.matrix
             return np.linalg.solve(a, b[..., None])[..., 0] if vector \
@@ -118,7 +118,7 @@ class Factorization:
 
 def factor(a: Array, what: str = "matrix") -> Factorization:
     """Check A, or a stack of matrices, once for singularity, then keep it
-    for solves.
+    for solves; ``what`` names A in the check's errors and is not kept.
 
     A is singular when sigma_min <= SINGULAR_RTOL * sigma_max (1e-14): by
     one SVD in ``check_nonsingular`` (also bound as ``lu_factor``), or,
@@ -135,14 +135,14 @@ def factor(a: Array, what: str = "matrix") -> Factorization:
     dense = np.count_nonzero(a, axis=(-2, -1)) != np.count_nonzero(d, axis=-1)
     if dense.all():
         check_nonsingular(a, what=what)
-        return Factorization(what, matrix=a.copy())
+        return Factorization(matrix=a.copy())
     if not dense.any():
         if d.size:
             magnitudes = np.abs(d)
             _check_ratio(magnitudes.min(axis=-1), magnitudes.max(axis=-1), what)
-        return Factorization(what, diagonal=d.copy())
-    return Factorization(what, rows=tuple(factor(matrix, f"{what} (row {k})")
-                                          for k, matrix in enumerate(a)))
+        return Factorization(diagonal=d.copy())
+    return Factorization(rows=tuple(factor(matrix, f"{what} (row {k})")
+                                    for k, matrix in enumerate(a)))
 
 
 def linear_solve(a: Array, b: Array, what: str = "matrix") -> Array:

@@ -99,25 +99,18 @@ def _handed_over(features: Array, labels: Array) -> Dataset:
     return Dataset(features, labels)
 
 
-def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
+def parse_libsvm(text: str | bytes) -> Dataset:
     """Parse LIBSVM sparse text, a str or UTF-8 bytes, into a dense Dataset.
 
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
     increasing indices; ``#`` starts a comment. The feature count is the
-    largest index seen unless ``dims`` overrides it (needed to read back
-    data whose trailing columns are all zero, which LIBSVM omits); a
-    ``dims`` that is not an integer, or is below 1, is a UsageError.
+    largest index seen; ``bench.build_problem`` pads a narrower val or train.
 
     Regular comment-free ASCII text takes a blocked path (``_parse_regular``)
     that holds at its peak the input, the output and one block; other text,
     and every error, goes to the line parser, which decodes bytes as UTF-8.
     """
-    if dims is not None:
-        if isinstance(dims, bool) or not isinstance(dims, (int, np.integer)):
-            raise UsageError(f"dims must be an integer, got {dims!r}")
-        if dims < 1:
-            raise UsageError(f"dims must be at least 1, got {dims!r}")
-    parsed = _parse_regular(text, dims)
+    parsed = _parse_regular(text)
     if parsed is not None:
         return parsed
     if isinstance(text, bytes):
@@ -125,10 +118,10 @@ def parse_libsvm(text: str | bytes, dims: int | None = None) -> Dataset:
             text = text.decode("utf-8")
         except UnicodeDecodeError as err:
             raise ParseError(f"not valid UTF-8: {err}") from None
-    return _parse_lines(text, dims)
+    return _parse_lines(text)
 
 
-def _parse_lines(text: str, dims: int | None) -> Dataset:
+def _parse_lines(text: str) -> Dataset:
     """The line-by-line parser: the reference for ``_parse_regular``, and
     the source of every ParseError and its line number."""
     rows: list[dict[int, float]] = []
@@ -166,12 +159,9 @@ def _parse_lines(text: str, dims: int | None) -> Dataset:
         max_index = max(max_index, prev)
     if not rows:
         raise ParseError("empty file: no data lines")
-    d_x = dims if dims is not None else max_index
-    if d_x < 1:
-        raise ParseError("no feature indices found and no dims override given")
-    if max_index > d_x:
-        raise ParseError(f"index {max_index} exceeds dims override {d_x}")
-    feats = _zero_features(len(rows), d_x)
+    if max_index < 1:
+        raise ParseError("no feature indices found")
+    feats = _zero_features(len(rows), max_index)
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             feats[i, idx - 1] = val
@@ -204,19 +194,19 @@ _BYTE_CLASS = bytes(
 _MAX_INDEX_DIGITS = 18      # 10**18 - 1 fits in int64
 
 
-def _parse_regular(text: str | bytes, dims: int | None) -> Dataset | None:
-    """``_parse_lines(text, dims)`` bit for bit on regular text, else None.
+def _parse_regular(text: str | bytes) -> Dataset | None:
+    """``_parse_lines(text)`` bit for bit on regular text, else None.
 
     Regular text is ASCII without ``#`` and without control characters
     other than tab, LF and CR; each of its lines is blank or reads
-    ``label idx:val ...`` with ASCII-digit indices that are 1-based,
-    strictly increase and fit ``dims``, and with finite numbers that
-    ``float`` reads. The same ``float`` reads every number, so the bits
-    match. On any other text this returns None, so that every ParseError
-    comes from the line parser, as does the DataError of a width numpy
-    cannot allocate (``_zero_features``), which names the true row count.
-    Blocks are scattered as read into a matrix of a row per LF or CR,
-    widened by a larger index; rows left by blank or CRLF lines are cut last.
+    ``label idx:val ...`` with ASCII-digit indices that are 1-based and
+    strictly increase, and with finite numbers that ``float`` reads. The
+    same ``float`` reads every number, so the bits match. On any other text
+    this returns None, so that every ParseError comes from the line parser,
+    as does the DataError of a width numpy cannot allocate
+    (``_zero_features``), which names the true row count. Blocks are
+    scattered as read into a matrix of a row per LF or CR, widened to the
+    largest index so far; rows left by blank or CRLF lines are cut last.
     """
     lf, cr, mark = (b"\n", b"\r", b"#") if isinstance(text, bytes) else ("\n", "\r", "#")
     if not text.isascii() or mark in text:
@@ -224,7 +214,7 @@ def _parse_regular(text: str | bytes, dims: int | None) -> Dataset | None:
     lines = (text.count(lf) + (text.count(cr) if cr in text else 0)
              + (not text.endswith((lf, cr))))
     try:
-        feats, labels, n, start = _zero_features(lines, dims or 0), np.empty(lines), 0, 0
+        feats, labels, n, start = _zero_features(lines, 0), np.empty(lines), 0, 0
         while start < len(text):
             # Blocks end just after a LF, so no line (and no CRLF) is split;
             # text whose lines all end in a lone CR is one block.
@@ -236,8 +226,6 @@ def _parse_regular(text: str | bytes, dims: int | None) -> Dataset | None:
             lab, row, col, val = block
             width = int(col.max(initial=0))
             if width > feats.shape[1]:
-                if dims is not None:
-                    return None
                 feats, narrow = _zero_features(lines, width), feats
                 feats[:n, :narrow.shape[1]] = narrow[:n]
             labels[n:n + lab.size] = lab

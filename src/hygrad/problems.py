@@ -21,7 +21,7 @@ same block get equal values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -185,7 +185,7 @@ class BilevelProblem:
     ``residual``, ``jac_x`` and ``jac_y`` validate the inner oracle's block
     and evaluate it once per point among the last 5 points, and
     ``jac_x_factor`` and ``jac_x_diagonal`` check F_1 and diag(F_1) there
-    once for every solve against them;
+    once and keep one factorization of each for every caller's solves;
     ``exact_root`` solves once per y among the last 4 y. A point is the
     shapes and bits of x and y, so -0.0 and 0.0 are different points.
     Blocks are handed out read-only, roots as fresh copies.
@@ -197,7 +197,8 @@ class BilevelProblem:
 
     The three y-coupling contractions (see ``InnerOracle``) call the inner
     oracle's closed form when it has one, else the one-hot loop over
-    ``djac_x_dir_y``, once per row of a stack; they are not kept.
+    ``djac_x_dir_y``, once per row of a stack, as ``djac_x_dir_x`` calls
+    the oracle once per direction; none of them is kept.
     """
 
     inner: InnerOracle
@@ -245,27 +246,20 @@ class BilevelProblem:
 
     def jac_x_factor(self, x: Array, y: Array, what: str = "F_1") -> Factorization:
         """``factor(jac_x(x, y), what)``, checked once per point and kept
-        there once per ``what``, so each caller's label names its matrix. A
-        singular F_1 is not kept: every caller checks it again and raises
-        SingularMatrixError naming its own ``what``."""
+        there for every caller. A singular F_1 is not kept: each caller
+        checks it again and raises SingularMatrixError naming its ``what``."""
         return self._factor("factor", lambda f1: f1, x, y, what)
 
     def jac_x_diagonal(self, x: Array, y: Array, what: str) -> Factorization:
         """``factor(diag(F_1), what)``, checked once per point and, like
-        ``jac_x_factor``, labelled per caller and not kept when singular."""
+        ``jac_x_factor``, kept for every caller and not kept when singular."""
         return self._factor("diagonal", lambda f1: f1 * np.eye(self.d_x), x, y, what)
 
     def _factor(self, key: str, part, x: Array, y: Array, what: str) -> Factorization:
         x, y, blocks = self._memo(x, y)
-        lu = blocks.get((key, what))
+        lu = blocks.get(key)
         if lu is None:
-            # Each label gets one copy of the first factorization, sharing
-            # its arrays.
-            first = blocks.get(key)
-            lu = factor(part(self.jac_x(x, y)), what) if first is None \
-                else replace(first, what=what)
-            blocks.setdefault(key, lu)
-            blocks[(key, what)] = lu
+            lu = blocks[key] = factor(part(self.jac_x(x, y)), what)
         return lu
 
     def djac_x_y_apply(self, x: Array, y: Array, s: Array) -> Array:
@@ -279,6 +273,13 @@ class BilevelProblem:
     def djac_x_y_diag(self, x: Array, y: Array) -> Array:
         """The (d_x, d_y) matrix whose column e is diag(dF_1/dy_e)."""
         return self._coupling("djac_x_y_diag", x, y)
+
+    def djac_x_dir_x(self, x: Array, y: Array, u: Array) -> Array:
+        """The (d_x, d_x) derivative of F_1 along u in x at the point x, or
+        the stack of them along a stack of directions u, one per row."""
+        return per_row(lambda v: as_matrix(self.inner.djac_x_dir_x(x, y, v),
+                                           (self.d_x, self.d_x), "djac_x_dir_x"),
+                       np.asarray(u, dtype=float))
 
     def _coupling(self, method: str, x: Array, y: Array, *vector: Array) -> Array:
         closed = getattr(self.inner, method, None)

@@ -272,18 +272,16 @@ class TestBuildProblem:
         parsed = []
         original = models.parse_libsvm
 
-        def counting(text, dims=None):
-            parsed.append(dims)
-            return original(text, dims=dims)
+        def counting(text):
+            parsed.append(len(text))
+            return original(text)
         monkeypatch.setattr(models, "parse_libsvm", counting)
         base = dict(problem="logistic", train_path=str(train_path),
                     val_path=str(val_path))
         padded = hg.build_problem(hg.RunConfig(**base))
-        assert parsed == [None, None]
-        explicit = hg.make_logistic(
-            hg.parse_libsvm(train_path.read_text()),
-            hg.parse_libsvm(val_path.read_text(), dims=cls_train.d_x),
-            "quadratic")
+        assert len(parsed) == 2
+        explicit = hg.make_logistic(hg.parse_libsvm(train_path.read_text()),
+                                    hg.Dataset(feats, cls_val.labels), "quadratic")
 
         y = hg.sample_y(padded.d_y, 3.0, 6.0, 8)
         x = np.linspace(-0.5, 0.5, padded.d_x)

@@ -845,6 +845,15 @@ class TestScalarResidual:
             hg.super_efficiency_residual_1d(
                 hg.RootContext.solve(problem, np.zeros(1)), hg.identity_reparam())
 
+    def test_outer_curvature_is_validated(self):
+        # A scalar g_21 raised an untyped TypeError from its [0, 0] read.
+        problem = hg.linear_1d()
+        problem = replace(problem, outer=replace(
+            problem.outer, jac_gradY_x=lambda x, y: 0.0))
+        ctx = hg.RootContext.solve(problem, np.zeros(1))
+        with pytest.raises(hg.ContractViolation, match="jac_gradY_x must be 2-d"):
+            hg.super_efficiency_residual_1d(ctx, hg.identity_reparam())
+
     def test_needs_one_dimension(self, ridge_quadratic):
         with pytest.raises(UsageError):
             hg.super_efficiency_residual_1d(

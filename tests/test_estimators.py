@@ -809,6 +809,32 @@ class TestStacks:
             with pytest.raises(hg.ContractViolation, match="grad_x must be 1-d"):
                 hg.efficiency_constant(hg.RootContext.solve(problem, y), "vanilla")
 
+    @pytest.mark.parametrize("bad, match", [
+        (lambda m: m[:, :1], r"djac_x_dir_x must have shape \(3, 3\), got \(3, 1\)"),
+        (lambda m: m * np.nan, "djac_x_dir_x contains non-finite entries")],
+        ids=["column", "nan"])
+    def test_djac_x_dir_x_is_validated(self, bad, match):
+        # A (3, 1) slice broadcast through S (dF_1/dx_j) u unnoticed, and a
+        # NaN was reported against the matrix it reached.
+        problem = hg.make_logistic(hg.synthetic_classification_dataset(60, 3, seed=1),
+                                   hg.synthetic_classification_dataset(60, 3, seed=2),
+                                   "quadratic")
+        dhess = problem.inner.djac_x_dir_x
+        problem = replace(problem, inner=replace(
+            problem.inner, djac_x_dir_x=lambda x, y, u: bad(dhess(x, y, u))))
+        y = np.full(3, 0.5)
+        ctx = hg.RootContext.solve(problem, y)
+        with pytest.raises(hg.ContractViolation, match=match):
+            hg.efficiency_constant(ctx, "vanilla")
+        x = ctx.xstar + 0.1
+        for point in (x, np.stack([x, x + 0.1])):
+            with pytest.raises(hg.ContractViolation, match=match):
+                hg.make_estimator(problem, "opt")(point, y)
+        family = hg.newton_separable_reparam(problem)
+        for w in (x, np.stack([x, x + 0.1])):
+            with pytest.raises(hg.ContractViolation, match=match):
+                family.q_hess_contract(ctx.xstar, y, w)
+
     @pytest.mark.parametrize("block", ["hess_xx", "jac_gradY_x"])
     def test_root_context_validates_the_outer_curvature(self, ridge_quadratic, block):
         matrix = getattr(ridge_quadratic.outer, block)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import hygrad as hg
 from hygrad.cli import cli_main
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "fixed_outputs.py"
@@ -27,6 +28,12 @@ def test_baseline_names_every_invocation_file_once(tool):
            for line in tool.BASELINE.read_text().splitlines() if line.strip()]
     assert len(want) == 23
     assert sorted(got) == sorted(want)
+
+
+def test_invocations_run_every_strategy(tool):
+    # A strategy added to the table must join the gate's decay and
+    # efficiency runs, with a new baseline.
+    assert tool.STRATEGIES == ",".join(hg.STRATEGIES)
 
 
 def test_every_invocation_reproduces_its_baseline_digests(tool, tmp_path,

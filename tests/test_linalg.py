@@ -75,7 +75,7 @@ class TestFactorization:
             a = np.diag(_alternating_diagonal(rng, n))
             fast = hg.factor(a, what="A")
             assert fast.diagonal is not None and fast.matrix is None
-            dense = hg.Factorization("A", matrix=a)
+            dense = hg.Factorization(matrix=a)
             for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
                 for got, want in ((fast.solve(b), dense.solve(b)),
                                   (fast.solve_T(b), dense.solve_T(b))):

@@ -59,25 +59,6 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             hg.parse_libsvm("1 15\n")
 
-    def test_dims_override(self):
-        ds = hg.parse_libsvm("1 1:1\n", dims=4)
-        assert ds.d_x == 4
-        with pytest.raises(ParseError):
-            hg.parse_libsvm("1 5:1\n", dims=4)
-
-    @pytest.mark.parametrize("dims", [0, -1])
-    def test_dims_below_one_is_a_usage_error(self, dims):
-        with pytest.raises(UsageError, match=f"got {dims}"):
-            hg.parse_libsvm("1 1:2\n", dims=dims)
-
-    @pytest.mark.parametrize("dims", [2.5, True, "3"])
-    def test_non_integer_dims_is_a_usage_error(self, dims):
-        with pytest.raises(UsageError, match=f"integer, got {dims!r}"):
-            hg.parse_libsvm("1 1:2\n", dims=dims)
-
-    def test_numpy_integer_dims_accepted(self):
-        assert hg.parse_libsvm("1 1:2\n", dims=np.int64(3)).d_x == 3
-
     def test_parsed_arrays_are_read_only(self):
         ds = hg.parse_libsvm("1 1:2\n-1 2:3\n")
         for stored in (ds.features, ds.labels):
@@ -95,8 +76,8 @@ class TestParseLibsvm:
     # label unreadable, and str.split reads a no-break space as a blank.
     @pytest.mark.parametrize("text", ["\ufeff1 1:2\n", "1 1:2\u00a02:3\n"])
     def test_non_ascii_bytes_parse_as_their_decoded_text(self, text):
-        assert (_outcome(hg.parse_libsvm, text.encode(), None)
-                == _outcome(models._parse_lines, text, None))
+        assert (_outcome(hg.parse_libsvm, text.encode())
+                == _outcome(models._parse_lines, text))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -107,10 +88,16 @@ class TestParseLibsvm:
                            min_value=-1e12, max_value=1e12)
         feats = np.array([[data.draw(finite) for _ in range(d)] for _ in range(n)])
         labels = np.array([data.draw(finite) for _ in range(n)])
-        ds = hg.Dataset(feats, labels)
-        back = hg.parse_libsvm(hg.serialize_libsvm(ds), dims=d)
-        assert np.array_equal(back.features, ds.features)
-        assert np.array_equal(back.labels, ds.labels)
+        text = hg.serialize_libsvm(hg.Dataset(feats, labels))
+        if not feats.any():
+            with pytest.raises(ParseError, match="no feature indices found"):
+                hg.parse_libsvm(text)
+            return
+        # LIBSVM omits zeros, so the trailing all-zero columns do not come back.
+        back = hg.parse_libsvm(text)
+        assert np.array_equal(back.features, feats[:, :back.d_x])
+        assert not feats[:, back.d_x:].any()
+        assert np.array_equal(back.labels, labels)
 
 
 # Number spellings that float() reads: 17 significant digits, exponents,
@@ -127,14 +114,18 @@ _PAD = st.text(alphabet=" \t", max_size=2)
 
 @st.composite
 def regular_texts(draw):
-    """(text, dims) that both LIBSVM parsers read: rows with and without
-    pairs, blank and whitespace-only lines, LF, CRLF and lone CR, runs of
-    blanks, indices with leading zeros, with or without a final newline."""
+    """Text that both LIBSVM parsers read: rows with and without pairs (at
+    least one pair in all), blank and whitespace-only lines, LF, CRLF and
+    lone CR, runs of blanks, indices with leading zeros, with or without a
+    final newline."""
     width = draw(st.integers(1, 6))
     lines, max_index = [], 0
-    for _ in range(draw(st.integers(1, 5))):
+    rows = draw(st.integers(1, 5))
+    for row in range(rows):
         lines += draw(st.lists(_PAD, max_size=2))
-        cols = sorted(draw(st.sets(st.integers(1, width), max_size=width)))
+        least = 1 if row == rows - 1 and not max_index else 0
+        cols = sorted(draw(st.sets(st.integers(1, width), min_size=least,
+                                   max_size=width)))
         max_index = max([max_index, *cols])
         tokens = [draw(_NUMBERS)] + [
             f"{draw(st.sampled_from(['', '0']))}{c}:{draw(_NUMBERS)}" for c in cols]
@@ -143,10 +134,7 @@ def regular_texts(draw):
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if draw(st.booleans()):
         ends[-1] = ""
-    text = "".join(line + end for line, end in zip(lines, ends))
-    dims = draw(st.one_of(st.none(), st.integers(0, 3)) if max_index
-                else st.integers(1, 3))
-    return text, None if dims is None else max_index + dims
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 @pytest.fixture(scope="module")
@@ -159,19 +147,19 @@ def tall_text():
 
 
 def _traced_peak(parse, text):
-    """The tracemalloc peak, in bytes, of ``parse(text, None)``."""
+    """The tracemalloc peak, in bytes, of ``parse(text)``."""
     tracemalloc.start()
     try:
-        parse(text, None)
+        parse(text)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def _outcome(parse, text, dims):
+def _outcome(parse, text):
     """What a parser gives: the error's type, message and line, or the bits."""
     try:
-        ds = parse(text, dims)
+        ds = parse(text)
     except DataError as err:
         return type(err), str(err), getattr(err, "line", None)
     return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
@@ -189,15 +177,14 @@ class TestParserPaths:
 
     @given(regular_texts(), st.integers(1, 48))
     @settings(max_examples=60, deadline=None)
-    def test_paths_agree_on_valid_text(self, case, block_chars):
-        text, dims = case
-        ref = models._parse_lines(text, dims)
+    def test_paths_agree_on_valid_text(self, text, block_chars):
+        ref = models._parse_lines(text)
         rows = sum(1 for line in text.splitlines() if line.strip())
         for given in (text, text.encode()):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(models, "_BLOCK_CHARS", block_chars)
-                fast = models._parse_regular(given, dims)
-            assert fast is not None, (given, dims)
+                fast = models._parse_regular(given)
+            assert fast is not None, given
             assert_same_bits(fast.features, ref.features)
             assert_same_bits(fast.labels, ref.labels)
             flags = fast.features.flags
@@ -205,18 +192,17 @@ class TestParserPaths:
 
     @given(regular_texts(), st.integers(1, 48), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_paths_agree_on_corrupt_text(self, case, block_chars, data):
-        text, dims = case
+    def test_paths_agree_on_corrupt_text(self, text, block_chars, data):
         for _ in range(data.draw(st.integers(1, 3))):
             at = data.draw(st.integers(0, len(text)))
             cut = data.draw(st.integers(0, 2))
             piece = data.draw(st.sampled_from(self.PIECES))
             text = text[:at] + piece + text[at + cut:]
-        ref = _outcome(models._parse_lines, text, dims)
+        ref = _outcome(models._parse_lines, text)
         for given in (text, text.encode()):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(models, "_BLOCK_CHARS", block_chars)
-                got = _outcome(hg.parse_libsvm, given, dims)
+                got = _outcome(hg.parse_libsvm, given)
             assert got == ref, given
 
     @pytest.mark.parametrize("text", [
@@ -234,9 +220,9 @@ class TestParserPaths:
         "1 1:2\n# comment\n",
     ])
     def test_named_irregular_texts(self, text):
-        assert models._parse_regular(text, None) is None
-        assert (_outcome(hg.parse_libsvm, text, None)
-                == _outcome(models._parse_lines, text, None))
+        assert models._parse_regular(text) is None
+        assert (_outcome(hg.parse_libsvm, text)
+                == _outcome(models._parse_lines, text))
 
     # A 20-digit index is past the fast path's 18 digits; a 17-digit one
     # passes it, and a comment sends either to the line parser. numpy
@@ -247,8 +233,8 @@ class TestParserPaths:
         text = f"{comment}1 {index}:1\n"
         with pytest.raises(DataError, match=f"cannot allocate a 1 x {index} feature"):
             hg.parse_libsvm(text)
-        assert (_outcome(hg.parse_libsvm, text, None)
-                == _outcome(models._parse_lines, text, None))
+        assert (_outcome(hg.parse_libsvm, text)
+                == _outcome(models._parse_lines, text))
 
     def test_blocked_parse_peaks_below_the_line_parser(self, tall_text):
         """On a 20000 x 5 file the blocked parser holds less memory at its
@@ -616,8 +602,8 @@ class TestSampleY:
     @pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None,
                                       np.float64(4.0), np.array([5])])
     def test_non_integer_seed(self, seed):
-        # The rule parse_libsvm applies to dims: an int or numpy integer,
-        # not a bool (True would silently draw with seed 1).
+        # An int or numpy integer, not a bool (True would silently draw
+        # with seed 1).
         with pytest.raises(UsageError, match="seed must be an integer"):
             hg.sample_y(3, 0.0, 1.0, seed)
         with pytest.raises(UsageError, match="seed must be an integer"):

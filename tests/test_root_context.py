@@ -195,6 +195,28 @@ class TestKeptRootBlocks:
         assert sum(np.array_equal(m, jac_p) for m in svds) == 1
         assert sigma_p == top_singular(jac_p)[0]
 
+    def test_an_opt_compare_trial_takes_no_svd_of_a_zero_matrix(
+            self, logistic_quadratic, monkeypatch):
+        # The opt key's Jacobian of S is zero, so its sigma is 0.0 with no
+        # SVD: a trial takes those of J_P, J_opt and P - F_1 only.
+        problem = logistic_quadratic
+        precond = hg.scaled_preconditioner(hg.newton_preconditioner(problem), 1.5)
+        svds = []
+        top_singular = hg.linalg.top_singular
+
+        def counted(m):
+            svds.append(np.array(m))
+            return top_singular(m)
+        monkeypatch.setattr(hg.linalg, "top_singular", counted)
+        monkeypatch.setattr(hg.efficiency, "top_singular", counted)
+        ctx = hg.RootContext.solve(problem, _logistic_y(problem, 4))
+        hg.compare_bounds(ctx, precond, "opt")
+        hg.precond_gap(ctx, precond, "opt")
+        sigma, _ = hg.reparam_gap(ctx, precond, "opt")
+        assert_same_bits(sigma, 0.0)
+        assert len(svds) == 3 and all(m.any() for m in svds), \
+            [m.shape for m in svds]
+
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000))
