@@ -83,7 +83,7 @@ class RunConfig:
     problem: str = "scalar"
     train_path: Optional[str] = None
     val_path: Optional[str] = None
-    outer: str = "quadratic"
+    outer: Optional[str] = None     # a data problem's default is "quadratic"
     strategies: tuple = ("vanilla",)
     steps: int = 30
     y_low: float = -1.0
@@ -95,7 +95,10 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEM_KINDS:
             raise UsageError(f"unknown problem {self.problem!r}")
-        check_outer(self.outer)
+        if self.outer is not None:
+            check_outer(self.outer)
+        elif self.problem not in BUILTIN_PROBLEMS:
+            object.__setattr__(self, "outer", "quadratic")
         if not self.strategies:
             raise UsageError("at least one strategy is required")
         for i, s in enumerate(self.strategies):
@@ -113,12 +116,13 @@ class RunConfig:
         if self.step_size is not None and not 0 < self.step_size < np.inf:
             raise UsageError("step size must be positive and finite")
         if self.problem in BUILTIN_PROBLEMS:
-            data = [flag for flag, value in (("--train", self.train_path),
-                                             ("--val", self.val_path))
-                    if value is not None]
-            if data:
+            given = [flag for flag, value in (("--train", self.train_path),
+                                              ("--val", self.val_path),
+                                              ("--outer", self.outer))
+                     if value is not None]
+            if given:
                 raise UsageError(f"problem {self.problem!r} is built in and reads "
-                                 f"no data; drop {', '.join(data)}")
+                                 f"no data or outer objective; drop {', '.join(given)}")
 
 
 def build_problem(config: RunConfig) -> BilevelProblem:

@@ -118,8 +118,9 @@ def _cmd_decay(args) -> int:
 def _cmd_efficiency(args) -> int:
     config = _config_from(args)
     records = run_efficiency_sweep(config)
-    meta = {"seed": str(config.seed), "problem": config.problem,
-            "outer": config.outer}
+    meta = {"seed": str(config.seed), "problem": config.problem}
+    if config.outer is not None:
+        meta["outer"] = config.outer
     _write_outputs(args, emit_csv(records, metadata=meta), records)
     return 0
 

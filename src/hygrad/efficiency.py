@@ -312,9 +312,9 @@ def sensitivity_jacobian_fd(ctx: RootContext, kind: StrategyKind,
 
 def sensitivity_efficiency_constant(ctx: RootContext, kind: StrategyKind) -> float:
     """Efficiency constant of S: the operator norm of the (d_y d_x) x d_x Jacobian
-    of x -> vec(S(x, y)) (``sensitivity_jacobian``); 0.0, with no SVD, if it is 0."""
+    of x -> vec(S(x, y)) (``sensitivity_jacobian``), by ``spectral_norm``."""
     d_s = sensitivity_jacobian(ctx, kind)
-    return spectral_norm(d_s.reshape(-1, d_s.shape[-1])) if d_s.any() else 0.0
+    return spectral_norm(d_s.reshape(-1, d_s.shape[-1]))
 
 
 # --------------------------------------------------------------------------

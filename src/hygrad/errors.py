@@ -44,7 +44,7 @@ class NumericalFailure(HygradError):
 class SingularMatrixError(NumericalFailure):
     """A linear solve met an effectively singular matrix.
 
-    ``what`` names the operator that failed (e.g. "F_1", "P", "V").
+    ``what`` names the operator that failed (e.g. "F_1", "diag(F_1)", "V").
     """
 
     def __init__(self, message: str, what: str = "matrix"):

@@ -80,15 +80,15 @@ class PreconditionerOracle:
 def newton_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
     """P = F_1: the corrective step becomes one Newton step."""
     return PreconditionerOracle(
-        solve=lambda x, y, v: problem.jac_x_factor(x, y, what="P").solve(v),
+        solve=lambda x, y, v: problem.jac_x_factor(x, y).solve(v),
         matrix=problem.jac_x)
 
 
 def diag_preconditioner(problem: BilevelProblem) -> PreconditionerOracle:
     """P = diag(F_1), the Jacobi choice."""
     return PreconditionerOracle(
-        solve=lambda x, y, v: problem.jac_x_diagonal(x, y, "P").solve(v),
-        matrix=lambda x, y: np.diag(problem.jac_x_diagonal(x, y, "P").diagonal))
+        solve=lambda x, y, v: problem.jac_x_diagonal(x, y).solve(v),
+        matrix=lambda x, y: np.diag(problem.jac_x_diagonal(x, y).diagonal))
 
 
 def scaled_preconditioner(precond: PreconditionerOracle, factor: float) -> PreconditionerOracle:
@@ -162,7 +162,7 @@ def reparam_sensitivity(problem: BilevelProblem, phi: Reparameterization,
     p1_lu = factor(p1, what="phi_1")    # shared by the phi_1 solves
     u = f2 + f1 @ p2 + p1_lu.solve_T(czy)
     v_lu = factor(p1_lu.solve_T(p1_lu.solve_T(czz).T).T + f1, what="V") \
-        if np.any(czz) else problem.jac_x_factor(x, y, "V")
+        if np.any(czz) else problem.jac_x_factor(x, y)
     return _sensitivity_from(v_lu, u, p2)
 
 
@@ -214,7 +214,7 @@ def _exp_map(a: Union[float, Array], b: float, size: int) -> Reparameterization:
         factor(_diag_stack(ab * np.exp(b * inverse(x, y))), "phi_1")
         f = problem.residual(x, y)
         v_lu = factor(problem.jac_x(x, y) + _diag_stack(f / x), "V") if np.any(f) \
-            else problem.jac_x_factor(x, y, "V")
+            else problem.jac_x_factor(x, y)
         return _sensitivity_from(v_lu, problem.jac_y(x, y))
 
     return Reparameterization(forward=lambda z, y: a * np.exp(b * z),
@@ -320,7 +320,7 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
     element-wise. The sensitivity solves V through the problem's F_1.
     """
     def diagonal(x, y):
-        return problem.jac_x_diagonal(x, y, "R").diagonal
+        return problem.jac_x_diagonal(x, y).diagonal
 
     def r2_contract(x, y, w, q):
         # R_2 is diagonal per y-coordinate: (R_2)_{kk,e} = -dF1_kk/dy_e / d_k^2,
@@ -335,7 +335,7 @@ def diag_scaling_reparam(problem: BilevelProblem) -> SeparableReparam:
         p2 = -dirs * (x / d)[..., None]
         u = problem.jac_y(x, y) + problem.jac_x(x, y) @ p2 \
             - dirs * (problem.residual(x, y) / d)[..., None]
-        return _sensitivity_from(problem.jac_x_factor(x, y, "V"), u, p2)
+        return _sensitivity_from(problem.jac_x_factor(x, y), u, p2)
 
     return SeparableReparam(
         r=lambda x, y: np.diag(1.0 / diagonal(x, y)),
@@ -405,10 +405,10 @@ def newton_separable_reparam(problem: BilevelProblem) -> SeparableReparam:
         c = problem.djac_x_dir_x(xstar, y, a)
         if np.any(c):
             f1 = problem.jac_x(x, y)
-            m = problem.jac_x_factor(xstar, y, "Q_1").solve(f1)
+            m = problem.jac_x_factor(xstar, y).solve(f1)
             v_lu = factor(f1 - np.swapaxes(m, -1, -2) @ c @ m, "V")
         else:
-            v_lu = problem.jac_x_factor(x, y, "V")
+            v_lu = problem.jac_x_factor(x, y)
         return _sensitivity_from(v_lu, u, a_lu.solve(apply_s))
 
     return SeparableReparam(

@@ -10,7 +10,7 @@ raise SingularMatrixError with one message naming the matrix, the ratio
 and the tolerance. A stack of matrices, shape (m, n, n), is checked by one
 stacked SVD and solved by one broadcast ``gesv``, each matrix with the bits
 of its single call. Norms and maximizing directions come from one LAPACK
-SVD.
+SVD, and the norm of an all-zero matrix is 0.0 with none.
 """
 
 from __future__ import annotations
@@ -172,6 +172,6 @@ def top_singular(m: Array) -> tuple[float, Array]:
 
 
 def spectral_norm(m: Array) -> float:
-    """Operator (spectral) norm of a dense matrix."""
-    sigma, _ = top_singular(m)
-    return sigma
+    """Operator (spectral) norm of a dense matrix; 0.0, with no SVD, if all zero."""
+    m = _check_finite(np.atleast_2d(m), "matrix")
+    return top_singular(m)[0] if m.any() or not m.size else 0.0

@@ -244,22 +244,22 @@ class BilevelProblem:
     def jac_y(self, x: Array, y: Array) -> Array:
         return self._block("jac_y", x, y, as_matrix, (self.d_x, self.d_y))
 
-    def jac_x_factor(self, x: Array, y: Array, what: str = "F_1") -> Factorization:
-        """``factor(jac_x(x, y), what)``, checked once per point and kept
-        there for every caller. A singular F_1 is not kept: each caller
-        checks it again and raises SingularMatrixError naming its ``what``."""
-        return self._factor("factor", lambda f1: f1, x, y, what)
+    def jac_x_factor(self, x: Array, y: Array) -> Factorization:
+        """``factor(jac_x(x, y), "F_1")``, checked once per point and kept
+        there for every caller. A singular F_1 is not kept: each call checks
+        it again and raises SingularMatrixError naming "F_1"."""
+        return self._factor("F_1", lambda f1: f1, x, y)
 
-    def jac_x_diagonal(self, x: Array, y: Array, what: str) -> Factorization:
-        """``factor(diag(F_1), what)``, checked once per point and, like
-        ``jac_x_factor``, kept for every caller and not kept when singular."""
-        return self._factor("diagonal", lambda f1: f1 * np.eye(self.d_x), x, y, what)
+    def jac_x_diagonal(self, x: Array, y: Array) -> Factorization:
+        """``factor(diag(F_1), "diag(F_1)")``, checked, kept and not kept
+        when singular as by ``jac_x_factor``."""
+        return self._factor("diag(F_1)", lambda f1: f1 * np.eye(self.d_x), x, y)
 
-    def _factor(self, key: str, part, x: Array, y: Array, what: str) -> Factorization:
+    def _factor(self, what: str, part, x: Array, y: Array) -> Factorization:
         x, y, blocks = self._memo(x, y)
-        lu = blocks.get(key)
+        lu = blocks.get(what)
         if lu is None:
-            lu = blocks[key] = factor(part(self.jac_x(x, y)), what)
+            lu = blocks[what] = factor(part(self.jac_x(x, y)), what)
         return lu
 
     def djac_x_y_apply(self, x: Array, y: Array, s: Array) -> Array:

@@ -190,7 +190,8 @@ class TestDecayCommand:
 
     def test_data_flags_on_builtin_problem_exit_one(self, tmp_path, capsys):
         for flag in (["--train", str(tmp_path / "absent.libsvm")],
-                     ["--val", str(tmp_path / "absent.libsvm")]):
+                     ["--val", str(tmp_path / "absent.libsvm")],
+                     ["--outer", "affine"]):
             assert run(["decay", "--problem", "scalar", "--steps", "3",
                         "--out", str(tmp_path / "o.csv")] + flag) == 1
             assert flag[0] in capsys.readouterr().err
@@ -198,6 +199,15 @@ class TestDecayCommand:
 
 
 class TestEfficiencyCommand:
+    def test_builtin_problem_records_no_outer(self, tmp_path):
+        # linear1d's objective is fixed, so no outer variant was read.
+        out = tmp_path / "eff.csv"
+        assert run(["efficiency", "--problem", "linear1d", "--trials", "1",
+                    "--out", str(out)]) == 0
+        meta = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+        assert "# problem=linear1d" in meta
+        assert not any(ln.startswith("# outer=") for ln in meta), meta
+
     def test_row_count(self, tmp_path, libsvm_dir):
         out = tmp_path / "eff.csv"
         code = run(["efficiency", "--problem", "ridge",

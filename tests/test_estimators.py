@@ -656,14 +656,14 @@ class TestStrategyTable:
         problem = replace(request.getfixturevalue(fixture))     # an empty memo
         x, y = _off_root_point(problem, 81)
         hg.make_estimator(problem, "diag-rep")(x, y)
-        assert checked == ["R", "V"]
+        assert checked == ["diag(F_1)", "F_1"]
         x = x + 0.01
         checked.clear()
         hg.make_estimator(problem, "diag")(x, y)
-        assert checked == ["P", "F_1"]      # F_1 at diag's corrected point
+        assert checked == ["diag(F_1)", "F_1"]      # F_1 at diag's corrected point
         checked.clear()
         hg.make_estimator(problem, "diag-rep")(x, y)
-        assert checked == ["V"]
+        assert checked == ["F_1"]
 
     @pytest.mark.parametrize("fixture", ["ridge_quadratic", "logistic_quadratic"])
     def test_diag_rep_one_dense_check_per_point(self, fixture, request, lu_calls):
@@ -752,6 +752,20 @@ def _singular_at_one(problem):
     """The problem with F_1 = [[1, x_0], [x_0, 1]], singular where x_0 = 1."""
     return replace(problem, inner=replace(
         problem.inner, jac_x=lambda x, y: np.array([[1.0, x[0]], [x[0], 1.0]])))
+
+
+@pytest.mark.parametrize("key, what", [
+    ("newton", "F_1"), ("diag", "diag(F_1)"), ("diag-rep", "diag(F_1)"), ("opt", "F_1")])
+def test_a_singular_f1_is_named_alike_by_every_strategy(key, what):
+    # Each strategy solves against the problem's kept F_1 or diag(F_1), and
+    # the error names that matrix, not the strategy's role for it.
+    shift = shift_problem(2)
+    problem = replace(shift, inner=replace(
+        shift.inner, jac_x=lambda x, y: np.diag([1.0, 0.0])))
+    with pytest.raises(SingularMatrixError) as err:
+        hg.make_estimator(problem, key)(np.full(2, 0.5), np.ones(2))
+    assert err.value.what == what
+    assert str(err.value).startswith(f"{what} is singular")
 
 
 class TestStacks:

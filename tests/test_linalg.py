@@ -7,6 +7,8 @@ import hygrad as hg
 from hygrad.cli import cli_main
 from hygrad.errors import ContractViolation, SingularMatrixError
 
+from conftest import assert_same_bits
+
 
 class TestLinearSolve:
     def test_identity(self):
@@ -309,6 +311,18 @@ class TestSpectralNorm:
         assert hg.spectral_norm(np.zeros((3, 2))) == 0.0
         with pytest.raises(ContractViolation):
             hg.spectral_norm(np.zeros((0, 2)))
+
+    def test_all_zero_matrix_takes_no_svd(self, monkeypatch):
+        with pytest.raises(ContractViolation, match=r"matrix has shape \(0, 2\)"):
+            hg.spectral_norm(np.zeros((0, 2)))
+        with pytest.raises(ContractViolation, match="matrix contains non-finite"):
+            hg.spectral_norm(np.array([[0.0, np.nan]]))
+
+        def refused(m):
+            raise AssertionError(f"top_singular called on shape {np.shape(m)}")
+        monkeypatch.setattr(hg.linalg, "top_singular", refused)
+        for shape in ((1, 1), (3, 3), (25, 5), (3, 7)):
+            assert_same_bits(hg.spectral_norm(np.zeros(shape)), 0.0)
 
     def test_nilpotent_block(self):
         # Singular values of [[0,1],[0,0]] are {1, 0}.

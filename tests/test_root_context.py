@@ -218,6 +218,28 @@ class TestKeptRootBlocks:
             [m.shape for m in svds]
 
 
+    def test_precond_gap_of_the_newton_p_takes_no_svd(self, monkeypatch):
+        # With P = F_1, P - F_1 is exactly zero, so delta is 0.0 with no SVD;
+        # J_P's top pair is already kept by the context.
+        problem = hg.make_ridge(hg.synthetic_regression_dataset(60, 3, seed=1),
+                                hg.synthetic_validation_dataset(60, 3, seed=2),
+                                "quadratic")
+        precond = hg.newton_preconditioner(problem)
+        ctx = hg.RootContext.solve(problem, np.full(3, 0.3))
+        hg.efficiency_constant(ctx, precond)
+        svds = []
+        top_singular = hg.linalg.top_singular
+
+        def counted(m):
+            svds.append(np.array(m))
+            return top_singular(m)
+        monkeypatch.setattr(hg.linalg, "top_singular", counted)
+        monkeypatch.setattr(hg.efficiency, "top_singular", counted)
+        delta, _ = hg.precond_gap(ctx, precond, "opt")
+        assert_same_bits(delta, 0.0)
+        assert svds == []
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_context_estimators_equal_plain_ones(ridge_quadratic, logistic_quadratic,

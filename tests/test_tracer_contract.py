@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` measures by rebinding module attributes of
 ``hygrad``; a renamed or deleted name would only show in a traced benchmark
-run. This runs the tracer, unmodified, over a small decay and compare run in
-a child interpreter and checks the per-layer counts it yields.
+run. This runs the tracer, unmodified, over a small decay, compare and
+efficiency run in a child interpreter and checks the per-layer counts it
+yields.
 """
 
 import json
@@ -33,14 +34,23 @@ decay = ["decay", "--problem", "ridge", "--train", str(work / "train.libsvm"),
 compare = ["compare", "--problem", "ridge", "--train", str(work / "train.libsvm"),
            "--val", str(work / "val.libsvm"), "--reparam", "opt", "--trials", "1",
            "--seed", "4"]
-codes = [cli_main(decay + ["--out", str(work / "plain.csv")])]
+efficiency = ["efficiency", "--problem", "ridge", "--train", str(work / "train.libsvm"),
+              "--val", str(work / "val.libsvm"), "--strategies",
+              "vanilla,newton,diag,exp,diag-rep,opt", "--trials", "2", "--seed", "4"]
+codes = [cli_main(decay + ["--out", str(work / "plain.csv")]),
+         cli_main(efficiency + ["--out", str(work / "eff_plain.csv")])]
 tracer = tracer_mod.Tracer()
 tracer_mod.instrument(tracer)
 codes.append(cli_main(decay + ["--out", str(work / "traced.csv")]))
 codes.append(cli_main(compare + ["--out", str(work / "cmp.csv")]))
 tracer.dump(str(work / "spans.json"))
+# The efficiency run's spans go to a file of their own.
+tracer.spans.clear()
+codes.append(cli_main(efficiency + ["--out", str(work / "eff_traced.csv")]))
+tracer.dump(str(work / "eff_spans.json"))
 print(json.dumps({"codes": codes,
-                  "metrics": tracer_mod.layer_metrics(str(work / "spans.json"))}))
+                  "metrics": tracer_mod.layer_metrics(str(work / "spans.json")),
+                  "efficiency": tracer_mod.layer_metrics(str(work / "eff_spans.json"))}))
 """
 
 
@@ -55,7 +65,7 @@ def test_tracer_rebinds_every_name_it_measures(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     metrics = result["metrics"]
     # Three steps make two blocks, the start and steps 1-3: one call each.
     for strategy in hg.STRATEGIES:
@@ -63,3 +73,9 @@ def test_tracer_rebinds_every_name_it_measures(tmp_path):
     assert metrics["linalg.lu_factor.calls"] > 0
     assert metrics["efficiency.compare_trial.s"] > 0
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    # Two trials of six strategies: one constant, and one SVD, each.
+    efficiency = result["efficiency"]
+    assert efficiency["efficiency.efficiency_constant.calls"] == 12
+    assert efficiency["linalg.top_singular.calls"] == 12
+    assert (tmp_path / "eff_traced.csv").read_bytes() == \
+        (tmp_path / "eff_plain.csv").read_bytes()
