@@ -217,7 +217,6 @@ class TestKeptRootBlocks:
         assert len(svds) == 3 and all(m.any() for m in svds), \
             [m.shape for m in svds]
 
-
     def test_precond_gap_of_the_newton_p_takes_no_svd(self, monkeypatch):
         # With P = F_1, P - F_1 is exactly zero, so delta is 0.0 with no SVD;
         # J_P's top pair is already kept by the context.
