@@ -492,15 +492,15 @@ class Strategy:
 
     def estimate(self, x: Array, y: Array) -> Array:
         """Hypergradient estimate g_2 + S g_1 at the corrected point."""
-        problem, outer = self.problem, self.problem.outer
+        problem = self.problem
         d_x, d_y = problem.d_x, problem.d_y
         x = as_points(x, d_x, "x")
         y = as_vector(y, d_y, "y")
         if self.precond is not None:
             x = as_points(x - self.precond.solve(x, y, problem.residual(x, y)), d_x, "x")
-        g2 = per_row(lambda p: as_vector(outer.grad_y(p, y), d_y, "grad_y"), x)
+        g2 = problem._outer_gradient("grad_y", x, y)
         s = self.sensitivity(x, y)
-        g1 = per_row(lambda p: as_vector(outer.grad_x(p, y), d_x, "grad_x"), x)
+        g1 = problem._outer_gradient("grad_x", x, y)
         return g2 + (s @ g1[..., None])[..., 0]
 
 

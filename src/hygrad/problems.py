@@ -13,9 +13,9 @@ A bilevel problem is a pair of oracles over (x, y) with x the inner variable
 An oracle's results must depend only on its arguments, since problems are
 shared freely across concurrent evaluations; an oracle's cache (the logistic
 oracle keeps its last point's sigmoids) is replaced whole, never in parts. A
-``BilevelProblem``'s memo of recent blocks, F_1 and diag(F_1) factorizations
-and roots sits behind ``functools.lru_cache``; two threads that compute the
-same block get equal values.
+``BilevelProblem``'s memo of recent blocks, outer gradients, F_1 and
+diag(F_1) factorizations and roots sits behind ``functools.lru_cache``; two
+threads that compute the same block get equal values.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .errors import ContractViolation, HygradError, NumericalFailure, UsageError
-from .linalg import Factorization, factor
+from .linalg import Factorization, _check_finite, factor
 
 Array = np.ndarray
 
@@ -50,16 +50,20 @@ def _read_only(given) -> Array:
     return a
 
 
-def as_vector(a, dim: int | None = None, name: str = "vector") -> Array:
-    """Validate and return a finite float64 vector, optionally of length dim."""
+def _vector_shaped(a, dim: int | None, name: str) -> Array:
+    """a as a float64 vector, of length dim unless dim is None; its entries
+    are not checked."""
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         raise ContractViolation(f"{name} must be 1-d, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ContractViolation(f"{name} must have length {dim}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
-        raise ContractViolation(f"{name} contains non-finite entries")
     return v
+
+
+def as_vector(a, dim: int | None = None, name: str = "vector") -> Array:
+    """Validate and return a finite float64 vector, optionally of length dim."""
+    return _check_finite(_vector_shaped(a, dim, name), name)
 
 
 def as_points(a, dim: int | None = None, name: str = "x") -> Array:
@@ -77,16 +81,20 @@ def per_row(fn: Callable[..., Array], x: Array, *args: Array) -> Array:
     return fn(x, *args) if x.ndim == 1 else np.stack([fn(*row) for row in zip(x, *args)])
 
 
-def as_matrix(a, shape: tuple[int, int] | None = None, name: str = "matrix") -> Array:
-    """Validate and return a finite float64 matrix, optionally of given shape."""
+def _matrix_shaped(a, shape: tuple[int, int] | None, name: str) -> Array:
+    """a as a float64 matrix, of the given shape unless it is None; its
+    entries are not checked."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ContractViolation(f"{name} must be 2-d, got shape {m.shape}")
     if shape is not None and m.shape != shape:
         raise ContractViolation(f"{name} must have shape {shape}, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ContractViolation(f"{name} contains non-finite entries")
     return m
+
+
+def as_matrix(a, shape: tuple[int, int] | None = None, name: str = "matrix") -> Array:
+    """Validate and return a finite float64 matrix, optionally of given shape."""
+    return _check_finite(_matrix_shaped(a, shape, name), name)
 
 
 class InnerOracle(Protocol):
@@ -186,14 +194,18 @@ class BilevelProblem:
     and evaluate it once per point among the last 5 points, and
     ``jac_x_factor`` and ``jac_x_diagonal`` check F_1 and diag(F_1) there
     once and keep one factorization of each for every caller's solves;
-    ``exact_root`` solves once per y among the last 4 y. A point is the
-    shapes and bits of x and y, so -0.0 and 0.0 are different points.
-    Blocks are handed out read-only, roots as fresh copies.
+    ``exact_root`` solves once per y among the last 4 y. The outer oracle's
+    gradients g_1 and g_2 are validated and kept per point too, for
+    ``Strategy.estimate``: strategies that estimate at one point evaluate
+    each once. A point is the shapes and bits of x and y, so -0.0 and 0.0
+    are different points. Blocks are handed out read-only, roots as fresh
+    copies.
 
     x may also be a stack of m points, shape (m, d_x): each method then
-    calls the per-point oracle once per row, validates each row, and keeps
-    the stacked blocks and factorization as one point, row k with the bits
-    of the call with row k alone.
+    calls the per-point oracle once per row, checks each row's shape and
+    then the whole stack's entries once, and keeps the stacked blocks and
+    factorization as one point, row k with the bits of the call with row k
+    alone.
 
     The three y-coupling contractions (see ``InnerOracle``) call the inner
     oracle's closed form when it has one, else the one-hot loop over
@@ -220,13 +232,13 @@ class BilevelProblem:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return x, y, self._points((x.shape, x.tobytes(), y.shape, y.tobytes()))
 
-    def _block(self, method: str, x: Array, y: Array, check, shape) -> Array:
+    def _block(self, oracle, method: str, x: Array, y: Array, shaped, shape) -> Array:
         x, y, blocks = self._memo(x, y)
         block = blocks.get(method)
         if block is None:
-            oracle = getattr(self.inner, method)
-            block = blocks[method] = _read_only(
-                per_row(lambda p: check(oracle(p, y), shape, method), x))
+            call = getattr(oracle, method)
+            block = blocks[method] = _read_only(_check_finite(
+                per_row(lambda p: shaped(call(p, y), shape, method), x), method))
         return block
 
     def _solve(self, y_shape, y_bits) -> Optional[Array]:
@@ -236,13 +248,19 @@ class BilevelProblem:
         return _read_only(as_vector(root, self.d_x, "exact_root"))
 
     def residual(self, x: Array, y: Array) -> Array:
-        return self._block("residual", x, y, as_vector, self.d_x)
+        return self._block(self.inner, "residual", x, y, _vector_shaped, self.d_x)
 
     def jac_x(self, x: Array, y: Array) -> Array:
-        return self._block("jac_x", x, y, as_matrix, (self.d_x, self.d_x))
+        return self._block(self.inner, "jac_x", x, y, _matrix_shaped, (self.d_x, self.d_x))
 
     def jac_y(self, x: Array, y: Array) -> Array:
-        return self._block("jac_y", x, y, as_matrix, (self.d_x, self.d_y))
+        return self._block(self.inner, "jac_y", x, y, _matrix_shaped, (self.d_x, self.d_y))
+
+    def _outer_gradient(self, method: str, x: Array, y: Array) -> Array:
+        """The outer oracle's g_1 (``method`` "grad_x") or g_2 ("grad_y"),
+        validated and kept per point as the inner blocks are."""
+        return self._block(self.outer, method, x, y, _vector_shaped,
+                           self.d_x if method == "grad_x" else self.d_y)
 
     def jac_x_factor(self, x: Array, y: Array) -> Factorization:
         """``factor(jac_x(x, y), "F_1")``, checked once per point and kept

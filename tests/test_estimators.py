@@ -804,6 +804,29 @@ class TestStacks:
         for k in range(2):
             assert_same_bits(stacked[k], estimator(x[k], y))
 
+    def test_outer_gradients_once_per_distinct_row(self, logistic_quadratic):
+        # The problem keeps g_1 and g_2 per point: vanilla, exp, diag-rep and
+        # opt read them on one stack, newton and diag on their corrected ones.
+        outer, calls = logistic_quadratic.outer, []
+
+        def counted(name):
+            gradient = getattr(outer, name)
+
+            def call(x, y):
+                calls.append((name, x.tobytes()))
+                return gradient(x, y)
+            return call
+        problem = replace(logistic_quadratic, outer=replace(
+            outer, grad_x=counted("grad_x"), grad_y=counted("grad_y")))
+        y = seeded_y(problem, 7)
+        rng = np.random.default_rng(7)
+        x = hg.exact_root(problem, y) + 0.05 * rng.standard_normal((4, problem.d_x))
+        for key in hg.STRATEGIES:
+            hg.make_estimator(problem, key)(x, y)
+        for name in ("grad_x", "grad_y"):
+            rows = [row for called, row in calls if called == name]
+            assert (len(rows), len(set(rows))) == (3 * 4, 3 * 4), name
+
     @pytest.mark.parametrize("block", ["grad_x", "grad_y"])
     def test_outer_gradients_are_validated_per_point(self, reg_train, reg_val, block):
         # A column for a vector broadcast through g_2 + S g_1 unnoticed.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hygrad as hg
 from hygrad.cli import cli_main
@@ -301,6 +303,93 @@ class TestSingularityRule:
             hg.linear_solve(a, np.ones(2))
             hg.solve_transpose(a, np.ones(2))
             assert len(seen) - before == (3 if a is dense else 0)
+
+
+def _svd_decision(a, what):
+    """What the SVD rule alone decides for the stack a: None, or the ``what``
+    and message of the SingularMatrixError naming its first singular row."""
+    rtol = hg.linalg.SINGULAR_RTOL
+    s = np.linalg.svd(a, compute_uv=False)
+    for k, (small, large) in enumerate(zip(s[:, -1], s[:, 0])):
+        if small <= rtol * large:
+            ratio = float(small / large) if large else 0.0
+            return (f"{what} (row {k})",
+                    f"{what} (row {k}) is singular to working precision "
+                    f"(sigma_min/sigma_max {ratio:.3e} <= {rtol:g})")
+    return None
+
+
+def _stack_matrix(kind, n, rng):
+    """One n x n matrix of a stack: strictly dominant with a wide margin,
+    dominant by a margin near 1e-15 of its diagonal (an M-matrix near a
+    singular one half the time), plain random, exactly singular, or with
+    sigma_min/sigma_max near 1e-15; scaled by a power of ten."""
+    off = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.7)
+    if kind == "barely" and rng.random() < 0.5:
+        off = -np.abs(off + off.T)
+    np.fill_diagonal(off, 0.0)
+    sums = np.maximum(np.abs(off).sum(axis=1), np.abs(off).sum(axis=0))
+    if kind == "dominant":
+        a = off + np.diag(rng.choice([-1.0, 1.0], n) * (sums + rng.uniform(0.1, 2.0, n)))
+    elif kind == "barely":
+        a = off + np.diag(np.where(sums > 0, sums, 1.0)
+                          * (1.0 + 1e-15 * rng.uniform(0.0, 4.0, n)))
+    elif kind == "random":
+        a = rng.standard_normal((n, n))
+    elif kind == "singular":
+        a = rng.standard_normal((n, n))
+        a[-1] = a[0] if n > 1 else 0.0
+    else:
+        a = _with_singular_values(rng, np.geomspace(1.0, 1e-15 * rng.uniform(0.5, 2.0), n))
+    return a * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+_KINDS = ("dominant", "barely", "random", "singular", "tiny-ratio")
+
+
+class TestDominanceCertificate:
+    """check_nonsingular clears a diagonally dominant stack without the SVD,
+    and only where the SVD would clear it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(1, 12),
+           pool=st.sampled_from([_KINDS, ("dominant", "barely"), ("dominant",)]),
+           data=st.data())
+    def test_raises_exactly_where_the_svd_rule_does(self, m, n, pool, data):
+        # Stacks drawn from the narrower pools are the ones the certificate
+        # may clear: every matrix dominant, or as nearly so as rounding allows.
+        kinds = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        a = np.stack([_stack_matrix(kind, n, rng) for kind in kinds])
+        want = _svd_decision(a, "A")
+        if want is None:
+            hg.linalg.check_nonsingular(a, "A")
+            return
+        with pytest.raises(SingularMatrixError) as err:
+            hg.linalg.check_nonsingular(a, "A")
+        assert (err.value.what, str(err.value)) == want
+
+    def test_a_dominant_stack_takes_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        rng = np.random.default_rng(5)
+        stack = rng.uniform(-1.0, 1.0, (12, 20, 20)) + 40.0 * np.eye(20)
+        hg.linalg.check_nonsingular(stack, "A")
+        hg.factor(stack, "A")
+        assert calls == []
+        # One matrix takes the SVD, which costs it less than the certificate.
+        hg.linalg.check_nonsingular(stack[0], "A")
+        hg.factor(stack[3], "A")
+        assert calls == [(20, 20), (20, 20)]
+        # A stack with one matrix short of the margin takes it too.
+        stack[4, 0, 0] = np.abs(stack[4, 0, 1:]).sum()
+        hg.factor(stack, "A")
+        assert calls[2:] == [(12, 20, 20)]
 
 
 class TestSpectralNorm:
